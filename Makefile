@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-ingest-faults test-direction test-integrity test-concurrent test-vertexprog test-compression test-semiem test-streaming check-cache-factory lint bench bench-quick bench-smoke examples figures clean
+.PHONY: install test test-strict check-cache-factory lint bench bench-quick bench-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,36 +10,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-output:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-
-test-faults:  # fault injection / failover suite, warnings promoted to errors
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_fault_paths.py
-
-test-ingest-faults:  # ingestion-time failover + rebalance suite, warnings promoted to errors
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_fault_paths.py \
-		-k "Ingestion or Rebalance or WindowGreedyOwnerLookup"
-
-test-direction:  # direction-optimizing BFS suite, warnings promoted to errors
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_direction.py tests/test_bitset.py
-
-test-integrity:  # checksums / corruption / read-repair / crash-recovery suite
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_integrity.py
-
-test-concurrent: check-cache-factory  # multi-query scheduler suite, warnings promoted to errors
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_scheduler_concurrent.py
-
-test-vertexprog:  # scatter/gather vertex-program runtime + analytics suite
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_vertexprog.py tests/test_analyses.py
-
-test-compression:  # delta+varint compressed adjacency suite, warnings promoted to errors
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_compression.py
-
-test-semiem:  # semi-external-memory mode suite, warnings promoted to errors
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_semiem.py
-
-test-streaming:  # streaming ingest / delta log / snapshot consistency suite
-	PYTHONPATH=src $(PYTHON) -m pytest -q -W error tests/test_streaming.py
+test-strict: check-cache-factory  # the feature suites once more, warnings promoted to errors
+	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
+		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
+		tests/test_integrity.py tests/test_scheduler_concurrent.py \
+		tests/test_vertexprog.py tests/test_analyses.py tests/test_compression.py \
+		tests/test_semiem.py tests/test_streaming.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \
@@ -51,9 +27,6 @@ check-cache-factory:  # block caches must come from make_block_cache, never dire
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-output:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 bench-quick:  # smaller workloads for a fast shape check
 	REPRO_BENCH_SCALE=0.4 REPRO_BENCH_QUERIES=6 $(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -80,6 +53,6 @@ figures:  # regenerate every table/figure via the CLI
 		$(PYTHON) -m repro experiment $$id; \
 	done
 
-clean:
-	rm -rf benchmarks/results .pytest_cache .benchmarks
+clean:  # untracked outputs only: benchmarks/results/ holds committed result files
+	rm -rf benchmarks/twoclock/out .benchmarks .pytest_cache test_output.txt bench_output.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

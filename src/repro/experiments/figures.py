@@ -17,7 +17,6 @@ from typing import Mapping
 from .harness import (
     Deployment,
     SearchResult,
-    build_and_ingest,
     run_ingest_experiment,
     run_search_experiment,
 )

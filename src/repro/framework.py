@@ -972,6 +972,7 @@ class MSSG:
                 # write-back, and teardown must not die with it.
                 pass
         self.cluster.close()
+        self.queries.close()
 
     def __enter__(self) -> "MSSG":
         return self

@@ -31,7 +31,7 @@ import numpy as np
 
 from ...simcluster.disk import BlockDevice
 from ...util.errors import ConfigError, GraphStorageException
-from ...util.varint import split_sorted_fit, sorted_encoded_size
+from ...util.varint import split_sorted_fit
 from ..idmap import IdentityMap, IdMap
 from ..interface import GraphDB
 from .format import (
@@ -42,6 +42,7 @@ from .format import (
     decode_pointer,
     encode_pointer,
     is_pointer,
+    split_pointers,
 )
 from .storage import GrDBStorage
 
@@ -121,36 +122,6 @@ class GrDB(GraphDB):
 
     def _write_compressed(self, level: int, sb: int, values: np.ndarray, tail: int) -> None:
         self.storage.write_subblock(level, sb, self.fmt.encode_subblock(level, values, tail))
-
-    def _gather_sub(
-        self,
-        blocks: dict[int, dict[int, bytes]],
-        level: int,
-        sb: int,
-        k_by_level: list[int],
-    ) -> tuple[np.ndarray, int]:
-        """Gather one sub-block from an already-fetched block batch.
-
-        Returns ``(values, last)`` where ``last`` is the chain-continuation
-        word (``EMPTY_SLOT`` or a pointer).  Raw sub-blocks may include
-        ``EMPTY_SLOT`` words in ``values`` (callers filter); compressed ones
-        never do.  Charges the marginal batched sub-block cost, plus the
-        vectorized varint decode when compressed.
-        """
-        block, slot = divmod(sb, k_by_level[level])
-        sub_bytes = self.fmt.subblock_bytes(level)
-        data = blocks[level][block][slot * sub_bytes : (slot + 1) * sub_bytes]
-        if self.fmt.compress:
-            values, last, consumed = self.fmt.decode_subblock(data)
-            self.clock.advance(
-                self.cpu.grdb_batch_subblock_seconds
-                + consumed * self.cpu.varint_decode_seconds
-            )
-            return values, last
-        slots = self.fmt.parse_slots(data)
-        self.clock.advance(self.cpu.grdb_batch_subblock_seconds)
-        last = int(slots[-1])
-        return (slots[:-1] if is_pointer(last) else slots), last
 
     def _walk(self, local: int) -> tuple[list[tuple[int, int]], int]:
         """Follow ``local``'s chain to its tail; returns (path, tail fill)."""
@@ -353,42 +324,82 @@ class GrDB(GraphDB):
         if len(fringe) == 0:
             return
         locals_, owned = self.id_map.to_local_many(fringe)
-        parts: list[list[np.ndarray]] = [[] for _ in range(len(fringe))]
-        # (level, sub-block, fringe position) of every still-walking chain.
-        pending = [(0, int(sb), i) for i, sb in enumerate(locals_) if owned[i]]
-        k_by_level = [self.fmt.subblocks_per_block(lv) for lv in range(self.fmt.num_levels)]
+        neighbors, _ = self._resolve_chains(locals_[owned])
+        adjlist.extend(neighbors)
+        self.stats.edges_scanned += len(neighbors)
+        self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
+
+    def _read_frames(self, level: int, blocks: list[int]) -> np.ndarray:
+        """Batch-read ascending ``blocks`` of ``level``; their sub-blocks, in
+        address order, as the rows of one ``(n, subblock_bytes)`` uint8 matrix."""
+        data = self.storage.read_block_batch(level, blocks)
+        joined = np.frombuffer(b"".join(data[b] for b in blocks), dtype=np.uint8)
+        return joined.reshape(-1, self.fmt.subblock_bytes(level))
+
+    def _resolve_chains(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Walk the chains rooted at level-0 sub-blocks ``heads`` together.
+
+        Returns ``(neighbors, offsets)``: chain ``i``'s neighbors, in chain
+        order, are ``neighbors[offsets[i]:offsets[i + 1]]``.  Each round
+        sorts the pending ``(level, sub-block, owner)`` arrays by address,
+        fetches every level's distinct blocks in one batch, and decodes all
+        of a level's sub-blocks in one codec call.  Virtual charges keep the
+        per-sub-block order of the address sort (summing first would change
+        float rounding): one ``grdb_subblock_seconds`` per distinct block
+        after its level's read, then the marginal batched cost per gathered
+        sub-block plus its decoded varint bytes.
+        """
+        fmt, cpu = self.fmt, self.cpu
+        sb = np.asarray(heads, dtype=np.int64)
+        nchains = len(sb)
+        if nchains == 0:
+            return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        level = np.zeros(nchains, dtype=np.int64)
+        owner = np.arange(nchains)
+        # One entry per (round, level): who owns each decoded segment, how
+        # long it is, and the values themselves.
+        seg_owner, seg_len, seg_values = [], [], []
         rounds = 0
-        while pending:
+        while len(owner):
             rounds += 1
             if rounds > 1 << 20:
-                raise GraphStorageException("runaway chain during batched fringe expansion")
-            pending.sort(key=lambda t: (t[0], t[1]))
-            wanted: dict[int, set[int]] = {}
-            for level, sb, _ in pending:
-                wanted.setdefault(level, set()).add(sb // k_by_level[level])
-            blocks: dict[int, dict[int, bytes]] = {}
-            for level in sorted(wanted):
-                blocks[level] = self.storage.read_block_batch(level, wanted[level])
+                raise GraphStorageException("runaway chain during batched chain resolution")
+            order = np.lexsort((sb, level))  # stable: duplicate heads keep fringe order
+            level, sb, owner = level[order], sb[order], owner[order]
+            levels, starts = np.unique(level, return_index=True)
+            bounds = [*starts.tolist(), len(sb)]
+            tails, consumed = [], []
+            for lv, lo, hi in zip(levels.tolist(), bounds, bounds[1:]):
+                subs = sb[lo:hi]
+                k = fmt.subblocks_per_block(lv)
+                blocks, rank = np.unique(subs // k, return_inverse=True)
+                frames = self._read_frames(lv, blocks.tolist())
                 # One full address+decode per distinct block; the per-sub-block
                 # gathers below ride on the already-parsed block.
-                self.clock.advance(len(blocks[level]) * self.cpu.grdb_subblock_seconds)
-            nxt = []
-            for level, sb, i in pending:
-                vals, last = self._gather_sub(blocks, level, sb, k_by_level)
-                parts[i].append(vals)
-                if is_pointer(last):
-                    nxt.append((*decode_pointer(last), i))
-            pending = nxt
-        total = 0
-        for chain in parts:
-            if not chain:
-                continue
-            flat = np.concatenate(chain) if len(chain) > 1 else chain[0]
-            neighbors = flat[flat != EMPTY_SLOT].astype(np.int64)
-            total += len(neighbors)
-            adjlist.extend(neighbors)
-        self.stats.edges_scanned += total
-        self.clock.advance(total * self.cpu.edge_visit_seconds)
+                self.clock.advance(len(blocks) * cpu.grdb_subblock_seconds)
+                values, offsets, tail, used = fmt.decode_subblocks(
+                    lv, subs, frames[rank * k + subs % k]
+                )
+                seg_owner.append(owner[lo:hi])
+                seg_len.append(np.diff(offsets))
+                seg_values.append(values)
+                tails.append(tail)
+                consumed.append(used)
+            costs = np.concatenate(consumed) * cpu.varint_decode_seconds
+            for cost in (cpu.grdb_batch_subblock_seconds + costs).tolist():
+                self.clock.advance(cost)
+            more, level, sb = split_pointers(np.concatenate(tails))
+            owner = owner[more]
+        # Segments sit round by round in address order; one stable sort by
+        # owner puts each chain's segments together, still in chain order.
+        owners, lens, values = map(np.concatenate, (seg_owner, seg_len, seg_values))
+        order = np.argsort(owners, kind="stable")
+        starts = (np.cumsum(lens) - lens)[order]  # where each segment sits in ``values``
+        lens = lens[order]
+        bounds = np.concatenate(([0], np.cumsum(lens)))  # ... and where it goes
+        src = np.repeat(starts - bounds[:-1], lens) + np.arange(len(values))
+        offsets = bounds[np.searchsorted(owners[order], np.arange(nchains + 1))]
+        return values[src].view(np.int64), offsets
 
     # -- storage-order scan (bottom-up BFS access plan) -------------------------------
 
@@ -416,38 +427,13 @@ class GrDB(GraphDB):
         if len(idx) == 0:
             return
         scan_order = idx[np.argsort(locals_[idx], kind="stable")]
-        k_by_level = [self.fmt.subblocks_per_block(lv) for lv in range(self.fmt.num_levels)]
-        window = max(1, 4 * k_by_level[0])
+        window = max(1, 4 * self.fmt.subblocks_per_block(0))
         for start in range(0, len(scan_order), window):
             sel = scan_order[start : start + window]
-            parts: dict[int, list[np.ndarray]] = {int(i): [] for i in sel}
-            pending = [(0, int(locals_[i]), int(i)) for i in sel]
-            rounds = 0
-            while pending:
-                rounds += 1
-                if rounds > 1 << 20:
-                    raise GraphStorageException("runaway chain during storage-order scan")
-                pending.sort(key=lambda t: (t[0], t[1]))
-                wanted: dict[int, set[int]] = {}
-                for level, sb, _ in pending:
-                    wanted.setdefault(level, set()).add(sb // k_by_level[level])
-                blocks: dict[int, dict[int, bytes]] = {}
-                for level in sorted(wanted):
-                    blocks[level] = self.storage.read_block_batch(level, wanted[level])
-                    self.clock.advance(len(blocks[level]) * self.cpu.grdb_subblock_seconds)
-                nxt = []
-                for level, sb, i in pending:
-                    vals, last = self._gather_sub(blocks, level, sb, k_by_level)
-                    parts[i].append(vals)
-                    if is_pointer(last):
-                        nxt.append((*decode_pointer(last), i))
-                pending = nxt
-            for i in sel:
-                chain = parts[int(i)]
-                flat = np.concatenate(chain) if len(chain) > 1 else chain[0]
-                neighbors = flat[flat != EMPTY_SLOT].astype(np.int64)
-                if len(neighbors):
-                    yield int(gids[int(i)]), neighbors
+            neighbors, offsets = self._resolve_chains(locals_[sel])
+            for i, lo, hi in zip(sel.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+                if hi > lo:
+                    yield int(gids[i]), neighbors[lo:hi]
 
     # -- prefetch (the §4.2 future-work optimization) ---------------------------------
 
@@ -479,26 +465,18 @@ class GrDB(GraphDB):
     def _rebuild_known_locals(self) -> None:
         """Recover the set of stored vertices by scanning level-0 blocks."""
         k = self.fmt.subblocks_per_block(0)
-        d0 = self.fmt.capacities[0]
         level0 = sorted(b for lvl, b in self.storage._written_blocks if lvl == 0)
-        data = self.storage.read_block_batch(0, level0)
+        frames = self._read_frames(0, level0)
         if self.fmt.compress:
-            sub_bytes = self.fmt.subblock_bytes(0)
-            for block in level0:
-                raw = data[block]
-                for slot in range(k):
-                    values, tail, _ = self.fmt.decode_subblock(
-                        raw[slot * sub_bytes : (slot + 1) * sub_bytes]
-                    )
-                    # Occupied iff it stores neighbors or continues a chain
-                    # (a count-0 head whose first neighbor spilled).
-                    if len(values) or is_pointer(tail):
-                        self._known_locals.add(block * k + slot)
-            return
-        for block in level0:
-            slots = self.fmt.parse_slots(data[block])
-            occupied = np.flatnonzero((slots.reshape(k, d0) != EMPTY_SLOT).any(axis=1))
-            self._known_locals.update(int(i) for i in block * k + occupied)
+            # Occupied iff it stores neighbors or continues a chain (a
+            # count-0 head whose first neighbor spilled); the frame header
+            # and tail word say so without decoding the varint stream.
+            counts, tails, _ = self.fmt.frame_columns(frames)
+            occupied = (counts > 0) | split_pointers(tails)[0]
+        else:
+            occupied = (frames.view("<u8") != EMPTY_SLOT).any(axis=1)
+        subblocks = (np.array(level0, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
+        self._known_locals.update(subblocks[occupied].tolist())
 
     def chain_of(self, vertex: int) -> list[tuple[int, int]]:
         """The (level, sub-block) chain of ``vertex`` — for tests/defrag."""

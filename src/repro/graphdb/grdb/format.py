@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...util.errors import ConfigError, GraphStorageException
-from ...util.varint import decode_sorted, encode_sorted
+from ...util.varint import decode_sorted, decode_sorted_segments, encode_sorted
 
 __all__ = [
     "GrDBFormat",
@@ -57,6 +57,7 @@ __all__ = [
     "decode_pointer",
     "is_pointer",
     "is_empty",
+    "split_pointers",
 ]
 
 SLOT_BYTES = 8
@@ -100,6 +101,18 @@ def is_pointer(slot: int) -> bool:
 
 def is_empty(slot: int) -> bool:
     return slot == EMPTY_SLOT
+
+
+def split_pointers(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`is_pointer` + :func:`decode_pointer` over a uint64 slot array:
+    ``(mask, levels, sub-blocks)``, the last two for the pointer words only."""
+    mask = (slots & _TAG_MASK) == _PTR_TAG
+    ptrs = slots[mask]
+    return (
+        mask,
+        ((ptrs & _LEVEL_MASK) >> _LEVEL_SHIFT).astype(np.int64),
+        (ptrs & _INDEX_MASK).astype(np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -247,3 +260,44 @@ class GrDBFormat:
                 "exceeds the 61-bit vertex id space"
             )
         return values, tail, consumed
+
+    # -- whole batches of sub-blocks (the level-synchronous read path) ------
+
+    @staticmethod
+    def frame_columns(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split an ``(m, subblock_bytes)`` uint8 matrix of compressed frames
+        into ``(counts, tail slots, payload columns)`` without decoding;
+        never-written frames (count ``0xFFFF``) report count 0."""
+        counts = np.ascontiguousarray(frames[:, : _COUNT_STRUCT.size]).view("<u2").ravel()
+        counts = np.where(counts == _COUNT_EMPTY, 0, counts).astype(np.int64)
+        tails = np.ascontiguousarray(frames[:, -_TAIL_STRUCT.size :]).view("<u8").ravel()
+        return counts, tails, frames[:, _COUNT_STRUCT.size : -_TAIL_STRUCT.size]
+
+    def decode_subblocks(
+        self, level: int, subblocks: np.ndarray, frames: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Decode the sub-blocks ``subblocks`` of ``level`` in one pass.
+
+        Row ``i`` of the ``(m, subblock_bytes)`` uint8 matrix ``frames``
+        holds sub-block ``subblocks[i]`` (named only in errors).  Returns
+        ``(values, offsets, tails, consumed)``: the neighbors of row ``i``
+        are ``values[offsets[i]:offsets[i + 1]]``, ``tails[i]`` is its
+        chain-continuation word and ``consumed[i]`` its decoded varint
+        bytes (0 for raw slots, where decoding is a reshape).  Compressed
+        frames get every check of :meth:`decode_subblock`.
+        """
+        if self.compress:
+            counts, tails, payload = self.frame_columns(frames)
+            values, offsets, consumed = decode_sorted_segments(
+                payload,
+                counts,
+                what=lambda i: f"grDB level-{level} sub-block {int(subblocks[i])} delta stream",
+                max_value=MAX_VERTEX_ID,
+            )
+            return values, offsets, tails, consumed
+        slots = frames.view("<u8")
+        tails = slots[:, -1]
+        keep = slots != EMPTY_SLOT
+        keep[:, -1] &= ~split_pointers(tails)[0]
+        offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        return slots[keep], offsets, tails, np.zeros(len(slots), dtype=np.int64)

@@ -220,6 +220,14 @@ class QueryService:
     def analyses(self) -> list[str]:
         return sorted(self._analyses)
 
+    def close(self) -> None:
+        """Drop the registry.  Its runners are bound methods and closures of
+        this service — a reference cycle that would keep a closed
+        deployment's stores, caches and tail memos alive until the cycle
+        collector's next full pass, so a process that opens deployments in
+        a loop would hold several at once."""
+        self._analyses.clear()
+
     def query(self, analysis: str, **params) -> QueryReport:
         runner = self._analyses.get(analysis)
         if runner is None:

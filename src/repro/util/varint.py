@@ -17,7 +17,10 @@ byte length with nine threshold compares and scatters the 7-bit groups in
 at most nine passes; decode finds group terminators from the continuation
 bits, reduces each group with ``np.add.reduceat``, and rebuilds values with
 one cumulative sum.  The decode side is what the CPU cost model charges
-(``CpuProfile.varint_decode_seconds`` per encoded byte).
+(``CpuProfile.varint_decode_seconds`` per encoded byte).  numpy dispatch
+costs microseconds per call whatever the size, so readers that gather many
+streams at once (grDB's level-synchronous chain resolver) decode them all
+in one :func:`decode_sorted_segments` call over a byte matrix.
 
 For edge *batches* (StreamDB log records, rebalance wire transfers) the
 module adds a two-stream layout: edges sorted by ``(src, dst)``, sources
@@ -27,6 +30,8 @@ every group boundary (detectable from the source stream's non-zero gaps).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +44,7 @@ __all__ = [
     "decode_varints",
     "encode_sorted",
     "decode_sorted",
+    "decode_sorted_segments",
     "sorted_encoded_size",
     "split_sorted_fit",
     "encode_edge_block",
@@ -104,22 +110,27 @@ def decode_varints(buf: bytes, count: int, what: str = "varint stream") -> tuple
             f"only {len(terminators)} varints terminate in {len(b)} bytes"
         )
     end = int(terminators[count - 1]) + 1
-    b = b[:end]
-    ends = terminators[:count]
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
+    values, lengths = _join_groups(b[:end], terminators[:count])
     if int(lengths.max()) > 9:
         raise GraphStorageException(
             f"corrupt {what}: varint group of {int(lengths.max())} bytes "
             "(canonical maximum is 9)"
         )
-    # Position of every byte within its group, then one reduceat per group.
-    pos = np.arange(end, dtype=np.uint64) - np.repeat(starts, lengths).astype(np.uint64)
-    groups = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * pos)
-    values = np.add.reduceat(groups, starts)
     return values, end
+
+
+def _join_groups(b: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and byte length of each varint group of ``b``, given the index
+    of every group's terminator.  Callers reject lengths above 9 (a shift
+    past 63 bits yields 0, never an exception)."""
+    starts = np.empty(len(ends), dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    # Position of every byte within its group, then one reduceat per group.
+    pos = np.arange(len(b), dtype=np.uint64) - np.repeat(starts, lengths).astype(np.uint64)
+    groups = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * pos)
+    return np.add.reduceat(groups, starts), lengths
 
 
 # -- sorted neighbor lists (grDB sub-blocks) --------------------------------
@@ -170,6 +181,67 @@ def decode_sorted(buf: bytes, count: int, what: str = "delta stream") -> tuple[n
             f"corrupt {what}: decoded id {int(values[-1])} exceeds the 63-bit range"
         )
     return values, consumed
+
+
+def decode_sorted_segments(
+    streams: np.ndarray,
+    counts,
+    what: Callable[[int], str] = "delta stream {}".format,
+    max_value: int = MAX_ENCODABLE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decode_sorted` over many streams in one pass.
+
+    Row ``i`` of the ``(m, width)`` uint8 matrix ``streams`` begins with the
+    delta stream of ``counts[i]`` strictly increasing values (``0`` skips
+    the row); whatever follows is padding.  Returns ``(values, offsets,
+    consumed)``: segment ``i`` is ``values[offsets[i]:offsets[i + 1]]`` and
+    took ``consumed[i]`` bytes.  Every corruption check of the one-stream
+    decoder applies per segment, and the :class:`GraphStorageException`
+    names the offending one as ``what(i)``.
+    """
+    streams = np.asarray(streams, dtype=np.uint8)
+    counts = np.asarray(counts, dtype=np.int64)
+    if streams.ndim != 2 or len(streams) != len(counts) or (counts < 0).any():
+        raise GraphStorageException(
+            f"segmented decode expects one matrix row per non-negative count, got "
+            f"{streams.shape} for {len(counts)} counts"
+        )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    total = int(offsets[-1])
+    if total == 0:
+        return np.empty(0, dtype=np.uint64), offsets, np.zeros(len(counts), dtype=np.int64)
+    term = streams < 0x80
+    short = np.count_nonzero(term, axis=1) < counts
+    if short.any():
+        i = int(np.argmax(short))
+        raise GraphStorageException(
+            f"truncated {what(i)}: {counts[i]} values promised, only "
+            f"{np.count_nonzero(term[i])} varints terminate in {streams.shape[1]} bytes"
+        )
+    # A byte's group index within its row = the terminators before it; the
+    # bytes of the first counts[i] groups, row-major, are one flat stream.
+    used = np.cumsum(term, axis=1, dtype=np.int32) - term < counts[:, None]
+    deltas, lengths = _join_groups(streams[used], np.flatnonzero(term[used]))
+
+    def reject(flags: np.ndarray, kind: str, detail: str) -> None:
+        if flags.any():
+            i = int(np.searchsorted(offsets, np.argmax(flags), side="right")) - 1
+            raise GraphStorageException(f"{kind} {what(i)}: {detail}")
+
+    reject(lengths > 9, "corrupt", "varint group longer than the canonical 9 bytes")
+    live = counts > 0
+    first = offsets[:-1][live]
+    inner = np.ones(total, dtype=bool)
+    inner[first] = False
+    reject(inner & (deltas == 0), "non-monotone", "zero gap decodes to a duplicate neighbor")
+    # Segmented cumulative sum: drop what accumulated before each segment.
+    csum = np.cumsum(deltas, dtype=np.uint64)
+    values = csum - np.repeat(csum[first] - deltas[first], counts[live])
+    # uint64 wrap-around shows up as a non-increase inside a segment.
+    inner[1:] &= values[1:] <= values[:-1]
+    reject(inner, "non-monotone", "decoded ids decrease")
+    reject(values > max_value, "corrupt", f"decoded id exceeds {max_value:#x}")
+    return values, offsets, used.sum(axis=1)
 
 
 def sorted_encoded_size(values) -> int:

@@ -11,9 +11,12 @@ counters.  Plus unit tests for the vectored device read primitive
 import numpy as np
 import pytest
 
+import repro.graphdb.grdb.format as grdb_format
+from repro import MSSG, MSSGConfig
+from repro.experiments.harness import EXPERIMENT_NODE_SPEC, scaled_grdb_format
 from repro.graphdb import GrDBFormat, ModuloMap, make_graphdb
 from repro.graphdb.bdb_db import BerkeleyGraphDB
-from repro.graphgen import dedupe_edges, preferential_attachment
+from repro.graphgen import dedupe_edges, preferential_attachment, pubmed_like
 from repro.simcluster import BlockDevice, MemoryBacking, NodeSpec, SimNode
 from repro.util import LongArray
 
@@ -29,10 +32,11 @@ BACKENDS = ("grDB", "BerkeleyDB", "MySQL", "StreamDB")
 EDGES = dedupe_edges(preferential_attachment(300, 3, seed=11))
 
 
-def build(backend: str, batch_io: bool, id_map=None):
+def build(backend: str, batch_io: bool, id_map=None, compress: bool = False):
     node = SimNode(0, NodeSpec())
     db = make_graphdb(
-        backend, node, id_map=id_map, grdb_format=FMT, batch_io=batch_io
+        backend, node, id_map=id_map, grdb_format=FMT, batch_io=batch_io,
+        compress_adjacency=compress,
     )
     edges = EDGES
     if id_map is not None:
@@ -151,6 +155,84 @@ def test_grdb_batched_coalesces_device_reads():
     reads_batch, bytes_batch = cold_read_stats(True)
     assert reads_batch < reads_plain
     assert bytes_batch / reads_batch > bytes_plain / reads_plain
+
+
+def test_grdb_codec_entered_per_round_and_level_not_per_subblock(monkeypatch):
+    """A perf regression test that reads no clock: the read path enters the
+    codec once per (round, level), however many sub-blocks a round gathers."""
+    calls = {"decode_sorted_segments": 0, "decode_sorted": 0}
+
+    def counted(name):
+        original = getattr(grdb_format, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(grdb_format, name, wrapper)
+
+    db = build("grDB", batch_io=True, compress=True)
+    per_resolve = max(len(db.chain_of(v)) for v in db.known_vertices()) * FMT.num_levels
+    counted("decode_sorted_segments")
+    counted("decode_sorted")
+
+    fringe = np.arange(250)
+    got, _, scanned = expand(db, fringe)
+    assert scanned == len(got) > 250
+    assert 0 < calls["decode_sorted_segments"] <= per_resolve
+
+    calls["decode_sorted_segments"] = 0
+    swept = sum(len(neighbors) for _, neighbors in db.scan_adjacency())
+    assert swept == db.stats.edges_stored
+    windows = -(-len(db.known_vertices()) // (4 * FMT.subblocks_per_block(0)))
+    assert 0 < calls["decode_sorted_segments"] <= windows * per_resolve
+    assert calls["decode_sorted"] == 0  # the one-frame decoder is off this path
+
+
+def test_compressed_grdb_virtual_clock_is_pinned():
+    """Golden virtual pin, recorded on the commit before the segmented decode.
+
+    A wall-only change to the read path must leave every virtual second and
+    every device counter of a compressed grDB deployment bit-identical:
+    same charges in the same order, same block fetches, same cache traffic.
+    """
+    edges = pubmed_like(600, avg_degree=12.0, hub_fraction=0.01, seed=5)
+    cfg = MSSGConfig(
+        num_backends=3,
+        num_frontends=1,
+        backend="grDB",
+        grdb_format=scaled_grdb_format(),
+        cache_blocks=8,
+        node_spec=EXPERIMENT_NODE_SPEC,
+    )
+    with MSSG(cfg) as mssg:
+        ingest = mssg.ingest(edges)
+        queries = [mssg.query_bfs(s, d) for s, d in [(0, 599), (17, 423), (250, 3), (598, 77)]]
+        components = mssg.query("components")
+        disks = dict.fromkeys(
+            ("reads", "writes", "bytes_read", "bytes_written", "seeks", "busy_seconds"), 0
+        )
+        for node in mssg.cluster.nodes[cfg.num_frontends :]:
+            for _, dev in sorted(node._disks.items()):
+                for key in disks:
+                    disks[key] += getattr(dev.stats, key)
+    assert ingest.seconds == 0.012038149018181885
+    assert [q.seconds for q in queries] == [
+        0.0011383088363636344,
+        0.0019522737090909067,
+        0.0014951552363636328,
+        0.0006130472000000002,
+    ]
+    assert [q.result for q in queries] == [2, 3, 2, 2]
+    assert components.seconds == 0.005174307381818172
+    assert disks == {
+        "reads": 172,
+        "writes": 69,
+        "bytes_read": 717500,
+        "bytes_written": 319800,
+        "seeks": 84,
+        "busy_seconds": 0.02421701333333333,
+    }
 
 
 def test_grdb_prefetch_fringe_counts_and_warms():

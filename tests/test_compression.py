@@ -15,6 +15,12 @@ from hypothesis import strategies as st
 from repro import MSSG, MSSGConfig
 from repro.graphdb import GrDB, GrDBFormat, make_graphdb
 from repro.graphdb.grdb.defrag import chain_length, defragment
+from repro.graphdb.grdb.format import (
+    COMPRESSED_COUNT_CAP,
+    EMPTY_SLOT,
+    MAX_VERTEX_ID,
+    encode_pointer,
+)
 from repro.graphdb.registry import BACKENDS
 from repro.graphdb.stream_db import StreamGraphDB
 from repro.simcluster import BlockDevice, DiskFault, FaultPlan, NodeSpec, SimNode
@@ -28,6 +34,7 @@ from repro.util.varint import (
     MAX_ENCODABLE,
     decode_edge_block,
     decode_sorted,
+    decode_sorted_segments,
     decode_varints,
     edge_block_bytes,
     encode_edge_block,
@@ -230,6 +237,26 @@ class TestGrDBCompressed:
         assert {v: sorted(db2.get_adjacency(v).tolist()) for v in range(10)} == want
         assert db2.known_vertices() == db.known_vertices()
 
+    def test_reopen_finds_count_zero_heads(self):
+        """Restore reads occupancy off frame headers and tail words alone.
+
+        Vertex 3's only neighbor needs an 8-byte varint, more than a level-0
+        frame's 6 payload bytes, so its head stores count 0 and a pointer —
+        occupied all the same.  Vertex 2 shares the block and was never
+        written; vertex 5 is an ordinary head.
+        """
+        node = SimNode(0, NodeSpec())
+        db = GrDB(node.disk, fmt=FMT_C, clock=node.clock)
+        db.store_edges(np.array([(3, 1 << 50), (5, 7), (40, 1 << 55), (40, 9)], dtype=np.int64))
+        db.flush()
+        head, _, _ = FMT_C.decode_subblock(db.storage.read_subblock(0, 3))
+        assert len(head) == 0 and len(db.chain_of(3)) == 2
+        db2 = GrDB(node.disk, fmt=FMT_C, clock=node.clock)
+        assert db2.restored
+        assert db2.known_vertices() == [3, 5, 40]
+        assert db2.get_adjacency(3).tolist() == [1 << 50]
+        assert sorted(db2.get_adjacency(40).tolist()) == [9, 1 << 55]
+
     def test_format_mode_mismatch_rejected(self):
         node = SimNode(0, NodeSpec())
         db = GrDB(node.disk, fmt=FMT_C, clock=node.clock)
@@ -269,6 +296,139 @@ class TestGrDBCompressed:
         too_many = np.arange(0, 10_000_000, 17, dtype=np.uint64)[:3000]
         with pytest.raises(GraphStorageException, match="overflows"):
             FMT_C.encode_subblock(0, too_many[:50], (1 << 64) - 1)
+
+
+# -- segmented (batch) decode ------------------------------------------------
+
+frame_values = st.sets(st.integers(min_value=0, max_value=MAX_VERTEX_ID), max_size=40)
+frame_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=FMT_C.num_levels - 1),
+        st.sampled_from(["never-written", "pointer-only", "values"]),
+        frame_values,
+        st.booleans(),  # chained on (pointer tail) or chain end
+    ),
+    max_size=24,
+)
+
+
+def _frame(level: int, kind: str, values, chained: bool) -> bytes:
+    if kind == "never-written":
+        return FMT_C.empty_subblock(level)
+    if kind == "pointer-only":
+        return FMT_C.encode_subblock(level, np.empty(0, dtype=np.uint64), encode_pointer(1, 3))
+    tail = encode_pointer(min(level + 1, FMT_C.num_levels - 1), 11) if chained else EMPTY_SLOT
+    fit, _ = split_sorted_fit(
+        np.array(sorted(values), dtype=np.uint64), FMT_C.payload_bytes(level), COMPRESSED_COUNT_CAP
+    )
+    return FMT_C.encode_subblock(level, fit, tail)
+
+
+def _matrix(frames: list[bytes], width: int = FMT_C.subblock_bytes(2)) -> np.ndarray:
+    return np.frombuffer(b"".join(frames), dtype=np.uint8).reshape(len(frames), width)
+
+
+class TestSegmentedDecode:
+    @given(frame_specs)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batch_equals_frame_by_frame(self, specs):
+        """One codec call per level decodes what ``decode_subblock`` does
+        frame by frame: values, tails and consumed bytes."""
+        for level in range(FMT_C.num_levels):
+            frames = [_frame(lv, kind, vals, ch) for lv, kind, vals, ch in specs if lv == level]
+            values, offsets, tails, consumed = FMT_C.decode_subblocks(
+                level, np.arange(len(frames)), _matrix(frames, FMT_C.subblock_bytes(level))
+            )
+            assert len(offsets) == len(frames) + 1 and offsets[-1] == len(values)
+            for i, frame in enumerate(frames):
+                want, tail, used = FMT_C.decode_subblock(frame)
+                assert values[offsets[i] : offsets[i + 1]].tolist() == want.tolist()
+                assert (int(tails[i]), int(consumed[i])) == (tail, used)
+
+    def test_raw_slots_take_the_same_path(self):
+        slots = np.array(
+            [[5, 9, EMPTY_SLOT, EMPTY_SLOT], [1, 2, 3, encode_pointer(2, 7)], [EMPTY_SLOT] * 4],
+            dtype="<u8",
+        )
+        values, offsets, tails, consumed = FMT.decode_subblocks(
+            1, np.arange(3), slots.view(np.uint8)
+        )
+        assert values.tolist() == [5, 9, 1, 2, 3]
+        assert offsets.tolist() == [0, 2, 5, 5]
+        assert tails.tolist() == slots[:, -1].tolist() and not consumed.any()
+
+    def test_codec_level_api(self):
+        streams = np.zeros((3, 8), dtype=np.uint8)
+        first = np.frombuffer(encode_sorted(np.array([5, 9, 300], dtype=np.uint64)), np.uint8)
+        streams[0, : len(first)] = first
+        streams[2, :1] = 7
+        values, offsets, consumed = decode_sorted_segments(streams, [3, 0, 1])
+        assert values.tolist() == [5, 9, 300, 7]
+        assert offsets.tolist() == [0, 3, 3, 4] and consumed.tolist() == [4, 0, 1]
+        with pytest.raises(GraphStorageException, match="one matrix row per non-negative count"):
+            decode_sorted_segments(streams, [1, 2])
+
+    # Corrupt frames, each with a valid header and tail; built on level 2
+    # (118 payload bytes) so every corruption fits.
+    CORRUPT = {
+        "truncated": (1, b"\x80" * FMT_C.payload_bytes(2), "truncated"),
+        "zero gap": (3, encode_varints(np.array([5, 0, 8], dtype=np.uint64)), "zero gap"),
+        "10-byte group": (1, b"\x80" * 9 + b"\x01", "canonical 9 bytes"),
+        "id past 2^61": (1, encode_varints(np.array([MAX_VERTEX_ID + 1], dtype=np.uint64)), "exceeds"),
+        "wrap-around": (
+            3,
+            encode_varints(np.array([MAX_ENCODABLE, MAX_ENCODABLE, 5], dtype=np.uint64)),
+            "decrease",
+        ),
+    }
+
+    @staticmethod
+    def _corrupt_frame(kind: str) -> tuple[bytes, str]:
+        count, payload, message = TestSegmentedDecode.CORRUPT[kind]
+        budget = FMT_C.payload_bytes(2)
+        frame = (
+            count.to_bytes(2, "little")
+            + payload
+            + b"\x00" * (budget - len(payload))
+            + EMPTY_SLOT.to_bytes(8, "little")
+        )
+        return frame, message
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPT))
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_corruption_names_the_subblock(self, kind, position):
+        """The batch path rejects what the one-frame path rejects, and says
+        which (level, sub-block) it was; the good frames around it are
+        irrelevant."""
+        bad, message = self._corrupt_frame(kind)
+        with pytest.raises(GraphStorageException):
+            FMT_C.decode_subblock(bad)
+        good = [
+            _frame(2, "values", {3, 1 << 40, 77}, True),
+            _frame(2, "never-written", (), False),
+            _frame(2, "values", set(range(0, 90, 3)), False),
+            _frame(2, "pointer-only", (), True),
+        ]
+        frames = good[:position] + [bad] + good[position:]
+        subblocks = np.arange(100, 100 + len(frames))
+        with pytest.raises(GraphStorageException, match=message) as err:
+            FMT_C.decode_subblocks(2, subblocks, _matrix(frames))
+        assert f"level-2 sub-block {100 + position} " in str(err.value)
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPT))
+    def test_corruption_surfaces_through_expand_and_scan(self, kind):
+        node = SimNode(0, NodeSpec())
+        db = GrDB(node.disk, fmt=FMT_C, clock=node.clock)
+        edges = np.column_stack(
+            [np.repeat(np.arange(6), 30), np.tile(np.arange(1000, 1090, 3), 6)]
+        ).astype(np.int64)
+        db.store_edges(edges)
+        level, sb = next(link for link in db.chain_of(4) if link[0] == 2)
+        db.storage.write_subblock(level, sb, self._corrupt_frame(kind)[0])
+        with pytest.raises(GraphStorageException, match=f"level-2 sub-block {sb} "):
+            db.expand_fringe(np.arange(6), LongArray())
+        with pytest.raises(GraphStorageException, match=f"level-2 sub-block {sb} "):
+            list(db.scan_adjacency())
 
 
 # -- StreamDB compressed log -------------------------------------------------
