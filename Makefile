@@ -15,7 +15,8 @@ test-strict: check-cache-factory  # the feature suites once more, warnings promo
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
 		tests/test_vertexprog.py tests/test_analyses.py tests/test_compression.py \
-		tests/test_semiem.py tests/test_streaming.py
+		tests/test_semiem.py tests/test_streaming.py \
+		tests/test_grdb_ingest.py tests/test_batch_expand.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \

@@ -45,6 +45,11 @@ def _deploy(replication: int, fault_plan=None, cache_blocks=None) -> MSSG:
             num_frontends=2,
             replication=replication,
             fault_plan=fault_plan,
+            # The storage model the anchor was recorded on: checksums and
+            # compressed adjacency arrived later as defaults, and changes to
+            # how they store a window are not what this anchor guards.
+            checksums=False,
+            compress_adjacency=False,
             **kwargs,
         )
     )

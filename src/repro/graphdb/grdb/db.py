@@ -31,7 +31,7 @@ import numpy as np
 
 from ...simcluster.disk import BlockDevice
 from ...util.errors import ConfigError, GraphStorageException
-from ...util.varint import split_sorted_fit
+from ...util.varint import fit_sorted_segments
 from ..idmap import IdentityMap, IdMap
 from ..interface import GraphDB
 from .format import (
@@ -42,6 +42,7 @@ from .format import (
     decode_pointer,
     encode_pointer,
     is_pointer,
+    join_pointers,
     split_pointers,
 )
 from .storage import GrDBStorage
@@ -49,6 +50,19 @@ from .storage import GrDBStorage
 __all__ = ["GrDB"]
 
 _POLICIES = ("link", "move")
+
+#: Columns of the ingestion memo (one int64 row per local id).
+_SEEN, _LEVEL, _SB, _FILL, _PLEVEL, _PSB = range(6)
+
+
+def _gather_segments(
+    values: np.ndarray, starts: np.ndarray, lens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the segments ``values[starts[i]:starts[i] + lens[i]]``;
+    returns the flat result and its ``len(lens) + 1`` segment bounds."""
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    src = np.repeat(starts - bounds[:-1], lens) + np.arange(bounds[-1])
+    return values[src], bounds
 
 
 class GrDB(GraphDB):
@@ -80,11 +94,13 @@ class GrDB(GraphDB):
         )
         self.id_map = id_map if id_map is not None else IdentityMap()
         self.growth_policy = growth_policy
-        # Ingestion memo: local id -> (chain path [(level, sb), ...], used
-        # slots in the tail).  Purely an in-memory accelerator; the on-disk
-        # chain is always authoritative and re-walkable.
-        self._tails: dict[int, tuple[list[tuple[int, int]], int]] = {}
-        self._known_locals: set[int] = set()
+        # Ingestion memo, one row per local id (grown by doubling): has the
+        # vertex stored edges; its chain tail (level, sub-block), level -1 =
+        # unknown; the tail's used slots (raw format); the tail's parent
+        # (what ``move`` repoints, level -1 = the tail is the head).  Purely
+        # an in-memory accelerator; the on-disk chain is always
+        # authoritative and re-walkable.
+        self._memo = np.zeros((0, 6), dtype=np.int64)
         #: Semi-EM selective-I/O directory: sorted written level-0 block ids
         #: (level 0 is id-addressed, so block extents are pure arithmetic).
         self._block_dir: np.ndarray | None = None
@@ -144,12 +160,27 @@ class GrDB(GraphDB):
                 used = int(np.count_nonzero(slots != EMPTY_SLOT))
                 return path, used
 
+    def _grow_memo(self, size: int) -> None:
+        have = len(self._memo)
+        if size > have:
+            memo = np.zeros((max(size, 2 * have), 6), dtype=np.int64)
+            memo[:, (_LEVEL, _PLEVEL)] = -1
+            memo[:have] = self._memo
+            self._memo = memo
+
     def _tail_info(self, local: int) -> tuple[list[tuple[int, int]], int]:
-        info = self._tails.get(local)
-        if info is None:
-            info = self._walk(local)
-            self._tails[local] = info
-        return info
+        """``local``'s chain tail, preceded by its parent if it has one, and
+        the tail's fill — memoised, from :meth:`_walk` the first time."""
+        _, level, sb, used, plevel, psb = self._memo[local].tolist()
+        if level < 0:
+            path, used = self._walk(local)
+            self._remember(local, path, used)
+            return path, used
+        return ([(plevel, psb)] if plevel >= 0 else []) + [(level, sb)], used
+
+    def _remember(self, local: int, path: list[tuple[int, int]], used: int) -> None:
+        parent = path[-2] if len(path) > 1 else (-1, -1)
+        self._memo[local, _LEVEL:] = (*path[-1], used, *parent)
 
     # -- ingestion -----------------------------------------------------------
 
@@ -163,16 +194,22 @@ class GrDB(GraphDB):
         order = np.argsort(edges[:, 0], kind="stable")
         srcs = edges[order, 0]
         dsts = edges[order, 1]
-        boundaries = np.flatnonzero(np.diff(srcs)) + 1
-        for group in np.split(np.arange(len(srcs)), boundaries):
-            self._append(int(srcs[group[0]]), dsts[group])
-
-    def _append(self, gid: int, new: np.ndarray) -> None:
-        local = self.id_map.to_local(gid)
-        self._known_locals.add(local)
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(srcs)) + 1))
+        locals_, owned = self.id_map.to_local_many(srcs[starts])
+        if not owned.all():
+            raise ConfigError(
+                f"vertex {int(srcs[starts][~owned][0])} is not owned by this grDB's id map"
+            )
+        self._grow_memo(int(locals_.max()) + 1)
+        self._memo[locals_, _SEEN] = 1
+        bounds = np.append(starts, len(srcs))
         if self.fmt.compress:
-            self._append_compressed(local, new)
+            self._append_window(locals_, bounds, dsts.astype(np.uint64))
             return
+        for local, lo, hi in zip(locals_.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            self._append(local, dsts[lo:hi])
+
+    def _append(self, local: int, new: np.ndarray) -> None:
         path, used = self._tail_info(local)
         level, sb = path[-1]
         slots = self._read_slots(level, sb).copy()
@@ -217,58 +254,181 @@ class GrDB(GraphDB):
                 path.append((tgt, nsb))
                 level, sb, slots = tgt, nsb, nslots
         self._write_slots(level, sb, slots)
-        self._tails[local] = (path, used)
+        self._remember(local, path, used)
 
-    def _append_compressed(self, local: int, new: np.ndarray) -> None:
-        """Merge ``new`` neighbors into the chain tail, delta+varint framed.
+    def _read_tails(self, locals_: np.ndarray, held: list[dict[int, bytes]]):
+        """:meth:`_walk` for a whole window, level-synchronously.
 
-        The tail's sorted list and the incoming batch are merged (a sorted
-        multiset — duplicate edges are kept); the longest unique prefix
-        whose encoding fits the tail's payload budget is re-framed in
-        place, and the spill (byte overflow plus duplicate occurrences)
-        grows the chain exactly like the raw format: ``link`` leaves the
-        full sub-block behind a pointer, ``move`` re-homes the whole tail
-        one level up first.  Per-sub-block lists stay strictly sorted, so
-        decode-side monotonicity checks have teeth.
+        Starts every owner at its memoised tail (its head where the memo
+        has none) and follows pointers round by round: one block batch and
+        one decode per level and round, one CPU charge per sub-block in
+        owner order.  Returns the tails' ``(level, sb)``, their parents'
+        ``(plevel, psb)`` and the neighbors the tails hold as ``(values,
+        owner)``; the fetched blocks stay in ``held``.
         """
-        path, _ = self._tail_info(local)
-        level, sb = path[-1]
-        vals, _tail = self._read_compressed(level, sb)
-        pending = np.sort(np.concatenate([vals, new.astype("<u8")]), kind="stable")
-        top = self.fmt.num_levels - 1
+        fmt, cpu = self.fmt, self.cpu
+        level, sb, plevel, psb = self._memo[locals_][:, (_LEVEL, _SB, _PLEVEL, _PSB)].T.copy()
+        unknown = level < 0
+        level[unknown], sb[unknown] = 0, locals_[unknown]
+        values, owner = [], []
+        walking = np.arange(len(locals_))
+        hops = 0
+        while len(walking):
+            hops += 1
+            if hops > fmt.num_levels + 64:
+                raise GraphStorageException(
+                    f"pointer cycle in chain of local vertex {int(locals_[walking[0]])}"
+                )
+            tail = np.empty(len(walking), dtype=np.uint64)
+            cost = np.empty(len(walking))
+            for lv in np.unique(level[walking]).tolist():
+                at = np.flatnonzero(level[walking] == lv)
+                subs = sb[walking[at]]
+                frames, _ = self._read_frames(lv, subs, held[lv])
+                decoded, offsets, tail[at], used = fmt.decode_subblocks(lv, subs, frames)
+                cost[at] = cpu.grdb_subblock_seconds + used * cpu.varint_decode_seconds
+                ends = ~split_pointers(tail[at])[0]
+                values.append(decoded[np.repeat(ends, np.diff(offsets))])
+                owner.append(np.repeat(walking[at][ends], np.diff(offsets)[ends]))
+            for c in cost.tolist():
+                self.clock.advance(c)
+            more, nlevel, nsb = split_pointers(tail)
+            walking = walking[more]
+            plevel[walking], psb[walking] = level[walking], sb[walking]
+            level[walking], sb[walking] = nlevel, nsb
+        return level, sb, plevel, psb, np.concatenate(values), np.concatenate(owner)
+
+    def _append_window(self, locals_: np.ndarray, bounds: np.ndarray, new: np.ndarray) -> None:
+        """Append a whole window to compressed chains: owner ``i`` (local
+        ``locals_[i]``, ascending) gains ``new[bounds[i]:bounds[i + 1]]``.
+
+        Every tail's sorted list is merged with its incoming batch (a sorted
+        multiset — duplicate edges are kept); the longest unique prefix
+        whose encoding fits the tail's payload budget is re-framed in place,
+        and the spill (byte overflow plus duplicate occurrences) grows the
+        chain exactly like the raw format: ``link`` leaves the full
+        sub-block behind a pointer, ``move`` re-homes the whole tail one
+        level up first.  Per-sub-block lists stay strictly sorted, so
+        decode-side monotonicity checks have teeth.
+
+        The window is the unit of work.  All tails are read first, in
+        block order; growth is planned for every owner at once, in rounds
+        that shrink to the owners still spilling — a fit depends on level
+        and budget only, never on a sub-block id; then sub-blocks are
+        allocated owner by owner in chain order, which is the order one
+        append per vertex would use, so the device image is the same; and
+        every touched block gets all its frames spliced in and one write.
+        """
+        fmt, cpu, storage = self.fmt, self.cpu, self.storage
+        n = len(locals_)
+        top = fmt.num_levels - 1
+        held: list[dict[int, bytes]] = [{} for _ in range(fmt.num_levels)]
+        level, sb, plevel, psb, old, old_owner = self._read_tails(locals_, held)
+
+        # -- merge: one sort puts every owner's tail and batch together ------
+        values = np.concatenate((old, new))
+        owner = np.concatenate((old_owner, np.repeat(np.arange(n), np.diff(bounds))))
+        pending = values[np.lexsort((values, owner))]
+        counts = np.bincount(owner, minlength=n)
+
+        # -- plan: per round one frame per owner that stays where it is, one
+        # growth event per owner that spills ----------------------------------
+        payload = np.array([fmt.payload_bytes(lv) for lv in range(fmt.num_levels)])
+        at_level = level.copy()
+        active = np.arange(n)
+        f_owner, f_level, f_len, f_vals = [], [], [], []
+        e_owner, e_level, e_move = [], [], []
         rounds = 0
-        while True:
+        while len(active):
             rounds += 1
             if rounds > (1 << 20):
                 raise GraphStorageException(
-                    f"runaway chain growth appending to local vertex {local}"
+                    f"runaway chain growth appending to local vertex {int(locals_[active[0]])}"
                 )
-            fit, spill = split_sorted_fit(
-                pending, self.fmt.payload_bytes(level), COMPRESSED_COUNT_CAP
-            )
-            if len(spill) == 0:
-                self._write_compressed(level, sb, fit, EMPTY_SLOT)
-                self._tails[local] = (path, len(fit))
-                return
-            if self.growth_policy == "move" and 1 <= level < top:
-                # Re-home the whole tail one level up, free it, repoint the
-                # parent; the pending multiset retries against the larger
-                # payload budget.
-                tgt = level + 1
-                nsb = self.storage.allocate_subblock(tgt)
-                self.storage.free_subblock(level, sb)
-                plevel, psb = path[-2]
-                pvals, _ = self._read_compressed(plevel, psb)
-                self._write_compressed(plevel, psb, pvals, encode_pointer(tgt, nsb))
-                path[-1] = (tgt, nsb)
-                level, sb = tgt, nsb
-            else:
-                tgt = min(level + 1, top)
-                nsb = self.storage.allocate_subblock(tgt)
-                self._write_compressed(level, sb, fit, encode_pointer(tgt, nsb))
-                path.append((tgt, nsb))
-                level, sb = tgt, nsb
-                pending = spill
+            lv = at_level[active]
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            fit, taken = fit_sorted_segments(pending, offsets, payload[lv], COMPRESSED_COUNT_CAP)
+            spills = taken < counts
+            # ``move`` re-homes a spilling mid-level tail one level up and
+            # retries everything pending against the larger budget; anyone
+            # else frames the fit where it is and spills the rest.
+            moves = spills & (self.growth_policy == "move") & (lv >= 1) & (lv < top)
+            fit &= np.repeat(~moves, counts)
+            taken[moves] = 0
+            f_owner.append(active[~moves])
+            f_level.append(lv[~moves])
+            f_len.append(taken[~moves])
+            f_vals.append(pending[fit])
+            e_owner.append(active[spills])
+            e_level.append(lv[spills])
+            e_move.append(moves[spills])
+            pending = pending[~fit]
+            counts = (counts - taken)[spills]
+            active = active[spills]
+            at_level[active] = np.minimum(lv[spills] + 1, top)
+
+        # -- allocate: replay the events owner-major, chain order within ----
+        e_owner, e_level, e_move = map(np.concatenate, (e_owner, e_level, e_move))
+        order = np.argsort(e_owner, kind="stable")
+        e_owner, e_level, e_move = (a[order] for a in (e_owner, e_level, e_move))
+        chained = np.zeros(len(e_owner), dtype=bool)  # grows what the event before allocated
+        chained[1:] = e_owner[1:] == e_owner[:-1]
+        e_new = np.empty(len(e_owner), dtype=np.int64)
+        grown = -1
+        for i, (lv, move, chain, first) in enumerate(
+            zip(e_level.tolist(), e_move.tolist(), chained.tolist(), sb[e_owner].tolist())
+        ):
+            grown = grown if chain else first
+            e_new[i] = storage.allocate_subblock(min(lv + 1, top))
+            if move:  # frees what it re-homes: a later owner may be handed it
+                storage.free_subblock(lv, grown)
+            grown = int(e_new[i])
+        e_grown = np.where(chained, np.roll(e_new, 1), sb[e_owner])
+
+        # -- frame: chain each owner's frames, one encode per level ---------
+        f_owner, f_level, f_len = map(np.concatenate, (f_owner, f_level, f_len))
+        f_vals = np.concatenate(f_vals)
+        f_start = np.cumsum(f_len) - f_len
+        order = np.argsort(f_owner, kind="stable")
+        f_owner, f_level, f_len, f_start = (a[order] for a in (f_owner, f_level, f_len, f_start))
+        last = np.append(f_owner[1:] != f_owner[:-1], True)  # the owner's new tail
+        first = np.append(True, last[:-1])
+        f_sb = np.empty(len(f_owner), dtype=np.int64)
+        f_sb[~last] = e_grown[~e_move]  # a link event frames the sub-block it grows
+        f_sb[last] = sb
+        ends = np.flatnonzero(np.diff(e_owner, append=-1))  # each owner's last event
+        f_sb[np.flatnonzero(last)[e_owner[ends]]] = e_new[ends]
+        f_tail = np.full(len(f_owner), EMPTY_SLOT, dtype=np.uint64)
+        f_tail[~last] = join_pointers(f_level[1:], f_sb[1:])[~last[:-1]]
+        writes = {}
+        for lv in np.unique(f_level).tolist():
+            at = np.flatnonzero(f_level == lv)
+            values, offsets = _gather_segments(f_vals, f_start[at], f_len[at])
+            writes[lv] = (f_sb[at], fmt.encode_subblocks(lv, values, offsets, f_tail[at]))
+        # A tail moved before its first frame leaves its on-disk parent
+        # pointing at a freed sub-block: patch the parent's tail word.
+        moved = np.flatnonzero(first)
+        moved = moved[(f_level[moved] != level) | (f_sb[moved] != sb)]
+        for lv in np.unique(plevel[f_owner[moved]]).tolist():
+            at = moved[plevel[f_owner[moved]] == lv]
+            subs = psb[f_owner[at]]
+            frames, _ = self._read_frames(lv, subs, held[lv])
+            used = fmt.decode_subblocks(lv, subs, frames)[3]
+            for c in (cpu.grdb_subblock_seconds + used * cpu.varint_decode_seconds).tolist():
+                self.clock.advance(c)
+            frames = frames.copy()
+            frames[:, -8:] = join_pointers(f_level[at], f_sb[at])[:, None].view(np.uint8)
+            done = writes.get(lv, (subs[:0], frames[:0]))
+            writes[lv] = (np.concatenate((done[0], subs)), np.concatenate((done[1], frames)))
+
+        # -- write: every touched block once, then the memo ------------------
+        for lv in sorted(writes):
+            storage.write_subblocks(lv, *writes[lv], held[lv])
+        grew = np.flatnonzero(last & ~first)  # tails with a frame of this window before them
+        plevel[f_owner[grew]], psb[f_owner[grew]] = f_level[grew - 1], f_sb[grew - 1]
+        self._memo[locals_, _LEVEL:] = np.column_stack(
+            (f_level[last], f_sb[last], f_len[last], plevel, psb)
+        )
 
     # -- retrieval --------------------------------------------------------------
 
@@ -329,12 +489,14 @@ class GrDB(GraphDB):
         self.stats.edges_scanned += len(neighbors)
         self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
 
-    def _read_frames(self, level: int, blocks: list[int]) -> np.ndarray:
-        """Batch-read ascending ``blocks`` of ``level``; their sub-blocks, in
-        address order, as the rows of one ``(n, subblock_bytes)`` uint8 matrix."""
-        data = self.storage.read_block_batch(level, blocks)
-        joined = np.frombuffer(b"".join(data[b] for b in blocks), dtype=np.uint8)
-        return joined.reshape(-1, self.fmt.subblock_bytes(level))
+    def _read_frames(
+        self, level: int, subs: np.ndarray, held: dict[int, bytes] | None = None
+    ) -> tuple[np.ndarray, int]:
+        """Sub-blocks ``subs`` of ``level`` as the rows of one ``(n,
+        subblock_bytes)`` uint8 matrix, and the number of distinct blocks
+        batch-read for them (see :meth:`GrDBStorage.read_subblocks`)."""
+        blocks, image, rows = self.storage.read_subblocks(level, subs, held)
+        return image[rows], len(blocks)
 
     def _resolve_chains(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Walk the chains rooted at level-0 sub-blocks ``heads`` together.
@@ -371,15 +533,11 @@ class GrDB(GraphDB):
             tails, consumed = [], []
             for lv, lo, hi in zip(levels.tolist(), bounds, bounds[1:]):
                 subs = sb[lo:hi]
-                k = fmt.subblocks_per_block(lv)
-                blocks, rank = np.unique(subs // k, return_inverse=True)
-                frames = self._read_frames(lv, blocks.tolist())
+                frames, nblocks = self._read_frames(lv, subs)
                 # One full address+decode per distinct block; the per-sub-block
                 # gathers below ride on the already-parsed block.
-                self.clock.advance(len(blocks) * cpu.grdb_subblock_seconds)
-                values, offsets, tail, used = fmt.decode_subblocks(
-                    lv, subs, frames[rank * k + subs % k]
-                )
+                self.clock.advance(nblocks * cpu.grdb_subblock_seconds)
+                values, offsets, tail, used = fmt.decode_subblocks(lv, subs, frames)
                 seg_owner.append(owner[lo:hi])
                 seg_len.append(np.diff(offsets))
                 seg_values.append(values)
@@ -394,12 +552,9 @@ class GrDB(GraphDB):
         # owner puts each chain's segments together, still in chain order.
         owners, lens, values = map(np.concatenate, (seg_owner, seg_len, seg_values))
         order = np.argsort(owners, kind="stable")
-        starts = (np.cumsum(lens) - lens)[order]  # where each segment sits in ``values``
-        lens = lens[order]
-        bounds = np.concatenate(([0], np.cumsum(lens)))  # ... and where it goes
-        src = np.repeat(starts - bounds[:-1], lens) + np.arange(len(values))
+        values, bounds = _gather_segments(values, (np.cumsum(lens) - lens)[order], lens[order])
         offsets = bounds[np.searchsorted(owners[order], np.arange(nchains + 1))]
-        return values[src].view(np.int64), offsets
+        return values.view(np.int64), offsets
 
     # -- storage-order scan (bottom-up BFS access plan) -------------------------------
 
@@ -466,7 +621,10 @@ class GrDB(GraphDB):
         """Recover the set of stored vertices by scanning level-0 blocks."""
         k = self.fmt.subblocks_per_block(0)
         level0 = sorted(b for lvl, b in self.storage._written_blocks if lvl == 0)
-        frames = self._read_frames(0, level0)
+        subblocks = (np.array(level0, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
+        if len(subblocks) == 0:
+            return
+        frames, _ = self._read_frames(0, subblocks)
         if self.fmt.compress:
             # Occupied iff it stores neighbors or continues a chain (a
             # count-0 head whose first neighbor spilled); the frame header
@@ -475,8 +633,8 @@ class GrDB(GraphDB):
             occupied = (counts > 0) | split_pointers(tails)[0]
         else:
             occupied = (frames.view("<u8") != EMPTY_SLOT).any(axis=1)
-        subblocks = (np.array(level0, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
-        self._known_locals.update(subblocks[occupied].tolist())
+        self._grow_memo(int(subblocks[-1]) + 1)
+        self._memo[subblocks[occupied], _SEEN] = 1
 
     def chain_of(self, vertex: int) -> list[tuple[int, int]]:
         """The (level, sub-block) chain of ``vertex`` — for tests/defrag."""
@@ -484,10 +642,10 @@ class GrDB(GraphDB):
 
     def known_vertices(self) -> list[int]:
         """Global ids of all vertices this instance has stored edges for."""
-        return sorted(self.id_map.to_global(loc) for loc in self._known_locals)
+        return self._local_vertices().tolist()
 
     def _local_vertices(self) -> np.ndarray:
-        return np.array(self.known_vertices(), dtype=np.int64)
+        return np.sort(self.id_map.to_global_many(np.flatnonzero(self._memo[:, _SEEN])))
 
     # -- semi-EM selective I/O ---------------------------------------------------------
 
@@ -496,19 +654,13 @@ class GrDB(GraphDB):
 
         Level 0 is id-addressed (``local // subblocks_per_block(0)`` *is*
         the block number), so the block→vertex-range directory reduces to
-        the sorted set of written blocks — pure arithmetic over
-        ``_known_locals``, no device I/O.  The serialized directory is
+        the sorted set of written blocks — pure arithmetic over the memo's
+        seen column, no device I/O.  The serialized directory is
         pinned into the block cache so its residency is charged against
         real capacity (and survives whole-graph sweeps by construction).
         """
         k0 = self.fmt.subblocks_per_block(0)
-        blocks = np.unique(
-            np.fromiter(
-                (loc // k0 for loc in self._known_locals),
-                dtype=np.int64,
-                count=len(self._known_locals),
-            )
-        )
+        blocks = np.unique(np.flatnonzero(self._memo[:, _SEEN]) // k0)
         self._block_dir = blocks
         self._pin_directory(blocks)
 
@@ -554,9 +706,9 @@ class GrDB(GraphDB):
 
     def invalidate_tail_memo(self, vertex: int | None = None) -> None:
         if vertex is None:
-            self._tails.clear()
-        else:
-            self._tails.pop(self.id_map.to_local(vertex), None)
+            self._memo[:, _LEVEL] = -1
+        elif (local := self.id_map.to_local(vertex)) < len(self._memo):
+            self._memo[local, _LEVEL] = -1
 
     def flush(self) -> None:
         self.storage.flush()

@@ -53,7 +53,7 @@ def defragment_vertex(db: GrDB, vertex: int) -> bool:
     if len(neighbors) <= d0:
         l0[: len(neighbors)] = neighbors.astype("<u8")
         db._write_slots(0, local, l0)
-        db._tails[local] = ([(0, local)], len(neighbors))
+        db._remember(local, [(0, local)], len(neighbors))
         return True
 
     head, rest = neighbors[: d0 - 1], neighbors[d0 - 1 :]
@@ -90,11 +90,11 @@ def defragment_vertex(db: GrDB, vertex: int) -> bool:
             pos += take
             used = take
         db._write_slots(*prev_loc, prev_slots)
-        db._tails[local] = (new_path, used)
+        db._remember(local, new_path, used)
         return True
 
     db._write_slots(0, local, l0)
-    db._tails[local] = (new_path, used)
+    db._remember(local, new_path, used)
     return True
 
 
@@ -136,7 +136,7 @@ def _defragment_vertex_compressed(db: GrDB, local: int, path) -> bool:
         prev = (target, sb, fit)
     plevel, psb, pvals = prev
     db._write_compressed(plevel, psb, pvals, EMPTY_SLOT)
-    db._tails[local] = (new_path, len(pvals))
+    db._remember(local, new_path, len(pvals))
     return True
 
 

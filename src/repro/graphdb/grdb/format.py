@@ -45,7 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...util.errors import ConfigError, GraphStorageException
-from ...util.varint import decode_sorted, decode_sorted_segments, encode_sorted
+from ...util.varint import (
+    decode_sorted,
+    decode_sorted_segments,
+    encode_sorted,
+    encode_sorted_segments,
+)
 
 __all__ = [
     "GrDBFormat",
@@ -58,6 +63,7 @@ __all__ = [
     "is_pointer",
     "is_empty",
     "split_pointers",
+    "join_pointers",
 ]
 
 SLOT_BYTES = 8
@@ -112,6 +118,16 @@ def split_pointers(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         mask,
         ((ptrs & _LEVEL_MASK) >> _LEVEL_SHIFT).astype(np.int64),
         (ptrs & _INDEX_MASK).astype(np.int64),
+    )
+
+
+def join_pointers(levels: np.ndarray, subblocks: np.ndarray) -> np.ndarray:
+    """:func:`encode_pointer` over aligned arrays (the inverse of
+    :func:`split_pointers`); callers pass levels and indices they allocated."""
+    return (
+        np.uint64(_PTR_TAG)
+        | (levels.astype(np.uint64) << np.uint64(_LEVEL_SHIFT))
+        | subblocks.astype(np.uint64)
     )
 
 
@@ -261,7 +277,7 @@ class GrDBFormat:
             )
         return values, tail, consumed
 
-    # -- whole batches of sub-blocks (the level-synchronous read path) ------
+    # -- whole batches of sub-blocks (level-synchronous reads, window appends) --
 
     @staticmethod
     def frame_columns(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,3 +317,25 @@ class GrDBFormat:
         keep[:, -1] &= ~split_pointers(tails)[0]
         offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
         return slots[keep], offsets, tails, np.zeros(len(slots), dtype=np.int64)
+
+    def encode_subblocks(
+        self, level: int, values: np.ndarray, offsets: np.ndarray, tails: np.ndarray
+    ) -> np.ndarray:
+        """Frame many strictly sorted neighbor lists for ``level`` in one pass
+        — the inverse of :meth:`decode_subblocks`.
+
+        Row ``i`` of the returned ``(m, subblock_bytes)`` uint8 matrix is
+        ``encode_subblock(level, values[offsets[i]:offsets[i + 1]], tails[i])``.
+        """
+        counts = np.diff(offsets)
+        if len(counts) and int(counts.max()) > COMPRESSED_COUNT_CAP:
+            raise GraphStorageException(
+                f"{int(counts.max())} neighbors exceed one compressed sub-block's count cap"
+            )
+        frames = np.empty((len(counts), self.subblock_bytes(level)), dtype=np.uint8)
+        frames[:, : _COUNT_STRUCT.size] = counts.astype("<u2")[:, None].view(np.uint8)
+        frames[:, _COUNT_STRUCT.size : -_TAIL_STRUCT.size] = encode_sorted_segments(
+            values, offsets, self.payload_bytes(level)
+        )
+        frames[:, -_TAIL_STRUCT.size :] = np.asarray(tails, dtype="<u8")[:, None].view(np.uint8)
+        return frames

@@ -24,6 +24,8 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
+import numpy as np
+
 from ...simcluster.disk import BlockDevice, MemoryBacking
 from ...storage.blockcache import SharedBlockCache, make_block_cache
 from ...util.errors import ConfigError, CorruptBlockError, GraphStorageException
@@ -223,6 +225,59 @@ class GrDBStorage:
         buf = bytearray(self._read_block(level, block))
         buf[slot_off : slot_off + sub_bytes] = data
         self._write_block(level, block, bytes(buf))
+
+    def read_subblocks(
+        self, level: int, subblocks: np.ndarray, held: dict[int, bytes] | None = None
+    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Batch-read the blocks holding ``subblocks`` of ``level``.
+
+        Returns ``(blocks, image, rows)``: the distinct block indices,
+        ascending; their sub-blocks as the rows of one read-only ``(n,
+        subblock_bytes)`` uint8 matrix; and the row of each requested
+        sub-block in it.  A ``held`` dict serves the blocks it already maps
+        and keeps the ones fetched, so a caller can read, then
+        :meth:`write_subblocks`, without fetching a block twice.
+        """
+        held = {} if held is None else held
+        k = self.fmt.subblocks_per_block(level)
+        blocks, rank = np.unique(subblocks // k, return_inverse=True)
+        blocks = blocks.tolist()
+        missing = [b for b in blocks if b not in held]
+        if missing:
+            held.update(self.read_block_batch(level, missing))
+        image = np.frombuffer(b"".join(held[b] for b in blocks), dtype=np.uint8)
+        return blocks, image.reshape(-1, self.fmt.subblock_bytes(level)), rank * k + subblocks % k
+
+    def write_subblocks(
+        self,
+        level: int,
+        subblocks: np.ndarray,
+        frames: np.ndarray,
+        held: dict[int, bytes] | None = None,
+    ) -> None:
+        """Write many sub-blocks of ``level``, touching each block once.
+
+        Row ``i`` of the ``(m, subblock_bytes)`` uint8 matrix ``frames``
+        replaces sub-block ``subblocks[i]``.  Blocks come from ``held``
+        (what :meth:`read_subblocks` fetched; nothing may have written them
+        since) or are batch-read now; every touched block gets all its rows
+        spliced in and one write, in ascending order.
+        """
+        if len(subblocks) == 0:
+            return
+        self._check(level, int(subblocks.min()))
+        if frames.shape != (len(subblocks), self.fmt.subblock_bytes(level)):
+            raise GraphStorageException(
+                f"sub-block write of shape {frames.shape} for {len(subblocks)} "
+                f"sub-blocks of {self.fmt.subblock_bytes(level)} bytes at level {level}"
+            )
+        blocks, image, rows = self.read_subblocks(level, subblocks, held)
+        image = image.copy()
+        image[rows] = frames
+        raw = image.tobytes()
+        B = self.fmt.block_sizes[level]
+        for i, block in enumerate(blocks):
+            self._write_block(level, block, raw[i * B : (i + 1) * B])
 
     def _check(self, level: int, subblock: int) -> None:
         if not 0 <= level < self.fmt.num_levels:

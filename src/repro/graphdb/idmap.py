@@ -47,6 +47,11 @@ class IdMap(abc.ABC):
                 pass
         return locals_, owned
 
+    def to_global_many(self, locals_) -> np.ndarray:
+        """Vectorized :meth:`to_global` over a local-slot array (int64);
+        the default loops, both concrete maps override with arithmetic."""
+        return np.array([self.to_global(int(loc)) for loc in locals_], dtype=np.int64)
+
 
 class IdentityMap(IdMap):
     """Local slot == global id (single-node layout)."""
@@ -60,6 +65,9 @@ class IdentityMap(IdMap):
     def to_local_many(self, gids) -> tuple[np.ndarray, np.ndarray]:
         gids = np.asarray(gids, dtype=np.int64)
         return gids.copy(), np.ones(len(gids), dtype=bool)
+
+    def to_global_many(self, locals_) -> np.ndarray:
+        return np.array(locals_, dtype=np.int64)
 
 
 class ModuloMap(IdMap):
@@ -85,6 +93,9 @@ class ModuloMap(IdMap):
         owned = gids % self.nparts == self.rank
         locals_ = np.where(owned, gids // self.nparts, -1)
         return locals_, owned
+
+    def to_global_many(self, locals_) -> np.ndarray:
+        return np.asarray(locals_, dtype=np.int64) * self.nparts + self.rank
 
     def owns(self, gid: int) -> bool:
         return int(gid) % self.nparts == self.rank

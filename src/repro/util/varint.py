@@ -13,14 +13,17 @@ covers exactly the ids ``0 .. 2**63 - 1`` (every non-negative int64) and a
 ten-byte group is never canonical.
 
 Both encode and decode are numpy-vectorized: encode computes every value's
-byte length with nine threshold compares and scatters the 7-bit groups in
-at most nine passes; decode finds group terminators from the continuation
+byte length with one binary search over the nine thresholds and scatters the
+7-bit groups in at most nine passes; decode finds group terminators from the continuation
 bits, reduces each group with ``np.add.reduceat``, and rebuilds values with
 one cumulative sum.  The decode side is what the CPU cost model charges
 (``CpuProfile.varint_decode_seconds`` per encoded byte).  numpy dispatch
-costs microseconds per call whatever the size, so readers that gather many
-streams at once (grDB's level-synchronous chain resolver) decode them all
-in one :func:`decode_sorted_segments` call over a byte matrix.
+costs microseconds per call whatever the size, so code that handles many
+streams at once works on a byte matrix with one row per stream: grDB's
+level-synchronous chain resolver decodes a round of sub-blocks in one
+:func:`decode_sorted_segments` call, and its window append plans and frames
+a whole ingest window with :func:`fit_sorted_segments` and
+:func:`encode_sorted_segments`.
 
 For edge *batches* (StreamDB log records, rebalance wire transfers) the
 module adds a two-stream layout: edges sorted by ``(src, dst)``, sources
@@ -45,8 +48,10 @@ __all__ = [
     "encode_sorted",
     "decode_sorted",
     "decode_sorted_segments",
+    "encode_sorted_segments",
     "sorted_encoded_size",
     "split_sorted_fit",
+    "fit_sorted_segments",
     "encode_edge_block",
     "decode_edge_block",
     "edge_block_bytes",
@@ -73,7 +78,7 @@ def varint_lengths(values) -> np.ndarray:
         raise GraphStorageException(
             f"value {int(v.max())} exceeds the codec's 63-bit range"
         )
-    return 1 + (v[:, None] >= _THRESHOLDS[None, :]).sum(axis=1)
+    return 1 + np.searchsorted(_THRESHOLDS, v, side="right")
 
 
 def encode_varints(values) -> bytes:
@@ -81,7 +86,11 @@ def encode_varints(values) -> bytes:
     v = _as_u64(values)
     if v.size == 0:
         return b""
-    lengths = varint_lengths(v)
+    return _encode(v, varint_lengths(v)).tobytes()
+
+
+def _encode(v: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The varint bytes of non-empty ``v``, whose byte lengths are ``lengths``."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
     out = np.zeros(int(ends[-1]), dtype=np.uint8)
@@ -90,7 +99,7 @@ def encode_varints(values) -> bytes:
         group = ((v[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
         cont = (lengths[sel] > k + 1).astype(np.uint8) << 7
         out[starts[sel] + k] = group | cont
-    return out.tobytes()
+    return out
 
 
 def decode_varints(buf: bytes, count: int, what: str = "varint stream") -> tuple[np.ndarray, int]:
@@ -136,6 +145,15 @@ def _join_groups(b: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # -- sorted neighbor lists (grDB sub-blocks) --------------------------------
 
 
+def _segment_deltas(v: np.ndarray, head=slice(0, 1)) -> np.ndarray:
+    """Gaps between neighbours of non-empty ``v``, restarting raw where
+    ``head`` is set (by default: one list, only its first value is raw)."""
+    deltas = v.copy()
+    deltas[1:] -= v[:-1]
+    deltas[head] = v[head]
+    return deltas
+
+
 def encode_sorted(values) -> bytes:
     """Encode a strictly increasing neighbor list as first + gap varints.
 
@@ -151,10 +169,7 @@ def encode_sorted(values) -> bytes:
             "encode_sorted needs a strictly increasing list "
             "(duplicates rejected; sort and dedupe first)"
         )
-    deltas = np.empty(v.size, dtype=np.uint64)
-    deltas[0] = v[0]
-    deltas[1:] = v[1:] - v[:-1]
-    return encode_varints(deltas)
+    return encode_varints(_segment_deltas(v))
 
 
 def decode_sorted(buf: bytes, count: int, what: str = "delta stream") -> tuple[np.ndarray, int]:
@@ -244,15 +259,49 @@ def decode_sorted_segments(
     return values, offsets, used.sum(axis=1)
 
 
+def encode_sorted_segments(values, offsets, width: int) -> np.ndarray:
+    """:func:`encode_sorted` over many lists in one pass — the inverse of
+    :func:`decode_sorted_segments`.
+
+    Returns an ``(m, width)`` uint8 matrix whose row ``i`` begins with the
+    delta stream of ``values[offsets[i]:offsets[i + 1]]`` and is zero-padded.
+    Raises when a list is not strictly increasing or overflows ``width``.
+    """
+    v = _as_u64(values)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(offsets)
+    out = np.zeros((len(counts), width), dtype=np.uint8)
+    if v.size == 0:
+        return out
+    live = np.flatnonzero(counts)
+    starts = offsets[live]
+    head = np.zeros(v.size, dtype=bool)
+    head[starts] = True
+    if np.any(~head[1:] & (v[1:] <= v[:-1])):
+        raise GraphStorageException(
+            "encode_sorted_segments needs strictly increasing lists "
+            "(duplicates rejected; sort and dedupe first)"
+        )
+    deltas = _segment_deltas(v, head)
+    lengths = varint_lengths(deltas)
+    nbytes = np.add.reduceat(lengths, starts)
+    if int(nbytes.max()) > width:
+        i = int(live[np.argmax(nbytes)])
+        raise GraphStorageException(
+            f"delta stream {i} of {int(nbytes.max())} bytes overflows its {width}-byte row"
+        )
+    first_byte = np.cumsum(nbytes) - nbytes
+    cols = np.arange(int(nbytes.sum())) - np.repeat(first_byte, nbytes)
+    out[np.repeat(live, nbytes), cols] = _encode(deltas, lengths)
+    return out
+
+
 def sorted_encoded_size(values) -> int:
     """Encoded byte size of a strictly increasing list (no validation)."""
     v = _as_u64(values)
     if v.size == 0:
         return 0
-    deltas = np.empty(v.size, dtype=np.uint64)
-    deltas[0] = v[0]
-    deltas[1:] = v[1:] - v[:-1]
-    return int(varint_lengths(deltas).sum())
+    return int(varint_lengths(_segment_deltas(v)).sum())
 
 
 def split_sorted_fit(pending, budget_bytes: int, max_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +321,7 @@ def split_sorted_fit(pending, budget_bytes: int, max_count: int) -> tuple[np.nda
     first[1:] = p[1:] != p[:-1]
     uniq = p[first]
     dups = p[~first]
-    deltas = np.empty(uniq.size, dtype=np.uint64)
-    deltas[0] = uniq[0]
-    deltas[1:] = uniq[1:] - uniq[:-1]
-    sizes = np.cumsum(varint_lengths(deltas))
+    sizes = np.cumsum(varint_lengths(_segment_deltas(uniq)))
     take = int(np.searchsorted(sizes, budget_bytes, side="right"))
     take = min(take, max_count)
     fit = uniq[:take]
@@ -283,6 +329,40 @@ def split_sorted_fit(pending, budget_bytes: int, max_count: int) -> tuple[np.nda
         return fit, np.empty(0, dtype=np.uint64)
     spill = np.sort(np.concatenate([uniq[take:], dups]), kind="stable")
     return fit, spill
+
+
+def fit_sorted_segments(
+    pending, offsets, budgets, max_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`split_sorted_fit` over many sorted multisets in one pass.
+
+    Segment ``i`` is ``pending[offsets[i]:offsets[i + 1]]`` (sorted, repeats
+    allowed) and may spend ``budgets[i]`` bytes.  Returns ``(fit, taken)``:
+    a boolean mask over ``pending`` marking every segment's encodable prefix
+    — first occurrences, in order, while the delta encoding fits the budget
+    and at most ``max_count`` values — and the prefix length per segment.
+    ``pending[~fit]`` is every segment's spill, still sorted.
+    """
+    p = _as_u64(pending)
+    counts = np.diff(np.asarray(offsets, dtype=np.int64))
+    fit = np.zeros(p.size, dtype=bool)
+    if p.size == 0:
+        return fit, np.zeros(len(counts), dtype=np.int64)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    first = np.ones(p.size, dtype=bool)
+    first[1:] = (p[1:] != p[:-1]) | (seg[1:] != seg[:-1])
+    uniq, useg = p[first], seg[first]
+    head = np.ones(uniq.size, dtype=bool)
+    head[1:] = useg[1:] != useg[:-1]
+    lengths = varint_lengths(_segment_deltas(uniq, head))
+    starts = np.flatnonzero(head)
+    span = np.diff(np.append(starts, uniq.size))
+    sizes = np.cumsum(lengths)
+    sizes -= np.repeat(sizes[starts] - lengths[starts], span)
+    rank = np.arange(uniq.size) - np.repeat(starts, span)
+    ok = (sizes <= np.asarray(budgets, dtype=np.int64)[useg]) & (rank < max_count)
+    fit[first] = ok
+    return fit, np.bincount(useg[ok], minlength=len(counts))
 
 
 # -- edge batches (StreamDB records, wire transfers) ------------------------

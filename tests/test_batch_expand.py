@@ -195,6 +195,14 @@ def test_compressed_grdb_virtual_clock_is_pinned():
     A wall-only change to the read path must leave every virtual second and
     every device counter of a compressed grDB deployment bit-identical:
     same charges in the same order, same block fetches, same cache traffic.
+
+    Re-recorded once, for PR 15's window append — a stated model change on
+    compressed ingest: tails are read once per window in block order and
+    every block is written once, and a first-seen head is decoded once, not
+    twice (``ingest.seconds`` was 0.012038149018181885).  The device image
+    is unchanged; the query and ``components`` literals (query 2 in its
+    last digit, query 3 not at all) and the device totals moved only
+    through the cache residue ingest leaves behind.
     """
     edges = pubmed_like(600, avg_degree=12.0, hub_fraction=0.01, seed=5)
     cfg = MSSGConfig(
@@ -216,22 +224,22 @@ def test_compressed_grdb_virtual_clock_is_pinned():
             for _, dev in sorted(node._disks.items()):
                 for key in disks:
                     disks[key] += getattr(dev.stats, key)
-    assert ingest.seconds == 0.012038149018181885
+    assert ingest.seconds == 0.010938149018181801
     assert [q.seconds for q in queries] == [
-        0.0011383088363636344,
-        0.0019522737090909067,
+        0.0010903088363636347,
+        0.0019522737090909065,
         0.0014951552363636328,
-        0.0006130472000000002,
+        0.0006290472000000002,
     ]
     assert [q.result for q in queries] == [2, 3, 2, 2]
-    assert components.seconds == 0.005174307381818172
+    assert components.seconds == 0.005158307381818172
     assert disks == {
-        "reads": 172,
+        "reads": 171,
         "writes": 69,
-        "bytes_read": 717500,
-        "bytes_written": 319800,
+        "bytes_read": 738000,
+        "bytes_written": 323900,
         "seeks": 84,
-        "busy_seconds": 0.02421701333333333,
+        "busy_seconds": 0.024294568888888885,
     }
 
 

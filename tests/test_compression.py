@@ -39,7 +39,9 @@ from repro.util.varint import (
     edge_block_bytes,
     encode_edge_block,
     encode_sorted,
+    encode_sorted_segments,
     encode_varints,
+    fit_sorted_segments,
     sorted_encoded_size,
     split_sorted_fit,
     varint_lengths,
@@ -74,6 +76,27 @@ class TestVarintCodec:
         decoded, consumed = decode_varints(buf, len(values))
         assert consumed == len(buf)
         assert decoded.tolist() == values
+
+    @given(
+        st.lists(
+            st.builds(
+                lambda k, off: min(max((1 << (7 * k)) + off, 0), MAX_ENCODABLE),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=-2, max_value=2),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(deadline=None)
+    def test_lengths_at_the_seven_bit_boundaries(self, values):
+        """The binary search over the thresholds is the nine compares it replaced."""
+        v = np.array(values, dtype=np.uint64)
+        thresholds = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+        want = 1 + (v[:, None] >= thresholds[None, :]).sum(axis=1)
+        got = varint_lengths(v)
+        assert got.tolist() == want.tolist() and got.dtype == want.dtype
+        with pytest.raises(GraphStorageException, match="63-bit range"):
+            varint_lengths(np.append(v, np.uint64(MAX_ENCODABLE + 1)))
 
     @given(st.sets(ids, max_size=200))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -298,7 +321,7 @@ class TestGrDBCompressed:
             FMT_C.encode_subblock(0, too_many[:50], (1 << 64) - 1)
 
 
-# -- segmented (batch) decode ------------------------------------------------
+# -- segmented (batch) decode, fit and encode --------------------------------
 
 frame_values = st.sets(st.integers(min_value=0, max_value=MAX_VERTEX_ID), max_size=40)
 frame_specs = st.lists(
@@ -367,6 +390,57 @@ class TestSegmentedDecode:
         assert offsets.tolist() == [0, 3, 3, 4] and consumed.tolist() == [4, 0, 1]
         with pytest.raises(GraphStorageException, match="one matrix row per non-negative count"):
             decode_sorted_segments(streams, [1, 2])
+
+    @given(frame_specs)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batch_encode_equals_frame_by_frame(self, specs):
+        """``encode_subblocks`` is ``decode_subblocks`` backwards: one call
+        per level frames what ``encode_subblock`` frames one by one."""
+        for level in range(FMT_C.num_levels):
+            frames = [
+                _frame(lv, kind, vals, ch)
+                for lv, kind, vals, ch in specs
+                if lv == level and kind != "never-written"
+            ]
+            matrix = _matrix(frames, FMT_C.subblock_bytes(level))
+            values, offsets, tails, _ = FMT_C.decode_subblocks(
+                level, np.arange(len(frames)), matrix
+            )
+            again = FMT_C.encode_subblocks(level, values, offsets, tails)
+            assert again.tobytes() == matrix.tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(st.lists(ids, max_size=40), st.integers(min_value=0, max_value=64)),
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_segmented_fit_equals_split_sorted_fit(self, segments, max_count):
+        lists = [np.sort(np.array(vals, dtype=np.uint64)) for vals, _ in segments]
+        offsets = np.concatenate(([0], np.cumsum([len(x) for x in lists]))).astype(np.int64)
+        pending = np.concatenate([np.empty(0, dtype=np.uint64), *lists])
+        fit, taken = fit_sorted_segments(pending, offsets, [b for _, b in segments], max_count)
+        for i, (values, (_, budget)) in enumerate(zip(lists, segments)):
+            want_fit, want_spill = split_sorted_fit(values, budget, max_count)
+            mine = fit[offsets[i] : offsets[i + 1]]
+            assert values[mine].tolist() == want_fit.tolist()
+            assert values[~mine].tolist() == want_spill.tolist()
+            assert taken[i] == len(want_fit)
+
+    def test_segmented_encode_rejections(self):
+        with pytest.raises(GraphStorageException, match="strictly increasing"):
+            encode_sorted_segments(np.array([1, 5, 5], dtype=np.uint64), [0, 1, 3], 8)
+        with pytest.raises(GraphStorageException, match="delta stream 1 of 3 bytes"):
+            encode_sorted_segments(np.array([9, 1, 300], dtype=np.uint64), [0, 1, 3], 2)
+        # 9 > 1 across a segment boundary is fine; an empty list is a zero row.
+        rows = encode_sorted_segments(np.array([9, 1], dtype=np.uint64), [0, 1, 1, 2], 2)
+        assert rows.tolist() == [[9, 0], [0, 0], [1, 0]]
+        with pytest.raises(GraphStorageException, match="count cap"):
+            GrDBFormat(compress=True).encode_subblocks(
+                5, np.arange(COMPRESSED_COUNT_CAP + 1), [0, COMPRESSED_COUNT_CAP + 1], [EMPTY_SLOT]
+            )
 
     # Corrupt frames, each with a valid header and tail; built on level 2
     # (118 payload bytes) so every corruption fits.
