@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory lint bench bench-quick bench-smoke examples figures clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner lint bench bench-quick bench-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,19 +10,31 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
 		tests/test_vertexprog.py tests/test_analyses.py tests/test_compression.py \
 		tests/test_semiem.py tests/test_streaming.py \
-		tests/test_grdb_ingest.py tests/test_batch_expand.py
+		tests/test_grdb_ingest.py tests/test_batch_expand.py \
+		tests/test_failover_protocol.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \
 		| grep -v 'storage/blockcache.py' || true); \
 	if [ -n "$$offenders" ]; then \
 		echo "direct LRUBlockCache construction (use make_block_cache):"; \
+		echo "$$offenders"; exit 1; \
+	fi
+
+check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writes an FTState field or tells device errors apart
+	@offenders=$$( { \
+		grep -rnE 'ft\.cfg\.|ft\.(self_dead|dead|partial|dropped|failovers|corrupt|device_failed|timed_out)[[:space:]]*(=[^=]|\+=|\|=|\.add)' \
+			src/repro --include='*.py'; \
+		grep -rnE 'isinstance\(.*CorruptBlockError\)' src/repro/bfs src/repro/services/vertexprog.py; \
+	} | grep -v '^src/repro/bfs/failover\.py:' || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "failover policy outside bfs/failover.py (use FTState.start / guard / route_or_drop / RetryRounds / FTState.fill):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -22,10 +22,11 @@ adds the standard remedy on top of Algorithms 1 and 2:
   first fringe-parent hit and skipping the rest of its list.  Only examined
   entries pay ``edge_visit_seconds`` (early-exit accounting).
 
-Failover composition: dead ranks still post their (empty) bitmap and claim
-arrays, keeping every collective rank-uniform; when a device dies mid-scan
-the level runs bounded claim-exchange rounds in which the first surviving
-member of each replica chain re-scans the dead rank's responsibility set.
+Failover composition (the protocol is :mod:`repro.bfs.failover`'s): dead
+ranks still post their (empty) bitmap and claim arrays, keeping every
+collective rank-uniform; when a device dies mid-scan the level runs bounded
+claim-exchange rounds in which the first surviving member of each replica
+chain re-scans the dead rank's responsibility set.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..util.bitset import Bitset
-from ..util.errors import CorruptBlockError, DeviceFailedError
-from .failover import FTState, route_to_replicas
+from .failover import FTState, RetryRounds, guard, is_down, responsibility, route_or_drop
 
 __all__ = [
     "BOTTOM_UP",
@@ -221,7 +221,7 @@ def _adjacency_source(db, candidates):
     return merged()
 
 
-def _scan_claims(ctx, db, bm: Bitset, candidates, dest: int, ft: FTState | None):
+def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
     """Sequentially scan ``candidates``, claiming each at its first hit.
 
     Returns ``(claims, examined, skipped, ok)``; ``ok`` is False when the
@@ -233,51 +233,21 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, dest: int, ft: FTState | None)
     claims: list[int] = []
     examined = 0
     skipped = 0
-    start = ctx.clock.now
-    ok = True
-    try:
-        for v, neighbors in _adjacency_source(db, candidates):
-            hits = np.flatnonzero(bm.get_many(neighbors))
-            if len(hits):
-                first = int(hits[0])
-                examined += first + 1
-                skipped += len(neighbors) - first - 1
-                claims.append(v)
-            else:
-                examined += len(neighbors)
-    except DeviceFailedError as e:
-        if ft is None:
-            raise
-        ft.self_dead = True
-        if isinstance(e, CorruptBlockError):
-            ft.corrupt = True
-        else:
-            ft.device_failed = True
-        ok = False
-    ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
-    db.stats.edges_scanned += examined
-    timeout = ft.cfg.attempt_timeout if ft is not None else None
-    if ok and timeout is not None and ctx.clock.now - start > timeout:
-        ft.self_dead = True
-        ft.timed_out = True
-        ok = False
-    return np.array(claims, dtype=np.int64), examined, skipped, ok
-
-
-def _responsibility(unvisited_locals: np.ndarray, rank: int, owner_of, ft: FTState | None):
-    """Unvisited local vertices this rank must scan for.
-
-    Healthy: the vertices it primarily owns.  Under failover: those whose
-    replica chain it is the first surviving member of — so a dead rank's
-    responsibility set deterministically moves to its replicas.
-    """
-    if not len(unvisited_locals):
-        return unvisited_locals
-    owners = np.asarray(owner_of(unvisited_locals), dtype=np.int64)
-    if ft is not None and ft.dead:
-        routes = route_to_replicas(owners, ft)
-        return unvisited_locals[routes == rank]
-    return unvisited_locals[owners == rank]
+    with guard(ctx, ft) as attempt:
+        try:
+            for v, neighbors in _adjacency_source(db, candidates):
+                hits = np.flatnonzero(bm.get_many(neighbors))
+                if len(hits):
+                    first = int(hits[0])
+                    examined += first + 1
+                    skipped += len(neighbors) - first - 1
+                    claims.append(v)
+                else:
+                    examined += len(neighbors)
+        finally:
+            ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
+            db.stats.edges_scanned += examined
+    return np.array(claims, dtype=np.int64), examined, skipped, attempt.ok
 
 
 def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg, result):
@@ -300,61 +270,40 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
     for words in (yield from comm.allgather(bm.words)):
         bm.or_words(np.asarray(words, dtype=np.uint64))
 
-    if ft is None:
-        # 2a. Healthy path: scan my unvisited owned vertices; claims are
-        # owner-local, so no claim exchange is needed at all — peers learn
-        # the new fringe from the next level's bitmap/alltoall as usual.
-        candidates = _responsibility(
-            visited.unvisited_local(db.local_vertices), rank, owner_of, None
-        )
-        claims, examined, skipped, _ = _scan_claims(ctx, db, bm, candidates, cfg.dest, None)
-        visited.mark_many(claims, levcnt)
-        result.edges_examined += examined
-        result.edges_skipped += skipped
-        found_here = bool(len(claims)) and bool(np.any(claims == cfg.dest))
-        return claims, found_here
-
-    # 2b. Failover path: bounded claim-exchange rounds.  Each round every
-    # rank scans its (possibly re-assigned) responsibility set and posts
-    # ``(self_dead, claims)``; a death announced in a round hands its
-    # unscanned set to the next surviving chain members in the next round.
+    # 2. Scan rounds.  Each round every rank scans its (possibly
+    # re-assigned) responsibility set and posts ``(self_dead, claims)``; a
+    # death announced in a round hands its unscanned set to the next
+    # surviving chain members in the next round.
+    retry = RetryRounds(ft)
     all_claims: list[np.ndarray] = []
     scanned = _EMPTY
-    extra_rounds = 0
     while True:
-        my_claims = _EMPTY
-        todo = _EMPTY
-        if not ft.self_dead:
-            try:
-                # Enumerating local vertices may itself touch the device
-                # (StreamDB replays its log; BerkeleyDB walks the leaves).
-                candidates = _responsibility(
-                    visited.unvisited_local(db.local_vertices), rank, owner_of, ft
+        claims = todo = _EMPTY
+        if not is_down(ft):
+            # Enumerating local vertices may itself touch the device
+            # (StreamDB replays its log; BerkeleyDB walks the leaves).
+            with guard(ctx, ft, timed=False):
+                todo = responsibility(
+                    visited.unvisited_local(db.local_vertices), owner_of, rank, ft
                 )
-                todo = np.setdiff1d(candidates, scanned)
-            except DeviceFailedError as e:
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
-        if not ft.self_dead:
-            if len(todo):
-                if extra_rounds:
-                    ft.failovers += 1  # picked up a dead peer's shard
-                claims, examined, skipped, ok = _scan_claims(
-                    ctx, db, bm, todo, cfg.dest, ft
-                )
-                result.edges_examined += examined
-                result.edges_skipped += skipped
-                if ok:
-                    my_claims = claims
-                    scanned = np.union1d(scanned, todo)
-        prev_dead = set(ft.dead)
-        posts = yield from comm.allgather((ft.self_dead, my_claims))
-        for q, (is_dead, _) in enumerate(posts):
-            if is_dead:
-                ft.dead.add(q)
+                if len(scanned):
+                    todo = np.setdiff1d(todo, scanned)
+        # With failover off the scan runs even over nothing: when a shared
+        # sweep is armed its first consumer is the one that publishes it.
+        if not is_down(ft) and (len(todo) or ft is None):
+            retry.picked_up(todo)
+            claims, examined, skipped, ok = _scan_claims(ctx, db, bm, todo, ft)
+            result.edges_examined += examined
+            result.edges_skipped += skipped
+            if not ok:
+                claims = todo = _EMPTY
+        if ft is None:
+            # Claims are owner-local, so a healthy level needs no claim
+            # exchange at all — peers learn the new fringe from the next
+            # level's bitmap/alltoall as usual.
+            visited.mark_many(claims, levcnt)
+            return claims, bool(len(claims)) and bool(np.any(claims == cfg.dest))
+        posts = yield from comm.allgather((is_down(ft), claims))
         merged = [np.asarray(c, dtype=np.int64) for _, c in posts if len(c)]
         if merged:
             round_claims = np.unique(np.concatenate(merged))
@@ -363,12 +312,9 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             # failover re-assignment.
             visited.mark_many(round_claims, levcnt)
             all_claims.append(round_claims)
-        if not (ft.dead - prev_dead):
+        if not retry.settle(is_dead for is_dead, _ in posts):
             break
-        if extra_rounds >= ft.cfg.max_retries:
-            ft.partial = True  # responsibility of the newly dead unserved
-            break
-        extra_rounds += 1
+        scanned = np.union1d(scanned, todo)
 
     claims = np.unique(np.concatenate(all_claims)) if all_claims else _EMPTY
     found_here = bool(len(claims)) and bool(np.any(claims == cfg.dest))
@@ -378,10 +324,5 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
     # holder under the *final* dead set (its claimer may have died right
     # after posting).  A claim whose whole chain died is dropped — counted
     # once, on its primary owner.
-    owners = np.asarray(owner_of(claims), dtype=np.int64)
-    routes = route_to_replicas(owners, ft)
-    lost = routes == -1
-    if lost.any():
-        ft.dropped += int((lost & (owners == rank)).sum())
-        ft.partial = True
+    claims, routes, _ = route_or_drop(claims, owner_of(claims), ft, primary=rank)
     return claims[routes == rank], found_here

@@ -1,30 +1,41 @@
-"""Query-side fault tolerance: replica routing and fringe-shard failover.
+"""Query-side fault tolerance: the one owner of the failover protocol.
 
 MSSG's Algorithms 1 and 2 assume every back-end's disk answers every
 expand.  This module relaxes that: with k-replica rotational declustering
 (:class:`~repro.services.declustering.ReplicatedDeclusterer`) the partition
 whose primary owner is rank ``q`` also lives on ranks ``q+1 .. q+k-1``
-(mod p), so when a device dies mid-query the coordinator logic below
-re-expands the dead rank's fringe shard on a surviving replica.
+(mod p), so when a device dies mid-query a surviving replica re-does the
+dead rank's share.
 
-The protocol is collective and level-synchronous, which keeps the
-simulation deterministic and deadlock-free:
+Every rank program that fails over — Algorithms 1 and 2 (through
+:func:`failover_rounds`), the bottom-up level, the vertex-program superstep
+loop, the triangle sweep — is written in this module's vocabulary, and no
+other module reads a :class:`FaultTolerance` field or writes an
+:class:`FTState` field (``make check-failover-owner``):
 
-1. every rank expands its shard through :func:`try_expand`, which converts
-   a :class:`~repro.util.errors.DeviceFailedError` (or an expansion
-   exceeding the per-attempt virtual-time timeout) into "this rank is dead,
-   its shard is pending";
-2. :func:`failover_rounds` then runs bounded retry rounds — each round is
-   one allgather announcing deaths and pending shards, after which every
-   rank deterministically computes which pending vertices it is the first
-   surviving replica for, and re-expands them;
-3. a shard whose whole replica chain is dead (or that outlives the retry
-   budget) is *dropped*: the query degrades to a partial result, flagged on
-   the rank result and ultimately on the ``QueryReport``.
+* :meth:`FTState.start` — the per-run state, ``None`` when failover is off,
+  seeded with the ranks recorded dead up front;
+* :class:`guard` — device work done under it turns a
+  :class:`~repro.util.errors.DeviceFailedError`, a
+  :class:`~repro.util.errors.CorruptBlockError` or a blown per-attempt
+  timeout into the sticky "this rank no longer serves" state, and re-raises
+  when failover is off;
+* :func:`responsibility` / :func:`live_routes` / :func:`route_or_drop` —
+  who serves a vertex now: the first surviving member of its replica chain;
+  a vertex whose whole chain is dead is *dropped* (counted, and the result
+  flagged partial on the rank result and ultimately the ``QueryReport``);
+* :class:`RetryRounds` — one level's bounded retry rounds: merge the deaths
+  a round's exchange announced, spend the ``max_retries`` budget, count the
+  shards picked up for dead peers;
+* :meth:`FTState.fill` — the counters a rank result carries.
 
-Once a death is known, :func:`route_to_replicas` steers all further fringe
-routing straight to the first surviving replica, so a failure costs one
-retry round rather than one per level.
+None of them communicates: the protocol is collective and
+level-synchronous, each rank program keeps its own exchange (and its own
+record of what has been covered), and a dead rank keeps taking part in
+every collective — which is what keeps the simulation deterministic and
+deadlock-free.  Once a death is known all further routing goes straight to
+the first surviving replica, so a failure costs one retry round rather
+than one per level.
 """
 
 from __future__ import annotations
@@ -39,8 +50,14 @@ from ..util.longarray import LongArray
 __all__ = [
     "FaultTolerance",
     "FTState",
+    "RetryRounds",
+    "guard",
+    "is_down",
     "try_expand",
     "route_to_replicas",
+    "live_routes",
+    "responsibility",
+    "route_or_drop",
     "failover_rounds",
     "prune_known_dead_pending",
 ]
@@ -79,7 +96,7 @@ class FaultTolerance:
 
 @dataclass
 class FTState:
-    """Per-rank fault bookkeeping for one BFS run."""
+    """Per-rank fault bookkeeping for one run of a rank program."""
 
     cfg: FaultTolerance
     size: int
@@ -98,6 +115,31 @@ class FTState:
     def __post_init__(self):
         self.dead.update(self.cfg.known_dead)
 
+    @classmethod
+    def start(cls, cfg: FaultTolerance | None, size: int, rank: int) -> "FTState | None":
+        """The state one rank program runs with; ``None`` = failover off."""
+        if cfg is None:
+            return None
+        ft = cls(cfg, size)
+        # A rank on record as dead (e.g. from a rebalance pass) does not
+        # bang on its device to rediscover it.
+        ft.self_dead = rank in cfg.known_dead
+        return ft
+
+    @property
+    def replication(self) -> int:
+        return self.cfg.replication
+
+    def fill(self, result) -> None:
+        """Copy the counters onto a rank result (``BFSRankResult`` or
+        ``VPRankResult``).  ``partial`` ORs: a deadline abort flagged it
+        already, and nothing the fault state knows can take that back."""
+        result.failovers = self.failovers
+        result.dropped_vertices = self.dropped
+        result.device_failed = self.device_failed
+        result.corrupt = self.corrupt
+        result.partial |= self.partial
+
     def chain_of(self, primary: int) -> list[int]:
         """Holder ranks of ``primary``'s partition, in routing order."""
         if self.cfg.chains is not None:
@@ -115,45 +157,88 @@ class FTState:
             self._chain_arr = arr
         return self._chain_arr
 
+    def serves(self, routes: np.ndarray) -> np.ndarray:
+        """Mask of ``routes`` entries that name a rank still alive."""
+        return (routes >= 0) & ~np.isin(routes, list(self.dead))
 
-def try_expand(ctx, db, cfg, vertices, ft: FTState, prefetch: bool = False):
-    """Expand ``vertices`` locally; ``None`` means this rank cannot serve.
 
-    Converts an injected device failure — or an attempt that exceeds the
-    per-attempt virtual-time budget — into the sticky ``self_dead`` state.
-    A timed-out attempt's results are discarded (its virtual time stays
-    charged: the work happened, the coordinator just stopped waiting),
-    mirroring how a straggling disk looks indistinguishable from a dead one
-    from the query's side.
+def is_down(ft: FTState | None) -> bool:
+    """Has this rank stopped serving?  Never, with failover off: the error
+    that would have taken it down propagated instead."""
+    return ft is not None and ft.self_dead
+
+
+class guard:
+    """Device work of one attempt: ``with guard(ctx, ft) as g: ...``.
+
+    Converts an injected device failure — or, unless ``timed=False``, an
+    attempt that exceeds the per-attempt virtual-time budget — into the
+    sticky ``self_dead`` state and leaves ``g.ok`` false; the caller
+    discards the attempt's results.  A timed-out attempt's virtual time
+    stays charged (the work happened, the coordinator just stopped
+    waiting), mirroring how a straggling disk looks indistinguishable from
+    a dead one from the query's side.
 
     A :class:`CorruptBlockError` (CRC-bad frame, detected by the checksum
     layer) takes the same reroute path — the rank stops serving and its
-    shard fails over to the next replica — but is flagged as ``corrupt``
+    share fails over to the next replica — but is flagged as ``corrupt``
     rather than ``device_failed``: the disk is alive and repairable, and
     the query layer schedules read-repair for it instead of declaring the
     back-end dead.
+
+    With failover off (``ft is None``) nothing is caught: a storage error
+    propagates out of the rank program, as it did before replication.
     """
-    if ft.self_dead:
-        return None
-    start = ctx.clock.now
-    out = LongArray()
-    try:
-        if prefetch:
-            db.prefetch_fringe(vertices)
-        db.expand_fringe(vertices, out)
-    except DeviceFailedError as e:
+
+    __slots__ = ("ok", "_ctx", "_ft", "_timed", "_start")
+
+    def __init__(self, ctx, ft: FTState | None, timed: bool = True):
+        self.ok = True
+        self._ctx = ctx
+        self._ft = ft
+        self._timed = timed
+
+    def __enter__(self):
+        self._start = self._ctx.clock.now
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        ft = self._ft
+        if ft is None:
+            return False
+        if exc_type is None:
+            timeout = ft.cfg.attempt_timeout if self._timed else None
+            if timeout is not None and self._ctx.clock.now - self._start > timeout:
+                ft.self_dead = ft.timed_out = True
+                self.ok = False
+            return False
+        if not isinstance(exc, DeviceFailedError):
+            return False
         ft.self_dead = True
-        if isinstance(e, CorruptBlockError):
+        if isinstance(exc, CorruptBlockError):
             ft.corrupt = True
         else:
             ft.device_failed = True
+        self.ok = False
+        return True
+
+
+def try_expand(ctx, db, cfg, vertices, ft: FTState | None, prefetch: bool = False):
+    """Expand ``vertices`` locally; ``None`` means this rank cannot serve.
+
+    One guarded attempt (see :class:`guard`): a rank that is already down
+    does not touch its device again.
+    """
+    if is_down(ft):
         return None
-    timeout = ft.cfg.attempt_timeout
-    if timeout is not None and ctx.clock.now - start > timeout:
-        ft.self_dead = True
-        ft.timed_out = True
-        return None
-    return out.view()
+    out = LongArray()
+    with guard(ctx, ft) as attempt:
+        if prefetch:
+            db.prefetch_fringe(vertices)
+        # adj_Gi(v) for every vertex; non-local vertices contribute the
+        # empty set through the GraphDB contract.
+        db.expand_fringe(vertices, out)
+    return out.view() if attempt.ok else None
 
 
 def route_to_replicas(owners, ft: FTState) -> np.ndarray:
@@ -197,7 +282,108 @@ def _route_via_chains(owners: np.ndarray, ft: FTState) -> np.ndarray:
     return routes
 
 
-def prune_known_dead_pending(pending, ft: FTState, rank: int, owner_of) -> np.ndarray:
+def live_routes(owners, ft: FTState | None) -> np.ndarray:
+    """Rank serving each primary owner's partition now (``-1``: no one).
+
+    The owners themselves until a death is known — a healthy run routes
+    exactly as the paper's algorithms do.
+    """
+    owners = np.asarray(owners, dtype=np.int64)
+    if ft is None or not ft.dead:
+        return owners
+    return route_to_replicas(owners, ft)
+
+
+def responsibility(vertices: np.ndarray, owner_of, rank: int, ft: FTState | None):
+    """The subset of ``vertices`` this rank must serve.
+
+    Healthy: the vertices it primarily owns.  Under failover: those whose
+    replica chain it is the first surviving member of — so a dead rank's
+    share deterministically moves to its replicas, every vertex with a live
+    holder is served exactly once across the cluster (what additive
+    combiners rely on), and one whose whole chain is dead by no rank.
+    """
+    if not len(vertices):
+        return vertices
+    return vertices[live_routes(owner_of(vertices), ft) == rank]
+
+
+def route_or_drop(vertices: np.ndarray, owners, ft: FTState | None, primary: int | None = None):
+    """Route ``vertices`` (rows, for a 2-D array) to the ranks serving them.
+
+    Returns ``(kept, routes, lost)``: what can be routed, where to, and the
+    entries whose whole replica chain is dead.  The lost are counted as
+    dropped and flag the result partial.  A rank's own discoveries count
+    every lost entry; a rank-uniform set (every rank routes the same
+    ``vertices``) passes ``primary=rank`` and counts each once, on its
+    primary owner — whose program, though dead, still runs.
+    """
+    owners = np.asarray(owners, dtype=np.int64)
+    if ft is None or not ft.dead:
+        return vertices, owners, vertices[:0]
+    routes = route_to_replicas(owners, ft)
+    gone = routes == -1
+    if not gone.any():
+        return vertices, routes, vertices[:0]
+    ft.dropped += int(gone.sum() if primary is None else (owners[gone] == primary).sum())
+    ft.partial = True
+    return vertices[~gone], routes[~gone], vertices[gone]
+
+
+class RetryRounds:
+    """One level's (or superstep's) bounded retry rounds.
+
+    Owns what every retry loop shares — merging announced deaths, the
+    ``max_retries`` budget, the ``partial`` flag when it runs out, and the
+    pick-up count — and nothing else: each rank program keeps its own
+    exchange and its own record of what has been covered.  Every rank feeds
+    it the same announced flags, so all ranks run the same number of rounds.
+    """
+
+    def __init__(self, ft: FTState | None):
+        self.ft = ft
+        #: Retry rounds spent so far (the first round is not a retry).
+        self.extra = 0
+
+    def picked_up(self, todo) -> None:
+        """About to serve ``todo``: in a retry round a non-empty share is a
+        dead peer's shard — one failover."""
+        if self.extra and len(todo):
+            self.ft.failovers += 1
+
+    def announce(self, flags) -> bool:
+        """Merge the deaths one round's exchange announced; any news?"""
+        dead = self.ft.dead
+        known = len(dead)
+        dead.update(q for q, is_dead in enumerate(flags) if is_dead)
+        return len(dead) > known
+
+    def another(self) -> bool:
+        """Spend one retry round; out of budget degrades to ``partial``
+        instead of looping forever."""
+        if self.extra >= self.ft.cfg.max_retries:
+            self.ft.partial = True
+            return False
+        self.extra += 1
+        return True
+
+    def settle(self, flags, reroute: bool = True) -> bool:
+        """End a round whose exchange announced ``flags`` (``flags[q]``:
+        rank ``q`` is down).  True when a new death leaves its share to be
+        re-done in another round.  ``reroute=False``: the caller has no
+        owner map to re-route by (edge granularity) — the dead rank's slice
+        is covered exactly when the data is replicated.
+        """
+        if self.ft is None or not self.announce(flags):
+            return False
+        if not reroute:
+            if self.ft.cfg.replication <= 1:
+                self.ft.partial = True
+            return False
+        return self.another()
+
+
+def prune_known_dead_pending(pending, ft: FTState | None, rank: int, owner_of) -> np.ndarray:
     """Bootstrap-level shard pruning for ranks recorded dead up front.
 
     The bootstrap fringe ``{s}`` is held by *every* rank, so a rank seeded
@@ -208,13 +394,13 @@ def prune_known_dead_pending(pending, ft: FTState, rank: int, owner_of) -> np.nd
     and flagged.  This is what makes an already-rebalanced cluster pay zero
     failover rounds.
     """
-    if not len(pending) or rank not in ft.cfg.known_dead or owner_of is None:
+    if ft is None or not len(pending) or rank not in ft.cfg.known_dead or owner_of is None:
         return pending
     routes = route_to_replicas(owner_of(pending), ft)
     return pending[routes == -1]
 
 
-def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
+def failover_rounds(ctx, db, cfg, ft: FTState | None, pending, owner_of):
     """Collective per-level failover; returns neighbors recovered here.
 
     Every rank (healthy or dead) must call this at the same point of each
@@ -223,19 +409,20 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
     broadcast mode (unknown mapping), where replicas have already expanded
     the full fringe against their copies and only coverage is checked.
 
-    Each round costs one allgather.  The loop's control flow depends only
-    on globally agreed data (the gathered posts and the shared round
-    budget), so all ranks execute the same number of collectives.
+    Each round costs one allgather — and with failover off there is no
+    round at all.  The loop's control flow depends only on globally agreed
+    data (the gathered posts and the shared round budget), so all ranks
+    execute the same number of collectives.
     """
+    if ft is None:
+        return _EMPTY
     comm = ctx.comm
+    retry = RetryRounds(ft)
     gathered = []
-    rounds = 0
     pending = np.asarray(pending, dtype=np.int64)
     while True:
         posts = yield from comm.allgather((ft.self_dead, pending))
-        for q, (is_dead, _) in enumerate(posts):
-            if is_dead:
-                ft.dead.add(q)
+        retry.announce(is_dead for is_dead, _ in posts)
         shards = [
             (q, np.asarray(s, dtype=np.int64)) for q, (_, s) in enumerate(posts) if len(s)
         ]
@@ -255,24 +442,16 @@ def failover_rounds(ctx, db, cfg, ft: FTState, pending, owner_of):
                     ft.dropped += len(shard)
                     ft.partial = True
             break
-        if rounds >= ft.cfg.max_retries:
-            # Retry budget exhausted: degrade instead of looping forever.
-            for _, shard in shards:
-                ft.dropped += len(shard)
-            ft.partial = True
+        if not retry.another():
+            ft.dropped += sum(len(shard) for _, shard in shards)
             break
-        rounds += 1
         mine = []
         for _, shard in shards:
-            routes = route_to_replicas(owner_of(shard), ft)
-            mine.append(shard[routes == comm.rank])
-            lost = int((routes == -1).sum())
-            if lost:
-                ft.dropped += lost
-                ft.partial = True
-        mine = np.concatenate(mine) if mine else _EMPTY
+            kept, routes, _ = route_or_drop(shard, owner_of(shard), ft)
+            mine.append(kept[routes == comm.rank])
+        mine = np.concatenate(mine)
+        retry.picked_up(mine)
         if len(mine):
-            ft.failovers += 1
             recovered = try_expand(ctx, db, cfg, mine, ft, prefetch=cfg.prefetch)
             if recovered is None:
                 pending = mine  # this replica died too; next round re-routes

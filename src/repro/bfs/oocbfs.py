@@ -28,7 +28,6 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
-from ..util.longarray import LongArray
 from .direction import (
     BOTTOM_UP,
     DirectionConfig,
@@ -41,7 +40,7 @@ from .failover import (
     FTState,
     failover_rounds,
     prune_known_dead_pending,
-    route_to_replicas,
+    route_or_drop,
     try_expand,
 )
 from .visited import VisitedLevels
@@ -49,6 +48,8 @@ from .visited import VisitedLevels
 __all__ = ["BFSConfig", "BFSRankResult", "oocbfs_program"]
 
 NOT_FOUND = -1
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -133,19 +134,29 @@ def oocbfs_program(
     ranks when ``cfg.owner_known`` (default: ``GID % p``, the paper's
     globally known mapping).
     """
+    return _bfs_driver(ctx, db, cfg, visited, owner_of, _synchronous_level)
+
+
+def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level):
+    """The level-synchronous search both algorithms are.
+
+    Owns everything but the shape of a push level: prologue, the direction
+    decision, the level-end allreduce (and the controller's feed), level
+    marks and deadline aborts, termination, epilogue.
+    ``top_down_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft)``
+    is a generator returning ``(new fringe, found_here)`` like
+    :func:`~repro.bfs.direction.bottom_up_level`: Algorithm 1 expands the
+    whole fringe and exchanges once, Algorithm 2 overlaps the exchange with
+    the expansion.
+    """
     comm = ctx.comm
-    size = comm.size
-    rank = comm.rank
     if owner_of is None:
+        size = comm.size
         owner_of = lambda vs: vs % size  # noqa: E731 - the paper's default map
     result = BFSRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        # This rank is on record as dead (e.g. from a rebalance pass):
-        # don't bang on the device to rediscover it.
-        ft.self_dead = True
+    ft = FTState.start(cfg.ft, comm.size, comm.rank)
 
     if cfg.source == cfg.dest:
         result.found_level = 0
@@ -177,82 +188,20 @@ def oocbfs_program(
     while not aborted:
         levcnt += 1
         if dctl is not None and dctl.decide(levcnt) == BOTTOM_UP:
+            # A pull level has nothing to pipeline — the fringe travels as
+            # one bitmap, not as chunks — so both algorithms run the same
+            # one.  Rank-uniform: every rank takes this branch.
             result.directions.append(BOTTOM_UP)
             fringe, found_here = yield from bottom_up_level(
                 ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, cfg.direction, result
             )
-            result.fringe_vertices += len(fringe)
         else:
             if dctl is not None:
                 result.directions.append(dctl.mode)
-            if ft is None:
-                if cfg.prefetch:
-                    db.prefetch_fringe(fringe)
-                # Expand: adj_Gi(v) for every fringe vertex; non-local vertices
-                # contribute the empty set through the GraphDB contract.
-                out = LongArray()
-                db.expand_fringe(fringe, out)
-                neighbors = out.view()
-            else:
-                # Fault-tolerant expand: a device failure (or timeout) turns this
-                # rank's whole shard into ``pending``, which the collective
-                # failover rounds re-expand on a surviving replica.
-                expanded = try_expand(ctx, db, cfg, fringe, ft, prefetch=cfg.prefetch)
-                pending = fringe if expanded is None else np.empty(0, dtype=np.int64)
-                if levcnt == 1 and len(pending):
-                    pending = prune_known_dead_pending(
-                        pending, ft, rank, owner_of if cfg.owner_known else None
-                    )
-                extra = yield from failover_rounds(
-                    ctx, db, cfg, ft, pending, owner_of if cfg.owner_known else None
-                )
-                pieces = [a for a in (expanded, extra) if a is not None and len(a)]
-                neighbors = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-            found_here = bool(len(neighbors)) and bool(np.any(neighbors == cfg.dest))
-
-            candidates = np.unique(neighbors) if len(neighbors) else neighbors
-            new = visited.unvisited(candidates)
-
-            if cfg.owner_known:
-                owners = owner_of(new)
-                if ft is not None and ft.dead:
-                    # Steer vertices owned by dead ranks straight to their first
-                    # surviving replica; drop those whose whole chain is gone.
-                    owners = route_to_replicas(owners, ft)
-                    lost = owners == -1
-                    if lost.any():
-                        ft.dropped += int(lost.sum())
-                        ft.partial = True
-                        visited.mark_many(new[lost], levcnt)
-                        new = new[~lost]
-                        owners = owners[~lost]
-                # Sender-side marking (line 14) for vertices we hand off; our
-                # own discoveries are marked on receipt like everyone else's.
-                remote = new[owners != rank]
-                visited.mark_many(remote, levcnt)
-                # One stable sort groups the new fringe by destination rank
-                # instead of size boolean-mask passes over the whole array.
-                order = np.argsort(owners, kind="stable")
-                grouped = new[order]
-                dests, starts = np.unique(owners[order], return_index=True)
-                bounds = np.append(starts, len(grouped))
-                parts = [np.empty(0, dtype=np.int64)] * size
-                for j, q in enumerate(dests):
-                    parts[int(q)] = grouped[bounds[j] : bounds[j + 1]]
-                received = yield from comm.alltoall(parts)
-            else:
-                # Mapping unknown: broadcast the new fringe to all processors.
-                received = yield from comm.allgather(new)
-
-            incoming = (
-                np.unique(np.concatenate([np.asarray(r, dtype=np.int64) for r in received]))
-                if any(len(r) for r in received)
-                else np.empty(0, dtype=np.int64)
+            fringe, found_here = yield from top_down_level(
+                ctx, db, cfg, visited, levcnt, fringe, owner_of, ft
             )
-            fresh = visited.unvisited(incoming)
-            visited.mark_many(fresh, levcnt)
-            fringe = fresh
-            result.fringe_vertices += len(fringe)
+        result.fringe_vertices += len(fringe)
 
         if dctl is None:
             found_any, total_new = yield from comm.allreduce(
@@ -263,7 +212,7 @@ def oocbfs_program(
             # collective the level ends with anyway.  The stored-edge count
             # seeds m_u on the first level only (divided by the replication
             # factor — every copy of a partition stores the full adjacency).
-            repl = ft.cfg.replication if ft is not None else 1
+            repl = ft.replication if ft is not None else 1
             stored = db.stats.edges_stored if levcnt == 1 else 0
             found_any, total_new, fringe_degree, stored_total = yield from comm.allreduce(
                 (found_here, len(fringe), int(db.degree_many(fringe).sum()), stored),
@@ -295,9 +244,70 @@ def oocbfs_program(
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = ft.partial
+        ft.fill(result)
     return result
+
+
+def _outgoing(visited, new, levcnt, owner_of, comm, ft):
+    """Newly discovered vertices, one array per rank that expands them next.
+
+    Vertices owned by dead ranks are steered straight to their first
+    surviving replica; those whose whole chain is gone are dropped, and
+    marked so that they are not rediscovered (and recounted) at every
+    later level.
+    """
+    new, owners, lost = route_or_drop(new, owner_of(new), ft)
+    if len(lost):
+        visited.mark_many(lost, levcnt)
+    # Sender-side marking (line 14) for vertices we hand off; our own
+    # discoveries are marked on receipt like everyone else's.
+    visited.mark_many(new[owners != comm.rank], levcnt)
+    # One stable sort groups the new fringe by destination rank instead of
+    # size boolean-mask passes over the whole array.
+    order = np.argsort(owners, kind="stable")
+    grouped = new[order]
+    dests, starts = np.unique(owners[order], return_index=True)
+    bounds = np.append(starts, len(grouped))
+    parts = [_EMPTY] * comm.size
+    for j, q in enumerate(dests):
+        parts[int(q)] = grouped[bounds[j] : bounds[j + 1]]
+    return parts
+
+
+def _synchronous_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft):
+    """Algorithm 1's push level: expand the whole fringe, exchange once."""
+    comm = ctx.comm
+    route_by = owner_of if cfg.owner_known else None
+    # A device failure (or timeout) turns this rank's whole shard into
+    # ``pending``, which the collective failover rounds re-expand on a
+    # surviving replica.
+    neighbors = try_expand(ctx, db, cfg, fringe, ft, prefetch=cfg.prefetch)
+    pending = fringe if neighbors is None else _EMPTY
+    if levcnt == 1:
+        pending = prune_known_dead_pending(pending, ft, comm.rank, route_by)
+    extra = yield from failover_rounds(ctx, db, cfg, ft, pending, route_by)
+    if neighbors is None:
+        neighbors = extra
+    elif len(extra):
+        neighbors = np.concatenate([neighbors, extra]) if len(neighbors) else extra
+    found_here = bool(len(neighbors)) and bool(np.any(neighbors == cfg.dest))
+
+    candidates = np.unique(neighbors) if len(neighbors) else neighbors
+    new = visited.unvisited(candidates)
+
+    if cfg.owner_known:
+        received = yield from comm.alltoall(
+            _outgoing(visited, new, levcnt, owner_of, comm, ft)
+        )
+    else:
+        # Mapping unknown: broadcast the new fringe to all processors.
+        received = yield from comm.allgather(new)
+
+    incoming = (
+        np.unique(np.concatenate([np.asarray(r, dtype=np.int64) for r in received]))
+        if any(len(r) for r in received)
+        else _EMPTY
+    )
+    fresh = visited.unvisited(incoming)
+    visited.mark_many(fresh, levcnt)
+    return fresh, found_here

@@ -526,76 +526,11 @@ class MSSG:
             new_chains[u] = holders
 
         seconds = 0.0
-        stored_all: dict[int, int] = {}
-        failed_all: set[int] = set()
+        stored: dict[int, int] = {}
         if moves:
-            owner_of = self.declusterer.owner_of
-            dbs = self.dbs
-            TAG = 7700
-
-            def extract(db, u: int) -> np.ndarray:
-                verts = db.local_vertices()
-                empty = np.zeros((0, 2), dtype=np.int64)
-                if not len(verts):
-                    return empty
-                mine = verts[owner_of(verts) == u]
-                rows = []
-                for v in mine:
-                    adj = db.get_adjacency(int(v))
-                    if len(adj):
-                        rows.append(
-                            np.column_stack([np.full(len(adj), v, np.int64), adj])
-                        )
-                return np.vstack(rows) if rows else empty
-
-            def program(ctx):
-                q = ctx.rank - F
-                stored: dict[int, int] = {}
-                failed: list[int] = []
-                for i, (u, src, dst) in enumerate(moves):
-                    if q == src:
-                        try:
-                            entries = extract(dbs[src], u)
-                        except DeviceFailedError:
-                            entries = None
-                        size = _adjacency_wire_size(
-                            entries, self.config.compress_adjacency
-                        )
-                        # Non-blocking send: move order is shared by all
-                        # ranks and a move's source never receives for it,
-                        # so processing moves in order cannot deadlock.
-                        ctx.comm.send(F + dst, entries, tag=TAG, size=size)
-                    if q == dst:
-                        msg = yield from ctx.comm.recv(source=F + src, tag=TAG)
-                        entries = msg.payload
-                        if entries is None:
-                            failed.append(i)
-                            continue
-                        try:
-                            if len(entries):
-                                dbs[dst].store_edges(entries)
-                            stored[i] = len(entries)
-                        except DeviceFailedError:
-                            failed.append(i)
-                if stored:
-                    try:
-                        dbs[q].finalize_ingest()
-                        dbs[q].flush()
-                    except DeviceFailedError:
-                        # The new holder died before its copies hit disk:
-                        # everything it accepted this pass is void.
-                        failed.extend(stored)
-                        stored.clear()
-                return (stored, failed)
-
-            for r in self.cluster.run(program):
-                if r is None:
-                    continue
-                s, f = r
-                stored_all.update(s)
-                failed_all.update(f)
+            stored, failed = self._copy_partitions(moves, tag=7700, tolerate_faults=True)
             seconds = self.cluster.makespan
-            for i in failed_all:
+            for i in failed:
                 u, _, dst = moves[i]
                 if dst in new_chains[u]:
                     new_chains[u].remove(dst)
@@ -613,11 +548,88 @@ class MSSG:
         return RebalanceReport(
             seconds=seconds,
             dead_backends=tuple(dead),
-            copies_restored=len(stored_all),
-            entries_copied=sum(stored_all.values()),
+            copies_restored=len(stored),
+            entries_copied=sum(stored.values()),
             replication=replication,
             unrecoverable_partitions=tuple(unrecoverable),
         )
+
+    def _copy_partitions(self, moves, tag: int, tolerate_faults: bool):
+        """Ship partition copies between back-ends as one cluster run.
+
+        ``moves`` is a list of ``(partition, source, target)``: the source
+        extracts its copy (``local_vertices`` filtered by the owner map,
+        adjacency read back entry by entry), the target stores it and
+        flushes once at the end.  Returns ``(stored, failed)`` — entries
+        stored per move index, and the indices of moves that did not land.
+        With ``tolerate_faults`` a device dying at either end voids the move
+        (rebalance records it and reports the chain short); without, the
+        error propagates — read-repair has wiped its targets by now and
+        must not report them healed.
+        """
+        F = self.config.num_frontends
+        compress = self.config.compress_adjacency
+        owner_of = self.declusterer.owner_of
+        dbs = self.dbs
+        tolerated = DeviceFailedError if tolerate_faults else ()
+
+        def extract(db, u: int) -> np.ndarray:
+            verts = db.local_vertices()
+            empty = np.zeros((0, 2), dtype=np.int64)
+            if not len(verts):
+                return empty
+            mine = verts[owner_of(verts) == u]
+            rows = []
+            for v in mine:
+                adj = db.get_adjacency(int(v))
+                if len(adj):
+                    rows.append(np.column_stack([np.full(len(adj), v, np.int64), adj]))
+            return np.vstack(rows) if rows else empty
+
+        def program(ctx):
+            q = ctx.rank - F
+            stored: dict[int, int] = {}
+            failed: list[int] = []
+            for i, (u, src, dst) in enumerate(moves):
+                if q == src:
+                    try:
+                        entries = extract(dbs[src], u)
+                    except tolerated:
+                        entries = None
+                    # Non-blocking send: move order is shared by all
+                    # ranks and a move's source never receives for it,
+                    # so processing moves in order cannot deadlock.
+                    size = _adjacency_wire_size(entries, compress)
+                    ctx.comm.send(F + dst, entries, tag=tag, size=size)
+                if q == dst:
+                    msg = yield from ctx.comm.recv(source=F + src, tag=tag)
+                    entries = msg.payload
+                    if entries is None:
+                        failed.append(i)
+                        continue
+                    try:
+                        if len(entries):
+                            dbs[dst].store_edges(entries)
+                        stored[i] = len(entries)
+                    except tolerated:
+                        failed.append(i)
+            if stored:
+                try:
+                    dbs[q].finalize_ingest()
+                    dbs[q].flush()
+                except tolerated:
+                    # The new holder died before its copies hit disk:
+                    # everything it accepted this pass is void.
+                    failed.extend(stored)
+                    stored.clear()
+            return stored, failed
+
+        stored_all: dict[int, int] = {}
+        failed_all: set[int] = set()
+        for stored, failed in self.cluster.run(program):
+            stored_all.update(stored)
+            failed_all.update(failed)
+        return stored_all, failed_all
 
     # -- integrity: scrub + read-repair ----------------------------------------
 
@@ -686,48 +698,7 @@ class MSSG:
                 dev.truncate(0)
             self.dbs[q] = self._make_db(q)
 
-        owner_of = self.declusterer.owner_of
-        dbs = self.dbs
-        TAG = 7701
-
-        def extract(db, u: int) -> np.ndarray:
-            verts = db.local_vertices()
-            empty = np.zeros((0, 2), dtype=np.int64)
-            if not len(verts):
-                return empty
-            mine = verts[owner_of(verts) == u]
-            rows = []
-            for v in mine:
-                adj = db.get_adjacency(int(v))
-                if len(adj):
-                    rows.append(np.column_stack([np.full(len(adj), v, np.int64), adj]))
-            return np.vstack(rows) if rows else empty
-
-        def program(ctx):
-            q = ctx.rank - F
-            stored = False
-            for u, src, dst in moves:
-                if q == src:
-                    entries = extract(dbs[src], u)
-                    ctx.comm.send(
-                        F + dst,
-                        entries,
-                        tag=TAG,
-                        size=_adjacency_wire_size(
-                            entries, self.config.compress_adjacency
-                        ),
-                    )
-                if q == dst:
-                    msg = yield from ctx.comm.recv(source=F + src, tag=TAG)
-                    if len(msg.payload):
-                        dbs[dst].store_edges(msg.payload)
-                    stored = True
-            if stored:
-                dbs[q].finalize_ingest()
-                dbs[q].flush()
-            return None
-
-        self.cluster.run(program)
+        self._copy_partitions(moves, tag=7701, tolerate_faults=False)
         repaired = 0
         for q in repairable:
             node = self.cluster.nodes[F + q]

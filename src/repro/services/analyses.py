@@ -275,15 +275,10 @@ def register_extensions(service: QueryService) -> None:
         return sum(db.stats.edges_scanned for db in service.dbs)
 
     def components(max_rounds: int = 200, return_labels: bool = False) -> QueryReport:
-        def make(q):
-            def program(ctx):
-                result = yield from components_program(ctx, service.dbs[q], max_rounds)
-                return result
-
-            return program
-
         edges_before = _edges_scanned()
-        results = service._run_on_backends(make)
+        results = service._run_on_backends(
+            lambda ctx, q: components_program(ctx, service.dbs[q], max_rounds)
+        )
         labels, _ = _agreed("components", results)
         counts: dict[int, int] = {}
         for label in labels.values():
@@ -307,17 +302,10 @@ def register_extensions(service: QueryService) -> None:
     def pagerank_dict(
         damping: float = 0.85, tol: float = 1e-9, max_iters: int = 100
     ) -> QueryReport:
-        def make(q):
-            def program(ctx):
-                result = yield from pagerank_dict_program(
-                    ctx, service.dbs[q], damping, tol, max_iters
-                )
-                return result
-
-            return program
-
         edges_before = _edges_scanned()
-        results = service._run_on_backends(make)
+        results = service._run_on_backends(
+            lambda ctx, q: pagerank_dict_program(ctx, service.dbs[q], damping, tol, max_iters)
+        )
         ranks, iters, delta = _agreed("pagerank-dict", results)
         order = sorted(ranks, key=lambda v: (-ranks[v], v))
         return QueryReport(
@@ -336,17 +324,14 @@ def register_extensions(service: QueryService) -> None:
     def load_vertex_types(type_codes: dict) -> QueryReport:
         """Replicate the vertex-type metadata table onto every back-end."""
 
-        def make(q):
-            def program(ctx):
-                db = service.dbs[q]
-                for v, code in type_codes.items():
-                    db.set_metadata(int(v), int(code))
-                yield from ctx.comm.barrier()
-                return len(type_codes)
+        def program(ctx, q):
+            db = service.dbs[q]
+            for v, code in type_codes.items():
+                db.set_metadata(int(v), int(code))
+            yield from ctx.comm.barrier()
+            return len(type_codes)
 
-            return program
-
-        results = service._run_on_backends(make)
+        results = service._run_on_backends(program)
         return QueryReport(
             analysis="load-vertex-types",
             seconds=service.cluster.makespan,
@@ -354,22 +339,17 @@ def register_extensions(service: QueryService) -> None:
         )
 
     def typed_bfs(source, dest, allowed_codes, max_levels: int = 64) -> QueryReport:
-        def make(q):
-            def program(ctx):
-                outcome = yield from typed_bfs_program(
-                    ctx,
-                    service.dbs[q],
-                    int(source),
-                    int(dest),
-                    allowed_codes,
-                    max_levels,
-                    replication=service.replication,
-                )
-                return outcome
-
-            return program
-
-        results = service._run_on_backends(make)
+        results = service._run_on_backends(
+            lambda ctx, q: typed_bfs_program(
+                ctx,
+                service.dbs[q],
+                int(source),
+                int(dest),
+                allowed_codes,
+                max_levels,
+                replication=service.replication,
+            )
+        )
         level, partial = _agreed("typed-bfs", results)
         return QueryReport(
             analysis="typed-bfs",
@@ -392,16 +372,11 @@ def register_extensions(service: QueryService) -> None:
             service.declusterer.owner_of if service.declusterer.owner_known else None
         )
 
-        def make(q):
-            def program(ctx):
-                result = yield from path_bfs_program(
-                    ctx, service.dbs[q], cfg, InMemoryVisited(), owner_of=owner_of
-                )
-                return result
-
-            return program
-
-        results = service._run_on_backends(make)
+        results = service._run_on_backends(
+            lambda ctx, q: path_bfs_program(
+                ctx, service.dbs[q], cfg, InMemoryVisited(), owner_of=owner_of
+            )
+        )
         return QueryReport(
             analysis="path",
             seconds=service.cluster.makespan,

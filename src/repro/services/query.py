@@ -242,9 +242,10 @@ class QueryService:
         F = self.num_frontends
         return list(range(F, F + len(self.dbs)))
 
-    def _run_on_backends(self, make_backend_program) -> list[Any]:
-        """Run a program on each back-end rank (front-ends idle), using a
-        sub-communicator so the analysis sees dense ranks 0..P-1."""
+    def _run_on_backends(self, fn) -> list[Any]:
+        """Run the rank generator ``fn(ctx, q)`` on each back-end ``q``
+        (front-ends idle), using a sub-communicator so the analysis sees
+        dense ranks 0..P-1."""
         backend_ranks = self._backend_ranks()
         group = set(backend_ranks)
 
@@ -253,8 +254,7 @@ class QueryService:
                 return None
             subcomm = SubComm(ctx.comm, backend_ranks)
             sub_ctx = _SubContext(ctx, subcomm)
-            q = backend_ranks.index(ctx.rank)
-            result = yield from make_backend_program(q)(sub_ctx)
+            result = yield from fn(sub_ctx, backend_ranks.index(ctx.rank))
             return result
 
         raw = self.cluster.run(program)
@@ -336,39 +336,20 @@ class QueryService:
         self._visited_seq += 1
         seq = self._visited_seq
 
-        def make(q):
-            def backend_program(ctx):
-                vis = self._make_visited(ctx, visited, seq)
-                res = yield from program(
-                    ctx, self.dbs[q], cfg, vis, owner_of=owner_of, **alg_kw
-                )
-                return res
-
-            return backend_program
-
-        results = self._run_on_backends(make)
-        levels = {r.found_level for r in results}
-        if len(levels) != 1:
-            raise ConfigError(f"back-ends disagree on BFS outcome: {levels}")
-        found = results[0].found_level
-        return QueryReport(
-            analysis="bfs",
+        results = self._run_on_backends(
+            lambda ctx, q: program(
+                ctx,
+                self.dbs[q],
+                cfg,
+                self._make_visited(ctx, visited, seq),
+                owner_of=owner_of,
+                **alg_kw,
+            )
+        )
+        return _bfs_report(
+            results,
             seconds=self.cluster.makespan,
-            result=None if found == NOT_FOUND else found,
             edges_scanned=sum(r.edges_scanned for r in results),
-            levels=max(r.levels_expanded for r in results),
-            partial=any(r.partial for r in results),
-            failovers=sum(r.failovers for r in results),
-            device_failures=sum(r.device_failed for r in results),
-            corrupt_backends=tuple(
-                q for q, r in enumerate(results) if getattr(r, "corrupt", False)
-            ),
-            dropped_vertices=sum(r.dropped_vertices for r in results),
-            # The direction sequence is rank-uniform by construction; take
-            # rank 0's.  Examined/skipped counts sum (disjoint scan sets).
-            directions=tuple(results[0].directions),
-            edges_examined=sum(r.edges_examined for r in results),
-            edges_skipped=sum(r.edges_skipped for r in results),
         )
 
     # -- concurrent multi-query serving ---------------------------------------
@@ -488,90 +469,45 @@ class QueryService:
             seqs.append(self._visited_seq)
         owner_of = self.declusterer.owner_of if self.declusterer.owner_known else None
 
-        def make(q):
-            def backend_program(ctx):
-                def make_visited(c, qid):
-                    return self._make_visited(c, specs[qid].visited, seqs[qid])
-
-                def make_gen(c, qid):
-                    if qid in vp_gens:
-                        return vp_gens[qid](c, q)
-                    return oocbfs_program(
-                        c,
-                        self.dbs[q],
-                        cfgs[qid],
-                        make_visited(c, qid),
-                        owner_of=owner_of,
-                    )
-
-                out = yield from multiplex_program(
-                    ctx,
+        def backend_program(ctx, q):
+            def make_gen(c, qid):
+                if qid in vp_gens:
+                    return vp_gens[qid](c, q)
+                return oocbfs_program(
+                    c,
                     self.dbs[q],
-                    specs,
-                    cfgs,
-                    make_visited,
-                    owner_of,
-                    inflight,
-                    sharing,
-                    make_gen=make_gen,
-                    streamer=(
-                        None
-                        if stream_feed is None
-                        else stream_feed.state.for_rank(stream_feed, q)
-                    ),
+                    cfgs[qid],
+                    self._make_visited(c, specs[qid].visited, seqs[qid]),
+                    owner_of=owner_of,
                 )
-                return out
 
-            return backend_program
+            streamer = (
+                None if stream_feed is None else stream_feed.state.for_rank(stream_feed, q)
+            )
+            return multiplex_program(
+                ctx, self.dbs[q], specs, make_gen, inflight, sharing, streamer=streamer
+            )
 
-        rank_outs = self._run_on_backends(make)
+        rank_outs = self._run_on_backends(backend_program)
         reports = []
         for spec in specs:
             per_rank = [ro.queries[spec.qid] for ro in rank_outs]
             results = [o.result for o in per_rank]
-            if spec.analysis != "bfs":
-                vp = vp_report(
-                    spec.analysis,
-                    spec.params or {},
-                    results,
-                    seconds=max(o.latency_seconds for o in per_rank),
-                    edges_scanned=sum(o.edges_scanned for o in per_rank),
-                    tenant=spec.tenant,
-                    queue_seconds=max(o.queue_seconds for o in per_rank),
-                )
-                # Admission (and therefore the snapshot) is rank-uniform.
-                vp.snapshot_seq = per_rank[0].snapshot_seq
-                reports.append(vp)
-                continue
-            levels = {r.found_level for r in results}
-            if len(levels) != 1:
-                raise ConfigError(
-                    f"back-ends disagree on BFS outcome for query {spec.qid}: {levels}"
-                )
-            found = results[0].found_level
-            reports.append(
-                QueryReport(
-                    analysis="bfs",
-                    seconds=max(o.latency_seconds for o in per_rank),
-                    result=None if found == NOT_FOUND else found,
-                    edges_scanned=sum(o.edges_scanned for o in per_rank),
-                    levels=max(r.levels_expanded for r in results),
-                    partial=any(r.partial for r in results),
-                    failovers=sum(r.failovers for r in results),
-                    device_failures=sum(r.device_failed for r in results),
-                    corrupt_backends=tuple(
-                        q for q, r in enumerate(results) if getattr(r, "corrupt", False)
-                    ),
-                    dropped_vertices=sum(r.dropped_vertices for r in results),
-                    directions=tuple(results[0].directions),
-                    edges_examined=sum(r.edges_examined for r in results),
-                    edges_skipped=sum(r.edges_skipped for r in results),
-                    deadline_exceeded=any(r.deadline_exceeded for r in results),
-                    tenant=spec.tenant,
-                    queue_seconds=max(o.queue_seconds for o in per_rank),
-                    snapshot_seq=per_rank[0].snapshot_seq,
-                )
+            # Per-query attribution, not run totals.  Admission (and
+            # therefore the snapshot) is rank-uniform.
+            drain_fields = dict(
+                seconds=max(o.latency_seconds for o in per_rank),
+                edges_scanned=sum(o.edges_scanned for o in per_rank),
+                tenant=spec.tenant,
+                queue_seconds=max(o.queue_seconds for o in per_rank),
+                snapshot_seq=per_rank[0].snapshot_seq,
             )
+            if spec.analysis == "bfs":
+                reports.append(_bfs_report(results, **drain_fields))
+            else:
+                reports.append(
+                    vp_report(spec.analysis, spec.params or {}, results, **drain_fields)
+                )
         return DrainReport(
             queries=reports,
             seconds=self.cluster.makespan,
@@ -633,17 +569,14 @@ class QueryService:
         """Total locally-stored degree of each requested vertex."""
         vertices = [int(v) for v in vertices]
 
-        def make(q):
-            def backend_program(ctx):
-                local = {v: len(self.dbs[q].get_adjacency(v)) for v in vertices}
-                totals = yield from ctx.comm.allreduce(
-                    local, lambda a, b: {v: a[v] + b[v] for v in a}
-                )
-                return totals
+        def backend_program(ctx, q):
+            local = {v: len(self.dbs[q].get_adjacency(v)) for v in vertices}
+            totals = yield from ctx.comm.allreduce(
+                local, lambda a, b: {v: a[v] + b[v] for v in a}
+            )
+            return totals
 
-            return backend_program
-
-        results = self._run_on_backends(make)
+        results = self._run_on_backends(backend_program)
         return QueryReport(
             analysis="degree", seconds=self.cluster.makespan, result=results[0]
         )
@@ -652,37 +585,66 @@ class QueryService:
         """Count of vertices within ``hops`` of ``source`` (incl. source)."""
         cfg_dest = -1  # unreachable sentinel: run a bounded full BFS
 
-        def make(q):
-            def backend_program(ctx):
-                vis = InMemoryVisited()
-                cfg = BFSConfig(
-                    source=int(source),
-                    dest=cfg_dest,
-                    owner_known=self.declusterer.owner_known,
-                    max_levels=int(hops),
-                    ft=self._ft(),
-                )
-                owner_of = (
-                    self.declusterer.owner_of if self.declusterer.owner_known else None
-                )
-                res = yield from oocbfs_program(
-                    ctx, self.dbs[q], cfg, vis, owner_of=owner_of
-                )
-                # Owner mode: per-rank fringes are disjoint, so they sum.
-                # Broadcast mode: every rank holds the full fringe, so only
-                # rank 0 contributes.  The source itself counts once.
-                mine = res.fringe_vertices if (cfg.owner_known or ctx.comm.rank == 0) else 0
-                if ctx.comm.rank == 0:
-                    mine += 1
-                total = yield from ctx.comm.allreduce(mine, lambda a, b: a + b)
-                return total
+        def backend_program(ctx, q):
+            vis = InMemoryVisited()
+            cfg = BFSConfig(
+                source=int(source),
+                dest=cfg_dest,
+                owner_known=self.declusterer.owner_known,
+                max_levels=int(hops),
+                ft=self._ft(),
+            )
+            owner_of = (
+                self.declusterer.owner_of if self.declusterer.owner_known else None
+            )
+            res = yield from oocbfs_program(
+                ctx, self.dbs[q], cfg, vis, owner_of=owner_of
+            )
+            # Owner mode: per-rank fringes are disjoint, so they sum.
+            # Broadcast mode: every rank holds the full fringe, so only
+            # rank 0 contributes.  The source itself counts once.
+            mine = res.fringe_vertices if (cfg.owner_known or ctx.comm.rank == 0) else 0
+            if ctx.comm.rank == 0:
+                mine += 1
+            total = yield from ctx.comm.allreduce(mine, lambda a, b: a + b)
+            return total
 
-            return backend_program
-
-        results = self._run_on_backends(make)
+        results = self._run_on_backends(backend_program)
         return QueryReport(
             analysis="neighborhood", seconds=self.cluster.makespan, result=results[0]
         )
+
+
+def _bfs_report(results, seconds: float, edges_scanned: int, **drain_fields) -> QueryReport:
+    """Aggregate per-rank :class:`BFSRankResult` s into the BFS report.
+
+    ``seconds`` / ``edges_scanned`` are the run's totals for a solo query
+    and the query's own attribution in a drain, which also passes the
+    drain-only fields (``tenant``, ``queue_seconds``, ``snapshot_seq``).
+    """
+    levels = {r.found_level for r in results}
+    if len(levels) != 1:
+        raise ConfigError(f"back-ends disagree on BFS outcome: {levels}")
+    found = results[0].found_level
+    return QueryReport(
+        analysis="bfs",
+        seconds=seconds,
+        result=None if found == NOT_FOUND else found,
+        edges_scanned=edges_scanned,
+        levels=max(r.levels_expanded for r in results),
+        partial=any(r.partial for r in results),
+        failovers=sum(r.failovers for r in results),
+        device_failures=sum(r.device_failed for r in results),
+        corrupt_backends=tuple(q for q, r in enumerate(results) if r.corrupt),
+        dropped_vertices=sum(r.dropped_vertices for r in results),
+        # The direction sequence is rank-uniform by construction; take
+        # rank 0's.  Examined/skipped counts sum (disjoint scan sets).
+        directions=tuple(results[0].directions),
+        edges_examined=sum(r.edges_examined for r in results),
+        edges_skipped=sum(r.edges_skipped for r in results),
+        deadline_exceeded=any(r.deadline_exceeded for r in results),
+        **drain_fields,
+    )
 
 
 class _SubContext:

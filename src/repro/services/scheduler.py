@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..bfs import BFSConfig, BFSRankResult, oocbfs_program
+from ..bfs import BFSRankResult
 from ..bfs.direction import BOTTOM_UP
 from .sharedscan import BOTTOM_UP_SCAN, LOG_REPLAY, ScanBoard
 
@@ -142,20 +142,15 @@ def multiplex_program(
     ctx,
     db,
     specs,
-    cfgs,
-    make_visited,
-    owner_of,
+    make_gen,
     max_inflight: int,
     shared_scans: bool,
-    make_gen=None,
     streamer=None,
 ):
     """Back-end rank program draining ``specs`` concurrently; see module doc.
 
-    ``cfgs[qid]`` is the query's :class:`BFSConfig` (``level_marks=True``);
-    ``make_visited(ctx, qid)`` builds its per-query visited structure.
-    ``make_gen(ctx, qid)``, when given, builds the query's level-marked
-    generator instead of the default Algorithm-1 BFS — any generator
+    ``make_gen(ctx, qid)`` builds the query's level-marked generator —
+    Algorithm-1 BFS with ``BFSConfig.level_marks``, or anything else
     speaking the same mark protocol (vertex programs included) can be
     multiplexed.  ``streamer`` (streaming deployments) is this rank's
     handle on an in-drain ingest feed: ``step(round)`` applies the batches
@@ -165,13 +160,6 @@ def multiplex_program(
     query never observes a batch published after it was admitted.  Returns
     a :class:`RankDrainOutcome`.
     """
-    if make_gen is None:
-
-        def make_gen(c, qid):
-            return oocbfs_program(
-                c, db, cfgs[qid], make_visited(c, qid), owner_of=owner_of
-            )
-
     board = ScanBoard() if shared_scans else None
     if board is not None:
         db.scan_board = board

@@ -51,12 +51,11 @@ Access plans, inherited from the BFS work:
   switch is the frontier-count half of the direction controller's
   hysteresis: sweep when ``|frontier| * dense_beta >= num_vertices``.
 
-Failover mirrors ``bottom_up_level``: each superstep's message exchange
-doubles as the death announcement; when a device dies mid-scan its
-partial accumulation is discarded and bounded retry rounds re-scan the
-orphaned responsibility set on the next surviving chain members.  Ranks
-seeded via ``FaultTolerance.known_dead`` (a rebalanced cluster) are
-routed around from superstep one and cost zero extra rounds.
+Failover is :mod:`repro.bfs.failover`'s protocol, as in
+``bottom_up_level``: each superstep's message exchange doubles as the
+death announcement; when a device dies mid-scan its partial accumulation
+is discarded and bounded retry rounds re-scan the orphaned responsibility
+set on the next surviving chain members.
 
 Four plug-ins ship on the runtime — PageRank (iterate until
 convergence), weakly-connected components, k-hop ego-net extraction, and
@@ -73,10 +72,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bfs.direction import BOTTOM_UP, _adjacency_source
-from ..bfs.failover import FaultTolerance, FTState, route_to_replicas, try_expand
+from ..bfs.failover import (
+    FaultTolerance,
+    FTState,
+    RetryRounds,
+    guard,
+    is_down,
+    live_routes,
+    responsibility,
+    route_or_drop,
+    try_expand,
+)
 from ..util.bitset import Bitset
-from ..util.errors import ConfigError, CorruptBlockError, DeviceFailedError
-from ..util.longarray import LongArray
+from ..util.errors import ConfigError
 
 __all__ = [
     "VertexProgram",
@@ -257,23 +265,6 @@ def _pick_mode(cfg: VPConfig, superstep: int, active_count: int) -> str:
     return DENSE if active_count * cfg.dense_beta >= cfg.num_vertices else SPARSE
 
 
-def _responsibility(active: np.ndarray, rank: int, owner_of, ft: FTState | None):
-    """Active vertices this rank must scan (first surviving chain holder).
-
-    ``active`` is rank-uniform, so every rank computes every vertex's
-    responsible rank from the shared owner map and dead set — no
-    coordination messages.  Vertices whose whole chain is dead route to no
-    rank (they are counted as dropped at the end of the superstep).
-    """
-    if not len(active):
-        return active
-    owners = np.asarray(owner_of(active), dtype=np.int64)
-    if ft is None or not ft.dead:
-        return active[owners == rank]
-    routes = route_to_replicas(owners, ft)
-    return active[routes == rank]
-
-
 def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, superstep: int, ft):
     """Gather/scatter one rank's share of a superstep.
 
@@ -287,18 +278,12 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     empty_post = (_EMPTY, _EMPTY, np.empty(0, dtype=np.float64))
     if not len(todo):
         return empty_post, True
-    start = ctx.clock.now
     if not prog.needs_source:
         # Flat batch expansion (the top-down BFS plan): values are
         # per-superstep constants, so only destinations matter.
-        if ft is not None:
-            flat = try_expand(ctx, db, None, todo, ft, prefetch=False)
-            if flat is None:
-                return empty_post, False
-        else:
-            out = LongArray()
-            db.expand_fringe(todo, out)
-            flat = out.view()
+        flat = try_expand(ctx, db, None, todo, ft)
+        if flat is None:
+            return empty_post, False
         dsts = np.asarray(flat, dtype=np.int64)
         vals = np.full(len(dsts), prog.constant_value(superstep), dtype=np.float64)
         return (dsts, np.full(len(dsts), -1, dtype=np.int64), vals), True
@@ -307,36 +292,23 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     src_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     examined = 0
-    ok = True
-    try:
-        if mode == DENSE:
-            source = _adjacency_source(db, todo)
-        else:
-            source = db.scan_adjacency(todo, order="storage")
-        for v, neighbors in source:
-            examined += len(neighbors)
-            d, s, val = prog.edge_messages(int(v), neighbors, superstep)
-            if len(d):
-                dst_parts.append(np.asarray(d, dtype=np.int64))
-                src_parts.append(np.asarray(s, dtype=np.int64))
-                val_parts.append(np.asarray(val, dtype=np.float64))
-    except DeviceFailedError as e:
-        if ft is None:
-            raise
-        ft.self_dead = True
-        if isinstance(e, CorruptBlockError):
-            ft.corrupt = True
-        else:
-            ft.device_failed = True
-        ok = False
-    ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
-    db.stats.edges_scanned += examined
-    timeout = ft.cfg.attempt_timeout if ft is not None else None
-    if ok and timeout is not None and ctx.clock.now - start > timeout:
-        ft.self_dead = True
-        ft.timed_out = True
-        ok = False
-    if not ok:
+    with guard(ctx, ft) as attempt:
+        try:
+            if mode == DENSE:
+                source = _adjacency_source(db, todo)
+            else:
+                source = db.scan_adjacency(todo, order="storage")
+            for v, neighbors in source:
+                examined += len(neighbors)
+                d, s, val = prog.edge_messages(int(v), neighbors, superstep)
+                if len(d):
+                    dst_parts.append(np.asarray(d, dtype=np.int64))
+                    src_parts.append(np.asarray(s, dtype=np.int64))
+                    val_parts.append(np.asarray(val, dtype=np.float64))
+        finally:
+            ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
+            db.stats.edges_scanned += examined
+    if not attempt.ok:
         return empty_post, False
     if not dst_parts:
         return empty_post, True
@@ -364,12 +336,8 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
             "needs_source=False requires a min/max combiner (flat batch "
             "expansion cannot attribute additive values to sources)"
         )
-    if (
-        prog.combine == "add"
-        and not cfg.owner_known
-        and cfg.ft is not None
-        and cfg.ft.replication > 1
-    ):
+    ft = FTState.start(cfg.ft, comm.size, rank)
+    if prog.combine == "add" and not cfg.owner_known and ft is not None and ft.replication > 1:
         raise ConfigError(
             "additive vertex programs cannot run on replicated owner-unknown "
             "declustering: every stored copy of an edge would be counted"
@@ -377,9 +345,6 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
     result = VPRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, comm.size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        ft.self_dead = True
 
     active = np.asarray(prog.init(n), dtype=np.int64)
     frontier = Bitset(n)
@@ -419,81 +384,47 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
         # (which would corrupt additive combiners) and a dying rank's
         # half-finished round, whose post was discarded, is re-scanned.
         posts: list[tuple] = []  # meaningful at rank 0 only
-        covered_mask = np.zeros(len(active), dtype=bool)
-        extra_rounds = 0
-        owner_of = ctx.owner_of if cfg.owner_known else None
+        covered = np.zeros(len(active), dtype=bool)
+        retry = RetryRounds(ft)
+        # Owner unknown (edge granularity): every rank scans its own stored
+        # slice of the whole active set, and the loop never retries — the
+        # coverage sets are disjoint by storage, not by routing.
+        owners = (
+            np.asarray(ctx.owner_of(active), dtype=np.int64) if cfg.owner_known else None
+        )
         id_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         while True:
-            todo = _EMPTY
-            routes_all = None
-            if owner_of is not None:
-                owners_all = np.asarray(owner_of(active), dtype=np.int64)
-                if ft is not None and ft.dead:
-                    routes_all = route_to_replicas(owners_all, ft)
-                else:
-                    routes_all = owners_all
-            if not (ft is not None and ft.self_dead):
-                if routes_all is not None:
-                    todo = active[(routes_all == rank) & ~covered_mask]
-                else:
-                    # Owner unknown (edge granularity): every rank scans
-                    # its own stored slice of the whole active set, and the
-                    # loop never retries — the coverage sets are disjoint
-                    # by storage, not by routing.
-                    todo = active
-            if ft is not None and extra_rounds and len(todo):
-                ft.failovers += 1  # picked up a dead peer's shard
-            post, ok = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
-            if not ok:
-                post = (_EMPTY, _EMPTY, np.empty(0, dtype=np.float64))
+            routes = live_routes(owners, ft) if owners is not None else None
+            if is_down(ft):
+                todo = _EMPTY
+            elif routes is None:
+                todo = active
+            else:
+                todo = active[(routes == rank) & ~covered]
+            retry.picked_up(todo)
+            post, _ = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
             post = (
                 post[0].astype(id_dtype, copy=False),
                 post[1].astype(id_dtype, copy=False),
                 post[2],
             )
-            self_dead = ft.self_dead if ft is not None else False
-            prev_dead = set(ft.dead) if ft is not None else set()
-            gathered = yield from comm.gather((self_dead, post), root=0)
+            gathered = yield from comm.gather((is_down(ft), post), root=0)
             if rank == 0:
                 flags = [g[0] for g in gathered]
                 posts.extend(g[1] for g in gathered)
             else:
                 flags = None
             flags = yield from comm.bcast(flags, root=0)
-            if ft is not None:
-                for q, is_dead in enumerate(flags):
-                    if is_dead:
-                        ft.dead.add(q)
-            if routes_all is not None:
-                # Vertices routed to a rank that scanned without dying this
-                # round are done; a newly dead scanner's share stays open
-                # for the next round's replacement holder.
-                ok_rank = np.ones(comm.size + 1, dtype=bool)
-                if ft is not None:
-                    for q in ft.dead:
-                        ok_rank[q] = False
-                covered_mask |= (routes_all >= 0) & ok_rank[routes_all]
-            if ft is None or not (ft.dead - prev_dead):
+            if not retry.settle(flags, reroute=owners is not None):
                 break
-            if owner_of is None:
-                # Broadcast-style coverage: a dead rank's slice has no
-                # replica route to retry through; degrade.
-                if ft.cfg.replication <= 1:
-                    ft.partial = True
-                break
-            if extra_rounds >= ft.cfg.max_retries:
-                ft.partial = True
-                break
-            extra_rounds += 1
-        if ft is not None and ft.dead and owner_of is not None:
+            # Vertices routed to a rank that scanned without dying this
+            # round are done; a newly dead scanner's share stays open for
+            # the next round's replacement holder.
+            covered |= ft.serves(routes)
+        if owners is not None:
             # Whole replica chains dead: their adjacency is unreachable.
-            # The set is rank-uniform; counted once, on the primary owner
-            # (whose program — though dead — still runs this epilogue).
-            owners_all = np.asarray(owner_of(active), dtype=np.int64)
-            lost = route_to_replicas(owners_all, ft) == -1
-            if lost.any():
-                ft.dropped += int((owners_all[lost] == rank).sum())
-                ft.partial = True
+            # The set is rank-uniform; counted once, on the primary owner.
+            route_or_drop(active, owners, ft, primary=rank)
 
         # Canonical combine at the root, dense result broadcast to all.
         # The broadcast object is shared in-process; ``apply`` hooks treat
@@ -530,11 +461,7 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = result.partial or ft.partial
+        ft.fill(result)
     return result
 
 
@@ -751,9 +678,7 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
     result = VPRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState(cfg.ft, size) if cfg.ft is not None else None
-    if ft is not None and rank in ft.cfg.known_dead:
-        ft.self_dead = True
+    ft = FTState.start(cfg.ft, size, rank)
 
     aborted = False
     if cfg.level_marks:
@@ -770,64 +695,36 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
     wedges = 0
     checks: list[np.ndarray] = []  # (center excluded) wedge endpoints (u, w)
     scanned = _EMPTY
-    extra_rounds = 0
+    retry = RetryRounds(ft)
     while not aborted:
         result.supersteps += 1
         todo = _EMPTY
-        if not (ft is not None and ft.self_dead):
-            try:
+        if not is_down(ft):
+            with guard(ctx, ft, timed=False):
                 local = np.asarray(db.local_vertices(), dtype=np.int64)
-                owners = np.asarray(owner_of(local), dtype=np.int64)
-                if ft is not None and ft.dead:
-                    routes = route_to_replicas(owners, ft)
-                    mine = local[routes == rank]
-                else:
-                    mine = local[owners == rank]
-                todo = np.setdiff1d(mine, scanned)
-            except DeviceFailedError as e:
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
+                todo = np.setdiff1d(responsibility(local, owner_of, rank, ft), scanned)
         round_pairs: list[np.ndarray] = []
         round_adj: dict[int, np.ndarray] = {}
         round_wedges = 0
         examined = 0
-        ok = True
         if len(todo):
-            if ft is not None and extra_rounds:
-                ft.failovers += 1
-            try:
-                for v, neighbors in _adjacency_source(db, todo):
-                    examined += len(neighbors)
-                    nbrs = np.unique(neighbors.astype(np.int64))
-                    nbrs = nbrs[nbrs != v]  # self-loops close no wedges
-                    round_adj[int(v)] = nbrs
-                    k = len(nbrs)
-                    round_wedges += k * (k - 1) // 2
-                    if k >= 2:
-                        iu, iw = np.triu_indices(k, 1)
-                        round_pairs.append(
-                            np.column_stack([nbrs[iu], nbrs[iw]])
-                        )
-            except DeviceFailedError as e:
-                if ft is None:
-                    raise
-                ft.self_dead = True
-                if isinstance(e, CorruptBlockError):
-                    ft.corrupt = True
-                else:
-                    ft.device_failed = True
-                ok = False
-            ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
-            db.stats.edges_scanned += examined
-        if ok and not (ft is not None and ft.self_dead):
-            adj.update(round_adj)
-            wedges += round_wedges
-            checks.extend(round_pairs)
-            scanned = np.union1d(scanned, todo)
-        elif ft is not None and ft.self_dead:
+            retry.picked_up(todo)
+            with guard(ctx, ft, timed=False):
+                try:
+                    for v, neighbors in _adjacency_source(db, todo):
+                        examined += len(neighbors)
+                        nbrs = np.unique(neighbors.astype(np.int64))
+                        nbrs = nbrs[nbrs != v]  # self-loops close no wedges
+                        round_adj[int(v)] = nbrs
+                        k = len(nbrs)
+                        round_wedges += k * (k - 1) // 2
+                        if k >= 2:
+                            iu, iw = np.triu_indices(k, 1)
+                            round_pairs.append(np.column_stack([nbrs[iu], nbrs[iw]]))
+                finally:
+                    ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
+                    db.stats.edges_scanned += examined
+        if is_down(ft):
             # A dead rank's cached neighbor sets are unreadable in phase 2
             # and its responsibility re-routes wholesale, so its *entire*
             # accumulation is void — the first surviving chain member
@@ -838,19 +735,14 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
             wedges = 0
             checks = []
             scanned = _EMPTY
-        self_dead = ft.self_dead if ft is not None else False
-        prev_dead = set(ft.dead) if ft is not None else set()
-        posts = yield from comm.allgather(self_dead)
-        if ft is not None:
-            for q, is_dead in enumerate(posts):
-                if is_dead:
-                    ft.dead.add(q)
-        if ft is None or not (ft.dead - prev_dead):
+        else:
+            adj.update(round_adj)
+            wedges += round_wedges
+            checks.extend(round_pairs)
+            scanned = np.union1d(scanned, todo)
+        posts = yield from comm.allgather(is_down(ft))
+        if not retry.settle(posts):
             break
-        if extra_rounds >= ft.cfg.max_retries:
-            ft.partial = True
-            break
-        extra_rounds += 1
 
     if cfg.level_marks and not aborted:
         cmd = yield ("level-mark", result.supersteps, False, None)
@@ -867,16 +759,7 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
         pairs = (
             np.vstack(checks) if checks else np.zeros((0, 2), dtype=np.int64)
         )
-        owners = np.asarray(owner_of(pairs[:, 0]), dtype=np.int64)
-        if ft is not None and ft.dead:
-            routes = route_to_replicas(owners, ft)
-            lost = routes == -1
-            if lost.any():
-                ft.partial = True
-                ft.dropped += int(lost.sum())
-                pairs, routes = pairs[~lost], routes[~lost]
-        else:
-            routes = owners
+        pairs, routes, _ = route_or_drop(pairs, owner_of(pairs[:, 0]), ft)
         parts = [pairs[routes == q] for q in range(size)]
         received = yield from comm.alltoall(parts)
         mine = 0
@@ -919,11 +802,7 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
     result.edges_scanned = db.stats.edges_scanned - edges_before
     result.seconds = ctx.clock.now - start_time
     if ft is not None:
-        result.failovers = ft.failovers
-        result.dropped_vertices = ft.dropped
-        result.device_failed = ft.device_failed
-        result.corrupt = ft.corrupt
-        result.partial = result.partial or ft.partial
+        ft.fill(result)
     return result
 
 
@@ -1000,8 +879,7 @@ def vp_report(
     results: list[VPRankResult],
     seconds: float,
     edges_scanned: int | None = None,
-    tenant: str = "default",
-    queue_seconds: float = 0.0,
+    **drain_fields,
 ):
     """Aggregate per-rank results into a ``QueryReport``.
 
@@ -1009,7 +887,8 @@ def vp_report(
     bit-identical on every rank; the cross-check hashes the raw payload
     (ndarrays included) and raises on any divergence.  Used by both the
     solo runner and the concurrent drain (which passes per-query
-    ``seconds``/``edges_scanned`` attribution instead of run totals).
+    ``seconds``/``edges_scanned`` attribution instead of run totals, and
+    the drain-only ``tenant``/``queue_seconds``/``snapshot_seq``).
     """
     from .query import QueryReport
 
@@ -1035,8 +914,7 @@ def vp_report(
         corrupt_backends=tuple(q for q, r in enumerate(results) if r.corrupt),
         dropped_vertices=sum(r.dropped_vertices for r in results),
         deadline_exceeded=any(r.deadline_exceeded for r in results),
-        tenant=tenant,
-        queue_seconds=queue_seconds,
+        **drain_fields,
     )
 
 
@@ -1125,15 +1003,7 @@ def register_vertex_programs(service) -> None:
     def make_runner(analysis: str):
         def runner(**params) -> object:
             gen = make_vp_generator(service, analysis, params, level_marks=False)
-
-            def make(q):
-                def program(ctx):
-                    res = yield from gen(ctx, q)
-                    return res
-
-                return program
-
-            results = service._run_on_backends(make)
+            results = service._run_on_backends(gen)
             return vp_report(
                 analysis, params, results, seconds=service.cluster.makespan
             )

@@ -1,0 +1,417 @@
+"""The failover protocol, pinned from outside.
+
+Three things no other suite holds still:
+
+* **golden rows** — every rank program that fails over (Algorithm 1,
+  Algorithm 2, the bottom-up level, the vertex-program superstep loop, the
+  triangle sweep) under every kind of fault, each row pinning the answer,
+  the *virtual clock* and the failover counters bit for bit.  The literals
+  were recorded on the commit before ``bfs/failover.py`` became the one
+  owner of the retry protocol (``python tests/test_failover_protocol.py``
+  prints them), so a refactor that moves a yield, a payload byte or a
+  counter shows up here;
+* **the responsibility partition** — for any cluster size, chain shape,
+  dead set and vertex ids, the ranks' responsibility sets partition exactly
+  the vertices whose chain has a live member (what additive combiners rely
+  on: no vertex's messages are produced twice, none is silently skipped);
+* **two regressions** the single guard / single epilogue fix: a
+  deadline-aborted BFS stays ``partial`` on a fault-tolerant deployment, and
+  ``triangles`` without failover raises the storage error it hit.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import MSSG, MSSGConfig
+from repro.bfs import FaultTolerance, FTState
+from repro.bfs.failover import responsibility, route_to_replicas
+from repro.graphgen import pubmed_like
+from repro.simcluster import DiskFault, FaultPlan
+from repro.util import CorruptBlockError, DeviceFailedError
+
+EDGES = pubmed_like(500, seed=17)
+SOURCE, DEST = 3, 441
+BACKENDS = 4
+FRONTENDS = 1
+
+#: The six default-on feature knobs pinned off: the paper's prototype.
+PAPER_KNOBS = dict(
+    batch_io=False,
+    direction_opt=False,
+    checksums=False,
+    compress_adjacency=False,
+    shared_scans=False,
+    cache_policy="lru",
+)
+
+#: analysis id -> (registered analysis, query parameters)
+ANALYSES = {
+    "bfs": ("bfs", dict(source=SOURCE, dest=DEST)),
+    # Pure top-down: Algorithm 1's failover rounds run at every level.
+    "bfs-push": ("bfs", dict(source=SOURCE, dest=DEST, direction_opt=False)),
+    "pipelined-bfs": ("pipelined-bfs", dict(source=SOURCE, dest=DEST)),
+    # Pure top-down Algorithm 2: the chunk protocol and the post-failover
+    # exchange run at every level; a small poll batch makes several chunks.
+    "pipelined-push": (
+        "pipelined-bfs",
+        dict(source=SOURCE, dest=DEST, direction_opt=False, threshold=8, poll_batch=4),
+    ),
+    # Level 1 pushes, every later level pulls: the bottom-up retry rounds run
+    # (forced on, so the "paper" rows pull with failover off).
+    "bfs-pull": (
+        "bfs",
+        dict(
+            source=SOURCE,
+            dest=DEST,
+            direction_opt=True,
+            direction_schedule=("top-down", "bottom-up"),
+        ),
+    ),
+    # Every level pulls: a slow device first shows in the claim scan itself.
+    "bfs-pull-all": (
+        "bfs",
+        dict(source=SOURCE, dest=DEST, direction_opt=True, direction_schedule=("bottom-up",)),
+    ),
+    "pagerank": ("pagerank", dict(max_iters=4)),
+    "components": ("components", {}),
+    "ego-net": ("ego-net", dict(source=SOURCE, hops=3, return_vertices=True)),
+    "triangles": ("triangles", {}),
+}
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:12]
+
+
+#: The device every adjacency read of a back-end goes through.
+DATA_DEVICE = {"StreamDB": "streamdb", "grDB": "grdb_L0"}
+
+
+def _kill_mid_query(mssg, backend: str, q: int) -> FaultPlan:
+    """Back-end ``q``'s data device serves one more operation, then dies: the
+    query's first read succeeds and the fault lands in the middle of it."""
+    name = DATA_DEVICE[backend]
+    node = mssg.cluster.nodes[FRONTENDS + q]
+    ops = max(dev.ops for n, dev in node._disks.items() if n.startswith(name))
+    return FaultPlan.kill_node(FRONTENDS + q, after_ops=ops + 1, device=name)
+
+
+def _deploy(backend: str, scenario: str) -> MSSG:
+    """One deployment per row: ingest healthy, then arrange the fault."""
+    cfg = dict(
+        num_backends=BACKENDS,
+        num_frontends=FRONTENDS,
+        backend=backend,
+        cache_blocks=0,  # every adjacency request reaches the device
+        replication=2,
+    )
+    if scenario == "paper":
+        cfg.update(PAPER_KNOBS, replication=1)
+    elif scenario == "slow":
+        cfg.update(attempt_timeout=0.08)
+    elif scenario in ("known-dead", "rebalanced"):
+        # Disarmed while the stores are created, live for the ingest run.
+        cfg.update(fault_plan=FaultPlan.kill_node(FRONTENDS + 1, at_time=0.004))
+        cfg["fault_plan"].disarm()
+    mssg = MSSG(MSSGConfig(**cfg))
+    if cfg.get("fault_plan") is not None:
+        cfg["fault_plan"].arm()
+    ingest = mssg.ingest(EDGES)
+    if scenario in ("known-dead", "rebalanced"):
+        assert ingest.failed_backends == (1,) and ingest.lost_entries == 0
+    if scenario == "rebalanced":
+        assert mssg.rebalance().copies_restored > 0
+    elif scenario == "fail":
+        mssg.set_fault_plan(_kill_mid_query(mssg, backend, 1))
+    elif scenario == "corrupt":
+        mssg.set_fault_plan(
+            FaultPlan([DiskFault(node=FRONTENDS + 2, kind="corrupt", at_time=0.0)])
+        )
+    elif scenario == "slow":
+        mssg.set_fault_plan(
+            FaultPlan([DiskFault(node=FRONTENDS + 1, kind="slow", at_time=0.0)])
+        )
+    elif scenario == "chain-dead":
+        # Back-ends 1 and 2 hold both copies of partition 1.
+        mssg.set_fault_plan(
+            FaultPlan([DiskFault(node=FRONTENDS + q, at_time=0.0) for q in (1, 2)])
+        )
+    return mssg
+
+
+def _run_row(analysis: str, backend: str, scenario: str):
+    name, params = ANALYSES[analysis]
+    with _deploy(backend, scenario) as mssg:
+        r = mssg.query(name, **params)
+        fired = bool(
+            r.failovers + r.device_failures + len(r.corrupt_backends)
+            or r.partial
+            or mssg.queries.known_dead
+        )
+    row = (
+        _digest(r.result),
+        repr(r.seconds),
+        r.failovers,
+        r.dropped_vertices,
+        r.partial,
+        r.device_failures,
+        r.corrupt_backends,
+        r.levels,
+        r.edges_scanned,
+    )
+    return row, fired
+
+
+#: (analysis, backend, scenario) -> (answer digest, repr(seconds), failovers,
+#: dropped_vertices, partial, device_failures, corrupt_backends, levels,
+#: edges_scanned), recorded on the parent commit.
+GOLDEN = {
+    ("bfs", "grDB", "healthy"): (
+        "4e07408562be", "0.05865676258181803",
+        0, 0, False, 0, (), 3, 737,
+    ),
+    ("pipelined-bfs", "StreamDB", "healthy"): (
+        "4e07408562be", "0.03801442596363633",
+        0, 0, False, 0, (), 3, 737,
+    ),
+    ("pipelined-push", "grDB", "healthy"): (
+        "4e07408562be", "0.5508012663636349",
+        0, 0, False, 0, (), 3, 6893,
+    ),
+    ("pipelined-bfs", "grDB", "paper"): (
+        "4e07408562be", "2.6011971357454695",
+        0, 0, False, 0, (), 3, 6803,
+    ),
+    ("pipelined-push", "StreamDB", "paper"): (
+        "4e07408562be", "0.27937341578181824",
+        0, 0, False, 0, (), 3, 6803,
+    ),
+    ("bfs-pull", "grDB", "paper"): (
+        "4e07408562be", "0.09043396774545479",
+        0, 0, False, 0, (), 3, 1043,
+    ),
+    ("components", "grDB", "paper"): (
+        "a517133bf04f", "0.11740649083636456",
+        0, 0, False, 0, (), 4, 15280,
+    ),
+    ("bfs-push", "grDB", "fail"): (
+        "4e07408562be", "0.10793145661818195",
+        1, 0, False, 1, (), 3, 7240,
+    ),
+    ("pipelined-push", "StreamDB", "fail"): (
+        "4e07408562be", "0.2970734404000005",
+        2, 0, False, 1, (), 3, 6990,
+    ),
+    ("bfs-pull", "StreamDB", "fail"): (
+        "4e07408562be", "0.046784649818181756",
+        1, 0, False, 1, (), 3, 760,
+    ),
+    ("pagerank", "grDB", "fail"): (
+        "2f24ec820456", "0.19109420647272768",
+        1, 0, False, 1, (), 5, 34470,
+    ),
+    ("bfs-pull", "grDB", "fail"): (
+        "4e07408562be", "0.08335101298181814",
+        1, 0, False, 1, (), 3, 760,
+    ),
+    ("triangles", "StreamDB", "fail"): (
+        "35531e0b7fb7", "0.04479143879999999",
+        1, 0, False, 1, (), 3, 6894,
+    ),
+    ("bfs", "StreamDB", "corrupt"): (
+        "4e07408562be", "0.04702847359999996",
+        1, 0, False, 0, (2,), 3, 827,
+    ),
+    ("pipelined-bfs", "grDB", "corrupt"): (
+        "4e07408562be", "0.08343130778181827",
+        1, 0, False, 0, (2,), 3, 827,
+    ),
+    ("components", "StreamDB", "corrupt"): (
+        "a517133bf04f", "0.04916823410909089",
+        1, 0, False, 0, (2,), 4, 15280,
+    ),
+    ("triangles", "grDB", "corrupt"): (
+        "35531e0b7fb7", "0.06661475807272722",
+        1, 0, False, 0, (2,), 3, 6894,
+    ),
+    ("bfs-push", "StreamDB", "slow"): (
+        "4e07408562be", "0.43354303290909085",
+        1, 0, False, 0, (), 3, 6983,
+    ),
+    ("bfs-pull-all", "grDB", "slow"): (
+        "4e07408562be", "1.2706660504363343",
+        1, 0, False, 0, (), 3, 6465,
+    ),
+    ("pipelined-push", "grDB", "slow"): (
+        "4e07408562be", "1.3400809923999955",
+        2, 0, False, 0, (), 3, 7330,
+    ),
+    ("pagerank", "StreamDB", "slow"): (
+        "2f24ec820456", "0.45731776810909097",
+        1, 0, False, 0, (), 5, 36169,
+    ),
+    ("bfs-pull", "grDB", "known-dead"): (
+        "4e07408562be", "0.05885992759999982",
+        0, 0, False, 0, (), 3, 737,
+    ),
+    ("components", "StreamDB", "known-dead"): (
+        "a517133bf04f", "0.03984804894545453",
+        0, 0, False, 0, (), 4, 15280,
+    ),
+    ("bfs", "grDB", "chain-dead"): (
+        "dc937b598926", "0.10066319803636391",
+        1, 36, True, 2, (), 5, 821,
+    ),
+    ("pipelined-push", "StreamDB", "chain-dead"): (
+        "dc937b598926", "0.5110700422181806",
+        2, 253, True, 2, (), 5, 5359,
+    ),
+    ("ego-net", "grDB", "chain-dead"): (
+        "aa447d8cf4d2", "0.1075398789090911",
+        1, 110, True, 2, (), 3, 5117,
+    ),
+    ("triangles", "StreamDB", "chain-dead"): (
+        "91182fbfa4ae", "0.04277674807272726",
+        1, 29408, True, 2, (), 3, 5195,
+    ),
+    ("pipelined-bfs", "StreamDB", "rebalanced"): (
+        "4e07408562be", "0.03988837276363633",
+        0, 0, False, 0, (), 3, 737,
+    ),
+    ("ego-net", "StreamDB", "rebalanced"): (
+        "99152c17a88f", "0.029618675381818185",
+        0, 0, False, 0, (), 3, 6803,
+    ),
+    ("triangles", "StreamDB", "rebalanced"): (
+        "35531e0b7fb7", "0.02774727690909091",
+        0, 0, False, 0, (), 2, 6894,
+    ),
+}
+
+HEALTHY = ("healthy", "paper")
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
+def test_golden_row(key):
+    row, fired = _run_row(*key)
+    assert row == GOLDEN[key]
+    # No vacuous rows: a fault scenario whose fault never fired pins nothing.
+    assert fired == (key[2] not in HEALTHY)
+
+
+def test_golden_matrix_covers_every_program_and_fault():
+    assert len(GOLDEN) <= 30
+    assert {k[0] for k in GOLDEN} == set(ANALYSES)
+    assert {k[1] for k in GOLDEN} == {"StreamDB", "grDB"}
+    assert {k[2] for k in GOLDEN} == {
+        "healthy", "paper", "fail", "corrupt", "slow", "known-dead", "chain-dead",
+        "rebalanced",
+    }
+
+
+# --- (b) the responsibility partition ----------------------------------------
+
+
+@st.composite
+def _clusters(draw):
+    """``(p, FaultTolerance, dead set, vertex ids)``: rotational chains, or an
+    explicit map shaped like a rebalance pass leaves it — the survivors of
+    each rotational chain, in order, then alive non-holders."""
+    p = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=p))
+    dead = draw(st.sets(st.integers(min_value=0, max_value=p - 1)))
+    chains = None
+    if draw(st.booleans()):
+        chains = []
+        for u in range(p):
+            holders = [(u + j) % p for j in range(k) if (u + j) % p not in dead]
+            spare = [t for t in range(p) if t not in dead and t not in holders]
+            extra = draw(st.lists(st.sampled_from(spare), unique=True)) if spare else []
+            chains.append(tuple(holders + extra))
+        chains = tuple(chains)
+    cfg = FaultTolerance(replication=k, chains=chains)
+    vertices = draw(st.lists(st.integers(min_value=0, max_value=10_000), unique=True))
+    return p, cfg, dead, np.array(sorted(vertices), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clusters())
+def test_responsibility_sets_partition_the_reachable_vertices(cluster):
+    p, cfg, dead, vertices = cluster
+
+    def owner_of(vs):
+        return vs % p
+
+    def state():
+        ft = FTState(cfg, p)
+        ft.dead.update(dead)
+        return ft
+
+    shares = [responsibility(vertices, owner_of, rank, state()) for rank in range(p)]
+    reachable = np.array(
+        [
+            v
+            for v in vertices
+            if any(r not in dead for r in state().chain_of(int(v) % p))
+        ],
+        dtype=np.int64,
+    )
+    merged = np.concatenate(shares) if shares else vertices[:0]
+    # Disjoint and jointly exhaustive over the reachable vertices ...
+    assert len(merged) == len(np.unique(merged))
+    assert np.array_equal(np.sort(merged), reachable)
+    # ... no dead rank is handed anything, and the rest route nowhere.
+    assert all(not len(shares[q]) for q in dead)
+    routes = route_to_replicas(owner_of(vertices), state())
+    assert np.array_equal(vertices[routes == -1], np.setdiff1d(vertices, reachable))
+
+
+# --- (c) the two defects one guard and one epilogue fix -------------------------
+
+
+@pytest.mark.parametrize("replication", [1, 2])
+def test_deadline_abort_reports_partial_on_fault_tolerant_deployments(replication):
+    # The epilogue used to overwrite the abort's partial=True with the fault
+    # state's partial=False whenever failover was on: "unreachable, exact"
+    # for a search that was cut off.
+    with MSSG(MSSGConfig(num_backends=4, replication=replication)) as mssg:
+        mssg.ingest(EDGES)
+        rep = mssg.query_many([(SOURCE, -1), (5, -1)], deadline=1e-9)
+    for r in rep.queries:
+        assert r.deadline_exceeded and r.partial and r.result is None
+
+
+def _unreplicated_streamdb() -> MSSG:
+    mssg = MSSG(MSSGConfig(num_backends=2, backend="StreamDB", cache_blocks=0))
+    mssg.ingest(EDGES)
+    return mssg
+
+
+@pytest.mark.parametrize("analysis", ["bfs", "components", "triangles"])
+def test_storage_errors_propagate_when_failover_is_off(analysis):
+    params = dict(source=SOURCE, dest=DEST) if analysis == "bfs" else {}
+    # One rotted frame: every analysis raises what the checksum layer raised
+    # (triangles used to mask it with an AttributeError on a missing state).
+    with _unreplicated_streamdb() as mssg:
+        node = mssg.cluster.nodes[FRONTENDS]
+        node._disks["streamdb"].backing.write(50, b"\xff\xff\xff")
+        with pytest.raises(CorruptBlockError):
+            mssg.query(analysis, **params)
+    # A dead device: the plain DeviceFailedError.  (Installed on the cluster
+    # directly: MSSG.set_fault_plan would switch the failover protocol on.)
+    with _unreplicated_streamdb() as mssg:
+        mssg.cluster.install_fault_plan(FaultPlan.kill_node(FRONTENDS, at_time=0.0))
+        with pytest.raises(DeviceFailedError) as err:
+            mssg.query(analysis, **params)
+        assert not isinstance(err.value, CorruptBlockError)
+
+
+if __name__ == "__main__":  # re-record: prints the GOLDEN literals
+    for key in GOLDEN:
+        row, fired = _run_row(*key)
+        flag = "" if fired == (key[2] not in HEALTHY) else "  # VACUOUS"
+        print(f"    {key!r}: {row!r},{flag}")

@@ -313,15 +313,7 @@ class TestRegistry:
 
                 def runner(**params):
                     gen = make_vp_generator(service, "max-label", params, False)
-
-                    def make(q):
-                        def program(ctx):
-                            res = yield from gen(ctx, q)
-                            return res
-
-                        return program
-
-                    results = service._run_on_backends(make)
+                    results = service._run_on_backends(gen)
                     return vp_report(
                         "max-label", params, results, seconds=service.cluster.makespan
                     )
