@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graphdb.interface import AdjacencyBatch
 from ..util.bitset import Bitset
 from .failover import FTState, RetryRounds, guard, is_down, responsibility, route_or_drop
 
@@ -164,23 +165,23 @@ def merge_level_stats(a, b):
 
 
 def _adjacency_source(db, candidates):
-    """Iterator of ``(vertex, neighbors)`` for the bottom-up claim scan.
+    """Iterable of :class:`AdjacencyBatch` for the bottom-up claim scan.
 
     The historical plan is ``db.scan_adjacency(candidates)``.  When the
     concurrent multiplexer armed a shared bottom-up sweep on this rank's
     :class:`~repro.services.sharedscan.ScanBoard`, the first consumer
-    materializes ONE whole-store storage-order pass into a ``{v:
-    neighbors}`` map and publishes it (keyed by the stored-edge count);
-    later consumers serve their candidate sets from the map with zero
-    device work.  Per-vertex neighbor arrays are identical either way
-    (``scan_adjacency`` yields a vertex's full list exactly once), and the
-    claim loop's examined/skipped accounting is per-vertex, so answers are
-    bit-identical to the unshared plan.
+    materializes ONE whole-store storage-order pass into a single batch
+    and publishes it (keyed by the stored-edge count); later consumers
+    serve their candidates from it — ``searchsorted`` over its sorted-vertex
+    index plus one segment gather — with zero device work.  A vertex's list
+    is the same either way and the claim step accounts per segment, so
+    answers are bit-identical to the unshared plan; only the vertex order
+    differs (``np.unique(candidates)`` order, not storage order).
 
     Semi-EM refinement: when the store keeps a block directory and the
     candidate set touches only a sparse fraction of written blocks
     (GraphMP-style selective scheduling), materializing the WHOLE store
-    for the shared map would read mostly blocks no one needs — the
+    for the shared batch would read mostly blocks no one needs — the
     candidate-restricted selective scan is cheaper even without sharing,
     so it is preferred and the board is left unarmed for this consumer.
     """
@@ -190,35 +191,35 @@ def _adjacency_source(db, candidates):
     coverage = db.frontier_block_coverage(candidates)
     if coverage is not None and coverage < SELECTIVE_COVERAGE_MAX:
         return db.scan_adjacency(candidates, order="storage")
-    # The store-size token invalidates the shared map across ingests.  The
-    # map holds the BASE store only, so in streaming drains queries pinned
-    # to different admission snapshots still share the one device pass;
-    # each consumer merges its own overlay view on top from RAM below,
-    # base-first per vertex — the same arrays the unshared plan yields.
+    # The store-size token invalidates the shared batch across ingests.  It
+    # holds the BASE store only, so in streaming drains queries pinned to
+    # different admission snapshots still share the one device pass; each
+    # consumer stacks its own overlay view on top from RAM below,
+    # base-first per vertex — the same lists the unshared plan yields.
     token = db.stats.edges_stored
-    adj = board.lookup("bottom-up", token)
-    if adj is None:
-        adj = {v: neighbors for v, neighbors in db._scan_adjacency(None, order="storage")}
-        board.publish("bottom-up", token, adj)
+    base = board.lookup("bottom-up", token)
+    if base is None:
+        base = AdjacencyBatch.concat(db._scan_adjacency(None, order="storage"))
+        board.publish("bottom-up", token, base)
     wanted = np.unique(np.asarray(candidates, dtype=np.int64))
     view = db._overlay_view()
-    if view is None:
-        return ((int(v), adj[int(v)]) for v in wanted if int(v) in adj)
+    parts = (base,) if view is None else (base, view.batch)
+    batch = AdjacencyBatch.stack(wanted, *parts)
+    return (batch,) if len(batch) else ()
 
-    def merged():
-        for w in wanted:
-            v = int(w)
-            base = adj.get(v)
-            extra = view.adjacency(v)
-            if base is None:
-                if len(extra):
-                    yield v, extra
-            elif len(extra):
-                yield v, np.concatenate([base, extra])
-            else:
-                yield v, base
 
-    return merged()
+def _claim_batch(bm: Bitset, batch):
+    """Claim each of ``batch``'s vertices at its first fringe parent: the
+    claimed vertices in batch order, and how many entries a scan examines
+    and skips when it stops reading a list at its first hit."""
+    hit = bm.get_many(batch.neighbors)
+    starts = batch.offsets[:-1]
+    # Position of each entry that is a hit; the first one per segment is
+    # the minimum (segments are never empty, so reduceat is safe).
+    first = np.minimum.reduceat(np.where(hit, np.arange(len(hit)), len(hit)), starts)
+    claimed = first < len(hit)
+    examined = int(np.where(claimed, first - starts + 1, batch.degrees).sum())
+    return batch.vertices[claimed], examined, len(hit) - examined
 
 
 def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
@@ -230,24 +231,20 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
     entries are charged ``edge_visit_seconds`` and counted in
     ``stats.edges_scanned`` either way — the work happened.
     """
-    claims: list[int] = []
+    claims: list[np.ndarray] = []
     examined = 0
     skipped = 0
     with guard(ctx, ft) as attempt:
         try:
-            for v, neighbors in _adjacency_source(db, candidates):
-                hits = np.flatnonzero(bm.get_many(neighbors))
-                if len(hits):
-                    first = int(hits[0])
-                    examined += first + 1
-                    skipped += len(neighbors) - first - 1
-                    claims.append(v)
-                else:
-                    examined += len(neighbors)
+            for batch in _adjacency_source(db, candidates):
+                got, seen, passed = _claim_batch(bm, batch)
+                claims.append(got)
+                examined += seen
+                skipped += passed
         finally:
             ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
             db.stats.edges_scanned += examined
-    return np.array(claims, dtype=np.int64), examined, skipped, attempt.ok
+    return (np.concatenate(claims) if claims else _EMPTY), examined, skipped, attempt.ok
 
 
 def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg, result):

@@ -944,6 +944,9 @@ class MSSG:
                 pass
         self.cluster.close()
         self.queries.close()
+        # StreamingState points back at this deployment: dropping it lets a
+        # closed deployment be freed by reference count (see QueryService.close).
+        self.streaming = None
 
     def __enter__(self) -> "MSSG":
         return self

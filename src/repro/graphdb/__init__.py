@@ -11,6 +11,7 @@ from .interface import (
     OP_GT,
     OP_LT,
     OP_NEQ,
+    AdjacencyBatch,
     GraphDB,
     GraphDBStats,
 )
@@ -20,6 +21,7 @@ from .registry import BACKENDS, IN_MEMORY_BACKENDS, OUT_OF_CORE_BACKENDS, make_g
 from .stream_db import StreamGraphDB
 
 __all__ = [
+    "AdjacencyBatch",
     "ArrayGraphDB",
     "BACKENDS",
     "BerkeleyGraphDB",

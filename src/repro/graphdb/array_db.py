@@ -16,7 +16,7 @@ import numpy as np
 
 from ..util.errors import GraphStorageException
 from ..util.longarray import LongArray
-from .interface import GraphDB
+from .interface import AdjacencyBatch, GraphDB, gather_segments
 
 __all__ = ["ArrayGraphDB"]
 
@@ -80,6 +80,23 @@ class ArrayGraphDB(GraphDB):
         if vertex + 1 >= len(self._xadj):
             return np.empty(0, dtype=np.int64)
         return self._adj[self._xadj[vertex] : self._xadj[vertex + 1]]
+
+    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+        """One CSR gather over ``(xadj, adj)`` answers the whole scan."""
+        if self._xadj is None or order != "storage":
+            # Pre-finalize: the staging map, walked and packed (a bad order: rejected).
+            yield from super()._scan_adjacency(vertices, order=order)
+            return
+        if vertices is None:
+            vs = self._base_local_vertices()
+        else:
+            vs = np.unique(np.asarray(vertices, dtype=np.int64))
+            vs = vs[vs + 1 < len(self._xadj)]
+        starts = self._xadj[vs]
+        lens = self._xadj[vs + 1] - starts
+        if lens.any():
+            neighbors, offsets = gather_segments(self._adj, starts, lens)
+            yield AdjacencyBatch.nonempty(vs, offsets, neighbors)
 
     def _local_vertices(self) -> np.ndarray:
         if self._xadj is None:

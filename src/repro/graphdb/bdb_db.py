@@ -149,7 +149,7 @@ class BerkeleyGraphDB(GraphDB):
             self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
             adjlist.extend(neighbors)
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+    def _walk_adjacency(self, vertices=None):
         """Walk the B-tree leaf chain once, yielding wanted vertices.
 
         One range cursor between the smallest and largest wanted key visits
@@ -157,8 +157,6 @@ class BerkeleyGraphDB(GraphDB):
         BFS level.  Page I/O and B-tree CPU are charged by the cursor; the
         per-edge claim check is the caller's (early-exit accounting).
         """
-        if order != "storage":
-            raise ValueError(f"unknown scan order {order!r}")
         wset = None
         if vertices is not None:
             wanted = np.unique(np.asarray(vertices, dtype=np.int64))

@@ -33,7 +33,7 @@ from ...simcluster.disk import BlockDevice
 from ...util.errors import ConfigError, GraphStorageException
 from ...util.varint import fit_sorted_segments
 from ..idmap import IdentityMap, IdMap
-from ..interface import GraphDB
+from ..interface import AdjacencyBatch, GraphDB, gather_segments
 from .format import (
     COMPRESSED_COUNT_CAP,
     EMPTY_SLOT,
@@ -53,16 +53,6 @@ _POLICIES = ("link", "move")
 
 #: Columns of the ingestion memo (one int64 row per local id).
 _SEEN, _LEVEL, _SB, _FILL, _PLEVEL, _PSB = range(6)
-
-
-def _gather_segments(
-    values: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the segments ``values[starts[i]:starts[i] + lens[i]]``;
-    returns the flat result and its ``len(lens) + 1`` segment bounds."""
-    bounds = np.concatenate(([0], np.cumsum(lens)))
-    src = np.repeat(starts - bounds[:-1], lens) + np.arange(bounds[-1])
-    return values[src], bounds
 
 
 class GrDB(GraphDB):
@@ -403,7 +393,7 @@ class GrDB(GraphDB):
         writes = {}
         for lv in np.unique(f_level).tolist():
             at = np.flatnonzero(f_level == lv)
-            values, offsets = _gather_segments(f_vals, f_start[at], f_len[at])
+            values, offsets = gather_segments(f_vals, f_start[at], f_len[at])
             writes[lv] = (f_sb[at], fmt.encode_subblocks(lv, values, offsets, f_tail[at]))
         # A tail moved before its first frame leaves its on-disk parent
         # pointing at a freed sub-block: patch the parent's tail word.
@@ -552,14 +542,15 @@ class GrDB(GraphDB):
         # owner puts each chain's segments together, still in chain order.
         owners, lens, values = map(np.concatenate, (seg_owner, seg_len, seg_values))
         order = np.argsort(owners, kind="stable")
-        values, bounds = _gather_segments(values, (np.cumsum(lens) - lens)[order], lens[order])
+        values, bounds = gather_segments(values, (np.cumsum(lens) - lens)[order], lens[order])
         offsets = bounds[np.searchsorted(owners[order], np.arange(nchains + 1))]
         return values.view(np.int64), offsets
 
     # -- storage-order scan (bottom-up BFS access plan) -------------------------------
 
     def _scan_adjacency(self, vertices=None, order: str = "storage"):
-        """Yield wanted vertices' lists by walking level files in block order.
+        """Yield wanted vertices' lists, one batch per window, by walking
+        level files in block order.
 
         The bottom-up plan: wanted vertices are sorted by level-0 sub-block
         (ascending file offset) and resolved in windows of a few blocks'
@@ -586,9 +577,8 @@ class GrDB(GraphDB):
         for start in range(0, len(scan_order), window):
             sel = scan_order[start : start + window]
             neighbors, offsets = self._resolve_chains(locals_[sel])
-            for i, lo, hi in zip(sel.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
-                if hi > lo:
-                    yield int(gids[i]), neighbors[lo:hi]
+            if len(neighbors):
+                yield AdjacencyBatch.nonempty(gids[sel], offsets, neighbors)
 
     # -- prefetch (the §4.2 future-work optimization) ---------------------------------
 

@@ -22,12 +22,37 @@ method is added beyond the paper's listing — ``expand_fringe`` — because
 StreamDB (§4.1.5) *requires* posting all fringe vertices at once so it can
 answer a whole BFS level in a single scan; other backends inherit the
 default per-vertex loop.
+
+Bulk adjacency is a CSR batch: ``scan_adjacency`` — the storage-order plan
+behind bottom-up BFS levels and vertex-program supersteps — yields
+:class:`AdjacencyBatch` values, so its consumers do array work per batch
+instead of Python work per vertex.  Every producer keeps three rules
+(and charges as ``scan_adjacency`` documents — storage in the scan, edges
+by the caller):
+
+* **No empty segment** — a vertex with no neighbours never appears (which
+  makes ``reduceat`` over ``offsets[:-1]`` safe), and no batch is empty.
+* **Order is contract** — vertices in the backend's storage order; a
+  segment is the base list in storage/chain order, then the stream
+  overlay's entries by batch seq, each batch sorted by destination.  Claim
+  order becomes the next level's fringe order, and a claim's cost depends
+  on where its first fringe parent sits.
+* **Flush before raise** — what a storage walk handed out before a fault
+  is delivered before the error propagates: that work was done.
+
+grDB (a batch per chain-resolution window), StreamDB (one per log replay)
+and Array (one CSR gather) produce batches natively.  BerkeleyDB, MySQL
+and HashMap keep a per-record walk (``_walk_adjacency``) whose output the
+base class packs: each record charges its own float cost on the virtual
+clock — a leaf page, a row parse, a hash probe — and one summed charge
+would round differently.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +63,7 @@ from ..util.longarray import LongArray
 from .metadata import InMemoryMetadata, MetadataStore
 
 __all__ = [
+    "AdjacencyBatch",
     "GraphDB",
     "GraphDBStats",
     "PinnedVertexState",
@@ -46,6 +72,7 @@ __all__ = [
     "OP_EQ",
     "OP_GT",
     "OP_LT",
+    "gather_segments",
 ]
 
 # Metadata filter operations, verbatim from Listing 3.1:
@@ -56,6 +83,125 @@ OP_GT = 1  # neighbor's metadata > input metadata
 OP_LT = 2  # neighbor's metadata < input metadata
 
 _VALID_OPS = (OP_ALL, OP_NEQ, OP_EQ, OP_GT, OP_LT)
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def gather_segments(
+    values: np.ndarray, starts: np.ndarray, lens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the segments ``values[starts[i]:starts[i] + lens[i]]``;
+    returns the flat result and its ``len(lens) + 1`` segment bounds."""
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    src = np.repeat(starts - bounds[:-1], lens) + np.arange(bounds[-1])
+    return values[src], bounds
+
+
+class AdjacencyBatch:
+    """A CSR slice of adjacency lists — ``GraphDB``'s one bulk value type.
+
+    ``neighbors[offsets[i]:offsets[i + 1]]`` is ``vertices[i]``'s list; all
+    three arrays are int64 and no segment is empty (module doc).  Consumers
+    treat the arrays as read-only: a batch may be shared between queries.
+    """
+
+    __slots__ = ("vertices", "offsets", "neighbors", "_index")
+
+    def __init__(self, vertices: np.ndarray, offsets: np.ndarray, neighbors: np.ndarray):
+        self.vertices = vertices
+        self.offsets = offsets
+        self.neighbors = neighbors
+        self._index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def nonempty(cls, vertices, offsets, neighbors) -> "AdjacencyBatch":
+        """A batch from CSR arrays that may hold empty segments (dropped)."""
+        keep = offsets[1:] > offsets[:-1]
+        if not keep.all():
+            vertices = vertices[keep]
+            offsets = np.append(offsets[:-1][keep], offsets[-1])
+        return cls(vertices, offsets, neighbors)
+
+    @classmethod
+    def from_lists(cls, vertices: list, lists: list) -> "AdjacencyBatch":
+        """Pack per-vertex neighbour arrays (none empty) into one batch."""
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([len(lst) for lst in lists], out=offsets[1:])
+        return cls(np.array(vertices, dtype=np.int64), offsets, np.concatenate(lists))
+
+    @classmethod
+    def from_edges(cls, edges: np.ndarray) -> "AdjacencyBatch":
+        """Group a non-empty ``(E, 2)`` int64 edge array by source: vertices
+        ascending, each list in the edges' own order (one stable sort)."""
+        order = np.argsort(edges[:, 0], kind="stable")
+        srcs = edges[order, 0]
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(srcs)) + 1))
+        return cls(srcs[starts], np.append(starts, len(srcs)), edges[order, 1])
+
+    @classmethod
+    def concat(cls, batches) -> "AdjacencyBatch":
+        """One batch holding every segment of ``batches``, in order."""
+        batches = list(batches)
+        if not batches:
+            return cls(_EMPTY, np.zeros(1, dtype=np.int64), _EMPTY)
+        shifts = np.cumsum([0] + [len(b.neighbors) for b in batches])
+        offsets = [b.offsets[:-1] + shift for b, shift in zip(batches, shifts)]
+        return cls(
+            np.concatenate([b.vertices for b in batches]),
+            np.concatenate(offsets + [shifts[-1:]]),
+            np.concatenate([b.neighbors for b in batches]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __iter__(self):
+        """``(vertex, neighbors)`` pairs, for the per-vertex consumers left."""
+        bounds = self.offsets.tolist()
+        for v, lo, hi in zip(self.vertices.tolist(), bounds, bounds[1:]):
+            yield v, self.neighbors[lo:hi]
+
+    def segments(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lens)`` of each wanted vertex's list in ``neighbors``
+        (length 0 where this batch does not hold the vertex): one
+        ``searchsorted`` over a sorted-vertex index built on first use."""
+        if wanted is self.vertices:  # a batch stacking an overlay onto itself
+            return self.offsets[:-1], self.degrees
+        if self._index is None:
+            order = np.argsort(self.vertices, kind="stable")
+            # One zero-length slot past the end, for ids beyond every key.
+            self._index = tuple(
+                np.append(a[order], 0) for a in (self.vertices, self.offsets[:-1], self.degrees)
+            )
+        keys, starts, lens = self._index
+        pos = np.searchsorted(keys[:-1], wanted)
+        return starts[pos], np.where(keys[pos] == wanted, lens[pos], 0)
+
+    @classmethod
+    def stack(cls, vertices: np.ndarray, *parts: "AdjacencyBatch") -> "AdjacencyBatch":
+        """The lists of ``vertices``, in that order: each is the first part's
+        segment for the vertex, then the next part's (base, then overlay).
+        Vertices no part holds are dropped."""
+        spans = [part.segments(vertices) for part in parts]
+        offsets = np.concatenate(([0], np.cumsum(sum(lens for _, lens in spans))))
+        neighbors = np.empty(offsets[-1], dtype=np.int64)
+        at = offsets[:-1]
+        for part, (starts, lens) in zip(parts, spans):
+            first = np.cumsum(lens) - lens  # of each segment, within this part's share
+            ramp = np.arange(lens.sum())
+            neighbors[np.repeat(at - first, lens) + ramp] = part.neighbors[
+                np.repeat(starts - first, lens) + ramp
+            ]
+            at = at + lens
+        return cls.nonempty(vertices, offsets, neighbors)
+
+    def select(self, wanted: np.ndarray) -> "AdjacencyBatch":
+        """The ``wanted`` vertices this batch holds, in ``wanted`` order."""
+        return AdjacencyBatch.stack(wanted, self)
 
 
 @dataclass
@@ -278,36 +424,51 @@ class GraphDB(abc.ABC):
                 out[hit] = ps.degrees[idx[hit]]
         else:
             out = np.fromiter(
-                (self._degree.get(int(v), 0) for v in vs), dtype=np.int64, count=len(vs)
+                map(self._degree.get, vs.tolist(), repeat(0)), dtype=np.int64, count=len(vs)
             )
         view = self._overlay_view()
         if view is not None:
             out = out + view.degrees(vs)
         return out
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
-        """Base-store storage-order scan (overridden per backend)."""
-        if order != "storage":
-            raise ValueError(f"unknown scan order {order!r}")
+    def _walk_adjacency(self, vertices=None):
+        """Per-record base-store walk: ``(vertex, neighbors)`` pairs in
+        storage order (BerkeleyDB and MySQL override with their own walk)."""
         if vertices is None:
             vs = self._base_local_vertices()
         else:
             vs = np.unique(np.asarray(vertices, dtype=np.int64))
-        for v in vs:
-            neighbors = self._get_adjacency(int(v))
-            if len(neighbors):
-                yield int(v), neighbors
+        for v in vs.tolist():
+            yield v, self._get_adjacency(v)
+
+    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+        """Base-store storage-order scan (overridden by backends that
+        produce batches natively); here the per-record walk, packed."""
+        if order != "storage":
+            raise ValueError(f"unknown scan order {order!r}")
+        vs: list[int] = []
+        lists: list[np.ndarray] = []
+        try:
+            for v, neighbors in self._walk_adjacency(vertices):
+                if len(neighbors):
+                    vs.append(v)
+                    lists.append(neighbors)
+        finally:
+            # Flush before raise: what the walk handed out before a fault
+            # was read (and charged), so the consumer gets to count it.
+            if vs:
+                yield AdjacencyBatch.from_lists(vs, lists)
 
     def scan_adjacency(self, vertices=None, order: str = "storage"):
-        """Yield ``(vertex, neighbors)`` pairs in the backend's storage order.
+        """Yield :class:`AdjacencyBatch` values in the backend's storage order.
 
         The bottom-up BFS access plan: instead of one random adjacency
-        request per vertex, walk storage sequentially and hand each wanted
-        vertex's list to the caller.  ``vertices=None`` means all local
-        vertices.  ``order="storage"`` (the only order) lets each backend
-        pick its cheapest sequential plan — grDB walks level files in block
-        order, StreamDB replays its log, BerkeleyDB the leaf chain, MySQL
-        one range statement over the heap, Array/HashMap memory order.
+        request per vertex, walk storage sequentially and hand the wanted
+        vertices' lists to the caller (``vertices=None``: all local ones).
+        ``order="storage"`` (the only order) lets each backend pick its
+        cheapest sequential plan — grDB walks level files in block order (a
+        batch per window), StreamDB replays its log, BerkeleyDB the leaf
+        chain, MySQL one range statement, Array/HashMap memory order.
 
         Charges storage I/O and per-structure CPU exactly like the access
         it models, but **not** per-edge visit time — the caller owns that,
@@ -316,35 +477,27 @@ class GraphDB(abc.ABC):
         reason ``stats.edges_scanned`` is the caller's responsibility.
 
         Visible stream-overlay batches merge in: a vertex's overlay entries
-        append to its base list, and overlay-only vertices follow the base
-        sweep.  Bottom-up claims depend only on membership, not order, so
-        answers match a store holding the same edges natively.
+        stack after its base list, and overlay-only vertices follow the
+        base sweep, ascending.  Claims depend only on membership, so answers
+        match a store holding the same edges natively.
         """
         view = self._overlay_view()
         if view is None:
             yield from self._scan_adjacency(vertices, order=order)
             return
-        wanted = (
-            None
-            if vertices is None
-            else np.unique(np.asarray(vertices, dtype=np.int64))
-        )
-        seen: set[int] = set()
-        for v, neighbors in self._scan_adjacency(wanted, order=order):
-            seen.add(int(v))
-            extra = view.adjacency(int(v))
-            if len(extra):
-                neighbors = np.concatenate([neighbors, extra])
-            yield int(v), neighbors
-        overlay_vs = view.vertices()
-        if wanted is not None and len(overlay_vs):
-            overlay_vs = overlay_vs[np.isin(overlay_vs, wanted)]
-        for v in overlay_vs:
-            if int(v) in seen:
-                continue
-            extra = view.adjacency(int(v))
-            if len(extra):
-                yield int(v), extra
+        wanted = None if vertices is None else np.unique(np.asarray(vertices, dtype=np.int64))
+        overlay = view.batch
+        seen = []
+        for batch in self._scan_adjacency(wanted, order=order):
+            seen.append(batch.vertices)
+            yield AdjacencyBatch.stack(batch.vertices, batch, overlay)
+        rest = overlay.vertices
+        if wanted is not None:
+            rest = rest[np.isin(rest, wanted)]
+        if seen:
+            rest = rest[~np.isin(rest, np.concatenate(seen))]
+        if len(rest):
+            yield overlay.select(rest)
 
     def _base_local_vertices(self) -> np.ndarray:
         """Base-store vertex enumeration (pinned array or backend scan)."""
@@ -408,14 +561,12 @@ class GraphDB(abc.ABC):
             # Base-only by contract — overlay degrees merge on top in
             # degree_many, so pinning them here would double-count.
             total = 0
-            for v, neighbors in self._scan_adjacency(None, order="storage"):
-                self._degree[int(v)] = len(neighbors)
-                total += len(neighbors)
+            for batch in self._scan_adjacency(None, order="storage"):
+                self._degree.update(zip(batch.vertices.tolist(), batch.degrees.tolist()))
+                total += len(batch.neighbors)
             self.clock.advance(total * self.cpu.edge_visit_seconds)
-        vertices = np.fromiter(sorted(self._degree), dtype=np.int64, count=len(self._degree))
-        degrees = np.fromiter(
-            (self._degree[int(v)] for v in vertices), dtype=np.int64, count=len(vertices)
-        )
+        vertices = np.array(sorted(self._degree), dtype=np.int64)
+        degrees = np.array([self._degree[v] for v in vertices.tolist()], dtype=np.int64)
         self._pinned_state = PinnedVertexState(vertices=vertices, degrees=degrees)
         self._build_block_directory()
         return self._pinned_state

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import abc
 import struct
+from itertools import repeat
 
 import numpy as np
 
@@ -67,9 +68,8 @@ class InMemoryMetadata(MetadataStore):
 
     def get_many(self, vertices) -> np.ndarray:
         vs = np.asarray(vertices, dtype=np.int64).ravel()
-        values = self._values
         return np.fromiter(
-            (values.get(int(v), UNSET) for v in vs), dtype=np.int64, count=len(vs)
+            map(self._values.get, vs.tolist(), repeat(UNSET)), dtype=np.int64, count=len(vs)
         )
 
     def set_many(self, vertices, value: int) -> None:

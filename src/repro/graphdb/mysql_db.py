@@ -128,7 +128,7 @@ class MySQLGraphDB(GraphDB):
             self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
             adjlist.extend(neighbors)
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+    def _walk_adjacency(self, vertices=None):
         """One range SELECT answers the whole bottom-up scan.
 
         ``WHERE src >= lo AND src <= hi ORDER BY src, chunk`` is planned by
@@ -138,8 +138,6 @@ class MySQLGraphDB(GraphDB):
         CPU is charged by the engine; per-edge claim checks are the
         caller's (early-exit accounting).
         """
-        if order != "storage":
-            raise ValueError(f"unknown scan order {order!r}")
         wset = None
         if vertices is not None:
             wanted = np.unique(np.asarray(vertices, dtype=np.int64))

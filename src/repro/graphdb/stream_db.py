@@ -31,7 +31,7 @@ from ..simcluster.disk import BlockDevice
 from ..util.errors import CorruptBlockError, GraphStorageException
 from ..util.longarray import LongArray
 from ..util.varint import decode_edge_block, encode_edge_block
-from .interface import GraphDB
+from .interface import AdjacencyBatch, GraphDB
 
 __all__ = ["StreamGraphDB"]
 
@@ -563,8 +563,8 @@ class StreamGraphDB(GraphDB):
 
         The storage order of StreamDB *is* the log, so the sequential plan
         is the same full scan ``expand_fringe`` uses: stream every logged
-        edge past the CPU once, then hand out per-vertex groups.  Per-edge
-        claim-check time is the caller's (early-exit accounting).
+        edge past the CPU once, then hand out one batch grouped by source.
+        Per-edge claim-check time is the caller's (early-exit accounting).
         """
         if order != "storage":
             raise ValueError(f"unknown scan order {order!r}")
@@ -585,12 +585,7 @@ class StreamGraphDB(GraphDB):
             edges = edges[np.isin(edges[:, 0], wanted)]
             if len(edges) == 0:
                 return
-        by_src = np.argsort(edges[:, 0], kind="stable")
-        srcs = edges[by_src, 0]
-        dsts = edges[by_src, 1]
-        boundaries = np.flatnonzero(np.diff(srcs)) + 1
-        for group in np.split(np.arange(len(srcs)), boundaries):
-            yield int(srcs[group[0]]), dsts[group]
+        yield AdjacencyBatch.from_edges(edges)
 
     def _local_vertices(self) -> np.ndarray:
         edges = self._scan()

@@ -28,7 +28,7 @@ __all__ = ["ScanBoard", "LOG_REPLAY", "BOTTOM_UP_SCAN"]
 
 #: Sweep key: StreamDB's full edge-log replay (decoded ``(E, 2)`` array).
 LOG_REPLAY = "log-replay"
-#: Sweep key: whole-store storage-order adjacency scan (``{v: neighbors}``).
+#: Sweep key: whole-store storage-order adjacency scan (one ``AdjacencyBatch``).
 BOTTOM_UP_SCAN = "bottom-up"
 
 

@@ -26,9 +26,11 @@ prefix — the invariant the property tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ..graphdb.interface import AdjacencyBatch, gather_segments
 from ..storage.deltalog import DeltaLog
 from ..util.errors import ConfigError, DeviceFailedError
 
@@ -62,73 +64,36 @@ def base_commit_token(db) -> int | None:
     return None
 
 
-class _OverlayBatch:
-    """One committed stream batch, indexed for per-vertex adjacency lookup."""
+class _OverlayBatch(NamedTuple):
+    """One committed stream batch (what :meth:`StreamingState.compact` folds)."""
 
-    def __init__(self, seq: int, edges: np.ndarray):
-        self.seq = seq
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if len(edges):
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-        self.edges = edges
-        self.srcs, counts = (
-            np.unique(edges[:, 0], return_counts=True)
-            if len(edges)
-            else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        )
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-
-    def adjacency(self, vertex: int) -> np.ndarray:
-        i = int(np.searchsorted(self.srcs, vertex))
-        if i == len(self.srcs) or self.srcs[i] != vertex:
-            return self.edges[0:0, 1]
-        return self.edges[self.indptr[i] : self.indptr[i + 1], 1]
-
-    def degrees(self, vs: np.ndarray) -> np.ndarray:
-        if not len(self.srcs):
-            return np.zeros(len(vs), dtype=np.int64)
-        idx = np.searchsorted(self.srcs, vs)
-        idx = np.minimum(idx, len(self.srcs) - 1)
-        hit = self.srcs[idx] == vs
-        out = np.zeros(len(vs), dtype=np.int64)
-        out[hit] = (self.indptr[idx + 1] - self.indptr[idx])[hit]
-        return out
+    seq: int
+    edges: np.ndarray  # (E, 2) int64, sorted by (src, dst)
 
 
 class OverlayView:
-    """The overlay batches visible to one query's admission snapshot."""
+    """The overlay batches visible to one query's admission snapshot,
+    consolidated into one CSR: vertices ascending, a vertex's entries by
+    batch seq, each batch's sorted by destination."""
 
     def __init__(self, batches: list[_OverlayBatch]):
-        self.batches = batches
+        self.batch = AdjacencyBatch.from_edges(np.concatenate([b.edges for b in batches]))
 
     def adjacency(self, vertex: int) -> np.ndarray:
-        parts = [b.adjacency(vertex) for b in self.batches]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        (start,), (n,) = self.batch.segments(np.array([vertex]))
+        return self.batch.neighbors[start : start + n]
 
     def degrees(self, vs: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(vs), dtype=np.int64)
-        for b in self.batches:
-            out += b.degrees(vs)
-        return out
+        return self.batch.segments(vs)[1]
 
     def vertices(self) -> np.ndarray:
-        parts = [b.srcs for b in self.batches if len(b.srcs)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        return self.batch.vertices
 
     def fringe(self, vs) -> np.ndarray:
         """Concatenated overlay adjacency of every fringe vertex, in fringe
         order (matching the default per-vertex ``expand_fringe`` loop)."""
-        parts = [self.adjacency(int(v)) for v in vs]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        vs = np.asarray(vs, dtype=np.int64)
+        return gather_segments(self.batch.neighbors, *self.batch.segments(vs))[0]
 
 
 class DeltaOverlay:
@@ -137,6 +102,8 @@ class DeltaOverlay:
     Batches are held individually (not merged) so a query admitted at
     snapshot ``s`` can read exactly the batches with ``seq <= s`` while a
     later batch is already being appended — MVCC at batch granularity.
+    Reads go through a consolidated :class:`OverlayView`, built on the
+    first read at a horizon and kept until the batch list next changes.
     """
 
     def __init__(self):
@@ -144,13 +111,22 @@ class DeltaOverlay:
         #: Highest cluster-widely published batch seq; the default
         #: visibility horizon for reads with no pinned snapshot.
         self.published = 0
+        #: horizon -> its view (``None``: nothing visible).  Filled by reads
+        #: only and dropped whole on every change: ingest pays nothing and
+        #: the cache never outgrows one drain round's snapshots.
+        self._views: dict[int, OverlayView | None] = {}
 
     def append(self, seq: int, edges: np.ndarray) -> None:
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if len(edges):
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
         self.batches.append(_OverlayBatch(seq, edges))
+        self._views.clear()
 
     def drop_through(self, seq: int) -> None:
         """Forget batches folded into the base store (``<= seq``)."""
         self.batches = [b for b in self.batches if b.seq > seq]
+        self._views.clear()
 
     def view(self, snap: int | None) -> OverlayView | None:
         """The read view at snapshot ``snap`` (``None`` = published horizon).
@@ -159,8 +135,10 @@ class DeltaOverlay:
         compacted/steady case, which keeps the base read path zero-cost.
         """
         horizon = self.published if snap is None else snap
-        visible = [b for b in self.batches if b.seq <= horizon and len(b.edges)]
-        return OverlayView(visible) if visible else None
+        if horizon not in self._views:
+            visible = [b for b in self.batches if b.seq <= horizon and len(b.edges)]
+            self._views[horizon] = OverlayView(visible) if visible else None
+        return self._views[horizon]
 
 
 class _DeltaSink:

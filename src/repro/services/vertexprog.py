@@ -217,11 +217,14 @@ class VertexProgram(abc.ABC):
     def finalize(self) -> object:
         """Build the (rank-uniform) analysis result from final state."""
 
-    def edge_messages(self, v: int, neighbors: np.ndarray, superstep: int):
-        """Scatter along ``v``'s stored edges: ``(dsts, srcs, values)``.
+    def edge_messages(self, batch, superstep: int):
+        """Scatter along a batch of stored edges: ``(dsts, srcs, values)``.
 
-        Called once per scanned active vertex when ``needs_source``;
-        default emits nothing.
+        Called once per scanned :class:`~repro.graphdb.AdjacencyBatch` of
+        active vertices when ``needs_source``.  One message per stored entry
+        is ``dsts = batch.neighbors``, ``srcs = np.repeat(batch.vertices,
+        batch.degrees)`` and a per-vertex value repeated the same way; the
+        arrays go on the wire as returned, so keep them in batch order.
         """
         raise NotImplementedError
 
@@ -288,9 +291,7 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
         vals = np.full(len(dsts), prog.constant_value(superstep), dtype=np.float64)
         return (dsts, np.full(len(dsts), -1, dtype=np.int64), vals), True
 
-    dst_parts: list[np.ndarray] = []
-    src_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
+    posts: list[tuple] = []
     examined = 0
     with guard(ctx, ft) as attempt:
         try:
@@ -298,25 +299,16 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
                 source = _adjacency_source(db, todo)
             else:
                 source = db.scan_adjacency(todo, order="storage")
-            for v, neighbors in source:
-                examined += len(neighbors)
-                d, s, val = prog.edge_messages(int(v), neighbors, superstep)
-                if len(d):
-                    dst_parts.append(np.asarray(d, dtype=np.int64))
-                    src_parts.append(np.asarray(s, dtype=np.int64))
-                    val_parts.append(np.asarray(val, dtype=np.float64))
+            for batch in source:
+                examined += len(batch.neighbors)
+                posts.append(prog.edge_messages(batch, superstep))
         finally:
             ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
             db.stats.edges_scanned += examined
-    if not attempt.ok:
-        return empty_post, False
-    if not dst_parts:
-        return empty_post, True
-    return (
-        np.concatenate(dst_parts),
-        np.concatenate(src_parts),
-        np.concatenate(val_parts),
-    ), True
+    if not attempt.ok or not posts:
+        return empty_post, attempt.ok
+    dtypes = (np.int64, np.int64, np.float64)
+    return tuple(np.concatenate(c).astype(t, copy=False) for c, t in zip(zip(*posts), dtypes)), True
 
 
 def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
@@ -501,19 +493,12 @@ class PageRankProgram(VertexProgram):
         self._n = n
         return np.arange(n, dtype=np.int64)  # census touches every id
 
-    def edge_messages(self, v, neighbors, superstep):
+    def edge_messages(self, batch, superstep):
+        vs, degrees = batch.vertices, batch.degrees
         if superstep == 1:  # degree census: one additive message to self
-            return (
-                np.array([v], dtype=np.int64),
-                np.array([v], dtype=np.int64),
-                np.array([float(len(neighbors))]),
-            )
-        share = self.ranks[v] / self.degree[v]
-        return (
-            neighbors.astype(np.int64),
-            np.full(len(neighbors), v, dtype=np.int64),
-            np.full(len(neighbors), share),
-        )
+            return vs, vs, degrees.astype(np.float64)
+        share = self.ranks[vs] / self.degree[vs]
+        return batch.neighbors, np.repeat(vs, degrees), np.repeat(share, degrees)
 
     def apply(self, combined, has_msg, superstep):
         if superstep == 1:
@@ -575,12 +560,9 @@ class ComponentsProgram(VertexProgram):
         self.present = np.zeros(n, dtype=bool)
         return np.arange(n, dtype=np.int64)
 
-    def edge_messages(self, v, neighbors, superstep):
-        return (
-            neighbors.astype(np.int64),
-            np.full(len(neighbors), v, dtype=np.int64),
-            np.full(len(neighbors), self.labels[v]),
-        )
+    def edge_messages(self, batch, superstep):
+        vs, degrees = batch.vertices, batch.degrees
+        return batch.neighbors, np.repeat(vs, degrees), np.repeat(self.labels[vs], degrees)
 
     def apply(self, combined, has_msg, superstep):
         self.rounds = superstep
@@ -711,11 +693,12 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
             retry.picked_up(todo)
             with guard(ctx, ft, timed=False):
                 try:
-                    for v, neighbors in _adjacency_source(db, todo):
+                    pairs = (p for batch in _adjacency_source(db, todo) for p in batch)
+                    for v, neighbors in pairs:
                         examined += len(neighbors)
                         nbrs = np.unique(neighbors.astype(np.int64))
                         nbrs = nbrs[nbrs != v]  # self-loops close no wedges
-                        round_adj[int(v)] = nbrs
+                        round_adj[v] = nbrs
                         k = len(nbrs)
                         round_wedges += k * (k - 1) // 2
                         if k >= 2:
@@ -918,26 +901,28 @@ def vp_report(
     )
 
 
+def _feed_digest(h, x) -> None:
+    # Module-level, not a closure of _digest: a nested function that calls
+    # itself is a reference cycle, one per analytics call.
+    if isinstance(x, dict):
+        for k in sorted(x, key=repr):
+            h.update(repr(k).encode())
+            _feed_digest(h, x[k])
+    elif isinstance(x, np.ndarray):
+        h.update(np.ascontiguousarray(x).tobytes())
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            _feed_digest(h, item)
+    else:
+        h.update(repr(x).encode())
+
+
 def _digest(obj) -> bytes:
     """Order-stable fingerprint of a rank result for agreement checks."""
     import hashlib
 
     h = hashlib.sha256()
-
-    def feed(x):
-        if isinstance(x, dict):
-            for k in sorted(x, key=repr):
-                h.update(repr(k).encode())
-                feed(x[k])
-        elif isinstance(x, np.ndarray):
-            h.update(np.ascontiguousarray(x).tobytes())
-        elif isinstance(x, (list, tuple)):
-            for item in x:
-                feed(item)
-        else:
-            h.update(repr(x).encode())
-
-    feed(obj)
+    _feed_digest(h, obj)
     return h.digest()
 
 

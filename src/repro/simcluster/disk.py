@@ -421,3 +421,6 @@ class BlockDevice:
 
     def close(self) -> None:
         self.backing.close()
+        # The checksum wrapper ``wrap_device`` registered here points back at
+        # this device: drop it, so a closed device is freed by reference count.
+        vars(self).pop("_integrity", None)

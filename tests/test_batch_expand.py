@@ -182,7 +182,7 @@ def test_grdb_codec_entered_per_round_and_level_not_per_subblock(monkeypatch):
     assert 0 < calls["decode_sorted_segments"] <= per_resolve
 
     calls["decode_sorted_segments"] = 0
-    swept = sum(len(neighbors) for _, neighbors in db.scan_adjacency())
+    swept = sum(len(batch.neighbors) for batch in db.scan_adjacency())
     assert swept == db.stats.edges_stored
     windows = -(-len(db.known_vertices()) // (4 * FMT.subblocks_per_block(0)))
     assert 0 < calls["decode_sorted_segments"] <= windows * per_resolve

@@ -226,8 +226,8 @@ class TestGrDBCompressed:
         raw.expand_fringe(list(range(12)), out_r)
         comp.expand_fringe(list(range(12)), out_c)
         assert sorted(out_r.to_numpy().tolist()) == sorted(out_c.to_numpy().tolist())
-        scan_r = {v: sorted(a.tolist()) for v, a in raw.scan_adjacency()}
-        scan_c = {v: sorted(a.tolist()) for v, a in comp.scan_adjacency()}
+        scan_r = {v: sorted(a.tolist()) for b in raw.scan_adjacency() for v, a in b}
+        scan_c = {v: sorted(a.tolist()) for b in comp.scan_adjacency() for v, a in b}
         assert scan_r == scan_c
 
     def test_duplicate_edges_preserved(self):

@@ -380,8 +380,8 @@ class TestStreamDBSelective:
         node_f, full = self._db(semi=False)
         b0_s = node_s._disks["log"].stats.bytes_read
         b0_f = node_f._disks["log"].stats.bytes_read
-        got_s = dict(sel.scan_adjacency(np.array([5, 710]), order="storage"))
-        got_f = dict(full.scan_adjacency(np.array([5, 710]), order="storage"))
+        got_s = dict(p for b in sel.scan_adjacency(np.array([5, 710]), order="storage") for p in b)
+        got_f = dict(p for b in full.scan_adjacency(np.array([5, 710]), order="storage") for p in b)
         assert {v: sorted(a.tolist()) for v, a in got_s.items()} == {
             v: sorted(a.tolist()) for v, a in got_f.items()
         }

@@ -442,13 +442,13 @@ def test_streamdb_records_rebuild_on_first_scan(tmp_path, compress):
         want = {int(v): sorted(db.get_adjacency(int(v)).tolist())
                 for v in db.local_vertices()}
         # One full storage-order pass rebuilds the directory...
-        got = {v: sorted(adj.tolist()) for v, adj in db.scan_adjacency(None)}
+        got = {v: sorted(adj.tolist()) for b in db.scan_adjacency(None) for v, adj in b}
         assert got == want
         assert db._records is not None and not db._rebuild_records
         # ...and the rebuilt rows serve selective scans correctly.
         some = sorted(want)[:5]
         sel = {v: sorted(adj.tolist())
-               for v, adj in db.scan_adjacency(np.array(some))}
+               for b in db.scan_adjacency(np.array(some)) for v, adj in b}
         assert sel == {v: want[v] for v in some if want[v]}
     finally:
         m2.close()

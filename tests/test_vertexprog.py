@@ -287,10 +287,10 @@ class TestRegistry:
                 self.labels = np.arange(n, dtype=np.float64)
                 return np.arange(n, dtype=np.int64)
 
-            def edge_messages(self, v, neighbors, superstep):
-                vals = np.full(len(neighbors), self.labels[v])
-                srcs = np.full(len(neighbors), v, dtype=np.int64)
-                return neighbors.astype(np.int64), srcs, vals
+            def edge_messages(self, batch, superstep):
+                vals = np.repeat(self.labels[batch.vertices], batch.degrees)
+                srcs = np.repeat(batch.vertices, batch.degrees)
+                return batch.neighbors, srcs, vals
 
             def apply(self, combined, has_msg, superstep):
                 improved = has_msg & (combined > self.labels)
