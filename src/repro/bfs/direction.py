@@ -18,9 +18,11 @@ adds the standard remedy on top of Algorithms 1 and 2:
   words (network cost n/8 bytes per post instead of 8 bytes per fringe
   vertex — the ndarray payload is charged by size like any other message),
   then scans its *local unvisited* vertices' adjacency sequentially via
-  ``GraphDB.scan_adjacency(order="storage")``, claiming a vertex at its
-  first fringe-parent hit and skipping the rest of its list.  Only examined
-  entries pay ``edge_visit_seconds`` (early-exit accounting).
+  ``GraphDB.scan_adjacency``, claiming a vertex at its first fringe-parent
+  hit and skipping the rest of its list — the claims feed back into the
+  scan (``done``), so on grDB the rest of a claimed vertex's chain is never
+  read.  Only examined entries pay ``edge_visit_seconds`` (early-exit
+  accounting).
 
 Failover composition (the protocol is :mod:`repro.bfs.failover`'s): dead
 ranks still post their (empty) bitmap and claim arrays, keeping every
@@ -164,17 +166,18 @@ def merge_level_stats(a, b):
     return (a[0] or b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
-def _adjacency_source(db, candidates):
+def _adjacency_source(db, candidates, done=None):
     """Iterable of :class:`AdjacencyBatch` for the bottom-up claim scan.
 
-    The historical plan is ``db.scan_adjacency(candidates)``.  When the
-    concurrent multiplexer armed a shared bottom-up sweep on this rank's
+    The historical plan is ``db.scan_adjacency(candidates, done)``.  When
+    the concurrent multiplexer armed a shared bottom-up sweep on this rank's
     :class:`~repro.services.sharedscan.ScanBoard`, the first consumer
-    materializes ONE whole-store storage-order pass into a single batch
-    and publishes it (keyed by the stored-edge count); later consumers
+    materializes ONE whole-store storage-order pass into a single batch of
+    complete lists (``grouped``; no ``done`` — it serves everyone) and
+    publishes it (keyed by the stored-edge count); later consumers
     serve their candidates from it — ``searchsorted`` over its sorted-vertex
     index plus one segment gather — with zero device work.  A vertex's list
-    is the same either way and the claim step accounts per segment, so
+    is the same either way and the claim step accounts per entry, so
     answers are bit-identical to the unshared plan; only the vertex order
     differs (``np.unique(candidates)`` order, not storage order).
 
@@ -187,10 +190,10 @@ def _adjacency_source(db, candidates):
     """
     board = getattr(db, "scan_board", None)
     if board is None or not board.armed("bottom-up"):
-        return db.scan_adjacency(candidates, order="storage")
+        return db.scan_adjacency(candidates, done)
     coverage = db.frontier_block_coverage(candidates)
     if coverage is not None and coverage < SELECTIVE_COVERAGE_MAX:
-        return db.scan_adjacency(candidates, order="storage")
+        return db.scan_adjacency(candidates, done)
     # The store-size token invalidates the shared batch across ingests.  It
     # holds the BASE store only, so in streaming drains queries pinned to
     # different admission snapshots still share the one device pass; each
@@ -199,7 +202,7 @@ def _adjacency_source(db, candidates):
     token = db.stats.edges_stored
     base = board.lookup("bottom-up", token)
     if base is None:
-        base = AdjacencyBatch.concat(db._scan_adjacency(None, order="storage"))
+        base = AdjacencyBatch.concat(db._scan_adjacency(None)).grouped()
         board.publish("bottom-up", token, base)
     wanted = np.unique(np.asarray(candidates, dtype=np.int64))
     view = db._overlay_view()
@@ -229,14 +232,19 @@ def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
     device died (or the attempt blew the failover timeout) mid-scan, in
     which case the partial claims are discarded by the caller.  Examined
     entries are charged ``edge_visit_seconds`` and counted in
-    ``stats.edges_scanned`` either way — the work happened.
+    ``stats.edges_scanned`` either way — the work happened.  ``skipped``
+    counts entries delivered but not examined; what the scan never read
+    because a claim stopped the list (``done``) is counted nowhere here —
+    it shows as device bytes not read.
     """
     claims: list[np.ndarray] = []
     examined = 0
     skipped = 0
     with guard(ctx, ft) as attempt:
         try:
-            for batch in _adjacency_source(db, candidates):
+            # Claim feedback: the scan reads ``claims`` as its ``done`` list
+            # and delivers nothing more for a vertex once it is in there.
+            for batch in _adjacency_source(db, candidates, claims):
                 got, seen, passed = _claim_batch(bm, batch)
                 claims.append(got)
                 examined += seen

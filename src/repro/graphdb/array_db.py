@@ -81,11 +81,11 @@ class ArrayGraphDB(GraphDB):
             return np.empty(0, dtype=np.int64)
         return self._adj[self._xadj[vertex] : self._xadj[vertex + 1]]
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+    def _scan_adjacency(self, vertices=None, done=None):
         """One CSR gather over ``(xadj, adj)`` answers the whole scan."""
-        if self._xadj is None or order != "storage":
-            # Pre-finalize: the staging map, walked and packed (a bad order: rejected).
-            yield from super()._scan_adjacency(vertices, order=order)
+        if self._xadj is None:
+            # Pre-finalize: the staging map, walked and packed.
+            yield from super()._scan_adjacency(vertices)
             return
         if vertices is None:
             vs = self._base_local_vertices()

@@ -488,6 +488,24 @@ class GrDB(GraphDB):
         blocks, image, rows = self.storage.read_subblocks(level, subs, held)
         return image[rows], len(blocks)
 
+    def _read_run(self, level: int, subs: np.ndarray):
+        """One run of either chain walk: batch-read the blocks holding
+        sub-blocks ``subs`` of ``level`` (address order), charge one full
+        address+decode per distinct block, decode them in one codec call
+        (returns :meth:`GrDBFormat.decode_subblocks`' tuple).  The gathers
+        riding on the parsed blocks are the caller's :meth:`_charge_gathers`."""
+        frames, nblocks = self._read_frames(level, subs)
+        self.clock.advance(nblocks * self.cpu.grdb_subblock_seconds)
+        return self.fmt.decode_subblocks(level, subs, frames)
+
+    def _charge_gathers(self, consumed: np.ndarray) -> None:
+        """The marginal batched cost of each gathered sub-block plus its
+        decoded varint bytes, one charge per sub-block in the order given
+        (summing first would change float rounding)."""
+        costs = consumed * self.cpu.varint_decode_seconds
+        for cost in (self.cpu.grdb_batch_subblock_seconds + costs).tolist():
+            self.clock.advance(cost)
+
     def _resolve_chains(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Walk the chains rooted at level-0 sub-blocks ``heads`` together.
 
@@ -495,13 +513,11 @@ class GrDB(GraphDB):
         order, are ``neighbors[offsets[i]:offsets[i + 1]]``.  Each round
         sorts the pending ``(level, sub-block, owner)`` arrays by address,
         fetches every level's distinct blocks in one batch, and decodes all
-        of a level's sub-blocks in one codec call.  Virtual charges keep the
-        per-sub-block order of the address sort (summing first would change
-        float rounding): one ``grdb_subblock_seconds`` per distinct block
-        after its level's read, then the marginal batched cost per gathered
-        sub-block plus its decoded varint bytes.
+        of a level's sub-blocks in one codec call (:meth:`_read_run`); the
+        round's per-sub-block charges follow in the order of the address
+        sort.  The top-down plan: complete lists in fringe order, so every
+        round's segments are held and stitched by owner at the end.
         """
-        fmt, cpu = self.fmt, self.cpu
         sb = np.asarray(heads, dtype=np.int64)
         nchains = len(sb)
         if nchains == 0:
@@ -522,20 +538,13 @@ class GrDB(GraphDB):
             bounds = [*starts.tolist(), len(sb)]
             tails, consumed = [], []
             for lv, lo, hi in zip(levels.tolist(), bounds, bounds[1:]):
-                subs = sb[lo:hi]
-                frames, nblocks = self._read_frames(lv, subs)
-                # One full address+decode per distinct block; the per-sub-block
-                # gathers below ride on the already-parsed block.
-                self.clock.advance(nblocks * cpu.grdb_subblock_seconds)
-                values, offsets, tail, used = fmt.decode_subblocks(lv, subs, frames)
+                values, offsets, tail, used = self._read_run(lv, sb[lo:hi])
                 seg_owner.append(owner[lo:hi])
                 seg_len.append(np.diff(offsets))
                 seg_values.append(values)
                 tails.append(tail)
                 consumed.append(used)
-            costs = np.concatenate(consumed) * cpu.varint_decode_seconds
-            for cost in (cpu.grdb_batch_subblock_seconds + costs).tolist():
-                self.clock.advance(cost)
+            self._charge_gathers(np.concatenate(consumed))
             more, level, sb = split_pointers(np.concatenate(tails))
             owner = owner[more]
         # Segments sit round by round in address order; one stable sort by
@@ -548,37 +557,58 @@ class GrDB(GraphDB):
 
     # -- storage-order scan (bottom-up BFS access plan) -------------------------------
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
-        """Yield wanted vertices' lists, one batch per window, by walking
-        level files in block order.
+    def _scan_adjacency(self, vertices=None, done=None):
+        """The bottom-up plan: sweep the wanted chains level-synchronously,
+        every block once, yielding each list in pieces.
 
-        The bottom-up plan: wanted vertices are sorted by level-0 sub-block
-        (ascending file offset) and resolved in windows of a few blocks'
-        worth of chains through the same level-synchronous planner as
-        :meth:`expand_fringe` — distinct blocks fetched once through the
-        cache with adjacent misses coalesced, chains followed round by
-        round.  Sub-block addressing/decoding CPU is charged here; per-edge
+        All wanted chains walk together.  A round sorts the pending
+        ``(level, sub-block)`` addresses, cuts each level into runs of at
+        most ``max(4, cache capacity)`` distinct blocks — the unit the pool
+        counts in — and yields a run's sub-blocks as one batch the moment
+        :meth:`_read_run` decoded them: nothing is held but one run of
+        frames and three words per walking chain.  A vertex's pieces arrive
+        one per round, in chain order; at every round boundary the chains
+        of ``done`` vertices are dropped, their further sub-blocks never
+        read.  Sub-block addressing/decoding CPU is charged here; per-edge
         claim checks are the caller's (early-exit accounting).
         """
-        if order != "storage":
-            raise ValueError(f"unknown scan order {order!r}")
         if vertices is None:
             gids = self._base_local_vertices()
         else:
             gids = np.unique(np.asarray(vertices, dtype=np.int64))
-        if len(gids) == 0:
-            return
-        locals_, owned = self.id_map.to_local_many(gids)
-        idx = np.flatnonzero(owned)
-        if len(idx) == 0:
-            return
-        scan_order = idx[np.argsort(locals_[idx], kind="stable")]
-        window = max(1, 4 * self.fmt.subblocks_per_block(0))
-        for start in range(0, len(scan_order), window):
-            sel = scan_order[start : start + window]
-            neighbors, offsets = self._resolve_chains(locals_[sel])
-            if len(neighbors):
-                yield AdjacencyBatch.nonempty(gids[sel], offsets, neighbors)
+        sb, owned = self.id_map.to_local_many(gids)
+        gids, sb = gids[owned], sb[owned]
+        level = np.zeros(len(gids), dtype=np.int64)
+        budget = max(4, self.storage.cache.capacity)
+        rounds = heard = 0  # ``heard``: entries of ``done`` already applied
+        while len(gids):
+            rounds += 1
+            if rounds > 1 << 20:
+                raise GraphStorageException("runaway chain during the storage-order sweep")
+            if done is not None and len(done) > heard:
+                live = ~np.isin(gids, np.concatenate(done[heard:]))
+                heard = len(done)
+                gids, level, sb = gids[live], level[live], sb[live]
+                if not len(gids):
+                    return
+            order = np.lexsort((sb, level))
+            gids, level, sb = gids[order], level[order], sb[order]
+            levels, starts = np.unique(level, return_index=True)
+            bounds = [*starts.tolist(), len(sb)]
+            tails = []
+            for lv, lo, hi in zip(levels.tolist(), bounds, bounds[1:]):
+                block = sb[lo:hi] // self.fmt.subblocks_per_block(lv)
+                nth = np.cumsum(np.diff(block, prepend=block[0]) != 0)  # distinct-block ordinal
+                cuts = (lo + 1 + np.flatnonzero(np.diff(nth // budget))).tolist()
+                for a, b in zip([lo, *cuts], [*cuts, hi]):
+                    values, offsets, tail, used = self._read_run(lv, sb[a:b])
+                    self._charge_gathers(used)
+                    tails.append(tail)
+                    batch = AdjacencyBatch.nonempty(gids[a:b], offsets, values.view(np.int64))
+                    if len(batch):
+                        yield batch
+            more, level, sb = split_pointers(np.concatenate(tails))
+            gids = gids[more]
 
     # -- prefetch (the §4.2 future-work optimization) ---------------------------------
 

@@ -26,26 +26,35 @@ default per-vertex loop.
 Bulk adjacency is a CSR batch: ``scan_adjacency`` — the storage-order plan
 behind bottom-up BFS levels and vertex-program supersteps — yields
 :class:`AdjacencyBatch` values, so its consumers do array work per batch
-instead of Python work per vertex.  Every producer keeps three rules
+instead of Python work per vertex.  Every producer keeps four rules
 (and charges as ``scan_adjacency`` documents — storage in the scan, edges
 by the caller):
 
 * **No empty segment** — a vertex with no neighbours never appears (which
   makes ``reduceat`` over ``offsets[:-1]`` safe), and no batch is empty.
-* **Order is contract** — vertices in the backend's storage order; a
-  segment is the base list in storage/chain order, then the stream
-  overlay's entries by batch seq, each batch sorted by destination.  Claim
-  order becomes the next level's fringe order, and a claim's cost depends
-  on where its first fringe parent sits.
+* **A list may arrive in pieces** — a vertex appears at most once *per
+  batch* but may recur across the batches of one sweep: its segments, in
+  delivery order, are its base list in storage/chain order, and its stream
+  overlay entries (by batch seq, each batch sorted by destination) come
+  last.  Consumers that need whole lists say so with
+  :meth:`AdjacencyBatch.grouped`.
+* **``done`` stops a list** — a consumer may pass a list and append int64
+  arrays of vertex ids to it between batches: "deliver nothing more for
+  these" (the claim scan passes its own list of claims, so saying it costs
+  nothing).  Piecewise producers drop the vertex from their walk (what is
+  never read is never charged); complete-list producers ignore it; the
+  overlay batch is filtered by it.
 * **Flush before raise** — what a storage walk handed out before a fault
-  is delivered before the error propagates: that work was done.
+  stays delivered before the error propagates: that work was done.
 
-grDB (a batch per chain-resolution window), StreamDB (one per log replay)
-and Array (one CSR gather) produce batches natively.  BerkeleyDB, MySQL
-and HashMap keep a per-record walk (``_walk_adjacency``) whose output the
-base class packs: each record charges its own float cost on the virtual
-clock — a leaf page, a row parse, a hash probe — and one summed charge
-would round differently.
+Batch order is the producer's storage order — it becomes claim order, hence
+the next level's fringe order: grDB sweeps level-synchronously (a batch per
+round, level and run of blocks, ascending address within it), StreamDB
+hands out one batch per log replay and Array one CSR gather (both vertex
+ascending, complete lists).  BerkeleyDB, MySQL and HashMap keep a
+per-record walk (``_walk_adjacency``) whose output the base class packs:
+each record charges its own float cost on the virtual clock — a leaf page,
+a row parse, a hash probe — and one summed charge would round differently.
 """
 
 from __future__ import annotations
@@ -169,8 +178,6 @@ class AdjacencyBatch:
         """``(starts, lens)`` of each wanted vertex's list in ``neighbors``
         (length 0 where this batch does not hold the vertex): one
         ``searchsorted`` over a sorted-vertex index built on first use."""
-        if wanted is self.vertices:  # a batch stacking an overlay onto itself
-            return self.offsets[:-1], self.degrees
         if self._index is None:
             order = np.argsort(self.vertices, kind="stable")
             # One zero-length slot past the end, for ids beyond every key.
@@ -202,6 +209,17 @@ class AdjacencyBatch:
     def select(self, wanted: np.ndarray) -> "AdjacencyBatch":
         """The ``wanted`` vertices this batch holds, in ``wanted`` order."""
         return AdjacencyBatch.stack(wanted, self)
+
+    def grouped(self) -> "AdjacencyBatch":
+        """Whole lists from a sweep's pieces: each vertex once, ascending,
+        its segments joined in delivery order (one stable sort, one gather)."""
+        order = np.argsort(self.vertices, kind="stable")
+        vertices = self.vertices[order]
+        neighbors, bounds = gather_segments(
+            self.neighbors, self.offsets[:-1][order], self.degrees[order]
+        )
+        first = np.flatnonzero(np.diff(vertices, prepend=-1))  # ids are >= 0
+        return AdjacencyBatch(vertices[first], np.append(bounds[first], bounds[-1]), neighbors)
 
 
 @dataclass
@@ -299,9 +317,7 @@ class GraphDB(abc.ABC):
             raise GraphStorageException("negative vertex id in store_edges")
         self._store_edges(edges)
         if len(edges):
-            srcs, counts = np.unique(edges[:, 0], return_counts=True)
-            for v, c in zip(srcs.tolist(), counts.tolist()):
-                self._degree[v] = self._degree.get(v, 0) + c
+            self._census_add(*np.unique(edges[:, 0], return_counts=True))
             # New edges invalidate the pinned snapshot (rebalance/repair
             # re-stores); semi-EM re-pins lazily from the updated census.
             self._pinned_state = None
@@ -402,6 +418,12 @@ class GraphDB(abc.ABC):
         """
         return 0
 
+    def _census_add(self, vertices: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts`` to the out-degree census of ``vertices`` — add, never
+        set: a vertex recurs across ingest windows and across a sweep's pieces."""
+        for v, c in zip(vertices.tolist(), counts.tolist()):
+            self._degree[v] = self._degree.get(v, 0) + c
+
     def degree_many(self, vertices) -> np.ndarray:
         """Locally stored out-degree of each vertex (0 if not local).
 
@@ -441,11 +463,10 @@ class GraphDB(abc.ABC):
         for v in vs.tolist():
             yield v, self._get_adjacency(v)
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+    def _scan_adjacency(self, vertices=None, done=None):
         """Base-store storage-order scan (overridden by backends that
-        produce batches natively); here the per-record walk, packed."""
-        if order != "storage":
-            raise ValueError(f"unknown scan order {order!r}")
+        produce batches natively); here the per-record walk, packed —
+        complete lists, so ``done`` is ignored."""
         vs: list[int] = []
         lists: list[np.ndarray] = []
         try:
@@ -459,16 +480,22 @@ class GraphDB(abc.ABC):
             if vs:
                 yield AdjacencyBatch.from_lists(vs, lists)
 
-    def scan_adjacency(self, vertices=None, order: str = "storage"):
+    def scan_adjacency(self, vertices=None, done=None):
         """Yield :class:`AdjacencyBatch` values in the backend's storage order.
 
         The bottom-up BFS access plan: instead of one random adjacency
         request per vertex, walk storage sequentially and hand the wanted
         vertices' lists to the caller (``vertices=None``: all local ones).
-        ``order="storage"`` (the only order) lets each backend pick its
-        cheapest sequential plan — grDB walks level files in block order (a
-        batch per window), StreamDB replays its log, BerkeleyDB the leaf
-        chain, MySQL one range statement, Array/HashMap memory order.
+        Each backend picks its cheapest sequential plan — grDB walks level
+        files in block order, every block once, StreamDB replays its log,
+        BerkeleyDB the leaf chain, MySQL one range statement, Array/HashMap
+        memory order.
+
+        A vertex may recur across the batches of one sweep, never within a
+        batch: its segments in delivery order are its list (module doc).
+        ``done`` is a list the consumer may append arrays of vertex ids to
+        between batches — nothing more is delivered for those vertices, and
+        grDB stops reading their chains.
 
         Charges storage I/O and per-structure CPU exactly like the access
         it models, but **not** per-edge visit time — the caller owns that,
@@ -476,28 +503,22 @@ class GraphDB(abc.ABC):
         examined entries cost CPU (early-exit accounting).  For the same
         reason ``stats.edges_scanned`` is the caller's responsibility.
 
-        Visible stream-overlay batches merge in: a vertex's overlay entries
-        stack after its base list, and overlay-only vertices follow the
-        base sweep, ascending.  Claims depend only on membership, so answers
-        match a store holding the same edges natively.
+        Visible stream-overlay batches merge in last: after the base sweep,
+        one batch holds the overlay entries of every wanted vertex not
+        ``done`` by then, ascending.  Claims depend only on membership, so
+        answers match a store holding the same edges natively.
         """
         view = self._overlay_view()
+        yield from self._scan_adjacency(vertices, done)
         if view is None:
-            yield from self._scan_adjacency(vertices, order=order)
             return
-        wanted = None if vertices is None else np.unique(np.asarray(vertices, dtype=np.int64))
-        overlay = view.batch
-        seen = []
-        for batch in self._scan_adjacency(wanted, order=order):
-            seen.append(batch.vertices)
-            yield AdjacencyBatch.stack(batch.vertices, batch, overlay)
-        rest = overlay.vertices
-        if wanted is not None:
-            rest = rest[np.isin(rest, wanted)]
-        if seen:
-            rest = rest[~np.isin(rest, np.concatenate(seen))]
+        rest = view.batch.vertices
+        if vertices is not None:
+            rest = rest[np.isin(rest, vertices)]
+        if done:
+            rest = rest[~np.isin(rest, np.concatenate(done))]
         if len(rest):
-            yield overlay.select(rest)
+            yield view.batch.select(rest)
 
     def _base_local_vertices(self) -> np.ndarray:
         """Base-store vertex enumeration (pinned array or backend scan)."""
@@ -561,8 +582,8 @@ class GraphDB(abc.ABC):
             # Base-only by contract — overlay degrees merge on top in
             # degree_many, so pinning them here would double-count.
             total = 0
-            for batch in self._scan_adjacency(None, order="storage"):
-                self._degree.update(zip(batch.vertices.tolist(), batch.degrees.tolist()))
+            for batch in self._scan_adjacency(None):
+                self._census_add(batch.vertices, batch.degrees)
                 total += len(batch.neighbors)
             self.clock.advance(total * self.cpu.edge_visit_seconds)
         vertices = np.array(sorted(self._degree), dtype=np.int64)

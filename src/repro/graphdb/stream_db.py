@@ -558,16 +558,15 @@ class StreamGraphDB(GraphDB):
         self.stats.edges_scanned += len(matched)
         adjlist.extend(matched)
 
-    def _scan_adjacency(self, vertices=None, order: str = "storage"):
+    def _scan_adjacency(self, vertices=None, done=None):
         """One log replay answers the whole bottom-up scan.
 
         The storage order of StreamDB *is* the log, so the sequential plan
         is the same full scan ``expand_fringe`` uses: stream every logged
-        edge past the CPU once, then hand out one batch grouped by source.
+        edge past the CPU once, then hand out one batch grouped by source
+        (complete lists: ``done`` has nothing left to stop).
         Per-edge claim-check time is the caller's (early-exit accounting).
         """
-        if order != "storage":
-            raise ValueError(f"unknown scan order {order!r}")
         wanted = None
         edges = None
         if vertices is not None:

@@ -36,12 +36,12 @@ active-vertex :class:`~repro.util.bitset.Bitset` frontier:
 Access plans, inherited from the BFS work:
 
 * a **sparse** frontier is fetched in batch: programs that need
-  per-source values walk ``GraphDB.scan_adjacency(candidates,
-  order="storage")`` (grDB resolves the candidates' chains through the
-  coalescing block planner; BerkeleyDB walks its leaf chain; MySQL plans
-  range statements), and source-independent programs (``needs_source =
-  False``) go through :func:`~repro.bfs.failover.try_expand` /
-  ``expand_fringe`` — the exact batched path of top-down BFS;
+  per-source values walk ``GraphDB.scan_adjacency(candidates)`` (grDB
+  sweeps the candidates' chains level by level, every block once;
+  BerkeleyDB walks its leaf chain; MySQL plans range statements), and
+  source-independent programs (``needs_source = False``) go through
+  :func:`~repro.bfs.failover.try_expand` / ``expand_fringe`` — the exact
+  batched path of top-down BFS;
 * a **dense** frontier switches to one storage-order sweep per rank —
   the bottom-up BFS plan — through
   :func:`repro.bfs.direction._adjacency_source`, which also makes the
@@ -83,6 +83,7 @@ from ..bfs.failover import (
     route_or_drop,
     try_expand,
 )
+from ..graphdb.interface import AdjacencyBatch
 from ..util.bitset import Bitset
 from ..util.errors import ConfigError
 
@@ -298,7 +299,7 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
             if mode == DENSE:
                 source = _adjacency_source(db, todo)
             else:
-                source = db.scan_adjacency(todo, order="storage")
+                source = db.scan_adjacency(todo)
             for batch in source:
                 examined += len(batch.neighbors)
                 posts.append(prog.edge_messages(batch, superstep))
@@ -693,9 +694,11 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
             retry.picked_up(todo)
             with guard(ctx, ft, timed=False):
                 try:
-                    pairs = (p for batch in _adjacency_source(db, todo) for p in batch)
-                    for v, neighbors in pairs:
-                        examined += len(neighbors)
+                    pieces = []  # a list may arrive in pieces: count, then group
+                    for batch in _adjacency_source(db, todo):
+                        examined += len(batch.neighbors)
+                        pieces.append(batch)
+                    for v, neighbors in AdjacencyBatch.concat(pieces).grouped():
                         nbrs = np.unique(neighbors.astype(np.int64))
                         nbrs = nbrs[nbrs != v]  # self-loops close no wedges
                         round_adj[v] = nbrs

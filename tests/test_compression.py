@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
-from repro.graphdb import GrDB, GrDBFormat, make_graphdb
+from repro.graphdb import AdjacencyBatch, GrDB, GrDBFormat, make_graphdb
 from repro.graphdb.grdb.defrag import chain_length, defragment
 from repro.graphdb.grdb.format import (
     COMPRESSED_COUNT_CAP,
@@ -226,9 +226,12 @@ class TestGrDBCompressed:
         raw.expand_fringe(list(range(12)), out_r)
         comp.expand_fringe(list(range(12)), out_c)
         assert sorted(out_r.to_numpy().tolist()) == sorted(out_c.to_numpy().tolist())
-        scan_r = {v: sorted(a.tolist()) for b in raw.scan_adjacency() for v, a in b}
-        scan_c = {v: sorted(a.tolist()) for b in comp.scan_adjacency() for v, a in b}
-        assert scan_r == scan_c
+        # A sweep delivers a chained list in pieces: group before comparing.
+        scan_r, scan_c = (
+            {v: sorted(a.tolist()) for v, a in AdjacencyBatch.concat(db.scan_adjacency()).grouped()}
+            for db in (raw, comp)
+        )
+        assert scan_r == scan_c and sorted(scan_r) == list(range(12))
 
     def test_duplicate_edges_preserved(self):
         node = SimNode(0, NodeSpec())

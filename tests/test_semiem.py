@@ -293,8 +293,8 @@ class TestPinnedVisited:
 
 
 class TestPinnedVertexState:
-    def _db(self, backend, semi=True, **kw):
-        node = SimNode(0, NodeSpec())
+    def _db(self, backend, semi=True, node=None, **kw):
+        node = node if node is not None else SimNode(0, NodeSpec())
         return make_graphdb(backend, node, cache_blocks=32, semi_external=semi, **kw)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -320,6 +320,27 @@ class TestPinnedVertexState:
         db.degree_many(np.arange(30))
         db.local_vertices()
         assert db.storage.total_device_stats()["reads"] == before
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["raw", "compressed"])
+    def test_restored_grdb_census_adds_the_pieces_of_a_chained_list(self, compress):
+        """A store restored from device rebuilds its degree census from one
+        sweep, and a sweep delivers a chained list one piece per level:
+        the census must add the pieces (it used to keep the last one)."""
+        node = SimNode(0, NodeSpec())
+        kw = dict(grdb_format=TestGrDBDirectory.FMT, compress_adjacency=compress)
+        db = self._db("grDB", semi=False, node=node, **kw)
+        rng = np.random.default_rng(5)
+        for _ in range(3):  # several ingest windows: chains grow across them
+            db.store_edges(_random_edges(rng, 12, 500))
+        assert max(len(db.chain_of(v)) for v in range(12)) >= 3  # level 0, 1, 2, ...
+        want = db.degree_many(np.arange(14)).tolist()
+        assert min(want[:12]) > 20 and want[12:] == [0, 0]
+        db.close()
+
+        reopened = self._db("grDB", node=node, **kw)
+        assert reopened.restored and not reopened._degree
+        assert reopened.pin_vertex_state().degrees.tolist() == want[:12]
+        assert reopened.degree_many(np.arange(14)).tolist() == want
 
     def test_store_edges_invalidates_and_repins(self):
         db = self._db("HashMap")
@@ -380,8 +401,8 @@ class TestStreamDBSelective:
         node_f, full = self._db(semi=False)
         b0_s = node_s._disks["log"].stats.bytes_read
         b0_f = node_f._disks["log"].stats.bytes_read
-        got_s = dict(p for b in sel.scan_adjacency(np.array([5, 710]), order="storage") for p in b)
-        got_f = dict(p for b in full.scan_adjacency(np.array([5, 710]), order="storage") for p in b)
+        got_s = dict(p for b in sel.scan_adjacency(np.array([5, 710])) for p in b)
+        got_f = dict(p for b in full.scan_adjacency(np.array([5, 710])) for p in b)
         assert {v: sorted(a.tolist()) for v, a in got_s.items()} == {
             v: sorted(a.tolist()) for v, a in got_f.items()
         }
