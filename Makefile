@@ -28,11 +28,13 @@ check-cache-factory:  # block caches must come from make_block_cache, never dire
 		echo "$$offenders"; exit 1; \
 	fi
 
-check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writes an FTState field or tells device errors apart
+check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writes an FTState field, or catches or tells apart device errors
 	@offenders=$$( { \
 		grep -rnE 'ft\.cfg\.|ft\.(self_dead|dead|partial|dropped|failovers|corrupt|device_failed|timed_out)[[:space:]]*(=[^=]|\+=|\|=|\.add)' \
 			src/repro --include='*.py'; \
 		grep -rnE 'isinstance\(.*CorruptBlockError\)' src/repro/bfs src/repro/services/vertexprog.py; \
+		grep -rnE 'except[^:]*(DeviceFailedError|CorruptBlockError)' src/repro/bfs src/repro/services/query.py \
+			src/repro/services/analyses.py src/repro/services/vertexprog.py --include='*.py'; \
 	} | grep -v '^src/repro/bfs/failover\.py:' || true); \
 	if [ -n "$$offenders" ]; then \
 		echo "failover policy outside bfs/failover.py (use FTState.start / guard / route_or_drop / RetryRounds / FTState.fill):"; \
@@ -49,7 +51,7 @@ bench-smoke:  # the batched-I/O + direction ablations, CI-sized (ratio bands nee
 	REPRO_BENCH_SCALE=0.4 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_ablation_batchio.py benchmarks/bench_ablation_direction.py \
 		benchmarks/bench_ingest_failover.py benchmarks/bench_concurrent_queries.py \
-		benchmarks/bench_vertexprog.py benchmarks/bench_ablation_compression.py \
+		benchmarks/bench_ablation_compression.py \
 		benchmarks/bench_ablation_semiem.py benchmarks/bench_streaming_ingest.py \
 		--benchmark-only
 

@@ -16,6 +16,7 @@ from .visited import (
     ExternalVisited,
     InMemoryVisited,
     PinnedVisited,
+    TypedVisited,
     VisitedLevels,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "NOT_FOUND",
     "PinnedVisited",
     "TOP_DOWN",
+    "TypedVisited",
     "VisitedLevels",
     "bottom_up_level",
     "failover_rounds",

@@ -320,6 +320,9 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
         if not retry.settle(is_dead for is_dead, _ in posts):
             break
         scanned = np.union1d(scanned, todo)
+    # Nobody scanned a partition whose whole chain is dead — nor can anyone
+    # say which of its vertices this level should have claimed.
+    ft.flag_unserved(rank)
 
     claims = np.unique(np.concatenate(all_claims)) if all_claims else _EMPTY
     found_here = bool(len(claims)) and bool(np.any(claims == cfg.dest))

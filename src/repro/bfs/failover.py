@@ -27,6 +27,8 @@ other module reads a :class:`FaultTolerance` field or writes an
 * :class:`RetryRounds` — one level's bounded retry rounds: merge the deaths
   a round's exchange announced, spend the ``max_retries`` budget, count the
   shards picked up for dead peers;
+* :meth:`FTState.flag_unserved` — what only ``partial`` can say: a sweep
+  ended over a partition none of whose holders is alive;
 * :meth:`FTState.fill` — the counters a rank result carries.
 
 None of them communicates: the protocol is collective and
@@ -145,6 +147,15 @@ class FTState:
         if self.cfg.chains is not None:
             return list(self.cfg.chains[primary])
         return [(primary + j) % self.size for j in range(self.cfg.replication)]
+
+    def flag_unserved(self, primary: int) -> None:
+        """A sweep over everything ``primary``'s partition still owes has
+        just ended.  With every holder of that partition dead no live rank
+        could enumerate its vertices, let alone serve them: the result is
+        incomplete by a number of vertices nobody can count, so ``dropped``
+        cannot say it and ``partial`` must."""
+        if all(r in self.dead for r in self.chain_of(primary)):
+            self.partial = True
 
     def chain_matrix(self) -> np.ndarray:
         """``cfg.chains`` as an int64 matrix padded with ``-1``."""

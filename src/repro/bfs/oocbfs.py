@@ -137,7 +137,11 @@ def oocbfs_program(
     return _bfs_driver(ctx, db, cfg, visited, owner_of, _synchronous_level)
 
 
-def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level):
+def _default_owner(size: int):
+    return lambda vs: vs % size  # the paper's globally known GID % p map
+
+
+def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, ft=None):
     """The level-synchronous search both algorithms are.
 
     Owns everything but the shape of a push level: prologue, the direction
@@ -147,16 +151,18 @@ def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level):
     is a generator returning ``(new fringe, found_here)`` like
     :func:`~repro.bfs.direction.bottom_up_level`: Algorithm 1 expands the
     whole fringe and exchanges once, Algorithm 2 overlaps the exchange with
-    the expansion.
+    the expansion.  A rank program that keeps working after the search
+    passes the fault state ``ft`` it started, so both phases share one dead
+    set and one set of counters.
     """
     comm = ctx.comm
     if owner_of is None:
-        size = comm.size
-        owner_of = lambda vs: vs % size  # noqa: E731 - the paper's default map
+        owner_of = _default_owner(comm.size)
     result = BFSRankResult()
     start_time = ctx.clock.now
     edges_before = db.stats.edges_scanned
-    ft = FTState.start(cfg.ft, comm.size, comm.rank)
+    if ft is None:
+        ft = FTState.start(cfg.ft, comm.size, comm.rank)
 
     if cfg.source == cfg.dest:
         result.found_level = 0
@@ -274,22 +280,34 @@ def _outgoing(visited, new, levcnt, owner_of, comm, ft):
     return parts
 
 
-def _synchronous_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft):
-    """Algorithm 1's push level: expand the whole fringe, exchange once."""
-    comm = ctx.comm
+def _expand_shard(ctx, db, cfg, fringe, owner_of, ft, bootstrap=False):
+    """Everything adjacent to this rank's ``fringe`` shard — and, after the
+    collective failover rounds, to the shards of dead peers it serves.
+
+    ``bootstrap``: every rank holds the same ``fringe`` (level 1's ``{s}``).
+    """
     route_by = owner_of if cfg.owner_known else None
     # A device failure (or timeout) turns this rank's whole shard into
     # ``pending``, which the collective failover rounds re-expand on a
     # surviving replica.
     neighbors = try_expand(ctx, db, cfg, fringe, ft, prefetch=cfg.prefetch)
     pending = fringe if neighbors is None else _EMPTY
-    if levcnt == 1:
-        pending = prune_known_dead_pending(pending, ft, comm.rank, route_by)
+    if bootstrap:
+        pending = prune_known_dead_pending(pending, ft, ctx.comm.rank, route_by)
     extra = yield from failover_rounds(ctx, db, cfg, ft, pending, route_by)
     if neighbors is None:
-        neighbors = extra
-    elif len(extra):
-        neighbors = np.concatenate([neighbors, extra]) if len(neighbors) else extra
+        return extra
+    if len(extra):
+        return np.concatenate([neighbors, extra]) if len(neighbors) else extra
+    return neighbors
+
+
+def _synchronous_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft):
+    """Algorithm 1's push level: expand the whole fringe, exchange once."""
+    comm = ctx.comm
+    neighbors = yield from _expand_shard(
+        ctx, db, cfg, fringe, owner_of, ft, bootstrap=levcnt == 1
+    )
     found_here = bool(len(neighbors)) and bool(np.any(neighbors == cfg.dest))
 
     candidates = np.unique(neighbors) if len(neighbors) else neighbors

@@ -1,19 +1,18 @@
-"""Path-reconstructing parallel BFS.
+"""Relationship chains: the backward walk behind the ``path`` analysis.
 
 The paper's motivating use case (ch. 1, after Kolda et al.) is
 *relationship analysis*: not just "how far apart are these two entities"
-but "show me the chain that connects them".  This variant of Algorithm 1
-tracks a parent pointer for every vertex it settles and, once the
-destination is settled, reconstructs the actual vertex chain.
+but "show me the chain that connects them".  The search is Algorithm 1
+itself — batched I/O, direction switch and failover included — and the
+chain is read off the level maps it leaves behind: walking back from the
+destination, each hop expands the current vertex the way a push level does
+and steps to a neighbour one level closer to the source.
 
-Parents travel with the fringe exchange as ``(vertex, parent)`` pairs;
-after the search, the scattered parent maps are merged (one entry per
-visited vertex — the same memory class as the visited structure the paper
-already replicates per node) and the path is walked backward from the
-destination.  Unlike the distance-only algorithms, expansion here is
-per-vertex so each discovered neighbor knows which fringe vertex produced
-it, and termination triggers on the destination being *settled* rather
-than merely sighted, which keeps every recorded parent minimal-level.
+No rank holds every level.  A rank marks the vertices it settles at their
+true level and the ones it hands off at the level it saw them, which is
+never too low; the rank that first discovered a vertex holds its true
+level, so the minimum over ranks is exact — in owner-routed, broadcast and
+replicated layouts alike.
 """
 
 from __future__ import annotations
@@ -22,91 +21,75 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
-from .oocbfs import BFSConfig
+from .failover import FTState, responsibility
+from .oocbfs import (
+    NOT_FOUND,
+    BFSConfig,
+    _bfs_driver,
+    _default_owner,
+    _expand_shard,
+    _synchronous_level,
+)
 from .visited import VisitedLevels
 
-__all__ = ["path_bfs_program"]
+__all__ = ["path_program"]
 
 
-def path_bfs_program(
+def path_program(
     ctx: RankContext,
     db: GraphDB,
     cfg: BFSConfig,
     visited: VisitedLevels,
     owner_of=None,
 ):
-    """Rank program: BFS with parent tracking; returns the path (or None).
+    """Rank program: Algorithm 1, then the chain it found.
 
-    The returned path is ``[source, ..., dest]`` with ``len(path) - 1``
-    equal to the hop distance; every rank returns the same value.
+    Returns ``(BFSRankResult, path)``; the path is ``[source, ..., dest]``
+    with ``len(path) - 1`` equal to the hop distance, identical on every
+    rank, or ``None`` when the destination was not reached — or when a hop
+    has no parent left to step to (its whole replica chain is dead, or a
+    pull level run after a death re-marked a settled vertex too high):
+    then the result is flagged ``partial``, never an invalid chain.
     """
     comm = ctx.comm
-    size = comm.size
-    rank = comm.rank
     if owner_of is None:
-        owner_of = lambda vs: vs % size  # noqa: E731
+        owner_of = _default_owner(comm.size)
+    start_time = ctx.clock.now
+    edges_before = db.stats.edges_scanned
+    ft = FTState.start(cfg.ft, comm.size, comm.rank)
+    result = yield from _bfs_driver(ctx, db, cfg, visited, owner_of, _synchronous_level, ft)
+    path = None
+    if result.found_level != NOT_FOUND:
+        path = yield from _walk_back(ctx, db, cfg, visited, owner_of, ft, result.found_level)
+        result.partial |= path is None
+    result.edges_scanned = db.stats.edges_scanned - edges_before
+    result.seconds = ctx.clock.now - start_time
+    if ft is not None:
+        ft.fill(result)
+    return result, path
 
-    source, dest = int(cfg.source), int(cfg.dest)
-    if source == dest:
-        return [source]
 
-    parents: dict[int, int] = {source: source}
-    visited.mark(source, 0)
-    fringe = np.array([source], dtype=np.int64)
-    levcnt = 0
-    found = False
-
-    while not found:
-        levcnt += 1
-        # Per-vertex expansion keeps the (parent -> child) attribution.
-        batch_seen: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        for v in fringe:
-            v = int(v)
-            for u in db.get_adjacency(v):
-                u = int(u)
-                if u not in batch_seen and not visited.is_visited(u):
-                    batch_seen.add(u)
-                    pairs.append((u, v))
-
+def _walk_back(ctx, db, cfg, visited, owner_of, ft, distance):
+    """The chain behind a search that found ``dest`` at level ``distance``;
+    ``None`` when some hop has no neighbour one level closer.  Collective:
+    every rank walks the same chain (the smallest-id parent at each hop)."""
+    comm = ctx.comm
+    chain = [cfg.dest]
+    for level in range(distance - 1, 0, -1):
+        # Expanded exactly as a push level would: by the rank serving the
+        # vertex now (by every rank when the mapping is unknown), and by a
+        # surviving replica after the failover rounds when that rank is down.
+        shard = np.array(chain[-1:], dtype=np.int64)
         if cfg.owner_known:
-            new = np.array([u for u, _ in pairs], dtype=np.int64)
-            owners = owner_of(new) if len(new) else np.empty(0, dtype=np.int64)
-            outgoing = [
-                [pairs[i] for i in np.flatnonzero(owners == q)] for q in range(size)
-            ]
-            for i in np.flatnonzero(owners != rank):
-                visited.mark(pairs[i][0], levcnt)
-            received = yield from comm.alltoall(outgoing)
-        else:
-            received = yield from comm.allgather(pairs)
-
-        fresh: list[int] = []
-        settled_dest = False
-        for chunk in received:
-            for u, parent in chunk:
-                if not visited.is_visited(u):
-                    visited.mark(u, levcnt)
-                    parents[u] = parent
-                    fresh.append(u)
-                    if u == dest:
-                        settled_dest = True
-        fringe = np.array(sorted(fresh), dtype=np.int64)
-
-        found, total = yield from comm.allreduce(
-            (settled_dest, len(fringe)), lambda a, b: (a[0] or b[0], a[1] + b[1])
-        )
-        if not found and (total == 0 or levcnt >= cfg.max_levels):
+            shard = responsibility(shard, owner_of, comm.rank, ft)
+        neighbors = yield from _expand_shard(ctx, db, cfg, shard, owner_of, ft)
+        posts = yield from comm.allgather(np.unique(neighbors))
+        near = np.unique(np.concatenate(posts))
+        levels = yield from comm.allreduce(visited.store.get_many(near), np.minimum)
+        parents = near[levels == level]
+        if not len(parents):
             return None
-
-    # Merge the scattered parent maps and walk backward from dest.
-    all_parents = yield from comm.allreduce(dict(parents), lambda a, b: {**a, **b})
-    path = [dest]
-    current = dest
-    while current != source:
-        current = all_parents[current]
-        path.append(current)
-        if len(path) > cfg.max_levels + 2:
-            return None  # defensive: corrupt parent chain
-    path.reverse()
-    return path
+        chain.append(int(parents[0]))
+    if distance:
+        chain.append(cfg.source)
+    return chain[::-1]

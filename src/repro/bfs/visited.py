@@ -25,6 +25,7 @@ __all__ = [
     "InMemoryVisited",
     "ExternalVisited",
     "PinnedVisited",
+    "TypedVisited",
     "INFINITY",
 ]
 
@@ -122,3 +123,28 @@ class PinnedVisited(VisitedLevels):
 
     def flush(self) -> None:
         """Nothing to page out — kept for ExternalVisited API parity."""
+
+
+class TypedVisited(VisitedLevels):
+    """Another structure's levels seen through a vertex-type lens.
+
+    ``unvisited`` is the one question both a push level and a pull level ask
+    before a vertex may enter a fringe, so also dropping the vertices whose
+    entry in the replicated type table (``GraphDB.metadata``) is not an
+    allowed code turns Algorithms 1 and 2 into the ontology-constrained
+    search of the paper's reference [32] with no change to the driver.  The
+    table is resident, so the check charges nothing; marks go straight to
+    the wrapped structure's store.
+    """
+
+    def __init__(self, inner: VisitedLevels, types: MetadataStore, allowed_codes):
+        super().__init__(inner.store)
+        self.types = types
+        self.allowed = np.asarray(allowed_codes, dtype=np.int64)
+
+    def admits(self, vertex: int) -> bool:
+        return bool(np.isin(self.types.get(vertex), self.allowed))
+
+    def unvisited(self, vertices) -> np.ndarray:
+        vs = super().unvisited(vertices)
+        return vs[np.isin(self.types.get_many(vs), self.allowed)]

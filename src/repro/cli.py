@@ -158,7 +158,7 @@ def _run_analyses(mssg, args) -> None:
                 f"{report.result['iterations']} iterations "
                 f"(delta {report.result['delta']:.2e}); top: {top}"
             )
-        elif name in ("components", "components-dict"):
+        elif name == "components":
             sizes = report.result["sizes"]
             body = (
                 f"{report.result['num_components']} components, "

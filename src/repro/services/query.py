@@ -16,8 +16,8 @@ of Figure 3.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
-
 
 from ..bfs import (
     BFSConfig,
@@ -187,8 +187,8 @@ class QueryService:
         self.known_dead: set[int] = set()
         self._visited_seq = 0
         self._analyses: dict[str, Callable] = {}
-        self.register("bfs", self._bfs_analysis)
-        self.register("pipelined-bfs", self._pipelined_bfs_analysis)
+        self.register("bfs", partial(self._bfs_analysis, oocbfs_program))
+        self.register("pipelined-bfs", partial(self._bfs_analysis, pipelined_bfs_program))
         self.register("degree", self._degree_analysis)
         self.register("neighborhood", self._neighborhood_analysis)
         # Extension analyses live in their own module (runtime import to
@@ -197,8 +197,6 @@ class QueryService:
         from .vertexprog import register_vertex_programs
 
         register_extensions(self)
-        # The scatter/gather runtime suite registers last: it overrides the
-        # dict-based "components" extension (kept as "components-dict").
         register_vertex_programs(self)
 
     # -- registry -----------------------------------------------------------
@@ -311,18 +309,24 @@ class QueryService:
             schedule=tuple(direction_schedule) if direction_schedule else None,
         )
 
-    def _bfs_common(
+    def _run_bfs(
         self,
         program,
         source,
         dest,
-        visited,
-        max_levels,
+        visited="memory",
+        max_levels=64,
         prefetch=False,
         direction_opt=None,
         direction_schedule=None,
         **alg_kw,
-    ):
+    ) -> list:
+        """Run one search on the back-ends; what ``program`` returned per rank.
+
+        ``program(ctx, db, cfg, visited, owner_of=..., **alg_kw)`` is
+        Algorithm 1 or 2, or a rank program built around one of them; the
+        per-query parameters are the same for all of them.
+        """
         cfg = BFSConfig(
             source=int(source),
             dest=int(dest),
@@ -336,7 +340,7 @@ class QueryService:
         self._visited_seq += 1
         seq = self._visited_seq
 
-        results = self._run_on_backends(
+        return self._run_on_backends(
             lambda ctx, q: program(
                 ctx,
                 self.dbs[q],
@@ -346,10 +350,14 @@ class QueryService:
                 **alg_kw,
             )
         )
+
+    def _solo_bfs_report(self, results, analysis: str = "bfs") -> QueryReport:
+        """The report of a search that had the cluster run to itself."""
         return _bfs_report(
             results,
             seconds=self.cluster.makespan,
             edges_scanned=sum(r.edges_scanned for r in results),
+            analysis=analysis,
         )
 
     # -- concurrent multi-query serving ---------------------------------------
@@ -519,51 +527,10 @@ class QueryService:
             ),
         )
 
-    def _bfs_analysis(
-        self,
-        source,
-        dest,
-        visited="memory",
-        max_levels=64,
-        prefetch=False,
-        direction_opt=None,
-        direction_schedule=None,
-    ):
-        return self._bfs_common(
-            oocbfs_program,
-            source,
-            dest,
-            visited,
-            max_levels,
-            prefetch=prefetch,
-            direction_opt=direction_opt,
-            direction_schedule=direction_schedule,
-        )
-
-    def _pipelined_bfs_analysis(
-        self,
-        source,
-        dest,
-        visited="memory",
-        max_levels=64,
-        threshold=256,
-        poll_batch=64,
-        prefetch=False,
-        direction_opt=None,
-        direction_schedule=None,
-    ):
-        return self._bfs_common(
-            pipelined_bfs_program,
-            source,
-            dest,
-            visited,
-            max_levels,
-            prefetch=prefetch,
-            direction_opt=direction_opt,
-            direction_schedule=direction_schedule,
-            threshold=threshold,
-            poll_batch=poll_batch,
-        )
+    def _bfs_analysis(self, program, source, dest, **params):
+        """``bfs`` / ``pipelined-bfs``: ``params`` are :meth:`_run_bfs`'s
+        per-query ones, plus Algorithm 2's ``threshold`` / ``poll_batch``."""
+        return self._solo_bfs_report(self._run_bfs(program, source, dest, **params))
 
     def _degree_analysis(self, vertices):
         """Total locally-stored degree of each requested vertex."""
@@ -615,7 +582,9 @@ class QueryService:
         )
 
 
-def _bfs_report(results, seconds: float, edges_scanned: int, **drain_fields) -> QueryReport:
+def _bfs_report(
+    results, seconds: float, edges_scanned: int, analysis: str = "bfs", **drain_fields
+) -> QueryReport:
     """Aggregate per-rank :class:`BFSRankResult` s into the BFS report.
 
     ``seconds`` / ``edges_scanned`` are the run's totals for a solo query
@@ -627,7 +596,7 @@ def _bfs_report(results, seconds: float, edges_scanned: int, **drain_fields) -> 
         raise ConfigError(f"back-ends disagree on BFS outcome: {levels}")
     found = results[0].found_level
     return QueryReport(
-        analysis="bfs",
+        analysis=analysis,
         seconds=seconds,
         result=None if found == NOT_FOUND else found,
         edges_scanned=edges_scanned,

@@ -1,13 +1,13 @@
 """Scatter/gather vertex-program runtime for the Query Service.
 
 The paper frames the Query Service as a registry of "different graph
-algorithms" (ch. 6), but until now BFS was the only analysis built on the
-framework's real machinery — batched adjacency I/O, replication-aware
-failover, the concurrent multiplexer.  This module supplies the missing
-abstraction: a level-synchronous scatter/gather vertex-program runtime in
-the FlashGraph/Graphyti programming model (PAPERS.md), so whole families
-of analyses inherit that machinery instead of re-implementing it with
-Python dicts shipped through allreduces.
+algorithms" (ch. 6).  Beside the BFS driver (:mod:`repro.bfs.oocbfs`) this
+is the second of the two engines every registered analysis runs on: a
+level-synchronous scatter/gather vertex-program runtime in the
+FlashGraph/Graphyti programming model (PAPERS.md), so whole families of
+analyses inherit the framework's machinery — batched adjacency I/O,
+replication-aware failover, the concurrent multiplexer — instead of
+re-implementing it.
 
 Programming model
 -----------------
@@ -999,7 +999,4 @@ def register_vertex_programs(service) -> None:
         return runner
 
     for analysis in VP_ANALYSES:
-        # "components" replaces the dict-based extension analysis (kept as
-        # "components-dict" for the ablation benchmark), so an explicit
-        # override is intended here.
-        service.register(analysis, make_runner(analysis), override=True)
+        service.register(analysis, make_runner(analysis))

@@ -1,10 +1,13 @@
 """Tests for the extension analyses: connected components and typed BFS."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro import MSSG, MSSGConfig
+from repro.bfs import bfs_distance
 from repro.graphgen import (
+    CSRGraph,
     dedupe_edges,
     preferential_attachment,
     pubmed_like,
@@ -49,7 +52,7 @@ class TestComponents:
             blob_b = {v: lab for v, lab in labels.items() if 100 <= v < 200}
             assert blob_b and all(lab == 100 for lab in blob_b.values())
 
-    @pytest.mark.parametrize("analysis", ["components", "components-dict"])
+    @pytest.mark.parametrize("analysis", ["components"])
     def test_labels_gated_behind_parameter(self, analysis):
         # The per-vertex label table is an unbounded payload at scale:
         # absent by default, present on request, counts always present.
@@ -63,16 +66,6 @@ class TestComponents:
             full = mssg.query(analysis, return_labels=True).result
             assert full["labels"][201] == 200
 
-    def test_dict_baseline_agrees_with_runtime(self):
-        edges = two_component_edges()
-        with MSSG(MSSGConfig(num_backends=3, backend="HashMap")) as mssg:
-            mssg.ingest(edges)
-            runtime = mssg.query("components", return_labels=True).result
-            naive = mssg.query("components-dict", return_labels=True).result
-            assert runtime["num_components"] == naive["num_components"]
-            assert runtime["sizes"] == naive["sizes"]
-            assert runtime["labels"] == naive["labels"]
-
     def test_single_component_graph(self):
         edges = dedupe_edges(preferential_attachment(80, 2, seed=5))
         with MSSG(MSSGConfig(num_backends=4, backend="grDB")) as mssg:
@@ -82,17 +75,18 @@ class TestComponents:
             assert report.levels >= 1
 
     def test_matches_networkx(self):
-        nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(7)
         edges = dedupe_edges(
             np.column_stack([rng.integers(0, 120, 150), rng.integers(0, 120, 150)])
         )
         g = nx.Graph()
         g.add_edges_from(map(tuple, edges.tolist()))
-        expected = nx.number_connected_components(g)
+        minima = {v: min(c) for c in nx.connected_components(g) for v in c}
         with MSSG(MSSGConfig(num_backends=3, backend="HashMap")) as mssg:
             mssg.ingest(edges)
-            assert mssg.query("components").result["num_components"] == expected
+            result = mssg.query("components", return_labels=True).result
+            assert result["num_components"] == nx.number_connected_components(g)
+            assert result["labels"] == minima
 
 
 class TestRegisterGuard:
@@ -187,6 +181,90 @@ class TestTypedBFS:
             ).result
             # Constraining the lens can only lengthen (or sever) paths.
             assert articles_only is None or articles_only >= unrestricted
+
+
+def _typed_distance(edges, types, source, dest, allowed):
+    """Sequential reference: BFS over the subgraph of allowed-type vertices
+    (the source's own type is not asked); ``None`` when unreachable."""
+    n = int(edges.max()) + 1
+    ok = np.array([types.get(v) in allowed for v in range(n)])
+    if source != dest and not ok[dest]:
+        return None
+    ok[source] = True
+    kept = edges[ok[edges[:, 0]] & ok[edges[:, 1]]]
+    level = bfs_distance(CSRGraph.from_edges(kept, num_vertices=n), source, dest)
+    return None if level < 0 else level
+
+
+def _semantic_case():
+    g = pubmed_semantic_graph(num_articles=60, num_authors=25, seed=4)
+    code_of = {"Article": 0, "Author": 1, "Journal": 2, "MeSHTerm": 3, "Date": 4}
+    types = {gid: code_of[t] for gid, t in g.vertices()}
+    # Unrestricted distance 3 / 3 / 2; the lens makes each one hop longer.
+    queries = [(60, 52, [0]), (57, 124, [0, 3]), (32, 28, [0, 1])]
+    queries += [(s, d, [0, 1, 2, 3, 4]) for s, d, _ in queries] + [(0, 30, [0]), (3, 70, [0, 3])]
+    return np.asarray(g.edge_list()), types, queries
+
+
+class TestTypedBFSOnTheDriver:
+    """``typed-bfs`` is Algorithm 1 under a lens, so it pushes, pulls and
+    costs exactly what ``bfs`` does."""
+
+    CASES = {
+        "hub": (
+            np.array([[0, 1], [1, 2], [0, 9], [9, 2]]),
+            {0: 0, 1: 0, 2: 0, 9: 1},
+            [(0, 2, [0, 1]), (0, 2, [0]), (0, 2, [1]), (9, 1, [0])],
+        ),
+        "detour": (
+            np.array([[0, 5], [5, 9], [0, 1], [1, 2], [2, 9]]),
+            {0: 2, 5: 7, 9: 2, 1: 2, 2: 2},
+            [(0, 9, [2, 7]), (0, 9, [2]), (0, 9, [7]), (5, 2, [2])],
+        ),
+        "semantic": _semantic_case(),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("backend", ["HashMap", "grDB"])
+    def test_every_direction_gives_the_reference_distance(self, case, backend):
+        edges, types, queries = self.CASES[case]
+        with MSSG(MSSGConfig(num_backends=3, backend=backend)) as mssg:
+            mssg.ingest(edges)
+            mssg.query("load-vertex-types", type_codes=types)
+            for source, dest, allowed in queries:
+                expected = _typed_distance(edges, types, source, dest, allowed)
+                for schedule in (("bottom-up",), ("top-down",), None):
+                    r = mssg.query(
+                        "typed-bfs",
+                        source=source,
+                        dest=dest,
+                        allowed_codes=allowed,
+                        direction_schedule=schedule,
+                    )
+                    assert r.result == expected, (source, dest, allowed, schedule)
+                    assert not r.partial
+                    if schedule and r.levels:
+                        assert set(r.directions) == set(schedule)
+
+    @pytest.mark.parametrize("backend", ["grDB", "StreamDB", "BerkeleyDB"])
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"direction_schedule": ("bottom-up",)}, {"visited": "external"}],
+        ids=["default", "pull", "external"],
+    )
+    def test_all_admitting_lens_costs_nothing(self, backend, params):
+        # The type check reads the resident table: same answer, same work and
+        # the same virtual clock, to the bit, as bfs on an identical store.
+        reports = []
+        for analysis, extra in (("bfs", {}), ("typed-bfs", {"allowed_codes": [0]})):
+            with _extension_mssg(backend, replication=1) as mssg:
+                reports.append(mssg.query(analysis, source=0, dest=100, **extra, **params))
+        plain, typed = reports
+        assert typed.analysis == "typed-bfs" and plain.result is not None
+        assert (typed.result, typed.levels, typed.edges_scanned, repr(typed.seconds)) == (
+            plain.result, plain.levels, plain.edges_scanned, repr(plain.seconds)
+        )
+        assert typed.directions == plain.directions
 
 
 # Big enough that queries are forced onto the simulated devices (a graph

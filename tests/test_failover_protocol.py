@@ -14,9 +14,11 @@ Three things no other suite holds still:
   dead set and vertex ids, the ranks' responsibility sets partition exactly
   the vertices whose chain has a live member (what additive combiners rely
   on: no vertex's messages are produced twice, none is silently skipped);
-* **two regressions** the single guard / single epilogue fix: a
-  deadline-aborted BFS stays ``partial`` on a fault-tolerant deployment, and
-  ``triangles`` without failover raises the storage error it hit.
+* **regressions**: ``path`` rides the failover protocol (a killed device
+  used to raise out of its private loop); and the two the single guard /
+  single epilogue fix — a deadline-aborted BFS stays ``partial`` on a
+  fault-tolerant deployment, and ``triangles`` without failover raises the
+  storage error it hit.
 """
 
 import hashlib
@@ -37,6 +39,8 @@ EDGES = pubmed_like(500, seed=17)
 SOURCE, DEST = 3, 441
 BACKENDS = 4
 FRONTENDS = 1
+#: Vertex type = id parity, for the ``typed-bfs`` rows.
+TYPE_CODES = {int(v): int(v) % 2 for v in np.unique(EDGES)}
 
 #: The six default-on feature knobs pinned off: the paper's prototype.
 PAPER_KNOBS = dict(
@@ -76,6 +80,12 @@ ANALYSES = {
         "bfs",
         dict(source=SOURCE, dest=DEST, direction_opt=True, direction_schedule=("bottom-up",)),
     ),
+    # Algorithm 1 through the vertex-type lens: odd ids only, which takes the
+    # super-hub (vertex 0) out of every fringe; push and pull levels both run.
+    "typed-bfs": ("typed-bfs", dict(source=SOURCE, dest=DEST, allowed_codes=(1,))),
+    # Algorithm 1, then the backward walk: one more expand + failover round
+    # per hop of the chain.
+    "path": ("path", dict(source=SOURCE, dest=DEST)),
     "pagerank": ("pagerank", dict(max_iters=4)),
     "components": ("components", {}),
     "ego-net": ("ego-net", dict(source=SOURCE, hops=3, return_vertices=True)),
@@ -146,6 +156,8 @@ def _deploy(backend: str, scenario: str) -> MSSG:
 def _run_row(analysis: str, backend: str, scenario: str):
     name, params = ANALYSES[analysis]
     with _deploy(backend, scenario) as mssg:
+        if name == "typed-bfs":  # the type table is RAM: no device operation
+            mssg.query("load-vertex-types", type_codes=TYPE_CODES)
         r = mssg.query(name, **params)
         fired = bool(
             r.failovers + r.device_failures + len(r.corrupt_backends)
@@ -304,6 +316,52 @@ GOLDEN = {
         "35531e0b7fb7", "0.02774727690909091",
         0, 0, False, 0, (), 2, 6894,
     ),
+    # Recorded on the commit that put ``typed-bfs`` and ``path`` on the BFS
+    # driver (before it neither went through bfs/failover.py at all).
+    ("typed-bfs", "grDB", "healthy"): (
+        "4e07408562be", "0.058666491236363486",
+        0, 0, False, 0, (), 3, 1093,
+    ),
+    ("typed-bfs", "StreamDB", "fail"): (
+        "4e07408562be", "0.0469211166545454",
+        1, 0, False, 1, (), 3, 1233,
+    ),
+    ("typed-bfs", "grDB", "corrupt"): (
+        "4e07408562be", "0.08304978978181836",
+        1, 0, False, 0, (2,), 3, 1183,
+    ),
+    ("typed-bfs", "StreamDB", "chain-dead"): (
+        "dc937b598926", "0.06554856770909093",
+        1, 55, True, 2, (), 5, 925,
+    ),
+    ("path", "StreamDB", "healthy"): (
+        "e4eab5467eb2", "0.05715359709090902",
+        0, 0, False, 0, (), 3, 756,
+    ),
+    ("path", "grDB", "fail"): (
+        "e4eab5467eb2", "0.08426491483636364",
+        1, 0, False, 1, (), 3, 779,
+    ),
+    ("path", "StreamDB", "corrupt"): (
+        "e4eab5467eb2", "0.06626194145454545",
+        1, 0, False, 0, (2,), 3, 846,
+    ),
+    ("path", "grDB", "chain-dead"): (
+        "dc937b598926", "0.09242749403636401",
+        1, 36, True, 2, (), 5, 821,
+    ),
+    # A pull level over a wholly dead chain: nobody can enumerate partition
+    # 1's unvisited vertices, so nothing is dropped and only ``partial`` can
+    # say the level was incomplete.  The parent commit reported these two
+    # ``partial=False`` with every other field as here.
+    ("pipelined-bfs", "grDB", "chain-dead"): (
+        "dc937b598926", "0.08459864832727303",
+        1, 0, True, 2, (), 5, 795,
+    ),
+    ("bfs-pull-all", "StreamDB", "chain-dead"): (
+        "dc937b598926", "0.0664355488727273",
+        1, 0, True, 2, (), 5, 3622,
+    ),
 }
 
 HEALTHY = ("healthy", "paper")
@@ -318,7 +376,7 @@ def test_golden_row(key):
 
 
 def test_golden_matrix_covers_every_program_and_fault():
-    assert len(GOLDEN) <= 30
+    assert len(GOLDEN) <= 40
     assert {k[0] for k in GOLDEN} == set(ANALYSES)
     assert {k[1] for k in GOLDEN} == {"StreamDB", "grDB"}
     assert {k[2] for k in GOLDEN} == {
@@ -384,7 +442,45 @@ def test_responsibility_sets_partition_the_reachable_vertices(cluster):
     assert np.array_equal(vertices[routes == -1], np.setdiff1d(vertices, reachable))
 
 
-# --- (c) the two defects one guard and one epilogue fix -------------------------
+# --- (c) regressions -------------------------------------------------------------
+
+
+def _valid_chain(path) -> bool:
+    pairs = {tuple(e) for e in np.vstack([EDGES, EDGES[:, ::-1]]).tolist()}
+    return path[0] == SOURCE and path[-1] == DEST and all(
+        hop in pairs for hop in zip(path, path[1:])
+    )
+
+
+@pytest.mark.parametrize("backend", ["grDB", "StreamDB"])
+@pytest.mark.parametrize("victim", range(BACKENDS))
+def test_path_survives_a_killed_device(backend, victim):
+    # The per-vertex loop ``path`` used to be never reached bfs/failover.py:
+    # one dead device under replication=2 raised DeviceFailedError.  Now it
+    # is query_bfs plus a walk: a valid chain of the same length, or an
+    # honestly flagged None (a post-death pull level may re-mark a settled
+    # vertex too high for the walk to step through).
+    with _deploy(backend, "healthy") as mssg:
+        mssg.set_fault_plan(_kill_mid_query(mssg, backend, victim))
+        path = mssg.query("path", source=SOURCE, dest=DEST)
+    with _deploy(backend, "healthy") as mssg:
+        mssg.set_fault_plan(_kill_mid_query(mssg, backend, victim))
+        bfs = mssg.query_bfs(SOURCE, DEST)
+    assert bfs.result == 3 and not bfs.partial
+    assert path.device_failures == 1 and path.failovers >= 1
+    if path.result is None:
+        assert path.partial
+    else:
+        assert not path.partial
+        assert len(path.result) - 1 == bfs.result and _valid_chain(path.result)
+
+
+def test_path_degrades_to_a_flagged_partial_when_unreplicated():
+    with _unreplicated_streamdb() as mssg:
+        mssg.set_fault_plan(FaultPlan.kill_node(1, at_time=0.0))
+        r = mssg.query("path", source=SOURCE, dest=DEST)
+    assert r.partial and r.device_failures == 1
+    assert r.result is None or _valid_chain(r.result)
 
 
 @pytest.mark.parametrize("replication", [1, 2])
