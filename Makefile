@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner lint bench bench-quick bench-smoke examples figures clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner lint bench bench-quick bench-smoke bench-ranks examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -54,6 +54,9 @@ bench-smoke:  # the batched-I/O + direction ablations, CI-sized (ratio bands nee
 		benchmarks/bench_ablation_compression.py \
 		benchmarks/bench_ablation_semiem.py benchmarks/bench_streaming_ingest.py \
 		--benchmark-only
+
+bench-ranks:  # wall time of one Array BFS at 4 / 16 / 32 / 64 back-ends (not gated)
+	$(PYTHON) benchmarks/rank_scaling.py
 
 lint:  # requires ruff (pip install ruff)
 	$(PYTHON) -m ruff check src/

@@ -583,9 +583,10 @@ class ComponentsProgram(VertexProgram):
             "num_components": int(len(uniq)),
             "sizes": sorted((int(c) for c in counts), reverse=True),
             "rounds": self.rounds,
-            "labels": {
-                int(v): int(self.labels[v]) for v in np.flatnonzero(self.present)
-            },
+            # Arrays, like PageRank's ranks: every rank finalizes, one caller
+            # in many asks for the table (``_shape_components`` builds it).
+            "labels": self.labels.astype(np.int64),
+            "present": self.present,
         }
 
 
@@ -957,7 +958,8 @@ def _shape_components(params):
         # The full per-vertex table is an unbounded payload at scale;
         # callers opt in explicitly.
         if params.get("return_labels", False):
-            out["labels"] = raw["labels"]
+            present = np.flatnonzero(raw["present"])
+            out["labels"] = dict(zip(present.tolist(), raw["labels"][present].tolist()))
         return out
 
     return shape

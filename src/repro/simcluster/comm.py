@@ -20,6 +20,7 @@ grows with ``log2(p)``.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Generator
 
 import numpy as np
@@ -94,15 +95,7 @@ class Comm:
         self._nic_free_at = start + self._net.transfer_seconds(nbytes)
         arrival = self._nic_free_at + self._net.latency
         self._sched.post(
-            Message(
-                source=self.rank,
-                dest=dest,
-                tag=tag,
-                payload=_isolate(payload),
-                nbytes=nbytes,
-                arrival=arrival,
-                seq=self._sched.next_seq(),
-            )
+            Message(self.rank, dest, tag, _isolate(payload), nbytes, arrival, self._sched.next_seq())
         )
         self.sent_messages += 1
         self.sent_bytes += nbytes
@@ -260,20 +253,16 @@ class SubComm(Comm):
         return self._group[local]
 
     def _localize(self, msg: Message) -> Message:
+        """Relabel ``msg``, which this rank owns (consumed, or a copy of one
+        still in the mailbox), with group-local ranks, in place."""
         src = self._local_of.get(msg.source)
         if src is None:
             raise CommError(
                 f"message from global rank {msg.source} leaked into sub-communicator"
             )
-        return Message(
-            source=src,
-            dest=self.rank,
-            tag=msg.tag,
-            payload=msg.payload,
-            nbytes=msg.nbytes,
-            arrival=msg.arrival,
-            seq=msg.seq,
-        )
+        msg.source = src
+        msg.dest = self.rank
+        return msg
 
     def send(self, dest: int, payload: Any = None, tag: int = 0, size: int | None = None) -> None:
         self._parent.send(self._to_global(dest), payload, tag=tag, size=size)
@@ -286,7 +275,7 @@ class SubComm(Comm):
 
     def probe(self, source: int = ANY, tag: int = ANY):
         msg = yield ("probe", self._to_global(source), tag)
-        return self._localize(msg) if msg is not None else None
+        return self._localize(copy.copy(msg)) if msg is not None else None
 
     def try_recv(self, source: int = ANY, tag: int = ANY):
         msg = yield ("probe", self._to_global(source), tag)

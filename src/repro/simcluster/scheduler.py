@@ -17,30 +17,44 @@ involvement; only *communication* yields control.  The yield protocol is:
 
 Safety argument (conservative PDES).  Any future message is created by some
 rank after it next runs, so its arrival strictly exceeds that rank's *lower
-bound* ``lb``: the local clock for a runnable rank, ``max(clock, earliest
-candidate arrival)`` for a rank blocked on a deliverable recv, and ``+inf``
-for ranks that cannot act until someone else does (their first action is
-causally after another rank's, whose bound is already in the minimum, or
-after the very delivery being justified).  A recv delivery of message ``m``
-to rank ``r`` is eligible iff ``m.arrival <= min(lb[x] for x != r)``; a
-probe answers ``False`` once that same minimum reaches the prober's clock.
-The run loop always executes the eligible action with the smallest event
-time (ties broken by kind then rank), which yields a fully deterministic,
-causally-ordered simulation.
+bound* ``lb``: the local clock for a rank that has not run yet or is
+probing (a probe waits for proof of absence, not for messages), ``max(clock,
+earliest matching arrival)`` for a rank blocked on a recv that has a match,
+and ``+inf`` for a recv without one (its next action is causally after
+another rank's, whose bound is already in the minimum).  Delivering ``m`` to
+``r`` is safe iff ``m.arrival <= min(lb[x] for x != r)``; a probe may answer
+"absent" once that same minimum reaches the prober's clock.  The event order
+is the total order of the keys ``(lb, kind priority, rank index)``, kinds
+being first run < recv < probe.
+
+Smallest-key lemma.  The rank holding the smallest key may always act, so
+eligibility is never computed: a recv's match arrives no later than the
+rank's own bound, which is ``<=`` every other bound; a probe holding the
+smallest clock already has its proof of absence; a first run needs none.
+The run loop is therefore a priority queue of keys, ``+inf`` keys left out:
+pop the smallest, resume that rank, repeat — deadlock is an empty queue with
+ranks still alive.  Clocks and mailboxes change only under the rank that is
+running, so a key changes at exactly two sites: ``_resume`` files the key of
+the rank it just stepped, and ``post`` re-files a recv-blocked destination
+whose bound the new message lowers.  Both push a fresh tuple and leave the
+old one in the heap; an entry is live iff it *is* its rank's ``key`` (lazy
+invalidation).  Mailboxes are per-tag lists in ``(arrival, seq)`` order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
+from bisect import insort
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Any, Generator
 
 from ..util.errors import DeadlockError, SimulationError
 from .message import ANY, Message
 
 __all__ = ["Scheduler", "RankState"]
 
-_INF = float("inf")
+_mailbox_order = attrgetter("arrival", "seq")
 
 
 class RankState(enum.Enum):
@@ -53,18 +67,23 @@ class RankState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+
 class _Rank:
-    index: int
-    gen: Generator
-    clock: Any  # VirtualClock
-    state: RankState = RankState.RUNNABLE
-    wait_source: int = ANY
-    wait_tag: int = ANY
-    mailbox: list[Message] = field(default_factory=list)
-    result: Any = None
-    send_value: Any = None  # value to send into the generator on next step
-    steps: int = 0
+    __slots__ = (
+        "index", "gen", "clock", "state", "wait_source", "wait_tag",
+        "mailbox", "key", "result",
+    )
+
+    def __init__(self, index: int, gen: Generator, clock):
+        self.index = index
+        self.gen = gen
+        self.clock = clock  # VirtualClock
+        self.state = RankState.RUNNABLE
+        self.wait_source = ANY
+        self.wait_tag = ANY
+        self.mailbox: dict[int, list[Message]] = {}  # tag -> (arrival, seq)-sorted
+        self.key: tuple | None = None  # the live heap entry, None = +inf
+        self.result: Any = None
 
 
 class Scheduler:
@@ -73,6 +92,7 @@ class Scheduler:
     def __init__(self, clocks, max_steps: int = 50_000_000):
         self._ranks: list[_Rank] = []
         self._clocks = list(clocks)
+        self._heap: list[tuple[float, int, int]] = []
         self._seq = 0
         self._max_steps = max_steps
         self._total_steps = 0
@@ -87,7 +107,7 @@ class Scheduler:
         idx = len(self._ranks)
         if idx >= len(self._clocks):
             raise SimulationError("more rank programs than clocks")
-        self._ranks.append(_Rank(index=idx, gen=gen, clock=self._clocks[idx]))
+        self._ranks.append(_Rank(idx, gen, self._clocks[idx]))
 
     def next_seq(self) -> int:
         self._seq += 1
@@ -97,45 +117,68 @@ class Scheduler:
         """Enqueue a message for its destination (called by Comm.send)."""
         if not 0 <= msg.dest < len(self._ranks):
             raise SimulationError(f"message to invalid rank {msg.dest}")
-        box = self._ranks[msg.dest].mailbox
-        box.append(msg)
-        # Keep mailbox ordered by (arrival, seq) for deterministic matching.
-        if len(box) > 1 and (box[-2].arrival, box[-2].seq) > (msg.arrival, msg.seq):
-            box.sort(key=lambda m: (m.arrival, m.seq))
+        dest = self._ranks[msg.dest]
+        box = dest.mailbox.setdefault(msg.tag, [])
+        if box and box[-1].arrival > msg.arrival:
+            insort(box, msg, key=_mailbox_order)
+        else:  # seq only grows, so appending keeps (arrival, seq) order
+            box.append(msg)
+        if (
+            dest.state is RankState.BLOCKED_RECV
+            and dest.wait_tag in (ANY, msg.tag)
+            and dest.wait_source in (ANY, msg.source)
+        ):
+            when = max(dest.clock.now, msg.arrival)
+            if dest.key is None or when < dest.key[0]:
+                self._file(dest, when, 1)
 
-    # -- matching helpers -------------------------------------------------
+    def consume(self, rank_index: int, msg: Message) -> None:
+        """Remove a specific message from a mailbox (used after probe)."""
+        mailbox = self._ranks[rank_index].mailbox
+        box = mailbox[msg.tag]
+        box.remove(msg)
+        if not box:
+            del mailbox[msg.tag]
+
+    # -- the event loop ---------------------------------------------------
+
+    def _file(self, rank: _Rank, when: float, kind: int) -> None:
+        rank.key = key = (when, kind, rank.index)
+        heappush(self._heap, key)
 
     @staticmethod
-    def _earliest_match(rank: _Rank, source: int, tag: int) -> Message | None:
-        for m in rank.mailbox:  # mailbox is (arrival, seq)-sorted
-            if m.matches(source, tag):
-                return m
-        return None
+    def _earliest_match(rank: _Rank) -> Message | None:
+        source, tag = rank.wait_source, rank.wait_tag
+        if tag == ANY:
+            boxes = rank.mailbox.values()
+        else:
+            boxes = (rank.mailbox.get(tag, ()),)
+        best = None
+        for box in boxes:
+            for m in box:
+                if source == ANY or m.source == source:
+                    if best is None or _mailbox_order(m) < _mailbox_order(best):
+                        best = m
+                    break
+        return best
 
-    def _lower_bound(self, rank: _Rank) -> float:
-        """Lower bound on the time of this rank's next action (see module doc)."""
-        if rank.state is RankState.RUNNABLE:
-            return rank.clock.now
+    def _resume(self, rank: _Rank) -> None:
+        """Hand ``rank`` what it waited for, run it to its next yield (or
+        completion) and file its new key."""
+        value = None
         if rank.state is RankState.BLOCKED_RECV:
-            m = self._earliest_match(rank, rank.wait_source, rank.wait_tag)
-            if m is not None:
-                return max(rank.clock.now, m.arrival)
-            return _INF
-        if rank.state is RankState.BLOCKED_PROBE:
-            # A probing rank resumes at its own clock (probe does not wait for
-            # future messages, only for proof of absence).
-            return rank.clock.now
-        return _INF
-
-    # -- stepping ---------------------------------------------------------
-
-    def _step(self, rank: _Rank) -> None:
-        """Advance one rank generator to its next yield (or completion)."""
+            value = self._earliest_match(rank)
+            self.consume(rank.index, value)
+            rank.clock.advance_to(value.arrival)
+        elif rank.state is RankState.BLOCKED_PROBE:
+            hit = self._earliest_match(rank)
+            if hit is not None and hit.arrival <= rank.clock.now:
+                value = hit
         self._total_steps += 1
-        rank.steps += 1
         if self._total_steps > self._max_steps:
             raise SimulationError(f"scheduler exceeded {self._max_steps} steps; runaway program?")
-        value, rank.send_value = rank.send_value, None
+        rank.state = RankState.RUNNABLE  # what it posts to itself must not re-file it
+        rank.key = None
         try:
             effect = rank.gen.send(value)
         except StopIteration as stop:
@@ -151,93 +194,41 @@ class Scheduler:
         kind, source, tag = effect
         rank.wait_source = int(source)
         rank.wait_tag = int(tag)
-        rank.state = RankState.BLOCKED_RECV if kind == "recv" else RankState.BLOCKED_PROBE
+        if kind == "probe":
+            rank.state = RankState.BLOCKED_PROBE
+            self._file(rank, rank.clock.now, 2)
+        else:
+            rank.state = RankState.BLOCKED_RECV
+            match = self._earliest_match(rank)
+            if match is not None:
+                self._file(rank, max(rank.clock.now, match.arrival), 1)
 
     def run(self) -> list[Any]:
-        """Run all ranks to completion; returns their return values."""
-        ranks = self._ranks
-        while True:
-            live = [r for r in ranks if r.state not in (RankState.DONE, RankState.FAILED)]
-            if not live:
-                break
+        """Run all ranks to completion; returns their return values.
 
-            lbs = {r.index: self._lower_bound(r) for r in live}
-
-            # Candidate actions: (event_time, kind_priority, rank_index, action)
-            candidates: list[tuple[float, int, int, Callable[[], None]]] = []
-            for r in live:
-                if r.state is RankState.RUNNABLE:
-                    candidates.append((r.clock.now, 0, r.index, self._make_run(r)))
-                elif r.state is RankState.BLOCKED_RECV:
-                    m = self._earliest_match(r, r.wait_source, r.wait_tag)
-                    if m is None:
-                        continue
-                    other_lb = min(
-                        (lb for i, lb in lbs.items() if i != r.index), default=_INF
-                    )
-                    if m.arrival <= other_lb:
-                        when = max(r.clock.now, m.arrival)
-                        candidates.append((when, 1, r.index, self._make_deliver(r, m)))
-                elif r.state is RankState.BLOCKED_PROBE:
-                    m = self._earliest_probe_hit(r)
-                    if m is not None:
-                        candidates.append((r.clock.now, 2, r.index, self._make_probe_answer(r, m)))
-                    else:
-                        other_lb = min(
-                            (lb for i, lb in lbs.items() if i != r.index), default=_INF
-                        )
-                        if other_lb >= r.clock.now:
-                            candidates.append(
-                                (r.clock.now, 2, r.index, self._make_probe_answer(r, None))
-                            )
-
-            if not candidates:
-                blocked = {r.index: (r.state.value, r.wait_source, r.wait_tag) for r in live}
+        If a rank program raises (or the run deadlocks), every unfinished
+        generator is closed, in rank order, before the exception leaves:
+        their ``finally`` blocks run here, not whenever the traceback that
+        keeps them alive happens to be dropped.
+        """
+        ranks, heap = self._ranks, self._heap
+        for rank in ranks:
+            self._file(rank, rank.clock.now, 0)
+        try:
+            while heap:
+                key = heappop(heap)
+                rank = ranks[key[2]]
+                if rank.key is key:
+                    self._resume(rank)
+            blocked = {
+                r.index: (r.state.value, r.wait_source, r.wait_tag)
+                for r in ranks
+                if r.state is not RankState.DONE
+            }
+            if blocked:
                 raise DeadlockError(f"simulation deadlock; blocked ranks: {blocked}")
-
-            candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-            candidates[0][3]()
-
-        failed = [r.index for r in ranks if r.state is RankState.FAILED]
-        if failed:  # pragma: no cover - _step re-raises before we get here
-            raise SimulationError(f"ranks failed: {failed}")
+        except BaseException:
+            for rank in ranks:
+                rank.gen.close()
+            raise
         return [r.result for r in ranks]
-
-    def _earliest_probe_hit(self, rank: _Rank) -> Message | None:
-        m = self._earliest_match(rank, rank.wait_source, rank.wait_tag)
-        if m is not None and m.arrival <= rank.clock.now:
-            return m
-        return None
-
-    def _make_run(self, rank: _Rank):
-        def action():
-            self._step(rank)
-
-        return action
-
-    def _make_deliver(self, rank: _Rank, msg: Message):
-        def action():
-            rank.mailbox.remove(msg)
-            rank.clock.advance_to(msg.arrival)
-            rank.send_value = msg
-            rank.state = RankState.RUNNABLE
-            self._step(rank)
-
-        return action
-
-    def _make_probe_answer(self, rank: _Rank, msg: Message | None):
-        def action():
-            rank.send_value = msg
-            rank.state = RankState.RUNNABLE
-            self._step(rank)
-
-        return action
-
-    # -- inspection -------------------------------------------------------
-
-    def consume(self, rank_index: int, msg: Message) -> None:
-        """Remove a specific message from a mailbox (used after probe)."""
-        self._ranks[rank_index].mailbox.remove(msg)
-
-    def mailbox_of(self, rank_index: int) -> list[Message]:
-        return list(self._ranks[rank_index].mailbox)

@@ -28,6 +28,8 @@ def payload_nbytes(payload: Any) -> int:
     Unknown objects fall back to their pickle length, which is what a generic
     middleware would ship anyway.
     """
+    if type(payload) is np.ndarray:  # fringes and bitsets: most payloads, alone or in a tuple
+        return payload.nbytes
     if payload is None:
         return 0
     if isinstance(payload, (bool, int, float)):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro import MSSG, MSSGConfig
-from repro.bfs import bfs_distance
+from repro.bfs import bfs_distance, bfs_levels, sample_queries_by_distance
 from repro.graphdb import GrDBFormat
-from repro.graphgen import CSRGraph, dedupe_edges, preferential_attachment
+from repro.graphgen import CSRGraph, dedupe_edges, preferential_attachment, pubmed_like
 from repro.util import ConfigError
 
 EDGES = dedupe_edges(preferential_attachment(150, 3, seed=8))
@@ -54,6 +54,23 @@ class TestEndToEnd:
                 expected = bfs_distance(GRAPH, s, d)
                 answer = mssg.query_bfs(s, d)
                 assert answer.result == (expected if expected != -1 else None)
+
+    def test_sixty_four_backends(self):
+        """The paper's node count.  No timing assertion: it is here because
+        one 64-rank query cost seconds until the simulator's event loop
+        became a priority queue, and nothing else in tier-1 runs above 16."""
+        edges = pubmed_like(1200, seed=3)
+        graph = CSRGraph.from_edges(edges, num_vertices=1200)
+        unlabelled, sizes = graph.degrees() > 0, []
+        while unlabelled.any():
+            reached = bfs_levels(graph, int(np.argmax(unlabelled))) >= 0
+            sizes.append(int(reached.sum()))
+            unlabelled &= ~reached
+        with MSSG(MSSGConfig(num_backends=64, backend="Array")) as mssg:
+            mssg.ingest(edges)
+            for s, d, distance in sample_queries_by_distance(graph, 4, seed=2):
+                assert mssg.query_bfs(s, d).result == distance == bfs_distance(graph, s, d)
+            assert mssg.query("components").result["sizes"] == sorted(sizes, reverse=True)
 
     def test_pipelined_query(self):
         with MSSG(MSSGConfig(num_backends=2, backend="HashMap")) as mssg:

@@ -1,5 +1,7 @@
 """Tests for the discrete-event scheduler and MPI-like communicator."""
 
+import gc
+
 import pytest
 
 from repro.simcluster import ANY, NetworkProfile, NodeSpec, SimCluster
@@ -252,6 +254,37 @@ class TestSchedulerSafety:
 
         with pytest.raises(DeadlockError):
             cluster.run(program)
+
+    def test_failed_run_finalises_abandoned_ranks_before_raising(self):
+        """Rank 1's ``finally`` runs inside the failed ``run``, not whenever the
+        exception that keeps its generator alive is dropped (it used to land
+        on the clock of a later, unrelated run)."""
+        cluster = make_cluster(2)
+
+        def failing(ctx):
+            if ctx.rank == 0:
+                yield from ctx.comm.probe()  # lets rank 1 reach its recv
+                raise RuntimeError("rank 0 gave up")
+            try:
+                yield from ctx.comm.recv()
+            finally:
+                ctx.clock.advance(5.0)
+
+        def second(ctx):
+            ctx.compute(1.0)
+            return ctx.clock.now
+            yield  # pragma: no cover - makes this a generator function
+
+        with pytest.raises(RuntimeError) as kept:
+            cluster.run(failing)
+        assert cluster.nodes[1].clock.now == 5.0
+        assert cluster.run(second) == [1.0, 1.0]
+        assert cluster.makespan == 1.0
+        del kept
+        gc.collect()
+        assert [node.clock.now for node in cluster.nodes] == [1.0, 1.0]
+        cluster.run(second)
+        assert cluster.nodes[1].total_run_seconds == 5.0 + 1.0
 
     def test_determinism(self):
         """The same program yields bit-identical timings across runs."""
