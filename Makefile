@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner lint bench bench-quick bench-smoke bench-ranks examples figures clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner lint bench bench-quick bench-smoke bench-ranks examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
@@ -40,6 +40,9 @@ check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writ
 		echo "failover policy outside bfs/failover.py (use FTState.start / guard / route_or_drop / RetryRounds / FTState.fill):"; \
 		echo "$$offenders"; exit 1; \
 	fi
+
+check-features-owner:  # only features.py spells a feature knob as a parameter or field (per-query overrides are listed in the test)
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_features.py -k no_knob_is_declared_outside_features
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

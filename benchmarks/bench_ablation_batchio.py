@@ -16,8 +16,11 @@ Adjacency results are identical in all three modes — the harness asserts
 every query's BFS distance.
 """
 
+import dataclasses
+
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment, run_search_experiment
 from repro.experiments.harness import build_and_ingest
 from repro.experiments.report import format_series_table
@@ -54,7 +57,7 @@ def run_batchio_sweep(backend: str, scale: float, num_queries: int = 6):
             backend=backend,
             num_backends=16,
             cache_bytes=CACHE_BYTES,
-            batch_io=batch_io,
+            features=dataclasses.replace(Features.paper(), batch_io=batch_io),
         )
         mssg, _, _ = build_and_ingest(PUBMED_S, dep, scale)
         try:

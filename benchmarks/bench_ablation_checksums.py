@@ -15,8 +15,11 @@ pays more (the WAL journals every flushed span twice) but stays within a
 small constant factor.
 """
 
+import dataclasses
+
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment
 from repro.experiments.harness import build_and_ingest, queries_for
 from repro.experiments.report import format_series_table
@@ -30,7 +33,11 @@ def run_checksum_sweep(scale: float, num_queries: int = 8):
     aux: dict[str, dict[str, float]] = {}
     answers: dict[str, list[int]] = {}
     for label, on in MODES:
-        dep = Deployment(backend="grDB", num_backends=16, checksums=on)
+        dep = Deployment(
+            backend="grDB",
+            num_backends=16,
+            features=dataclasses.replace(Features.paper(), checksums=on),
+        )
         mssg, _, ingest_seconds = build_and_ingest(PUBMED_S, dep, scale)
         try:
             buckets: dict[int, list[float]] = {}

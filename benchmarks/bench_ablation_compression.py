@@ -17,8 +17,11 @@ truth, and this file additionally asserts the two sweeps agree bucket for
 bucket.
 """
 
+import dataclasses
+
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment, run_search_experiment
 from repro.experiments.harness import build_and_ingest
 from repro.experiments.report import format_series_table
@@ -52,7 +55,7 @@ def run_compression_sweep(backend: str, scale: float, num_queries: int = 6):
             backend=backend,
             num_backends=16,
             cache_bytes=CACHE_BYTES,
-            compress_adjacency=compress,
+            features=dataclasses.replace(Features.paper(), compress_adjacency=compress),
         )
         mssg, _, ingest_seconds = build_and_ingest(PUBMED_S, dep, scale)
         try:

@@ -18,8 +18,11 @@ Results must be an access-plan change only — the harness asserts every
 query's BFS distance in both modes and that the modes agree.
 """
 
+import dataclasses
+
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment
 from repro.experiments.harness import build_and_ingest, queries_for
 from repro.experiments.report import format_series_table
@@ -49,7 +52,11 @@ def run_direction_sweep(backend: str, scale: float, num_queries: int = 6):
     aux: dict[str, dict[str, float]] = {}
     answers: dict[str, list[int]] = {}
     for label, opt in MODES:
-        dep = Deployment(backend=backend, num_backends=16, direction_opt=opt)
+        dep = Deployment(
+            backend=backend,
+            num_backends=16,
+            features=dataclasses.replace(Features.paper(), direction_opt=opt),
+        )
         mssg, _, _ = build_and_ingest(PUBMED_S, dep, scale)
         try:
             buckets: dict[int, list[float]] = {}

@@ -24,8 +24,11 @@ the mode composes with shared scans and the 2q pool (answers identical,
 latency no worse).
 """
 
+import dataclasses
+
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment, run_search_experiment
 from repro.experiments.harness import build_and_ingest, queries_for
 from repro.experiments.report import format_series_table
@@ -52,8 +55,10 @@ def _deployment(backend: str, semi: bool) -> Deployment:
         backend=backend,
         num_backends=16,
         cache_bytes=CACHE_BYTES,
-        direction_opt=True,
-        semi_external=semi,
+        # shared_scans: the closing drain's committed numbers share sweeps.
+        features=dataclasses.replace(
+            Features.paper(), direction_opt=True, shared_scans=True, semi_external=semi
+        ),
     )
 
 

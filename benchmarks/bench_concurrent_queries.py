@@ -24,9 +24,12 @@ setting are asserted bit-identical to a sequential pass over the same
 queries.
 """
 
+import dataclasses
+
 import numpy as np
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment
 from repro.experiments.harness import build_and_ingest, queries_for
 
@@ -56,8 +59,11 @@ def run_concurrent_sweep(backend: str, scale: float, num_queries: int):
     dep = Deployment(
         backend=backend,
         num_backends=4,
-        direction_opt=True,  # gives grDB bottom-up sweeps worth sharing
-        cache_policy="2q",
+        features=dataclasses.replace(
+            Features.paper(),
+            direction_opt=True,  # gives grDB bottom-up sweeps worth sharing
+            cache_policy="2q",
+        ),
     )
     mssg, _, _ = build_and_ingest(PUBMED_S, dep, scale)
     try:

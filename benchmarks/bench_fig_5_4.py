@@ -11,9 +11,12 @@ times slower than HashMap and about 2.9 times slower than Array, on
 average."
 """
 
+import dataclasses
+
 import numpy as np
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import fig_5_4
 
 
@@ -58,7 +61,9 @@ def test_fig_5_4_batched(benchmark, bench_scale, bench_queries, save_result):
     series, text = run_once(
         benchmark,
         lambda: fig_5_4(
-            scale=bench_scale, num_queries=bench_queries, batch_io=True
+            scale=bench_scale,
+            num_queries=bench_queries,
+            features=dataclasses.replace(Features.paper(), batch_io=True),
         ),
     )
     save_result("fig_5_4_batched", text)

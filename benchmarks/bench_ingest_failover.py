@@ -19,7 +19,7 @@ has nothing in flight to lose).
 
 from conftest import run_once
 
-from repro import MSSG, MSSGConfig
+from repro import MSSG, Features, MSSGConfig
 from repro.graphgen import pubmed_like
 from repro.simcluster import FaultPlan
 
@@ -48,8 +48,7 @@ def _deploy(replication: int, fault_plan=None, cache_blocks=None) -> MSSG:
             # The storage model the anchor was recorded on: checksums and
             # compressed adjacency arrived later as defaults, and changes to
             # how they store a window are not what this anchor guards.
-            checksums=False,
-            compress_adjacency=False,
+            features=Features(checksums=False, compress_adjacency=False),
             **kwargs,
         )
     )

@@ -22,9 +22,12 @@ bit-identical to a sequential pass, and a final ``compact()`` folds the
 deltas and is asserted answer-preserving and idempotent.
 """
 
+import dataclasses
+
 import numpy as np
 from conftest import run_once
 
+from repro import Features
 from repro.experiments import PUBMED_S, Deployment
 from repro.experiments.harness import build_and_ingest, queries_for
 
@@ -37,6 +40,12 @@ INFLIGHT = 16
 #: a batch lands every scheduling round (the PR's acceptance bar: the
 #: delta path keeps serving latency flat, not "merely bounded").
 MAX_P50_SLOWDOWN = 1.5
+
+#: The serving deployment: paper mode plus the hybrid, the shared 2q pool
+#: and shared sweeps between the drain's queries.
+SERVING = dataclasses.replace(
+    Features.paper(), direction_opt=True, cache_policy="2q", shared_scans=True
+)
 
 
 def _device_seconds(mssg) -> float:
@@ -54,9 +63,7 @@ def _one_rate(backend: str, scale: float, pairs, want, batches, every):
     dep = Deployment(
         backend=backend,
         num_backends=4,
-        direction_opt=True,
-        cache_policy="2q",
-        streaming=True,
+        features=dataclasses.replace(SERVING, streaming=True),
     )
     mssg, edges, _ = build_and_ingest(PUBMED_S, dep, scale)
     try:
@@ -112,7 +119,7 @@ def run_streaming_sweep(backend: str, scale: float, num_queries: int):
     # replays stored edges, so every snapshot answers identically.
     mssg, _, _ = build_and_ingest(
         PUBMED_S,
-        Deployment(backend=backend, num_backends=4, direction_opt=True, cache_policy="2q"),
+        Deployment(backend=backend, num_backends=4, features=SERVING),
         scale,
     )
     try:

@@ -22,12 +22,14 @@ Subpackages: ``simcluster`` (simulated cluster substrate), ``datacutter``
 harness).
 """
 
+from .features import Features
 from .framework import MSSG, MSSGConfig, RebalanceReport, ScrubReport
 from .services import DrainReport, QueryReport
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "Features",
     "MSSG",
     "MSSGConfig",
     "DrainReport",

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import experiments
+from .features import Features
 from .framework import MSSG, MSSGConfig
 from .simcluster import DiskFault, FaultPlan
 from .graphgen import (
@@ -209,10 +210,12 @@ def _cmd_search(args) -> int:
         backend=args.backend,
         declustering=args.declustering,
         replication=args.replication,
-        direction_opt=not args.no_direction_opt,
-        compress_adjacency=not args.no_compress_adjacency,
-        semi_external=args.semi_external,
-        streaming=nbatches is not None,
+        features=Features(
+            direction_opt=not args.no_direction_opt,
+            compress_adjacency=not args.no_compress_adjacency,
+            semi_external=args.semi_external,
+            streaming=nbatches is not None,
+        ),
         # An ingest-time kill must be armed before ingestion runs (virtual
         # clocks restart at 0 for every cluster run).
         fault_plan=(

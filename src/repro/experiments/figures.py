@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ..features import Features
 from .harness import (
     Deployment,
     SearchResult,
@@ -113,19 +114,19 @@ def fig_5_4(
     num_queries: int = 12,
     num_backends: int = 16,
     render: bool = True,
-    batch_io: bool = False,
+    features: Features = Features.paper(),
 ):
     """Fig 5.4: search time of five GraphDBs vs path length, PubMed-S.
 
-    ``batch_io=True`` reruns the figure with batched/coalescing fringe
-    expansion enabled (identical results, different access plan) — the
+    ``features`` with ``batch_io`` on reruns the figure with batched/coalescing
+    fringe expansion (identical results, different access plan) — the
     configuration the batch-I/O ablation compares against this default.
     """
     series: dict[str, dict[int, float]] = {}
     for backend in FIVE_BACKENDS:
         res = run_search_experiment(
             PUBMED_S,
-            Deployment(backend=backend, num_backends=num_backends, batch_io=batch_io),
+            Deployment(backend=backend, num_backends=num_backends, features=features),
             scale=scale, num_queries=num_queries,
         )
         series[backend] = res.seconds_by_distance

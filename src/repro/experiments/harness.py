@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..features import Features
 from ..framework import MSSG, MSSGConfig
 from ..graphdb.grdb import GrDBFormat
 from ..graphgen import CSRGraph
@@ -93,46 +94,10 @@ class Deployment:
     cache_enabled: bool = True
     window_size: int = 2048
     growth_policy: str = "link"
-    #: Batched/coalescing fringe expansion.  Defaults *off* here — the
-    #: chapter-5 figures reproduce the paper's prototype, which expanded
-    #: the fringe one adjacency request at a time; the batch-I/O ablation
-    #: (``bench_ablation_batchio``) flips this on explicitly.
-    batch_io: bool = False
-    #: Direction-optimizing BFS.  Defaults *off* here for the same reason —
-    #: the paper's prototype searched pure top-down; the hybrid ablation
-    #: (``bench_ablation_direction``) flips this on explicitly.
-    direction_opt: bool = False
-    #: CRC32 block integrity.  Defaults *off* here — the paper's prototype
-    #: stored raw frames, and checksum framing shifts every device's
-    #: offsets/time, so the chapter-5 figures stay bit-identical; the
-    #: integrity ablation (``bench_ablation_checksums``) flips this on.
-    checksums: bool = False
-    #: Block-cache organization.  Pinned to the historical private
-    #: per-store LRUs here — the paper's prototype had no process-wide
-    #: pool, and the 2q promotion/eviction order shifts cache hits and
-    #: therefore every device's timeline.  The concurrent-serving
-    #: benchmark (``bench_concurrent_queries``) opts into ``"2q"``
-    #: explicitly.
-    cache_policy: str = "lru"
-    #: Delta+varint compressed adjacency.  Defaults *off* here — the
-    #: paper's prototype stored raw 8-byte slot words and 16-byte log
-    #: entries, and compression changes every device's byte counts and
-    #: timings, so the chapter-5 figures stay bit-identical; the
-    #: compression ablation (``bench_ablation_compression``) flips this on
-    #: explicitly.
-    compress_adjacency: bool = False
-    #: Semi-external-memory mode.  Defaults *off* here — the paper's
-    #: prototype kept no resident vertex state, and pinning changes which
-    #: adjacency blocks each device reads, so the chapter-5 figures stay
-    #: bit-identical; the semi-EM ablation (``bench_ablation_semiem``)
-    #: flips this on explicitly.
-    semi_external: bool = False
-    #: Streaming ingest.  Defaults *off* here — the paper's prototype
-    #: loaded each graph in one batch, and delta-log appends would add
-    #: device operations (and a deltalog device) every figure's timeline
-    #: would absorb, so the chapter-5 figures stay bit-identical; the
-    #: streaming benchmark (``bench_streaming_ingest``) opts in explicitly.
-    streaming: bool = False
+    #: Figures run on ``paper()``: they reproduce the paper's prototype, and
+    #: every knob moves some device's bytes or timeline, so they stay
+    #: bit-identical; an ablation bench flips one with ``dataclasses.replace``.
+    features: Features = Features.paper()
 
 
 @dataclass
@@ -191,13 +156,7 @@ def build_and_ingest(
             cache_blocks=cache_blocks,
             grdb_format=scaled_grdb_format(),
             growth_policy=deployment.growth_policy,
-            batch_io=deployment.batch_io,
-            direction_opt=deployment.direction_opt,
-            checksums=deployment.checksums,
-            cache_policy=deployment.cache_policy,
-            compress_adjacency=deployment.compress_adjacency,
-            semi_external=deployment.semi_external,
-            streaming=deployment.streaming,
+            features=deployment.features,
             node_spec=EXPERIMENT_NODE_SPEC,
         )
     )

@@ -15,10 +15,13 @@ Ingestion Service, and the Query Service::
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .features import Features
 from .graphdb import GraphDB, GrDBFormat, ModuloMap, make_graphdb
 from .graphdb.registry import BACKENDS
 from .services import (
@@ -35,7 +38,6 @@ from .services import (
     WindowGreedy,
 )
 from .services.streaming import CompactReport, StreamingState
-from .storage.blockcache import validate_cache_policy
 from .simcluster import FaultPlan, NodeSpec, SimCluster
 from .util.errors import ConfigError, DeviceFailedError
 from .util.varint import edge_block_bytes
@@ -102,15 +104,8 @@ class MSSGConfig:
     cache_blocks: int = 256
     grdb_format: GrDBFormat | None = None
     growth_policy: str = "link"
-    #: Batched/coalescing fringe expansion (``False`` = the paper
-    #: prototype's per-vertex adjacency loop; results are identical).
-    batch_io: bool = True
-    #: Direction-optimizing BFS: switch to bottom-up (pull) levels with a
-    #: dense bitmap fringe when the fringe's out-degree sum says a
-    #: sequential storage scan is cheaper than per-vertex expansion
-    #: (``False`` = the paper's pure top-down search; reported levels are
-    #: identical either way, only the access plan and virtual time differ).
-    direction_opt: bool = True
+    #: The eight feature knobs, as one value (:mod:`repro.features`).
+    features: Features = Features()
     node_spec: NodeSpec = field(default_factory=NodeSpec)
     storage_dir: str | None = None
     ascii_input: bool = True
@@ -129,70 +124,14 @@ class MSSGConfig:
     max_retries: int = 2
     #: Per-attempt expand budget in virtual seconds (``None`` = no limit).
     attempt_timeout: float | None = None
-    #: End-to-end block integrity: every out-of-core device is framed into
-    #: 4 KiB payloads with CRC32 trailers, verified on every read; grDB's
-    #: flush journals through a WAL and StreamDB keeps durable commit
-    #: records, so a crash mid-flush recovers to a consistent image.  A
-    #: CRC-bad frame raises ``CorruptBlockError``, BFS reroutes the shard
-    #: to a replica, and the façade repairs the damaged back-end.  Costs
-    #: ~0.1% capacity and the WAL write amplification; the experiment
-    #: harness turns it off to keep paper figures bit-identical.
-    checksums: bool = True
-    #: Block-cache organization of the out-of-core back-ends.  ``"lru"`` —
-    #: the historical layout: every store owns a private LRU of
-    #: ``cache_blocks`` entries.  ``"2q"`` — all stores on a back-end node
-    #: share ONE process-wide pool of ``cache_blocks`` entries, partitioned
-    #: by owner and run with scan-resistant two-segment eviction (a
-    #: sequential sweep can only churn the probation segment; blocks
-    #: re-referenced across queries are promoted and survive).  The
-    #: experiment harness pins ``"lru"`` to keep paper figures
-    #: bit-identical.
-    cache_policy: str = "2q"
     #: Admission cap for :meth:`MSSG.query_many`: queries beyond this many
     #: in flight wait in the FIFO queue.
     max_inflight: int = 64
-    #: Share backend sweeps (StreamDB log replays, bottom-up storage
-    #: scans) between concurrent queries of one scheduling round: one
-    #: device pass, decoded adjacency fanned to every subscriber.  Answers
-    #: are unaffected; only device time is.  Off in the experiment harness.
-    shared_scans: bool = True
-    #: Delta+varint compressed adjacency (:mod:`repro.util.varint`): grDB
-    #: sub-block interiors and StreamDB log records store sorted neighbor
-    #: gaps as varints instead of raw 8-byte words, and replication
-    #: repair/rebalance ships adjacency in the same compact form.  Fewer
-    #: device bytes per query at a per-byte vectorized decode CPU cost
-    #: (``CpuProfile.varint_decode_seconds``); answers are unaffected.
-    #: No-op for the other four backends.  The experiment harness turns it
-    #: off to keep paper figures bit-identical.
-    compress_adjacency: bool = True
-    #: Semi-external-memory mode (FlashGraph/GraphMP-style): keep all
-    #: per-vertex state resident in RAM and only the adjacency on device.
-    #: Three effects, none of which changes any answer: (1) each
-    #: back-end's vertex metadata (degrees, id map) is pinned into
-    #: resident arrays at ingest, so ``degree_many`` and fringe sizing
-    #: never touch a device; (2) out-of-core back-ends keep a resident
-    #: block->vertex-extent directory and fetch only the blocks holding
-    #: active fringe sources when the fringe covers a sparse fraction of
-    #: the store (full shared scans otherwise); (3) external visited
-    #: structures become resident dense arrays, and the shared block
-    #: cache grows a pinned segment that sweeps cannot evict.  The
-    #: experiment harness pins it off to keep paper figures bit-identical.
-    semi_external: bool = False
     #: RAM budget for everything semi-EM pins (vertex state + block
     #: directories across all back-ends, plus a 4-bytes-per-vertex
     #: reserve for one resident visited array).  Deployment exceeding it
     #: raises ``ConfigError`` at ingest rather than silently thrashing.
     semi_external_budget_bytes: int = 64 << 20
-    #: Streaming ingest (DESIGN §12): every back-end carries a crash-safe
-    #: delta log, :meth:`MSSG.ingest_stream` appends edge batches to it
-    #: incrementally (durable + published on return, folded into the base
-    #: stores by :meth:`MSSG.compact`), and queries run against the
-    #: snapshot published at their admission — an in-flight query never
-    #: observes a half-applied batch, and a crash at any point recovers to
-    #: the last published snapshot.  ``query_many(stream_batches=...)``
-    #: interleaves ingest *with* a drain.  The experiment harness pins
-    #: this off to keep paper figures bit-identical.
-    streaming: bool = False
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -209,14 +148,35 @@ class MSSGConfig:
                 f"replication must be in [1, num_backends={self.num_backends}], "
                 f"got {self.replication}"
             )
-        validate_cache_policy(self.cache_policy)
+        if not isinstance(self.features, Features):
+            raise ConfigError(f"features must be a Features value, got {self.features!r}")
         if self.max_inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.semi_external and self.semi_external_budget_bytes < 1:
+        if self.features.semi_external and self.semi_external_budget_bytes < 1:
             raise ConfigError(
                 f"semi_external_budget_bytes must be >= 1, "
                 f"got {self.semi_external_budget_bytes}"
             )
+
+
+# -- legacy-knob fold: begin (delete with ROADMAP direction 1(e)) --------------
+# ``MSSGConfig(checksums=False, ...)``: a keyword naming a ``Features`` field is
+# applied on top of ``features`` at construction, because the frozen
+# ``benchmarks/twoclock/deployments.py::make_config`` spells ``PAPER_KNOBS`` +
+# ``streaming=`` that way.  Construction only: a config has no such attribute.
+_config_init = MSSGConfig.__init__
+
+
+@functools.wraps(_config_init)
+def _init_folding_knobs(self, *args, **kw):
+    knobs = {f.name: kw.pop(f.name) for f in dataclasses.fields(Features) if f.name in kw}
+    if knobs:
+        kw["features"] = dataclasses.replace(kw.get("features", Features()), **knobs)
+    _config_init(self, *args, **kw)
+
+
+MSSGConfig.__init__ = _init_folding_knobs
+# -- legacy-knob fold: end -----------------------------------------------------
 
 
 def _adjacency_wire_size(entries, compress: bool) -> int:
@@ -263,6 +223,7 @@ class MSSG:
             self.cluster,
             self.dbs,
             self.declusterer,
+            cfg.features,
             num_frontends=cfg.num_frontends,
             # Replicated deployments always run the failover protocol; an
             # unreplicated one runs it only when faults are expected, so the
@@ -270,18 +231,14 @@ class MSSG:
             fault_tolerant=(cfg.replication > 1 or cfg.fault_plan is not None) or None,
             max_retries=cfg.max_retries,
             attempt_timeout=cfg.attempt_timeout,
-            direction_opt=cfg.direction_opt,
-            checksums=cfg.checksums,
             max_inflight=cfg.max_inflight,
-            shared_scans=cfg.shared_scans,
-            semi_external=cfg.semi_external,
         )
         self.last_ingest: IngestReport | None = None
         #: Streaming machinery (delta logs + overlays).  Constructing it
         #: doubles as crash recovery: reopening a streaming deployment over
         #: the same ``storage_dir`` replays the delta logs, settles any
         #: interrupted compaction, and restores the last published snapshot.
-        self.streaming = StreamingState(self) if cfg.streaming else None
+        self.streaming = StreamingState(self) if cfg.features.streaming else None
 
     def _make_db(self, q: int) -> GraphDB:
         """Build back-end ``q``'s GraphDB instance on its node.
@@ -306,15 +263,11 @@ class MSSG:
         return make_graphdb(
             cfg.backend,
             node,
+            cfg.features,
             id_map=id_map,
             cache_blocks=cfg.cache_blocks,
             grdb_format=cfg.grdb_format,
             growth_policy=cfg.growth_policy,
-            batch_io=cfg.batch_io,
-            checksums=cfg.checksums,
-            cache_policy=cfg.cache_policy,
-            compress_adjacency=cfg.compress_adjacency,
-            semi_external=cfg.semi_external,
         )
 
     # -- public operations ---------------------------------------------------
@@ -358,7 +311,7 @@ class MSSG:
         if edges.size:
             n = int(edges.max()) + 1
             self.queries.num_vertices = max(self.queries.num_vertices or 0, n)
-        if self.config.semi_external:
+        if self.config.features.semi_external:
             self._pin_semi_external()
         return self.last_ingest
 
@@ -375,12 +328,7 @@ class MSSG:
         published snapshot.  Returns the deployment's accumulated
         :class:`IngestReport` (``batches`` counts the streamed batches).
         """
-        if self.streaming is None:
-            raise ConfigError(
-                "ingest_stream requires MSSGConfig(streaming=True); "
-                "use ingest() for one-shot batch loads"
-            )
-        report = self.streaming.ingest_batch(edges)
+        report = self._streaming("ingest_stream").ingest_batch(edges)
         failed = getattr(report, "failed_backends", ())
         if failed:
             self.queries.known_dead |= set(failed)
@@ -395,6 +343,12 @@ class MSSG:
             self.last_ingest.absorb(report)
         return self.last_ingest
 
+    def _streaming(self, what: str) -> StreamingState:
+        """The streaming machinery, or the error that names the knob arming it."""
+        if self.streaming is None:
+            raise ConfigError(f"{what} requires MSSGConfig(features=Features(streaming=True))")
+        return self.streaming
+
     def compact(self) -> CompactReport:
         """Fold published stream deltas into the base stores.
 
@@ -405,15 +359,13 @@ class MSSG:
         replay, see :mod:`repro.storage.deltalog`).  Queries before and
         after a compaction read identical adjacency.
         """
-        if self.streaming is None:
-            raise ConfigError("compact requires MSSGConfig(streaming=True)")
-        report = self.streaming.compact()
+        report = self._streaming("compact").compact()
         if report.failed_backends:
             self.queries.known_dead |= set(report.failed_backends)
             self.queries.fault_tolerant = True
         # The folded edges are base data now; re-pin the (base-only) vertex
         # census so pinned degrees + (emptied) overlay still sum correctly.
-        if self.config.semi_external and report.entries_folded:
+        if self.config.features.semi_external and report.entries_folded:
             self._pin_semi_external()
         return report
 
@@ -568,7 +520,7 @@ class MSSG:
         must not report them healed.
         """
         F = self.config.num_frontends
-        compress = self.config.compress_adjacency
+        compress = self.config.features.compress_adjacency
         owner_of = self.declusterer.owner_of
         dbs = self.dbs
         tolerated = DeviceFailedError if tolerate_faults else ()
@@ -801,7 +753,7 @@ class MSSG:
         report = self.queries.query(
             analysis, source=source, dest=dest, visited=visited, max_levels=max_levels, **kw
         )
-        if report.corrupt_backends and self.config.checksums:
+        if report.corrupt_backends and self.config.features.checksums:
             report.repairs = self.repair_backends(report.corrupt_backends)
         return report
 
@@ -848,11 +800,7 @@ class MSSG:
         pairs = list(pairs)
         feed = None
         if stream_batches is not None:
-            if self.streaming is None:
-                raise ConfigError(
-                    "stream_batches requires MSSGConfig(streaming=True)"
-                )
-            feed = self.streaming.make_feed(stream_batches, every=stream_every)
+            feed = self._streaming("stream_batches").make_feed(stream_batches, every=stream_every)
             # Grow the id space *before* the drain: direction-opt bitmaps
             # and pinned visited arrays are sized from it at admission, and
             # mid-drain batches may introduce new vertex ids.
@@ -887,7 +835,7 @@ class MSSG:
         if feed is not None:
             self._absorb_feed(feed)
         corrupt = sorted({q for rep in report.queries for q in rep.corrupt_backends})
-        if corrupt and self.config.checksums:
+        if corrupt and self.config.features.checksums:
             report.repairs = self.repair_backends(corrupt)
         return report
 

@@ -9,10 +9,10 @@ CPU profile, local disks).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
+from ..features import Features
 from ..simcluster.cluster import SimNode
-from ..storage.blockcache import SharedBlockCache, validate_cache_policy
+from ..storage.blockcache import SharedBlockCache
 from ..storage.integrity import wrap_device
 from ..util.errors import ConfigError
 from .array_db import ArrayGraphDB
@@ -37,9 +37,7 @@ OUT_OF_CORE_BACKENDS = ("MySQL", "BerkeleyDB", "StreamDB", "grDB")
 BACKENDS = IN_MEMORY_BACKENDS + OUT_OF_CORE_BACKENDS
 
 
-def shared_cache_for(
-    node: SimNode, cache_blocks: int, cache_policy: str
-) -> SharedBlockCache | None:
+def shared_cache_for(node: SimNode, cache_blocks: int, policy: str) -> SharedBlockCache | None:
     """Return the node's process-wide block cache, creating it on first use.
 
     Policy ``"lru"`` means "keep the historical private per-store caches",
@@ -48,21 +46,20 @@ def shared_cache_for(
     block caching on the node into one :class:`SharedBlockCache` pool that
     every out-of-core store partitions by owner name.
     """
-    if cache_policy == "lru":
+    if policy == "lru":
         return None
-    validate_cache_policy(cache_policy)
     pool = getattr(node, "shared_block_cache", None)
     if pool is not None:
-        if pool.policy != cache_policy:
+        if pool.policy != policy:
             # Silently rebuilding the pool here would discard every resident
             # block mid-process; two stores on one node disagreeing about
             # the policy is a deployment bug, not something to paper over.
             raise ConfigError(
                 f"node already has a {pool.policy!r} shared block cache; "
-                f"cannot attach a store requesting cache_policy={cache_policy!r}"
+                f"cannot attach a store requesting cache_policy={policy!r}"
             )
         return pool
-    pool = SharedBlockCache(cache_blocks, policy=cache_policy)
+    pool = SharedBlockCache(cache_blocks, policy=policy)
     node.shared_block_cache = pool
     return pool
 
@@ -70,55 +67,42 @@ def shared_cache_for(
 def make_graphdb(
     backend: str,
     node: SimNode,
+    features: Features,
     id_map: IdMap | None = None,
     cache_blocks: int = 256,
     grdb_format: GrDBFormat | None = None,
     growth_policy: str = "link",
-    batch_io: bool = True,
-    checksums: bool = False,
-    cache_policy: str = "lru",
-    compress_adjacency: bool = False,
-    semi_external: bool = False,
-    **extra: Any,
 ) -> GraphDB:
     """Instantiate ``backend`` on ``node``.
 
     ``cache_blocks`` sizes the internal block/page cache of the out-of-core
     backends (0 disables caching, the Figure 5.2 ablation); ``id_map`` is
-    forwarded to grDB for declustered level-0 addressing; ``batch_io``
-    selects the batched/coalescing fringe-expansion path (``False`` keeps
-    the paper prototype's per-vertex loop); ``checksums`` puts every device
-    of the out-of-core backends behind the CRC32 frame layer
-    (:mod:`repro.storage.integrity`) and arms the crash-consistency
-    machinery (grDB's flush journal, StreamDB's durable commit records);
-    ``compress_adjacency`` switches grDB sub-blocks and the StreamDB log to
-    the delta+varint format (:mod:`repro.util.varint`) — a no-op for the
-    other four backends; ``semi_external`` arms the FlashGraph-style
-    semi-external-memory mode (pinned vertex state + selective adjacency
-    I/O on the out-of-core stores).
+    forwarded to grDB for declustered level-0 addressing.  The one place a
+    :class:`~repro.features.Features` becomes leaf constructor arguments: a
+    store is handed only the switches it reads (``direction_opt``,
+    ``shared_scans`` and ``streaming`` are read by the services above it).
     """
     common = dict(
         clock=node.clock,
         cpu=node.spec.cpu,
-        batch_io=batch_io,
-        semi_external=semi_external,
-        **extra,
+        batch_io=features.batch_io,
+        semi_external=features.semi_external,
     )
-    if checksums:
+    if features.checksums:
         provider = lambda name: wrap_device(node.disk(name))  # noqa: E731
     else:
         provider = node.disk
-    shared = shared_cache_for(node, cache_blocks, cache_policy)
+    shared = shared_cache_for(node, cache_blocks, features.cache_policy)
     if backend == "Array":
         return ArrayGraphDB(**common)
     if backend == "HashMap":
         return HashMapGraphDB(**common)
     if backend == "StreamDB":
-        meta = provider("stream_meta") if checksums else None
+        meta = provider("stream_meta") if features.checksums else None
         return StreamGraphDB(
             provider("streamdb"),
             meta_device=meta,
-            compress=compress_adjacency,
+            compress=features.compress_adjacency,
             **common,
         )
     if backend == "BerkeleyDB":
@@ -129,7 +113,7 @@ def make_graphdb(
         return MySQLGraphDB(provider, shared_cache=shared, **common)
     if backend == "grDB":
         fmt = grdb_format if grdb_format is not None else GrDBFormat()
-        if compress_adjacency and not fmt.compress:
+        if features.compress_adjacency and not fmt.compress:
             fmt = dataclasses.replace(fmt, compress=True)
         return GrDB(
             provider,
@@ -137,7 +121,7 @@ def make_graphdb(
             cache_blocks=cache_blocks,
             id_map=id_map,
             growth_policy=growth_policy,
-            integrity=checksums,
+            integrity=features.checksums,
             shared_cache=shared,
             **common,
         )

@@ -30,6 +30,7 @@ from ..bfs import (
     oocbfs_program,
     pipelined_bfs_program,
 )
+from ..features import Features
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import SimCluster
 from ..simcluster.comm import SubComm
@@ -130,15 +131,12 @@ class QueryService:
         cluster: SimCluster,
         dbs: list[GraphDB],
         declusterer: Declusterer,
+        features: Features,
         num_frontends: int = 0,
         fault_tolerant: bool | None = None,
         max_retries: int = 2,
         attempt_timeout: float | None = None,
-        direction_opt: bool = True,
-        checksums: bool = False,
         max_inflight: int = 64,
-        shared_scans: bool = True,
-        semi_external: bool = False,
     ):
         if cluster.nranks < num_frontends + len(dbs):
             raise ConfigError("cluster too small for the requested service layout")
@@ -157,24 +155,16 @@ class QueryService:
         )
         self.max_retries = max_retries
         self.attempt_timeout = attempt_timeout
-        #: Library default for the direction-optimizing hybrid; individual
-        #: queries can override with ``direction_opt=...``.
-        self.direction_opt = direction_opt
-        #: Put per-query scratch devices (the external visited structure)
-        #: behind the CRC32 frame layer too, matching the back-end stores.
-        self.checksums = checksums
+        #: Read once per query or drain, never per edge or block:
+        #: ``direction_opt`` / ``shared_scans`` (plan defaults a query / a
+        #: drain may override) and ``checksums`` / ``semi_external`` (how
+        #: ``visited="external"`` is kept: CRC-framed scratch device, or RAM).
+        self.features = features
         if max_inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
         #: Admission cap for concurrent drains: queries past this many
         #: in flight wait in the FIFO queue (per-query ``queue_seconds``).
         self.max_inflight = max_inflight
-        #: Arm shared backend sweeps (one device pass fanned to all of a
-        #: round's subscribers) during concurrent drains.
-        self.shared_scans = shared_scans
-        #: Semi-external-memory mode: ``visited="external"`` queries keep
-        #: their level array resident (:class:`PinnedVisited`) instead of
-        #: paging it to a per-query scratch device.
-        self.semi_external = semi_external
         #: Queries accepted by :meth:`submit`, awaiting the next :meth:`drain`.
         self._submitted: list[QuerySpec] = []
         #: Vertex-id space size, recorded at ingest time; sizes the hybrid's
@@ -264,7 +254,7 @@ class QueryService:
         if kind == "memory":
             return InMemoryVisited()
         if kind == "external":
-            if self.semi_external and self.num_vertices:
+            if self.features.semi_external and self.num_vertices:
                 # Semi-EM pins the per-query level array in RAM (charged to
                 # the budget at ingest time) — zero visited paging.  Levels
                 # are identical to the paged structure's.
@@ -272,7 +262,7 @@ class QueryService:
             # A fresh scratch file per query: level marks must not leak
             # between searches.
             dev = ctx.node.disk(f"visited-{seq}")
-            if self.checksums:
+            if self.features.checksums:
                 from ..storage.integrity import wrap_device
 
                 dev = wrap_device(dev)
@@ -301,7 +291,7 @@ class QueryService:
         pull) and the id-space size (to size the bitmap); without either —
         or when turned off — BFS runs the paper's pure top-down search.
         """
-        enabled = self.direction_opt if direction_opt is None else direction_opt
+        enabled = self.features.direction_opt if direction_opt is None else direction_opt
         if not enabled or not self.declusterer.owner_known or not self.num_vertices:
             return None
         return DirectionConfig(
@@ -446,7 +436,7 @@ class QueryService:
         inflight = self.max_inflight if max_inflight is None else int(max_inflight)
         if inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {inflight}")
-        sharing = self.shared_scans if shared_scans is None else bool(shared_scans)
+        sharing = self.features.shared_scans if shared_scans is None else bool(shared_scans)
         # BFS specs get an Algorithm-1 config; analytics specs get a
         # level-marked vertex-program generator factory instead.
         from .vertexprog import make_vp_generator, vp_report

@@ -55,9 +55,8 @@ CACHE_POLICIES = ("lru", "2q")
 def validate_cache_policy(policy: str) -> str:
     """Validate a ``cache_policy`` knob value; returns it unchanged.
 
-    The single source of truth for the error — config surfaces
-    (``MSSGConfig``, ``shared_cache_for``) and the pool constructor all
-    call this instead of re-validating with their own wording.
+    The single source of truth for the error: ``Features`` and the pool
+    constructor both call this instead of re-validating in their own words.
     """
     if policy not in CACHE_POLICIES:
         raise ConfigError(

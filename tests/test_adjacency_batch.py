@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro import MSSG, MSSGConfig
 from repro.bfs.direction import _adjacency_source, _claim_batch
 from repro.experiments.harness import EXPERIMENT_NODE_SPEC, scaled_grdb_format
-from repro.graphdb import BACKENDS, AdjacencyBatch, GrDBFormat, ModuloMap, make_graphdb
+from repro.graphdb import BACKENDS, AdjacencyBatch, GrDBFormat, ModuloMap
 from repro.graphdb.grdb.format import EMPTY_SLOT, is_pointer
 from repro.graphgen import dedupe_edges, preferential_attachment, pubmed_like
 from repro.services.sharedscan import BOTTOM_UP_SCAN, ScanBoard
@@ -36,6 +36,8 @@ from repro.services.streaming import DeltaOverlay, OverlayView
 from repro.simcluster import FaultPlan, NodeSpec, SimNode
 from repro.util import DeviceFailedError
 from repro.util.bitset import Bitset
+
+from .helpers import make_store
 
 FMT = GrDBFormat(
     capacities=(2, 4, 16, 64),
@@ -143,7 +145,7 @@ SUBSET = np.array([5, 3, 250, 5, 100000, 424242, 299, 0, 17, 17, 1000, 301])
 
 
 def build(backend: str, overlay: list, **kwargs):
-    db = make_graphdb(backend, SimNode(0, NodeSpec()), grdb_format=FMT, **kwargs)
+    db = make_store(backend, SimNode(0, NodeSpec()), grdb_format=FMT, **kwargs)
     db.store_edges(EDGES)
     db.finalize_ingest()
     if overlay:
@@ -283,7 +285,7 @@ def test_sweep_pieces_group_to_the_pervertex_lists(
     """Random multigraphs (duplicate edges, self-loops) on a declustered
     shard: the sweep's pieces, grouped, are ``_get_adjacency`` exactly."""
     id_map = ModuloMap(2, 0)
-    db = make_graphdb(
+    db = make_store(
         "grDB", SimNode(0, NodeSpec()), id_map=id_map, grdb_format=FMT,
         compress_adjacency=compress, growth_policy=policy, cache_blocks=cache_blocks,
     )
@@ -398,7 +400,7 @@ def test_claim_feedback_keeps_the_answer_on_fewer_device_bytes():
 
 
 def test_array_scan_before_finalize_walks_the_staging_map():
-    db = make_graphdb("Array", SimNode(0, NodeSpec()))
+    db = make_store("Array", SimNode(0, NodeSpec()))
     db.store_edges(EDGES)
     staged = flatten(db.scan_adjacency())
     db.finalize_ingest()

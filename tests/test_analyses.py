@@ -343,11 +343,11 @@ class TestLocalVertices:
         "backend", ["Array", "HashMap", "MySQL", "BerkeleyDB", "StreamDB", "grDB"]
     )
     def test_enumeration_matches_stored(self, backend):
-        from repro.graphdb import make_graphdb
+        from .helpers import make_store
         from repro.simcluster import NodeSpec, SimNode
 
         node = SimNode(0, NodeSpec())
-        db = make_graphdb(backend, node)
+        db = make_store(backend, node)
         db.store_edges([(3, 1), (7, 2), (3, 9), (100, 4)])
         db.finalize_ingest()
         assert db.local_vertices().tolist() == [3, 7, 100]

@@ -14,11 +14,13 @@ import pytest
 import repro.graphdb.grdb.format as grdb_format
 from repro import MSSG, MSSGConfig
 from repro.experiments.harness import EXPERIMENT_NODE_SPEC, scaled_grdb_format
-from repro.graphdb import GrDBFormat, ModuloMap, make_graphdb
+from repro.graphdb import GrDBFormat, ModuloMap
 from repro.graphdb.bdb_db import BerkeleyGraphDB
 from repro.graphgen import dedupe_edges, preferential_attachment, pubmed_like
 from repro.simcluster import BlockDevice, MemoryBacking, NodeSpec, SimNode
 from repro.util import LongArray
+
+from .helpers import make_store
 
 FMT = GrDBFormat(
     capacities=(2, 4, 16, 64),
@@ -34,7 +36,7 @@ EDGES = dedupe_edges(preferential_attachment(300, 3, seed=11))
 
 def build(backend: str, batch_io: bool, id_map=None, compress: bool = False):
     node = SimNode(0, NodeSpec())
-    db = make_graphdb(
+    db = make_store(
         backend, node, id_map=id_map, grdb_format=FMT, batch_io=batch_io,
         compress_adjacency=compress,
     )

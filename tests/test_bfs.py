@@ -14,9 +14,10 @@ from repro.bfs import (
     pipelined_bfs_program,
     sample_queries_by_distance,
 )
-from repro.graphdb import make_graphdb
 from repro.graphgen import CSRGraph, dedupe_edges, preferential_attachment
 from repro.simcluster import SimCluster
+
+from .helpers import make_store
 
 
 def partition_edges(edges: np.ndarray, nparts: int) -> list[np.ndarray]:
@@ -40,7 +41,7 @@ def run_parallel_bfs(
     parts = partition_edges(np.asarray(edges, dtype=np.int64), nranks)
     dbs = []
     for q, node in enumerate(cluster.nodes):
-        db = make_graphdb(backend, node)
+        db = make_store(backend, node)
         db.store_edges(parts[q])
         db.finalize_ingest()
         dbs.append(db)
@@ -198,7 +199,7 @@ class TestPipelineBehavior:
             parts = partition_edges(edges, 4)
             dbs = []
             for q, node in enumerate(cluster.nodes):
-                db = make_graphdb("HashMap", node)
+                db = make_store("HashMap", node)
                 db.store_edges(parts[q])
                 db.finalize_ingest()
                 dbs.append(db)

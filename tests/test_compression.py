@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
-from repro.graphdb import AdjacencyBatch, GrDB, GrDBFormat, make_graphdb
+from repro.graphdb import AdjacencyBatch, GrDB, GrDBFormat
 from repro.graphdb.grdb.defrag import chain_length, defragment
 from repro.graphdb.grdb.format import (
     COMPRESSED_COUNT_CAP,
@@ -46,6 +46,8 @@ from repro.util.varint import (
     split_sorted_fit,
     varint_lengths,
 )
+
+from .helpers import make_store
 
 # Tiny geometry so multi-level chains and multi-file layouts occur at test
 # scale (same shape the persistence/integrity tests use).
@@ -697,7 +699,7 @@ class TestCompressedCrashRecovery:
         return {v: sorted(db.get_adjacency(v).tolist()) for v in range(30)}
 
     def _ingested(self, node):
-        db = make_graphdb(
+        db = make_store(
             "grDB",
             node,
             grdb_format=FMT,
@@ -730,7 +732,7 @@ class TestCompressedCrashRecovery:
         node.install_fault_plan(None)
         for dev in node._disks.values():
             dev.revive()
-        db2 = make_graphdb(
+        db2 = make_store(
             "grDB",
             node,
             grdb_format=FMT,
@@ -752,7 +754,7 @@ class TestCompressedCrashRecovery:
     @pytest.mark.parametrize("crash_after_ops", [0, 1, 2, 4])
     def test_streamdb_compressed_crash_mid_flush(self, crash_after_ops):
         node = SimNode(0, NodeSpec())
-        db = make_graphdb(
+        db = make_store(
             "StreamDB", node, checksums=True, compress_adjacency=True
         )
         edges = _random_edges(np.random.default_rng(3), 10, 600)
@@ -771,7 +773,7 @@ class TestCompressedCrashRecovery:
         node.install_fault_plan(None)
         for dev in node._disks.values():
             dev.revive()
-        db2 = make_graphdb(
+        db2 = make_store(
             "StreamDB", node, checksums=True, compress_adjacency=True
         )
         got = {v: sorted(db2.get_adjacency(v).tolist()) for v in range(10)}

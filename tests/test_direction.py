@@ -260,10 +260,10 @@ class TestFailoverComposition:
 
 class TestPaperModeUnchanged:
     def test_deployment_defaults_off(self):
-        assert Deployment(backend="grDB", num_backends=4).direction_opt is False
+        assert Deployment(backend="grDB", num_backends=4).features.direction_opt is False
 
     def test_library_default_on(self):
-        assert MSSGConfig().direction_opt is True
+        assert MSSGConfig().features.direction_opt is True
 
     def test_off_timing_independent_of_library_default(self):
         """direction_opt=False must be byte-identical to a deployment that

@@ -151,10 +151,10 @@ class TestEngineGuards:
             reopened.get(b"a")
 
     def test_store_edges_wrong_shape(self):
-        from repro.graphdb import make_graphdb
+        from .helpers import make_store
 
         node = SimNode(0, NodeSpec())
-        db = make_graphdb("HashMap", node)
+        db = make_store("HashMap", node)
         with pytest.raises(ValueError):
             db.store_edges(np.array([1, 2, 3]))  # not reshapable to (E, 2)
 

@@ -14,15 +14,16 @@ from repro.graphdb import (
     OP_LT,
     OP_NEQ,
     UNSET,
-    make_graphdb,
 )
 from repro.simcluster import NodeSpec, SimNode
 from repro.util import GraphStorageException, LongArray
 
+from .helpers import make_store
+
 
 def build(backend, **kw):
     node = SimNode(0, NodeSpec())
-    return make_graphdb(backend, node, **kw), node
+    return make_store(backend, node, **kw), node
 
 
 def store_and_finalize(db, edges):

@@ -14,7 +14,7 @@ import pytest
 
 from repro import MSSG, MSSGConfig
 from repro.framework import ScrubReport
-from repro.graphdb import GrDB, GrDBFormat, make_graphdb
+from repro.graphdb import GrDB, GrDBFormat
 from repro.graphdb.registry import BACKENDS, IN_MEMORY_BACKENDS
 from repro.graphdb.stream_db import StreamGraphDB
 from repro.graphgen import pubmed_like
@@ -38,6 +38,8 @@ from repro.util import (
     DeviceFailedError,
     GraphStorageException,
 )
+
+from .helpers import make_store
 
 
 class TestChecksummedDevice:
@@ -256,7 +258,7 @@ FMT = GrDBFormat(
 
 
 def _ingested_grdb(node, integrity=True, cache_blocks=64):
-    db = make_graphdb(
+    db = make_store(
         "grDB",
         node,
         grdb_format=FMT,
@@ -280,7 +282,7 @@ class TestGrDBCrashRecovery:
         db, _ = _ingested_grdb(node)
         db.flush()
         want = self._adjacency_image(db)
-        db2 = make_graphdb("grDB", node, grdb_format=FMT, checksums=True)
+        db2 = make_store("grDB", node, grdb_format=FMT, checksums=True)
         assert db2.restored
         assert self._adjacency_image(db2) == want
 
@@ -311,7 +313,7 @@ class TestGrDBCrashRecovery:
     @pytest.mark.parametrize("crash_after_ops", [0, 1, 2, 3, 5, 8, 13, 40])
     def test_recovery_adopts_published_image(self, crash_after_ops):
         node, published, flushed, old = self._crash_mid_flush(crash_after_ops)
-        db2 = make_graphdb("grDB", node, grdb_format=FMT, checksums=True)
+        db2 = make_store("grDB", node, grdb_format=FMT, checksums=True)
         assert db2.restored
         got = self._adjacency_image(db2)
         if flushed:
@@ -335,17 +337,17 @@ class TestGrDBCrashRecovery:
 
     def test_recovered_instance_can_keep_ingesting(self):
         node, _, _, _ = self._crash_mid_flush(2)
-        db2 = make_graphdb("grDB", node, grdb_format=FMT, checksums=True)
+        db2 = make_store("grDB", node, grdb_format=FMT, checksums=True)
         db2.store_edges([(0, 77777)])
         assert 77777 in db2.get_adjacency(0).tolist()
         db2.flush()
-        db3 = make_graphdb("grDB", node, grdb_format=FMT, checksums=True)
+        db3 = make_store("grDB", node, grdb_format=FMT, checksums=True)
         assert 77777 in db3.get_adjacency(0).tolist()
 
 
 class TestStreamDBCrashRecovery:
     def _mk(self, node):
-        return make_graphdb("StreamDB", node, checksums=True)
+        return make_store("StreamDB", node, checksums=True)
 
     def test_durable_commit_and_reopen(self):
         node = SimNode(0, NodeSpec())
@@ -393,7 +395,7 @@ class TestStreamDBCrashRecovery:
 
     def test_unchecksummed_streamdb_has_no_meta_device(self):
         node = SimNode(0, NodeSpec())
-        db = make_graphdb("StreamDB", node, checksums=False)
+        db = make_store("StreamDB", node, checksums=False)
         assert db.meta_device is None
         assert "stream_meta" not in node._disks
 

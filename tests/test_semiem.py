@@ -15,7 +15,7 @@ import pytest
 
 from repro import MSSG, MSSGConfig
 from repro.bfs import INFINITY, PinnedVisited
-from repro.graphdb import GrDBFormat, make_graphdb
+from repro.graphdb import GrDBFormat
 from repro.graphdb.metadata import UNSET, PinnedMetadata
 from repro.graphdb.registry import BACKENDS, OUT_OF_CORE_BACKENDS, shared_cache_for
 from repro.graphdb.stream_db import StreamGraphDB
@@ -28,6 +28,8 @@ from repro.storage.blockcache import (
     validate_cache_policy,
 )
 from repro.util.errors import ConfigError, StorageEngineError
+
+from .helpers import make_store
 
 
 def _random_edges(rng, nverts, nedges):
@@ -69,7 +71,7 @@ class TestCachePolicyValidation:
         node2 = SimNode(1, NodeSpec())
         node2.shared_block_cache = SharedBlockCache(8, policy="lru")
         with pytest.raises(ConfigError, match="already has a 'lru' shared block cache"):
-            make_graphdb("grDB", node2, cache_blocks=8, cache_policy="2q")
+            make_store("grDB", node2, cache_blocks=8, cache_policy="2q")
 
     def test_registry_mismatch_does_not_rebuild_pool(self):
         node = SimNode(0, NodeSpec())
@@ -295,7 +297,7 @@ class TestPinnedVisited:
 class TestPinnedVertexState:
     def _db(self, backend, semi=True, node=None, **kw):
         node = node if node is not None else SimNode(0, NodeSpec())
-        return make_graphdb(backend, node, cache_blocks=32, semi_external=semi, **kw)
+        return make_store(backend, node, cache_blocks=32, semi_external=semi, **kw)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degree_and_vertices_served_from_pinned_arrays(self, backend):
@@ -457,7 +459,7 @@ class TestGrDBDirectory:
 
     def _db(self, semi=True, cache_blocks=64):
         node = SimNode(0, NodeSpec())
-        db = make_graphdb(
+        db = make_store(
             "grDB",
             node,
             cache_blocks=cache_blocks,

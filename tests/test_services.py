@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graphdb import make_graphdb
 from repro.graphgen import dedupe_edges, preferential_attachment
 from repro.services import (
     EdgeRoundRobin,
@@ -15,6 +14,8 @@ from repro.services import (
 )
 from repro.simcluster import SimCluster
 from repro.util import ConfigError
+
+from .helpers import STORE_FEATURES, make_store
 
 EDGES = dedupe_edges(preferential_attachment(200, 3, seed=4))
 
@@ -71,7 +72,7 @@ class TestDeclusterers:
 def make_service(nfront=1, nback=3, backend="HashMap", decluster=VertexRoundRobin, **kw):
     cluster = SimCluster(nranks=nfront + nback)
     dbs = [
-        make_graphdb(backend, cluster.nodes[nfront + q]) for q in range(nback)
+        make_store(backend, cluster.nodes[nfront + q]) for q in range(nback)
     ]
     declusterer = decluster(nback)
     svc = IngestionService(
@@ -114,7 +115,7 @@ class TestIngestionService:
 
     def test_config_validation(self):
         cluster = SimCluster(nranks=2)
-        dbs = [make_graphdb("HashMap", cluster.nodes[1])]
+        dbs = [make_store("HashMap", cluster.nodes[1])]
         with pytest.raises(ConfigError):
             IngestionService(cluster, dbs, VertexRoundRobin(2), num_frontends=1)
         with pytest.raises(ConfigError):
@@ -138,7 +139,7 @@ class TestQueryService:
             nfront=nfront, nback=nback, backend=backend, decluster=decluster
         )
         svc.ingest(EDGES)
-        return QueryService(cluster, dbs, declusterer, num_frontends=nfront)
+        return QueryService(cluster, dbs, declusterer, STORE_FEATURES, num_frontends=nfront)
 
     def test_bfs_query_correct(self):
         from repro.bfs import bfs_distance
