@@ -14,11 +14,18 @@ instead of raw 16-byte pairs::
 
 where the payload is :func:`repro.util.varint.encode_edge_block` (edges
 sorted by ``(src, dst)``, two gap streams).  Appends stay purely
-sequential; every scan pays a per-byte vectorized decode cost but streams
-3-5x fewer bytes off the device.  The committed extent is then tracked in
-*bytes* (records are variable-length), the durable commit record carries a
-distinct magic plus that byte extent, and opening a log with the wrong
-mode raises instead of mis-parsing it.
+sequential; every scan is charged ``varint_decode_seconds`` per payload byte
+but streams 3-5x fewer bytes off the device.  A decoded record *is* a CSR
+slice — group sources ascending, one sorted list each — so a compressed
+replay is a list of one ``AdjacencyBatch`` per record and every read picks
+its vertices out of the group sources (``segments`` + ``gather_segments``):
+the order the encoder wrote is the read plan, and nothing is expanded to
+``(E, 2)``, filtered edge by edge or re-sorted.  The raw log is in arrival
+order, has no such order to exploit, and keeps the flat ``(E, 2)`` plan.
+The committed extent is then tracked in *bytes* (records are
+variable-length), the durable commit record carries a distinct magic plus
+that byte extent, and opening a log with the wrong mode raises instead of
+mis-parsing it.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ import numpy as np
 from ..simcluster.disk import BlockDevice
 from ..util.errors import CorruptBlockError, GraphStorageException
 from ..util.longarray import LongArray
-from ..util.varint import decode_edge_block, encode_edge_block
-from .interface import AdjacencyBatch, GraphDB
+from ..util.varint import decode_edge_groups, encode_edge_block
+from .interface import AdjacencyBatch, GraphDB, gather_segments
 
 __all__ = ["StreamGraphDB"]
 
@@ -275,16 +282,20 @@ class StreamGraphDB(GraphDB):
         return bool(commits)
 
     # -- retrieval ---------------------------------------------------------
+    #
+    # A *replay* is what a read streams past the CPU: one ``(E, 2)`` int64
+    # array in arrival order (raw log), or one ``AdjacencyBatch`` per log
+    # record (compressed log) — see the module doc.
 
-    def _scan(self) -> "np.ndarray":
+    def _scan(self) -> "np.ndarray | list[AdjacencyBatch]":
         """Stream the whole edge log from disk in large sequential chunks.
 
         Under the concurrent multiplexer a :class:`ScanBoard` may be armed
         for log replays: the first consumer of a scheduling round performs
-        the device pass and publishes the decoded array (keyed by the
+        the device pass and publishes the decoded replay (keyed by the
         committed edge count, so an ingest invalidates it); later consumers
-        read it back without touching the device.  Callers treat the array
-        as read-only (they mask/sort into copies), so sharing is safe.
+        read it back without touching the device.  Callers treat a replay
+        as read-only (they gather into copies), so sharing is safe.
         """
         self.flush()
         committed = self._committed_bytes()
@@ -305,7 +316,7 @@ class StreamGraphDB(GraphDB):
             board = None
         rows = [] if self._rebuild_records else None
         if self.compress:
-            edges = self._scan_compressed(committed, rows=rows)
+            replay = self._scan_compressed(committed, rows=rows)
         else:
             chunks = []
             offset = 0
@@ -330,22 +341,66 @@ class StreamGraphDB(GraphDB):
                 chunks.append(chunk)
                 offset += take * _EDGE_BYTES
                 remaining -= take
-            edges = np.vstack(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
+            replay = np.vstack(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
         if rows is not None:
             self._records = rows
             self._rebuild_records = False
         if board is not None:
-            board.publish("log-replay", self._nedges, edges)
-        return edges
+            board.publish("log-replay", self._nedges, replay)
+        return replay
 
-    def _scan_compressed(self, committed: int, rows: list | None = None) -> "np.ndarray":
+    def _parse_record(self, buf: bytes, off: int, origin: int = 0) -> tuple[AdjacencyBatch, int]:
+        """Parse the compressed record at ``buf[off:]`` (``buf`` begins at
+        device offset ``origin``): ``(record batch, payload bytes)``.
+
+        The one parser of both replays.  A truncated header or payload, a
+        bad magic and a payload the decoder does not consume exactly raise
+        :class:`CorruptBlockError` at the offending offset; the varint codec
+        raises :class:`GraphStorageException` on non-monotone streams.
+        """
+        if off + _CREC_HEADER.size > len(buf):
+            raise CorruptBlockError(
+                self.device.name,
+                origin + off,
+                len(buf) - off,
+                "truncated compressed edge-record header",
+            )
+        magic, nedges, nbytes = _CREC_HEADER.unpack_from(buf, off)
+        if magic != _CREC_MAGIC:
+            raise CorruptBlockError(
+                self.device.name,
+                origin + off,
+                _CREC_HEADER.size,
+                f"bad compressed edge-record magic 0x{magic:08x}",
+            )
+        off += _CREC_HEADER.size
+        if off + nbytes > len(buf):
+            raise CorruptBlockError(
+                self.device.name,
+                origin + off,
+                nbytes - (len(buf) - off),
+                f"compressed edge record promises {nbytes} payload bytes "
+                f"but only {len(buf) - off} remain in the committed extent",
+            )
+        sources, offsets, dsts, consumed = decode_edge_groups(
+            buf[off : off + nbytes], nedges, what="StreamDB log record"
+        )
+        if consumed != nbytes:
+            raise CorruptBlockError(
+                self.device.name,
+                origin + off,
+                nbytes,
+                f"compressed edge record decoded {consumed} of its "
+                f"{nbytes} payload bytes",
+            )
+        return AdjacencyBatch(sources, offsets, dsts), nbytes
+
+    def _scan_compressed(self, committed: int, rows: list | None = None) -> list[AdjacencyBatch]:
         """Stream and decode the compressed record log up to ``committed``.
 
         The device pass is the same large sequential chunking as the raw
-        scan (just over fewer bytes); records are then parsed from memory.
-        Truncated headers/payloads and bad magics raise
-        :class:`CorruptBlockError` at the offending offset; the varint codec
-        raises :class:`GraphStorageException` on non-monotone streams.
+        scan (just over fewer bytes); records are then parsed from memory
+        (:meth:`_parse_record`), one batch each.
         Charges ``varint_decode_seconds`` per payload byte decoded.
         ``rows`` (post-restore directory rebuild) collects one exact
         ``(offset, nbytes, nedges, src_lo, src_hi)`` row per record parsed.
@@ -358,58 +413,26 @@ class StreamGraphDB(GraphDB):
             chunks.append(self.device.read(offset, take))
             offset += take
         buf = b"".join(chunks)
-        parts = []
+        records = []
         off = 0
         payload_bytes = 0
         total_edges = 0
         while off < len(buf):
-            if off + _CREC_HEADER.size > len(buf):
-                raise CorruptBlockError(
-                    self.device.name,
-                    off,
-                    len(buf) - off,
-                    "truncated compressed edge-record header",
-                )
-            magic, nedges, nbytes = _CREC_HEADER.unpack_from(buf, off)
-            if magic != _CREC_MAGIC:
-                raise CorruptBlockError(
-                    self.device.name,
-                    off,
-                    _CREC_HEADER.size,
-                    f"bad compressed edge-record magic 0x{magic:08x}",
-                )
-            off += _CREC_HEADER.size
-            if off + nbytes > len(buf):
-                raise CorruptBlockError(
-                    self.device.name,
-                    off,
-                    nbytes - (len(buf) - off),
-                    f"compressed edge record promises {nbytes} payload bytes "
-                    f"but only {len(buf) - off} remain in the committed extent",
-                )
-            block, consumed = decode_edge_block(
-                buf[off : off + nbytes], nedges, what="StreamDB log record"
-            )
-            if consumed != nbytes:
-                raise CorruptBlockError(
-                    self.device.name,
-                    off,
-                    nbytes,
-                    f"compressed edge record decoded {consumed} of its "
-                    f"{nbytes} payload bytes",
-                )
-            if rows is not None and nedges:
-                rows.append(
-                    (
-                        off - _CREC_HEADER.size,
-                        _CREC_HEADER.size + nbytes,
-                        nedges,
-                        int(block[:, 0].min()),
-                        int(block[:, 0].max()),
+            record, nbytes = self._parse_record(buf, off)
+            nedges = len(record.neighbors)
+            if nedges:
+                records.append(record)
+                if rows is not None:
+                    rows.append(
+                        (
+                            off,
+                            _CREC_HEADER.size + nbytes,
+                            nedges,
+                            int(record.vertices[0]),
+                            int(record.vertices[-1]),
+                        )
                     )
-                )
-            parts.append(block)
-            off += nbytes
+            off += _CREC_HEADER.size + nbytes
             payload_bytes += nbytes
             total_edges += nedges
         if total_edges != self._nedges:
@@ -421,7 +444,7 @@ class StreamGraphDB(GraphDB):
                 f"{self._nedges} are committed",
             )
         self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
-        return np.vstack(parts) if parts else np.zeros((0, 2), dtype=np.int64)
+        return records
 
     # -- semi-EM selective I/O (GraphMP-style record scheduling) -----------
 
@@ -443,13 +466,13 @@ class StreamGraphDB(GraphDB):
         mask[hit] = wanted[np.minimum(idx[hit], len(wanted) - 1)] <= his[hit]
         return mask
 
-    def _scan_selective(self, wanted: np.ndarray) -> "np.ndarray | None":
+    def _scan_selective(self, wanted: np.ndarray) -> "np.ndarray | list[AdjacencyBatch] | None":
         """Fetch only the log records whose source extent intersects ``wanted``.
 
-        Returns the concatenated edges of the selected records in log order
-        — a superset of the wanted adjacency that is *filter-equivalent* to
+        Returns the replay of the selected records in log order — a
+        superset of the wanted adjacency that is *filter-equivalent* to
         the full log (skipped records cannot contain wanted sources), so
-        every caller's mask produces bit-identical answers.  ``None`` means
+        every caller's pick produces bit-identical answers.  ``None`` means
         the selective plan does not apply (no directory, a shared scan is
         armed, or the frontier covers most records) and the caller should
         use :meth:`_scan`.
@@ -471,7 +494,7 @@ class StreamGraphDB(GraphDB):
         self.selective_scans += 1
         self.records_skipped += len(mask) - len(picked)
         if len(picked) == 0:
-            return np.zeros((0, 2), dtype=np.int64)
+            return [] if self.compress else np.zeros((0, 2), dtype=np.int64)
         # Coalesce adjacent selected records into single sequential reads.
         runs: list[tuple[int, int]] = []
         for i in picked:
@@ -490,28 +513,26 @@ class StreamGraphDB(GraphDB):
             if run_off is None or off >= run_off + len(run_data):
                 run_off = next(run_iter)[0]
                 run_data = buf[run_off]
-            raw = run_data[off - run_off : off - run_off + nbytes]
+            at = off - run_off
             if self.compress:
-                magic, hdr_edges, hdr_bytes = _CREC_HEADER.unpack_from(raw)
-                if magic != _CREC_MAGIC or hdr_edges != nedges:
+                record, payload = self._parse_record(run_data, at, origin=run_off)
+                if len(record.neighbors) != nedges or _CREC_HEADER.size + payload != nbytes:
                     raise CorruptBlockError(
                         self.device.name,
                         off,
                         nbytes,
                         "directory/record mismatch in selective scan",
                     )
-                block, _ = decode_edge_block(
-                    raw[_CREC_HEADER.size :], nedges, what="StreamDB log record"
-                )
-                payload_bytes += hdr_bytes
-                parts.append(block)
+                payload_bytes += payload
+                parts.append(record)
             else:
+                raw = run_data[at : at + nbytes]
                 parts.append(
                     np.frombuffer(raw, dtype="<u8").reshape(-1, 2).astype(np.int64)
                 )
         if payload_bytes:
             self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
-        return np.vstack(parts)
+        return parts if self.compress else np.vstack(parts)
 
     def frontier_block_coverage(self, vertices) -> float | None:
         if not self.semi_external:
@@ -526,14 +547,33 @@ class StreamGraphDB(GraphDB):
     def _directory_bytes(self) -> int:
         return 0 if self._records is None else len(self._records) * 5 * 8
 
+    def _replay(self, wanted: np.ndarray | None) -> "np.ndarray | list[AdjacencyBatch]":
+        """The log entries a read streams past the CPU — the selective plan
+        for ``wanted`` (sorted, unique) where it applies, else the whole log
+        — charged one ``edge_visit_seconds`` per entry."""
+        replay = None if wanted is None else self._scan_selective(wanted)
+        if replay is None:
+            replay = self._scan()
+        entries = sum(len(r.neighbors) for r in replay) if self.compress else len(replay)
+        self.clock.advance(entries * self.cpu.edge_visit_seconds)
+        self.log_edges_scanned += entries
+        return replay
+
+    @staticmethod
+    def _pick(records: list[AdjacencyBatch], wanted: np.ndarray) -> list[tuple]:
+        """Per record, the lists it holds of ``wanted`` (sorted, unique), in
+        that order: ``(neighbors, bounds)`` as :func:`gather_segments` packs
+        them — work proportional to what is asked for, not to the log."""
+        return [gather_segments(r.neighbors, *r.segments(wanted)) for r in records]
+
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         wanted = np.array([vertex], dtype=np.int64)
-        edges = self._scan_selective(wanted)
-        if edges is None:
-            edges = self._scan()
-        self.clock.advance(len(edges) * self.cpu.edge_visit_seconds)
-        self.log_edges_scanned += len(edges)
-        return edges[edges[:, 0] == vertex, 1]
+        replay = self._replay(wanted)
+        if len(replay) == 0:
+            return np.empty(0, dtype=np.int64)
+        if self.compress:
+            return np.concatenate([found for found, _ in self._pick(replay, wanted)])
+        return replay[replay[:, 0] == vertex, 1]
 
     def _expand_fringe(self, vertices, adjlist: LongArray) -> None:
         """One full scan answers the entire fringe (the Active-Disks trick).
@@ -545,16 +585,16 @@ class StreamGraphDB(GraphDB):
         fringe = np.asarray(vertices, dtype=np.int64)
         if len(fringe) == 0:
             return
-        edges = self._scan_selective(np.unique(fringe))
-        if edges is None:
-            edges = self._scan()
-        self.clock.advance(len(edges) * self.cpu.edge_visit_seconds)
-        self.log_edges_scanned += len(edges)
+        wanted = np.unique(fringe)
+        replay = self._replay(wanted)
         self.stats.adjacency_requests += len(fringe)
-        if len(edges) == 0:
+        if len(replay) == 0:
             return
-        mask = np.isin(edges[:, 0], fringe)
-        matched = edges[mask, 1]
+        if self.compress:
+            # Record by record, vertex ascending within one: log order.
+            matched = np.concatenate([found for found, _ in self._pick(replay, wanted)])
+        else:
+            matched = replay[np.isin(replay[:, 0], fringe), 1]
         self.stats.edges_scanned += len(matched)
         adjlist.extend(matched)
 
@@ -564,35 +604,46 @@ class StreamGraphDB(GraphDB):
         The storage order of StreamDB *is* the log, so the sequential plan
         is the same full scan ``expand_fringe`` uses: stream every logged
         edge past the CPU once, then hand out one batch grouped by source
-        (complete lists: ``done`` has nothing left to stop).
+        (complete lists: ``done`` has nothing left to stop) — one batch even
+        when a compressed log holds several records: a batch per record
+        would let the claim scan retire vertices between them, which moves
+        early-exit accounting and with it the virtual clock.
         Per-edge claim-check time is the caller's (early-exit accounting).
         """
         wanted = None
-        edges = None
         if vertices is not None:
             wanted = np.unique(np.asarray(vertices, dtype=np.int64))
             if len(wanted) == 0:
                 return
-            edges = self._scan_selective(wanted)
-        if edges is None:
-            edges = self._scan()
-        self.clock.advance(len(edges) * self.cpu.edge_visit_seconds)
-        self.log_edges_scanned += len(edges)
-        if len(edges) == 0:
+        replay = self._replay(wanted)
+        if len(replay) == 0:
+            return
+        if not self.compress:
+            if wanted is not None:
+                replay = replay[np.isin(replay[:, 0], wanted)]
+                if len(replay) == 0:
+                    return
+            yield AdjacencyBatch.from_edges(replay)
             return
         if wanted is not None:
-            edges = edges[np.isin(edges[:, 0], wanted)]
-            if len(edges) == 0:
-                return
-        yield AdjacencyBatch.from_edges(edges)
+            replay = [
+                AdjacencyBatch.nonempty(wanted, bounds, found)
+                for found, bounds in self._pick(replay, wanted)
+                if len(found)
+            ]
+        if len(replay) > 1:
+            # A vertex recurring across records: its segments in record order.
+            yield AdjacencyBatch.concat(replay).grouped()
+        elif replay:
+            yield replay[0]
 
     def _local_vertices(self) -> np.ndarray:
-        edges = self._scan()
-        self.clock.advance(len(edges) * self.cpu.edge_visit_seconds)
-        self.log_edges_scanned += len(edges)
-        if len(edges) == 0:
+        replay = self._replay(None)
+        if len(replay) == 0:
             return np.empty(0, dtype=np.int64)
-        return np.unique(edges[:, 0])
+        if self.compress:
+            return np.unique(np.concatenate([record.vertices for record in replay]))
+        return np.unique(replay[:, 0])
 
     @property
     def num_edges_logged(self) -> int:

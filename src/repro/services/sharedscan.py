@@ -26,7 +26,8 @@ from __future__ import annotations
 
 __all__ = ["ScanBoard", "LOG_REPLAY", "BOTTOM_UP_SCAN"]
 
-#: Sweep key: StreamDB's full edge-log replay (decoded ``(E, 2)`` array).
+#: Sweep key: StreamDB's full edge-log replay (raw log: the ``(E, 2)`` array;
+#: compressed log: one ``AdjacencyBatch`` per record, in log order).
 LOG_REPLAY = "log-replay"
 #: Sweep key: whole-store storage-order adjacency scan (one ``AdjacencyBatch``).
 BOTTOM_UP_SCAN = "bottom-up"

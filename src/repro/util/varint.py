@@ -12,10 +12,12 @@ high bit = continuation.  Nine bytes carry 63 payload bits, so the codec
 covers exactly the ids ``0 .. 2**63 - 1`` (every non-negative int64) and a
 ten-byte group is never canonical.
 
-Both encode and decode are numpy-vectorized: encode computes every value's
-byte length with one binary search over the nine thresholds and scatters the
-7-bit groups in at most nine passes; decode finds group terminators from the continuation
-bits, reduces each group with ``np.add.reduceat``, and rebuilds values with
+Both encode and decode are numpy-vectorized, per *value* rather than per
+byte: encode computes every value's byte length with one binary search over
+the nine thresholds and scatters the 7-bit groups in at most nine passes;
+decode finds group terminators from the continuation bits, gathers the first
+byte of every group, ORs in one further byte position per pass over only the
+groups that reach it (adjacency gaps are 1-3 bytes), and rebuilds values with
 one cumulative sum.  The decode side is what the CPU cost model charges
 (``CpuProfile.varint_decode_seconds`` per encoded byte).  numpy dispatch
 costs microseconds per call whatever the size, so code that handles many
@@ -30,6 +32,10 @@ module adds a two-stream layout: edges sorted by ``(src, dst)``, sources
 delta-encoded non-strictly (repeats are legal — a vertex has many edges),
 and destinations delta-encoded within each source group, restarting raw at
 every group boundary (detectable from the source stream's non-zero gaps).
+A block is therefore its own CSR — strictly increasing group sources, one
+sorted list each — and :func:`decode_edge_groups` returns it as such, so a
+reader that wants adjacency lists never re-sorts what the encoder sorted;
+:func:`decode_edge_block` expands it to one ``(src, dst)`` row per edge.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "split_sorted_fit",
     "fit_sorted_segments",
     "encode_edge_block",
+    "decode_edge_groups",
     "decode_edge_block",
     "edge_block_bytes",
 ]
@@ -119,27 +126,38 @@ def decode_varints(buf: bytes, count: int, what: str = "varint stream") -> tuple
             f"only {len(terminators)} varints terminate in {len(b)} bytes"
         )
     end = int(terminators[count - 1]) + 1
-    values, lengths = _join_groups(b[:end], terminators[:count])
+    values, lengths = _join_groups(b, terminators[:count])
+    _reject_long_groups(lengths, what)
+    return values, end
+
+
+def _reject_long_groups(lengths: np.ndarray, what: str) -> None:
     if int(lengths.max()) > 9:
         raise GraphStorageException(
             f"corrupt {what}: varint group of {int(lengths.max())} bytes "
             "(canonical maximum is 9)"
         )
-    return values, end
 
 
 def _join_groups(b: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value and byte length of each varint group of ``b``, given the index
-    of every group's terminator.  Callers reject lengths above 9 (a shift
-    past 63 bits yields 0, never an exception)."""
+    of every group's terminator.  Works per value, not per byte: the first
+    byte of every group, then one pass per further byte position over only
+    the groups that reach it (adjacency gaps are 1-3 bytes).  Callers reject
+    lengths above 9; bytes past a group's ninth are never read."""
     starts = np.empty(len(ends), dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
-    # Position of every byte within its group, then one reduceat per group.
-    pos = np.arange(len(b), dtype=np.uint64) - np.repeat(starts, lengths).astype(np.uint64)
-    groups = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * pos)
-    return np.add.reduceat(groups, starts), lengths
+    values = (b[starts] & np.uint8(0x7F)).astype(np.uint64)
+    longer = np.flatnonzero(lengths > 1)
+    for k in range(1, 9):
+        if not len(longer):
+            break
+        part = (b[starts[longer] + k] & np.uint8(0x7F)).astype(np.uint64)
+        values[longer] |= part << np.uint64(7 * k)
+        longer = longer[lengths[longer] > k + 1]
+    return values, lengths
 
 
 # -- sorted neighbor lists (grDB sub-blocks) --------------------------------
@@ -368,17 +386,9 @@ def fit_sorted_segments(
 # -- edge batches (StreamDB records, wire transfers) ------------------------
 
 
-def encode_edge_block(edges) -> bytes:
-    """Encode an ``(E, 2)`` edge batch as two delta streams.
-
-    Edges are sorted by ``(src, dst)``; sources are gap-encoded allowing
-    repeats (gap 0 = same source group), destinations restart raw at every
-    group boundary and are gap-encoded (repeats legal — a duplicate edge)
-    within it.  Decoding recovers the sorted order, not the arrival order.
-    """
+def _edge_block_deltas(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination gap streams of a non-empty ``(E, 2)`` batch."""
     e = np.ascontiguousarray(edges, dtype=np.uint64).reshape(-1, 2)
-    if e.size == 0:
-        return b""
     if int(e.max()) > MAX_ENCODABLE:
         raise GraphStorageException(
             f"vertex id {int(e.max())} exceeds the codec's 63-bit range"
@@ -394,47 +404,96 @@ def encode_edge_block(edges) -> bytes:
     ddel = np.empty(len(dsts), dtype=np.uint64)
     ddel[0] = dsts[0]
     ddel[1:] = np.where(new_group[1:], dsts[1:], dsts[1:] - dsts[:-1])
+    return sdel, ddel
+
+
+def encode_edge_block(edges) -> bytes:
+    """Encode an ``(E, 2)`` edge batch as two delta streams.
+
+    Edges are sorted by ``(src, dst)``; sources are gap-encoded allowing
+    repeats (gap 0 = same source group), destinations restart raw at every
+    group boundary and are gap-encoded (repeats legal — a duplicate edge)
+    within it.  Decoding recovers the sorted order, not the arrival order.
+    """
+    if np.size(edges) == 0:
+        return b""
+    sdel, ddel = _edge_block_deltas(edges)
     return encode_varints(sdel) + encode_varints(ddel)
 
 
-def decode_edge_block(buf: bytes, nedges: int, what: str = "edge block") -> tuple[np.ndarray, int]:
-    """Decode ``nedges`` edges from :func:`encode_edge_block` output.
+def decode_edge_groups(
+    buf: bytes, nedges: int, what: str = "edge block"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Decode ``nedges`` edges of :func:`encode_edge_block` output as the
+    block's own CSR, the ``(src, dst)`` order its encoder sorted it into.
 
-    Returns ``(edges (E, 2) int64, consumed_bytes)``; raises
-    :class:`GraphStorageException` on truncation, decreasing sources,
-    decreasing in-group destinations, or out-of-range ids.
+    Returns ``(sources, offsets, destinations, consumed_bytes)``, the arrays
+    int64: ``sources`` strictly increasing, ``destinations[offsets[i]:
+    offsets[i + 1]]`` the non-decreasing list of ``sources[i]``.  Raises
+    :class:`GraphStorageException` on truncation, a group longer than the
+    canonical 9 bytes, decreasing sources, decreasing in-group destinations,
+    or out-of-range ids.
     """
     if nedges == 0:
-        return np.zeros((0, 2), dtype=np.int64), 0
-    sdel, s_used = decode_varints(buf, nedges, what=f"{what} sources")
-    ddel, d_used = decode_varints(buf[s_used:], nedges, what=f"{what} destinations")
-    srcs = np.cumsum(sdel, dtype=np.uint64)
-    if nedges > 1 and np.any(srcs[1:] < srcs[:-1]):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.zeros(1, dtype=np.int64), empty, 0
+    b = np.frombuffer(buf, dtype=np.uint8)
+    # One scan finds the terminators of both streams: the first ``nedges``
+    # close source gaps, the next ``nedges`` destination gaps.
+    ends = np.flatnonzero(b < 0x80)[: 2 * nedges]
+    if len(ends) < 2 * nedges:
+        # Truncated.  The one-stream decoder names the stream (and lets a
+        # bad source group outrank a short destination stream).
+        _, used = decode_varints(buf, nedges, what=f"{what} sources")
+        decode_varints(buf[used:], nedges, what=f"{what} destinations")
+    deltas, lengths = _join_groups(b, ends)
+    _reject_long_groups(lengths[:nedges], f"{what} sources")
+    _reject_long_groups(lengths[nedges:], f"{what} destinations")
+    sdel, ddel = deltas[:nedges], deltas[nedges:]
+    # A non-zero source gap opens a group (and so does the first entry).
+    starts = np.flatnonzero(sdel)
+    if sdel[0] == 0:
+        starts = np.concatenate(([0], starts))
+    sources = np.cumsum(sdel[starts], dtype=np.uint64)
+    # Gaps are < 2**63, so a uint64 wrap-around shows up as a decrease.
+    if np.any(sources[1:] < sources[:-1]):
         raise GraphStorageException(f"non-monotone {what}: decoded sources decrease")
-    new_group = np.ones(nedges, dtype=bool)
-    new_group[1:] = sdel[1:] != 0
     # Segmented cumulative sum: subtract, inside each group, the running
     # total accumulated before the group started.
+    offsets = np.append(starts, nedges)
     csum = np.cumsum(ddel, dtype=np.uint64)
-    starts = np.flatnonzero(new_group)
-    base = csum[starts] - ddel[starts]
-    counts = np.diff(np.append(starts, nedges))
-    dsts = csum - np.repeat(base, counts)
-    if np.any(dsts[~new_group] < np.roll(dsts, 1)[~new_group]):
+    dsts = csum - np.repeat(csum[starts] - ddel[starts], offsets[1:] - offsets[:-1])
+    falls = dsts[1:] < dsts[:-1]
+    falls[starts[1:] - 1] = False  # a new group restarts raw
+    if falls.any():
         raise GraphStorageException(
             f"non-monotone {what}: in-group destinations decrease"
         )
-    hi = max(int(srcs.max()), int(dsts.max()))
+    hi = max(int(sources[-1]), int(dsts.max()))
     if hi > MAX_ENCODABLE:
         raise GraphStorageException(
             f"corrupt {what}: decoded id {hi} exceeds the 63-bit range"
         )
+    return sources.view(np.int64), offsets, dsts.view(np.int64), int(ends[-1]) + 1
+
+
+def decode_edge_block(buf: bytes, nedges: int, what: str = "edge block") -> tuple[np.ndarray, int]:
+    """:func:`decode_edge_groups` expanded to one row per edge.
+
+    Returns ``(edges (E, 2) int64, consumed_bytes)``, sorted by ``(src,
+    dst)``; raises as the grouped decoder does.
+    """
+    sources, offsets, dsts, consumed = decode_edge_groups(buf, nedges, what)
     out = np.empty((nedges, 2), dtype=np.int64)
-    out[:, 0] = srcs.astype(np.int64)
-    out[:, 1] = dsts.astype(np.int64)
-    return out, s_used + d_used
+    out[:, 0] = np.repeat(sources, np.diff(offsets))
+    out[:, 1] = dsts
+    return out, consumed
 
 
 def edge_block_bytes(edges) -> int:
-    """Encoded payload size of an edge batch (for wire-size accounting)."""
-    return len(encode_edge_block(edges))
+    """Encoded payload size of an edge batch (for wire-size accounting):
+    ``len(encode_edge_block(edges))`` without building the bytes."""
+    if np.size(edges) == 0:
+        return 0
+    sdel, ddel = _edge_block_deltas(edges)
+    return int(varint_lengths(sdel).sum() + varint_lengths(ddel).sum())

@@ -1,0 +1,323 @@
+"""StreamDB replay equivalence at the GraphDB surface.
+
+A raw (paper-mode) log is replayed as one ``(E, 2)`` array in arrival order;
+a compressed log as one CSR batch per record, in the ``(src, dst)`` order
+its encoder wrote.  Both must answer alike — over logs of one and of
+several records, with vertices recurring across records and duplicate
+edges, after a restore, with the ``ScanBoard`` armed, after ``compact()``
+and inside a drain — and the compressed plan must charge exactly what it
+charged before it stopped re-sorting (the pinned goldens at the bottom).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro import MSSG, MSSGConfig
+from repro.graphdb.interface import AdjacencyBatch
+from repro.graphdb.stream_db import _CREC_HEADER, _WRITE_BUFFER_EDGES, StreamGraphDB
+from repro.services.sharedscan import LOG_REPLAY, ScanBoard
+from repro.simcluster import NodeSpec, SimNode
+from repro.util.errors import CorruptBlockError, GraphStorageException
+from repro.util.longarray import LongArray
+
+ABSENT = 10**6
+
+
+def log_chunks(shifts, size=_WRITE_BUFFER_EDGES + 300) -> list[np.ndarray]:
+    """One ``(E, 2)`` chunk per future log record: arithmetic, not drawn (the
+    goldens are pinned to it).  Chunk ``r`` has sources ``shifts[r] ..
+    shifts[r] + 310``, so nearby shifts make vertices recur across records;
+    its last 40 edges repeat its first 40."""
+    chunks = []
+    for r, shift in enumerate(shifts):
+        i = np.arange(size + 97 * r, dtype=np.int64) + 100_003 * r
+        chunk = np.column_stack([(i * 7919) % 311 + shift, (i * 104_729) % 2003])
+        chunk[-40:] = chunk[:40]
+        chunks.append(chunk)
+    return chunks
+
+
+LOGS = {
+    "one record": log_chunks([0], size=3000),
+    "three records": log_chunks([0, 13, 150]),
+}
+
+
+def build(compress, chunks, *, semi=False, durable=False, node=None):
+    node = node or SimNode(0, NodeSpec())
+    db = StreamGraphDB(
+        node.disk("log"),
+        meta_device=node.disk("log_meta") if durable else None,
+        compress=compress,
+        clock=node.clock,
+        cpu=node.spec.cpu,
+        semi_external=semi,
+    )
+    for chunk in chunks:
+        db.store_edges(chunk)  # >= 8192 buffered edges: one flush, one record
+    return node, db
+
+
+def record_order_lists(chunks) -> dict[int, list[int]]:
+    """Each vertex's list as a compressed log delivers it: record by record,
+    destinations ascending within a record."""
+    lists: dict[int, list[int]] = {}
+    for chunk in chunks:
+        for src, dst in sorted(map(tuple, chunk.tolist())):
+            lists.setdefault(src, []).append(dst)
+    return lists
+
+
+def fringe_of(db, vertices) -> list[int]:
+    out = LongArray()
+    db.expand_fringe(vertices, out)
+    return out.to_numpy().tolist()
+
+
+def assert_answers_alike(raw, comp, chunks):
+    lists = record_order_lists(chunks)
+    present = sorted(lists)
+    probes = [present[0], present[len(present) // 2], present[-1], ABSENT]
+    for v in probes:
+        assert comp.get_adjacency(v).tolist() == lists.get(v, [])
+        assert sorted(raw.get_adjacency(v).tolist()) == sorted(lists.get(v, []))
+    # A fringe is a multiset request and a set answer: duplicates cost nothing.
+    fringe = [probes[1], probes[0], probes[1], ABSENT, probes[2], probes[0]]
+    want = sorted(d for v in set(fringe) for d in lists.get(v, []))
+    assert sorted(fringe_of(raw, fringe)) == sorted(fringe_of(comp, fringe)) == want
+    assert raw.local_vertices().tolist() == comp.local_vertices().tolist() == present
+    some = np.array(present[::7] + [ABSENT] + present[:3])
+    for db in (raw, comp):
+        for wanted in (some, None):
+            batches = list(db.scan_adjacency(wanted))
+            assert len(batches) == 1  # whole lists: one batch however many records
+            (batch,) = batches
+            assert np.all(np.diff(batch.vertices) > 0)  # ascending, no vertex twice
+            asked = present if wanted is None else sorted(set(wanted.tolist()) & set(present))
+            assert batch.vertices.tolist() == asked
+            for v, neighbors in batch:
+                if db.compress:
+                    assert neighbors.tolist() == lists[v]
+                else:  # arrival order
+                    assert sorted(neighbors.tolist()) == sorted(lists[v])
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+@pytest.mark.parametrize("semi", [False, True])
+def test_raw_and_compressed_logs_answer_alike(log, semi):
+    chunks = LOGS[log]
+    _, raw = build(False, chunks, semi=semi)
+    _, comp = build(True, chunks, semi=semi)
+    assert_answers_alike(raw, comp, chunks)
+    assert len(comp._records) == len(chunks)
+    assert raw.log_edges_scanned == comp.log_edges_scanned
+    assert raw.stats == comp.stats
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_restored_log_rebuilds_exact_directory_rows(log):
+    chunks = LOGS[log]
+    node, db = build(True, chunks, semi=True, durable=True)
+    db.flush()
+    rows = list(db._records)
+    assert [row[2] for row in rows] == [len(chunk) for chunk in chunks]
+    _, again = build(True, [], semi=True, durable=True, node=node)
+    assert again.restored and again._records is None
+    # The first full replay reads the rows off the records' group sources.
+    assert again.local_vertices().tolist() == sorted(record_order_lists(chunks))
+    assert again._records == rows
+    _, raw = build(False, chunks, semi=True)
+    assert_answers_alike(raw, again, chunks)
+    assert again.selective_scans > 0
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_armed_board_publishes_the_records_and_serves_them(log):
+    chunks = LOGS[log]
+    _, raw = build(False, chunks)
+    _, comp = build(True, chunks)
+    comp.scan_board = board = ScanBoard()
+    board.arm(LOG_REPLAY)
+    assert_answers_alike(raw, comp, chunks)
+    assert (board.passes, board.served) == (1, 7)  # eight reads, one device pass
+    published = board.lookup(LOG_REPLAY, comp.num_edges_logged)
+    assert [type(record) for record in published] == [AdjacencyBatch] * len(chunks)
+    assert [len(record.neighbors) for record in published] == [len(c) for c in chunks]
+    # An ingest invalidates the publication: the next read replays the log.
+    comp.store_edges(np.array([[ABSENT, 1]]))
+    assert comp.get_adjacency(ABSENT).tolist() == [1]
+    assert board.passes == 2
+
+
+# -- the whole system: overlay, compact(), a drain ----------------------------------
+
+
+def deployment(compress):
+    return MSSG(
+        MSSGConfig(
+            num_backends=2,
+            num_frontends=1,
+            backend="StreamDB",
+            streaming=True,
+            compress_adjacency=compress,
+        )
+    )
+
+
+def test_streaming_deployments_answer_alike_through_compact_and_drain():
+    rng = np.random.default_rng(5)
+    edges = rng.integers(0, 150, size=(2400, 2))
+    edges = np.vstack([edges[edges[:, 0] != edges[:, 1]], edges[:30]])
+    pairs = [(0, 149), (3, 77), (10, 11), (42, 139), (8, 120), (60, 2)]
+    raw, comp = deployment(False), deployment(True)
+    try:
+        for m in (raw, comp):
+            m.ingest(edges[:1200])
+            m.ingest_stream(edges[1200:1800])
+
+        def alike():
+            for r, c in zip(raw.dbs, comp.dbs):
+                vs = r.local_vertices()
+                assert vs.tolist() == c.local_vertices().tolist()
+                fringe = np.concatenate([vs[::3], vs[:5]])
+                assert sorted(fringe_of(r, fringe)) == sorted(fringe_of(c, fringe))
+                for v in vs[::11].tolist():
+                    assert sorted(r.get_adjacency(v).tolist()) == sorted(c.get_adjacency(v).tolist())
+                for db in (r, c):
+                    # Base batch, then the overlay batch: no vertex twice in either.
+                    for batch in db.scan_adjacency(vs[::2]):
+                        assert len(np.unique(batch.vertices)) == len(batch.vertices)
+                whole = [
+                    {v: sorted(a.tolist()) for v, a in AdjacencyBatch.concat(db.scan_adjacency()).grouped()}
+                    for db in (r, c)
+                ]
+                assert whole[0] == whole[1]
+
+        alike()  # base log + overlay
+        for m in (raw, comp):
+            m.ingest_stream(edges[1800:])
+            assert m.compact().batches_folded > 0
+        alike()  # the folded batches are further log records
+        assert all(len(db._records) >= 2 for db in comp.dbs)
+        drains = [m.query_many(pairs, shared_scans=True) for m in (raw, comp)]
+        assert [q.result for q in drains[0].queries] == [q.result for q in drains[1].queries]
+        assert all(d.shared_passes > 0 and d.shared_served > 0 for d in drains)
+        solo = [[m.query_bfs(s, d).result for s, d in pairs] for m in (raw, comp)]
+        assert solo[0] == solo[1] == [q.result for q in drains[0].queries]
+    finally:
+        raw.close()
+        comp.close()
+
+
+# -- one record parser: the selective replay checks what the full one checks ------
+
+
+def doctor_header(db, index, **fields):
+    off = db._records[index][0]
+    header = dict(zip(("magic", "nedges", "nbytes"), _CREC_HEADER.unpack(db.device.read(off, 12))))
+    header.update({k: header[k] + v for k, v in fields.items()})
+    db.device.write(off, _CREC_HEADER.pack(*header.values()))
+
+
+@pytest.mark.parametrize("semi", [True, False], ids=["selective", "full"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"nbytes": 1}, "decoded|promises"),
+        ({"magic": 1}, "magic"),
+        ({"nedges": -1}, "decoded|mismatch"),
+    ],
+    ids=["nbytes", "magic", "nedges"],
+)
+@pytest.mark.parametrize("index", [1, 3], ids=["middle", "last"])
+def test_doctored_record_header_is_corrupt_on_both_plans(semi, fields, message, index):
+    """``semi_external=True, checksums=False``: no CRC frame stands between
+    a damaged header and the parser."""
+    chunks = log_chunks([0, 1000, 2000, 3000], size=400)
+    _, db = build(True, [], semi=semi)
+    for chunk in chunks:
+        db.store_edges(chunk)
+        db.flush()
+    victim = int(chunks[index][0, 0])
+    assert len(db.get_adjacency(victim)) > 0
+    doctor_header(db, index, **fields)
+    scans = db.selective_scans
+    with pytest.raises(CorruptBlockError, match=message):
+        db.get_adjacency(victim)
+    assert db.selective_scans == scans + semi  # the plan the id names is the one that ran
+
+
+def test_short_payload_is_rejected_alike_on_both_plans():
+    chunks = log_chunks([0, 1000, 2000, 3000], size=400)
+    errors = []
+    for semi in (True, False):
+        _, db = build(True, [], semi=semi)
+        for chunk in chunks:
+            db.store_edges(chunk)
+            db.flush()
+        doctor_header(db, 1, nbytes=-1)
+        with pytest.raises(GraphStorageException, match="truncated") as err:
+            db.get_adjacency(int(chunks[1][0, 0]))
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+# -- pinned goldens: the virtual model did not move ---------------------------------
+
+
+def read_trace(node, db, chunks) -> dict:
+    """A fixed sequence of every kind of read, and everything it charged."""
+    present = sorted(record_order_lists(chunks))
+    for v in (present[0], present[40], ABSENT):
+        db.get_adjacency(v)
+    fringe_of(db, present[90:150:3] + present[90:94])
+    claimed = sum(len(b.neighbors) for b in db.scan_adjacency(np.array(present[100:140])))
+    everything = sum(len(b.neighbors) for b in db.scan_adjacency())
+    db.local_vertices()
+    return {
+        "clock": node.clock.now,
+        "log_edges_scanned": db.log_edges_scanned,
+        "stats": dataclasses.astuple(db.stats),
+        "selective": (db.selective_scans, db.records_skipped),
+        "delivered": (claimed, everything),
+        "bytes_read": db.device.stats.bytes_read,
+    }
+
+
+GOLDEN_LOGS = {
+    "full": (log_chunks([0, 13, 150]), False),
+    "selective": (log_chunks([0, 1000, 100, 2000, 3000], size=2000), True),
+}
+
+#: Produced by the compressed flat plan this PR replaced (decode to ``(E,
+#: 2)``, ``vstack``, ``isin``, stable re-sort), on the same logs.
+GOLDEN = {
+    "full": {
+        "clock": 0.11410189444444442,
+        "log_edges_scanned": 180369,
+        "stats": (25767, 1288, 27, 3),
+        "selective": (0, 0),
+        "delivered": (2196, 25767),
+        "bytes_read": 367192,
+    },
+    "selective": {
+        "clock": 0.07070356266666666,
+        "log_edges_scanned": 23358,
+        "stats": (10970, 264, 27, 5),
+        "selective": (5, 19),
+        "delivered": (538, 10970),
+        "bytes_read": 50030,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
+def test_compressed_plan_charges_what_the_flat_plan_charged(name):
+    chunks, semi = GOLDEN_LOGS[name]
+    node, db = build(True, [], semi=semi)
+    for chunk in chunks:
+        db.store_edges(chunk)
+        db.flush()
+    assert read_trace(node, db, chunks) == GOLDEN[name]
