@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner lint bench bench-quick bench-smoke bench-ranks examples figures clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner lint bench bench-quick bench-smoke bench-ranks examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
@@ -19,7 +19,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner  # th
 		tests/test_grdb_ingest.py tests/test_batch_expand.py \
 		tests/test_failover_protocol.py tests/test_adjacency_batch.py \
 		tests/test_close_refcount.py tests/test_varint_reference.py \
-		tests/test_stream_replay.py
+		tests/test_stream_replay.py tests/test_analysis_axis.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \
@@ -40,6 +40,23 @@ check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writ
 	if [ -n "$$offenders" ]; then \
 		echo "failover policy outside bfs/failover.py (use FTState.start / guard / route_or_drop / RetryRounds / FTState.fill):"; \
 		echo "$$offenders"; exit 1; \
+	fi
+
+check-envelope-owner:  # only bfs/rankprog.py makes a level mark, takes a rank program's edges_scanned span or charges a sweep's per-entry visits; query.py builds a BFSConfig once
+	@offenders=$$( { \
+		grep -rnE 'LevelMark\(|"level-mark"' src/repro --include='*.py'; \
+		grep -rnE 'edges_scanned[[:space:]]*-[^=]' src/repro/bfs src/repro/services --include='*.py' \
+			| grep -v '^src/repro/services/scheduler\.py:.*st\["edges"\] +='; \
+		grep -rnE '\*[[:space:]]*[a-z_.]*edge_visit_seconds|edge_visit_seconds[[:space:]]*\*' \
+			src/repro/bfs src/repro/services --include='*.py'; \
+	} | grep -v '^src/repro/bfs/rankprog\.py:' || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "envelope concern outside bfs/rankprog.py (use level_mark / span / sweep):"; \
+		echo "$$offenders"; exit 1; \
+	fi; \
+	n=$$(grep -c 'BFSConfig(' src/repro/services/query.py); \
+	if [ "$$n" != 1 ]; then \
+		echo "services/query.py spells BFSConfig( $$n times (use QueryService._bfs_config)"; exit 1; \
 	fi
 
 check-features-owner:  # only features.py spells a feature knob as a parameter or field (per-query overrides are listed in the test)

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphdb.interface import AdjacencyBatch
 from ..util.bitset import Bitset
 from .failover import FTState, RetryRounds, guard, is_down, responsibility, route_or_drop
+from .rankprog import sweep
 
 __all__ = [
     "BOTTOM_UP",
@@ -52,11 +52,6 @@ __all__ = [
 
 TOP_DOWN = "top-down"
 BOTTOM_UP = "bottom-up"
-
-#: Below this fraction of written adjacency blocks holding candidates, a
-#: semi-EM store's selective scan beats piggybacking on a shared
-#: whole-store sweep (the fallback-to-full-scan heuristic of DESIGN §11).
-SELECTIVE_COVERAGE_MAX = 0.5
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -166,51 +161,6 @@ def merge_level_stats(a, b):
     return (a[0] or b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
-def _adjacency_source(db, candidates, done=None):
-    """Iterable of :class:`AdjacencyBatch` for the bottom-up claim scan.
-
-    The historical plan is ``db.scan_adjacency(candidates, done)``.  When
-    the concurrent multiplexer armed a shared bottom-up sweep on this rank's
-    :class:`~repro.services.sharedscan.ScanBoard`, the first consumer
-    materializes ONE whole-store storage-order pass into a single batch of
-    complete lists (``grouped``; no ``done`` — it serves everyone) and
-    publishes it (keyed by the stored-edge count); later consumers
-    serve their candidates from it — ``searchsorted`` over its sorted-vertex
-    index plus one segment gather — with zero device work.  A vertex's list
-    is the same either way and the claim step accounts per entry, so
-    answers are bit-identical to the unshared plan; only the vertex order
-    differs (``np.unique(candidates)`` order, not storage order).
-
-    Semi-EM refinement: when the store keeps a block directory and the
-    candidate set touches only a sparse fraction of written blocks
-    (GraphMP-style selective scheduling), materializing the WHOLE store
-    for the shared batch would read mostly blocks no one needs — the
-    candidate-restricted selective scan is cheaper even without sharing,
-    so it is preferred and the board is left unarmed for this consumer.
-    """
-    board = getattr(db, "scan_board", None)
-    if board is None or not board.armed("bottom-up"):
-        return db.scan_adjacency(candidates, done)
-    coverage = db.frontier_block_coverage(candidates)
-    if coverage is not None and coverage < SELECTIVE_COVERAGE_MAX:
-        return db.scan_adjacency(candidates, done)
-    # The store-size token invalidates the shared batch across ingests.  It
-    # holds the BASE store only, so in streaming drains queries pinned to
-    # different admission snapshots still share the one device pass; each
-    # consumer stacks its own overlay view on top from RAM below,
-    # base-first per vertex — the same lists the unshared plan yields.
-    token = db.stats.edges_stored
-    base = board.lookup("bottom-up", token)
-    if base is None:
-        base = AdjacencyBatch.concat(db._scan_adjacency(None)).grouped()
-        board.publish("bottom-up", token, base)
-    wanted = np.unique(np.asarray(candidates, dtype=np.int64))
-    view = db._overlay_view()
-    parts = (base,) if view is None else (base, view.batch)
-    batch = AdjacencyBatch.stack(wanted, *parts)
-    return (batch,) if len(batch) else ()
-
-
 def _claim_batch(bm: Bitset, batch):
     """Claim each of ``batch``'s vertices at its first fringe parent: the
     claimed vertices in batch order, and how many entries a scan examines
@@ -225,34 +175,28 @@ def _claim_batch(bm: Bitset, batch):
     return batch.vertices[claimed], examined, len(hit) - examined
 
 
-def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None):
+def _scan_claims(ctx, db, bm: Bitset, candidates, ft: FTState | None, result):
     """Sequentially scan ``candidates``, claiming each at its first hit.
 
-    Returns ``(claims, examined, skipped, ok)``; ``ok`` is False when the
-    device died (or the attempt blew the failover timeout) mid-scan, in
-    which case the partial claims are discarded by the caller.  Examined
-    entries are charged ``edge_visit_seconds`` and counted in
-    ``stats.edges_scanned`` either way — the work happened.  ``skipped``
-    counts entries delivered but not examined; what the scan never read
-    because a claim stopped the list (``done``) is counted nowhere here —
-    it shows as device bytes not read.
+    Returns ``(claims, ok)`` — :func:`~repro.bfs.rankprog.sweep`'s ``ok``: a
+    failed attempt's partial claims are discarded by the caller.  Counts on
+    ``result`` the entries examined and those delivered but skipped; what the
+    scan never read because a claim stopped the list is counted nowhere here
+    — it shows as device bytes not read.
     """
+    # Claim feedback: the scan reads ``claims`` as its ``done`` list and
+    # delivers nothing more for a vertex once it is in there.
     claims: list[np.ndarray] = []
-    examined = 0
-    skipped = 0
-    with guard(ctx, ft) as attempt:
-        try:
-            # Claim feedback: the scan reads ``claims`` as its ``done`` list
-            # and delivers nothing more for a vertex once it is in there.
-            for batch in _adjacency_source(db, candidates, claims):
-                got, seen, passed = _claim_batch(bm, batch)
-                claims.append(got)
-                examined += seen
-                skipped += passed
-        finally:
-            ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
-            db.stats.edges_scanned += examined
-    return (np.concatenate(claims) if claims else _EMPTY), examined, skipped, attempt.ok
+
+    def claim(batch):
+        got, seen, passed = _claim_batch(bm, batch)
+        claims.append(got)
+        result.edges_skipped += passed
+        return seen
+
+    examined, ok = sweep(ctx, db, candidates, claim, ft, done=claims)
+    result.edges_examined += examined
+    return (np.concatenate(claims) if claims else _EMPTY), ok
 
 
 def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg, result):
@@ -297,9 +241,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
         # sweep is armed its first consumer is the one that publishes it.
         if not is_down(ft) and (len(todo) or ft is None):
             retry.picked_up(todo)
-            claims, examined, skipped, ok = _scan_claims(ctx, db, bm, todo, ft)
-            result.edges_examined += examined
-            result.edges_skipped += skipped
+            claims, ok = _scan_claims(ctx, db, bm, todo, ft, result)
             if not ok:
                 claims = todo = _EMPTY
         if ft is None:

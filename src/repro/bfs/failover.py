@@ -133,9 +133,9 @@ class FTState:
         return self.cfg.replication
 
     def fill(self, result) -> None:
-        """Copy the counters onto a rank result (``BFSRankResult`` or
-        ``VPRankResult``).  ``partial`` ORs: a deadline abort flagged it
-        already, and nothing the fault state knows can take that back."""
+        """Copy the counters onto a :class:`~repro.bfs.rankprog.RankResult`
+        (called by its ``span``).  ``partial`` ORs: a deadline abort flagged
+        it already, and nothing the fault state knows can take that back."""
         result.failovers = self.failovers
         result.dropped_vertices = self.dropped
         result.device_failed = self.device_failed

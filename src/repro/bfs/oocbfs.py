@@ -37,12 +37,12 @@ from .direction import (
 )
 from .failover import (
     FaultTolerance,
-    FTState,
     failover_rounds,
     prune_known_dead_pending,
     route_or_drop,
     try_expand,
 )
+from .rankprog import RankResult, level_mark, span
 from .visited import VisitedLevels
 
 __all__ = ["BFSConfig", "BFSRankResult", "oocbfs_program"]
@@ -73,39 +73,20 @@ class BFSConfig:
     #: keeps the original pure top-down search, byte-identical to the
     #: paper mode (the level-end allreduce stays the two-element tuple).
     direction: DirectionConfig | None = None
-    #: Emit a ``("level-mark", level, done, next_direction)`` yield after
-    #: every level-end allreduce (and one before level 1).  These sentinels
-    #: are NOT comm requests — the concurrent-query multiplexer intercepts
-    #: them to interleave queries level-by-level and to deliver deadline
-    #: aborts; running a marked program directly on a Scheduler would raise.
-    #: ``False`` (the default, and the only value paper mode uses) keeps
-    #: the yield sequence byte-identical to the original algorithm.
+    #: Yield a :class:`~repro.bfs.rankprog.LevelMark` after every level-end
+    #: allreduce (and one before level 1).  ``False`` (the default, and the
+    #: only value paper mode uses) keeps the yield sequence byte-identical
+    #: to the original algorithm.
     level_marks: bool = False
 
 
 @dataclass
-class BFSRankResult:
-    """Per-rank outcome; the harness aggregates across ranks."""
+class BFSRankResult(RankResult):
+    """Per-rank outcome of one search; the harness aggregates across ranks."""
 
     found_level: int = NOT_FOUND
     levels_expanded: int = 0
-    edges_scanned: int = 0
     fringe_vertices: int = 0
-    seconds: float = 0.0
-    #: Fringe shards this rank re-expanded on behalf of dead peers.
-    failovers: int = 0
-    #: Fringe vertices whose adjacency was unreachable (all replicas dead).
-    dropped_vertices: int = 0
-    #: This rank's own device raised :class:`DeviceFailedError` mid-query.
-    device_failed: bool = False
-    #: This rank's own device returned a CRC-bad frame (detected corruption;
-    #: the device still serves, so the back-end is repairable from replicas).
-    corrupt: bool = False
-    #: Some adjacency was never expanded — treat the result as a lower bound.
-    partial: bool = False
-    #: The query was aborted at a level mark because its deadline expired;
-    #: implies ``partial`` unless the search had already terminated.
-    deadline_exceeded: bool = False
     #: Direction chosen per level when the hybrid is on (rank-uniform, so
     #: identical on every rank); empty for pure top-down runs.
     directions: list = field(default_factory=list)
@@ -134,44 +115,40 @@ def oocbfs_program(
     ranks when ``cfg.owner_known`` (default: ``GID % p``, the paper's
     globally known mapping).
     """
-    return _bfs_driver(ctx, db, cfg, visited, owner_of, _synchronous_level)
+    return _search(ctx, db, cfg, visited, owner_of, _synchronous_level)
 
 
 def _default_owner(size: int):
     return lambda vs: vs % size  # the paper's globally known GID % p map
 
 
-def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, ft=None):
+def _search(ctx, db, cfg, visited, owner_of, top_down_level):
+    """Algorithm 1 or 2 (``top_down_level`` says which) inside its own span."""
+    if owner_of is None:
+        owner_of = _default_owner(ctx.comm.size)
+    with span(ctx, db, cfg.ft, BFSRankResult()) as (result, ft):
+        yield from _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, result, ft)
+    return result
+
+
+def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, result, ft):
     """The level-synchronous search both algorithms are.
 
-    Owns everything but the shape of a push level: prologue, the direction
-    decision, the level-end allreduce (and the controller's feed), level
-    marks and deadline aborts, termination, epilogue.
+    Owns everything but the shape of a push level: the direction decision,
+    the level-end allreduce (and the controller's feed), level marks and
+    deadline aborts, termination.
     ``top_down_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft)``
     is a generator returning ``(new fringe, found_here)`` like
     :func:`~repro.bfs.direction.bottom_up_level`: Algorithm 1 expands the
     whole fringe and exchanges once, Algorithm 2 overlaps the exchange with
-    the expansion.  A rank program that keeps working after the search
-    passes the fault state ``ft`` it started, so both phases share one dead
-    set and one set of counters.
+    the expansion.  Runs inside the caller's :func:`~repro.bfs.rankprog.span`
+    and writes the search's own fields onto its ``result``.
     """
     comm = ctx.comm
-    if owner_of is None:
-        owner_of = _default_owner(comm.size)
-    result = BFSRankResult()
-    start_time = ctx.clock.now
-    edges_before = db.stats.edges_scanned
-    if ft is None:
-        ft = FTState.start(cfg.ft, comm.size, comm.rank)
-
     if cfg.source == cfg.dest:
         result.found_level = 0
-        result.seconds = ctx.clock.now - start_time
-        return result
+        return
 
-    visited.mark(cfg.source, 0)
-    fringe = np.array([cfg.source], dtype=np.int64)
-    levcnt = 0
     # The hybrid needs a vertex->owner map to know which unvisited vertices
     # to pull for; in broadcast (unknown-mapping) mode it stays off.
     dctl = (
@@ -179,19 +156,24 @@ def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, ft=None):
         if cfg.direction is not None and cfg.owner_known
         else None
     )
+    if dctl is not None and not 0 <= cfg.source < cfg.direction.num_vertices:
+        # Outside the id space nothing is stored, so nothing is reachable —
+        # and the fringe bitmap of a pull level has no bit for the source.
+        return
 
-    aborted = False
-    if cfg.level_marks:
-        # Pre-admission mark: lets the multiplexer place this query in its
-        # round-robin order (and predict a level-1 bottom-up scan) before
-        # any I/O or comm happens on its behalf.
-        cmd = yield ("level-mark", 0, False, dctl.peek(1) if dctl is not None else None)
-        if cmd == "abort":
-            aborted = True
-            result.partial = True
-            result.deadline_exceeded = True
+    visited.mark(cfg.source, 0)
+    fringe = np.array([cfg.source], dtype=np.int64)
+    levcnt = 0
 
-    while not aborted:
+    # Pre-admission mark: lets the multiplexer place this query in its
+    # round-robin order (and predict a level-1 bottom-up scan) before
+    # any I/O or comm happens on its behalf.
+    if cfg.level_marks and (
+        yield from level_mark(result, 0, False, dctl.peek(1) if dctl is not None else None)
+    ):
+        return
+
+    while True:
         levcnt += 1
         if dctl is not None and dctl.decide(levcnt) == BOTTOM_UP:
             # A pull level has nothing to pipeline — the fringe travels as
@@ -229,29 +211,14 @@ def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, ft=None):
         if found_any:
             result.found_level = levcnt
         done = found_any or total_new == 0 or levcnt >= cfg.max_levels
-        if cfg.level_marks:
-            # Suspended here, no collective is in flight on any rank: the
-            # multiplexer may switch to another query, or deliver "abort"
-            # (a rank-uniform decision) to cut this one off mid-search.
-            cmd = yield (
-                "level-mark",
-                levcnt,
-                done,
-                dctl.peek(levcnt + 1) if dctl is not None else None,
+        if cfg.level_marks and (
+            yield from level_mark(
+                result, levcnt, done, dctl.peek(levcnt + 1) if dctl is not None else None
             )
-            if cmd == "abort":
-                if not done:
-                    result.partial = True
-                    result.deadline_exceeded = True
-                break
+        ):
+            return
         if done:
-            break
-
-    result.edges_scanned = db.stats.edges_scanned - edges_before
-    result.seconds = ctx.clock.now - start_time
-    if ft is not None:
-        ft.fill(result)
-    return result
+            return
 
 
 def _outgoing(visited, new, levcnt, owner_of, comm, ft):

@@ -21,15 +21,17 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
-from .failover import FTState, responsibility
+from .failover import responsibility
 from .oocbfs import (
     NOT_FOUND,
     BFSConfig,
+    BFSRankResult,
     _bfs_driver,
     _default_owner,
     _expand_shard,
     _synchronous_level,
 )
+from .rankprog import span
 from .visited import VisitedLevels
 
 __all__ = ["path_program"]
@@ -51,21 +53,16 @@ def path_program(
     pull level run after a death re-marked a settled vertex too high):
     then the result is flagged ``partial``, never an invalid chain.
     """
-    comm = ctx.comm
     if owner_of is None:
-        owner_of = _default_owner(comm.size)
-    start_time = ctx.clock.now
-    edges_before = db.stats.edges_scanned
-    ft = FTState.start(cfg.ft, comm.size, comm.rank)
-    result = yield from _bfs_driver(ctx, db, cfg, visited, owner_of, _synchronous_level, ft)
+        owner_of = _default_owner(ctx.comm.size)
     path = None
-    if result.found_level != NOT_FOUND:
-        path = yield from _walk_back(ctx, db, cfg, visited, owner_of, ft, result.found_level)
-        result.partial |= path is None
-    result.edges_scanned = db.stats.edges_scanned - edges_before
-    result.seconds = ctx.clock.now - start_time
-    if ft is not None:
-        ft.fill(result)
+    # One span over both phases: the walk expands under the fault state the
+    # search ran with, and its time and reads are the query's as well.
+    with span(ctx, db, cfg.ft, BFSRankResult()) as (result, ft):
+        yield from _bfs_driver(ctx, db, cfg, visited, owner_of, _synchronous_level, result, ft)
+        if result.found_level != NOT_FOUND:
+            path = yield from _walk_back(ctx, db, cfg, visited, owner_of, ft, result.found_level)
+            result.partial |= path is None
     return result, path
 
 

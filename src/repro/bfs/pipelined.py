@@ -1,8 +1,8 @@
 """Algorithm 2: pipelined parallel out-of-core breadth-first search.
 
 The communication-overlapping variant, as a *level strategy* only: the
-search around it — prologue, direction decision, level-end allreduce,
-termination, epilogue — is Algorithm 1's (:func:`~repro.bfs.oocbfs._bfs_driver`),
+search around it — direction decision, level-end allreduce, termination —
+is Algorithm 1's (:func:`~repro.bfs.oocbfs._bfs_driver`),
 and this module holds what Algorithm 2 adds to a push level.  While a rank
 is still expanding the current fringe, it ships next-level fringe *chunks*
 to their owners as soon as a per-destination buffer passes ``threshold``
@@ -27,7 +27,7 @@ from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
 from ..util.longarray import LongArray
 from .failover import failover_rounds, guard, is_down, prune_known_dead_pending, try_expand
-from .oocbfs import _EMPTY, BFSConfig, _bfs_driver, _outgoing
+from .oocbfs import _EMPTY, BFSConfig, _outgoing, _search
 from .visited import VisitedLevels
 
 __all__ = ["pipelined_bfs_program"]
@@ -51,7 +51,7 @@ def pipelined_bfs_program(
     of the incoming message queue; ``owner_of`` as in Algorithm 1.
     """
     level = partial(_pipelined_level, threshold=threshold, poll_batch=poll_batch)
-    return _bfs_driver(ctx, db, cfg, visited, owner_of, level)
+    return _search(ctx, db, cfg, visited, owner_of, level)
 
 
 def _pipelined_level(

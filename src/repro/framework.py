@@ -179,6 +179,11 @@ MSSGConfig.__init__ = _init_folding_knobs
 # -- legacy-knob fold: end -----------------------------------------------------
 
 
+def _max_id(*edge_batches) -> int:
+    """Highest vertex id in any of the edge arrays; -1 when all are empty."""
+    return max((int(np.max(b)) for b in edge_batches if np.size(b)), default=-1)
+
+
 def _adjacency_wire_size(entries, compress: bool) -> int:
     """Bytes one adjacency shipment (rebalance/repair) puts on the wire.
 
@@ -239,6 +244,28 @@ class MSSG:
         #: the same ``storage_dir`` replays the delta logs, settles any
         #: interrupted compaction, and restores the last published snapshot.
         self.streaming = StreamingState(self) if cfg.features.streaming else None
+        if self.streaming is not None:  # what its recovery learned
+            if cfg.replication > 1:  # else nobody could serve a laggard's share
+                self._note_failed(self.streaming.lagging)
+            self._note_id_space(self.streaming.recovered_max_id)
+
+    def _note_failed(self, backends) -> None:
+        """Back-ends an ingest, a compaction or a recovery found dead are known
+        dead *now*; record them (as a rebalance pass would) so queries route
+        their shards to replicas outright.  Leaving rediscovery to the query
+        is unsound: a dead back-end whose few blocks are still cache-resident
+        answers from RAM, never touches its failed device, and silently
+        returns an incomplete non-partial result."""
+        if backends:
+            self.queries.known_dead |= set(backends)
+            self.queries.fault_tolerant = True
+
+    def _note_id_space(self, max_id: int) -> None:
+        """The direction-optimizing hybrid sizes its fringe bitmap from the
+        vertex-id space; record it at ingest so queries know it without a
+        cluster round.  Grows monotonically; ``max_id < 0``: no id was seen."""
+        if max_id >= 0:
+            self.queries.num_vertices = max(self.queries.num_vertices or 0, max_id + 1)
 
     def _make_db(self, q: int) -> GraphDB:
         """Build back-end ``q``'s GraphDB instance on its node.
@@ -294,23 +321,8 @@ class MSSG:
     def ingest(self, edges: np.ndarray) -> IngestReport:
         """Stream an undirected edge list into the back-end GraphDBs."""
         self.last_ingest = self.ingestion.ingest(edges)
-        # Back-ends that died during ingestion are known dead *now*; record
-        # them (as a rebalance pass would) so queries route their shards to
-        # replicas outright.  Leaving rediscovery to the query is unsound:
-        # a dead back-end whose few blocks are still cache-resident answers
-        # from RAM, never touches its failed device, and silently returns
-        # an incomplete non-partial result.
-        failed = getattr(self.last_ingest, "failed_backends", ())
-        if failed:
-            self.queries.known_dead |= set(failed)
-            self.queries.fault_tolerant = True
-        # The direction-optimizing hybrid sizes its fringe bitmap from the
-        # vertex-id space; record it here so queries know it without a
-        # cluster round (grows monotonically across multiple ingests).
-        edges = np.asarray(edges)
-        if edges.size:
-            n = int(edges.max()) + 1
-            self.queries.num_vertices = max(self.queries.num_vertices or 0, n)
+        self._note_failed(self.last_ingest.failed_backends)
+        self._note_id_space(_max_id(edges))
         if self.config.features.semi_external:
             self._pin_semi_external()
         return self.last_ingest
@@ -329,14 +341,8 @@ class MSSG:
         :class:`IngestReport` (``batches`` counts the streamed batches).
         """
         report = self._streaming("ingest_stream").ingest_batch(edges)
-        failed = getattr(report, "failed_backends", ())
-        if failed:
-            self.queries.known_dead |= set(failed)
-            self.queries.fault_tolerant = True
-        edges = np.asarray(edges)
-        if edges.size:
-            n = int(edges.max()) + 1
-            self.queries.num_vertices = max(self.queries.num_vertices or 0, n)
+        self._note_failed(report.failed_backends)
+        self._note_id_space(_max_id(edges))
         if self.last_ingest is None:
             self.last_ingest = report
         else:
@@ -360,9 +366,7 @@ class MSSG:
         after a compaction read identical adjacency.
         """
         report = self._streaming("compact").compact()
-        if report.failed_backends:
-            self.queries.known_dead |= set(report.failed_backends)
-            self.queries.fault_tolerant = True
+        self._note_failed(report.failed_backends)
         # The folded edges are base data now; re-pin the (base-only) vertex
         # census so pinned degrees + (emptied) overlay still sum correctly.
         if self.config.features.semi_external and report.entries_folded:
@@ -804,12 +808,7 @@ class MSSG:
             # Grow the id space *before* the drain: direction-opt bitmaps
             # and pinned visited arrays are sized from it at admission, and
             # mid-drain batches may introduce new vertex ids.
-            hi = max(
-                (int(np.asarray(b).max()) for b in stream_batches if np.asarray(b).size),
-                default=-1,
-            )
-            if hi >= 0:
-                self.queries.num_vertices = max(self.queries.num_vertices or 0, hi + 1)
+            self._note_id_space(_max_id(*stream_batches))
         if tenants is not None and len(tenants) != len(pairs):
             raise ConfigError(
                 f"tenants has {len(tenants)} entries for {len(pairs)} queries"
@@ -862,9 +861,7 @@ class MSSG:
                 self.last_ingest = inc
             else:
                 self.last_ingest.absorb(inc)
-        if feed.failed:
-            self.queries.known_dead |= set(feed.failed)
-            self.queries.fault_tolerant = True
+        self._note_failed(feed.failed)
 
     def query(self, analysis: str, **params) -> QueryReport:
         return self.queries.query(analysis, **params)

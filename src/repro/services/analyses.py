@@ -78,14 +78,14 @@ def register_extensions(service: QueryService) -> None:
             return (yield from oocbfs_program(ctx, db, cfg, lens, owner_of))
 
         results = service._run_bfs(program, source, dest, **params)
-        return service._solo_bfs_report(results, analysis="typed-bfs")
+        return service._bfs_report(results, analysis="typed-bfs")
 
     def path(source, dest, **params) -> QueryReport:
         """Relationship chain: the actual shortest vertex path, not just
         its length (the "show me the connection" query of the paper's
         homeland-security motivation)."""
         results = service._run_bfs(path_program, source, dest, **params)
-        report = service._solo_bfs_report([r for r, _ in results], analysis="path")
+        report = service._bfs_report([r for r, _ in results], analysis="path")
         report.result = _agreed("path", [chain for _, chain in results])
         return report
 

@@ -6,7 +6,8 @@ the data distribution (vertex- vs edge-granularity).  The reference
 analysis is the relationship query of §4.2 — parallel out-of-core BFS in
 its level-synchronous (Algorithm 1) and pipelined (Algorithm 2) forms —
 plus two further analyses as examples of the pluggable interface:
-``degree`` (local degree census) and ``neighborhood`` (k-hop vertex count).
+``degree`` (stored degree of given vertices) and ``neighborhood`` (k-hop
+vertex count).  :func:`rank_report` folds what their rank programs return.
 
 Queries execute on the *back-end* ranks of the cluster through a
 sub-communicator; front-end ranks sit idle, exactly as in the deployment
@@ -15,9 +16,12 @@ of Figure 3.1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
+
+import numpy as np
 
 from ..bfs import (
     BFSConfig,
@@ -30,6 +34,8 @@ from ..bfs import (
     oocbfs_program,
     pipelined_bfs_program,
 )
+from ..bfs.failover import RetryRounds, guard, is_down, live_routes, route_or_drop
+from ..bfs.rankprog import RankResult, span
 from ..features import Features
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import SimCluster
@@ -38,7 +44,7 @@ from ..util.errors import ConfigError
 from .declustering import Declusterer
 from .scheduler import QuerySpec, multiplex_program
 
-__all__ = ["QueryService", "QueryReport", "DrainReport"]
+__all__ = ["QueryService", "QueryReport", "DrainReport", "rank_report", "degree_program"]
 
 
 @dataclass
@@ -299,6 +305,23 @@ class QueryService:
             schedule=tuple(direction_schedule) if direction_schedule else None,
         )
 
+    def _owner_of(self):
+        """The vertex->owner map rank programs route by (``None``: unknown)."""
+        return self.declusterer.owner_of if self.declusterer.owner_known else None
+
+    def _bfs_config(self, source, dest, max_levels, prefetch, direction, marks=False) -> BFSConfig:
+        """One search's config, solo (:meth:`_run_bfs`) or drained."""
+        return BFSConfig(
+            source=int(source),
+            dest=int(dest),
+            owner_known=self.declusterer.owner_known,
+            max_levels=max_levels,
+            prefetch=prefetch,
+            ft=self._ft(),
+            direction=direction,
+            level_marks=marks,
+        )
+
     def _run_bfs(
         self,
         program,
@@ -317,16 +340,10 @@ class QueryService:
         Algorithm 1 or 2, or a rank program built around one of them; the
         per-query parameters are the same for all of them.
         """
-        cfg = BFSConfig(
-            source=int(source),
-            dest=int(dest),
-            owner_known=self.declusterer.owner_known,
-            max_levels=max_levels,
-            prefetch=prefetch,
-            ft=self._ft(),
-            direction=self._direction(direction_opt, direction_schedule),
+        cfg = self._bfs_config(
+            source, dest, max_levels, prefetch, self._direction(direction_opt, direction_schedule)
         )
-        owner_of = self.declusterer.owner_of if self.declusterer.owner_known else None
+        owner_of = self._owner_of()
         self._visited_seq += 1
         seq = self._visited_seq
 
@@ -339,15 +356,6 @@ class QueryService:
                 owner_of=owner_of,
                 **alg_kw,
             )
-        )
-
-    def _solo_bfs_report(self, results, analysis: str = "bfs") -> QueryReport:
-        """The report of a search that had the cluster run to itself."""
-        return _bfs_report(
-            results,
-            seconds=self.cluster.makespan,
-            edges_scanned=sum(r.edges_scanned for r in results),
-            analysis=analysis,
         )
 
     # -- concurrent multi-query serving ---------------------------------------
@@ -437,53 +445,43 @@ class QueryService:
         if inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {inflight}")
         sharing = self.features.shared_scans if shared_scans is None else bool(shared_scans)
-        # BFS specs get an Algorithm-1 config; analytics specs get a
-        # level-marked vertex-program generator factory instead.
         from .vertexprog import make_vp_generator, vp_report
 
-        cfgs = []
-        seqs = []
-        vp_gens = {}
-        for s in specs:
-            if s.analysis == "bfs":
-                cfgs.append(
-                    BFSConfig(
-                        source=s.source,
-                        dest=s.dest,
-                        owner_known=self.declusterer.owner_known,
-                        max_levels=s.max_levels,
-                        prefetch=s.prefetch,
-                        ft=self._ft(),
-                        direction=self._direction(s.direction_opt, s.direction_schedule),
-                        level_marks=True,
-                    )
-                )
-            else:
-                cfgs.append(None)
-                vp_gens[s.qid] = make_vp_generator(
-                    self, s.analysis, s.params or {}, level_marks=True
-                )
+        owner_of = self._owner_of()
+
+        def marked(s):
+            """``(ctx, q) ->`` query ``s``'s level-marked rank generator:
+            Algorithm 1, or a vertex program speaking the same protocol."""
             self._visited_seq += 1
-            seqs.append(self._visited_seq)
-        owner_of = self.declusterer.owner_of if self.declusterer.owner_known else None
+            seq = self._visited_seq
+            if s.analysis != "bfs":
+                return make_vp_generator(self, s.analysis, s.params or {}, level_marks=True)
+            cfg = self._bfs_config(
+                s.source,
+                s.dest,
+                s.max_levels,
+                s.prefetch,
+                self._direction(s.direction_opt, s.direction_schedule),
+                marks=True,
+            )
+            return lambda c, q: oocbfs_program(
+                c, self.dbs[q], cfg, self._make_visited(c, s.visited, seq), owner_of=owner_of
+            )
+
+        gens = [marked(s) for s in specs]
 
         def backend_program(ctx, q):
-            def make_gen(c, qid):
-                if qid in vp_gens:
-                    return vp_gens[qid](c, q)
-                return oocbfs_program(
-                    c,
-                    self.dbs[q],
-                    cfgs[qid],
-                    self._make_visited(c, specs[qid].visited, seqs[qid]),
-                    owner_of=owner_of,
-                )
-
             streamer = (
                 None if stream_feed is None else stream_feed.state.for_rank(stream_feed, q)
             )
             return multiplex_program(
-                ctx, self.dbs[q], specs, make_gen, inflight, sharing, streamer=streamer
+                ctx,
+                self.dbs[q],
+                specs,
+                lambda c, qid: gens[qid](c, q),
+                inflight,
+                sharing,
+                streamer=streamer,
             )
 
         rank_outs = self._run_on_backends(backend_program)
@@ -501,7 +499,7 @@ class QueryService:
                 snapshot_seq=per_rank[0].snapshot_seq,
             )
             if spec.analysis == "bfs":
-                reports.append(_bfs_report(results, **drain_fields))
+                reports.append(self._bfs_report(results, **drain_fields))
             else:
                 reports.append(
                     vp_report(spec.analysis, spec.params or {}, results, **drain_fields)
@@ -520,89 +518,124 @@ class QueryService:
     def _bfs_analysis(self, program, source, dest, **params):
         """``bfs`` / ``pipelined-bfs``: ``params`` are :meth:`_run_bfs`'s
         per-query ones, plus Algorithm 2's ``threshold`` / ``poll_batch``."""
-        return self._solo_bfs_report(self._run_bfs(program, source, dest, **params))
+        return self._bfs_report(self._run_bfs(program, source, dest, **params))
+
+    def _bfs_report(self, results, analysis: str = "bfs", seconds=None, **fields) -> QueryReport:
+        """:func:`rank_report` of a search (``results``: :class:`BFSRankResult` s);
+        ``seconds=None``: it had the cluster run to itself."""
+        levels = {r.found_level for r in results}
+        if len(levels) != 1:
+            raise ConfigError(f"back-ends disagree on BFS outcome: {levels}")
+        found = results[0].found_level
+        return rank_report(
+            analysis,
+            results,
+            self.cluster.makespan if seconds is None else seconds,
+            result=None if found == NOT_FOUND else found,
+            levels=max(r.levels_expanded for r in results),
+            # The direction sequence is rank-uniform by construction; take
+            # rank 0's.  Examined/skipped counts sum (disjoint scan sets).
+            directions=tuple(results[0].directions),
+            edges_examined=sum(r.edges_examined for r in results),
+            edges_skipped=sum(r.edges_skipped for r in results),
+            **fields,
+        )
 
     def _degree_analysis(self, vertices):
-        """Total locally-stored degree of each requested vertex."""
-        vertices = [int(v) for v in vertices]
-
-        def backend_program(ctx, q):
-            local = {v: len(self.dbs[q].get_adjacency(v)) for v in vertices}
-            totals = yield from ctx.comm.allreduce(
-                local, lambda a, b: {v: a[v] + b[v] for v in a}
-            )
-            return totals
-
-        results = self._run_on_backends(backend_program)
-        return QueryReport(
-            analysis="degree", seconds=self.cluster.makespan, result=results[0]
+        """Stored degree of each requested vertex (see :func:`degree_program`)."""
+        vertices = np.asarray([int(v) for v in vertices], dtype=np.int64)
+        ft, owner_of = self._ft(), self._owner_of()
+        results = self._run_on_backends(
+            lambda ctx, q: degree_program(ctx, self.dbs[q], vertices, ft, owner_of)
+        )
+        return rank_report(
+            "degree", [r for r, _ in results], self.cluster.makespan, result=results[0][1]
         )
 
     def _neighborhood_analysis(self, source, hops):
-        """Count of vertices within ``hops`` of ``source`` (incl. source)."""
-        cfg_dest = -1  # unreachable sentinel: run a bounded full BFS
+        """Count of vertices within ``hops`` of ``source`` (incl. source): a
+        search for an id no vertex has, bounded at ``hops`` levels."""
 
-        def backend_program(ctx, q):
-            vis = InMemoryVisited()
-            cfg = BFSConfig(
-                source=int(source),
-                dest=cfg_dest,
-                owner_known=self.declusterer.owner_known,
-                max_levels=int(hops),
-                ft=self._ft(),
-            )
-            owner_of = (
-                self.declusterer.owner_of if self.declusterer.owner_known else None
-            )
-            res = yield from oocbfs_program(
-                ctx, self.dbs[q], cfg, vis, owner_of=owner_of
-            )
+        def program(ctx, db, cfg, visited, owner_of):
+            res = yield from oocbfs_program(ctx, db, cfg, visited, owner_of)
             # Owner mode: per-rank fringes are disjoint, so they sum.
             # Broadcast mode: every rank holds the full fringe, so only
             # rank 0 contributes.  The source itself counts once.
             mine = res.fringe_vertices if (cfg.owner_known or ctx.comm.rank == 0) else 0
             if ctx.comm.rank == 0:
                 mine += 1
-            total = yield from ctx.comm.allreduce(mine, lambda a, b: a + b)
-            return total
+            return res, (yield from ctx.comm.allreduce(mine, operator.add))
 
-        results = self._run_on_backends(backend_program)
-        return QueryReport(
-            analysis="neighborhood", seconds=self.cluster.makespan, result=results[0]
-        )
+        results = self._run_bfs(program, source, -1, max_levels=int(hops), direction_opt=False)
+        report = self._bfs_report([r for r, _ in results], analysis="neighborhood")
+        report.result = results[0][1]
+        return report
 
 
-def _bfs_report(
-    results, seconds: float, edges_scanned: int, analysis: str = "bfs", **drain_fields
+def degree_program(ctx, db, vertices: np.ndarray, ft_cfg, owner_of):
+    """Rank program: ``(RankResult, {vertex: stored degree})`` of ``vertices``.
+
+    With an owner map each vertex is read once, by the first surviving
+    holder of its replica chain, with bounded retry rounds when a reader
+    dies; one nobody can read counts 0 and flags the result ``partial``.
+    Without a map (edge granularity) every rank's stored slice sums.
+    """
+    comm = ctx.comm
+    with span(ctx, db, ft_cfg, RankResult()) as (result, ft):
+        if owner_of is None and ft is not None and ft.replication > 1:
+            raise ConfigError(
+                "degree cannot run on replicated owner-unknown declustering: "
+                "every stored copy of an edge would be counted"
+            )
+        degrees = dict.fromkeys(vertices.tolist(), 0)
+        left = vertices  # not yet read by a rank that survived its round
+        retry = RetryRounds(ft)
+        while True:
+            routes = None if owner_of is None else live_routes(owner_of(left), ft)
+            mine = {}
+            if not is_down(ft):
+                todo = left if routes is None else left[routes == comm.rank]
+                retry.picked_up(todo)
+                with guard(ctx, ft) as attempt:
+                    mine = {v: len(db.get_adjacency(v)) for v in todo.tolist()}
+                if not attempt.ok:
+                    mine = {}
+            posts = yield from comm.allgather((is_down(ft), mine))
+            for _, counted in posts:
+                for v, degree in counted.items():
+                    degrees[v] += degree
+            if not retry.settle((dead for dead, _ in posts), reroute=routes is not None):
+                break
+            left = left[~ft.serves(routes)]
+        if owner_of is not None:  # whole chains dead: counted once, on the primary
+            route_or_drop(vertices, owner_of(vertices), ft, primary=comm.rank)
+    return result, degrees
+
+
+def rank_report(
+    analysis: str, results, seconds: float, result, levels=0, edges_scanned=None, **fields
 ) -> QueryReport:
-    """Aggregate per-rank :class:`BFSRankResult` s into the BFS report.
+    """Fold one :class:`~repro.bfs.rankprog.RankResult` per back-end into the
+    report; ``fields`` are what only this analysis, or only a drain, reports.
 
     ``seconds`` / ``edges_scanned`` are the run's totals for a solo query
-    and the query's own attribution in a drain, which also passes the
-    drain-only fields (``tenant``, ``queue_seconds``, ``snapshot_seq``).
+    (``None``: the ranks' sum) and the query's own attribution in a drain.
     """
-    levels = {r.found_level for r in results}
-    if len(levels) != 1:
-        raise ConfigError(f"back-ends disagree on BFS outcome: {levels}")
-    found = results[0].found_level
     return QueryReport(
         analysis=analysis,
         seconds=seconds,
-        result=None if found == NOT_FOUND else found,
-        edges_scanned=edges_scanned,
-        levels=max(r.levels_expanded for r in results),
+        result=result,
+        levels=levels,
+        edges_scanned=(
+            sum(r.edges_scanned for r in results) if edges_scanned is None else edges_scanned
+        ),
         partial=any(r.partial for r in results),
         failovers=sum(r.failovers for r in results),
         device_failures=sum(r.device_failed for r in results),
         corrupt_backends=tuple(q for q, r in enumerate(results) if r.corrupt),
         dropped_vertices=sum(r.dropped_vertices for r in results),
-        # The direction sequence is rank-uniform by construction; take
-        # rank 0's.  Examined/skipped counts sum (disjoint scan sets).
-        directions=tuple(results[0].directions),
-        edges_examined=sum(r.edges_examined for r in results),
-        edges_skipped=sum(r.edges_skipped for r in results),
         deadline_exceeded=any(r.deadline_exceeded for r in results),
-        **drain_fields,
+        **fields,
     )
 
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..bfs import BFSRankResult
 from ..bfs.direction import BOTTOM_UP
+from ..bfs.rankprog import LevelMark, RankResult
 from .sharedscan import BOTTOM_UP_SCAN, LOG_REPLAY, ScanBoard
 
 __all__ = ["QuerySpec", "QueryOutcome", "RankDrainOutcome", "multiplex_program"]
@@ -76,7 +76,7 @@ class QuerySpec:
 class QueryOutcome:
     """One rank's view of one drained query."""
 
-    result: BFSRankResult
+    result: RankResult
     #: Adjacency entries this query's slices scanned on this rank.
     edges_scanned: int = 0
     #: Drain start -> admission on this rank's clock.
@@ -106,20 +106,16 @@ def _advance(gen, value=None):
     """Drive one query generator to its next level mark (or completion).
 
     Comm yields are forwarded verbatim to whatever is driving the
-    multiplexer (ultimately the simcluster Scheduler); the level-mark
+    multiplexer (ultimately the simcluster Scheduler); the ``LevelMark``
     sentinels are intercepted here and never escape.  Returns
-    ``("mark", payload)`` or ``("done", BFSRankResult)``.
+    ``("mark", LevelMark)`` or ``("done", rank result)``.
     """
     try:
         item = gen.send(value)
+        while not isinstance(item, LevelMark):
+            item = gen.send((yield item))
     except StopIteration as stop:
         return ("done", stop.value)
-    while not (isinstance(item, tuple) and item and item[0] == "level-mark"):
-        reply = yield item
-        try:
-            item = gen.send(reply)
-        except StopIteration as stop:
-            return ("done", stop.value)
     return ("mark", item)
 
 
@@ -184,6 +180,25 @@ def multiplex_program(
             del active[qid]
             abort.discard(qid)
 
+        def run_slice(qid, cmd=None):
+            """Advance query ``qid`` to its next unfinished mark (or its end);
+            what the slice scans is the query's.  Every slice reads at the
+            query's admission snapshot, whatever the feed published since."""
+            st = active[qid]
+            before = db.stats.edges_scanned
+            db._stream_snap = st["snap"]
+            out = yield from _advance(st["gen"], cmd)
+            # A done-mark means the search terminated at this level:
+            # the continuation runs only the (comm-free) epilogue.
+            while out[0] == "mark" and out[1].done:
+                out = yield from _advance(st["gen"])
+            db._stream_snap = None
+            st["edges"] += db.stats.edges_scanned - before
+            if out[0] == "done":
+                finish(qid, st, out[1])
+            else:
+                st["next_dir"] = out[1].next_direction
+
         # The round loop outlives the last query if the stream feed still
         # has batches planned for later rounds: the plan (and so the exit
         # round) is static, keeping the extra empty rounds rank-uniform.
@@ -205,9 +220,8 @@ def multiplex_program(
             # rank-uniform by construction.
             while waiting and len(active) < max_inflight:
                 qid = waiting.popleft()
-                gen = make_gen(ctx, qid)
-                st = {
-                    "gen": gen,
+                active[qid] = {
+                    "gen": make_gen(ctx, qid),
                     "admitted": ctx.clock.now,
                     "edges": 0,
                     "next_dir": None,
@@ -215,16 +229,7 @@ def multiplex_program(
                     # id is pinned for the query's whole life.
                     "snap": streamer.snapshot(rounds) if streamer is not None else None,
                 }
-                active[qid] = st
-                before = db.stats.edges_scanned
-                db._stream_snap = st["snap"]
-                out = yield from _advance(gen)
-                db._stream_snap = None
-                st["edges"] += db.stats.edges_scanned - before
-                if out[0] == "done":
-                    finish(qid, st, out[1])
-                else:
-                    st["next_dir"] = out[1][3]
+                yield from run_slice(qid)
 
             order = _round_order(active, specs, rounds) if active else []
             if board is not None:
@@ -236,26 +241,10 @@ def multiplex_program(
                     board.arm(BOTTOM_UP_SCAN)
 
             for qid in order:
-                st = active[qid]
-                before = db.stats.edges_scanned
-                # Every slice reads at the query's admission snapshot,
-                # whatever batches the feed published since.
-                db._stream_snap = st["snap"]
                 # The generator is suspended at a level mark; "abort" (a
                 # rank-uniform decision from last round's deadline
                 # allreduce) makes it wind down with no further comm.
-                out = yield from _advance(st["gen"], "abort" if qid in abort else None)
-                # A done-mark means the search terminated at this level:
-                # the continuation runs only the (comm-free) epilogue.
-                while out[0] == "mark" and out[1][2]:
-                    st["next_dir"] = out[1][3]
-                    out = yield from _advance(st["gen"])
-                db._stream_snap = None
-                st["edges"] += db.stats.edges_scanned - before
-                if out[0] == "done":
-                    finish(qid, st, out[1])
-                else:
-                    st["next_dir"] = out[1][3]
+                yield from run_slice(qid, "abort" if qid in abort else None)
 
             if any_deadline and active:
                 elapsed = {

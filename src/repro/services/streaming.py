@@ -357,13 +357,8 @@ class StreamingState:
             for q, log in enumerate(self.logs)
             if log is None or log.committed < self.published
         )
-        if self.lagging and cfg.replication > 1:
-            mssg.queries.known_dead |= set(self.lagging)
-            mssg.queries.fault_tolerant = True
-        if hi_vertex >= 0:
-            mssg.queries.num_vertices = max(
-                mssg.queries.num_vertices or 0, hi_vertex + 1
-            )
+        #: Highest vertex id in the recovered, not yet folded batches (-1: none).
+        self.recovered_max_id = hi_vertex
 
     # -- ingest ---------------------------------------------------------------
 

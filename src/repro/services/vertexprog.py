@@ -44,7 +44,7 @@ Access plans, inherited from the BFS work:
   batched path of top-down BFS;
 * a **dense** frontier switches to one storage-order sweep per rank —
   the bottom-up BFS plan — through
-  :func:`repro.bfs.direction._adjacency_source`, which also makes the
+  :func:`repro.bfs.rankprog.adjacency_source`, which also makes the
   sweep *shareable*: under ``query_many`` the multiplexer arms the
   :class:`~repro.services.sharedscan.ScanBoard` and concurrent analytics
   and bottom-up BFS levels are all served from one device pass.  The
@@ -71,10 +71,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bfs.direction import BOTTOM_UP, _adjacency_source
+from ..bfs.direction import BOTTOM_UP
 from ..bfs.failover import (
     FaultTolerance,
-    FTState,
     RetryRounds,
     guard,
     is_down,
@@ -83,6 +82,7 @@ from ..bfs.failover import (
     route_or_drop,
     try_expand,
 )
+from ..bfs.rankprog import RankResult, level_mark, span, sweep
 from ..graphdb.interface import AdjacencyBatch
 from ..util.bitset import Bitset
 from ..util.errors import ConfigError
@@ -143,8 +143,8 @@ class VPConfig:
     #: entry ``i`` is the mode of superstep ``i + 1`` (``"sparse"`` /
     #: ``"dense"``); supersteps past the end repeat the last entry.
     schedule: tuple[str, ...] | None = None
-    #: Emit ``("level-mark", superstep, done, next_mode)`` sentinels for
-    #: the concurrent multiplexer (never under a bare Scheduler run).
+    #: Yield a :class:`~repro.bfs.rankprog.LevelMark` per superstep for the
+    #: concurrent multiplexer (never under a bare Scheduler run).
     level_marks: bool = False
 
     def __post_init__(self):
@@ -157,7 +157,7 @@ class VPConfig:
 
 
 @dataclass
-class VPRankResult:
+class VPRankResult(RankResult):
     """Per-rank outcome of one vertex-program run.
 
     ``result`` is computed from replicated state, so it is identical on
@@ -166,18 +166,10 @@ class VPRankResult:
 
     result: object = None
     supersteps: int = 0
-    edges_scanned: int = 0
     #: Messages combined across all supersteps (triplets posted).
     messages: int = 0
     #: Supersteps served by a dense storage-order sweep.
     sweeps: int = 0
-    seconds: float = 0.0
-    failovers: int = 0
-    dropped_vertices: int = 0
-    device_failed: bool = False
-    corrupt: bool = False
-    partial: bool = False
-    deadline_exceeded: bool = False
     #: Access mode chosen per superstep ("sparse"/"dense"); rank-uniform.
     modes: list = field(default_factory=list)
 
@@ -276,8 +268,7 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     ``ok=False`` means the device died (or the attempt blew the failover
     timeout) mid-scan and the partial accumulation was discarded.  CPU is
     charged per adjacency entry processed, exactly like the bottom-up
-    claim scan (``scan_adjacency`` charges storage I/O but leaves per-edge
-    visit time to its caller).
+    claim scan (both are :func:`~repro.bfs.rankprog.sweep`).
     """
     empty_post = (_EMPTY, _EMPTY, np.empty(0, dtype=np.float64))
     if not len(todo):
@@ -293,31 +284,27 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
         return (dsts, np.full(len(dsts), -1, dtype=np.int64), vals), True
 
     posts: list[tuple] = []
-    examined = 0
-    with guard(ctx, ft) as attempt:
-        try:
-            if mode == DENSE:
-                source = _adjacency_source(db, todo)
-            else:
-                source = db.scan_adjacency(todo)
-            for batch in source:
-                examined += len(batch.neighbors)
-                posts.append(prog.edge_messages(batch, superstep))
-        finally:
-            ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
-            db.stats.edges_scanned += examined
-    if not attempt.ok or not posts:
-        return empty_post, attempt.ok
+
+    def scatter(batch):
+        posts.append(prog.edge_messages(batch, superstep))
+        return len(batch.neighbors)
+
+    # Only a dense superstep is worth a shared whole-store pass; a sparse
+    # one reads its candidates' lists and stays off the board.
+    _, ok = sweep(ctx, db, todo, scatter, ft, shared=mode == DENSE)
+    if not ok or not posts:
+        return empty_post, ok
     dtypes = (np.int64, np.int64, np.float64)
     return tuple(np.concatenate(c).astype(t, copy=False) for c, t in zip(zip(*posts), dtypes)), True
 
 
-def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
+def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram, owner_of=None):
     """Rank program (generator) running one vertex program to completion.
 
     Run on every back-end rank through ``QueryService._run_on_backends``
     (or interleaved by the concurrent multiplexer when
-    ``cfg.level_marks``); returns a :class:`VPRankResult`.
+    ``cfg.level_marks``); returns a :class:`VPRankResult`.  ``owner_of``
+    maps a vertex array to owner ranks when ``cfg.owner_known``.
     """
     comm = ctx.comm
     rank = comm.rank
@@ -329,132 +316,112 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram):
             "needs_source=False requires a min/max combiner (flat batch "
             "expansion cannot attribute additive values to sources)"
         )
-    ft = FTState.start(cfg.ft, comm.size, rank)
-    if prog.combine == "add" and not cfg.owner_known and ft is not None and ft.replication > 1:
-        raise ConfigError(
-            "additive vertex programs cannot run on replicated owner-unknown "
-            "declustering: every stored copy of an edge would be counted"
-        )
-    result = VPRankResult()
-    start_time = ctx.clock.now
-    edges_before = db.stats.edges_scanned
-
-    active = np.asarray(prog.init(n), dtype=np.int64)
-    frontier = Bitset(n)
-    if len(active):
-        frontier.set_many(active)
-
-    aborted = False
-    if cfg.level_marks:
-        # Pre-admission mark (no comm before it): lets the multiplexer
-        # place this analysis in its round-robin order and predict whether
-        # its first superstep runs a shareable dense sweep.
-        nxt = _pick_mode(cfg, 1, frontier.count()) if len(active) else None
-        cmd = yield ("level-mark", 0, False, BOTTOM_UP if nxt == DENSE else None)
-        if cmd == "abort":
-            aborted = True
-            result.partial = True
-            result.deadline_exceeded = True
-
-    superstep = 0
-    while not aborted and len(active) and superstep < cfg.max_supersteps:
-        superstep += 1
-        mode = _pick_mode(cfg, superstep, frontier.count())
-        result.modes.append(mode)
-        if mode == DENSE:
-            result.sweeps += 1
-
-        # Responsibility split + bounded failover rounds.  Message triplets
-        # are *gathered* to rank 0 (they travel the wire once), deaths ride
-        # a tiny flag broadcast, and the canonical combine runs once at the
-        # root before the dense result is broadcast back — the same
-        # compress-before-broadcast shape as an allreduce, at a fraction of
-        # an allgather's bytes.  The covered set needs no shipping at all:
-        # routing is a pure function of rank-uniform state (active set,
-        # owner map, dead set), so every rank tracks which vertices each
-        # round's surviving scanners completed and a replacement holder
-        # subtracts them — no vertex's messages are ever produced twice
-        # (which would corrupt additive combiners) and a dying rank's
-        # half-finished round, whose post was discarded, is re-scanned.
-        posts: list[tuple] = []  # meaningful at rank 0 only
-        covered = np.zeros(len(active), dtype=bool)
-        retry = RetryRounds(ft)
-        # Owner unknown (edge granularity): every rank scans its own stored
-        # slice of the whole active set, and the loop never retries — the
-        # coverage sets are disjoint by storage, not by routing.
-        owners = (
-            np.asarray(ctx.owner_of(active), dtype=np.int64) if cfg.owner_known else None
-        )
-        id_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        while True:
-            routes = live_routes(owners, ft) if owners is not None else None
-            if is_down(ft):
-                todo = _EMPTY
-            elif routes is None:
-                todo = active
-            else:
-                todo = active[(routes == rank) & ~covered]
-            retry.picked_up(todo)
-            post, _ = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
-            post = (
-                post[0].astype(id_dtype, copy=False),
-                post[1].astype(id_dtype, copy=False),
-                post[2],
+    with span(ctx, db, cfg.ft, VPRankResult()) as (result, ft):
+        if prog.combine == "add" and not cfg.owner_known and ft is not None and ft.replication > 1:
+            raise ConfigError(
+                "additive vertex programs cannot run on replicated owner-unknown "
+                "declustering: every stored copy of an edge would be counted"
             )
-            gathered = yield from comm.gather((is_down(ft), post), root=0)
-            if rank == 0:
-                flags = [g[0] for g in gathered]
-                posts.extend(g[1] for g in gathered)
-            else:
-                flags = None
-            flags = yield from comm.bcast(flags, root=0)
-            if not retry.settle(flags, reroute=owners is not None):
-                break
-            # Vertices routed to a rank that scanned without dying this
-            # round are done; a newly dead scanner's share stays open for
-            # the next round's replacement holder.
-            covered |= ft.serves(routes)
-        if owners is not None:
-            # Whole replica chains dead: their adjacency is unreachable.
-            # The set is rank-uniform; counted once, on the primary owner.
-            route_or_drop(active, owners, ft, primary=rank)
-
-        # Canonical combine at the root, dense result broadcast to all.
-        # The broadcast object is shared in-process; ``apply`` hooks treat
-        # ``combined``/``has_msg`` as read-only (the contract), so sharing
-        # is safe and costs one dense array on the wire instead of every
-        # posted triplet ever reaching every rank.
-        packed = _combine_posts(posts, prog.combine, n) if rank == 0 else None
-        combined, has_msg, nmsgs = yield from comm.bcast(packed, root=0)
-        result.messages += nmsgs
-        active, done = prog.apply(combined, has_msg, superstep)
-        active = np.asarray(active, dtype=np.int64)
-        frontier.clear_all()
+        active = np.asarray(prog.init(n), dtype=np.int64)
+        frontier = Bitset(n)
         if len(active):
             frontier.set_many(active)
-        result.supersteps = superstep
-        done = bool(done) or not len(active) or superstep >= cfg.max_supersteps
-        if cfg.level_marks:
-            nxt = _pick_mode(cfg, superstep + 1, frontier.count()) if not done else None
-            cmd = yield (
-                "level-mark",
-                superstep,
-                done,
-                BOTTOM_UP if nxt == DENSE else None,
-            )
-            if cmd == "abort":
-                if not done:
-                    result.partial = True
-                    result.deadline_exceeded = True
-                break
-        if done:
-            break
 
-    result.result = None if aborted else prog.finalize()
-    result.edges_scanned = db.stats.edges_scanned - edges_before
-    result.seconds = ctx.clock.now - start_time
-    if ft is not None:
-        ft.fill(result)
+        aborted = False
+        if cfg.level_marks:
+            # Pre-admission mark (no comm before it): lets the multiplexer
+            # place this analysis in its round-robin order and predict whether
+            # its first superstep runs a shareable dense sweep.
+            nxt = _pick_mode(cfg, 1, frontier.count()) if len(active) else None
+            aborted = yield from level_mark(result, 0, False, BOTTOM_UP if nxt == DENSE else None)
+
+        superstep = 0
+        while not aborted and len(active) and superstep < cfg.max_supersteps:
+            superstep += 1
+            mode = _pick_mode(cfg, superstep, frontier.count())
+            result.modes.append(mode)
+            if mode == DENSE:
+                result.sweeps += 1
+
+            # Responsibility split + bounded failover rounds.  Message triplets
+            # are *gathered* to rank 0 (they travel the wire once), deaths ride
+            # a tiny flag broadcast, and the canonical combine runs once at the
+            # root before the dense result is broadcast back — the same
+            # compress-before-broadcast shape as an allreduce, at a fraction of
+            # an allgather's bytes.  The covered set needs no shipping at all:
+            # routing is a pure function of rank-uniform state (active set,
+            # owner map, dead set), so every rank tracks which vertices each
+            # round's surviving scanners completed and a replacement holder
+            # subtracts them — no vertex's messages are ever produced twice
+            # (which would corrupt additive combiners) and a dying rank's
+            # half-finished round, whose post was discarded, is re-scanned.
+            posts: list[tuple] = []  # meaningful at rank 0 only
+            covered = np.zeros(len(active), dtype=bool)
+            retry = RetryRounds(ft)
+            # Owner unknown (edge granularity): every rank scans its own stored
+            # slice of the whole active set, and the loop never retries — the
+            # coverage sets are disjoint by storage, not by routing.
+            owners = (
+                np.asarray(owner_of(active), dtype=np.int64) if cfg.owner_known else None
+            )
+            id_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+            while True:
+                routes = live_routes(owners, ft) if owners is not None else None
+                if is_down(ft):
+                    todo = _EMPTY
+                elif routes is None:
+                    todo = active
+                else:
+                    todo = active[(routes == rank) & ~covered]
+                retry.picked_up(todo)
+                post, _ = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
+                post = (
+                    post[0].astype(id_dtype, copy=False),
+                    post[1].astype(id_dtype, copy=False),
+                    post[2],
+                )
+                gathered = yield from comm.gather((is_down(ft), post), root=0)
+                if rank == 0:
+                    flags = [g[0] for g in gathered]
+                    posts.extend(g[1] for g in gathered)
+                else:
+                    flags = None
+                flags = yield from comm.bcast(flags, root=0)
+                if not retry.settle(flags, reroute=owners is not None):
+                    break
+                # Vertices routed to a rank that scanned without dying this
+                # round are done; a newly dead scanner's share stays open for
+                # the next round's replacement holder.
+                covered |= ft.serves(routes)
+            if owners is not None:
+                # Whole replica chains dead: their adjacency is unreachable.
+                # The set is rank-uniform; counted once, on the primary owner.
+                route_or_drop(active, owners, ft, primary=rank)
+
+            # Canonical combine at the root, dense result broadcast to all.
+            # The broadcast object is shared in-process; ``apply`` hooks treat
+            # ``combined``/``has_msg`` as read-only (the contract), so sharing
+            # is safe and costs one dense array on the wire instead of every
+            # posted triplet ever reaching every rank.
+            packed = _combine_posts(posts, prog.combine, n) if rank == 0 else None
+            combined, has_msg, nmsgs = yield from comm.bcast(packed, root=0)
+            result.messages += nmsgs
+            active, done = prog.apply(combined, has_msg, superstep)
+            active = np.asarray(active, dtype=np.int64)
+            frontier.clear_all()
+            if len(active):
+                frontier.set_many(active)
+            result.supersteps = superstep
+            done = bool(done) or not len(active) or superstep >= cfg.max_supersteps
+            if cfg.level_marks:
+                nxt = _pick_mode(cfg, superstep + 1, frontier.count()) if not done else None
+                sweeps_next = BOTTOM_UP if nxt == DENSE else None
+                if (yield from level_mark(result, superstep, done, sweeps_next)):
+                    break
+            if done:
+                break
+
+        result.result = None if aborted else prog.finalize()
     return result
 
 
@@ -639,7 +606,7 @@ class EgoNetProgram(VertexProgram):
         }
 
 
-def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
+def triangle_count_program(ctx, db, cfg: VPConfig, owner_of=None):
     """Rank program: exact triangle and wedge counts over the stored graph.
 
     Not a scatter/gather computation — wedge closure needs adjacency
@@ -658,138 +625,116 @@ def triangle_count_program(ctx, db, cfg: VPConfig, prog=None):
     size = comm.size
     if not cfg.owner_known:
         raise ConfigError("triangle counting needs an owner map (vertex granularity)")
-    owner_of = ctx.owner_of
-    result = VPRankResult()
-    start_time = ctx.clock.now
-    edges_before = db.stats.edges_scanned
-    ft = FTState.start(cfg.ft, size, rank)
+    with span(ctx, db, cfg.ft, VPRankResult()) as (result, ft):
+        aborted = cfg.level_marks and (yield from level_mark(result, 0, False, BOTTOM_UP))
 
-    aborted = False
-    if cfg.level_marks:
-        cmd = yield ("level-mark", 0, False, BOTTOM_UP)
-        if cmd == "abort":
-            aborted = True
-            result.partial = True
-            result.deadline_exceeded = True
+        # Phase 1: one storage-order sweep per responsible rank, extracting
+        # each vertex's neighbor set (cached for phase 2 membership tests)
+        # and its wedge list; bounded re-scan rounds mirror the runtime.
+        adj: dict[int, np.ndarray] = {}
+        wedges = 0
+        checks: list[np.ndarray] = []  # (center excluded) wedge endpoints (u, w)
+        scanned = _EMPTY
+        retry = RetryRounds(ft)
+        while not aborted:
+            result.supersteps += 1
+            todo = _EMPTY
+            if not is_down(ft):
+                with guard(ctx, ft, timed=False):
+                    local = np.asarray(db.local_vertices(), dtype=np.int64)
+                    todo = np.setdiff1d(responsibility(local, owner_of, rank, ft), scanned)
+            round_pairs: list[np.ndarray] = []
+            round_adj: dict[int, np.ndarray] = {}
+            round_wedges = 0
+            if len(todo):
+                retry.picked_up(todo)
+                pieces = []  # a list may arrive in pieces: count, then group
 
-    # Phase 1: one storage-order sweep per responsible rank, extracting
-    # each vertex's neighbor set (cached for phase 2 membership tests)
-    # and its wedge list; bounded re-scan rounds mirror the runtime.
-    adj: dict[int, np.ndarray] = {}
-    wedges = 0
-    checks: list[np.ndarray] = []  # (center excluded) wedge endpoints (u, w)
-    scanned = _EMPTY
-    retry = RetryRounds(ft)
-    while not aborted:
-        result.supersteps += 1
-        todo = _EMPTY
-        if not is_down(ft):
-            with guard(ctx, ft, timed=False):
-                local = np.asarray(db.local_vertices(), dtype=np.int64)
-                todo = np.setdiff1d(responsibility(local, owner_of, rank, ft), scanned)
-        round_pairs: list[np.ndarray] = []
-        round_adj: dict[int, np.ndarray] = {}
-        round_wedges = 0
-        examined = 0
-        if len(todo):
-            retry.picked_up(todo)
-            with guard(ctx, ft, timed=False):
-                try:
-                    pieces = []  # a list may arrive in pieces: count, then group
-                    for batch in _adjacency_source(db, todo):
-                        examined += len(batch.neighbors)
-                        pieces.append(batch)
-                    for v, neighbors in AdjacencyBatch.concat(pieces).grouped():
-                        nbrs = np.unique(neighbors.astype(np.int64))
-                        nbrs = nbrs[nbrs != v]  # self-loops close no wedges
-                        round_adj[v] = nbrs
-                        k = len(nbrs)
-                        round_wedges += k * (k - 1) // 2
-                        if k >= 2:
-                            iu, iw = np.triu_indices(k, 1)
-                            round_pairs.append(np.column_stack([nbrs[iu], nbrs[iw]]))
-                finally:
-                    ctx.clock.advance(examined * db.cpu.edge_visit_seconds)
-                    db.stats.edges_scanned += examined
-        if is_down(ft):
-            # A dead rank's cached neighbor sets are unreadable in phase 2
-            # and its responsibility re-routes wholesale, so its *entire*
-            # accumulation is void — the first surviving chain member
-            # re-scans every vertex routed to it (its own ``scanned`` set
-            # cannot contain them), producing each vertex's wedges exactly
-            # once across the cluster.
-            adj.clear()
-            wedges = 0
-            checks = []
-            scanned = _EMPTY
-        else:
-            adj.update(round_adj)
-            wedges += round_wedges
-            checks.extend(round_pairs)
-            scanned = np.union1d(scanned, todo)
-        posts = yield from comm.allgather(is_down(ft))
-        if not retry.settle(posts):
-            break
+                def collect(batch):
+                    pieces.append(batch)
+                    return len(batch.neighbors)
 
-    if cfg.level_marks and not aborted:
-        cmd = yield ("level-mark", result.supersteps, False, None)
-        if cmd == "abort":
-            aborted = True
-            result.partial = True
-            result.deadline_exceeded = True
+                # A failed pass leaves this rank down: everything is voided below.
+                if not sweep(ctx, db, todo, collect, ft, timed=False)[1]:
+                    pieces.clear()
+                for v, neighbors in AdjacencyBatch.concat(pieces).grouped():
+                    nbrs = np.unique(neighbors.astype(np.int64))
+                    nbrs = nbrs[nbrs != v]  # self-loops close no wedges
+                    round_adj[v] = nbrs
+                    k = len(nbrs)
+                    round_wedges += k * (k - 1) // 2
+                    if k >= 2:
+                        iu, iw = np.triu_indices(k, 1)
+                        round_pairs.append(np.column_stack([nbrs[iu], nbrs[iw]]))
+            if is_down(ft):
+                # A dead rank's cached neighbor sets are unreadable in phase 2
+                # and its responsibility re-routes wholesale, so its *entire*
+                # accumulation is void — the first surviving chain member
+                # re-scans every vertex routed to it (its own ``scanned`` set
+                # cannot contain them), producing each vertex's wedges exactly
+                # once across the cluster.
+                adj.clear()
+                wedges = 0
+                checks = []
+                scanned = _EMPTY
+            else:
+                adj.update(round_adj)
+                wedges += round_wedges
+                checks.extend(round_pairs)
+                scanned = np.union1d(scanned, todo)
+            posts = yield from comm.allgather(is_down(ft))
+            if not retry.settle(posts):
+                break
 
-    closed = 0
-    if not aborted:
-        # Phase 2: route each wedge (u, w) to the rank responsible for u's
-        # adjacency under the final dead set; that rank answers membership
-        # of w from its cached neighbor sets.
-        pairs = (
-            np.vstack(checks) if checks else np.zeros((0, 2), dtype=np.int64)
-        )
-        pairs, routes, _ = route_or_drop(pairs, owner_of(pairs[:, 0]), ft)
-        parts = [pairs[routes == q] for q in range(size)]
-        received = yield from comm.alltoall(parts)
-        mine = 0
-        probes = 0
-        for batch in received:
-            batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
-            if not len(batch):
-                continue
-            batch = batch[np.argsort(batch[:, 0], kind="stable")]
-            uniq, starts = np.unique(batch[:, 0], return_index=True)
-            bounds = np.append(starts, len(batch))
-            for i, u in enumerate(uniq):
-                ws = batch[bounds[i] : bounds[i + 1], 1]
-                nbrs = adj.get(int(u))
-                if nbrs is None or not len(nbrs):
-                    probes += len(ws)
+        if cfg.level_marks and not aborted:
+            aborted = yield from level_mark(result, result.supersteps, False)
+
+        closed = 0
+        if not aborted:
+            # Phase 2: route each wedge (u, w) to the rank responsible for u's
+            # adjacency under the final dead set; that rank answers membership
+            # of w from its cached neighbor sets.
+            pairs = (
+                np.vstack(checks) if checks else np.zeros((0, 2), dtype=np.int64)
+            )
+            pairs, routes, _ = route_or_drop(pairs, owner_of(pairs[:, 0]), ft)
+            parts = [pairs[routes == q] for q in range(size)]
+            received = yield from comm.alltoall(parts)
+            mine = 0
+            probes = 0
+            for batch in received:
+                batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
+                if not len(batch):
                     continue
-                # ``nbrs`` is sorted (np.unique): binary-search membership,
-                # charged one comparison per bisection step.
-                probes += len(ws) * (int(np.log2(len(nbrs))) + 1)
-                idx = np.searchsorted(nbrs, ws)
-                valid = idx < len(nbrs)
-                mine += int((nbrs[idx[valid]] == ws[valid]).sum())
-        ctx.compute(probes * db.cpu.compare_seconds)
-        total_closed, total_wedges = yield from comm.allreduce(
-            (mine, wedges), lambda a, b: (a[0] + b[0], a[1] + b[1])
-        )
-        closed = total_closed
-        wedges = total_wedges
-        result.supersteps += 1
+                batch = batch[np.argsort(batch[:, 0], kind="stable")]
+                uniq, starts = np.unique(batch[:, 0], return_index=True)
+                bounds = np.append(starts, len(batch))
+                for i, u in enumerate(uniq):
+                    ws = batch[bounds[i] : bounds[i + 1], 1]
+                    nbrs = adj.get(int(u))
+                    if nbrs is None or not len(nbrs):
+                        probes += len(ws)
+                        continue
+                    # ``nbrs`` is sorted (np.unique): binary-search membership,
+                    # charged one comparison per bisection step.
+                    probes += len(ws) * (int(np.log2(len(nbrs))) + 1)
+                    idx = np.searchsorted(nbrs, ws)
+                    valid = idx < len(nbrs)
+                    mine += int((nbrs[idx[valid]] == ws[valid]).sum())
+            ctx.compute(probes * db.cpu.compare_seconds)
+            closed, wedges = yield from comm.allreduce(
+                (mine, wedges), lambda a, b: (a[0] + b[0], a[1] + b[1])
+            )
+            result.supersteps += 1
 
-    if cfg.level_marks and not aborted:
-        yield ("level-mark", result.supersteps, True, None)
+        if cfg.level_marks and not aborted:
+            yield from level_mark(result, result.supersteps, True)
 
-    result.result = None if aborted else {
-        "triangles": closed // 3,
-        "wedges": wedges,
-        "closed_checks": closed,
-    }
-    result.edges_scanned = db.stats.edges_scanned - edges_before
-    result.seconds = ctx.clock.now - start_time
-    if ft is not None:
-        ft.fill(result)
+        result.result = None if aborted else {
+            "triangles": closed // 3,
+            "wedges": wedges,
+            "closed_checks": closed,
+        }
     return result
 
 
@@ -812,17 +757,6 @@ PROGRAM_FACTORIES = {
 }
 
 
-class _VPContext:
-    """Adds the owner map to a rank context (runtime-internal)."""
-
-    def __init__(self, ctx, owner_of):
-        self._ctx = ctx
-        self.owner_of = owner_of
-
-    def __getattr__(self, name):
-        return getattr(self._ctx, name)
-
-
 def make_vp_generator(service, analysis: str, params: dict, level_marks: bool):
     """Build ``gen(ctx, q)`` producing one back-end rank's generator.
 
@@ -843,65 +777,35 @@ def make_vp_generator(service, analysis: str, params: dict, level_marks: bool):
         max_supersteps=params.get("max_supersteps", 200),
         level_marks=level_marks,
     )
-    owner_of = service.declusterer.owner_of if service.declusterer.owner_known else None
+    owner_of = service._owner_of()
     if analysis == "triangles":
-        def gen(ctx, q):
-            return triangle_count_program(
-                _VPContext(ctx, owner_of), service.dbs[q], cfg
-            )
-        return gen
+        return lambda ctx, q: triangle_count_program(ctx, service.dbs[q], cfg, owner_of)
     factory = PROGRAM_FACTORIES[analysis](params)
-
-    def gen(ctx, q):
-        return vertexprog_program(
-            _VPContext(ctx, owner_of), service.dbs[q], cfg, factory()
-        )
-
-    return gen
+    return lambda ctx, q: vertexprog_program(ctx, service.dbs[q], cfg, factory(), owner_of)
 
 
-def vp_report(
-    analysis: str,
-    params: dict,
-    results: list[VPRankResult],
-    seconds: float,
-    edges_scanned: int | None = None,
-    **drain_fields,
-):
+def vp_report(analysis: str, params: dict, results: list[VPRankResult], seconds: float, **fields):
     """Aggregate per-rank results into a ``QueryReport``.
 
     The payload is computed from replicated state, so it must be
     bit-identical on every rank; the cross-check hashes the raw payload
-    (ndarrays included) and raises on any divergence.  Used by both the
-    solo runner and the concurrent drain (which passes per-query
-    ``seconds``/``edges_scanned`` attribution instead of run totals, and
-    the drain-only ``tenant``/``queue_seconds``/``snapshot_seq``).
+    (ndarrays included) and raises on any divergence.  ``seconds`` and
+    ``fields`` are :func:`~repro.services.query.rank_report`'s.
     """
-    from .query import QueryReport
+    from .query import rank_report
 
     digests = {_digest(r.result) for r in results}
     if len(digests) != 1:
         raise ConfigError(f"back-ends disagree on {analysis} outcome")
     shaper = RESULT_SHAPERS[analysis](params)
     raw = results[0].result
-    payload = shaper(raw) if (shaper and raw is not None) else raw
-    return QueryReport(
-        analysis=analysis,
-        seconds=seconds,
-        result=payload,
-        edges_scanned=(
-            sum(r.edges_scanned for r in results)
-            if edges_scanned is None
-            else edges_scanned
-        ),
+    return rank_report(
+        analysis,
+        results,
+        seconds,
+        result=shaper(raw) if (shaper and raw is not None) else raw,
         levels=max(r.supersteps for r in results),
-        partial=any(r.partial for r in results),
-        failovers=sum(r.failovers for r in results),
-        device_failures=sum(r.device_failed for r in results),
-        corrupt_backends=tuple(q for q, r in enumerate(results) if r.corrupt),
-        dropped_vertices=sum(r.dropped_vertices for r in results),
-        deadline_exceeded=any(r.deadline_exceeded for r in results),
-        **drain_fields,
+        **fields,
     )
 
 

@@ -17,8 +17,12 @@ as whole lists (``grouped``) and as each producer's documented batch order:
   snapshot, and is dropped when the batch list changes;
 * the shared-board plan and the unshared plan serve the same lists;
 * and a call-count guard: one ``Bitset.get_many`` per batch, never one per
-  candidate vertex.
+  candidate vertex;
+* and the guarded loop all three sweeping rank programs share
+  (:func:`repro.bfs.rankprog.sweep`) pays for what it examined before a fault.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,14 +30,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
-from repro.bfs.direction import _adjacency_source, _claim_batch
+from repro.bfs.direction import _claim_batch
+from repro.bfs.failover import FaultTolerance, FTState
+from repro.bfs.rankprog import adjacency_source
+from repro.bfs.rankprog import sweep as guarded_sweep
 from repro.experiments.harness import EXPERIMENT_NODE_SPEC, scaled_grdb_format
 from repro.graphdb import BACKENDS, AdjacencyBatch, GrDBFormat, ModuloMap
+from repro.graphdb.interface import GraphDBStats
 from repro.graphdb.grdb.format import EMPTY_SLOT, is_pointer
 from repro.graphgen import dedupe_edges, preferential_attachment, pubmed_like
 from repro.services.sharedscan import BOTTOM_UP_SCAN, ScanBoard
 from repro.services.streaming import DeltaOverlay, OverlayView
 from repro.simcluster import FaultPlan, NodeSpec, SimNode
+from repro.simcluster.costmodel import CpuProfile
+from repro.simcluster.virtualtime import VirtualClock
 from repro.util import DeviceFailedError
 from repro.util.bitset import Bitset
 
@@ -487,6 +497,46 @@ def test_mid_scan_fault_charges_the_work_done(backend, more_ops, schedule, secon
     assert (repr(r.seconds), r.edges_scanned) == (seconds, edges_scanned)
 
 
+class _DyingStore:
+    """Two batches of three entries each, then the device fails."""
+
+    cpu = CpuProfile(edge_visit_seconds=0.5)
+
+    def __init__(self):
+        self.stats = GraphDBStats(edges_scanned=100)
+
+    def scan_adjacency(self, wanted, done=None):
+        for v in wanted[:2]:
+            yield AdjacencyBatch.from_lists([int(v)], [np.array([7, 8, 9])])
+        raise DeviceFailedError("injected")
+
+
+def test_sweep_charges_and_counts_what_it_examined_before_the_fault():
+    """The one guarded loop under the claim scan, a superstep's scatter and the
+    triangle count: a pass that dies still pays for the entries its step
+    examined; failover turns the error into ``ok=False``, without it, it
+    propagates."""
+    ctx = SimpleNamespace(clock=VirtualClock(10.0))
+    wanted = np.arange(5)
+
+    def step(batch):
+        seen.append(batch.vertices.tolist())
+        return 2  # of each batch's three entries, like an early-exit claim
+
+    for ft in (FTState.start(FaultTolerance(), 4, 1), None):
+        db, seen = _DyingStore(), []
+        before = ctx.clock.now
+        if ft is None:
+            with pytest.raises(DeviceFailedError):
+                guarded_sweep(ctx, db, wanted, step, ft, shared=False)
+        else:
+            assert guarded_sweep(ctx, db, wanted, step, ft, shared=False) == (4, False)
+            assert ft.self_dead and ft.device_failed
+        assert seen == [[0], [1]]
+        assert db.stats.edges_scanned == 104
+        assert ctx.clock.now - before == 4 * 0.5
+
+
 # -- (d) the consolidated overlay view ---------------------------------------------
 
 _edge = st.tuples(st.integers(0, 7), st.integers(0, 7))
@@ -570,13 +620,13 @@ def test_shared_board_plan_equals_unshared_plan(backend, overlay):
     candidates = np.array([250, 5, 5, 17, 1000, 640, 100000, 0, 299, 3])
     db = build(backend, OVERLAYS[overlay])
     lists = reference_lists(db, OVERLAYS[overlay], candidates)
-    unshared = sweep(_adjacency_source(db, candidates))
+    unshared = sweep(adjacency_source(db, candidates))
     assert flatten(unshared) == reference_order(db, OVERLAYS[overlay], candidates)
     assert grouped(unshared) == lists
 
     db.scan_board = board = ScanBoard()
     board.arm(BOTTOM_UP_SCAN)
-    shared = sweep(_adjacency_source(db, candidates))
+    shared = sweep(adjacency_source(db, candidates))
     assert (board.passes, board.served) == (1, 0)
     # One batch of whole lists — the grouped base with the overlay stacked per
     # vertex — in np.unique(candidates) order; the unshared plan sweeps in
@@ -585,7 +635,7 @@ def test_shared_board_plan_equals_unshared_plan(backend, overlay):
     # Later consumers — here one with no overlay in sight — are served from
     # the published base batch: no second device pass.
     db._stream_snap = 0
-    again = flatten(_adjacency_source(db, candidates))
+    again = flatten(adjacency_source(db, candidates))
     assert (board.passes, board.served) == (1, 1)
     assert again == reference_lists(db, [], candidates)
     published = board.lookup(BOTTOM_UP_SCAN, db.stats.edges_stored)

@@ -18,6 +18,7 @@ from repro.bfs import bfs_distance, bfs_levels
 from repro.graphdb import GrDBFormat
 from repro.graphdb.registry import BACKENDS, IN_MEMORY_BACKENDS
 from repro.graphgen import CSRGraph, pubmed_like
+from repro.services.vertexprog import VP_ANALYSES
 from repro.simcluster import DiskFault, FaultPlan
 
 EDGES = pubmed_like(400, seed=5)
@@ -90,11 +91,28 @@ class TestConcurrentEquivalence:
             assert off.shared_passes == 0 and off.shared_served == 0
 
     def test_single_query_drain_matches_solo(self):
-        with _deploy("grDB") as mssg:
-            mssg.ingest(EDGES)
-            solo = mssg.query_bfs(*PAIRS[0])
-            rep = mssg.query_many(PAIRS[:1])
-            assert rep.queries[0].result == solo.result
+        # Every drain-capable analysis: level marks and the multiplexer around
+        # a lone query change nothing a client can see, the clock included.
+        all_params = {
+            "bfs": dict(zip(("source", "dest"), PAIRS[0])),
+            "pagerank": {"max_iters": 5},
+            "ego-net": {"source": PAIRS[0][0], "hops": 2},
+        }
+        for analysis in ("bfs",) + VP_ANALYSES:
+            params = all_params.get(analysis, {})
+            with _deploy("grDB") as mssg:
+                mssg.ingest(EDGES)
+                solo = mssg.query(analysis, **params)
+            with _deploy("grDB") as mssg:  # a second store: same cold cache
+                mssg.ingest(EDGES)
+                if analysis == "bfs":
+                    rep = mssg.query_many(PAIRS[:1])
+                else:
+                    rep = mssg.query_many([], analytics=[(analysis, params)])
+            drained = rep.queries[0]
+            for field in ("result", "levels", "edges_scanned", "partial"):
+                assert getattr(drained, field) == getattr(solo, field), (analysis, field)
+            assert repr(drained.seconds) == repr(solo.seconds), analysis
             # A lone query can never share a sweep with anyone.
             assert rep.shared_served == 0
 
