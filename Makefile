@@ -29,16 +29,23 @@ check-cache-factory:  # block caches must come from make_block_cache, never dire
 		echo "$$offenders"; exit 1; \
 	fi
 
-check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writes an FTState field, or catches or tells apart device errors
+check-failover-owner:  # only bfs/failover.py reads a FaultTolerance field, writes an FTState field, catches or tells apart device errors, or decides who serves a partition (serve_once); only services/declustering.py probes a declusterer's type or attributes
 	@offenders=$$( { \
 		grep -rnE 'ft\.cfg\.|ft\.(self_dead|dead|partial|dropped|failovers|corrupt|device_failed|timed_out)[[:space:]]*(=[^=]|\+=|\|=|\.add)' \
 			src/repro --include='*.py'; \
 		grep -rnE 'isinstance\(.*CorruptBlockError\)' src/repro/bfs src/repro/services/vertexprog.py; \
 		grep -rnE 'except[^:]*(DeviceFailedError|CorruptBlockError)' src/repro/bfs src/repro/services/query.py \
 			src/repro/services/analyses.py src/repro/services/vertexprog.py --include='*.py'; \
+		grep -rnE 'RetryRounds|live_routes\(|route_to_replicas\(|\.serves\(|flag_unserved\(' src/repro --include='*.py'; \
 	} | grep -v '^src/repro/bfs/failover\.py:' || true); \
 	if [ -n "$$offenders" ]; then \
-		echo "failover policy outside bfs/failover.py (use FTState.start / guard / route_or_drop / RetryRounds / FTState.fill):"; \
+		echo "failover policy outside bfs/failover.py (use FTState.start / guard / route_or_drop / serve_once / FTState.fill):"; \
+		echo "$$offenders"; exit 1; \
+	fi; \
+	offenders=$$(grep -rnE 'getattr\([^)]*declusterer|isinstance\([^)]*ReplicatedDeclusterer' src/repro --include='*.py' \
+		| grep -v '^src/repro/services/declustering\.py:' || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "declusterer probed outside services/declustering.py (every Declusterer answers replication / replica_chain / chain_map):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..util.bitset import Bitset
-from .failover import FTState, RetryRounds, guard, is_down, responsibility, route_or_drop
+from .failover import FTState, is_down, route_or_drop, serve_once
 from .rankprog import sweep
 
 __all__ = [
@@ -219,37 +219,28 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
     for words in (yield from comm.allgather(bm.words)):
         bm.or_words(np.asarray(words, dtype=np.uint64))
 
-    # 2. Scan rounds.  Each round every rank scans its (possibly
-    # re-assigned) responsibility set and posts ``(self_dead, claims)``; a
-    # death announced in a round hands its unscanned set to the next
-    # surviving chain members in the next round.
-    retry = RetryRounds(ft)
+    # 2. Scan rounds (``serve_once``): every rank scans the unvisited local
+    # vertices it is responsible for and posts ``(self_dead, claims)``; a
+    # death announced in a round hands its share to the next surviving chain
+    # members in the next round.
     all_claims: list[np.ndarray] = []
-    scanned = _EMPTY
-    while True:
-        claims = todo = _EMPTY
-        if not is_down(ft):
-            # Enumerating local vertices may itself touch the device
-            # (StreamDB replays its log; BerkeleyDB walks the leaves).
-            with guard(ctx, ft, timed=False):
-                todo = responsibility(
-                    visited.unvisited_local(db.local_vertices), owner_of, rank, ft
-                )
-                if len(scanned):
-                    todo = np.setdiff1d(todo, scanned)
+
+    def scan(todo):
         # With failover off the scan runs even over nothing: when a shared
         # sweep is armed its first consumer is the one that publishes it.
-        if not is_down(ft) and (len(todo) or ft is None):
-            retry.picked_up(todo)
-            claims, ok = _scan_claims(ctx, db, bm, todo, ft, result)
-            if not ok:
-                claims = todo = _EMPTY
+        if not len(todo) and ft is not None:
+            return _EMPTY
+        claims, ok = _scan_claims(ctx, db, bm, todo, ft, result)
+        return claims if ok else _EMPTY
+
+    def exchange(claims):
         if ft is None:
             # Claims are owner-local, so a healthy level needs no claim
             # exchange at all — peers learn the new fringe from the next
             # level's bitmap/alltoall as usual.
             visited.mark_many(claims, levcnt)
-            return claims, bool(len(claims)) and bool(np.any(claims == cfg.dest))
+            all_claims.append(claims)
+            return None
         posts = yield from comm.allgather((is_down(ft), claims))
         merged = [np.asarray(c, dtype=np.int64) for _, c in posts if len(c)]
         if merged:
@@ -259,12 +250,14 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             # failover re-assignment.
             visited.mark_many(round_claims, levcnt)
             all_claims.append(round_claims)
-        if not retry.settle(is_dead for is_dead, _ in posts):
-            break
-        scanned = np.union1d(scanned, todo)
-    # Nobody scanned a partition whose whole chain is dead — nor can anyone
-    # say which of its vertices this level should have claimed.
-    ft.flag_unserved(rank)
+        return [down for down, _ in posts]
+
+    yield from serve_once(
+        ctx, ft, lambda: visited.unvisited_local(db.local_vertices), owner_of, scan, exchange
+    )
+    if ft is None:
+        (claims,) = all_claims
+        return claims, bool(len(claims)) and bool(np.any(claims == cfg.dest))
 
     claims = np.unique(np.concatenate(all_claims)) if all_claims else _EMPTY
     found_here = bool(len(claims)) and bool(np.any(claims == cfg.dest))

@@ -8,10 +8,11 @@ whose primary owner is rank ``q`` also lives on ranks ``q+1 .. q+k-1``
 dead rank's share.
 
 Every rank program that fails over — Algorithms 1 and 2 (through
-:func:`failover_rounds`), the bottom-up level, the vertex-program superstep
-loop, the triangle sweep — is written in this module's vocabulary, and no
-other module reads a :class:`FaultTolerance` field or writes an
-:class:`FTState` field (``make check-failover-owner``):
+:func:`failover_rounds`), ``degree``, the bottom-up level, the
+vertex-program superstep loop, the triangle sweep (through
+:func:`serve_once`) — is written in this module's vocabulary, and no other
+module reads a :class:`FaultTolerance` field, writes an :class:`FTState`
+field or decides who serves a partition (``make check-failover-owner``):
 
 * :meth:`FTState.start` — the per-run state, ``None`` when failover is off,
   seeded with the ranks recorded dead up front;
@@ -20,24 +21,24 @@ other module reads a :class:`FaultTolerance` field or writes an
   :class:`~repro.util.errors.CorruptBlockError` or a blown per-attempt
   timeout into the sticky "this rank no longer serves" state, and re-raises
   when failover is off;
-* :func:`responsibility` / :func:`live_routes` / :func:`route_or_drop` —
-  who serves a vertex now: the first surviving member of its replica chain;
-  a vertex whose whole chain is dead is *dropped* (counted, and the result
-  flagged partial on the rank result and ultimately the ``QueryReport``);
-* :class:`RetryRounds` — one level's bounded retry rounds: merge the deaths
-  a round's exchange announced, spend the ``max_retries`` budget, count the
-  shards picked up for dead peers;
-* :meth:`FTState.flag_unserved` — what only ``partial`` can say: a sweep
-  ended over a partition none of whose holders is alive;
+* :func:`responsibility` / :func:`route_or_drop` — who serves a vertex
+  now: the first surviving member of its replica chain (one chain matrix,
+  rotational or rebalanced); a vertex whose whole chain is dead is
+  *dropped* (counted, and the result flagged partial on the rank result and
+  ultimately the ``QueryReport``);
+* :func:`serve_once` — the one loop that serves a candidate set on the
+  ranks responsible for it: bounded retry rounds around the rank program's
+  own attempt and exchange, each rank skipping what it already attempted,
+  and the chain-dead rule at the end;
 * :meth:`FTState.fill` — the counters a rank result carries.
 
-None of them communicates: the protocol is collective and
-level-synchronous, each rank program keeps its own exchange (and its own
-record of what has been covered), and a dead rank keeps taking part in
-every collective — which is what keeps the simulation deterministic and
-deadlock-free.  Once a death is known all further routing goes straight to
-the first surviving replica, so a failure costs one retry round rather
-than one per level.
+Only the two loops (:func:`serve_once`, and :func:`failover_rounds`, whose
+candidates arrive in its exchange) communicate, and only through the
+collective their caller hands them: the protocol is collective and
+level-synchronous, and a dead rank keeps taking part in every collective —
+which is what keeps the simulation deterministic and deadlock-free.  Once a
+death is known all further routing goes straight to the first surviving
+replica, so a failure costs one retry round rather than one per level.
 """
 
 from __future__ import annotations
@@ -52,14 +53,13 @@ from ..util.longarray import LongArray
 __all__ = [
     "FaultTolerance",
     "FTState",
-    "RetryRounds",
     "guard",
     "is_down",
     "try_expand",
     "route_to_replicas",
-    "live_routes",
     "responsibility",
     "route_or_drop",
+    "serve_once",
     "failover_rounds",
     "prune_known_dead_pending",
 ]
@@ -84,10 +84,9 @@ class FaultTolerance:
     #: more is treated like a device failure (straggler demotion).
     #: ``None`` disables the timeout.
     attempt_timeout: float | None = None
-    #: Explicit per-primary holder chains (``chains[u]`` = ranks storing a
-    #: copy of partition ``u``, in routing order).  ``None`` keeps the
-    #: rotational ``{(u + j) % p : j < replication}`` shape; a rebalance
-    #: pass installs the repaired, no-longer-rotational map here.
+    #: Per-primary holder chains (``chains[u]`` = ranks storing a copy of
+    #: partition ``u``, in routing order): the declusterer's chain map.
+    #: ``None`` means the rotational ``{(u + j) % p : j < replication}``.
     chains: tuple[tuple[int, ...], ...] | None = None
     #: Ranks already known dead before the query starts (e.g. recorded by a
     #: rebalance pass).  Seeding them avoids the discovery round: nothing
@@ -111,7 +110,7 @@ class FTState:
     failovers: int = 0  # shards this rank re-expanded for dead peers
     dropped: int = 0  # fringe vertices whose adjacency was lost
     partial: bool = False
-    #: Lazily built padded ``(p, max_chain)`` matrix of ``cfg.chains``.
+    #: Lazily built by :meth:`chain_matrix`.
     _chain_arr: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -142,11 +141,24 @@ class FTState:
         result.corrupt = self.corrupt
         result.partial |= self.partial
 
+    def chain_matrix(self) -> np.ndarray:
+        """The holder chains as an int64 ``(p, max_chain)`` matrix padded
+        with ``-1`` — the one table every route is read from."""
+        if self._chain_arr is None:
+            chains = self.cfg.chains or [
+                [(u + j) % self.size for j in range(self.cfg.replication)]
+                for u in range(self.size)
+            ]
+            width = max((len(c) for c in chains), default=0)
+            arr = np.full((len(chains), max(width, 1)), -1, dtype=np.int64)
+            for u, c in enumerate(chains):
+                arr[u, : len(c)] = c
+            self._chain_arr = arr
+        return self._chain_arr
+
     def chain_of(self, primary: int) -> list[int]:
         """Holder ranks of ``primary``'s partition, in routing order."""
-        if self.cfg.chains is not None:
-            return list(self.cfg.chains[primary])
-        return [(primary + j) % self.size for j in range(self.cfg.replication)]
+        return [int(r) for r in self.chain_matrix()[primary] if r >= 0]
 
     def flag_unserved(self, primary: int) -> None:
         """A sweep over everything ``primary``'s partition still owes has
@@ -156,21 +168,6 @@ class FTState:
         cannot say it and ``partial`` must."""
         if all(r in self.dead for r in self.chain_of(primary)):
             self.partial = True
-
-    def chain_matrix(self) -> np.ndarray:
-        """``cfg.chains`` as an int64 matrix padded with ``-1``."""
-        if self._chain_arr is None:
-            chains = self.cfg.chains
-            width = max((len(c) for c in chains), default=0)
-            arr = np.full((len(chains), max(width, 1)), -1, dtype=np.int64)
-            for u, c in enumerate(chains):
-                arr[u, : len(c)] = c
-            self._chain_arr = arr
-        return self._chain_arr
-
-    def serves(self, routes: np.ndarray) -> np.ndarray:
-        """Mask of ``routes`` entries that name a rank still alive."""
-        return (routes >= 0) & ~np.isin(routes, list(self.dead))
 
 
 def is_down(ft: FTState | None) -> bool:
@@ -257,52 +254,15 @@ def route_to_replicas(owners, ft: FTState) -> np.ndarray:
 
     Returns an int64 route array; ``-1`` marks vertices whose entire chain
     is dead (their adjacency is unreachable — the caller drops them and
-    flags a partial result).  The chain is the rotational
-    ``{owner + j (mod size) : j < replication}`` unless the config carries
-    an explicit (e.g. rebalanced) chain map.
+    flags a partial result).
     """
-    owners = np.asarray(owners, dtype=np.int64)
-    if ft.cfg.chains is not None:
-        return _route_via_chains(owners, ft)
-    routes = owners.copy()
-    if not ft.dead or not len(owners):
-        return routes
-    dead = np.fromiter(ft.dead, count=len(ft.dead), dtype=np.int64)
-    down = np.isin(routes, dead)
-    for j in range(1, ft.cfg.replication):
-        if not down.any():
-            return routes
-        routes[down] = (owners[down] + j) % ft.size
-        down = np.isin(routes, dead)
-    routes[down] = -1
-    return routes
-
-
-def _route_via_chains(owners: np.ndarray, ft: FTState) -> np.ndarray:
-    """First alive holder per owner under an explicit chain map."""
-    if not len(owners):
-        return owners.copy()
-    cand = ft.chain_matrix()[owners]  # (n, max_chain) of holder ranks
+    cand = ft.chain_matrix()[np.asarray(owners, dtype=np.int64)]  # (n, max_chain)
     alive = cand >= 0
     if ft.dead:
-        dead = np.fromiter(ft.dead, count=len(ft.dead), dtype=np.int64)
-        alive &= ~np.isin(cand, dead)
-    first = np.argmax(alive, axis=1)
-    routes = cand[np.arange(len(owners)), first]
+        alive &= ~np.isin(cand, list(ft.dead))
+    routes = cand[np.arange(len(cand)), np.argmax(alive, axis=1)]
     routes[~alive.any(axis=1)] = -1
     return routes
-
-
-def live_routes(owners, ft: FTState | None) -> np.ndarray:
-    """Rank serving each primary owner's partition now (``-1``: no one).
-
-    The owners themselves until a death is known — a healthy run routes
-    exactly as the paper's algorithms do.
-    """
-    owners = np.asarray(owners, dtype=np.int64)
-    if ft is None or not ft.dead:
-        return owners
-    return route_to_replicas(owners, ft)
 
 
 def responsibility(vertices: np.ndarray, owner_of, rank: int, ft: FTState | None):
@@ -316,7 +276,11 @@ def responsibility(vertices: np.ndarray, owner_of, rank: int, ft: FTState | None
     """
     if not len(vertices):
         return vertices
-    return vertices[live_routes(owner_of(vertices), ft) == rank]
+    owners = np.asarray(owner_of(vertices), dtype=np.int64)
+    # The owners themselves until a death is known — a healthy run routes
+    # exactly as the paper's algorithms do.
+    routes = owners if ft is None or not ft.dead else route_to_replicas(owners, ft)
+    return vertices[routes == rank]
 
 
 def route_or_drop(vertices: np.ndarray, owners, ft: FTState | None, primary: int | None = None):
@@ -341,15 +305,11 @@ def route_or_drop(vertices: np.ndarray, owners, ft: FTState | None, primary: int
     return vertices[~gone], routes[~gone], vertices[gone]
 
 
-class RetryRounds:
-    """One level's (or superstep's) bounded retry rounds.
-
-    Owns what every retry loop shares — merging announced deaths, the
-    ``max_retries`` budget, the ``partial`` flag when it runs out, and the
-    pick-up count — and nothing else: each rank program keeps its own
-    exchange and its own record of what has been covered.  Every rank feeds
-    it the same announced flags, so all ranks run the same number of rounds.
-    """
+class _RetryRounds:
+    """One level's (or superstep's) bounded retry rounds: merging announced
+    deaths, the ``max_retries`` budget, the ``partial`` flag when it runs
+    out, and the pick-up count.  Every rank feeds it the same announced
+    flags, so all ranks run the same number of rounds."""
 
     def __init__(self, ft: FTState | None):
         self.ft = ft
@@ -378,12 +338,12 @@ class RetryRounds:
         self.extra += 1
         return True
 
-    def settle(self, flags, reroute: bool = True) -> bool:
+    def settle(self, flags, reroute: bool) -> bool:
         """End a round whose exchange announced ``flags`` (``flags[q]``:
         rank ``q`` is down).  True when a new death leaves its share to be
-        re-done in another round.  ``reroute=False``: the caller has no
-        owner map to re-route by (edge granularity) — the dead rank's slice
-        is covered exactly when the data is replicated.
+        re-done in another round.  ``reroute=False``: there is no owner map
+        to re-route by (edge granularity) — the dead rank's slice is covered
+        exactly when the data is replicated.
         """
         if self.ft is None or not self.announce(flags):
             return False
@@ -392,6 +352,59 @@ class RetryRounds:
                 self.ft.partial = True
             return False
         return self.another()
+
+
+def serve_once(ctx, ft: FTState | None, candidates, owner_of, attempt, exchange):
+    """Collective: serve each candidate once, on the rank that serves it now.
+
+    Every rank calls it at the same point; returns the last round's down
+    flags (``None`` with failover off).  ``candidates`` is one array every
+    rank holds (``degree``'s vertices, a superstep's active set) or a
+    callable enumerating this rank's own (its local or unvisited vertices),
+    which may read the device — StreamDB replays its log — and so runs under
+    :class:`guard`.  Each round a live rank keeps its :func:`responsibility`
+    share (with ``owner_of=None``, edge granularity: all it enumerates, its
+    own stored slice) less what it attempted in an earlier round, in
+    candidate order; ``attempt(todo)`` serves that and returns the rank's
+    post (a down rank attempts an empty share), and ``exchange(post)`` is
+    the round's collective: a generator returning every rank's down flag,
+    or ``None`` for no collective.  A death it announces moves the dead
+    rank's share along its chains in another round, within ``max_retries``.
+
+    Routes only move forward along a chain as the dead set grows, so a rank
+    is handed a vertex another rank attempted only once that rank is down:
+    what the ranks up at the end posted holds every candidate with a live
+    holder exactly once (unless the budget ran out, flagged ``partial``),
+    and what a rank down at the end posted is void.  Whole chains dead: a
+    rank-uniform set counts each such vertex dropped once, on its primary
+    owner; a per-rank enumeration cannot count what no live rank can
+    enumerate, and flags ``partial``.
+    """
+    rank = ctx.comm.rank
+    per_rank = callable(candidates)
+    retry = _RetryRounds(ft)
+    attempted = _EMPTY
+    while True:
+        todo = _EMPTY
+        if not is_down(ft):
+            with guard(ctx, ft, timed=False):
+                todo = candidates() if per_rank else candidates
+                if owner_of is not None:
+                    todo = responsibility(todo, owner_of, rank, ft)
+                if len(attempted):
+                    todo = todo[~np.isin(todo, attempted)]
+        retry.picked_up(todo)
+        post = attempt(todo)
+        flags = yield from exchange(post)
+        if not retry.settle(flags, reroute=owner_of is not None):
+            break
+        attempted = np.concatenate([attempted, todo])  # a rank down now attempts nothing more
+    if ft is not None:
+        if per_rank:
+            ft.flag_unserved(rank)
+        elif owner_of is not None:
+            route_or_drop(candidates, owner_of(candidates), ft, primary=rank)
+    return flags
 
 
 def prune_known_dead_pending(pending, ft: FTState | None, rank: int, owner_of) -> np.ndarray:
@@ -428,7 +441,7 @@ def failover_rounds(ctx, db, cfg, ft: FTState | None, pending, owner_of):
     if ft is None:
         return _EMPTY
     comm = ctx.comm
-    retry = RetryRounds(ft)
+    retry = _RetryRounds(ft)
     gathered = []
     pending = np.asarray(pending, dtype=np.int64)
     while True:

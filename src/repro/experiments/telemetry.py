@@ -133,9 +133,7 @@ def fault_summary(mssg: MSSG) -> FaultSummary:
         dead_backends=tuple(mssg.dead_backends()),
         faults_fired=faults,
         configured_replication=mssg.config.replication,
-        effective_replication=getattr(
-            mssg.declusterer, "effective_replication", mssg.config.replication
-        ),
+        effective_replication=mssg.declusterer.effective_replication,
         degraded_ingest=bool(last is not None and last.degraded),
         lost_entries=last.lost_entries if last is not None else 0,
         corrupted_bytes=sum(dev.stats.corrupted_bytes for dev in devs),

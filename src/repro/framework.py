@@ -423,50 +423,35 @@ class MSSG:
         straight to the new holders with zero failover rounds.
 
         Owner-unknown declustering (edge round-robin) scatters adjacency
-        with no per-partition extraction predicate, so replicated
-        deployments of it cannot be rebalanced — that raises ``ConfigError``.
+        with no per-partition extraction predicate, so a pass that would
+        copy one of its partitions raises ``ConfigError``.
         A partition whose *every* holder died is unrecoverable and reported
         as such; queries over it stay partial until re-ingestion.
         """
-        cfg = self.config
-        F, P = cfg.num_frontends, cfg.num_backends
+        P = self.config.num_backends
+        decl = self.declusterer
         dead = self.dead_backends()
-        rep = (
-            self.declusterer
-            if isinstance(self.declusterer, ReplicatedDeclusterer)
-            else None
-        )
         if not dead:
             return RebalanceReport(
                 seconds=0.0,
                 dead_backends=(),
                 copies_restored=0,
                 entries_copied=0,
-                replication=rep.effective_replication if rep else 1,
-            )
-        if rep is not None and not self.declusterer.owner_known:
-            raise ConfigError(
-                "cannot rebalance owner-unknown declustering (edge-rr): no "
-                "owner map to extract a dead back-end's partitions with"
+                replication=decl.effective_replication,
             )
         deadset = set(dead)
-        k = rep.replication if rep else 1
-        chains = {
-            u: (rep.replica_chain(u) if rep else [u]) for u in range(P)
-        }
         moves: list[tuple[int, int, int]] = []  # (partition, source, target)
-        new_chains: dict[int, list[int]] = {}
+        new_chains: list[list[int]] = []
         unrecoverable: list[int] = []
         for u in range(P):
-            holders = [t for t in chains[u] if t not in deadset]
-            if len(holders) == len(chains[u]):
-                new_chains[u] = holders
-                continue
+            chain = decl.replica_chain(u)
+            holders = [t for t in chain if t not in deadset]
+            new_chains.append(holders)
             if not holders:
                 unrecoverable.append(u)
-                new_chains[u] = holders
+            if not holders or len(holders) == len(chain):
                 continue
-            missing = k - len(holders)
+            missing = decl.replication - len(holders)
             # Refill with the first alive non-holders scanning from u+1, the
             # same direction the rotational chain grew — keeps the repaired
             # layout close to the original placement.
@@ -479,7 +464,11 @@ class MSSG:
                 moves.append((u, holders[0], cand))
                 holders.append(cand)
                 missing -= 1
-            new_chains[u] = holders
+        if moves and not decl.owner_known:
+            raise ConfigError(
+                "cannot rebalance owner-unknown declustering (edge-rr): no "
+                "owner map to extract a dead back-end's partitions with"
+            )
 
         seconds = 0.0
         stored: dict[int, int] = {}
@@ -491,22 +480,17 @@ class MSSG:
                 if dst in new_chains[u]:
                     new_chains[u].remove(dst)
 
-        if rep is not None:
-            rep.set_chains([new_chains[u] for u in range(P)])
+        decl.set_chains(new_chains)
         # Targets may have died mid-copy: record the current death set, not
         # the one we started from.
         self.queries.known_dead = set(self.dead_backends())
         self.queries.fault_tolerant = True
-        if rep is not None:
-            replication = rep.effective_replication
-        else:
-            replication = 0 if unrecoverable else 1
         return RebalanceReport(
             seconds=seconds,
             dead_backends=tuple(dead),
             copies_restored=len(stored),
             entries_copied=sum(stored.values()),
-            replication=replication,
+            replication=decl.effective_replication,
             unrecoverable_partitions=tuple(unrecoverable),
         )
 
@@ -617,17 +601,11 @@ class MSSG:
         only repaired when *every* partition it holds has such a source;
         otherwise wiping would destroy its surviving clean partitions.
         """
-        cfg = self.config
-        rep = (
-            self.declusterer
-            if isinstance(self.declusterer, ReplicatedDeclusterer)
-            else None
-        )
-        if not bad or rep is None or not self.declusterer.owner_known:
+        if not bad or not self.declusterer.owner_known:
             return 0
-        F, P = cfg.num_frontends, cfg.num_backends
+        F, P = self.config.num_frontends, self.config.num_backends
         deadset = set(self.dead_backends())
-        chains = {u: rep.replica_chain(u) for u in range(P)}
+        chains = {u: self.declusterer.replica_chain(u) for u in range(P)}
         corrupt = set(bad) | deadset
 
         def clean_source(u: int, q: int) -> int | None:

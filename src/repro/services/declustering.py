@@ -50,16 +50,28 @@ _NO_ENTRIES = np.zeros((0, 2), dtype=np.int64)
 
 
 class Declusterer(abc.ABC):
-    """Routes the directed adjacency entries of an edge window to back-ends."""
+    """Routes the directed adjacency entries of an edge window to back-ends.
+
+    Data whose *primary* owner is back-end ``u`` (partition ``u``) is stored
+    on its replica chain ``chains[u]`` — ``[u]`` here, the rotational
+    ``{(u + j) % p : j < k}`` under :class:`ReplicatedDeclusterer` — until a
+    rebalance pass installs a repaired map (:meth:`set_chains`).  Ingestion
+    and query failover both read this one map.
+    """
 
     #: True when every processor can compute any vertex's owner locally
     #: (enables owner-routed BFS instead of fringe broadcast).
     owner_known: bool = False
+    #: Copies of each partition.
+    replication: int = 1
 
     def __init__(self, num_backends: int):
         if num_backends <= 0:
             raise ConfigError(f"need at least one back-end, got {num_backends}")
         self.p = num_backends
+        self.set_chains(
+            [[(u + j) % self.p for j in range(self.replication)] for u in range(self.p)]
+        )
 
     @abc.abstractmethod
     def assign(self, window: np.ndarray) -> list[np.ndarray]:
@@ -88,35 +100,84 @@ class Declusterer(abc.ABC):
         parallel assignment phase is a pure lookup.
         """
 
+    def owner_of(self, vertices: np.ndarray) -> np.ndarray:
+        """Vectorized owner lookup (only meaningful when owner_known)."""
+        raise NotImplementedError(f"{type(self).__name__} has no global owner map")
+
+    # -- chain map ----------------------------------------------------------
+
+    def set_chains(self, chains) -> None:
+        """Install a chain map (e.g. repaired by a rebalance pass)."""
+        chains = [list(c) for c in chains]
+        if len(chains) != self.p:
+            raise ConfigError(f"chain map needs {self.p} chains, got {len(chains)}")
+        for u, chain in enumerate(chains):
+            if len(set(chain)) != len(chain):
+                raise ConfigError(f"duplicate holder in chain of partition {u}: {chain}")
+            for t in chain:
+                if not 0 <= t < self.p:
+                    raise ConfigError(f"chain of partition {u} names back-end {t}")
+        self.chains = chains
+        # Per-holder partitions, in chain-position order.
+        tagged: list[list[tuple[int, int]]] = [[] for _ in range(self.p)]
+        for u, chain in enumerate(chains):
+            for pos, t in enumerate(chain):
+                tagged[t].append((pos, u))
+        self._holdings = [[u for _, u in sorted(h)] for h in tagged]
+
+    def chain_map(self) -> tuple[tuple[int, ...], ...]:
+        """Immutable snapshot of the holder chains, for query-side routing."""
+        return tuple(tuple(c) for c in self.chains)
+
+    def replica_chain(self, primary: int) -> list[int]:
+        """The ranks storing a copy of ``primary``'s partition, in order."""
+        return list(self.chains[primary])
+
+    @property
+    def effective_replication(self) -> int:
+        """Copies of the worst-covered partition under the current chains."""
+        return min(len(c) for c in self.chains)
+
+    def _partitions(self, window: np.ndarray, offset: int | None) -> list[np.ndarray]:
+        """Per-partition entries of one window (``[u]`` goes to ``chains[u]``)."""
+        return self.assign_at(window, offset)
+
+    def _merge(self, parts: list[np.ndarray]) -> list[np.ndarray]:
+        return [_stack([parts[u] for u in held]) for held in self._holdings]
+
     def assign_routed(
         self, window: np.ndarray, dead=frozenset(), offset: int | None = None
     ) -> tuple[list[np.ndarray], int, list[tuple[tuple[int, ...], int]]]:
         """Like :meth:`assign_at`, but skipping ``dead`` back-ends.
 
-        Returns ``(parts, lost, copies)``: ``lost`` counts entries whose
-        every holder was dead at assignment time, and ``copies[u]`` is
-        ``(holders, n)`` — the back-ends partition ``u``'s ``n`` entries
-        were actually shipped to.  The caller correlates ``copies`` with
-        writer-side failures to count entries that died in flight on every
-        recipient.  Without replication a partition's only holder is its
-        owner, so entries bound for a dead back-end are dropped — the
-        ``replication=1`` degraded mode of ingestion-time failover.
+        Each partition goes to the alive members of its chain.  Returns
+        ``(parts, lost, copies)``: ``lost`` counts entries with no alive
+        holder — without replication, those bound for a dead back-end (the
+        ``replication=1`` degraded mode of ingestion-time failover) — and
+        ``copies[u]`` is ``(holders, n)``, the back-ends partition ``u``'s
+        ``n`` entries were actually shipped to.  The caller correlates
+        ``copies`` with writer-side failures to count entries that died in
+        flight on every recipient.
         """
-        parts = self.assign_at(window, offset)
-        copies: list[tuple[tuple[int, ...], int]] = []
-        lost = 0
-        for q, part in enumerate(parts):
-            if dead and q in dead:
-                lost += len(part)
-                parts[q] = _NO_ENTRIES
-                copies.append(((), len(part)))
-            else:
-                copies.append(((q,), len(part)))
-        return parts, lost, copies
+        parts = self._partitions(window, offset)
+        chains = [[t for t in c if t not in dead] for c in self.chains] if dead else self.chains
+        copies = [(tuple(c), len(part)) for c, part in zip(chains, parts)]
+        lost = sum(len(part) for c, part in zip(chains, parts) if not c)
+        if not dead:
+            # The exact merge (and vstack order) of ``assign_at``.
+            return self._merge(parts), lost, copies
+        collected: list[list[np.ndarray]] = [[] for _ in range(self.p)]
+        for c, part in zip(chains, parts):
+            if len(part):
+                for t in c:
+                    collected[t].append(part)
+        return [_stack(c) for c in collected], lost, copies
 
-    def owner_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorized owner lookup (only meaningful when owner_known)."""
-        raise NotImplementedError(f"{type(self).__name__} has no global owner map")
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    if len(parts) == 1:
+        return parts[0]
+    return np.vstack(parts) if parts else _NO_ENTRIES
 
 
 def _both_directions(window: np.ndarray) -> np.ndarray:
@@ -309,19 +370,13 @@ class WindowGreedy(Declusterer):
 class ReplicatedDeclusterer(Declusterer):
     """k-copy wrapper around any base declusterer (rotational declustering).
 
-    Data whose *primary* owner is back-end ``u`` is stored on the replica
-    chain ``chains[u]`` — initially the rotational ``{(u + j) % p : j < k}``
-    — so every partition survives the loss of any ``k - 1`` back-ends and
-    the query side can compute a surviving replica for any shard from the
-    owner map alone.  ``owner_of`` keeps reporting the primary owner —
+    Partition ``u`` is stored on the rotational chain ``{(u + j) % p : j <
+    k}``, so every partition survives the loss of any ``k - 1`` back-ends
+    and the query side can compute a surviving replica for any shard from
+    the owner map alone.  ``owner_of`` keeps reporting the primary owner —
     routing around dead replicas is the failover protocol's job, so a
     healthy cluster behaves exactly like the unreplicated base declusterer
     (just with k× the stored bytes).
-
-    After a back-end dies, :meth:`set_chains` records the repaired layout
-    computed by ``MSSG.rebalance()`` (dead holders dropped, re-materialized
-    copies appended), and both ingestion rerouting and query failover read
-    the explicit chain map instead of assuming the rotational shape.
     """
 
     def __init__(self, base: Declusterer, replication: int):
@@ -331,53 +386,10 @@ class ReplicatedDeclusterer(Declusterer):
             raise ConfigError(
                 f"replication must be in [1, {base.p} back-ends], got {replication}"
             )
-        super().__init__(base.p)
         self.base = base
         self.replication = replication
         self.owner_known = base.owner_known
-        #: Per-primary ordered holder chains; ``chains[u][0]`` is the
-        #: effective primary (== ``u`` until ``u`` itself dies).
-        self.chains: list[list[int]] = [
-            [(u + j) % self.p for j in range(replication)] for u in range(self.p)
-        ]
-        self._rebuild_holdings()
-
-    # -- chain map ----------------------------------------------------------
-
-    def _rebuild_holdings(self) -> None:
-        """Per-holder list of base partitions, in chain-position order."""
-        tagged: list[list[tuple[int, int]]] = [[] for _ in range(self.p)]
-        for u, chain in enumerate(self.chains):
-            for pos, t in enumerate(chain):
-                tagged[t].append((pos, u))
-        self._holdings = [[u for _, u in sorted(h)] for h in tagged]
-
-    def set_chains(self, chains) -> None:
-        """Install a repaired chain map (e.g. after a rebalance pass)."""
-        chains = [list(c) for c in chains]
-        if len(chains) != self.p:
-            raise ConfigError(f"chain map needs {self.p} chains, got {len(chains)}")
-        for u, chain in enumerate(chains):
-            if len(set(chain)) != len(chain):
-                raise ConfigError(f"duplicate holder in chain of partition {u}: {chain}")
-            for t in chain:
-                if not 0 <= t < self.p:
-                    raise ConfigError(f"chain of partition {u} names back-end {t}")
-        self.chains = chains
-        self._rebuild_holdings()
-
-    def chain_map(self) -> tuple[tuple[int, ...], ...]:
-        """Immutable snapshot of the holder chains, for query-side routing."""
-        return tuple(tuple(c) for c in self.chains)
-
-    @property
-    def effective_replication(self) -> int:
-        """Copies of the worst-covered partition under the current chains."""
-        return min(len(c) for c in self.chains)
-
-    def replica_chain(self, primary: int) -> list[int]:
-        """The ranks storing a copy of ``primary``'s partition, in order."""
-        return list(self.chains[primary])
+        super().__init__(base.p)
 
     # -- protocol forwarding -------------------------------------------------
 
@@ -393,42 +405,8 @@ class ReplicatedDeclusterer(Declusterer):
     def assign_at(self, window: np.ndarray, offset: int | None = None) -> list[np.ndarray]:
         return self._merge(self.base.assign_at(window, offset))
 
-    def _merge(self, parts: list[np.ndarray]) -> list[np.ndarray]:
-        return [
-            np.vstack([parts[u] for u in held]) if held else _NO_ENTRIES
-            for held in self._holdings
-        ]
-
-    def assign_routed(
-        self, window: np.ndarray, dead=frozenset(), offset: int | None = None
-    ) -> tuple[list[np.ndarray], int, list[tuple[tuple[int, ...], int]]]:
-        """Death-aware assignment: each base partition goes to the alive
-        members of its chain; a partition whose whole chain is dead is
-        dropped and counted in ``lost``."""
-        base_parts = self.base.assign_at(window, offset)
-        if not dead:
-            # Healthy fast path: the exact merge (and vstack order) of
-            # assign_at, plus the per-partition copy record.
-            copies = [
-                (tuple(self.chains[u]), len(part))
-                for u, part in enumerate(base_parts)
-            ]
-            return self._merge(base_parts), 0, copies
-        collected: list[list[np.ndarray]] = [[] for _ in range(self.p)]
-        copies = []
-        lost = 0
-        for u, part in enumerate(base_parts):
-            alive = [t for t in self.chains[u] if t not in dead]
-            copies.append((tuple(alive), len(part)))
-            if not len(part):
-                continue
-            if not alive:
-                lost += len(part)
-                continue
-            for t in alive:
-                collected[t].append(part)
-        parts = [np.vstack(c) if c else _NO_ENTRIES for c in collected]
-        return parts, lost, copies
+    def _partitions(self, window: np.ndarray, offset: int | None) -> list[np.ndarray]:
+        return self.base.assign_at(window, offset)
 
     def owner_of(self, vertices: np.ndarray) -> np.ndarray:
         return self.base.owner_of(vertices)

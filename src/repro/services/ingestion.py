@@ -289,7 +289,7 @@ class IngestionService:
         results = DataCutterRuntime(graph, self.cluster).run()
         writers: list[_WriterResult] = list(results["writer"])
         readers: list[_ReaderResult] = list(results["reader"])
-        replication = getattr(self.declusterer, "replication", 1)
+        replication = self.declusterer.replication
         failed = tuple(q for q, w in enumerate(writers) if w.dead)
         reader_lost = sum(r.lost_entries for r in readers)
         # A copy that died in flight still exists wherever another recipient

@@ -34,7 +34,7 @@ from ..bfs import (
     oocbfs_program,
     pipelined_bfs_program,
 )
-from ..bfs.failover import RetryRounds, guard, is_down, live_routes, route_or_drop
+from ..bfs.failover import guard, is_down, serve_once
 from ..bfs.rankprog import RankResult, span
 from ..features import Features
 from ..graphdb.interface import GraphDB
@@ -152,7 +152,7 @@ class QueryService:
         self.num_frontends = num_frontends
         #: Copies of each partition, taken from the (possibly replicated)
         #: declusterer the graph was ingested with.
-        self.replication = getattr(declusterer, "replication", 1)
+        self.replication = declusterer.replication
         # Default: run the failover protocol exactly when the data is
         # replicated.  Forcing it on with replication=1 still converts
         # device deaths into flagged partial results instead of crashes.
@@ -278,15 +278,13 @@ class QueryService:
     def _ft(self) -> FaultTolerance | None:
         if not self.fault_tolerant:
             return None
-        # A rebalanced declusterer carries an explicit (no longer
-        # rotational) chain map; hand it to the failover protocol so
-        # shards route straight to the repaired holders.
-        chain_map = getattr(self.declusterer, "chain_map", None)
+        # The declusterer's chain map — rotational, or repaired by a
+        # rebalance pass — is what every shard routes by.
         return FaultTolerance(
             replication=self.replication,
             max_retries=self.max_retries,
             attempt_timeout=self.attempt_timeout,
-            chains=chain_map() if callable(chain_map) else None,
+            chains=self.declusterer.chain_map(),
             known_dead=frozenset(self.known_dead),
         )
 
@@ -580,35 +578,31 @@ def degree_program(ctx, db, vertices: np.ndarray, ft_cfg, owner_of):
     dies; one nobody can read counts 0 and flags the result ``partial``.
     Without a map (edge granularity) every rank's stored slice sums.
     """
-    comm = ctx.comm
     with span(ctx, db, ft_cfg, RankResult()) as (result, ft):
         if owner_of is None and ft is not None and ft.replication > 1:
             raise ConfigError(
                 "degree cannot run on replicated owner-unknown declustering: "
                 "every stored copy of an edge would be counted"
             )
+        counted = []  # (rank, {vertex: degree}) of every round
+
+        def attempt(todo):
+            with guard(ctx, ft) as read:
+                mine = {v: len(db.get_adjacency(v)) for v in todo.tolist()}
+            return mine if read.ok else {}
+
+        def exchange(mine):
+            posts = yield from ctx.comm.allgather((is_down(ft), mine))
+            counted.extend(enumerate(mine for _, mine in posts))
+            return [down for down, _ in posts]
+
+        down = yield from serve_once(ctx, ft, vertices, owner_of, attempt, exchange)
         degrees = dict.fromkeys(vertices.tolist(), 0)
-        left = vertices  # not yet read by a rank that survived its round
-        retry = RetryRounds(ft)
-        while True:
-            routes = None if owner_of is None else live_routes(owner_of(left), ft)
-            mine = {}
-            if not is_down(ft):
-                todo = left if routes is None else left[routes == comm.rank]
-                retry.picked_up(todo)
-                with guard(ctx, ft) as attempt:
-                    mine = {v: len(db.get_adjacency(v)) for v in todo.tolist()}
-                if not attempt.ok:
-                    mine = {}
-            posts = yield from comm.allgather((is_down(ft), mine))
-            for _, counted in posts:
-                for v, degree in counted.items():
+        # What a rank down at the end read was read again by a live holder.
+        for q, mine in counted:
+            if not down[q]:
+                for v, degree in mine.items():
                     degrees[v] += degree
-            if not retry.settle((dead for dead, _ in posts), reroute=routes is not None):
-                break
-            left = left[~ft.serves(routes)]
-        if owner_of is not None:  # whole chains dead: counted once, on the primary
-            route_or_drop(vertices, owner_of(vertices), ft, primary=comm.rank)
     return result, degrees
 
 

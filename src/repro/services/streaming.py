@@ -222,7 +222,7 @@ class StreamFeed:
         self.state = state
         self.base_published = state.published
         mssg = state.mssg
-        self.replication = getattr(mssg.declusterer, "replication", 1)
+        self.replication = mssg.declusterer.replication
         #: (at_round, seq, per-back-end shard) — at_round starts at 1.
         self.plan: list[tuple[int, int, list[np.ndarray]]] = []
         #: Undirected edge count of each planned batch (report accounting).

@@ -51,11 +51,12 @@ Access plans, inherited from the BFS work:
   switch is the frontier-count half of the direction controller's
   hysteresis: sweep when ``|frontier| * dense_beta >= num_vertices``.
 
-Failover is :mod:`repro.bfs.failover`'s protocol, as in
-``bottom_up_level``: each superstep's message exchange doubles as the
-death announcement; when a device dies mid-scan its partial accumulation
-is discarded and bounded retry rounds re-scan the orphaned responsibility
-set on the next surviving chain members.
+Failover is :mod:`repro.bfs.failover`'s protocol — each superstep is one
+:func:`~repro.bfs.failover.serve_once` over the active set, as a pull level
+is over the unvisited vertices: the message exchange doubles as the death
+announcement; when a device dies mid-scan its posts are void and bounded
+retry rounds re-scan the orphaned share on the next surviving chain
+members.
 
 Four plug-ins ship on the runtime — PageRank (iterate until
 convergence), weakly-connected components, k-hop ego-net extraction, and
@@ -72,16 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bfs.direction import BOTTOM_UP
-from ..bfs.failover import (
-    FaultTolerance,
-    RetryRounds,
-    guard,
-    is_down,
-    live_routes,
-    responsibility,
-    route_or_drop,
-    try_expand,
-)
+from ..bfs.failover import FaultTolerance, is_down, route_or_drop, serve_once, try_expand
 from ..bfs.rankprog import RankResult, level_mark, span, sweep
 from ..graphdb.interface import AdjacencyBatch
 from ..util.bitset import Bitset
@@ -343,60 +335,35 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram, owner_of=Non
             if mode == DENSE:
                 result.sweeps += 1
 
-            # Responsibility split + bounded failover rounds.  Message triplets
-            # are *gathered* to rank 0 (they travel the wire once), deaths ride
-            # a tiny flag broadcast, and the canonical combine runs once at the
+            # ``serve_once`` over the active set.  Message triplets are
+            # *gathered* to rank 0 (they travel the wire once), deaths ride a
+            # tiny flag broadcast, and the canonical combine runs once at the
             # root before the dense result is broadcast back — the same
-            # compress-before-broadcast shape as an allreduce, at a fraction of
-            # an allgather's bytes.  The covered set needs no shipping at all:
-            # routing is a pure function of rank-uniform state (active set,
-            # owner map, dead set), so every rank tracks which vertices each
-            # round's surviving scanners completed and a replacement holder
-            # subtracts them — no vertex's messages are ever produced twice
-            # (which would corrupt additive combiners) and a dying rank's
-            # half-finished round, whose post was discarded, is re-scanned.
-            posts: list[tuple] = []  # meaningful at rank 0 only
-            covered = np.zeros(len(active), dtype=bool)
-            retry = RetryRounds(ft)
-            # Owner unknown (edge granularity): every rank scans its own stored
-            # slice of the whole active set, and the loop never retries — the
-            # coverage sets are disjoint by storage, not by routing.
-            owners = (
-                np.asarray(owner_of(active), dtype=np.int64) if cfg.owner_known else None
-            )
+            # compress-before-broadcast shape as an allreduce, at a fraction
+            # of an allgather's bytes.  Owner unknown (edge granularity):
+            # every rank scans its own stored slice of the whole active set,
+            # and the loop never retries — the slices are disjoint by storage,
+            # not by routing.
+            posted: list[tuple] = []  # (rank, post) of every round, at rank 0 only
             id_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-            while True:
-                routes = live_routes(owners, ft) if owners is not None else None
-                if is_down(ft):
-                    todo = _EMPTY
-                elif routes is None:
-                    todo = active
-                else:
-                    todo = active[(routes == rank) & ~covered]
-                retry.picked_up(todo)
-                post, _ = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
-                post = (
-                    post[0].astype(id_dtype, copy=False),
-                    post[1].astype(id_dtype, copy=False),
-                    post[2],
-                )
+
+            def scatter(todo):
+                (dsts, srcs, vals), _ = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
+                return dsts.astype(id_dtype, copy=False), srcs.astype(id_dtype, copy=False), vals
+
+            def exchange(post):
                 gathered = yield from comm.gather((is_down(ft), post), root=0)
+                flags = None
                 if rank == 0:
-                    flags = [g[0] for g in gathered]
-                    posts.extend(g[1] for g in gathered)
-                else:
-                    flags = None
-                flags = yield from comm.bcast(flags, root=0)
-                if not retry.settle(flags, reroute=owners is not None):
-                    break
-                # Vertices routed to a rank that scanned without dying this
-                # round are done; a newly dead scanner's share stays open for
-                # the next round's replacement holder.
-                covered |= ft.serves(routes)
-            if owners is not None:
-                # Whole replica chains dead: their adjacency is unreachable.
-                # The set is rank-uniform; counted once, on the primary owner.
-                route_or_drop(active, owners, ft, primary=rank)
+                    flags = [down for down, _ in gathered]
+                    posted.extend(enumerate(post for _, post in gathered))
+                return (yield from comm.bcast(flags, root=0))
+
+            down = yield from serve_once(
+                ctx, ft, active, owner_of if cfg.owner_known else None, scatter, exchange
+            )
+            # What a rank down at the end posted was scanned again by a live holder.
+            posts = [post for q, post in posted if not down[q]]
 
             # Canonical combine at the root, dense result broadcast to all.
             # The broadcast object is shared in-process; ``apply`` hooks treat
@@ -611,9 +578,10 @@ def triangle_count_program(ctx, db, cfg: VPConfig, owner_of=None):
 
     Not a scatter/gather computation — wedge closure needs adjacency
     *membership*, not combinable scalars — but built from the runtime's
-    parts: the responsibility split (each vertex's list is read by its
-    first surviving chain holder, with bounded re-scan rounds on a death),
-    the storage-order sweep (shareable under the concurrent multiplexer),
+    parts: :func:`~repro.bfs.failover.serve_once` (each vertex's list is
+    read by its first surviving chain holder, with bounded re-scan rounds on
+    a death, and a wholly dead chain flags the count ``partial``), the
+    storage-order sweep (shareable under the concurrent multiplexer),
     and one alltoall routing wedge-closure checks to the rank holding the
     queried vertex's adjacency.  Each triangle {a, b, c} yields exactly
     three wedge checks (one centered at each corner), so ``triangles =
@@ -621,70 +589,59 @@ def triangle_count_program(ctx, db, cfg: VPConfig, owner_of=None):
     map (vertex-granularity declustering).
     """
     comm = ctx.comm
-    rank = comm.rank
     size = comm.size
     if not cfg.owner_known:
         raise ConfigError("triangle counting needs an owner map (vertex granularity)")
     with span(ctx, db, cfg.ft, VPRankResult()) as (result, ft):
         aborted = cfg.level_marks and (yield from level_mark(result, 0, False, BOTTOM_UP))
 
-        # Phase 1: one storage-order sweep per responsible rank, extracting
-        # each vertex's neighbor set (cached for phase 2 membership tests)
-        # and its wedge list; bounded re-scan rounds mirror the runtime.
+        # Phase 1: one storage-order sweep per responsible rank (``serve_once``
+        # over its local vertices), extracting each vertex's neighbor set
+        # (cached for phase 2 membership tests) and its wedge list.
         adj: dict[int, np.ndarray] = {}
         wedges = 0
         checks: list[np.ndarray] = []  # (center excluded) wedge endpoints (u, w)
-        scanned = _EMPTY
-        retry = RetryRounds(ft)
-        while not aborted:
-            result.supersteps += 1
-            todo = _EMPTY
-            if not is_down(ft):
-                with guard(ctx, ft, timed=False):
-                    local = np.asarray(db.local_vertices(), dtype=np.int64)
-                    todo = np.setdiff1d(responsibility(local, owner_of, rank, ft), scanned)
-            round_pairs: list[np.ndarray] = []
-            round_adj: dict[int, np.ndarray] = {}
-            round_wedges = 0
-            if len(todo):
-                retry.picked_up(todo)
-                pieces = []  # a list may arrive in pieces: count, then group
 
-                def collect(batch):
-                    pieces.append(batch)
-                    return len(batch.neighbors)
+        def read(todo):
+            nonlocal wedges
+            pieces = []  # a list may arrive in pieces: count, then group
 
-                # A failed pass leaves this rank down: everything is voided below.
-                if not sweep(ctx, db, todo, collect, ft, timed=False)[1]:
-                    pieces.clear()
+            def collect(batch):
+                pieces.append(batch)
+                return len(batch.neighbors)
+
+            if len(todo) and sweep(ctx, db, todo, collect, ft, timed=False)[1]:
                 for v, neighbors in AdjacencyBatch.concat(pieces).grouped():
                     nbrs = np.unique(neighbors.astype(np.int64))
                     nbrs = nbrs[nbrs != v]  # self-loops close no wedges
-                    round_adj[v] = nbrs
+                    adj[v] = nbrs
                     k = len(nbrs)
-                    round_wedges += k * (k - 1) // 2
+                    wedges += k * (k - 1) // 2
                     if k >= 2:
                         iu, iw = np.triu_indices(k, 1)
-                        round_pairs.append(np.column_stack([nbrs[iu], nbrs[iw]]))
+                        checks.append(np.column_stack([nbrs[iu], nbrs[iw]]))
             if is_down(ft):
                 # A dead rank's cached neighbor sets are unreadable in phase 2
-                # and its responsibility re-routes wholesale, so its *entire*
-                # accumulation is void — the first surviving chain member
-                # re-scans every vertex routed to it (its own ``scanned`` set
-                # cannot contain them), producing each vertex's wedges exactly
-                # once across the cluster.
+                # and its share re-routes wholesale, so its *entire*
+                # accumulation is void: the next surviving chain member
+                # re-scans every vertex routed to it.
                 adj.clear()
                 wedges = 0
-                checks = []
-                scanned = _EMPTY
-            else:
-                adj.update(round_adj)
-                wedges += round_wedges
-                checks.extend(round_pairs)
-                scanned = np.union1d(scanned, todo)
-            posts = yield from comm.allgather(is_down(ft))
-            if not retry.settle(posts):
-                break
+                checks.clear()
+
+        def exchange(_):
+            result.supersteps += 1
+            return (yield from comm.allgather(is_down(ft)))
+
+        if not aborted:
+            yield from serve_once(
+                ctx,
+                ft,
+                lambda: np.asarray(db.local_vertices(), dtype=np.int64),
+                owner_of,
+                read,
+                exchange,
+            )
 
         if cfg.level_marks and not aborted:
             aborted = yield from level_mark(result, result.supersteps, False)

@@ -5,10 +5,13 @@ operations): here the features are the defaults and the operations are every
 analysis a ``QueryService`` registers — a name added to the registry fails
 here until it has an oracle.  Healthy, each must answer like the in-memory
 reference; with a back-end's devices dead it must answer like the reference
-or say ``partial``, and never raise.
+or say ``partial``, and never raise.  Two graphs: a scale-free blob whose
+partitions all keep a live holder at ``replication=2``, and an *island* — a
+component stored wholly on one back-end — whose replica chain dies whole.
 """
 
 import importlib.util
+from math import comb
 from pathlib import Path
 
 import networkx as nx
@@ -19,7 +22,7 @@ from repro import MSSG, MSSGConfig
 from repro.bfs import bfs_levels, sample_queries_by_distance
 from repro.experiments.harness import scaled_grdb_format
 from repro.graphgen import CSRGraph, pubmed_like
-from repro.simcluster import FaultPlan
+from repro.simcluster import DiskFault, FaultPlan
 
 
 def _twoclock_oracle():
@@ -33,79 +36,103 @@ def _twoclock_oracle():
 
 oracle = _twoclock_oracle()
 
-#: One scale-free blob plus two detached pairs (three components to find).
-EDGES = np.vstack([pubmed_like(150, seed=1), [(200, 201), (300, 301)]])
-GRAPH = CSRGraph.from_edges(EDGES)
-NX = nx.Graph(EDGES.tolist())
-SOURCE, DEST, HOPS = max(sample_queries_by_distance(GRAPH, 8, seed=0), key=lambda q: q[2])
-#: Every vertex: more lists than a back-end's four cache blocks can keep.
-PROBE = np.unique(EDGES).tolist()
 PAGERANK_ITERS = 5
-FRONTENDS, DEAD_BACKEND = 1, 1
-
-
-def _check_path(report):
-    chain = report.result
-    if chain is None or len(chain) - 1 != HOPS or (chain[0], chain[-1]) != (SOURCE, DEST):
-        return f"chain {chain}, oracle says {HOPS} hops"
-    if not all(NX.has_edge(a, b) for a, b in zip(chain, chain[1:])):
-        return f"chain {chain} steps over an edge that is not stored"
-    return None
+FRONTENDS = 1
 
 
 def _equals(want):
     return lambda report: None if report.result == want else f"{report.result}, oracle says {want}"
 
 
-def _within(hops):
-    return [v for v, lev in enumerate(bfs_levels(GRAPH, SOURCE)) if 0 <= lev <= hops]
+def _oracles(edges, source, dest):
+    """name -> (parameters, check(report) -> None or what is wrong with the
+    answer) for one graph and one search."""
+    graph = CSRGraph.from_edges(edges)
+    nxg = nx.Graph(edges.tolist())
+    levels = bfs_levels(graph, source)
+    hops = int(levels[dest])
+    #: Every vertex: more lists than a back-end's cache can keep.
+    probe = np.unique(edges).tolist()
+
+    def within(h):
+        return [v for v, lev in enumerate(levels) if 0 <= lev <= h]
+
+    def check_path(report):
+        chain = report.result
+        if chain is None or len(chain) - 1 != hops or (chain[0], chain[-1]) != (source, dest):
+            return f"chain {chain}, oracle says {hops} hops"
+        if not all(nxg.has_edge(a, b) for a, b in zip(chain, chain[1:])):
+            return f"chain {chain} steps over an edge that is not stored"
+        return None
+
+    triangles = {
+        "triangles": sum(nx.triangles(nxg).values()) // 3,
+        "wedges": sum(comb(len(set(nxg[v]) - {v}), 2) for v in nxg),
+    }
+    search = dict(source=source, dest=dest)
+    return {
+        "bfs": (search, lambda r: oracle.check_bfs(r, hops)),
+        "pipelined-bfs": (search, lambda r: oracle.check_bfs(r, hops)),
+        "typed-bfs": (dict(search, allowed_codes=[1]), lambda r: oracle.check_bfs(r, hops)),
+        "path": (search, check_path),
+        "degree": (dict(vertices=probe), _equals({v: int(graph.degree(v)) for v in probe})),
+        "neighborhood": (dict(source=source, hops=2), _equals(len(within(2)))),
+        "ego-net": (
+            dict(source=source, hops=2),
+            lambda r: None if r.result["vertices"] == within(2) else "not the 2-hop ball",
+        ),
+        "pagerank": (
+            dict(max_iters=PAGERANK_ITERS, return_ranks=True),
+            lambda r: oracle.check_pagerank(r, oracle.pagerank_reference(graph, PAGERANK_ITERS)),
+        ),
+        "components": ({}, lambda r: oracle.check_components(r, oracle.component_sizes(graph))),
+        "triangles": (
+            {},
+            lambda r: None
+            if {k: r.result[k] for k in triangles} == triangles
+            else f"{r.result}, oracle says {triangles}",
+        ),
+    }
 
 
-_SEARCH = dict(source=SOURCE, dest=DEST)
-#: name -> (parameters, check(report) -> None or what is wrong with the answer).
-ANALYSES = {
-    "bfs": (_SEARCH, lambda r: oracle.check_bfs(r, HOPS)),
-    "pipelined-bfs": (_SEARCH, lambda r: oracle.check_bfs(r, HOPS)),
-    "typed-bfs": (dict(_SEARCH, allowed_codes=[1]), lambda r: oracle.check_bfs(r, HOPS)),
-    "path": (_SEARCH, _check_path),
-    "degree": (dict(vertices=PROBE), _equals({v: int(GRAPH.degree(v)) for v in PROBE})),
-    "neighborhood": (dict(source=SOURCE, hops=2), _equals(len(_within(2)))),
-    "ego-net": (
-        dict(source=SOURCE, hops=2),
-        lambda r: None if r.result["vertices"] == _within(2) else "not the 2-hop ball",
-    ),
-    "pagerank": (
-        dict(max_iters=PAGERANK_ITERS, return_ranks=True),
-        lambda r: oracle.check_pagerank(r, oracle.pagerank_reference(GRAPH, PAGERANK_ITERS)),
-    ),
-    "components": ({}, lambda r: oracle.check_components(r, oracle.component_sizes(GRAPH))),
-    "triangles": (
-        {},
-        lambda r: None
-        if r.result["triangles"] == sum(nx.triangles(NX).values()) // 3
-        else f"{r.result['triangles']} triangles",
-    ),
-}
+#: One scale-free blob plus two detached pairs (three components to find).
+EDGES = np.vstack([pubmed_like(150, seed=1), [(200, 201), (300, 301)]])
+SOURCE, DEST, _ = max(
+    sample_queries_by_distance(CSRGraph.from_edges(EDGES), 8, seed=0), key=lambda q: q[2]
+)
+ANALYSES = _oracles(EDGES, SOURCE, DEST)
+DEAD_BACKEND = 1
+
+#: Under vertex round-robin over four back-ends, the triangle 3-7-11 and the
+#: edge 11-15 are stored wholly on back-end 3; the other component (triangle
+#: 0-1-2 and three paths off it, ids 0-15 all present) never touches it.
+#: 2 triangles, 22 wedges.
+ISLAND_EDGES = np.array(
+    [(3, 7), (7, 11), (3, 11), (11, 15),
+     (0, 1), (0, 2), (1, 2), (0, 10), (10, 5), (1, 12), (12, 6),
+     (0, 4), (4, 13), (13, 8), (4, 14), (14, 9)]
+)
+ISLAND = _oracles(ISLAND_EDGES, 5, 9)
 
 
-def _deploy(backend, replication):
+def _deploy(backend, replication, edges=EDGES, num_backends=3, cache_blocks=4):
     config = MSSGConfig(
-        num_backends=3,
+        num_backends=num_backends,
         num_frontends=FRONTENDS,
         backend=backend,
         replication=replication,
         # The store must not fit the cache, or a dead device is never read.
-        cache_blocks=4,
+        cache_blocks=cache_blocks,
         grdb_format=scaled_grdb_format(),
     )
     mssg = MSSG(config)
-    mssg.ingest(EDGES)
-    mssg.query("load-vertex-types", type_codes={int(v): 1 for v in np.unique(EDGES)})
+    mssg.ingest(edges)
+    mssg.query("load-vertex-types", type_codes={int(v): 1 for v in np.unique(edges)})
     return mssg
 
 
-def _ask(mssg, analysis, dead):
-    params, check = ANALYSES[analysis]
+def _ask(mssg, analysis, dead, table=ANALYSES):
+    params, check = table[analysis]
     report = mssg.query(analysis, **params)  # must not raise, failover on or off
     wrong = None if dead and report.partial else check(report)
     assert wrong is None and (dead or not report.partial), (wrong, report)
@@ -128,6 +155,19 @@ def test_answers_like_the_oracle_or_says_partial(backend, replication, analysis)
         if backend == "grDB":  # Array keeps nothing on a device
             # The death reached the analysis, and it said so.
             assert report.partial if replication == 1 else report.failovers, report
+
+
+@pytest.mark.parametrize("analysis", sorted(ISLAND))
+@pytest.mark.parametrize("replication, dead", [(1, (3,)), (2, (3, 0))], ids=["1", "2"])
+def test_an_island_on_a_wholly_dead_chain_is_said_partial(replication, dead, analysis):
+    # Every holder of partition 3 dead: nobody can even enumerate the island,
+    # so nothing is dropped that could be counted — only ``partial`` can say
+    # it.  ``triangles`` answered 1 of 2, unflagged, until its sweep applied
+    # the chain-dead rule the pull level applies.
+    with _deploy("grDB", replication, ISLAND_EDGES, num_backends=4, cache_blocks=0) as mssg:
+        _ask(mssg, analysis, dead=False, table=ISLAND)
+        mssg.set_fault_plan(FaultPlan([DiskFault(node=FRONTENDS + q, at_time=0.0) for q in dead]))
+        _ask(mssg, analysis, dead=True, table=ISLAND)
 
 
 @pytest.mark.parametrize("schedule", [None, ("bottom-up",), ("top-down", "bottom-up")])

@@ -13,7 +13,9 @@ Three things no other suite holds still:
 * **the responsibility partition** — for any cluster size, chain shape,
   dead set and vertex ids, the ranks' responsibility sets partition exactly
   the vertices whose chain has a live member (what additive combiners rely
-  on: no vertex's messages are produced twice, none is silently skipped);
+  on: no vertex's messages are produced twice, none is silently skipped) —
+  and ``serve_once``, the loop every rank program serves a candidate set
+  through, keeps that true when ranks die in the middle of a round;
 * **regressions**: ``path`` rides the failover protocol (a killed device
   used to raise out of its private loop); and the two the single guard /
   single epilogue fix — a deadline-aborted BFS stays ``partial`` on a
@@ -21,6 +23,7 @@ Three things no other suite holds still:
   storage error it hit.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -30,9 +33,9 @@ from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.bfs import FaultTolerance, FTState
-from repro.bfs.failover import responsibility, route_to_replicas
+from repro.bfs.failover import guard, is_down, responsibility, route_to_replicas, serve_once
 from repro.graphgen import pubmed_like
-from repro.simcluster import DiskFault, FaultPlan
+from repro.simcluster import DiskFault, FaultPlan, SimCluster
 from repro.util import CorruptBlockError, DeviceFailedError
 
 EDGES = pubmed_like(500, seed=17)
@@ -442,6 +445,85 @@ def test_responsibility_sets_partition_the_reachable_vertices(cluster):
     assert np.array_equal(vertices[routes == -1], np.setdiff1d(vertices, reachable))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_clusters(), st.data())
+def test_serve_once_serves_each_reachable_candidate_once_through_deaths(cluster, data):
+    """Ranks of ``dies`` lose their device inside the attempt of round 1 or 2;
+    the ones of ``dead`` were on record as dead before the run.  Candidates
+    are the same array on every rank, or each rank's own stored slice."""
+    p, cfg, dead, vertices = cluster
+    cfg = dataclasses.replace(cfg, known_dead=frozenset(dead))
+    alive = [q for q in range(p) if q not in dead]
+    dies = data.draw(
+        st.dictionaries(st.sampled_from(alive), st.sampled_from([1, 2])) if alive else st.just({})
+    )
+    per_rank = data.draw(st.booleans())
+    # A round-2 death happens only if a round-1 death opened round 2.
+    round_two = 1 in dies.values()
+    down = dead | {q for q, k in dies.items() if k == 1 or round_two}
+    chain_of = FTState(cfg, p).chain_of
+
+    def owner_of(vs):
+        return vs % p
+
+    def program(ctx):
+        rank = ctx.rank
+        ft = FTState.start(cfg, p, rank)
+        attempts, exchanges = [], []
+
+        def attempt(todo):
+            with guard(ctx, ft):
+                if dies.get(rank) == len(exchanges) + 1:
+                    raise DeviceFailedError("injected")
+            attempts.append((len(exchanges), todo.tolist(), not is_down(ft)))
+
+        def exchange(_):
+            exchanges.append(None)
+            return (yield from ctx.comm.allgather(is_down(ft)))
+
+        def stored_here():
+            return vertices[np.array([rank in chain_of(int(v) % p) for v in vertices], dtype=bool)]
+
+        candidates = stored_here if per_rank else vertices
+        flags = yield from serve_once(ctx, ft, candidates, owner_of, attempt, exchange)
+        return ft, attempts, len(exchanges), list(flags)
+
+    runs = SimCluster(p).run(program)
+    # Every rank runs the same number of exchanges, within the budget, and
+    # ends on the same dead set.
+    assert len({n for _, _, n, _ in runs}) == 1 and runs[0][2] <= 1 + cfg.max_retries
+    assert all(flags == [q in down for q in range(p)] for *_, flags in runs)
+    # No rank attempts a vertex twice; with deaths in round 1 only, no two
+    # ranks that survived their round do either.
+    survived = {}
+    for rank, (_, attempts, _, _) in enumerate(runs):
+        tried = [v for _, todo, _ in attempts for v in todo]
+        assert len(tried) == len(set(tried))
+        for v in (v for _, todo, ok in attempts if ok for v in todo):
+            assert v not in survived or round_two and 2 in dies.values()
+            survived[v] = rank
+    # Every candidate with a live holder is attempted exactly once by a rank
+    # up at the end — the one serving it under the final dead set.
+    final = FTState(cfg, p)
+    final.dead.update(down)
+    routes = route_to_replicas(owner_of(vertices), final)
+    served = [(v, rank) for rank, (_, attempts, _, _) in enumerate(runs) if rank not in down
+              for _, todo, _ in attempts for v in todo]
+    assert sorted(served) == sorted((int(v), int(r)) for v, r in zip(vertices, routes) if r >= 0)
+    # The rest are counted once (rank-uniform) or flagged (per rank).
+    fts = [ft for ft, *_ in runs]
+    lost = int((routes == -1).sum())
+    if per_rank:
+        whole_chain_dead = {u for u in range(p) if all(r in down for r in chain_of(u))}
+        assert sum(ft.dropped for ft in fts) == 0
+        assert {q for q, ft in enumerate(fts) if ft.partial} == whole_chain_dead
+    else:
+        assert sum(ft.dropped for ft in fts) == lost
+        assert all(ft.partial == bool(lost) for ft in fts)
+    retried = sum(1 for _, attempts, _, _ in runs for k, todo, _ in attempts if k and todo)
+    assert sum(ft.failovers for ft in fts) == retried
+
+
 # --- (c) regressions -------------------------------------------------------------
 
 
@@ -493,6 +575,52 @@ def test_deadline_abort_reports_partial_on_fault_tolerant_deployments(replicatio
         rep = mssg.query_many([(SOURCE, -1), (5, -1)], deadline=1e-9)
     for r in rep.queries:
         assert r.deadline_exceeded and r.partial and r.result is None
+
+
+_PAGERANK = dict(max_iters=3, return_ranks=True)
+
+
+@pytest.mark.parametrize(
+    "analysis, params, round_one",
+    [
+        ("degree", dict(vertices=np.unique(EDGES).tolist()), {}),
+        ("pagerank", _PAGERANK, dict(max_supersteps=1)),  # its degree census
+    ],
+    ids=["degree", "pagerank"],
+)
+def test_a_reader_lost_in_a_retry_round_is_replaced_not_added_to(analysis, params, round_one):
+    # Back-end 0 is dead from the start; back-end 1 serves its own share in
+    # round 1, then dies taking over 0's in round 2, so round 3 serves both
+    # on back-end 2.  What back-end 1 posted in round 1 is void: the answer
+    # is exact, not back-end 1's share counted twice.
+    def deploy():
+        mssg = MSSG(
+            MSSGConfig(num_backends=BACKENDS, num_frontends=FRONTENDS, cache_blocks=0, replication=3)
+        )
+        mssg.ingest(EDGES)
+        return mssg
+
+    def device(mssg):
+        disks = mssg.cluster.nodes[FRONTENDS + 1]._disks
+        return next(dev for name, dev in disks.items() if name.startswith("grdb_L0"))
+
+    with deploy() as mssg:
+        ops = device(mssg).ops
+        mssg.query(analysis, **dict(params, **round_one))
+        own = device(mssg).ops - ops  # back-end 1's round-1 reads
+        healthy = mssg.query(analysis, **params)
+    with deploy() as mssg:
+        mssg.set_fault_plan(
+            FaultPlan(
+                [
+                    DiskFault(node=FRONTENDS, at_time=0.0),
+                    DiskFault(node=FRONTENDS + 1, after_ops=device(mssg).ops + own, device="grdb_L0"),
+                ]
+            )
+        )
+        r = mssg.query(analysis, **params)
+    assert r.result == healthy.result and not r.partial
+    assert r.device_failures == 2 and r.failovers == 2
 
 
 def _unreplicated_streamdb() -> MSSG:
