@@ -1,17 +1,17 @@
 """HashMap GraphDB: in-memory per-vertex adjacency lists (§4.1.2).
 
-Adjacency lists are stored one growable array per vertex behind a hash map
-keyed by global id (Figure 4.2).  Memory scales with the local partition
-(unlike Array's full global ``xadj``), dynamic growth is natural, but every
-adjacency access pays a hash lookup — the measured gap of Figure 5.1.
+Charged as the paper's hash map of per-vertex lists keyed by global id
+(Figure 4.2), stored as edge chunks packed by one stable sort
+(:class:`StagedEdges`).  Memory scales with the local partition (unlike
+Array's full global ``xadj``), growth is natural, but every adjacency
+access pays a hash lookup — the measured gap of Figure 5.1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..util.longarray import LongArray
-from .interface import GraphDB
+from .interface import GraphDB, StagedEdges
 
 __all__ = ["HashMapGraphDB"]
 
@@ -23,31 +23,23 @@ class HashMapGraphDB(GraphDB):
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._adjacency: dict[int, LongArray] = {}
+        self._staged = StagedEdges()
 
     def _store_edges(self, edges: np.ndarray) -> None:
-        adjacency = self._adjacency
         self.clock.advance(len(edges) * self.cpu.hash_lookup_seconds)
-        for src, dst in edges:
-            lst = adjacency.get(src)
-            if lst is None:
-                lst = adjacency[src] = LongArray()
-            lst.append(dst)
+        self._staged.add(edges)
+
+    def finalize_ingest(self) -> None:
+        self._staged.batch()
 
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         # The defining cost: a hash probe before the list is reachable,
         # plus boxed-container overhead per entry (the JVM prototype stored
         # java.lang.Long objects here, vs Array's primitive long[]).
         self.clock.advance(self.cpu.hash_lookup_seconds)
-        lst = self._adjacency.get(vertex)
-        if lst is None:
-            return np.empty(0, dtype=np.int64)
+        lst = self._staged.adjacency(vertex)
         self.clock.advance(len(lst) * self.cpu.hashmap_edge_extra_seconds)
-        return lst.view()
+        return lst
 
     def _local_vertices(self) -> np.ndarray:
-        return np.array(sorted(self._adjacency), dtype=np.int64)
-
-    @property
-    def num_local_vertices(self) -> int:
-        return len(self._adjacency)
+        return self._staged.batch().vertices

@@ -76,6 +76,7 @@ __all__ = [
     "GraphDB",
     "GraphDBStats",
     "PinnedVertexState",
+    "StagedEdges",
     "OP_ALL",
     "OP_NEQ",
     "OP_EQ",
@@ -140,11 +141,11 @@ class AdjacencyBatch:
 
     @classmethod
     def from_edges(cls, edges: np.ndarray) -> "AdjacencyBatch":
-        """Group a non-empty ``(E, 2)`` int64 edge array by source: vertices
+        """Group an ``(E, 2)`` int64 edge array by source: vertices
         ascending, each list in the edges' own order (one stable sort)."""
         order = np.argsort(edges[:, 0], kind="stable")
         srcs = edges[order, 0]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(srcs)) + 1))
+        starts = np.flatnonzero(np.diff(srcs, prepend=-1))  # ids are >= 0
         return cls(srcs[starts], np.append(starts, len(srcs)), edges[order, 1])
 
     @classmethod
@@ -220,6 +221,40 @@ class AdjacencyBatch:
         )
         first = np.flatnonzero(np.diff(vertices, prepend=-1))  # ids are >= 0
         return AdjacencyBatch(vertices[first], np.append(bounds[first], bounds[-1]), neighbors)
+
+
+class StagedEdges:
+    """An in-memory backend's stored edges (Array, HashMap): whole ``(E, 2)``
+    chunks, packed on the first read after a store into one
+    :class:`AdjacencyBatch` by one stable sort by source — each list in
+    arrival order, element for element what appending edge by edge builds."""
+
+    def __init__(self):
+        self._chunks = [np.empty((0, 2), dtype=np.int64)]
+        self._batch: AdjacencyBatch | None = None
+        self._lists: dict[int, np.ndarray] | None = None
+
+    def add(self, edges: np.ndarray) -> None:
+        """Stage a copy of a validated chunk; the next read packs again."""
+        if len(edges):
+            self._chunks.append(edges.copy())
+            self._batch = self._lists = None
+
+    def _pack(self) -> AdjacencyBatch:
+        self._chunks = [np.concatenate(self._chunks)]  # the one chunk a re-pack extends
+        return AdjacencyBatch.from_edges(self._chunks[0])
+
+    def batch(self) -> AdjacencyBatch:
+        """Every staged list, vertices ascending (sparse: no dense id array)."""
+        if self._batch is None:
+            self._batch = self._pack()
+        return self._batch
+
+    def adjacency(self, vertex: int) -> np.ndarray:
+        """``vertex``'s list: one probe of a dict of views built per pack."""
+        if self._lists is None:
+            self._lists = dict(self.batch())
+        return self._lists.get(vertex, _EMPTY)
 
 
 @dataclass

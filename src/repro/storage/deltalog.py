@@ -82,8 +82,6 @@ class DeltaLog:
         #: Decoded surviving batches, ascending seq in (compacted, committed].
         self.pending: list[tuple[int, np.ndarray]] = []
         self._tail = RECORD_START
-        #: Byte offset of each committed batch's DATA record (for trims).
-        self._offsets: dict[int, int] = {}
         self._recover()
 
     # -- recovery -------------------------------------------------------------
@@ -116,7 +114,7 @@ class DeltaLog:
         off = 0
         tail = 0  # relative offset just past the last valid COMMIT
         last_commit = 0
-        data: list[tuple[int, int, np.ndarray]] = []  # (seq, rel offset, edges)
+        data: list[tuple[int, np.ndarray]] = []  # (seq, edges)
         while off + _REC.size + _CRC.size <= len(buf):
             magic, kind, seq, nedges, nbytes = _REC.unpack_from(buf, off)
             if magic != _REC_MAGIC or kind not in (_KIND_DATA, _KIND_COMMIT):
@@ -140,7 +138,7 @@ class DeltaLog:
                         break
                 else:
                     edges = np.zeros((0, 2), dtype=np.int64)
-                data.append((seq, off, edges))
+                data.append((seq, edges))
             else:
                 last_commit = max(last_commit, seq)
                 tail = end + _CRC.size
@@ -150,10 +148,9 @@ class DeltaLog:
         if size > self._tail:
             # Torn/uncommitted debris past the committed prefix vanishes.
             self.device.truncate(self._tail)
-        for seq, rel, edges in data:
+        for seq, edges in data:
             if self.compacted < seq <= self.committed:
                 self.pending.append((seq, edges))
-                self._offsets[seq] = RECORD_START + rel
         self.pending.sort(key=lambda t: t[0])
 
     # -- header protocol ------------------------------------------------------
@@ -199,31 +196,11 @@ class DeltaLog:
             payload = b""
         data = self._frame(_KIND_DATA, seq, len(edges), payload)
         data += self._frame(_KIND_COMMIT, seq, 0, b"")
-        self._offsets[seq] = self._tail
         self.device.write(self._tail, data)
         self._tail += len(data)
         self.committed = max(self.committed, seq)
         self.pending.append((seq, edges))
         return len(data)
-
-    def truncate_to(self, seq: int) -> None:
-        """Drop committed batches with sequence above ``seq``.
-
-        Recovery-time trim: a crash can commit a batch on some back-ends
-        but not others; the cluster coordinator rolls every log back to the
-        published snapshot so the next stream batch reuses the seq cleanly.
-        """
-        if self.committed <= seq:
-            return
-        cut = min(
-            (off for s, off in self._offsets.items() if s > seq),
-            default=self._tail,
-        )
-        self.device.truncate(cut)
-        self._tail = cut
-        self._offsets = {s: o for s, o in self._offsets.items() if s <= seq}
-        self.pending = [(s, e) for s, e in self.pending if s <= seq]
-        self.committed = max(self.compacted, seq)
 
     # -- two-phase compaction publish -----------------------------------------
 
@@ -247,7 +224,6 @@ class DeltaLog:
         self._write_header()
         self.device.truncate(RECORD_START)
         self._tail = RECORD_START
-        self._offsets = {s: o for s, o in self._offsets.items() if s > target}
         self.pending = [(s, e) for s, e in self.pending if s > target]
 
     def abort_compaction(self) -> None:

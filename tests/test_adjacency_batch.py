@@ -409,8 +409,9 @@ def test_claim_feedback_keeps_the_answer_on_fewer_device_bytes():
     assert r.edges_skipped < 6131  # delivered-not-examined: the unread rest is not counted
 
 
-def test_array_scan_before_finalize_walks_the_staging_map():
-    db = make_store("Array", SimNode(0, NodeSpec()))
+@pytest.mark.parametrize("backend", ["Array", "HashMap"])
+def test_scan_before_finalize_reads_the_packed_chunks(backend):
+    db = make_store(backend, SimNode(0, NodeSpec()))
     db.store_edges(EDGES)
     staged = flatten(db.scan_adjacency())
     db.finalize_ingest()
