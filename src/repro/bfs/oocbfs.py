@@ -58,6 +58,10 @@ class BFSConfig:
 
     source: int
     dest: int
+    #: Every stored id is below this (``None``: no such bound is known).
+    #: Sizes nothing here; it only lets a search from outside the id space
+    #: end before it marks anything.
+    num_vertices: int | None = None
     #: Vertex-granularity declustering with the globally known GID % p map?
     owner_known: bool = True
     max_levels: int = 64
@@ -156,9 +160,11 @@ def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, result, ft):
         if cfg.direction is not None and cfg.owner_known
         else None
     )
-    if dctl is not None and not 0 <= cfg.source < cfg.direction.num_vertices:
-        # Outside the id space nothing is stored, so nothing is reachable —
-        # and the fringe bitmap of a pull level has no bit for the source.
+    if cfg.source < 0 or cfg.num_vertices is not None and cfg.source >= cfg.num_vertices:
+        # Outside the id space nothing is stored (store_edges rejects
+        # negative ids), so nothing is reachable — and neither a dense level
+        # array, a paged one nor a pull level's fringe bitmap has a slot for
+        # the source.  Every other id a search marks is a stored one.
         return
 
     visited.mark(cfg.source, 0)

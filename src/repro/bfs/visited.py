@@ -4,7 +4,12 @@ Chapter 5 fixes the visited data structure (in-memory) for most runs "to
 characterize the operation of the actual graph storage", and ablates an
 external-memory visited structure for the Syn-2B runs (Fig. 5.8).  Both
 wrap the metadata stores with BFS-level semantics: ``UNSET`` plays the role
-of ``level = infinity``.
+of ``level = infinity``.  Neither in-memory structure charges virtual time,
+so which one holds the levels shows on the wall clock only.
+
+None of these level maps checks an id's range: a search hands them ids
+inside the id space only (the search driver returns before marking a source
+outside it, and every other id it marks is a stored one).
 """
 
 from __future__ import annotations
@@ -82,7 +87,14 @@ class VisitedLevels:
 
 
 class InMemoryVisited(VisitedLevels):
-    """Hash-map visited levels — the fixed structure of ch. 5's methodology."""
+    """Hash-map visited levels — the fallback where no dense array fits.
+
+    Used where the service knows no id space that bounds the store (nothing
+    ingested through the façade, or storage reopened), or where that space
+    holds more ids than the deployment ingested endpoints (sparse ids): the
+    dict grows with the touched vertices only.  It is also the reference the
+    dense structure is held to.
+    """
 
     def __init__(self):
         super().__init__(InMemoryMetadata())
@@ -104,14 +116,16 @@ class ExternalVisited(VisitedLevels):
 
 
 class PinnedVisited(VisitedLevels):
-    """Visited levels in a resident dense array — semi-EM's layer 1.
+    """Visited levels in a resident dense int32 array over the id space.
 
-    Replaces :class:`ExternalVisited` when ``semi_external=True``: the
-    level array lives in RAM for the whole query (charged to the semi-EM
-    budget at ``4 * num_vertices`` bytes per in-flight query), so the
-    scale-free fringe's scattered level checks cost no device pages at
-    all.  Levels are identical to the external structure's — only the
-    medium differs.
+    The default in-memory structure where the id space is known and dense
+    (see :class:`InMemoryVisited` for where it is not): one gather / scatter
+    per fringe instead of a dict probe per vertex, and no virtual time
+    either way.  Also semi-EM's layer 1, replacing :class:`ExternalVisited`
+    when ``semi_external=True``: there the array is charged to the semi-EM
+    budget at ``4 * num_vertices`` bytes per in-flight query, so the
+    scale-free fringe's scattered level checks cost no device pages at all.
+    Levels are identical to the other structures' — only the medium differs.
     """
 
     def __init__(self, num_vertices: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,6 +207,11 @@ class MSSG:
     def __init__(self, config: MSSGConfig | None = None):
         self.config = config if config is not None else MSSGConfig()
         cfg = self.config
+        # Storage this deployment did not write may hold ids beyond any it
+        # ingests: then no id space it records bounds the store.
+        reopened = bool(
+            cfg.storage_dir and os.path.isdir(cfg.storage_dir) and os.listdir(cfg.storage_dir)
+        )
         self.cluster = SimCluster(
             nranks=cfg.num_frontends + cfg.num_backends,
             spec=cfg.node_spec,
@@ -238,6 +244,8 @@ class MSSG:
             attempt_timeout=cfg.attempt_timeout,
             max_inflight=cfg.max_inflight,
         )
+        if reopened:
+            self.queries.endpoints_ingested = None
         self.last_ingest: IngestReport | None = None
         #: Streaming machinery (delta logs + overlays).  Constructing it
         #: doubles as crash recovery: reopening a streaming deployment over
@@ -260,12 +268,18 @@ class MSSG:
             self.queries.known_dead |= set(backends)
             self.queries.fault_tolerant = True
 
-    def _note_id_space(self, max_id: int) -> None:
-        """The direction-optimizing hybrid sizes its fringe bitmap from the
-        vertex-id space; record it at ingest so queries know it without a
-        cluster round.  Grows monotonically; ``max_id < 0``: no id was seen."""
+    def _note_id_space(self, max_id: int, endpoints: int = 0) -> None:
+        """The direction-optimizing hybrid's fringe bitmap and the dense
+        visited array are sized from the vertex-id space, and the dense array
+        is chosen only where that space is no larger than the ``endpoints``
+        (two per edge) ingested; record both at ingest so queries know them
+        without a cluster round.  Both grow monotonically; ``max_id < 0``: no
+        id was seen."""
+        q = self.queries
         if max_id >= 0:
-            self.queries.num_vertices = max(self.queries.num_vertices or 0, max_id + 1)
+            q.num_vertices = max(q.num_vertices or 0, max_id + 1)
+        if q.endpoints_ingested is not None:
+            q.endpoints_ingested += endpoints
 
     def _make_db(self, q: int) -> GraphDB:
         """Build back-end ``q``'s GraphDB instance on its node.
@@ -322,7 +336,7 @@ class MSSG:
         """Stream an undirected edge list into the back-end GraphDBs."""
         self.last_ingest = self.ingestion.ingest(edges)
         self._note_failed(self.last_ingest.failed_backends)
-        self._note_id_space(_max_id(edges))
+        self._note_id_space(_max_id(edges), np.size(edges))
         if self.config.features.semi_external:
             self._pin_semi_external()
         return self.last_ingest
@@ -342,7 +356,7 @@ class MSSG:
         """
         report = self._streaming("ingest_stream").ingest_batch(edges)
         self._note_failed(report.failed_backends)
-        self._note_id_space(_max_id(edges))
+        self._note_id_space(_max_id(edges), np.size(edges))
         if self.last_ingest is None:
             self.last_ingest = report
         else:
@@ -786,7 +800,9 @@ class MSSG:
             # Grow the id space *before* the drain: direction-opt bitmaps
             # and pinned visited arrays are sized from it at admission, and
             # mid-drain batches may introduce new vertex ids.
-            self._note_id_space(_max_id(*stream_batches))
+            self._note_id_space(
+                _max_id(*stream_batches), sum(np.size(b) for b in stream_batches)
+            )
         if tenants is not None and len(tenants) != len(pairs):
             raise ConfigError(
                 f"tenants has {len(tenants)} entries for {len(pairs)} queries"

@@ -64,7 +64,7 @@ class ArrayGraphDB(GraphDB):
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         if self._xadj is None:
             return self._staged.adjacency(vertex)
-        if vertex + 1 >= len(self._xadj):
+        if not 0 <= vertex < len(self._xadj) - 1:  # a negative id would wrap
             return np.empty(0, dtype=np.int64)
         return self._adj[self._xadj[vertex] : self._xadj[vertex + 1]]
 

@@ -99,6 +99,8 @@ class BerkeleyGraphDB(GraphDB):
             self._tails[vertex] = (chunk_no, used)
 
     def _get_adjacency(self, vertex: int) -> np.ndarray:
+        if vertex < 0:  # never a key (store_edges rejects them); `degree` may ask
+            return np.empty(0, dtype=np.int64)
         chunks = [self._unpack(v) for _, v in self.store.prefix(encode_u64(vertex))]
         if not chunks:
             return np.empty(0, dtype=np.int64)

@@ -5,7 +5,8 @@ beginning of the adjacency list of a vertex v is stored in the v-th
 sub-block at level 0").  On a single node that is the identity; with p
 back-end nodes and the globally-known ``GID % p`` declustering the paper
 uses, each node owns every p-th vertex and maps it to the dense local slot
-``GID // p`` so level-0 storage stays compact.
+``GID // p`` so level-0 storage stays compact.  No node owns a negative id
+(``store_edges`` rejects them), so a read of one touches no sub-block.
 """
 
 from __future__ import annotations
@@ -54,17 +55,21 @@ class IdMap(abc.ABC):
 
 
 class IdentityMap(IdMap):
-    """Local slot == global id (single-node layout)."""
+    """Local slot == global id (single-node layout); a negative id has none."""
 
     def to_local(self, gid: int) -> int:
-        return int(gid)
+        gid = int(gid)
+        if gid < 0:
+            raise ConfigError(f"vertex {gid} is negative: no slot holds it")
+        return gid
 
     def to_global(self, local: int) -> int:
         return int(local)
 
     def to_local_many(self, gids) -> tuple[np.ndarray, np.ndarray]:
         gids = np.asarray(gids, dtype=np.int64)
-        return gids.copy(), np.ones(len(gids), dtype=bool)
+        owned = gids >= 0
+        return np.where(owned, gids, -1), owned
 
     def to_global_many(self, locals_) -> np.ndarray:
         return np.array(locals_, dtype=np.int64)
@@ -81,7 +86,7 @@ class ModuloMap(IdMap):
 
     def to_local(self, gid: int) -> int:
         gid = int(gid)
-        if gid % self.nparts != self.rank:
+        if gid < 0 or gid % self.nparts != self.rank:
             raise ConfigError(f"vertex {gid} is not owned by rank {self.rank} of {self.nparts}")
         return gid // self.nparts
 
@@ -90,7 +95,7 @@ class ModuloMap(IdMap):
 
     def to_local_many(self, gids) -> tuple[np.ndarray, np.ndarray]:
         gids = np.asarray(gids, dtype=np.int64)
-        owned = gids % self.nparts == self.rank
+        owned = (gids >= 0) & (gids % self.nparts == self.rank)
         locals_ = np.where(owned, gids // self.nparts, -1)
         return locals_, owned
 
@@ -98,4 +103,4 @@ class ModuloMap(IdMap):
         return np.asarray(locals_, dtype=np.int64) * self.nparts + self.rank
 
     def owns(self, gid: int) -> bool:
-        return int(gid) % self.nparts == self.rank
+        return 0 <= int(gid) and int(gid) % self.nparts == self.rank

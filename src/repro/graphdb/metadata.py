@@ -2,7 +2,8 @@
 
 BFS stores search levels here ("visited" state).  Chapter 5 runs most
 experiments with an in-memory metadata/visited structure and one ablation
-(Fig. 5.8) with an external-memory one; both live here.
+(Fig. 5.8) with an external-memory one; both live here, the in-memory one in
+two media: a dict and a dense array.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ class InMemoryMetadata(MetadataStore):
 
 
 class PinnedMetadata(MetadataStore):
-    """Dense resident int32 metadata over ``[0, num_vertices)`` (semi-EM).
+    """Dense resident int32 metadata over ``[0, num_vertices)``.
 
-    The semi-external-memory replacement for :class:`ExternalMetadata`:
-    the same int32-per-vertex array, but materialized once as a resident
-    numpy array (charged to the semi-EM RAM budget) instead of paged to a
-    scratch device — so visited/level checks never touch the device during
-    a query.  Lookups and scatters are fully vectorized.
+    The same int32-per-vertex array as :class:`ExternalMetadata`, but
+    materialized once as a resident numpy array instead of paged to a
+    scratch device: the default in-memory level map over a dense id space,
+    and semi-EM's replacement for the paged one (charged to the semi-EM RAM
+    budget there).  Lookups and scatters are fully vectorized.  Reads
+    outside the range answer :data:`UNSET`; writes must stay inside it.
     """
 
     def __init__(self, num_vertices: int):
@@ -115,9 +117,11 @@ class PinnedMetadata(MetadataStore):
 
     def get_many(self, vertices) -> np.ndarray:
         vs = np.asarray(vertices, dtype=np.int64).ravel()
+        inside = vs.view(np.uint64) < self.num_vertices  # negatives wrap high
+        if inside.all():
+            return self._values[vs].astype(np.int64)
         out = np.full(len(vs), UNSET, dtype=np.int64)
-        ok = (vs >= 0) & (vs < self.num_vertices)
-        out[ok] = self._values[vs[ok]]
+        out[inside] = self._values[vs[inside]]
         return out
 
     def set_many(self, vertices, value: int) -> None:

@@ -173,10 +173,15 @@ class QueryService:
         self.max_inflight = max_inflight
         #: Queries accepted by :meth:`submit`, awaiting the next :meth:`drain`.
         self._submitted: list[QuerySpec] = []
-        #: Vertex-id space size, recorded at ingest time; sizes the hybrid's
-        #: fringe bitmap.  ``None`` (nothing ingested through the façade)
-        #: keeps BFS pure top-down.
+        #: Vertex-id space size, recorded at ingest time (and from the
+        #: recovered deltas when a streaming deployment reopens); sizes the
+        #: vertex programs' state.  ``None``: nothing ingested through the
+        #: façade.  BFS reads it through :meth:`_id_space`.
         self.num_vertices: int | None = None
+        #: Endpoints (two per edge) ingested through the façade; ``None``
+        #: once the deployment reopened storage it did not write, which may
+        #: hold ids at or above ``num_vertices``.
+        self.endpoints_ingested: int | None = 0
         #: Back-end indices recorded dead by a rebalance pass.  Seeded into
         #: every query's fault state so routing skips them outright instead
         #: of rediscovering the deaths through failover rounds.
@@ -256,15 +261,33 @@ class QueryService:
 
     # -- built-in analyses ---------------------------------------------------------
 
+    def _id_space(self) -> int | None:
+        """``n`` with every stored id in ``[0, n)``, or ``None`` if unknown.
+
+        Sizes the hybrid's fringe bitmap and the dense level arrays, and ends
+        a search from outside it before it starts.  Unknown until something
+        is ingested through the façade, and for good once storage is reopened.
+        """
+        return self.num_vertices if self.endpoints_ingested is not None else None
+
     def _make_visited(self, ctx, kind: str, seq: int):
+        n = self._id_space()
         if kind == "memory":
+            # The dense array costs 4 bytes per id to fill, per query and
+            # rank; the dict a probe per touched vertex.  A query touches at
+            # most the stored vertices, and no more are stored than endpoints
+            # were ingested: an id space larger than that is sparse, and the
+            # dict is both cheaper and bounded there.  Neither charges the
+            # clock, so the choice moves the wall clock alone.
+            if n and n <= self.endpoints_ingested:
+                return PinnedVisited(n)
             return InMemoryVisited()
         if kind == "external":
-            if self.features.semi_external and self.num_vertices:
+            if self.features.semi_external and n:
                 # Semi-EM pins the per-query level array in RAM (charged to
                 # the budget at ingest time) — zero visited paging.  Levels
                 # are identical to the paged structure's.
-                return PinnedVisited(self.num_vertices)
+                return PinnedVisited(n)
             # A fresh scratch file per query: level marks must not leak
             # between searches.
             dev = ctx.node.disk(f"visited-{seq}")
@@ -296,10 +319,11 @@ class QueryService:
         or when turned off — BFS runs the paper's pure top-down search.
         """
         enabled = self.features.direction_opt if direction_opt is None else direction_opt
-        if not enabled or not self.declusterer.owner_known or not self.num_vertices:
+        n = self._id_space()
+        if not enabled or not self.declusterer.owner_known or not n:
             return None
         return DirectionConfig(
-            num_vertices=self.num_vertices,
+            num_vertices=n,
             schedule=tuple(direction_schedule) if direction_schedule else None,
         )
 
@@ -312,6 +336,7 @@ class QueryService:
         return BFSConfig(
             source=int(source),
             dest=int(dest),
+            num_vertices=self._id_space(),
             owner_known=self.declusterer.owner_known,
             max_levels=max_levels,
             prefetch=prefetch,

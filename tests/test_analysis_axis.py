@@ -10,7 +10,11 @@ partitions all keep a live holder at ``replication=2``, and an *island* — a
 component stored wholly on one back-end — whose replica chain dies whole.
 """
 
+import dataclasses
 import importlib.util
+import resource
+import signal
+from contextlib import contextmanager
 from math import comb
 from pathlib import Path
 
@@ -18,9 +22,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro import MSSG, MSSGConfig
+from repro import MSSG, Features, MSSGConfig
 from repro.bfs import bfs_levels, sample_queries_by_distance
 from repro.experiments.harness import scaled_grdb_format
+from repro.graphdb.registry import BACKENDS
 from repro.graphgen import CSRGraph, pubmed_like
 from repro.simcluster import DiskFault, FaultPlan
 
@@ -115,7 +120,7 @@ ISLAND_EDGES = np.array(
 ISLAND = _oracles(ISLAND_EDGES, 5, 9)
 
 
-def _deploy(backend, replication, edges=EDGES, num_backends=3, cache_blocks=4):
+def _deploy(backend, replication, edges=EDGES, num_backends=3, cache_blocks=4, **config):
     config = MSSGConfig(
         num_backends=num_backends,
         num_frontends=FRONTENDS,
@@ -124,6 +129,7 @@ def _deploy(backend, replication, edges=EDGES, num_backends=3, cache_blocks=4):
         # The store must not fit the cache, or a dead device is never read.
         cache_blocks=cache_blocks,
         grdb_format=scaled_grdb_format(),
+        **config,
     )
     mssg = MSSG(config)
     mssg.ingest(edges)
@@ -183,3 +189,76 @@ def test_an_id_outside_the_id_space_is_not_found(analysis, schedule):
             assert report.result is None and not report.partial, (source, dest, report)
         drained = mssg.query_many([(beyond, DEST)], direction_schedule=schedule).queries[0]
         assert drained.result is None and not drained.partial
+
+
+class _Overran(Exception):
+    pass
+
+
+@contextmanager
+def _bounded(seconds=60, headroom=1 << 30):
+    """Fail a case that hangs or balloons instead of stalling the run or the
+    host: an alarm after ``seconds``, and an address-space cap ``headroom``
+    bytes above what the process maps now, so a visited store that
+    materializes pages toward a huge id raises ``MemoryError``."""
+
+    def overran(signum, frame):
+        raise _Overran(f"case ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as f:
+        mapped = int(f.read().split()[0]) * resource.getpagesize()
+    cap = mapped + headroom
+    if limits[1] != resource.RLIM_INFINITY:
+        cap = min(cap, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+@pytest.mark.parametrize(
+    "source", [int(EDGES.max()) + 1000, -5, 1 << 40], ids=["max+1000", "-5", "2^40"]
+)
+@pytest.mark.parametrize("direction_opt", [True, False], ids=["hybrid", "top-down"])
+@pytest.mark.parametrize("semi_external", [False, True], ids=["ram", "semi-em"])
+@pytest.mark.parametrize("visited", ["memory", "external"])
+def test_an_out_of_space_source_is_not_found_in_any_visited_medium(
+    visited, semi_external, direction_opt, source
+):
+    # A search from outside [0, num_vertices) ends before it marks anything,
+    # so no medium indexes past a dense array, wraps a negative id onto a
+    # real slot, asks a paged file for page -1 or materializes pages up to
+    # 2^40 — whether or not the hybrid is on.
+    features = dataclasses.replace(Features.production(), semi_external=semi_external)
+    with _deploy("Array", 1, features=features) as mssg, _bounded():
+        for report in (
+            mssg.query_bfs(source, DEST, visited=visited, direction_opt=direction_opt),
+            mssg.query_many(
+                [(source, DEST)], visited=visited, direction_opt=direction_opt
+            ).queries[0],
+        ):
+            assert (report.result, report.levels, report.partial) == (None, 0, False), report
+
+
+@pytest.mark.parametrize("preset", [Features.production, Features.paper], ids=["prod", "paper"])
+@pytest.mark.parametrize("replication", [1, 2])  # grDB: modulo / identity id map
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_negative_id_has_no_adjacency_on_any_backend(backend, replication, preset):
+    # A search from a negative source ends before it reads anything, but
+    # ``degree`` asks each store for the id's adjacency directly.  Array's
+    # dense xadj wrapped -5 onto vertex n - 5 (degree 1), grDB's id map gave
+    # it a slot (a storage error), BerkeleyDB could not encode the key.  No
+    # store holds a negative id, so every one answers 0.
+    edges = pubmed_like(150, seed=1)
+    negatives = [-1, -5, -int(edges.max())]
+    with _deploy(backend, replication, edges, features=preset()) as mssg:
+        assert mssg.query("degree", vertices=negatives).result == dict.fromkeys(negatives, 0)
+        for source in negatives:
+            report = mssg.query_bfs(source, 0, direction_opt=False)
+            assert (report.result, report.levels, report.partial) == (None, 0, False), report

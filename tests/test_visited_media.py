@@ -1,0 +1,210 @@
+"""The dense level array answers exactly what the dict does, where it is used.
+
+``visited="memory"`` is a dense resident int32 array where the service knows
+an id space that bounds the store and that space is dense (no more ids than
+ingested endpoints), and a dict everywhere else.  Neither charges virtual
+time, so the choice must move nothing but the wall clock:
+
+* a differential property: random ``mark`` / ``mark_many`` / ``unvisited`` /
+  ``unvisited_local`` / ``level`` sequences over the id space give identical
+  answers from the dict (the reference), the dense array and the paged
+  external store;
+* every field of every ``query_bfs`` / ``query_many`` report equals a run
+  whose memory structure is pinned to the dict, on all six backends with the
+  hybrid on and off under both presets, and across a streaming drain whose
+  batches raise the largest id;
+* a sparse id space (an id far past the ingested endpoints) and a reopened
+  store (ids the deployment never ingested) keep the dict, and answer what
+  a fresh search answers.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import MSSG, Features, MSSGConfig
+from repro.bfs import (
+    ExternalVisited,
+    InMemoryVisited,
+    PinnedVisited,
+    bfs_distance,
+    sample_queries_by_distance,
+)
+from repro.graphdb.registry import BACKENDS
+from repro.graphgen import CSRGraph, pubmed_like
+from repro.simcluster.disk import BlockDevice
+
+N = 24
+_id = st.integers(0, N - 1)
+_ids = st.lists(_id, max_size=12)
+_level = st.integers(0, 64)
+_op = st.one_of(
+    st.tuples(st.just("mark"), _id, _level),
+    st.tuples(st.just("mark_many"), _ids, _level),
+    st.tuples(st.just("unvisited"), _ids),
+    st.tuples(st.just("unvisited_local"), _ids),
+    st.tuples(st.just("level"), _id),
+    st.tuples(st.just("is_visited"), _id),
+)
+
+
+def _apply(visited, op):
+    name, *args = op
+    if name == "unvisited_local":
+        ids = args[0]
+        return visited.unvisited_local(lambda: np.array(ids, dtype=np.int64)).tolist()
+    if name in ("mark", "mark_many"):
+        return getattr(visited, name)(*args)
+    answer = getattr(visited, name)(*args)
+    return answer.tolist() if isinstance(answer, np.ndarray) else answer
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_op, max_size=30))
+def test_every_medium_answers_what_the_dict_answers(ops):
+    reference = InMemoryVisited()
+    media = [PinnedVisited(N), ExternalVisited(BlockDevice(), cache_pages=1)]
+    for op in ops:
+        want = _apply(reference, op)
+        for visited in media:
+            assert _apply(visited, op) == want, (type(visited).__name__, op)
+
+
+# -- the façade: dense vs a run pinned to the dict -----------------------------
+
+EDGES = pubmed_like(150, seed=1)
+TOP = int(EDGES.max())
+QUERIES = [(s, d) for s, d, _ in sample_queries_by_distance(CSRGraph.from_edges(EDGES), 6, seed=2)]
+PAIRS = QUERIES + [(TOP + 1000, QUERIES[0][1]), (-5, QUERIES[0][1]), (QUERIES[0][0], TOP + 1000)]
+
+
+def _deploy(backend, preset=Features.production, storage_dir=None, **features):
+    return MSSG(
+        MSSGConfig(
+            num_backends=3,
+            num_frontends=1,
+            backend=backend,
+            cache_blocks=4,
+            storage_dir=storage_dir,
+            features=dataclasses.replace(preset(), **features),
+        )
+    )
+
+
+def _media(mssg, pin_dict=False):
+    """Record the memory structures ``mssg`` builds; with ``pin_dict`` build
+    the dict every time, as the service did before it had a dense array."""
+    seen = set()
+    make = mssg.queries._make_visited
+
+    def made(ctx, kind, seq):
+        visited = InMemoryVisited() if pin_dict and kind == "memory" else make(ctx, kind, seq)
+        seen.add(type(visited).__name__)
+        return visited
+
+    mssg.queries._make_visited = made
+    return seen
+
+
+def _run(mssg, direction_opt):
+    solo = [repr(mssg.query_bfs(s, d, direction_opt=direction_opt)) for s, d in PAIRS]
+    solo.append(repr(mssg.query_bfs(*PAIRS[0], pipelined=True, direction_opt=direction_opt)))
+    drained = mssg.query_many(PAIRS, direction_opt=direction_opt, max_inflight=3)
+    return solo, repr(drained)
+
+
+@pytest.mark.parametrize("preset", [Features.production, Features.paper], ids=["prod", "paper"])
+@pytest.mark.parametrize("direction_opt", [True, False], ids=["hybrid", "top-down"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reports_equal_a_run_pinned_to_the_dict(backend, direction_opt, preset):
+    with _deploy(backend, preset) as dense, _deploy(backend, preset) as ref:
+        dense_media, ref_media = _media(dense), _media(ref, pin_dict=True)
+        for mssg in (dense, ref):
+            mssg.ingest(EDGES)
+        assert _run(dense, direction_opt) == _run(ref, direction_opt)
+        assert dense_media == {"PinnedVisited"} and ref_media == {"InMemoryVisited"}
+
+
+@pytest.mark.parametrize("backend", ["Array", "StreamDB", "grDB"])
+def test_a_streaming_drain_that_raises_the_max_id_equals_the_dict(backend):
+    # Batches carry ids past everything ingested before the drain: the id
+    # space grows before admission, so each dense array covers them.
+    grown = EDGES + TOP + 1  # a second, disjoint copy of the graph
+    bridge = np.array([[QUERIES[0][0], TOP + 1 + QUERIES[0][1]]])
+    batches = [grown[: len(grown) // 2], np.vstack([grown[len(grown) // 2 :], bridge])]
+    pairs = PAIRS + [(QUERIES[0][0], TOP + 1 + QUERIES[1][1]), (TOP + 1, TOP + 2)]
+    reports = []
+    for pin_dict in (False, True):
+        with _deploy(backend, streaming=True) as mssg:
+            media = _media(mssg, pin_dict)
+            mssg.ingest_stream(EDGES)
+            drained = mssg.query_many(pairs, stream_batches=batches, max_inflight=2)
+            assert mssg.queries.num_vertices == 2 * (TOP + 1)
+            reports.append(repr(drained))
+            assert media == {"InMemoryVisited" if pin_dict else "PinnedVisited"}
+    assert reports[0] == reports[1]
+
+
+# -- where the dict stays ------------------------------------------------------
+
+
+@pytest.mark.parametrize("far", [200_000_000, 1 << 40], ids=["2e8", "2^40"])
+@pytest.mark.parametrize("backend", ["HashMap", "StreamDB"])
+def test_a_sparse_id_space_keeps_the_dict(backend, far):
+    # One id far past the rest: a dense array would be 4 * far bytes per
+    # query and rank (4 TiB at 2^40), where the dict holds the few touched.
+    # The exhaustive searches run top-down: a pull level's fringe bitmap is
+    # sized from the id space too (n / 8 bytes), a separate boundary.
+    source = QUERIES[0][0]
+    with _deploy(backend) as mssg:
+        media = _media(mssg)
+        mssg.ingest(np.vstack([EDGES, [[source, far]]]))
+        assert mssg.queries.num_vertices == far + 1
+        assert mssg.query_bfs(source, far).result == 1
+        assert mssg.query_bfs(far, far + 1, direction_opt=False).result is None
+        drained = mssg.query_many([(source, far), (far, far + 1)], direction_opt=False)
+        assert [r.result for r in drained.queries] == [1, None]
+        assert media == {"InMemoryVisited"}
+
+
+def test_the_dense_array_needs_no_more_ids_than_endpoints():
+    with _deploy("HashMap") as dense, _deploy("HashMap") as sparse:
+        kinds = _media(dense), _media(sparse)
+        dense.ingest(np.array([[0, 1], [2, 3]]))  # 4 ids, 4 endpoints
+        sparse.ingest(np.array([[0, 1], [2, 4]]))  # 5 ids, 4 endpoints
+        assert dense.query_bfs(0, 1).result == sparse.query_bfs(0, 1).result == 1
+        assert kinds == ({"PinnedVisited"}, {"InMemoryVisited"})
+
+
+@pytest.mark.parametrize("backend", ["grDB", "StreamDB"])
+def test_a_reopened_store_keeps_the_dict_and_answers_what_a_fresh_one_does(tmp_path, backend):
+    # The base holds ids 0..299; the unfolded deltas recovered on reopen hold
+    # only 0..2.  No id space recorded after the reopen bounds the store, so
+    # the search runs top-down over the dict — a dense array sized from the
+    # deltas would drop every mark at or above 3.
+    edges = pubmed_like(300, seed=1)
+    delta, late = np.array([[0, 1], [1, 2]]), np.array([[3, 4]])
+    top = int(edges.max())
+    graph = CSRGraph.from_edges(np.vstack([edges, delta, late]))
+    pairs = [(top, 5), (5, top), (0, top - 1), (top, 10**6)]
+    with _deploy(backend, streaming=True) as fresh:
+        fresh.ingest(edges)
+        fresh.ingest_stream(delta)
+        fresh.ingest_stream(late)
+        want = [fresh.query_bfs(s, d, direction_opt=False) for s, d in pairs]
+    assert [r.result for r in want[:3]] == [bfs_distance(graph, s, d) for s, d in pairs[:3]]
+    with _deploy(backend, storage_dir=str(tmp_path), streaming=True) as first:
+        first.ingest(edges)
+        first.ingest_stream(delta)
+    with _deploy(backend, storage_dir=str(tmp_path), streaming=True) as reopened:
+        media = _media(reopened)
+        assert reopened.queries.num_vertices == 3 and reopened.queries._id_space() is None
+        reopened.ingest_stream(late)  # bounds the new ids, not the base's
+        assert reopened.queries._id_space() is None
+        for direction_opt in (False, True):
+            got = [reopened.query_bfs(s, d, direction_opt=direction_opt) for s, d in pairs]
+            assert [(r.result, r.levels) for r in got] == [(r.result, r.levels) for r in want]
+        assert media == {"InMemoryVisited"}
