@@ -1,29 +1,28 @@
-"""From-scratch storage engines: paged files, caches, B-trees, KV, SQL.
+"""From-scratch storage engines: paged files, caches, B-trees, KV, a table.
 
 These are the substrates under the paper's GraphDB backends: the
-BerkeleyDB-like :class:`KVStore`, the MySQL-like :class:`MiniSQL`, and the
-:class:`PagedFile`/:class:`LRUBlockCache` primitives that grDB builds on.
+BerkeleyDB-like :class:`KVStore`, the MySQL-like :class:`EdgesTable` (one
+heap file and one B-tree index, driven by prepared plans rather than SQL
+text), and the :class:`PagedFile`/:class:`LRUBlockCache` primitives that
+grDB builds on.
 """
 
 from .blockcache import CacheStats, LRUBlockCache
 from .btree import BTree
 from .heapfile import HeapFile
 from .kvstore import KVStore, decode_u64, encode_key_u64_u32, encode_u64
-from .minisql import MiniSQL, Table
+from .minisql import EdgesTable
 from .pagedfile import PagedFile
-from .sqlparser import parse as parse_sql
 
 __all__ = [
     "BTree",
     "CacheStats",
+    "EdgesTable",
     "HeapFile",
     "KVStore",
     "LRUBlockCache",
-    "MiniSQL",
     "PagedFile",
-    "Table",
     "decode_u64",
     "encode_key_u64_u32",
     "encode_u64",
-    "parse_sql",
 ]

@@ -2,9 +2,10 @@
 
 This is the index engine under both stand-ins for the paper's open-source
 databases: the BerkeleyDB-like key-value store keeps adjacency chunks in one
-of these, and MiniSQL uses one as its primary index.  The tree stores real
-bytes in real pages through :class:`PagedFile`, with all I/O routed through
-an :class:`LRUBlockCache` so virtual-time cost reflects cache hits/misses.
+of these, and MiniSQL's edges table indexes ``(src, chunk)`` with one.
+The tree stores real bytes in real pages through :class:`PagedFile`, with
+all I/O routed through an :class:`LRUBlockCache` so virtual-time cost
+reflects cache hits/misses.
 
 Layout (page size configurable, default 4096):
 

@@ -1,4 +1,4 @@
-"""Slotted-ish heap file for MiniSQL table rows.
+"""Slotted-ish heap file for the rows of MiniSQL's edges table.
 
 Rows are stored unspanned (a row must fit in one page) with a one-byte flag
 and a length prefix; deletion tombstones the row in place.  Row ids (RIDs)

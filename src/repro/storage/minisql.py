@@ -1,10 +1,10 @@
-"""MiniSQL: a miniature relational database engine.
+"""MiniSQL: the MySQL backend's one table, ``edges(src, chunk, adj)``.
 
-The stand-in for the paper's MySQL 4.1.12.  It is a genuine (if small)
-relational engine: tables live in slotted heap files, B-tree indexes map
-order-preserving key encodings to row ids, statements are parsed from SQL
-text and planned (index prefix scan when an index matches the WHERE
-equality columns, full table scan otherwise).
+The stand-in for the paper's MySQL 4.1.12.  Rows live in a slotted heap
+file; a B-tree index on ``(src, chunk)`` maps order-preserving keys to row
+ids.  Each method is the prepared plan of one statement the backend sends:
+the three probes are index prefix scans, the three scans sequential heap
+passes — the plans a relational planner picks for those statements.
 
 Two properties make it behave like the paper's MySQL line rather than like
 BerkeleyDB, both structural rather than hard-coded:
@@ -18,361 +18,158 @@ BerkeleyDB, both structural rather than hard-coded:
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from ..simcluster.costmodel import CpuProfile
 from ..simcluster.disk import BlockDevice
 from ..simcluster.virtualtime import VirtualClock
-from ..util.errors import SqlError
 from .btree import BTree
 from .heapfile import RID, HeapFile
 from .pagedfile import PagedFile
-from .sqlparser import (
-    Condition,
-    CreateIndex,
-    CreateTable,
-    Delete,
-    Insert,
-    Literal,
-    Param,
-    Select,
-    Update,
-    parse,
-)
 
-__all__ = ["MiniSQL", "Table"]
+__all__ = ["EdgesTable"]
 
+_ROW = struct.Struct(">qiI")  # src, chunk, blob length; the blob follows
+_RID = struct.Struct(">QQ")  # page, byte offset
 _SIGN_FLIP = 1 << 63
 
 
-def _encode_index_component(col_type: str, value: Any) -> bytes:
-    """Order-preserving binary encoding of one indexed column value."""
-    if col_type in ("INT64", "INT32"):
-        return struct.pack(">Q", (int(value) + _SIGN_FLIP) % (1 << 64))
-    if col_type == "TEXT":
-        # Escaped, terminated text keeps composite ordering correct.
-        return value.encode("utf-8").replace(b"\x00", b"\x00\xff") + b"\x00\x00"
-    raise SqlError(f"column type {col_type} is not indexable")
+def _prefix(*values: int) -> bytes:
+    """Order-preserving index key prefix: each value sign-flipped, 8 bytes."""
+    return b"".join(struct.pack(">Q", (v + _SIGN_FLIP) % (1 << 64)) for v in values)
 
 
-def _encode_rid(rid: RID) -> bytes:
-    return struct.pack(">QQ", rid[0], rid[1])
+class EdgesTable:
+    """``edges(src BIGINT, chunk INT, adj BLOB)`` with an index on ``(src, chunk)``.
 
-
-def _decode_rid(b: bytes) -> RID:
-    p, o = struct.unpack(">QQ", b)
-    return (p, o)
-
-
-class Table:
-    """One table: schema, heap file, and any number of B-tree indexes."""
-
-    def __init__(self, name: str, columns, heap: HeapFile):
-        self.name = name
-        self.columns = list(columns)  # ColumnDef
-        self.col_index = {c.name: i for i, c in enumerate(self.columns)}
-        if len(self.col_index) != len(self.columns):
-            raise SqlError(f"duplicate column names in table {name}")
-        self.heap = heap
-        self.indexes: dict[tuple[str, ...], BTree] = {}
-
-    # -- row (de)serialization --------------------------------------------
-
-    def serialize_row(self, values: tuple) -> bytes:
-        if len(values) != len(self.columns):
-            raise SqlError(
-                f"table {self.name} has {len(self.columns)} columns, got {len(values)} values"
-            )
-        out = bytearray()
-        for col, v in zip(self.columns, values):
-            if col.type == "INT64":
-                out += struct.pack(">q", int(v))
-            elif col.type == "INT32":
-                out += struct.pack(">i", int(v))
-            elif col.type == "BLOB":
-                b = bytes(v)
-                out += struct.pack(">I", len(b)) + b
-            elif col.type == "TEXT":
-                b = str(v).encode("utf-8")
-                out += struct.pack(">I", len(b)) + b
-            else:  # pragma: no cover - schema validated at CREATE
-                raise SqlError(f"unknown column type {col.type}")
-        return bytes(out)
-
-    def deserialize_row(self, data: bytes) -> tuple:
-        values: list[Any] = []
-        off = 0
-        for col in self.columns:
-            if col.type == "INT64":
-                values.append(struct.unpack_from(">q", data, off)[0])
-                off += 8
-            elif col.type == "INT32":
-                values.append(struct.unpack_from(">i", data, off)[0])
-                off += 4
-            else:
-                (length,) = struct.unpack_from(">I", data, off)
-                off += 4
-                raw = data[off : off + length]
-                off += length
-                values.append(raw.decode("utf-8") if col.type == "TEXT" else raw)
-        return tuple(values)
-
-    # -- index maintenance ----------------------------------------------------
-
-    def index_key(self, cols: tuple[str, ...], row: tuple, rid: RID) -> bytes:
-        parts = []
-        for c in cols:
-            col = self.columns[self.col_index[c]]
-            parts.append(_encode_index_component(col.type, row[self.col_index[c]]))
-        parts.append(_encode_rid(rid))
-        return b"".join(parts)
-
-    def index_prefix(self, cols: tuple[str, ...], values: Iterable[Any]) -> bytes:
-        parts = []
-        for c, v in zip(cols, values):
-            col = self.columns[self.col_index[c]]
-            parts.append(_encode_index_component(col.type, v))
-        return b"".join(parts)
-
-    def add_to_indexes(self, row: tuple, rid: RID) -> None:
-        for cols, tree in self.indexes.items():
-            tree.put(self.index_key(cols, row, rid), b"")
-
-    def remove_from_indexes(self, row: tuple, rid: RID) -> None:
-        for cols, tree in self.indexes.items():
-            tree.delete(self.index_key(cols, row, rid))
-
-
-class MiniSQL:
-    """A small SQL database over simulated block devices.
-
-    Parameters
-    ----------
-    device_provider:
-        ``device_provider(name) -> BlockDevice`` supplying one device per
-        storage file (heap or index); typically ``node.disk``.
-    clock, cpu:
-        Charge per-statement overhead to this clock; both optional so the
-        engine also runs standalone.
+    ``device_provider(name) -> BlockDevice`` supplies the heap and index
+    devices (typically ``node.disk``); statement overhead, row parses and
+    index page visits are charged to ``clock`` at ``cpu``'s rates.
     """
 
     HEAP_PAGE = 16384
     INDEX_PAGE = 4096
+    INDEX_CACHE_PAGES = 256
 
     def __init__(
         self,
         device_provider: Callable[[str], BlockDevice],
-        clock: VirtualClock | None = None,
-        cpu: CpuProfile | None = None,
-        index_cache_pages: int = 256,
+        clock: VirtualClock,
+        cpu: CpuProfile,
         shared_cache=None,
     ):
-        self._devices = device_provider
         self._clock = clock
-        self._cpu = cpu if cpu is not None else CpuProfile()
-        self._index_cache_pages = index_cache_pages
-        self._shared_cache = shared_cache
-        self.tables: dict[str, Table] = {}
+        self._cpu = cpu
         self.statements_executed = 0
-        # Prepared-statement cache: SQL text -> parsed AST.  The virtual
-        # per-statement cost is still charged (clients of 2006-era MySQL
-        # paid the round trip either way); this only avoids re-parsing in
-        # host time.
-        self._stmt_cache: dict[str, object] = {}
-
-    # -- public API -------------------------------------------------------
-
-    def execute(self, sql: str, params: tuple = ()) -> list[tuple] | int:
-        """Execute one statement; SELECT returns rows, others return counts."""
-        if self._clock is not None:
-            self._clock.advance(self._cpu.sql_statement_seconds)
-        self.statements_executed += 1
-        stmt = self._stmt_cache.get(sql)
-        if stmt is None:
-            stmt = parse(sql)
-            if len(self._stmt_cache) < 1024:
-                self._stmt_cache[sql] = stmt
-        if isinstance(stmt, CreateTable):
-            return self._create_table(stmt)
-        if isinstance(stmt, CreateIndex):
-            return self._create_index(stmt)
-        if isinstance(stmt, Insert):
-            return self._insert(stmt, params)
-        if isinstance(stmt, Select):
-            return self._select(stmt, params)
-        if isinstance(stmt, Update):
-            return self._update(stmt, params)
-        if isinstance(stmt, Delete):
-            return self._delete(stmt, params)
-        raise SqlError(f"unhandled statement {stmt!r}")  # pragma: no cover
-
-    # -- DDL ----------------------------------------------------------------
-
-    def _table(self, name: str) -> Table:
-        table = self.tables.get(name)
-        if table is None:
-            raise SqlError(f"no such table: {name}")
-        return table
-
-    def _create_table(self, stmt: CreateTable) -> int:
-        if stmt.table in self.tables:
-            raise SqlError(f"table {stmt.table} already exists")
-        heap = HeapFile(PagedFile(self._devices(f"tbl_{stmt.table}_heap"), self.HEAP_PAGE))
-        self.tables[stmt.table] = Table(stmt.table, stmt.columns, heap)
-        return 0
-
-    def _create_index(self, stmt: CreateIndex) -> int:
-        table = self._table(stmt.table)
-        for c in stmt.columns:
-            if c not in table.col_index:
-                raise SqlError(f"no column {c} in table {stmt.table}")
-        if stmt.columns in table.indexes:
-            raise SqlError(f"duplicate index on {stmt.columns}")
-        dev = self._devices(f"tbl_{stmt.table}_idx_{'_'.join(stmt.columns)}")
-        tree = BTree(
+        # CREATE TABLE edges (src BIGINT, chunk INT, adj BLOB)
+        self._statement()
+        self.heap = HeapFile(PagedFile(device_provider("tbl_edges_heap"), self.HEAP_PAGE))
+        # CREATE INDEX ON edges (src, chunk), backfilled from existing rows
+        self._statement()
+        dev = device_provider("tbl_edges_idx_src_chunk")
+        self.index = BTree(
             PagedFile(dev, self.INDEX_PAGE),
-            cache_pages=self._index_cache_pages,
-            page_cpu_seconds=self._cpu.btree_page_seconds if self._clock is not None else 0.0,
-            shared_cache=self._shared_cache,
+            cache_pages=self.INDEX_CACHE_PAGES,
+            page_cpu_seconds=cpu.btree_page_seconds,
+            shared_cache=shared_cache,
             cache_owner=dev.name,
         )
-        table.indexes[stmt.columns] = tree
-        # Backfill from existing rows.
-        for rid, raw in table.heap.scan():
-            row = table.deserialize_row(raw)
-            tree.put(table.index_key(stmt.columns, row, rid), b"")
-        return 0
+        for rid, raw in self.heap.scan():
+            src, chunk, _ = _ROW.unpack_from(raw)
+            self.index.put(self._key(src, chunk, rid), b"")
 
-    # -- DML -------------------------------------------------------------------
+    # -- plan pieces --------------------------------------------------------
+
+    def _statement(self) -> None:
+        self._clock.advance(self._cpu.sql_statement_seconds)
+        self.statements_executed += 1
 
     @staticmethod
-    def _bind(value: Literal | Param, params: tuple) -> Any:
-        if isinstance(value, Param):
-            if value.index >= len(params):
-                raise SqlError(f"statement needs parameter #{value.index + 1}, got {len(params)}")
-            return params[value.index]
-        return value.value
+    def _key(src: int, chunk: int, rid: RID) -> bytes:
+        return _prefix(src, chunk) + _RID.pack(*rid)
 
-    def _insert(self, stmt: Insert, params: tuple) -> int:
-        table = self._table(stmt.table)
-        row = tuple(self._bind(v, params) for v in stmt.values)
-        raw = table.serialize_row(row)
-        rid = table.heap.insert(raw)
-        table.add_to_indexes(row, rid)
-        return 1
+    def _parse(self, raw: bytes) -> tuple[int, int, bytes]:
+        self._clock.advance(self._cpu.row_parse_seconds)
+        src, chunk, length = _ROW.unpack_from(raw)
+        return src, chunk, raw[_ROW.size : _ROW.size + length]
 
-    def _matching_rows(
-        self, table: Table, where: tuple[Condition, ...], params: tuple
-    ) -> Iterator[tuple[RID, tuple]]:
-        """Plan + execute the WHERE clause: index prefix scan or full scan."""
-        bound = [(c.column, c.op, self._bind(c.value, params)) for c in where]
-        for col, _, _ in bound:
-            if col not in table.col_index:
-                raise SqlError(f"no column {col} in table {table.name}")
-        eq = {col: v for col, op, v in bound if op == "="}
+    def _probe(self, prefix: bytes) -> Iterator[tuple[RID, tuple[int, int, bytes]]]:
+        """Index prefix scan: each matching key, then its heap row."""
+        for key, _ in self.index.items(start=prefix):
+            if not key.startswith(prefix):
+                break
+            rid = _RID.unpack(key[-16:])
+            yield rid, self._parse(self.heap.read(rid))
 
-        best: tuple[tuple[str, ...], int] | None = None
-        for cols in table.indexes:
-            depth = 0
-            for c in cols:
-                if c in eq:
-                    depth += 1
-                else:
-                    break
-            if depth and (best is None or depth > best[1]):
-                best = (cols, depth)
+    def _sorted_rows(self, lo=None, hi=None) -> list[tuple[int, bytes]]:
+        """Sequential heap pass: every row parsed, kept rows in (src, chunk) order."""
+        rows = []
+        for _, raw in self.heap.scan():
+            src, chunk, blob = self._parse(raw)
+            if lo is None or lo <= src <= hi:
+                rows.append((src, chunk, blob))
+        rows.sort(key=lambda r: (r[0], r[1]))
+        return [(src, blob) for src, _, blob in rows]
 
-        def passes(row: tuple) -> bool:
-            for col, op, v in bound:
-                x = row[table.col_index[col]]
-                if op == "=" and not x == v:
-                    return False
-                if op == "!=" and not x != v:
-                    return False
-                if op == "<" and not x < v:
-                    return False
-                if op == ">" and not x > v:
-                    return False
-                if op == "<=" and not x <= v:
-                    return False
-                if op == ">=" and not x >= v:
-                    return False
-            return True
+    # -- statements ---------------------------------------------------------
 
-        def parse(raw: bytes) -> tuple:
-            if self._clock is not None:
-                self._clock.advance(self._cpu.row_parse_seconds)
-            return table.deserialize_row(raw)
+    def insert(self, src: int, chunk: int, blob: bytes) -> None:
+        """``INSERT INTO edges VALUES (?, ?, ?)``."""
+        self._statement()
+        rid = self.heap.insert(_ROW.pack(src, chunk, len(blob)) + blob)
+        self.index.put(self._key(src, chunk, rid), b"")
 
-        if best is not None:
-            cols, depth = best
-            prefix = table.index_prefix(cols, [eq[c] for c in cols[:depth]])
-            tree = table.indexes[cols]
-            for key, _ in tree.items(start=prefix):
-                if not key.startswith(prefix):
-                    break
-                rid = _decode_rid(key[-16:])
-                row = parse(table.heap.read(rid))
-                if passes(row):
-                    yield rid, row
-        else:
-            for rid, raw in table.heap.scan():
-                row = parse(raw)
-                if passes(row):
-                    yield rid, row
+    def update(self, src: int, chunk: int, blob: bytes) -> None:
+        """``UPDATE edges SET adj = ? WHERE src = ? AND chunk = ?``.
 
-    def _select(self, stmt: Select, params: tuple) -> list[tuple]:
-        table = self._table(stmt.table)
-        rows = [row for _, row in self._matching_rows(table, stmt.where, params)]
-        if stmt.order_by:
-            for col, asc in reversed(stmt.order_by):
-                if col not in table.col_index:
-                    raise SqlError(f"no column {col} in ORDER BY")
-                rows.sort(key=lambda r: r[table.col_index[col]], reverse=not asc)
-        if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        if stmt.columns == ("COUNT(*)",):
-            return [(len(rows),)]
-        if stmt.columns == ("*",):
-            return rows
-        idxs = []
-        for c in stmt.columns:
-            if c not in table.col_index:
-                raise SqlError(f"no column {c} in SELECT list")
-            idxs.append(table.col_index[c])
-        return [tuple(r[i] for i in idxs) for r in rows]
+        A longer blob fails ``update_in_place`` and moves the row: delete,
+        insert, re-index under the new row id.
+        """
+        self._statement()
+        raw = _ROW.pack(src, chunk, len(blob)) + blob
+        for rid, _ in list(self._probe(_prefix(src, chunk))):
+            self.index.delete(self._key(src, chunk, rid))
+            if not self.heap.update_in_place(rid, raw):
+                self.heap.delete(rid)
+                rid = self.heap.insert(raw)
+            self.index.put(self._key(src, chunk, rid), b"")
 
-    def _update(self, stmt: Update, params: tuple) -> int:
-        table = self._table(stmt.table)
-        assignments = [(col, self._bind(v, params)) for col, v in stmt.assignments]
-        for col, _ in assignments:
-            if col not in table.col_index:
-                raise SqlError(f"no column {col} in table {table.name}")
-        victims = list(self._matching_rows(table, stmt.where, params))
-        for rid, row in victims:
-            new_row = list(row)
-            for col, v in assignments:
-                new_row[table.col_index[col]] = v
-            new_row = tuple(new_row)
-            raw = table.serialize_row(new_row)
-            table.remove_from_indexes(row, rid)
-            if table.heap.update_in_place(rid, raw):
-                table.add_to_indexes(new_row, rid)
-            else:
-                table.heap.delete(rid)
-                new_rid = table.heap.insert(raw)
-                table.add_to_indexes(new_row, new_rid)
-        return len(victims)
+    def tail_probe(self, src: int) -> tuple[int, bytes] | None:
+        """``SELECT chunk, adj FROM edges WHERE src = ? ORDER BY chunk DESC LIMIT 1``.
 
-    def _delete(self, stmt: Delete, params: tuple) -> int:
-        table = self._table(stmt.table)
-        victims = list(self._matching_rows(table, stmt.where, params))
-        for rid, row in victims:
-            table.remove_from_indexes(row, rid)
-            table.heap.delete(rid)
-        return len(victims)
+        Every chunk of ``src`` is read and parsed before the last is kept.
+        """
+        self._statement()
+        rows = [row for _, row in self._probe(_prefix(src))]
+        if not rows:
+            return None
+        _, chunk, blob = max(rows, key=lambda r: r[1])
+        return chunk, blob
+
+    def point_probe(self, src: int, chunk: int) -> list[bytes]:
+        """``SELECT adj FROM edges WHERE src = ? AND chunk = ?``."""
+        self._statement()
+        return [blob for _, (_, _, blob) in self._probe(_prefix(src, chunk))]
+
+    def vertex_probe(self, src: int) -> list[bytes]:
+        """``SELECT adj FROM edges WHERE src = ? ORDER BY chunk`` (index order)."""
+        self._statement()
+        return [blob for _, (_, _, blob) in self._probe(_prefix(src))]
+
+    def range_scan(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
+        """``SELECT src, adj FROM edges WHERE src >= ? AND src <= ? ORDER BY src, chunk``."""
+        self._statement()
+        return self._sorted_rows(lo, hi)
+
+    def ordered_scan(self) -> list[tuple[int, bytes]]:
+        """``SELECT src, adj FROM edges ORDER BY src, chunk``."""
+        self._statement()
+        return self._sorted_rows()
+
+    def source_scan(self) -> list[int]:
+        """``SELECT src FROM edges``: one ``src`` per row, in heap order."""
+        self._statement()
+        return [self._parse(raw)[0] for _, raw in self.heap.scan()]
 
     def flush(self) -> None:
-        for table in self.tables.values():
-            for tree in table.indexes.values():
-                tree.flush()
+        self.index.flush()

@@ -13,7 +13,6 @@ from .errors import (
     PageFormatError,
     ReproError,
     SimulationError,
-    SqlError,
     StorageEngineError,
 )
 from .longarray import LongArray
@@ -34,7 +33,6 @@ __all__ = [
     "PageFormatError",
     "ReproError",
     "SimulationError",
-    "SqlError",
     "StorageEngineError",
     "payload_nbytes",
 ]

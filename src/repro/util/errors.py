@@ -32,10 +32,6 @@ class KeyNotFound(StorageEngineError):
     """A key lookup in an index or key-value store found nothing."""
 
 
-class SqlError(StorageEngineError):
-    """MiniSQL statement failed to parse, bind, or execute."""
-
-
 class SimulationError(ReproError):
     """The simulated cluster reached an invalid state."""
 

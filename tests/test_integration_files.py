@@ -121,35 +121,3 @@ class TestBFSEdgeCases:
             mssg.ingest(EDGES)
             assert mssg.query_bfs(5000, 6000).result is None
 
-
-class TestMiniSQLExtras:
-    def make_db(self):
-        from repro.simcluster import BlockDevice
-        from repro.storage import MiniSQL
-
-        devices = {}
-        return MiniSQL(lambda n: devices.setdefault(n, BlockDevice()))
-
-    def test_update_changes_row_length(self):
-        db = self.make_db()
-        db.execute("CREATE TABLE t (a BIGINT, s TEXT)")
-        db.execute("CREATE INDEX ON t (a)")
-        db.execute("INSERT INTO t VALUES (1, 'x')")
-        db.execute("UPDATE t SET s = ? WHERE a = 1", ("a much longer string",))
-        db.execute("UPDATE t SET s = ? WHERE a = 1", ("z",))
-        assert db.execute("SELECT s FROM t WHERE a = 1") == [("z",)]
-        assert db.execute("SELECT COUNT(*) FROM t") == [(1,)]
-
-    def test_order_by_multiple_columns(self):
-        db = self.make_db()
-        db.execute("CREATE TABLE t (a BIGINT, b BIGINT)")
-        for a, b in [(1, 2), (0, 9), (1, 1), (0, 3)]:
-            db.execute("INSERT INTO t VALUES (?, ?)", (a, b))
-        rows = db.execute("SELECT a, b FROM t ORDER BY a, b DESC")
-        assert rows == [(0, 9), (0, 3), (1, 2), (1, 1)]
-
-    def test_text_roundtrip_unicode(self):
-        db = self.make_db()
-        db.execute("CREATE TABLE t (s TEXT)")
-        db.execute("INSERT INTO t VALUES (?)", ("héllo wörld ✓",))
-        assert db.execute("SELECT s FROM t") == [("héllo wörld ✓",)]

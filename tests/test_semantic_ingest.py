@@ -1,4 +1,4 @@
-"""Tests for typed ingestion, the ER generator, and MiniSQL LIMIT."""
+"""Tests for typed ingestion and the ER generator."""
 
 import numpy as np
 import pytest
@@ -73,35 +73,3 @@ class TestErdosRenyi:
         with pytest.raises(ConfigError):
             erdos_renyi_edges(10, 44)  # denser than rejection sampling allows
 
-
-class TestSqlLimit:
-    def make_db(self):
-        from repro.simcluster import BlockDevice
-        from repro.storage import MiniSQL
-
-        devices = {}
-        db = MiniSQL(lambda n: devices.setdefault(n, BlockDevice()))
-        db.execute("CREATE TABLE t (a BIGINT)")
-        for i in range(10):
-            db.execute("INSERT INTO t VALUES (?)", (i,))
-        return db
-
-    def test_limit(self):
-        db = self.make_db()
-        assert db.execute("SELECT a FROM t ORDER BY a LIMIT 3") == [(0,), (1,), (2,)]
-        assert db.execute("SELECT a FROM t ORDER BY a DESC LIMIT 1") == [(9,)]
-        assert db.execute("SELECT COUNT(*) FROM t LIMIT 2") == [(2,)]
-
-    def test_limit_zero_and_oversized(self):
-        db = self.make_db()
-        assert db.execute("SELECT a FROM t LIMIT 0") == []
-        assert len(db.execute("SELECT a FROM t LIMIT 100")) == 10
-
-    def test_limit_parse_errors(self):
-        from repro.storage import parse_sql
-        from repro.util import SqlError
-
-        with pytest.raises(SqlError):
-            parse_sql("SELECT a FROM t LIMIT x")
-        with pytest.raises(SqlError):
-            parse_sql("SELECT a FROM t LIMIT")
