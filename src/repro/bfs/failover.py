@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..util.errors import CorruptBlockError, DeviceFailedError
-from ..util.longarray import LongArray
 
 __all__ = [
     "FaultTolerance",
@@ -239,14 +238,13 @@ def try_expand(ctx, db, cfg, vertices, ft: FTState | None, prefetch: bool = Fals
     """
     if is_down(ft):
         return None
-    out = LongArray()
     with guard(ctx, ft) as attempt:
         if prefetch:
             db.prefetch_fringe(vertices)
         # adj_Gi(v) for every vertex; non-local vertices contribute the
         # empty set through the GraphDB contract.
-        db.expand_fringe(vertices, out)
-    return out.view() if attempt.ok else None
+        neighbors = db.expand_fringe(vertices)
+    return neighbors if attempt.ok else None
 
 
 def route_to_replicas(owners, ft: FTState) -> np.ndarray:

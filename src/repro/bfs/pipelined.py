@@ -25,7 +25,6 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
-from ..util.longarray import LongArray
 from .failover import failover_rounds, guard, is_down, prune_known_dead_pending, try_expand
 from .oocbfs import _EMPTY, BFSConfig, _outgoing, _search
 from .visited import VisitedLevels
@@ -62,8 +61,10 @@ def _pipelined_level(
     size = comm.size
     rank = comm.rank
     route_by = owner_of if cfg.owner_known else None
-    next_fringe = LongArray()
-    buffers: list[LongArray] = [LongArray() for _ in range(size)]
+    next_fringe: list[np.ndarray] = []
+    # Per destination: the pieces buffered for it and their running length.
+    buffers: list[list[np.ndarray]] = [[] for _ in range(size)]
+    buffered = [0] * size
     sent_chunks = [0] * size
     received_chunks = [0] * size
     found_here = False
@@ -72,15 +73,22 @@ def _pipelined_level(
         """Receiver-side filter (lines 25–27): keep the still-unvisited."""
         fresh = visited.unvisited(np.unique(vertices))
         visited.mark_many(fresh, levcnt)
-        next_fringe.extend(fresh)
+        next_fringe.append(fresh)
+
+    def buffer(q: int, chunk: np.ndarray) -> None:
+        buffers[q].append(chunk)
+        buffered[q] += len(chunk)
+        if buffered[q] >= threshold:
+            flush(q)
 
     def flush(q: int) -> None:
+        chunk = np.concatenate(buffers[q])
         if q == rank:
-            absorb(buffers[q].to_numpy())
+            absorb(chunk)
         else:
-            comm.send(q, buffers[q].to_numpy(), tag=TAG_FRINGE_CHUNK)
+            comm.send(q, chunk, tag=TAG_FRINGE_CHUNK)
             sent_chunks[q] += 1
-        buffers[q].clear()
+        buffers[q], buffered[q] = [], 0
 
     pending = _EMPTY
     if cfg.prefetch and not is_down(ft):
@@ -106,16 +114,12 @@ def _pipelined_level(
             # per-rank loop, and its flush order.
             for q, chunk in enumerate(_outgoing(visited, new, levcnt, owner_of, comm, ft)):
                 if len(chunk):
-                    buffers[q].extend(chunk)
-                    if len(buffers[q]) >= threshold:
-                        flush(q)
+                    buffer(q, chunk)
         elif len(new):
             # Unknown mapping: every chunk goes to everyone (broadcast),
             # and is transferred to local storage as well (lines 20–22).
             for q in range(size):
-                buffers[q].extend(new)
-                if len(buffers[q]) >= threshold:
-                    flush(q)
+                buffer(q, new)
 
         # Drain any chunks that have already arrived (lines 24–27);
         # overlapping this with expansion is the algorithm's point.
@@ -128,7 +132,7 @@ def _pipelined_level(
 
     # Level end: flush leftovers, settle message counts, drain stragglers.
     for q in range(size):
-        if len(buffers[q]):
+        if buffered[q]:
             flush(q)
     expected = yield from comm.alltoall(sent_chunks)
     for q in range(size):
@@ -160,4 +164,4 @@ def _pipelined_level(
             if len(r):
                 absorb(r)
 
-    return next_fringe.to_numpy(), found_here
+    return (np.concatenate(next_fringe) if next_fringe else _EMPTY), found_here

@@ -36,9 +36,10 @@ import numpy as np
 
 from ..simcluster.disk import BlockDevice
 from ..util.errors import CorruptBlockError, GraphStorageException
-from ..util.longarray import LongArray
 from ..util.varint import decode_edge_groups, encode_edge_block
 from .interface import AdjacencyBatch, GraphDB, gather_segments
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 __all__ = ["StreamGraphDB"]
 
@@ -575,28 +576,29 @@ class StreamGraphDB(GraphDB):
             return np.concatenate([found for found, _ in self._pick(replay, wanted)])
         return replay[replay[:, 0] == vertex, 1]
 
-    def _expand_fringe(self, vertices, adjlist: LongArray) -> None:
-        """One full scan answers the entire fringe (the Active-Disks trick).
+    def _expand_fringe(self, vertices: np.ndarray) -> np.ndarray:
+        """One full scan answers the entire fringe (the Active-Disks trick),
+        in log order: each wanted vertex's entries once, however often the
+        fringe names it.
 
         The CPU cost covers every log entry streamed past the filter, but
         ``stats.edges_scanned`` (the "useful work" figure the edges/s charts
         report) only counts the adjacency entries actually returned.
         """
-        fringe = np.asarray(vertices, dtype=np.int64)
-        if len(fringe) == 0:
-            return
-        wanted = np.unique(fringe)
+        if len(vertices) == 0:
+            return _EMPTY
+        wanted = np.unique(vertices)
         replay = self._replay(wanted)
-        self.stats.adjacency_requests += len(fringe)
+        self.stats.adjacency_requests += len(vertices)
         if len(replay) == 0:
-            return
+            return _EMPTY
         if self.compress:
             # Record by record, vertex ascending within one: log order.
             matched = np.concatenate([found for found, _ in self._pick(replay, wanted)])
         else:
-            matched = replay[np.isin(replay[:, 0], fringe), 1]
+            matched = replay[np.isin(replay[:, 0], vertices), 1]
         self.stats.edges_scanned += len(matched)
-        adjlist.extend(matched)
+        return matched
 
     def _scan_adjacency(self, vertices=None, done=None):
         """One log replay answers the whole bottom-up scan.

@@ -268,10 +268,9 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     if not prog.needs_source:
         # Flat batch expansion (the top-down BFS plan): values are
         # per-superstep constants, so only destinations matter.
-        flat = try_expand(ctx, db, None, todo, ft)
-        if flat is None:
+        dsts = try_expand(ctx, db, None, todo, ft)
+        if dsts is None:
             return empty_post, False
-        dsts = np.asarray(flat, dtype=np.int64)
         vals = np.full(len(dsts), prog.constant_value(superstep), dtype=np.float64)
         return (dsts, np.full(len(dsts), -1, dtype=np.int64), vals), True
 

@@ -26,7 +26,6 @@ from typing import Any, Callable, Generator
 import numpy as np
 
 from ..util.errors import CommError
-from ..util.longarray import LongArray
 from ..util.sizes import HEADER_BYTES, payload_nbytes
 from .costmodel import NetworkProfile
 from .message import ANY, Message
@@ -46,8 +45,6 @@ def _isolate(payload: Any) -> Any:
     """Defensively copy mutable array payloads, as serialization would."""
     if isinstance(payload, np.ndarray):
         return payload.copy()
-    if isinstance(payload, LongArray):
-        return payload.to_numpy()
     return payload
 
 

@@ -1,4 +1,4 @@
-"""Shared utilities: errors, growable long arrays, bitsets, size estimation."""
+"""Shared utilities: errors, bitsets, size estimation."""
 
 from .bitset import Bitset
 from .errors import (
@@ -15,7 +15,6 @@ from .errors import (
     SimulationError,
     StorageEngineError,
 )
-from .longarray import LongArray
 from .sizes import HEADER_BYTES, payload_nbytes
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "GraphStorageException",
     "HEADER_BYTES",
     "KeyNotFound",
-    "LongArray",
     "OntologyError",
     "PageFormatError",
     "ReproError",

@@ -13,8 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from .longarray import LongArray
-
 __all__ = ["payload_nbytes", "HEADER_BYTES"]
 
 #: Fixed per-message envelope (tag, source, length), as in a binary protocol.
@@ -36,8 +34,6 @@ def payload_nbytes(payload: Any) -> int:
         return 8
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if isinstance(payload, LongArray):
-        return 8 * len(payload)
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
     if isinstance(payload, str):

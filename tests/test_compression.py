@@ -29,7 +29,6 @@ from repro.util.errors import (
     DeviceFailedError,
     GraphStorageException,
 )
-from repro.util.longarray import LongArray
 from repro.util.varint import (
     MAX_ENCODABLE,
     decode_edge_block,
@@ -224,10 +223,8 @@ class TestGrDBCompressed:
             assert sorted(raw.get_adjacency(v).tolist()) == sorted(
                 comp.get_adjacency(v).tolist()
             )
-        out_r, out_c = LongArray(), LongArray()
-        raw.expand_fringe(list(range(12)), out_r)
-        comp.expand_fringe(list(range(12)), out_c)
-        assert sorted(out_r.to_numpy().tolist()) == sorted(out_c.to_numpy().tolist())
+        out_r, out_c = (db.expand_fringe(list(range(12))) for db in (raw, comp))
+        assert sorted(out_r.tolist()) == sorted(out_c.tolist())
         # A sweep delivers a chained list in pieces: group before comparing.
         scan_r, scan_c = (
             {v: sorted(a.tolist()) for v, a in AdjacencyBatch.concat(db.scan_adjacency()).grouped()}
@@ -505,7 +502,7 @@ class TestSegmentedDecode:
         level, sb = next(link for link in db.chain_of(4) if link[0] == 2)
         db.storage.write_subblock(level, sb, self._corrupt_frame(kind)[0])
         with pytest.raises(GraphStorageException, match=f"level-2 sub-block {sb} "):
-            db.expand_fringe(np.arange(6), LongArray())
+            db.expand_fringe(np.arange(6))
         with pytest.raises(GraphStorageException, match=f"level-2 sub-block {sb} "):
             list(db.scan_adjacency())
 
@@ -531,10 +528,8 @@ class TestStreamDBCompressed:
             assert sorted(raw.get_adjacency(v).tolist()) == sorted(
                 comp.get_adjacency(v).tolist()
             )
-        out_r, out_c = LongArray(), LongArray()
-        raw.expand_fringe(list(range(20)), out_r)
-        comp.expand_fringe(list(range(20)), out_c)
-        assert sorted(out_r.to_numpy().tolist()) == sorted(out_c.to_numpy().tolist())
+        out_r, out_c = (db.expand_fringe(list(range(20))) for db in (raw, comp))
+        assert sorted(out_r.tolist()) == sorted(out_c.tolist())
 
     def test_log_is_smaller(self):
         rng = np.random.default_rng(4)

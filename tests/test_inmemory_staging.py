@@ -26,7 +26,6 @@ from repro import MSSG, MSSGConfig
 from repro.graphdb.interface import StagedEdges
 from repro.graphgen import pubmed_like
 from repro.simcluster import NodeSpec, SimNode
-from repro.util import LongArray
 from repro.util.errors import GraphStorageException
 
 from .helpers import make_store
@@ -60,9 +59,8 @@ def assert_matches(db, ref: PerEdgeReference, probe: list[int]) -> None:
     assert flat(db.scan_adjacency()) == [(v, ref.lists[v]) for v in local]
     wanted = sorted(set(probe) & set(local))
     assert flat(db.scan_adjacency(probe)) == [(v, ref.lists[v]) for v in wanted]
-    fringe = LongArray()
-    db.expand_fringe(probe, fringe)
-    assert fringe.view().tolist() == [u for v in probe for u in ref.adjacency(v)]
+    fringe = db.expand_fringe(probe)
+    assert fringe.tolist() == [u for v in probe for u in ref.adjacency(v)]
     assert db.degree_many(probe).tolist() == [len(ref.adjacency(v)) for v in probe]
 
 
@@ -135,7 +133,7 @@ def test_charges_equal_the_per_edge_staging(backend):
     def reads():
         for v in _GOLDEN_IDS.tolist():
             db.get_adjacency(v)
-        db.expand_fringe(_GOLDEN_IDS, LongArray())
+        db.expand_fringe(_GOLDEN_IDS)
         for _ in db.scan_adjacency(_GOLDEN_IDS):
             pass
         db.local_vertices()
@@ -203,7 +201,7 @@ def test_k_windows_then_reads_pack_once(backend, packs):
     db.get_adjacency(3)
     db.local_vertices()
     list(db.scan_adjacency())
-    db.expand_fringe(_GOLDEN_IDS, LongArray())
+    db.expand_fringe(_GOLDEN_IDS)
     db.finalize_ingest()
     assert len(packs) == 1
 

@@ -17,7 +17,6 @@ import pytest
 
 from repro.graphdb.bdb_db import CHUNK_ENTRIES
 from repro.simcluster import NodeSpec, SimNode
-from repro.util import LongArray
 
 from .helpers import make_store
 
@@ -172,9 +171,7 @@ def _record(node, db):
 
 def _expand(db, fringe, batch_io):
     db.batch_io = batch_io
-    out = LongArray()
-    db.expand_fringe(np.asarray(fringe, dtype=np.int64), out)
-    return out.tolist()
+    return db.expand_fringe(np.asarray(fringe, dtype=np.int64)).tolist()
 
 
 def _scan(db, vertices=None):

@@ -2,7 +2,10 @@
 
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcluster import (
     BlockDevice,
@@ -38,6 +41,42 @@ class TestVirtualClock:
         c = VirtualClock(3.0)
         c.reset()
         assert c.now == 0.0
+
+
+# What model code charges: zeros, subnormals, integer multiples of one unit
+# cost (a list length times a per-edge cost), and arbitrary small amounts.
+_cost = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True),
+    st.builds(lambda n, unit: n * unit, st.integers(0, 10_000), st.sampled_from([1e-7, 3.3e-8])),
+    st.floats(0.0, 1e-2, allow_nan=False, allow_infinity=False),
+)
+_start = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=_start, costs=st.lists(_cost, min_size=1, max_size=5000))
+def test_advance_each_is_the_advance_loop_bit_for_bit(start, costs):
+    loop, bulk = VirtualClock(start), VirtualClock(start)
+    for c in costs:
+        loop.advance(c)
+    assert bulk.advance_each(np.array(costs)) == loop.now
+    assert bulk.now.hex() == loop.now.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=_start,
+    costs=st.lists(_cost, max_size=50),
+    bad=st.floats(max_value=-5e-324, allow_nan=False),
+    at=st.integers(0, 50),
+)
+def test_advance_each_rejects_a_negative_entry_unmoved(start, costs, bad, at):
+    costs.insert(at % (len(costs) + 1), bad)
+    clock = VirtualClock(start)
+    with pytest.raises(ValueError):
+        clock.advance_each(costs)
+    assert clock.now.hex() == float(start).hex()
 
 
 class TestMemoryBacking:
@@ -115,13 +154,10 @@ class TestPayloadNbytes:
     def test_scalars_and_arrays(self):
         import numpy as np
 
-        from repro.util import LongArray
-
         assert payload_nbytes(None) == 0
         assert payload_nbytes(7) == 8
         assert payload_nbytes(3.14) == 8
         assert payload_nbytes(np.zeros(10, dtype=np.int64)) == 80
-        assert payload_nbytes(LongArray([1, 2, 3])) == 24
         assert payload_nbytes(b"abcd") == 4
         assert payload_nbytes("ab") == 2
         assert payload_nbytes([1, 2, 3]) == 24

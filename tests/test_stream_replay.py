@@ -20,7 +20,6 @@ from repro.graphdb.stream_db import _CREC_HEADER, _WRITE_BUFFER_EDGES, StreamGra
 from repro.services.sharedscan import LOG_REPLAY, ScanBoard
 from repro.simcluster import NodeSpec, SimNode
 from repro.util.errors import CorruptBlockError, GraphStorageException
-from repro.util.longarray import LongArray
 
 ABSENT = 10**6
 
@@ -71,9 +70,7 @@ def record_order_lists(chunks) -> dict[int, list[int]]:
 
 
 def fringe_of(db, vertices) -> list[int]:
-    out = LongArray()
-    db.expand_fringe(vertices, out)
-    return out.to_numpy().tolist()
+    return db.expand_fringe(vertices).tolist()
 
 
 def assert_answers_alike(raw, comp, chunks):
