@@ -91,7 +91,7 @@ class OverlayView:
 
     def fringe(self, vs) -> np.ndarray:
         """Concatenated overlay adjacency of every fringe vertex, in fringe
-        order (matching the default per-vertex ``expand_fringe`` loop)."""
+        order (the order ``expand_fringe`` returns the base's lists in)."""
         vs = np.asarray(vs, dtype=np.int64)
         return gather_segments(self.batch.neighbors, *self.batch.segments(vs))[0]
 
