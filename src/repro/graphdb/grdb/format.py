@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -190,19 +191,35 @@ class GrDBFormat:
         """N_l."""
         return self.max_file_bytes // self.block_sizes[level]
 
+    @cached_property
+    def _subblock_layout(self) -> tuple[tuple[int, int], ...]:
+        """``(k_l, sub-block bytes)`` per level."""
+        return tuple(
+            (self.subblocks_per_block(lv), self.subblock_bytes(lv)) for lv in range(self.num_levels)
+        )
+
+    def subblock_span(self, level: int, subblock: int) -> tuple[int, int, int]:
+        """Address sub-block ``s`` within its block: (global block index
+        ``s // k_l``, first byte, end byte).  An address no sub-block has —
+        a level out of range or a negative index — raises."""
+        layout = self._subblock_layout
+        if not 0 <= level < len(layout):
+            raise GraphStorageException(f"level {level} out of range")
+        if subblock < 0:
+            raise GraphStorageException(f"negative sub-block index {subblock}")
+        k, nbytes = layout[level]
+        block, at = divmod(subblock, k)
+        return block, at * nbytes, (at + 1) * nbytes
+
     def locate(self, level: int, subblock: int) -> tuple[int, int, int, int]:
         """Address sub-block ``s``: (file index, byte offset, block index, slot offset).
 
         ``block index`` is global across files (``s // k_l``); the byte
         offset is within the file, per the paper's formula.
         """
-        k = self.subblocks_per_block(level)
-        N = self.blocks_per_file(level)
-        B = self.block_sizes[level]
-        block = subblock // k
-        file_idx = block // N
-        offset = B * (block % N) + self.subblock_bytes(level) * (subblock % k)
-        return file_idx, offset, block, offset % B
+        block, slot_off, _ = self.subblock_span(level, subblock)
+        file_idx, in_file = divmod(block, self.blocks_per_file(level))
+        return file_idx, self.block_sizes[level] * in_file + slot_off, block, slot_off
 
     def total_chain_capacity(self) -> int:
         """Vertices storable in one maximal level-0..top chain (link policy),

@@ -209,21 +209,17 @@ class GrDBStorage:
     # -- sub-block API ---------------------------------------------------------
 
     def read_subblock(self, level: int, subblock: int) -> bytes:
-        self._check(level, subblock)
-        _, _, block, slot_off = self.fmt.locate(level, subblock)
-        data = self._read_block(level, block)
-        return data[slot_off : slot_off + self.fmt.subblock_bytes(level)]
+        block, start, stop = self.fmt.subblock_span(level, subblock)
+        return self._read_block(level, block)[start:stop]
 
     def write_subblock(self, level: int, subblock: int, data: bytes) -> None:
-        self._check(level, subblock)
-        sub_bytes = self.fmt.subblock_bytes(level)
-        if len(data) != sub_bytes:
+        block, start, stop = self.fmt.subblock_span(level, subblock)
+        if len(data) != stop - start:
             raise GraphStorageException(
-                f"sub-block write of {len(data)} bytes != {sub_bytes} at level {level}"
+                f"sub-block write of {len(data)} bytes != {stop - start} at level {level}"
             )
-        _, _, block, slot_off = self.fmt.locate(level, subblock)
         buf = bytearray(self._read_block(level, block))
-        buf[slot_off : slot_off + sub_bytes] = data
+        buf[start:stop] = data
         self._write_block(level, block, bytes(buf))
 
     def read_subblocks(
@@ -265,7 +261,7 @@ class GrDBStorage:
         """
         if len(subblocks) == 0:
             return
-        self._check(level, int(subblocks.min()))
+        self.fmt.subblock_span(level, int(subblocks.min()))  # raises on a bad address
         if frames.shape != (len(subblocks), self.fmt.subblock_bytes(level)):
             raise GraphStorageException(
                 f"sub-block write of shape {frames.shape} for {len(subblocks)} "
@@ -278,12 +274,6 @@ class GrDBStorage:
         B = self.fmt.block_sizes[level]
         for i, block in enumerate(blocks):
             self._write_block(level, block, raw[i * B : (i + 1) * B])
-
-    def _check(self, level: int, subblock: int) -> None:
-        if not 0 <= level < self.fmt.num_levels:
-            raise GraphStorageException(f"level {level} out of range")
-        if subblock < 0:
-            raise GraphStorageException(f"negative sub-block index {subblock}")
 
     # -- allocation ---------------------------------------------------------------
 
