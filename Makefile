@@ -21,7 +21,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_close_refcount.py tests/test_varint_reference.py \
 		tests/test_stream_replay.py tests/test_analysis_axis.py \
 		tests/test_inmemory_staging.py tests/test_visited_media.py \
-		tests/test_mysql_golden.py tests/test_grdb_golden.py
+		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \
