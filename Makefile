@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
@@ -66,6 +66,14 @@ check-envelope-owner:  # only bfs/rankprog.py makes a level mark, takes a rank p
 	n=$$(grep -c 'BFSConfig(' src/repro/services/query.py); \
 	if [ "$$n" != 1 ]; then \
 		echo "services/query.py spells BFSConfig( $$n times (use QueryService._bfs_config)"; exit 1; \
+	fi
+
+check-chunk-owner:  # only graphdb/chunked.py names the Figure 4.3 chunk geometry (BerkeleyDB and MySQL reach it through ChunkedGraphDB)
+	@offenders=$$(grep -rnE '\bCHUNK_(ENTRIES|BYTES)\b' src/repro --include='*.py' \
+		| grep -v '^src/repro/graphdb/chunked\.py:' || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "chunk geometry outside graphdb/chunked.py (subclass ChunkedGraphDB):"; \
+		echo "$$offenders"; exit 1; \
 	fi
 
 check-features-owner:  # only features.py spells a feature knob as a parameter or field (per-query overrides are listed in the test)

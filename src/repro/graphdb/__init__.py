@@ -1,7 +1,7 @@
 """GraphDB Service: the Listing 3.1 interface and its six backends."""
 
 from .array_db import ArrayGraphDB
-from .bdb_db import BerkeleyGraphDB, CHUNK_BYTES, CHUNK_ENTRIES
+from .bdb_db import BerkeleyGraphDB
 from .grdb import GrDB, GrDBFormat, defragment
 from .hashmap_db import HashMapGraphDB
 from .idmap import IdentityMap, IdMap, ModuloMap
@@ -25,8 +25,6 @@ __all__ = [
     "ArrayGraphDB",
     "BACKENDS",
     "BerkeleyGraphDB",
-    "CHUNK_BYTES",
-    "CHUNK_ENTRIES",
     "ExternalMetadata",
     "GraphDB",
     "GraphDBStats",

@@ -79,7 +79,7 @@ class ArrayGraphDB(GraphDB):
             if len(batch):
                 yield batch
             return
-        vs = vs[vs + 1 < len(self._xadj)]
+        vs = vs[(vs >= 0) & (vs < len(self._xadj) - 1)]  # no wrap, no overflow
         starts = self._xadj[vs]
         lens = self._xadj[vs + 1] - starts
         if lens.any():

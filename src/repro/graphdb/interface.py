@@ -54,8 +54,9 @@ Batch order is the producer's storage order — it becomes claim order, hence
 the next level's fringe order: grDB sweeps level-synchronously (a batch per
 round, level and run of blocks, ascending address within it), StreamDB
 hands out one batch per log replay and Array one CSR gather (both vertex
-ascending, complete lists).  BerkeleyDB, MySQL and HashMap keep a
-per-record walk (``_walk_adjacency``) whose output the base class packs:
+ascending, complete lists).  BerkeleyDB and MySQL (one walk over their
+chunk rows in key order, :mod:`.chunked`) and HashMap keep a per-record walk
+(``_walk_adjacency``) whose output the base class packs:
 each record charges its own float cost on the virtual clock — a leaf page,
 a row parse, a hash probe — and one summed charge would round differently.
 """
@@ -439,8 +440,10 @@ class GraphDB(abc.ABC):
 
         The base store answers through the backend's own plan
         (:meth:`_expand_fringe`): per-vertex lists in fringe order,
-        duplicates kept, except StreamDB's, which come in log order.  Any
-        visible stream-overlay entries follow from RAM.  BFS levels are
+        duplicates kept, except StreamDB's, which come once per wanted
+        vertex in record order — record by record, vertex ascending within
+        one — for a raw and a compressed log alike.  Any visible
+        stream-overlay entries follow from RAM.  BFS levels are
         unaffected by the ordering (level sets are order-independent).
         """
         vs = np.asarray(vertices, dtype=np.int64)
@@ -500,7 +503,8 @@ class GraphDB(abc.ABC):
 
     def _walk_adjacency(self, vertices=None):
         """Per-record base-store walk: ``(vertex, neighbors)`` pairs in
-        storage order (BerkeleyDB and MySQL override with their own walk)."""
+        storage order (the chunk store overrides with one pass over its rows
+        in key order)."""
         if vertices is None:
             vs = self._base_local_vertices()
         else:

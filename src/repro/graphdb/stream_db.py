@@ -16,12 +16,14 @@ where the payload is :func:`repro.util.varint.encode_edge_block` (edges
 sorted by ``(src, dst)``, two gap streams).  Appends stay purely
 sequential; every scan is charged ``varint_decode_seconds`` per payload byte
 but streams 3-5x fewer bytes off the device.  A decoded record *is* a CSR
-slice — group sources ascending, one sorted list each — so a compressed
-replay is a list of one ``AdjacencyBatch`` per record and every read picks
-its vertices out of the group sources (``segments`` + ``gather_segments``):
-the order the encoder wrote is the read plan, and nothing is expanded to
-``(E, 2)``, filtered edge by edge or re-sorted.  The raw log is in arrival
-order, has no such order to exploit, and keeps the flat ``(E, 2)`` plan.
+slice — group sources ascending, one sorted list each — so a replay is a
+list of one ``AdjacencyBatch`` per record and every read picks its vertices
+out of the group sources (``segments`` + ``gather_segments``): the order the
+encoder wrote is the read plan, and nothing is expanded to ``(E, 2)``,
+filtered edge by edge or re-sorted.  The raw log replays the same way: each
+scan chunk (or directory row) of arrival-ordered pairs becomes one batch by
+one stable sort by source, so a list keeps arrival order within a record,
+and both encodings answer every read through one plan, in record order.
 The committed extent is then tracked in *bytes* (records are
 variable-length), the durable commit record carries a distinct magic plus
 that byte extent, and opening a log with the wrong mode raises instead of
@@ -44,7 +46,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 __all__ = ["StreamGraphDB"]
 
 _EDGE_BYTES = 16  # two little-endian u64s
-_SCAN_CHUNK_EDGES = 65536
+_SCAN_READ_BYTES = 65536 * _EDGE_BYTES  # one sequential device read
 _WRITE_BUFFER_EDGES = 8192
 
 # Compressed log record framing (compress=True): header + varint payload.
@@ -284,19 +286,21 @@ class StreamGraphDB(GraphDB):
 
     # -- retrieval ---------------------------------------------------------
     #
-    # A *replay* is what a read streams past the CPU: one ``(E, 2)`` int64
-    # array in arrival order (raw log), or one ``AdjacencyBatch`` per log
-    # record (compressed log) — see the module doc.
+    # A *replay* is what a read streams past the CPU: one ``AdjacencyBatch``
+    # per log record, in log order — see the module doc.
 
-    def _scan(self) -> "np.ndarray | list[AdjacencyBatch]":
+    def _scan(self) -> list[AdjacencyBatch]:
         """Stream the whole edge log from disk in large sequential chunks.
 
         Under the concurrent multiplexer a :class:`ScanBoard` may be armed
         for log replays: the first consumer of a scheduling round performs
-        the device pass and publishes the decoded replay (keyed by the
-        committed edge count, so an ingest invalidates it); later consumers
-        read it back without touching the device.  Callers treat a replay
-        as read-only (they gather into copies), so sharing is safe.
+        the device pass and publishes the parsed records (keyed by the
+        committed edge count, so an ingest invalidates them); later
+        consumers read them back without touching the device.  Callers treat
+        a replay as read-only (they gather into copies), so sharing is safe.
+        Records are then parsed from memory (:meth:`_parse_record`); the
+        first pass after a restore rebuilds the directory from them, one
+        exact ``(offset, nbytes, nedges, src_lo, src_hi)`` row per record.
         """
         self.flush()
         committed = self._committed_bytes()
@@ -315,50 +319,63 @@ class StreamGraphDB(GraphDB):
                 return hit
         else:
             board = None
-        rows = [] if self._rebuild_records else None
-        if self.compress:
-            replay = self._scan_compressed(committed, rows=rows)
-        else:
-            chunks = []
-            offset = 0
-            remaining = self._nedges
-            while remaining > 0:
-                take = min(remaining, _SCAN_CHUNK_EDGES)
-                raw = self.device.read(offset, take * _EDGE_BYTES)
-                chunk = np.frombuffer(raw, dtype="<u8").reshape(-1, 2).astype(np.int64)
-                if rows is not None and len(chunk):
-                    # Post-restore directory rebuild: the raw log has no
-                    # record framing, so synthesize fixed-slice rows with
-                    # the slice's true source-id extent.
-                    rows.append(
-                        (
-                            offset,
-                            take * _EDGE_BYTES,
-                            take,
-                            int(chunk[:, 0].min()),
-                            int(chunk[:, 0].max()),
-                        )
-                    )
-                chunks.append(chunk)
-                offset += take * _EDGE_BYTES
-                remaining -= take
-            replay = np.vstack(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
-        if rows is not None:
-            self._records = rows
+        chunks = []
+        offset = 0
+        while offset < committed:
+            take = min(committed - offset, _SCAN_READ_BYTES)
+            chunks.append(self.device.read(offset, take))
+            offset += take
+        buf = b"".join(chunks)
+        records = []
+        off = 0
+        payload_bytes = 0
+        while off < len(buf):
+            record, span, payload = self._parse_record(buf, off)
+            if len(record.neighbors):
+                records.append((off, span, record))
+            off += span
+            payload_bytes += payload
+        total_edges = sum(len(record.neighbors) for _, _, record in records)
+        if total_edges != self._nedges:
+            raise CorruptBlockError(
+                self.device.name,
+                0,
+                len(buf),
+                f"edge log decodes to {total_edges} edges but "
+                f"{self._nedges} are committed",
+            )
+        if payload_bytes:
+            self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
+        if self._rebuild_records:
+            self._records = [
+                (off, span, len(r.neighbors), int(r.vertices[0]), int(r.vertices[-1]))
+                for off, span, r in records
+            ]
             self._rebuild_records = False
+        replay = [record for _, _, record in records]
         if board is not None:
             board.publish("log-replay", self._nedges, replay)
         return replay
 
-    def _parse_record(self, buf: bytes, off: int, origin: int = 0) -> tuple[AdjacencyBatch, int]:
-        """Parse the compressed record at ``buf[off:]`` (``buf`` begins at
-        device offset ``origin``): ``(record batch, payload bytes)``.
+    def _parse_record(
+        self, buf: bytes, off: int, origin: int = 0, span: int | None = None
+    ) -> tuple[AdjacencyBatch, int, int]:
+        """Parse the record at ``buf[off:]`` (``buf`` begins at device offset
+        ``origin``): ``(record batch, bytes it spans, payload bytes decoded)``.
 
-        The one parser of both replays.  A truncated header or payload, a
-        bad magic and a payload the decoder does not consume exactly raise
-        :class:`CorruptBlockError` at the offending offset; the varint codec
-        raises :class:`GraphStorageException` on non-monotone streams.
+        The one parser of both replays.  A raw record has no framing: it
+        spans ``span`` bytes (a directory row's extent) or one scan chunk,
+        and its arrival-ordered pairs become a batch by one stable sort by
+        source.  A compressed record is framed by its header: a truncated
+        header or payload, a bad magic and a payload the decoder does not
+        consume exactly raise :class:`CorruptBlockError` at the offending
+        offset; the varint codec raises :class:`GraphStorageException` on
+        non-monotone streams.
         """
+        if not self.compress:
+            span = min(len(buf) - off, _SCAN_READ_BYTES) if span is None else span
+            edges = np.frombuffer(buf, dtype="<u8", count=span // 8, offset=off)
+            return AdjacencyBatch.from_edges(edges.reshape(-1, 2).astype(np.int64)), span, 0
         if off + _CREC_HEADER.size > len(buf):
             raise CorruptBlockError(
                 self.device.name,
@@ -394,58 +411,7 @@ class StreamGraphDB(GraphDB):
                 f"compressed edge record decoded {consumed} of its "
                 f"{nbytes} payload bytes",
             )
-        return AdjacencyBatch(sources, offsets, dsts), nbytes
-
-    def _scan_compressed(self, committed: int, rows: list | None = None) -> list[AdjacencyBatch]:
-        """Stream and decode the compressed record log up to ``committed``.
-
-        The device pass is the same large sequential chunking as the raw
-        scan (just over fewer bytes); records are then parsed from memory
-        (:meth:`_parse_record`), one batch each.
-        Charges ``varint_decode_seconds`` per payload byte decoded.
-        ``rows`` (post-restore directory rebuild) collects one exact
-        ``(offset, nbytes, nedges, src_lo, src_hi)`` row per record parsed.
-        """
-        chunks = []
-        offset = 0
-        chunk_bytes = _SCAN_CHUNK_EDGES * _EDGE_BYTES
-        while offset < committed:
-            take = min(committed - offset, chunk_bytes)
-            chunks.append(self.device.read(offset, take))
-            offset += take
-        buf = b"".join(chunks)
-        records = []
-        off = 0
-        payload_bytes = 0
-        total_edges = 0
-        while off < len(buf):
-            record, nbytes = self._parse_record(buf, off)
-            nedges = len(record.neighbors)
-            if nedges:
-                records.append(record)
-                if rows is not None:
-                    rows.append(
-                        (
-                            off,
-                            _CREC_HEADER.size + nbytes,
-                            nedges,
-                            int(record.vertices[0]),
-                            int(record.vertices[-1]),
-                        )
-                    )
-            off += _CREC_HEADER.size + nbytes
-            payload_bytes += nbytes
-            total_edges += nedges
-        if total_edges != self._nedges:
-            raise CorruptBlockError(
-                self.device.name,
-                0,
-                len(buf),
-                f"compressed log decodes to {total_edges} edges but "
-                f"{self._nedges} are committed",
-            )
-        self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
-        return records
+        return AdjacencyBatch(sources, offsets, dsts), _CREC_HEADER.size + nbytes, nbytes
 
     # -- semi-EM selective I/O (GraphMP-style record scheduling) -----------
 
@@ -467,7 +433,7 @@ class StreamGraphDB(GraphDB):
         mask[hit] = wanted[np.minimum(idx[hit], len(wanted) - 1)] <= his[hit]
         return mask
 
-    def _scan_selective(self, wanted: np.ndarray) -> "np.ndarray | list[AdjacencyBatch] | None":
+    def _scan_selective(self, wanted: np.ndarray) -> list[AdjacencyBatch] | None:
         """Fetch only the log records whose source extent intersects ``wanted``.
 
         Returns the replay of the selected records in log order — a
@@ -495,7 +461,7 @@ class StreamGraphDB(GraphDB):
         self.selective_scans += 1
         self.records_skipped += len(mask) - len(picked)
         if len(picked) == 0:
-            return [] if self.compress else np.zeros((0, 2), dtype=np.int64)
+            return []
         # Coalesce adjacent selected records into single sequential reads.
         runs: list[tuple[int, int]] = []
         for i in picked:
@@ -514,26 +480,21 @@ class StreamGraphDB(GraphDB):
             if run_off is None or off >= run_off + len(run_data):
                 run_off = next(run_iter)[0]
                 run_data = buf[run_off]
-            at = off - run_off
-            if self.compress:
-                record, payload = self._parse_record(run_data, at, origin=run_off)
-                if len(record.neighbors) != nedges or _CREC_HEADER.size + payload != nbytes:
-                    raise CorruptBlockError(
-                        self.device.name,
-                        off,
-                        nbytes,
-                        "directory/record mismatch in selective scan",
-                    )
-                payload_bytes += payload
-                parts.append(record)
-            else:
-                raw = run_data[at : at + nbytes]
-                parts.append(
-                    np.frombuffer(raw, dtype="<u8").reshape(-1, 2).astype(np.int64)
+            record, span, payload = self._parse_record(
+                run_data, off - run_off, origin=run_off, span=nbytes
+            )
+            if len(record.neighbors) != nedges or span != nbytes:
+                raise CorruptBlockError(
+                    self.device.name,
+                    off,
+                    nbytes,
+                    "directory/record mismatch in selective scan",
                 )
+            payload_bytes += payload
+            parts.append(record)
         if payload_bytes:
             self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
-        return parts if self.compress else np.vstack(parts)
+        return parts
 
     def frontier_block_coverage(self, vertices) -> float | None:
         if not self.semi_external:
@@ -548,14 +509,14 @@ class StreamGraphDB(GraphDB):
     def _directory_bytes(self) -> int:
         return 0 if self._records is None else len(self._records) * 5 * 8
 
-    def _replay(self, wanted: np.ndarray | None) -> "np.ndarray | list[AdjacencyBatch]":
+    def _replay(self, wanted: np.ndarray | None) -> list[AdjacencyBatch]:
         """The log entries a read streams past the CPU — the selective plan
         for ``wanted`` (sorted, unique) where it applies, else the whole log
         — charged one ``edge_visit_seconds`` per entry."""
         replay = None if wanted is None else self._scan_selective(wanted)
         if replay is None:
             replay = self._scan()
-        entries = sum(len(r.neighbors) for r in replay) if self.compress else len(replay)
+        entries = sum(len(r.neighbors) for r in replay)
         self.clock.advance(entries * self.cpu.edge_visit_seconds)
         self.log_edges_scanned += entries
         return replay
@@ -570,16 +531,14 @@ class StreamGraphDB(GraphDB):
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         wanted = np.array([vertex], dtype=np.int64)
         replay = self._replay(wanted)
-        if len(replay) == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.compress:
-            return np.concatenate([found for found, _ in self._pick(replay, wanted)])
-        return replay[replay[:, 0] == vertex, 1]
+        if not replay:
+            return _EMPTY
+        return np.concatenate([found for found, _ in self._pick(replay, wanted)])
 
     def _expand_fringe(self, vertices: np.ndarray) -> np.ndarray:
         """One full scan answers the entire fringe (the Active-Disks trick),
-        in log order: each wanted vertex's entries once, however often the
-        fringe names it.
+        in record order — record by record, vertex ascending within one —
+        each wanted vertex's entries once, however often the fringe names it.
 
         The CPU cost covers every log entry streamed past the filter, but
         ``stats.edges_scanned`` (the "useful work" figure the edges/s charts
@@ -590,13 +549,9 @@ class StreamGraphDB(GraphDB):
         wanted = np.unique(vertices)
         replay = self._replay(wanted)
         self.stats.adjacency_requests += len(vertices)
-        if len(replay) == 0:
+        if not replay:
             return _EMPTY
-        if self.compress:
-            # Record by record, vertex ascending within one: log order.
-            matched = np.concatenate([found for found, _ in self._pick(replay, wanted)])
-        else:
-            matched = replay[np.isin(replay[:, 0], vertices), 1]
+        matched = np.concatenate([found for found, _ in self._pick(replay, wanted)])
         self.stats.edges_scanned += len(matched)
         return matched
 
@@ -607,9 +562,9 @@ class StreamGraphDB(GraphDB):
         is the same full scan ``expand_fringe`` uses: stream every logged
         edge past the CPU once, then hand out one batch grouped by source
         (complete lists: ``done`` has nothing left to stop) — one batch even
-        when a compressed log holds several records: a batch per record
-        would let the claim scan retire vertices between them, which moves
-        early-exit accounting and with it the virtual clock.
+        when the log holds several records: a batch per record would let the
+        claim scan retire vertices between them, which moves early-exit
+        accounting and with it the virtual clock.
         Per-edge claim-check time is the caller's (early-exit accounting).
         """
         wanted = None
@@ -618,15 +573,6 @@ class StreamGraphDB(GraphDB):
             if len(wanted) == 0:
                 return
         replay = self._replay(wanted)
-        if len(replay) == 0:
-            return
-        if not self.compress:
-            if wanted is not None:
-                replay = replay[np.isin(replay[:, 0], wanted)]
-                if len(replay) == 0:
-                    return
-            yield AdjacencyBatch.from_edges(replay)
-            return
         if wanted is not None:
             replay = [
                 AdjacencyBatch.nonempty(wanted, bounds, found)
@@ -641,11 +587,9 @@ class StreamGraphDB(GraphDB):
 
     def _local_vertices(self) -> np.ndarray:
         replay = self._replay(None)
-        if len(replay) == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.compress:
-            return np.unique(np.concatenate([record.vertices for record in replay]))
-        return np.unique(replay[:, 0])
+        if not replay:
+            return _EMPTY
+        return np.unique(np.concatenate([record.vertices for record in replay]))
 
     @property
     def num_edges_logged(self) -> int:

@@ -134,6 +134,9 @@ class TestContract:
         assert db.expand_fringe(outside).tolist() == []
         assert db.expand_fringe(outside + [7]).tolist() == [9]
         assert db.stats.adjacency_requests == requests + 2 * len(outside) + 1
+        assert list(db.scan_adjacency(outside)) == []
+        (batch,) = db.scan_adjacency(outside + [7])
+        assert [(v, neighbors.tolist()) for v, neighbors in batch] == [(7, [9])]
 
     def test_expand_empty_fringe(self, backend):
         db, _ = build(backend)

@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.graphdb.bdb_db import CHUNK_ENTRIES
+from repro.graphdb.chunked import CHUNK_ENTRIES
 from repro.simcluster import NodeSpec, SimNode
 
 from .helpers import make_store

@@ -1,12 +1,13 @@
 """StreamDB replay equivalence at the GraphDB surface.
 
-A raw (paper-mode) log is replayed as one ``(E, 2)`` array in arrival order;
-a compressed log as one CSR batch per record, in the ``(src, dst)`` order
-its encoder wrote.  Both must answer alike — over logs of one and of
-several records, with vertices recurring across records and duplicate
-edges, after a restore, with the ``ScanBoard`` armed, after ``compact()``
-and inside a drain — and the compressed plan must charge exactly what it
-charged before it stopped re-sorting (the pinned goldens at the bottom).
+Both encodings replay as one CSR batch per record: a compressed record in
+the ``(src, dst)`` order its encoder wrote, a raw (paper-mode) scan chunk or
+directory row grouped by source with each list in arrival order.  Both must
+answer alike — over logs of one and of several records, with vertices
+recurring across records and duplicate edges, after a restore, with the
+``ScanBoard`` armed, through the selective plan, after ``compact()`` and
+inside a drain — and each plan must charge exactly what the flat ``(E, 2)``
+plans charged (the pinned goldens at the bottom).
 """
 
 import dataclasses
@@ -69,17 +70,26 @@ def record_order_lists(chunks) -> dict[int, list[int]]:
     return lists
 
 
+def arrival_order_lists(chunks) -> dict[int, list[int]]:
+    """Each vertex's list as a raw log delivers it: in arrival order."""
+    lists: dict[int, list[int]] = {}
+    for src, dst in np.concatenate(chunks).tolist():
+        lists.setdefault(src, []).append(dst)
+    return lists
+
+
 def fringe_of(db, vertices) -> list[int]:
     return db.expand_fringe(vertices).tolist()
 
 
 def assert_answers_alike(raw, comp, chunks):
     lists = record_order_lists(chunks)
+    arrivals = arrival_order_lists(chunks)
     present = sorted(lists)
     probes = [present[0], present[len(present) // 2], present[-1], ABSENT]
     for v in probes:
         assert comp.get_adjacency(v).tolist() == lists.get(v, [])
-        assert sorted(raw.get_adjacency(v).tolist()) == sorted(lists.get(v, []))
+        assert raw.get_adjacency(v).tolist() == arrivals.get(v, [])
     # A fringe is a multiset request and a set answer: duplicates cost nothing.
     fringe = [probes[1], probes[0], probes[1], ABSENT, probes[2], probes[0]]
     want = sorted(d for v in set(fringe) for d in lists.get(v, []))
@@ -95,10 +105,7 @@ def assert_answers_alike(raw, comp, chunks):
             asked = present if wanted is None else sorted(set(wanted.tolist()) & set(present))
             assert batch.vertices.tolist() == asked
             for v, neighbors in batch:
-                if db.compress:
-                    assert neighbors.tolist() == lists[v]
-                else:  # arrival order
-                    assert sorted(neighbors.tolist()) == sorted(lists[v])
+                assert neighbors.tolist() == (lists if db.compress else arrivals)[v]
 
 
 @pytest.mark.parametrize("log", sorted(LOGS))
@@ -135,17 +142,61 @@ def test_armed_board_publishes_the_records_and_serves_them(log):
     chunks = LOGS[log]
     _, raw = build(False, chunks)
     _, comp = build(True, chunks)
-    comp.scan_board = board = ScanBoard()
-    board.arm(LOG_REPLAY)
+    boards = []
+    for db in (raw, comp):
+        db.scan_board = board = ScanBoard()
+        board.arm(LOG_REPLAY)
+        boards.append(board)
+    reads = [db.device.stats.reads for db in (raw, comp)]
     assert_answers_alike(raw, comp, chunks)
-    assert (board.passes, board.served) == (1, 7)  # eight reads, one device pass
-    published = board.lookup(LOG_REPLAY, comp.num_edges_logged)
-    assert [type(record) for record in published] == [AdjacencyBatch] * len(chunks)
-    assert [len(record.neighbors) for record in published] == [len(c) for c in chunks]
+    for db, board, before in zip((raw, comp), boards, reads):
+        assert (board.passes, board.served) == (1, 7)  # eight reads, one device pass
+        assert db.device.stats.reads - before == 1  # every log here is one scan chunk
+    published = [board.lookup(LOG_REPLAY, db.num_edges_logged) for db, board in zip((raw, comp), boards)]
+    assert [type(record) for record in published[1]] == [AdjacencyBatch] * len(chunks)
+    assert [len(record.neighbors) for record in published[1]] == [len(c) for c in chunks]
+    # The raw log's one scan chunk is one batch: grouped by source, arrival order.
+    (record,) = published[0]
+    assert dict((v, a.tolist()) for v, a in record) == arrival_order_lists(chunks)
     # An ingest invalidates the publication: the next read replays the log.
-    comp.store_edges(np.array([[ABSENT, 1]]))
-    assert comp.get_adjacency(ABSENT).tolist() == [1]
-    assert board.passes == 2
+    for db, board in zip((raw, comp), boards):
+        db.store_edges(np.array([[ABSENT, 1]]))
+        assert db.get_adjacency(ABSENT).tolist() == [1]
+        assert board.passes == 2
+
+
+FLUSHED_LOGS = {
+    "three records": LOGS["three records"],
+    "five flushes": log_chunks([0, 1000, 100, 2000, 3000], size=2000),
+}
+
+
+@pytest.mark.parametrize("log", sorted(FLUSHED_LOGS))
+def test_raw_log_reads_selectively_over_its_directory_rows(log):
+    """Semi-external mode: a raw log's flushes are directory rows too, and
+    the selective plan parses each picked row into one batch."""
+    chunks = FLUSHED_LOGS[log]
+    dbs = []
+    for compress in (False, True):
+        _, db = build(compress, [], semi=True)
+        for chunk in chunks:
+            db.store_edges(chunk)
+            db.flush()
+        dbs.append(db)
+    raw, comp = dbs
+    assert [row[:3] for row in raw._records] == [
+        (sum(len(c) for c in chunks[:i]) * 16, len(chunk) * 16, len(chunk))
+        for i, chunk in enumerate(chunks)
+    ]
+    assert_answers_alike(raw, comp, chunks)
+    scans = raw.selective_scans
+    for db, lists in ((raw, arrival_order_lists(chunks)), (comp, record_order_lists(chunks))):
+        for v in sorted(lists)[::37]:
+            assert db.get_adjacency(v).tolist() == lists[v]
+    assert raw.selective_scans > scans
+    assert (raw.selective_scans, raw.records_skipped) == (comp.selective_scans, comp.records_skipped)
+    assert raw.log_edges_scanned == comp.log_edges_scanned
+    assert raw.stats == comp.stats
 
 
 # -- the whole system: overlay, compact(), a drain ----------------------------------
@@ -310,11 +361,42 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
-def test_compressed_plan_charges_what_the_flat_plan_charged(name):
+#: Produced by the raw flat plan (one ``(E, 2)`` array per replay, ``isin``
+#: filters), on the same logs.
+GOLDEN_RAW = {
+    "full": {
+        "clock": 0.14255309,
+        "log_edges_scanned": 180369,
+        "stats": (25767, 1288, 27, 3),
+        "selective": (0, 0),
+        "delivered": (2196, 25767),
+        "bytes_read": 2885904,
+    },
+    "selective": {
+        "clock": 0.07553050222222223,
+        "log_edges_scanned": 23358,
+        "stats": (10970, 264, 27, 5),
+        "selective": (5, 19),
+        "delivered": (538, 10970),
+        "bytes_read": 373728,
+    },
+}
+
+
+def traced(compress, name):
     chunks, semi = GOLDEN_LOGS[name]
-    node, db = build(True, [], semi=semi)
+    node, db = build(compress, [], semi=semi)
     for chunk in chunks:
         db.store_edges(chunk)
         db.flush()
-    assert read_trace(node, db, chunks) == GOLDEN[name]
+    return read_trace(node, db, chunks)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
+def test_compressed_plan_charges_what_the_flat_plan_charged(name):
+    assert traced(True, name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
+def test_raw_plan_charges_what_the_flat_plan_charged(name):
+    assert traced(False, name) == GOLDEN_RAW[name]
