@@ -15,7 +15,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
 		tests/test_vertexprog.py tests/test_analyses.py tests/test_compression.py \
-		tests/test_semiem.py tests/test_streaming.py \
+		tests/test_streaming.py \
 		tests/test_grdb_ingest.py tests/test_batch_expand.py \
 		tests/test_failover_protocol.py tests/test_adjacency_batch.py \
 		tests/test_close_refcount.py tests/test_varint_reference.py \
@@ -89,8 +89,7 @@ bench-smoke:  # the batched-I/O + direction ablations, CI-sized (ratio bands nee
 	REPRO_BENCH_SCALE=0.4 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_ablation_batchio.py benchmarks/bench_ablation_direction.py \
 		benchmarks/bench_ingest_failover.py benchmarks/bench_concurrent_queries.py \
-		benchmarks/bench_ablation_compression.py \
-		benchmarks/bench_ablation_semiem.py benchmarks/bench_streaming_ingest.py \
+		benchmarks/bench_ablation_compression.py benchmarks/bench_streaming_ingest.py \
 		--benchmark-only
 
 bench-ranks:  # wall time of one Array BFS at 4 / 16 / 32 / 64 back-ends (not gated)

@@ -23,11 +23,6 @@ from .failover import FTState, guard
 
 __all__ = ["RankResult", "span", "LevelMark", "level_mark", "adjacency_source", "sweep"]
 
-#: Below this fraction of written adjacency blocks holding candidates, a
-#: semi-EM store's selective scan beats piggybacking on a shared
-#: whole-store sweep (the fallback-to-full-scan heuristic of DESIGN §11).
-SELECTIVE_COVERAGE_MAX = 0.5
-
 
 @dataclass
 class RankResult:
@@ -115,19 +110,9 @@ def adjacency_source(db, candidates, done=None, shared=True):
     is the same either way and every consumer accounts per entry, so
     answers are bit-identical to the unshared plan; only the vertex order
     differs (``np.unique(candidates)`` order, not storage order).
-
-    Semi-EM refinement: when the store keeps a block directory and the
-    candidate set touches only a sparse fraction of written blocks
-    (GraphMP-style selective scheduling), materializing the WHOLE store
-    for the shared batch would read mostly blocks no one needs — the
-    candidate-restricted selective scan is cheaper even without sharing,
-    so it is preferred and the board is left unarmed for this consumer.
     """
     board = getattr(db, "scan_board", None)
     if not shared or board is None or not board.armed("bottom-up"):
-        return db.scan_adjacency(candidates, done)
-    coverage = db.frontier_block_coverage(candidates)
-    if coverage is not None and coverage < SELECTIVE_COVERAGE_MAX:
         return db.scan_adjacency(candidates, done)
     # The store-size token invalidates the shared batch across ingests.  It
     # holds the BASE store only, so in streaming drains queries pinned to

@@ -121,11 +121,8 @@ class PinnedVisited(VisitedLevels):
     The default in-memory structure where the id space is known and dense
     (see :class:`InMemoryVisited` for where it is not): one gather / scatter
     per fringe instead of a dict probe per vertex, and no virtual time
-    either way.  Also semi-EM's layer 1, replacing :class:`ExternalVisited`
-    when ``semi_external=True``: there the array is charged to the semi-EM
-    budget at ``4 * num_vertices`` bytes per in-flight query, so the
-    scale-free fringe's scattered level checks cost no device pages at all.
-    Levels are identical to the other structures' — only the medium differs.
+    either way.  Levels are identical to the other structures' — only the
+    medium differs.
     """
 
     def __init__(self, num_vertices: int):

@@ -213,7 +213,6 @@ def _cmd_search(args) -> int:
         features=Features(
             direction_opt=not args.no_direction_opt,
             compress_adjacency=not args.no_compress_adjacency,
-            semi_external=args.semi_external,
             streaming=nbatches is not None,
         ),
         # An ingest-time kill must be armed before ingestion runs (virtual
@@ -454,14 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store raw 8-byte adjacency slots / 16-byte log entries "
         "instead of delta+varint compressed sub-blocks and records (the "
         "paper prototype's format)",
-    )
-    q.add_argument(
-        "--semi-external",
-        action="store_true",
-        help="semi-external-memory mode: pin per-vertex state (degrees, "
-        "id maps, visited levels) in RAM and fetch only the adjacency "
-        "blocks holding active fringe sources; answers are identical, "
-        "device reads drop on sparse fringes",
     )
     q.add_argument(
         "--stream-batches",

@@ -1,4 +1,4 @@
-"""The eight feature knobs of a deployment: spelled, defaulted, validated once.
+"""The seven feature knobs of a deployment: spelled, defaulted, validated once.
 
 The paper's MSSG is one prototype (§4: per-vertex top-down search over raw
 slots and private caches); everything this reproduction layered on it is a
@@ -62,18 +62,6 @@ class Features:
     #: (``CpuProfile.varint_decode_seconds``); answers are unaffected.
     #: No-op for the other four backends.
     compress_adjacency: bool = True
-    #: Semi-external-memory mode (FlashGraph/GraphMP-style): keep all
-    #: per-vertex state resident in RAM and only the adjacency on device.
-    #: Three effects, none of which changes any answer: (1) each
-    #: back-end's vertex metadata (degrees, id map) is pinned into
-    #: resident arrays at ingest, so ``degree_many`` and fringe sizing
-    #: never touch a device; (2) out-of-core back-ends keep a resident
-    #: block->vertex-extent directory and fetch only the blocks holding
-    #: active fringe sources when the fringe covers a sparse fraction of
-    #: the store (full shared scans otherwise); (3) external visited
-    #: structures become resident dense arrays, and the shared block
-    #: cache grows a pinned segment that sweeps cannot evict.
-    semi_external: bool = False
     #: Streaming ingest (DESIGN §12): every back-end carries a crash-safe
     #: delta log, :meth:`MSSG.ingest_stream` appends edge batches to it
     #: incrementally (durable + published on return, folded into the base

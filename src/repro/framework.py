@@ -105,7 +105,7 @@ class MSSGConfig:
     cache_blocks: int = 256
     grdb_format: GrDBFormat | None = None
     growth_policy: str = "link"
-    #: The eight feature knobs, as one value (:mod:`repro.features`).
+    #: The seven feature knobs, as one value (:mod:`repro.features`).
     features: Features = Features()
     node_spec: NodeSpec = field(default_factory=NodeSpec)
     storage_dir: str | None = None
@@ -128,11 +128,6 @@ class MSSGConfig:
     #: Admission cap for :meth:`MSSG.query_many`: queries beyond this many
     #: in flight wait in the FIFO queue.
     max_inflight: int = 64
-    #: RAM budget for everything semi-EM pins (vertex state + block
-    #: directories across all back-ends, plus a 4-bytes-per-vertex
-    #: reserve for one resident visited array).  Deployment exceeding it
-    #: raises ``ConfigError`` at ingest rather than silently thrashing.
-    semi_external_budget_bytes: int = 64 << 20
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -153,11 +148,6 @@ class MSSGConfig:
             raise ConfigError(f"features must be a Features value, got {self.features!r}")
         if self.max_inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.features.semi_external and self.semi_external_budget_bytes < 1:
-            raise ConfigError(
-                f"semi_external_budget_bytes must be >= 1, "
-                f"got {self.semi_external_budget_bytes}"
-            )
 
 
 # -- legacy-knob fold: begin (delete with ROADMAP direction 1(e)) --------------
@@ -337,8 +327,6 @@ class MSSG:
         self.last_ingest = self.ingestion.ingest(edges)
         self._note_failed(self.last_ingest.failed_backends)
         self._note_id_space(_max_id(edges), np.size(edges))
-        if self.config.features.semi_external:
-            self._pin_semi_external()
         return self.last_ingest
 
     def ingest_stream(self, edges: np.ndarray) -> IngestReport:
@@ -381,38 +369,7 @@ class MSSG:
         """
         report = self._streaming("compact").compact()
         self._note_failed(report.failed_backends)
-        # The folded edges are base data now; re-pin the (base-only) vertex
-        # census so pinned degrees + (emptied) overlay still sum correctly.
-        if self.config.features.semi_external and report.entries_folded:
-            self._pin_semi_external()
         return report
-
-    def _pin_semi_external(self) -> None:
-        """Materialize each back-end's pinned vertex state (semi-EM layer 1).
-
-        Done eagerly after every ingest — the moment the degree census is
-        complete and free to snapshot — so queries start with everything
-        resident and the budget violation surfaces here, not mid-search.
-        Charges the sum of all back-ends' pinned bytes plus a
-        4-bytes-per-vertex reserve for one resident visited array against
-        ``MSSGConfig.semi_external_budget_bytes``.
-        """
-        resident = 0
-        for db in self.dbs:
-            try:
-                db.pin_vertex_state()
-            except DeviceFailedError:
-                continue  # dead back-end: queries fail over, nothing to pin
-            resident += db.pinned_resident_bytes()
-        visited_reserve = 4 * (self.queries.num_vertices or 0)
-        budget = self.config.semi_external_budget_bytes
-        if resident + visited_reserve > budget:
-            raise ConfigError(
-                f"semi-external pinned state needs {resident} bytes of vertex "
-                f"state plus a {visited_reserve}-byte visited reserve, over "
-                f"the semi_external_budget_bytes={budget} budget; raise the "
-                f"budget or turn semi_external off"
-            )
 
     def dead_backends(self) -> list[int]:
         """Back-end indices whose block device has failed (sticky)."""

@@ -71,7 +71,7 @@ class ArrayGraphDB(GraphDB):
     def _scan_adjacency(self, vertices=None, done=None):
         """One CSR gather over ``(xadj, adj)`` (or the packed chunks)."""
         if vertices is None:
-            vs = self._base_local_vertices()
+            vs = self._local_vertices()
         else:
             vs = np.unique(np.asarray(vertices, dtype=np.int64))
         if self._xadj is None:

@@ -94,11 +94,6 @@ class GrDB(GraphDB):
         # an in-memory accelerator; the on-disk chain is always
         # authoritative and re-walkable.
         self._memo = np.zeros((0, 6), dtype=np.int64)
-        #: Semi-EM selective-I/O directory: sorted written level-0 block ids
-        #: (level 0 is id-addressed, so block extents are pure arithmetic).
-        self._block_dir: np.ndarray | None = None
-        #: Directory chunks currently pinned in the block cache.
-        self._dir_chunks = 0
         #: True when this instance adopted state from an existing superblock.
         self.restored = self.storage.restore()
         if self.restored:
@@ -609,7 +604,7 @@ class GrDB(GraphDB):
         claim checks are the caller's (early-exit accounting).
         """
         if vertices is None:
-            gids = self._base_local_vertices()
+            gids = self._local_vertices()
         else:
             gids = np.unique(np.asarray(vertices, dtype=np.int64))
         sb, owned = self.id_map.to_local_many(gids)
@@ -702,63 +697,6 @@ class GrDB(GraphDB):
 
     def _local_vertices(self) -> np.ndarray:
         return np.sort(self.id_map.to_global_many(np.flatnonzero(self._memo[:, _SEEN])))
-
-    # -- semi-EM selective I/O ---------------------------------------------------------
-
-    def _build_block_directory(self) -> None:
-        """Materialize the written level-0 block set as a resident array.
-
-        Level 0 is id-addressed (``local // subblocks_per_block(0)`` *is*
-        the block number), so the block→vertex-range directory reduces to
-        the sorted set of written blocks — pure arithmetic over the memo's
-        seen column, no device I/O.  The serialized directory is
-        pinned into the block cache so its residency is charged against
-        real capacity (and survives whole-graph sweeps by construction).
-        """
-        k0 = self.fmt.subblocks_per_block(0)
-        blocks = np.unique(np.flatnonzero(self._memo[:, _SEEN]) // k0)
-        self._block_dir = blocks
-        self._pin_directory(blocks)
-
-    def _pin_directory(self, blocks: np.ndarray) -> None:
-        """Best-effort: pin the serialized directory into cache blocks.
-
-        Skipped when the cache is too small to spare the room (the resident
-        numpy array still serves lookups; only the budget accounting and
-        scan-resistance modeling ride on the cache copy).
-        """
-        cache = self.storage.cache
-        payload = blocks.astype("<i8").tobytes()
-        chunk = max(1, self.fmt.block_sizes[0])
-        nchunks = max(1, -(-len(payload) // chunk))
-        if nchunks > cache.capacity // 4:
-            nchunks = 0
-        for i in range(nchunks):
-            cache.pin(("semiem-dir", i), payload[i * chunk : (i + 1) * chunk])
-        for i in range(nchunks, self._dir_chunks):
-            cache.invalidate(("semiem-dir", i))
-        self._dir_chunks = nchunks
-
-    def _directory_bytes(self) -> int:
-        return int(self._block_dir.nbytes) if self._block_dir is not None else 0
-
-    def frontier_block_coverage(self, vertices) -> float | None:
-        if not self.semi_external or self._pinned() is None:
-            return None
-        if self._block_dir is None or len(self._block_dir) == 0:
-            return None
-        wanted = np.unique(np.asarray(vertices, dtype=np.int64))
-        if len(wanted) == 0:
-            return 0.0
-        locals_, owned = self.id_map.to_local_many(wanted)
-        if not owned.any():
-            return 0.0
-        k0 = self.fmt.subblocks_per_block(0)
-        wanted_blocks = np.unique(locals_[owned] // k0)
-        idx = np.searchsorted(self._block_dir, wanted_blocks)
-        idx = np.minimum(idx, len(self._block_dir) - 1)
-        hits = int(np.count_nonzero(self._block_dir[idx] == wanted_blocks))
-        return hits / len(self._block_dir)
 
     def invalidate_tail_memo(self, vertex: int | None = None) -> None:
         if vertex is None:

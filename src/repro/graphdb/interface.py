@@ -78,7 +78,6 @@ __all__ = [
     "AdjacencyBatch",
     "GraphDB",
     "GraphDBStats",
-    "PinnedVertexState",
     "StagedEdges",
     "OP_ALL",
     "OP_NEQ",
@@ -270,24 +269,6 @@ class GraphDBStats:
     store_calls: int = 0
 
 
-@dataclass
-class PinnedVertexState:
-    """Resident per-vertex state of semi-external-memory mode.
-
-    Materialized once per store (at ingest or on first use) from the
-    in-memory out-degree census: the sorted local vertex ids and their
-    aligned out-degrees, as numpy arrays that never touch the device
-    again.  ``resident_bytes`` is what the RAM budget is charged.
-    """
-
-    vertices: np.ndarray  # sorted int64 global ids with local adjacency
-    degrees: np.ndarray  # aligned int64 out-degrees
-
-    @property
-    def resident_bytes(self) -> int:
-        return int(self.vertices.nbytes + self.degrees.nbytes)
-
-
 class GraphDB(abc.ABC):
     """Abstract base for all six GraphDB Service backends.
 
@@ -307,7 +288,6 @@ class GraphDB(abc.ABC):
         cpu: CpuProfile | None = None,
         metadata: MetadataStore | None = None,
         batch_io: bool = True,
-        semi_external: bool = False,
     ):
         self.clock = clock if clock is not None else VirtualClock()
         self.cpu = cpu if cpu is not None else CpuProfile()
@@ -325,13 +305,6 @@ class GraphDB(abc.ABC):
         #: byte-identical adjacency lists; only the access plan (and thus
         #: virtual time) differs.
         self.batch_io = batch_io
-        #: Semi-external-memory mode (FlashGraph/GraphMP): pin per-vertex
-        #: state in resident numpy arrays and, on backends that keep a
-        #: block→vertex-extent directory, fetch only adjacency blocks with
-        #: active sources.  Off by default — the paper's prototype is fully
-        #: out-of-core and the chapter-5 figures stay bit-identical.
-        self.semi_external = semi_external
-        self._pinned_state: PinnedVertexState | None = None
         #: Streaming-mode delta overlay (``services.streaming.DeltaOverlay``):
         #: committed-but-uncompacted stream batches, merged into every public
         #: read.  ``None`` outside streaming deployments — the read path then
@@ -356,9 +329,6 @@ class GraphDB(abc.ABC):
         self._store_edges(edges)
         if len(edges):
             self._census_add(*np.unique(edges[:, 0], return_counts=True))
-            # New edges invalidate the pinned snapshot (rebalance/repair
-            # re-stores); semi-EM re-pins lazily from the updated census.
-            self._pinned_state = None
         self.stats.edges_stored += len(edges)
         self.stats.store_calls += 1
 
@@ -477,25 +447,12 @@ class GraphDB(abc.ABC):
 
         Served from the in-memory census; costs no virtual time (see
         ``_degree``).  Used by the direction controller to price a
-        top-down expansion of the fringe.  Under semi-EM the lookup is a
-        vectorized ``searchsorted`` over the pinned arrays — same values,
-        same (zero) cost, no per-vertex dict probes.
+        top-down expansion of the fringe.
         """
         vs = np.asarray(vertices, dtype=np.int64)
-        ps = self._pinned()
-        if ps is not None:
-            if len(ps.vertices) == 0:
-                out = np.zeros(len(vs), dtype=np.int64)
-            else:
-                idx = np.searchsorted(ps.vertices, vs)
-                idx = np.clip(idx, 0, len(ps.vertices) - 1)
-                hit = ps.vertices[idx] == vs
-                out = np.zeros(len(vs), dtype=np.int64)
-                out[hit] = ps.degrees[idx[hit]]
-        else:
-            out = np.fromiter(
-                map(self._degree.get, vs.tolist(), repeat(0)), dtype=np.int64, count=len(vs)
-            )
+        out = np.fromiter(
+            map(self._degree.get, vs.tolist(), repeat(0)), dtype=np.int64, count=len(vs)
+        )
         view = self._overlay_view()
         if view is not None:
             out = out + view.degrees(vs)
@@ -506,7 +463,7 @@ class GraphDB(abc.ABC):
         storage order (the chunk store overrides with one pass over its rows
         in key order)."""
         if vertices is None:
-            vs = self._base_local_vertices()
+            vs = self._local_vertices()
         else:
             vs = np.unique(np.asarray(vertices, dtype=np.int64))
         for v in vs.tolist():
@@ -569,25 +526,16 @@ class GraphDB(abc.ABC):
         if len(rest):
             yield view.batch.select(rest)
 
-    def _base_local_vertices(self) -> np.ndarray:
-        """Base-store vertex enumeration (pinned array or backend scan)."""
-        ps = self._pinned()
-        if ps is not None:
-            return ps.vertices
-        return self._local_vertices()
-
     def local_vertices(self) -> np.ndarray:
         """Sorted global ids of vertices with locally stored adjacency.
 
         Not part of the paper's Listing 3.1, but required by whole-graph
         analyses (connected components, defragmentation sweeps); every
-        backend can enumerate cheaply from its own structures.  Under
-        semi-EM the answer comes straight from the pinned vertex array —
-        backends like StreamDB otherwise pay a full log replay here.
-        Stream-overlay sources union in so streamed-but-uncompacted
-        vertices are enumerable too.
+        backend can enumerate from its own structures (StreamDB pays a
+        full log replay).  Stream-overlay sources union in so
+        streamed-but-uncompacted vertices are enumerable too.
         """
-        base = self._base_local_vertices()
+        base = self._local_vertices()
         view = self._overlay_view()
         if view is None:
             return base
@@ -599,80 +547,6 @@ class GraphDB(abc.ABC):
     def _local_vertices(self) -> np.ndarray:
         """Backend enumeration of stored source vertices (sorted, unique)."""
         raise NotImplementedError(f"{type(self).__name__} cannot enumerate vertices")
-
-    # -- semi-external-memory mode -------------------------------------------
-
-    def _pinned(self) -> PinnedVertexState | None:
-        """The pinned snapshot, lazily (re)built when semi-EM is armed.
-
-        Rebuilding from the in-memory census is free (the census is
-        maintained at store time with no virtual cost), so invalidation on
-        re-store is cheap to recover from.  A store restored from device
-        with an empty census pins on first use via
-        :meth:`pin_vertex_state`, which charges the enumeration pass.
-        """
-        if not self.semi_external:
-            return None
-        if self._pinned_state is None and self._degree:
-            self.pin_vertex_state()
-        return self._pinned_state
-
-    def pin_vertex_state(self) -> PinnedVertexState:
-        """Materialize the resident per-vertex arrays (semi-EM layer 1).
-
-        Built from the ingest-time out-degree census when available (no
-        device I/O, no virtual time — the counters already exist in the
-        ingest path).  A store restored from device has an empty census;
-        then one storage-order enumeration pass rebuilds it, charged like
-        the access it is.
-        """
-        if not self._degree and self.stats.edges_stored == 0:
-            # Restored store: rebuild the census with one charged pass.
-            # Base-only by contract — overlay degrees merge on top in
-            # degree_many, so pinning them here would double-count.
-            total = 0
-            for batch in self._scan_adjacency(None):
-                self._census_add(batch.vertices, batch.degrees)
-                total += len(batch.neighbors)
-            self.clock.advance(total * self.cpu.edge_visit_seconds)
-        vertices = np.array(sorted(self._degree), dtype=np.int64)
-        degrees = np.array([self._degree[v] for v in vertices.tolist()], dtype=np.int64)
-        self._pinned_state = PinnedVertexState(vertices=vertices, degrees=degrees)
-        self._build_block_directory()
-        return self._pinned_state
-
-    def pinned_resident_bytes(self) -> int:
-        """RAM charged against ``semi_external_budget_bytes`` by this store.
-
-        Zero until :meth:`pin_vertex_state` runs — a store whose ingest
-        path happens to maintain directory rows (StreamDB) is not charged
-        for them while semi-EM is off and nothing is resident by contract.
-        """
-        ps = self._pinned_state
-        if ps is None:
-            return 0
-        return ps.resident_bytes + self._directory_bytes()
-
-    def _build_block_directory(self) -> None:
-        """Hook: build the resident block→vertex-extent directory.
-
-        Default no-op — only backends with a physical block layout
-        (grDB, StreamDB) have a directory to build.
-        """
-
-    def _directory_bytes(self) -> int:
-        """Resident size of the selective-I/O directory (0 = none)."""
-        return 0
-
-    def frontier_block_coverage(self, vertices) -> float | None:
-        """Fraction of adjacency blocks holding at least one of ``vertices``.
-
-        The selective-I/O planning signal: ``None`` means the backend keeps
-        no block directory (or semi-EM is off) and callers should use the
-        full storage-order sweep; a small fraction means a selective fetch
-        of just the active blocks beats sharing a whole-store scan.
-        """
-        return None
 
     # -- lifecycle -----------------------------------------------------------
 

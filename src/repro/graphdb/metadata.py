@@ -90,10 +90,9 @@ class PinnedMetadata(MetadataStore):
 
     The same int32-per-vertex array as :class:`ExternalMetadata`, but
     materialized once as a resident numpy array instead of paged to a
-    scratch device: the default in-memory level map over a dense id space,
-    and semi-EM's replacement for the paged one (charged to the semi-EM RAM
-    budget there).  Lookups and scatters are fully vectorized.  Reads
-    outside the range answer :data:`UNSET`; writes must stay inside it.
+    scratch device: the default in-memory level map over a dense id space.
+    Lookups and scatters are fully vectorized.  Reads outside the range
+    answer :data:`UNSET`; writes must stay inside it.
     """
 
     def __init__(self, num_vertices: int):

@@ -82,12 +82,7 @@ def make_graphdb(
     store is handed only the switches it reads (``direction_opt``,
     ``shared_scans`` and ``streaming`` are read by the services above it).
     """
-    common = dict(
-        clock=node.clock,
-        cpu=node.spec.cpu,
-        batch_io=features.batch_io,
-        semi_external=features.semi_external,
-    )
+    common = dict(clock=node.clock, cpu=node.spec.cpu, batch_io=features.batch_io)
     if features.checksums:
         provider = lambda name: wrap_device(node.disk(name))  # noqa: E731
     else:

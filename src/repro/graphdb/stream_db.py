@@ -21,9 +21,9 @@ list of one ``AdjacencyBatch`` per record and every read picks its vertices
 out of the group sources (``segments`` + ``gather_segments``): the order the
 encoder wrote is the read plan, and nothing is expanded to ``(E, 2)``,
 filtered edge by edge or re-sorted.  The raw log replays the same way: each
-scan chunk (or directory row) of arrival-ordered pairs becomes one batch by
-one stable sort by source, so a list keeps arrival order within a record,
-and both encodings answer every read through one plan, in record order.
+scan chunk of arrival-ordered pairs becomes one batch by one stable sort by
+source, so a list keeps arrival order within a record, and both encodings
+answer every read through one plan, in record order.
 The committed extent is then tracked in *bytes* (records are
 variable-length), the durable commit record carries a distinct magic plus
 that byte extent, and opening a log with the wrong mode raises instead of
@@ -104,27 +104,9 @@ class StreamGraphDB(GraphDB):
         self._buffered = 0
         #: Raw log entries streamed past the CPU (>> useful edges returned).
         self.log_edges_scanned = 0
-        #: Semi-EM selective-I/O directory: one ``(offset, nbytes, nedges,
-        #: src_lo, src_hi)`` row per flushed log record, appended as the
-        #: record is written (free — the extent is known at flush time).
-        #: ``None`` right after a restore (the extents cannot be known
-        #: without a full log pass); the *first* full scan after the
-        #: restore rebuilds it as a side effect — that pass touches every
-        #: committed byte anyway — so restored stores regain selective
-        #: adjacency I/O instead of falling back to whole-log scans forever.
-        self._records: list[tuple[int, int, int, int, int]] | None = []
-        #: Selective scans served from the directory / records they skipped.
-        self.selective_scans = 0
-        self.records_skipped = 0
-        #: Rebuild the directory on the next full device pass (set by a
-        #: restore, cleared once the pass has run).
-        self._rebuild_records = False
         self.restored = False
         if meta_device is not None:
             self.restored = self._restore()
-            if self.restored:
-                self._records = None
-                self._rebuild_records = True
 
     # -- ingestion ------------------------------------------------------
 
@@ -146,19 +128,6 @@ class StreamGraphDB(GraphDB):
         else:
             data = np.ascontiguousarray(batch).tobytes()
         committed = self._committed_bytes()
-        if self._records is not None:
-            # Directory row for this record: byte extent plus the source-id
-            # range it covers.  Min/max over the batch is ingest-path work a
-            # deployment would fold into the same pass that serializes it.
-            self._records.append(
-                (
-                    committed,
-                    len(data),
-                    len(batch),
-                    int(batch[:, 0].min()),
-                    int(batch[:, 0].max()),
-                )
-            )
         guard_written = False
         if self.meta_device is not None and committed % _META_FRAME != 0:
             # The append below will rewrite the committed tail frame; a torn
@@ -298,9 +267,7 @@ class StreamGraphDB(GraphDB):
         committed edge count, so an ingest invalidates them); later
         consumers read them back without touching the device.  Callers treat
         a replay as read-only (they gather into copies), so sharing is safe.
-        Records are then parsed from memory (:meth:`_parse_record`); the
-        first pass after a restore rebuilds the directory from them, one
-        exact ``(offset, nbytes, nedges, src_lo, src_hi)`` row per record.
+        Records are then parsed from memory (:meth:`_parse_record`).
         """
         self.flush()
         committed = self._committed_bytes()
@@ -326,16 +293,16 @@ class StreamGraphDB(GraphDB):
             chunks.append(self.device.read(offset, take))
             offset += take
         buf = b"".join(chunks)
-        records = []
+        replay = []
         off = 0
         payload_bytes = 0
         while off < len(buf):
             record, span, payload = self._parse_record(buf, off)
             if len(record.neighbors):
-                records.append((off, span, record))
+                replay.append(record)
             off += span
             payload_bytes += payload
-        total_edges = sum(len(record.neighbors) for _, _, record in records)
+        total_edges = sum(len(record.neighbors) for record in replay)
         if total_edges != self._nedges:
             raise CorruptBlockError(
                 self.device.name,
@@ -346,40 +313,30 @@ class StreamGraphDB(GraphDB):
             )
         if payload_bytes:
             self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
-        if self._rebuild_records:
-            self._records = [
-                (off, span, len(r.neighbors), int(r.vertices[0]), int(r.vertices[-1]))
-                for off, span, r in records
-            ]
-            self._rebuild_records = False
-        replay = [record for _, _, record in records]
         if board is not None:
             board.publish("log-replay", self._nedges, replay)
         return replay
 
-    def _parse_record(
-        self, buf: bytes, off: int, origin: int = 0, span: int | None = None
-    ) -> tuple[AdjacencyBatch, int, int]:
-        """Parse the record at ``buf[off:]`` (``buf`` begins at device offset
-        ``origin``): ``(record batch, bytes it spans, payload bytes decoded)``.
+    def _parse_record(self, buf: bytes, off: int) -> tuple[AdjacencyBatch, int, int]:
+        """Parse the record at ``buf[off:]`` (``buf`` is the log from device
+        offset 0): ``(record batch, bytes it spans, payload bytes decoded)``.
 
-        The one parser of both replays.  A raw record has no framing: it
-        spans ``span`` bytes (a directory row's extent) or one scan chunk,
-        and its arrival-ordered pairs become a batch by one stable sort by
-        source.  A compressed record is framed by its header: a truncated
-        header or payload, a bad magic and a payload the decoder does not
-        consume exactly raise :class:`CorruptBlockError` at the offending
-        offset; the varint codec raises :class:`GraphStorageException` on
-        non-monotone streams.
+        The one parser of both encodings.  A raw record has no framing: it
+        spans one scan chunk, and its arrival-ordered pairs become a batch
+        by one stable sort by source.  A compressed record is framed by its
+        header: a truncated header or payload, a bad magic and a payload the
+        decoder does not consume exactly raise :class:`CorruptBlockError` at
+        the offending offset; the varint codec raises
+        :class:`GraphStorageException` on non-monotone streams.
         """
         if not self.compress:
-            span = min(len(buf) - off, _SCAN_READ_BYTES) if span is None else span
+            span = min(len(buf) - off, _SCAN_READ_BYTES)
             edges = np.frombuffer(buf, dtype="<u8", count=span // 8, offset=off)
             return AdjacencyBatch.from_edges(edges.reshape(-1, 2).astype(np.int64)), span, 0
         if off + _CREC_HEADER.size > len(buf):
             raise CorruptBlockError(
                 self.device.name,
-                origin + off,
+                off,
                 len(buf) - off,
                 "truncated compressed edge-record header",
             )
@@ -387,7 +344,7 @@ class StreamGraphDB(GraphDB):
         if magic != _CREC_MAGIC:
             raise CorruptBlockError(
                 self.device.name,
-                origin + off,
+                off,
                 _CREC_HEADER.size,
                 f"bad compressed edge-record magic 0x{magic:08x}",
             )
@@ -395,7 +352,7 @@ class StreamGraphDB(GraphDB):
         if off + nbytes > len(buf):
             raise CorruptBlockError(
                 self.device.name,
-                origin + off,
+                off,
                 nbytes - (len(buf) - off),
                 f"compressed edge record promises {nbytes} payload bytes "
                 f"but only {len(buf) - off} remain in the committed extent",
@@ -406,116 +363,17 @@ class StreamGraphDB(GraphDB):
         if consumed != nbytes:
             raise CorruptBlockError(
                 self.device.name,
-                origin + off,
+                off,
                 nbytes,
                 f"compressed edge record decoded {consumed} of its "
                 f"{nbytes} payload bytes",
             )
         return AdjacencyBatch(sources, offsets, dsts), _CREC_HEADER.size + nbytes, nbytes
 
-    # -- semi-EM selective I/O (GraphMP-style record scheduling) -----------
-
-    #: Above this fraction of directory records holding active sources, the
-    #: selective plan degenerates into the full sequential scan (same bytes,
-    #: worse access pattern) — fall back to the shared whole-log replay.
-    SELECTIVE_MAX_FRACTION = 0.5
-
-    def _record_mask(self, wanted: np.ndarray) -> np.ndarray | None:
-        """Which directory records hold at least one wanted source vertex."""
-        if self._records is None or not self._records:
-            return None
-        los = np.fromiter((r[3] for r in self._records), dtype=np.int64)
-        his = np.fromiter((r[4] for r in self._records), dtype=np.int64)
-        # A record matters iff some wanted id falls inside [lo, hi].
-        idx = np.searchsorted(wanted, los)
-        hit = idx < len(wanted)
-        mask = np.zeros(len(los), dtype=bool)
-        mask[hit] = wanted[np.minimum(idx[hit], len(wanted) - 1)] <= his[hit]
-        return mask
-
-    def _scan_selective(self, wanted: np.ndarray) -> list[AdjacencyBatch] | None:
-        """Fetch only the log records whose source extent intersects ``wanted``.
-
-        Returns the replay of the selected records in log order — a
-        superset of the wanted adjacency that is *filter-equivalent* to
-        the full log (skipped records cannot contain wanted sources), so
-        every caller's pick produces bit-identical answers.  ``None`` means
-        the selective plan does not apply (no directory, a shared scan is
-        armed, or the frontier covers most records) and the caller should
-        use :meth:`_scan`.
-        """
-        if not self.semi_external or len(wanted) == 0:
-            return None
-        self.flush()
-        board = getattr(self, "scan_board", None)
-        if board is not None and board.armed("log-replay"):
-            # A whole-log pass is being shared across queries this round;
-            # piggybacking on it is cheaper than a private selective fetch.
-            return None
-        mask = self._record_mask(wanted)
-        if mask is None:
-            return None
-        picked = np.flatnonzero(mask)
-        if len(picked) > self.SELECTIVE_MAX_FRACTION * len(mask):
-            return None
-        self.selective_scans += 1
-        self.records_skipped += len(mask) - len(picked)
-        if len(picked) == 0:
-            return []
-        # Coalesce adjacent selected records into single sequential reads.
-        runs: list[tuple[int, int]] = []
-        for i in picked:
-            off, nbytes = self._records[i][0], self._records[i][1]
-            if runs and runs[-1][0] + runs[-1][1] == off:
-                runs[-1] = (runs[-1][0], runs[-1][1] + nbytes)
-            else:
-                runs.append((off, nbytes))
-        buf = {off: self.device.read(off, nbytes) for off, nbytes in runs}
-        parts = []
-        payload_bytes = 0
-        run_iter = iter(runs)
-        run_off, run_data = None, b""
-        for i in picked:
-            off, nbytes, nedges = self._records[i][:3]
-            if run_off is None or off >= run_off + len(run_data):
-                run_off = next(run_iter)[0]
-                run_data = buf[run_off]
-            record, span, payload = self._parse_record(
-                run_data, off - run_off, origin=run_off, span=nbytes
-            )
-            if len(record.neighbors) != nedges or span != nbytes:
-                raise CorruptBlockError(
-                    self.device.name,
-                    off,
-                    nbytes,
-                    "directory/record mismatch in selective scan",
-                )
-            payload_bytes += payload
-            parts.append(record)
-        if payload_bytes:
-            self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
-        return parts
-
-    def frontier_block_coverage(self, vertices) -> float | None:
-        if not self.semi_external:
-            return None
-        self.flush()
-        wanted = np.unique(np.asarray(vertices, dtype=np.int64))
-        mask = self._record_mask(wanted)
-        if mask is None:
-            return None
-        return float(np.count_nonzero(mask)) / len(mask)
-
-    def _directory_bytes(self) -> int:
-        return 0 if self._records is None else len(self._records) * 5 * 8
-
-    def _replay(self, wanted: np.ndarray | None) -> list[AdjacencyBatch]:
-        """The log entries a read streams past the CPU — the selective plan
-        for ``wanted`` (sorted, unique) where it applies, else the whole log
-        — charged one ``edge_visit_seconds`` per entry."""
-        replay = None if wanted is None else self._scan_selective(wanted)
-        if replay is None:
-            replay = self._scan()
+    def _replay(self) -> list[AdjacencyBatch]:
+        """The whole log, streamed past the CPU (:meth:`_scan`), charged one
+        ``edge_visit_seconds`` per entry."""
+        replay = self._scan()
         entries = sum(len(r.neighbors) for r in replay)
         self.clock.advance(entries * self.cpu.edge_visit_seconds)
         self.log_edges_scanned += entries
@@ -530,7 +388,7 @@ class StreamGraphDB(GraphDB):
 
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         wanted = np.array([vertex], dtype=np.int64)
-        replay = self._replay(wanted)
+        replay = self._replay()
         if not replay:
             return _EMPTY
         return np.concatenate([found for found, _ in self._pick(replay, wanted)])
@@ -547,7 +405,7 @@ class StreamGraphDB(GraphDB):
         if len(vertices) == 0:
             return _EMPTY
         wanted = np.unique(vertices)
-        replay = self._replay(wanted)
+        replay = self._replay()
         self.stats.adjacency_requests += len(vertices)
         if not replay:
             return _EMPTY
@@ -572,7 +430,7 @@ class StreamGraphDB(GraphDB):
             wanted = np.unique(np.asarray(vertices, dtype=np.int64))
             if len(wanted) == 0:
                 return
-        replay = self._replay(wanted)
+        replay = self._replay()
         if wanted is not None:
             replay = [
                 AdjacencyBatch.nonempty(wanted, bounds, found)
@@ -586,7 +444,7 @@ class StreamGraphDB(GraphDB):
             yield replay[0]
 
     def _local_vertices(self) -> np.ndarray:
-        replay = self._replay(None)
+        replay = self._replay()
         if not replay:
             return _EMPTY
         return np.unique(np.concatenate([record.vertices for record in replay]))

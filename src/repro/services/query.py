@@ -163,8 +163,8 @@ class QueryService:
         self.attempt_timeout = attempt_timeout
         #: Read once per query or drain, never per edge or block:
         #: ``direction_opt`` / ``shared_scans`` (plan defaults a query / a
-        #: drain may override) and ``checksums`` / ``semi_external`` (how
-        #: ``visited="external"`` is kept: CRC-framed scratch device, or RAM).
+        #: drain may override) and ``checksums`` (whether ``visited="external"``
+        #: frames its scratch device with CRCs).
         self.features = features
         if max_inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
@@ -270,6 +270,20 @@ class QueryService:
         """
         return self.num_vertices if self.endpoints_ingested is not None else None
 
+    def _visited_search(self, ctx, kind: str, seq: int, search):
+        """Rank generator: ``search(visited)`` over a fresh level map.
+
+        An external map's scratch device lives exactly as long as the
+        search: it is dropped, file and all, when the search returns or
+        raises (or is closed), at no virtual cost.
+        """
+        visited = self._make_visited(ctx, kind, seq)
+        try:
+            return (yield from search(visited))
+        finally:
+            if isinstance(visited, ExternalVisited):
+                ctx.node.drop_disk(f"visited-{seq}")
+
     def _make_visited(self, ctx, kind: str, seq: int):
         n = self._id_space()
         if kind == "memory":
@@ -283,11 +297,6 @@ class QueryService:
                 return PinnedVisited(n)
             return InMemoryVisited()
         if kind == "external":
-            if self.features.semi_external and n:
-                # Semi-EM pins the per-query level array in RAM (charged to
-                # the budget at ingest time) — zero visited paging.  Levels
-                # are identical to the paged structure's.
-                return PinnedVisited(n)
             # A fresh scratch file per query: level marks must not leak
             # between searches.
             dev = ctx.node.disk(f"visited-{seq}")
@@ -371,13 +380,11 @@ class QueryService:
         seq = self._visited_seq
 
         return self._run_on_backends(
-            lambda ctx, q: program(
+            lambda ctx, q: self._visited_search(
                 ctx,
-                self.dbs[q],
-                cfg,
-                self._make_visited(ctx, visited, seq),
-                owner_of=owner_of,
-                **alg_kw,
+                visited,
+                seq,
+                lambda v: program(ctx, self.dbs[q], cfg, v, owner_of=owner_of, **alg_kw),
             )
         )
 
@@ -487,8 +494,11 @@ class QueryService:
                 self._direction(s.direction_opt, s.direction_schedule),
                 marks=True,
             )
-            return lambda c, q: oocbfs_program(
-                c, self.dbs[q], cfg, self._make_visited(c, s.visited, seq), owner_of=owner_of
+            return lambda c, q: self._visited_search(
+                c,
+                s.visited,
+                seq,
+                lambda v: oocbfs_program(c, self.dbs[q], cfg, v, owner_of=owner_of),
             )
 
         gens = [marked(s) for s in specs]

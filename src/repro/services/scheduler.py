@@ -159,11 +159,11 @@ def multiplex_program(
     board = ScanBoard() if shared_scans else None
     if board is not None:
         db.scan_board = board
+    active: dict[int, dict] = {}
     try:
         n = len(specs)
         outcomes: list[QueryOutcome | None] = [None] * n
         waiting = deque(range(n))
-        active: dict[int, dict] = {}
         abort: set[int] = set()
         t0 = ctx.clock.now
         rounds = 0
@@ -263,5 +263,9 @@ def multiplex_program(
             shared_served=board.served if board is not None else 0,
         )
     finally:
+        # A drain cut short closes its unfinished queries, so each releases
+        # what it holds (an external visited map's scratch device).
+        for st in active.values():
+            st["gen"].close()
         if board is not None and getattr(db, "scan_board", None) is board:
             del db.scan_board

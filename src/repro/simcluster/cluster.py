@@ -79,6 +79,18 @@ class SimNode:
             self._disks[name] = dev
         return dev
 
+    def drop_disk(self, name: str) -> None:
+        """Close and forget a named device, deleting its file backing.
+
+        Releases per-query scratch devices; charges no virtual time.
+        """
+        dev = self._disks.pop(name, None)
+        if dev is None:
+            return
+        dev.close()
+        if isinstance(dev.backing, FileBacking):
+            os.remove(dev.backing.path)
+
     def install_fault_plan(self, plan) -> None:
         """Adopt ``plan`` (or clear, with ``None``) for existing and future
         devices of this node."""

@@ -290,9 +290,8 @@ class SharedBlockCache:
         )
         # "lru": all blocks live in _probation (single global LRU order);
         # "2q": _probation is the first-touch segment, _protected the
-        # re-referenced one.  _pinned holds blocks exempt from eviction
-        # (the semi-EM resident directory and hot metadata pages); its
-        # share is subtracted from what probation/protected may use.
+        # re-referenced one.  _pinned holds blocks exempt from eviction;
+        # its share is subtracted from what probation/protected may use.
         # Keys are (owner, key) pairs throughout.
         self._probation: OrderedDict[tuple, bytes] = OrderedDict()
         self._protected: OrderedDict[tuple, bytes] = OrderedDict()
@@ -340,14 +339,13 @@ class SharedBlockCache:
     def scan_budget(self) -> int:
         """Insertions one streaming pass may make without collateral damage.
 
-        The pinned segment is off-limits to everyone, so the budget is
-        computed over the *free* share (capacity minus pinned blocks) —
-        this is what keeps a whole-graph analytics sweep from evicting the
-        resident vertex state of semi-EM mode.  Within the free share:
-        under ``"2q"`` a pass's first-touch blocks can only displace other
-        probation blocks, so the budget is the probation segment's size —
-        capping batch inserts there keeps a giant scan from monopolizing
-        even probation.  Under ``"lru"`` there is no protected segment and
+        The pinned segment is off-limits to everyone: the budget is computed
+        over the *free* share (capacity minus pinned blocks), so a
+        whole-graph analytics sweep never evicts a pinned block.  Within the
+        free share: under ``"2q"`` a pass's first-touch blocks can only
+        displace other probation blocks, so the budget is the probation
+        segment's size — capping batch inserts there keeps a giant scan from
+        monopolizing even probation.  Under ``"lru"`` there is no protected segment and
         the budget is the whole free share (the private-cache behavior).
         A fully-pinned pool has budget 0: a scan may cache nothing.
         """

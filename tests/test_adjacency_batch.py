@@ -178,7 +178,7 @@ def reference_lists(db, overlay: list, vertices) -> list[tuple[int, list[int]]]:
     """Per vertex, ascending: the base list, then the overlay entries."""
     sources = {int(s) for edges in overlay for s in edges[:, 0]}
     if vertices is None:
-        wanted = sorted(sources.union(db._base_local_vertices().tolist()))
+        wanted = sorted(sources.union(db._local_vertices().tolist()))
     else:
         wanted = np.unique(vertices).tolist()
     lists = ((v, db._get_adjacency(v).tolist() + overlay_list(overlay, v)) for v in wanted)
@@ -209,7 +209,7 @@ def reference_order(db, overlay: list, vertices) -> list[tuple[int, list[int]]]:
     single-shard store).  Then the overlay entries of every wanted vertex,
     ascending — after the base sweep, for every backend.
     """
-    wanted = db._base_local_vertices() if vertices is None else np.unique(vertices)
+    wanted = db._local_vertices() if vertices is None else np.unique(vertices)
     stored = [v for v in wanted.tolist() if len(db._get_adjacency(v))]
     if db.name == "grDB":
         chains = {v: chain_pieces(db, v) for v in stored}
@@ -260,7 +260,7 @@ def test_overlay_arrives_last_and_honours_done(backend, overlay):
     for v, lst in flatten(batches[-1:]):
         assert lst == overlay_list(OVERLAYS[overlay], v)
     base = dict(grouped(batches[:-1]))
-    stored = db._base_local_vertices().tolist()
+    stored = db._local_vertices().tolist()
     # Complete-list producers ignore ``done``; grDB drops the chain where it
     # stands — 5 before its head is read, 17 after its level-0 piece.
     if backend == "grDB":
@@ -307,7 +307,7 @@ def test_sweep_pieces_group_to_the_pervertex_lists(
     else:
         wanted = None
     got = grouped(sweep(db.scan_adjacency(wanted)))
-    vs = db._base_local_vertices() if wanted is None else np.unique(wanted[wanted % 2 == 0])
+    vs = db._local_vertices() if wanted is None else np.unique(wanted[wanted % 2 == 0])
     want = [(v, db._get_adjacency(v).tolist()) for v in vs.tolist()]
     assert got == [(v, lst) for v, lst in want if lst]
     if wanted is None:

@@ -10,7 +10,6 @@ partitions all keep a live holder at ``replication=2``, and an *island* — a
 component stored wholly on one back-end — whose replica chain dies whole.
 """
 
-import dataclasses
 import importlib.util
 import resource
 import signal
@@ -226,17 +225,13 @@ def _bounded(seconds=60, headroom=1 << 30):
     "source", [int(EDGES.max()) + 1000, -5, 1 << 40], ids=["max+1000", "-5", "2^40"]
 )
 @pytest.mark.parametrize("direction_opt", [True, False], ids=["hybrid", "top-down"])
-@pytest.mark.parametrize("semi_external", [False, True], ids=["ram", "semi-em"])
 @pytest.mark.parametrize("visited", ["memory", "external"])
-def test_an_out_of_space_source_is_not_found_in_any_visited_medium(
-    visited, semi_external, direction_opt, source
-):
+def test_an_out_of_space_source_is_not_found_in_any_visited_medium(visited, direction_opt, source):
     # A search from outside [0, num_vertices) ends before it marks anything,
     # so no medium indexes past a dense array, wraps a negative id onto a
     # real slot, asks a paged file for page -1 or materializes pages up to
     # 2^40 — whether or not the hybrid is on.
-    features = dataclasses.replace(Features.production(), semi_external=semi_external)
-    with _deploy("Array", 1, features=features) as mssg, _bounded():
+    with _deploy("Array", 1, features=Features.production()) as mssg, _bounded():
         for report in (
             mssg.query_bfs(source, DEST, visited=visited, direction_opt=direction_opt),
             mssg.query_many(

@@ -1,18 +1,30 @@
-"""Edge-case tests for LRUBlockCache and the coalesced grDB read path.
+"""Edge-case tests for the block caches and the coalesced grDB read path.
 
 Complements ``test_pagedfile_cache.py`` with the behaviors the batched
 fringe I/O path leans on: multi-block eviction order, flush idempotence
-under interleaved dirtying, capacity-0 pass-through with dirty puts, and
-the hit/miss/prefetched accounting of ``GrDBStorage.read_block_batch`` /
-``prefetch_blocks``.
+under interleaved dirtying, capacity-0 pass-through with dirty puts, the
+hit/miss/prefetched accounting of ``GrDBStorage.read_block_batch`` /
+``prefetch_blocks``, the one cache-policy validator, the pinned segment of
+both caches and the scan budget a streaming pass may insert.
 """
 
 import pytest
 
+from repro import MSSGConfig
 from repro.graphdb.grdb import GrDBFormat
 from repro.graphdb.grdb.storage import GrDBStorage
+from repro.graphdb.registry import shared_cache_for
 from repro.simcluster import NodeSpec, SimNode
 from repro.storage import LRUBlockCache
+from repro.storage.blockcache import (
+    CachePartition,
+    SharedBlockCache,
+    make_block_cache,
+    validate_cache_policy,
+)
+from repro.util.errors import ConfigError, StorageEngineError
+
+from .helpers import make_store
 
 FMT = GrDBFormat(
     capacities=(2, 4),
@@ -306,6 +318,223 @@ class TestAllocatorGuards:
         with pytest.raises(GraphStorageException):
             st.free_subblock(FMT.num_levels, 0)
 
+
+class TestCachePolicyValidation:
+    def test_helper_accepts_known_policies(self):
+        assert validate_cache_policy("lru") == "lru"
+        assert validate_cache_policy("2q") == "2q"
+
+    def test_helper_rejects_unknown(self):
+        with pytest.raises(ConfigError, match="unknown cache_policy 'clock'"):
+            validate_cache_policy("clock")
+
+    def test_config_and_pool_use_the_same_wording(self):
+        with pytest.raises(ConfigError) as from_config:
+            MSSGConfig(cache_policy="mru")
+        with pytest.raises(ConfigError) as from_pool:
+            SharedBlockCache(8, policy="mru")
+        with pytest.raises(ConfigError) as from_registry:
+            shared_cache_for(SimNode(0, NodeSpec()), 8, "mru")
+        assert str(from_config.value) == str(from_pool.value) == str(from_registry.value)
+
+    def test_registry_rejects_policy_mismatch_on_existing_pool(self):
+        node = SimNode(0, NodeSpec())
+        pool = shared_cache_for(node, 8, "2q")
+        assert pool is node.shared_block_cache
+        # Same policy re-attaches to the same pool; "lru" means private
+        # caches, not a pool at all.
+        assert shared_cache_for(node, 8, "2q") is pool
+        assert shared_cache_for(node, 8, "lru") is None
+        # A pool built with a different (valid) policy — e.g. installed
+        # explicitly by an embedding application — must be rejected, not
+        # silently rebuilt.
+        node2 = SimNode(1, NodeSpec())
+        node2.shared_block_cache = SharedBlockCache(8, policy="lru")
+        with pytest.raises(ConfigError, match="already has a 'lru' shared block cache"):
+            make_store("grDB", node2, cache_blocks=8, cache_policy="2q")
+
+    def test_registry_mismatch_does_not_rebuild_pool(self):
+        node = SimNode(0, NodeSpec())
+        node.shared_block_cache = pool = SharedBlockCache(8, policy="lru")
+        keeper = pool.partition("keeper")
+        keeper.put("hot", b"x")
+        with pytest.raises(ConfigError):
+            shared_cache_for(node, 8, "2q")
+        assert node.shared_block_cache is pool
+        assert keeper.get("hot") == b"x"  # pool untouched
+
+
+class TestLRUPinning:
+    def test_pinned_blocks_survive_a_sweep(self):
+        cache = LRUBlockCache(4)
+        cache.pin("dir", b"D")
+        for i in range(50):
+            cache.put(i, b"x")
+        assert cache.get("dir") == b"D"
+        assert cache.pinned_blocks == 1
+        assert len(cache) <= 4
+
+    def test_pin_evicts_overflow_and_writes_back_dirty(self):
+        written = {}
+        cache = LRUBlockCache(2, writer=written.__setitem__)
+        cache.put("a", b"A", dirty=True)
+        cache.put("b", b"B", dirty=True)
+        cache.pin("dir", b"D")
+        assert written == {"a": b"A"}  # LRU victim flushed, not lost
+        assert cache.get("b") == b"B"
+
+    def test_pin_beyond_capacity_raises(self):
+        cache = LRUBlockCache(1)
+        cache.pin("a", b"A")
+        with pytest.raises(StorageEngineError, match="cannot pin"):
+            cache.pin("b", b"B")
+        cache.pin("a", b"A2")  # re-pin of a pinned key is an update
+        assert cache.get("a") == b"A2"
+
+    def test_pinned_key_cannot_be_dirtied(self):
+        cache = LRUBlockCache(2)
+        cache.pin("dir", b"D")
+        with pytest.raises(StorageEngineError, match="cannot be dirtied"):
+            cache.put("dir", b"D2", dirty=True)
+        cache.put("dir", b"D3")  # clean overwrite updates in place
+        assert cache.get("dir") == b"D3"
+
+    def test_unpin_demotes_to_evictable(self):
+        cache = LRUBlockCache(2)
+        cache.pin("dir", b"D")
+        cache.unpin("dir")
+        assert cache.pinned_blocks == 0
+        for i in range(3):
+            cache.put(i, b"x")
+        assert cache.get("dir") is None  # evicted like any other block
+
+    def test_invalidate_and_drop_clear_pinned(self):
+        cache = LRUBlockCache(2)
+        cache.pin("dir", b"D")
+        cache.invalidate("dir")
+        assert "dir" not in cache
+        cache.pin("dir", b"D")
+        cache.drop()
+        assert cache.pinned_blocks == 0
+
+
+class TestSharedPinning:
+    def _pool(self, capacity, policy="2q"):
+        pool = SharedBlockCache(capacity, policy=policy)
+        return pool, pool.partition("eng")
+
+    def test_pinned_blocks_survive_a_sweep(self):
+        pool, part = self._pool(4)
+        part.pin("dir", b"D")
+        for i in range(50):
+            part.put(i, bytes([i]))
+        assert part.get("dir") == b"D"
+        assert pool.pinned_blocks == 1
+        assert len(pool) <= 4
+
+    def test_pin_beyond_capacity_raises(self):
+        pool, part = self._pool(1)
+        part.pin("a", b"A")
+        with pytest.raises(StorageEngineError, match="cannot pin"):
+            part.pin("b", b"B")
+
+    def test_pinned_key_cannot_be_dirtied(self):
+        pool, part = self._pool(4)
+        part.pin("dir", b"D")
+        with pytest.raises(StorageEngineError, match="cannot be dirtied"):
+            part.put("dir", b"D2", dirty=True)
+
+    def test_unpin_then_eviction(self):
+        pool, part = self._pool(2, policy="lru")
+        part.pin("dir", b"D")
+        part.unpin("dir")
+        assert pool.pinned_blocks == 0
+        for i in range(3):
+            part.put(i, b"x")
+        assert part.get("dir") is None
+
+    def test_pin_is_namespaced_by_owner(self):
+        pool = SharedBlockCache(4)
+        a, b = pool.partition("a"), pool.partition("b")
+        a.pin("dir", b"A")
+        b.pin("dir", b"B")
+        assert a.get("dir") == b"A"
+        assert b.get("dir") == b"B"
+        pool.drop_owner("a")
+        assert a.get("dir") is None
+        assert b.get("dir") == b"B"
+
+    def test_clear_flushes_then_drops_pinned(self):
+        written = {}
+        pool = SharedBlockCache(4)
+        part = pool.partition("eng", writer=written.__setitem__)
+        part.put("blk", b"B", dirty=True)
+        part.pin("dir", b"D")
+        part.clear()
+        assert written == {"blk": b"B"}
+        assert len(pool) == 0
+
+
+class TestScanBudget:
+    def test_private_lru_budget_is_free_capacity(self):
+        cache = LRUBlockCache(8)
+        assert cache.scan_budget() == 8
+        cache.pin("dir", b"D")
+        assert cache.scan_budget() == 7
+
+    def test_capacity_smaller_than_one_scan_batch(self):
+        # A tiny pool still grants a positive budget so a streaming pass can
+        # make progress one block at a time instead of livelocking.
+        assert LRUBlockCache(1).scan_budget() == 1
+        assert SharedBlockCache(1, policy="2q").scan_budget() == 1
+        assert SharedBlockCache(0, policy="2q").scan_budget() == 0
+
+    def test_2q_budget_is_probation_share(self):
+        pool = SharedBlockCache(16, policy="2q")
+        # protected cap = 12, so a scan may churn the 4 probation slots.
+        assert pool.scan_budget() == 4
+        assert pool.partition("eng").scan_budget() == 4
+
+    def test_2q_with_empty_protected_segment(self):
+        # Whether protected is populated is irrelevant: the budget reserves
+        # the protected *cap*, so it is identical before and after promotion.
+        pool = SharedBlockCache(16, policy="2q")
+        part = pool.partition("eng")
+        empty_budget = pool.scan_budget()
+        part.put("hot", b"H")
+        part.get("hot")  # promote into protected
+        assert pool.scan_budget() == empty_budget == 4
+
+    def test_2q_all_capacity_reserved_grants_minimum_one(self):
+        # 4 blocks -> protected cap 3 -> naive budget 1; shrink to 2 blocks
+        # -> protected cap 1 -> budget 1 as well.  Never 0 while free > 0.
+        for cap in (2, 3, 4):
+            assert SharedBlockCache(cap, policy="2q").scan_budget() >= 1
+
+    def test_fully_pinned_pool_has_zero_budget(self):
+        pool = SharedBlockCache(2, policy="2q")
+        part = pool.partition("eng")
+        part.pin("d0", b"0")
+        part.pin("d1", b"1")
+        assert pool.scan_budget() == 0
+        assert part.scan_budget() == 0
+        # Pass-through puts neither cache nor evict the pinned blocks.
+        part.put("x", b"X")
+        assert part.get("x") is None
+        assert part.get("d0") == b"0"
+
+    def test_lru_policy_pool_budget_shrinks_with_pinning(self):
+        pool = SharedBlockCache(8, policy="lru")
+        part = pool.partition("eng")
+        assert pool.scan_budget() == 8
+        part.pin("dir", b"D")
+        assert pool.scan_budget() == 7
+
+    def test_partition_of_factory_exposes_budget(self):
+        pool = SharedBlockCache(16, policy="2q")
+        part = make_block_cache(0, shared=pool, owner="eng")
+        assert isinstance(part, CachePartition)
+        assert part.scan_budget() == pool.scan_budget()
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

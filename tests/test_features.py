@@ -30,9 +30,7 @@ def test_exactly_two_presets_and_paper_is_the_benchmarks_paper_knobs():
     assert sorted(presets) == ["paper", "production"]
     assert Features.production() == Features()
     dep = _twoclock_deployments()
-    assert Features.paper() == Features(
-        **dep.PAPER_KNOBS, semi_external=False, streaming=False
-    )
+    assert Features.paper() == Features(**dep.PAPER_KNOBS, streaming=False)
     for workload in dep.WORKLOADS.values():  # make_config, unedited, via the fold
         base = Features.paper() if workload.paper else Features.production()
         assert dep.make_config(workload).features == dataclasses.replace(

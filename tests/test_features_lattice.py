@@ -1,7 +1,7 @@
 """Answer invariance over the whole ``Features`` lattice (invariant 3a).
 
 Every ``Features`` value — not the pairs some suite happened to
-parametrize — deploys on both backends that read all eight knobs, ingests,
+parametrize — deploys on both backends that read all seven knobs, ingests,
 and must return the in-memory oracle's answer from a solo search, a
 concurrent drain and both analysis engines; then one back-end dies, and
 every answer must stay exact or be flagged ``partial``, never raise.
@@ -33,7 +33,7 @@ WANT = [hops for _, _, hops in QUERIES]
 COMPONENTS = nx.number_connected_components(nx.Graph(EDGES.tolist()))
 FRONTENDS, DEAD_BACKEND = 1, 1
 
-#: Every value of every field: a ninth boolean knob is covered unedited.
+#: Every value of every field: an eighth boolean knob is covered unedited.
 LATTICE = [
     Features(*values)
     for values in itertools.product(
@@ -97,5 +97,5 @@ def test_every_features_value_answers_like_the_oracle(backend):
     for features in LATTICE:
         try:
             _deploy_and_check(backend, features)
-        except Exception as exc:  # name the value: 256 share this test id
+        except Exception as exc:  # name the value: 128 share this test id
             raise AssertionError(f"{backend} on {features}") from exc

@@ -1,13 +1,12 @@
 """StreamDB replay equivalence at the GraphDB surface.
 
 Both encodings replay as one CSR batch per record: a compressed record in
-the ``(src, dst)`` order its encoder wrote, a raw (paper-mode) scan chunk or
-directory row grouped by source with each list in arrival order.  Both must
-answer alike — over logs of one and of several records, with vertices
-recurring across records and duplicate edges, after a restore, with the
-``ScanBoard`` armed, through the selective plan, after ``compact()`` and
-inside a drain — and each plan must charge exactly what the flat ``(E, 2)``
-plans charged (the pinned goldens at the bottom).
+the ``(src, dst)`` order its encoder wrote, a raw (paper-mode) scan chunk
+grouped by source with each list in arrival order.  Both must answer alike —
+over logs of one and of several records, with vertices recurring across
+records and duplicate edges, after a restore, with the ``ScanBoard`` armed,
+after ``compact()`` and inside a drain — and each plan must charge exactly
+what the flat ``(E, 2)`` plans charged (the pinned goldens at the bottom).
 """
 
 import dataclasses
@@ -45,7 +44,7 @@ LOGS = {
 }
 
 
-def build(compress, chunks, *, semi=False, durable=False, node=None):
+def build(compress, chunks, *, durable=False, node=None):
     node = node or SimNode(0, NodeSpec())
     db = StreamGraphDB(
         node.disk("log"),
@@ -53,7 +52,6 @@ def build(compress, chunks, *, semi=False, durable=False, node=None):
         compress=compress,
         clock=node.clock,
         cpu=node.spec.cpu,
-        semi_external=semi,
     )
     for chunk in chunks:
         db.store_edges(chunk)  # >= 8192 buffered edges: one flush, one record
@@ -109,32 +107,25 @@ def assert_answers_alike(raw, comp, chunks):
 
 
 @pytest.mark.parametrize("log", sorted(LOGS))
-@pytest.mark.parametrize("semi", [False, True])
-def test_raw_and_compressed_logs_answer_alike(log, semi):
+def test_raw_and_compressed_logs_answer_alike(log):
     chunks = LOGS[log]
-    _, raw = build(False, chunks, semi=semi)
-    _, comp = build(True, chunks, semi=semi)
+    _, raw = build(False, chunks)
+    _, comp = build(True, chunks)
     assert_answers_alike(raw, comp, chunks)
-    assert len(comp._records) == len(chunks)
     assert raw.log_edges_scanned == comp.log_edges_scanned
     assert raw.stats == comp.stats
+    assert len(comp._scan()) == len(chunks)
 
 
 @pytest.mark.parametrize("log", sorted(LOGS))
-def test_restored_log_rebuilds_exact_directory_rows(log):
+def test_a_restored_log_answers_alike(log):
     chunks = LOGS[log]
-    node, db = build(True, chunks, semi=True, durable=True)
+    node, db = build(True, chunks, durable=True)
     db.flush()
-    rows = list(db._records)
-    assert [row[2] for row in rows] == [len(chunk) for chunk in chunks]
-    _, again = build(True, [], semi=True, durable=True, node=node)
-    assert again.restored and again._records is None
-    # The first full replay reads the rows off the records' group sources.
-    assert again.local_vertices().tolist() == sorted(record_order_lists(chunks))
-    assert again._records == rows
-    _, raw = build(False, chunks, semi=True)
+    _, again = build(True, [], durable=True, node=node)
+    assert again.restored and again.num_edges_logged == db.num_edges_logged
+    _, raw = build(False, chunks)
     assert_answers_alike(raw, again, chunks)
-    assert again.selective_scans > 0
 
 
 @pytest.mark.parametrize("log", sorted(LOGS))
@@ -163,40 +154,6 @@ def test_armed_board_publishes_the_records_and_serves_them(log):
         db.store_edges(np.array([[ABSENT, 1]]))
         assert db.get_adjacency(ABSENT).tolist() == [1]
         assert board.passes == 2
-
-
-FLUSHED_LOGS = {
-    "three records": LOGS["three records"],
-    "five flushes": log_chunks([0, 1000, 100, 2000, 3000], size=2000),
-}
-
-
-@pytest.mark.parametrize("log", sorted(FLUSHED_LOGS))
-def test_raw_log_reads_selectively_over_its_directory_rows(log):
-    """Semi-external mode: a raw log's flushes are directory rows too, and
-    the selective plan parses each picked row into one batch."""
-    chunks = FLUSHED_LOGS[log]
-    dbs = []
-    for compress in (False, True):
-        _, db = build(compress, [], semi=True)
-        for chunk in chunks:
-            db.store_edges(chunk)
-            db.flush()
-        dbs.append(db)
-    raw, comp = dbs
-    assert [row[:3] for row in raw._records] == [
-        (sum(len(c) for c in chunks[:i]) * 16, len(chunk) * 16, len(chunk))
-        for i, chunk in enumerate(chunks)
-    ]
-    assert_answers_alike(raw, comp, chunks)
-    scans = raw.selective_scans
-    for db, lists in ((raw, arrival_order_lists(chunks)), (comp, record_order_lists(chunks))):
-        for v in sorted(lists)[::37]:
-            assert db.get_adjacency(v).tolist() == lists[v]
-    assert raw.selective_scans > scans
-    assert (raw.selective_scans, raw.records_skipped) == (comp.selective_scans, comp.records_skipped)
-    assert raw.log_edges_scanned == comp.log_edges_scanned
-    assert raw.stats == comp.stats
 
 
 # -- the whole system: overlay, compact(), a drain ----------------------------------
@@ -248,7 +205,7 @@ def test_streaming_deployments_answer_alike_through_compact_and_drain():
             m.ingest_stream(edges[1800:])
             assert m.compact().batches_folded > 0
         alike()  # the folded batches are further log records
-        assert all(len(db._records) >= 2 for db in comp.dbs)
+        assert all(len(db._scan()) >= 2 for db in comp.dbs)
         drains = [m.query_many(pairs, shared_scans=True) for m in (raw, comp)]
         assert [q.result for q in drains[0].queries] == [q.result for q in drains[1].queries]
         assert all(d.shared_passes > 0 and d.shared_served > 0 for d in drains)
@@ -259,57 +216,48 @@ def test_streaming_deployments_answer_alike_through_compact_and_drain():
         comp.close()
 
 
-# -- one record parser: the selective replay checks what the full one checks ------
+# -- a damaged record header: no CRC frame stands between it and the parser -------
 
 
-def doctor_header(db, index, **fields):
-    off = db._records[index][0]
+def doctored_log(index, **fields):
+    """A compressed log of four flushed records, record ``index``'s header
+    fields shifted by ``fields``; ``(db, a source of that record)``."""
+    chunks = log_chunks([0, 1000, 2000, 3000], size=400)
+    _, db = build(True, [])
+    offsets = []
+    for chunk in chunks:
+        offsets.append(db._committed_bytes())
+        db.store_edges(chunk)
+        db.flush()
+    victim = int(chunks[index][0, 0])
+    assert len(db.get_adjacency(victim)) > 0
+    off = offsets[index]
     header = dict(zip(("magic", "nedges", "nbytes"), _CREC_HEADER.unpack(db.device.read(off, 12))))
     header.update({k: header[k] + v for k, v in fields.items()})
     db.device.write(off, _CREC_HEADER.pack(*header.values()))
+    return db, victim
 
 
-@pytest.mark.parametrize("semi", [True, False], ids=["selective", "full"])
 @pytest.mark.parametrize(
     "fields, message",
     [
         ({"nbytes": 1}, "decoded|promises"),
         ({"magic": 1}, "magic"),
-        ({"nedges": -1}, "decoded|mismatch"),
+        ({"nedges": -1}, "decoded"),
     ],
     ids=["nbytes", "magic", "nedges"],
 )
 @pytest.mark.parametrize("index", [1, 3], ids=["middle", "last"])
-def test_doctored_record_header_is_corrupt_on_both_plans(semi, fields, message, index):
-    """``semi_external=True, checksums=False``: no CRC frame stands between
-    a damaged header and the parser."""
-    chunks = log_chunks([0, 1000, 2000, 3000], size=400)
-    _, db = build(True, [], semi=semi)
-    for chunk in chunks:
-        db.store_edges(chunk)
-        db.flush()
-    victim = int(chunks[index][0, 0])
-    assert len(db.get_adjacency(victim)) > 0
-    doctor_header(db, index, **fields)
-    scans = db.selective_scans
+def test_doctored_record_header_is_corrupt(fields, message, index):
+    db, victim = doctored_log(index, **fields)
     with pytest.raises(CorruptBlockError, match=message):
         db.get_adjacency(victim)
-    assert db.selective_scans == scans + semi  # the plan the id names is the one that ran
 
 
-def test_short_payload_is_rejected_alike_on_both_plans():
-    chunks = log_chunks([0, 1000, 2000, 3000], size=400)
-    errors = []
-    for semi in (True, False):
-        _, db = build(True, [], semi=semi)
-        for chunk in chunks:
-            db.store_edges(chunk)
-            db.flush()
-        doctor_header(db, 1, nbytes=-1)
-        with pytest.raises(GraphStorageException, match="truncated") as err:
-            db.get_adjacency(int(chunks[1][0, 0]))
-        errors.append((type(err.value), str(err.value)))
-    assert errors[0] == errors[1]
+def test_short_payload_is_rejected_as_truncated():
+    db, victim = doctored_log(1, nbytes=-1)
+    with pytest.raises(GraphStorageException, match="truncated"):
+        db.get_adjacency(victim)
 
 
 # -- pinned goldens: the virtual model did not move ---------------------------------
@@ -328,16 +276,12 @@ def read_trace(node, db, chunks) -> dict:
         "clock": node.clock.now,
         "log_edges_scanned": db.log_edges_scanned,
         "stats": dataclasses.astuple(db.stats),
-        "selective": (db.selective_scans, db.records_skipped),
         "delivered": (claimed, everything),
         "bytes_read": db.device.stats.bytes_read,
     }
 
 
-GOLDEN_LOGS = {
-    "full": (log_chunks([0, 13, 150]), False),
-    "selective": (log_chunks([0, 1000, 100, 2000, 3000], size=2000), True),
-}
+GOLDEN_LOGS = {"full": log_chunks([0, 13, 150])}
 
 #: Produced by the compressed flat plan this PR replaced (decode to ``(E,
 #: 2)``, ``vstack``, ``isin``, stable re-sort), on the same logs.
@@ -346,17 +290,8 @@ GOLDEN = {
         "clock": 0.11410189444444442,
         "log_edges_scanned": 180369,
         "stats": (25767, 1288, 27, 3),
-        "selective": (0, 0),
         "delivered": (2196, 25767),
         "bytes_read": 367192,
-    },
-    "selective": {
-        "clock": 0.07070356266666666,
-        "log_edges_scanned": 23358,
-        "stats": (10970, 264, 27, 5),
-        "selective": (5, 19),
-        "delivered": (538, 10970),
-        "bytes_read": 50030,
     },
 }
 
@@ -368,24 +303,15 @@ GOLDEN_RAW = {
         "clock": 0.14255309,
         "log_edges_scanned": 180369,
         "stats": (25767, 1288, 27, 3),
-        "selective": (0, 0),
         "delivered": (2196, 25767),
         "bytes_read": 2885904,
-    },
-    "selective": {
-        "clock": 0.07553050222222223,
-        "log_edges_scanned": 23358,
-        "stats": (10970, 264, 27, 5),
-        "selective": (5, 19),
-        "delivered": (538, 10970),
-        "bytes_read": 373728,
     },
 }
 
 
 def traced(compress, name):
-    chunks, semi = GOLDEN_LOGS[name]
-    node, db = build(compress, [], semi=semi)
+    chunks = GOLDEN_LOGS[name]
+    node, db = build(compress, [])
     for chunk in chunks:
         db.store_edges(chunk)
         db.flush()

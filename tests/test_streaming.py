@@ -66,16 +66,13 @@ def distances(mssg, pairs):
     backend=st.sampled_from(ALL_BACKENDS),
     replication=st.sampled_from([1, 2]),
     compress=st.booleans(),
-    semi=st.booleans(),
 )
-def test_streamed_prefix_equals_batch_ingest(seed, cuts, backend, replication,
-                                             compress, semi):
+def test_streamed_prefix_equals_batch_ingest(seed, cuts, backend, replication, compress):
     """After each streamed batch, queries == a from-scratch batch ingest."""
     edges = small_graph(seed)
     bounds = sorted(set(min(c, len(edges)) for c in cuts) | {len(edges)})
     pairs = [(0, 39), (1, 38), (3, 36)]
-    kw = dict(compress_adjacency=compress, semi_external=semi,
-              replication=replication)
+    kw = dict(compress_adjacency=compress, replication=replication)
     m = deploy(backend, **kw)
     try:
         prev = 0
@@ -419,36 +416,3 @@ def test_last_ingest_accumulates_across_batches():
         assert rep.entries_stored == 2 * len(edges)  # both directions
     finally:
         m.close()
-
-
-# ---------------------------------------------------------------------------
-# Satellite: StreamDB record directory rebuild after restore
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("compress", [False, True])
-def test_streamdb_records_rebuild_on_first_scan(tmp_path, compress):
-    d = str(tmp_path)
-    edges = small_graph(43)
-    m = deploy("StreamDB", streaming=False, storage_dir=d,
-               compress_adjacency=compress)
-    m.ingest(edges)
-    m.close()
-    m2 = deploy("StreamDB", streaming=False, storage_dir=d,
-                compress_adjacency=compress)
-    try:
-        db = m2.dbs[0]
-        assert db._records is None and db._rebuild_records
-        want = {int(v): sorted(db.get_adjacency(int(v)).tolist())
-                for v in db.local_vertices()}
-        # One full storage-order pass rebuilds the directory...
-        got = {v: sorted(adj.tolist()) for b in db.scan_adjacency(None) for v, adj in b}
-        assert got == want
-        assert db._records is not None and not db._rebuild_records
-        # ...and the rebuilt rows serve selective scans correctly.
-        some = sorted(want)[:5]
-        sel = {v: sorted(adj.tolist())
-               for b in db.scan_adjacency(np.array(some)) for v, adj in b}
-        assert sel == {v: want[v] for v in some if want[v]}
-    finally:
-        m2.close()

@@ -15,7 +15,9 @@ time, so the choice must move nothing but the wall clock:
   batches raise the largest id;
 * a sparse id space (an id far past the ingested endpoints) and a reopened
   store (ids the deployment never ingested) keep the dict, and answer what
-  a fresh search answers.
+  a fresh search answers;
+* an external map's scratch device lives exactly as long as its search,
+  solo or drained, finished or failed.
 """
 
 import dataclasses
@@ -27,15 +29,19 @@ from hypothesis import strategies as st
 
 from repro import MSSG, Features, MSSGConfig
 from repro.bfs import (
+    INFINITY,
     ExternalVisited,
     InMemoryVisited,
     PinnedVisited,
     bfs_distance,
     sample_queries_by_distance,
 )
+from repro.graphdb.metadata import UNSET, PinnedMetadata
 from repro.graphdb.registry import BACKENDS
 from repro.graphgen import CSRGraph, pubmed_like
+from repro.simcluster import FaultPlan, SimNode
 from repro.simcluster.disk import BlockDevice
+from repro.util.errors import DeviceFailedError
 
 N = 24
 _id = st.integers(0, N - 1)
@@ -71,6 +77,40 @@ def test_every_medium_answers_what_the_dict_answers(ops):
         want = _apply(reference, op)
         for visited in media:
             assert _apply(visited, op) == want, (type(visited).__name__, op)
+
+
+# -- the dense structures on their own ------------------------------------------
+
+
+class TestPinnedMetadata:
+    def test_defaults_and_bounds(self):
+        meta = PinnedMetadata(8)
+        assert meta.get(3) == UNSET
+        assert meta.get(-1) == UNSET and meta.get(99) == UNSET
+        meta.set(3, 7)
+        assert meta.get(3) == 7
+        assert meta.get_many([2, 3, 99]).tolist() == [UNSET, 7, UNSET]
+        meta.set_many([0, 1], 2)
+        assert meta.get_many([0, 1]).tolist() == [2, 2]
+        meta.clear()
+        assert meta.get(3) == UNSET
+
+    def test_resident_bytes_and_negative_size(self):
+        assert PinnedMetadata(1000).resident_bytes == 4000
+        with pytest.raises(ValueError):
+            PinnedMetadata(-1)
+
+
+class TestPinnedVisited:
+    def test_level_semantics_match_visited_contract(self):
+        vis = PinnedVisited(10)
+        assert not vis.is_visited(4)
+        assert vis.level(4) == INFINITY
+        vis.mark_many([4, 5], 2)
+        assert vis.is_visited(4) and vis.level(5) == 2
+        assert vis.unvisited(np.arange(10)).tolist() == [0, 1, 2, 3, 6, 7, 8, 9]
+        assert vis.resident_bytes == 40
+        vis.flush()  # no-op, kept for ExternalVisited parity
 
 
 # -- the façade: dense vs a run pinned to the dict -----------------------------
@@ -208,3 +248,63 @@ def test_a_reopened_store_keeps_the_dict_and_answers_what_a_fresh_one_does(tmp_p
             got = [reopened.query_bfs(s, d, direction_opt=direction_opt) for s, d in pairs]
             assert [(r.result, r.levels) for r in got] == [(r.result, r.levels) for r in want]
         assert media == {"InMemoryVisited"}
+
+
+# -- an external map's scratch device lives as long as its search ---------------
+
+
+def _scratch_deployment(root):
+    rng = np.random.default_rng(3)
+    edges = rng.integers(0, 2000, size=(8000, 2))
+    mssg = MSSG(
+        MSSGConfig(num_backends=2, num_frontends=1, backend="grDB", storage_dir=str(root))
+    )
+    mssg.ingest(edges)
+    pairs = [(int(s), int(d)) for s, d in zip(edges[:4, 0], edges[4:8, 1])]
+    return mssg, pairs
+
+
+def _devices_and_files(mssg, root):
+    names = [sorted(node._disks) for node in mssg.cluster.nodes]
+    return names, sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+def _search(mssg, pairs, drained):
+    if drained:
+        return mssg.query_many(pairs, visited="external").queries
+    return [mssg.query_bfs(s, d, visited="external") for s, d in pairs]
+
+
+@pytest.mark.parametrize("drained", [False, True], ids=["solo", "query_many"])
+def test_external_searches_leave_no_scratch_device_behind(tmp_path, drained, monkeypatch):
+    drops = []
+    drop_disk = SimNode.drop_disk
+
+    def timed_drop(node, name):
+        start = node.clock.now
+        drop_disk(node, name)
+        drops.append(node.clock.now - start)
+
+    monkeypatch.setattr(SimNode, "drop_disk", timed_drop)
+    mssg, pairs = _scratch_deployment(tmp_path)
+    with mssg:
+        before = _devices_and_files(mssg, tmp_path), mssg.scrub(repair=False).frames_scanned
+        _search(mssg, pairs, drained)
+        after = _devices_and_files(mssg, tmp_path), mssg.scrub(repair=False).frames_scanned
+    assert after == before
+    assert drops == [0.0] * (2 * len(pairs))  # one per back-end and search, free
+
+
+@pytest.mark.parametrize("drained", [False, True], ids=["solo", "query_many"])
+def test_a_failed_external_search_releases_its_scratch_device(tmp_path, drained):
+    mssg, pairs = _scratch_deployment(tmp_path)
+    with mssg:
+        before = _devices_and_files(mssg, tmp_path)
+        span = max(report.seconds for report in _search(mssg, pairs, drained))
+        # Failover off: a back-end dies mid-search and its device error ends
+        # the run, drained searches still suspended on the failing rank.
+        mssg.cluster.install_fault_plan(FaultPlan.kill_node(2, at_time=span / 2))
+        with pytest.raises(DeviceFailedError) as failure:
+            _search(mssg, pairs, drained)
+        assert failure.value.__traceback__ is not None  # held, and holding no device
+        assert _devices_and_files(mssg, tmp_path) == before

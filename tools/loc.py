@@ -1,4 +1,5 @@
-"""Print the line count and the code-only line count of a source tree.
+"""Print the line count and the code-only line count of a source tree,
+and its option count: the fields of ``Features`` and of ``MSSGConfig``.
 
 Code-only lines carry at least one token that is not a comment, excluding
 module, class and function docstrings.  Usage: ``python tools/loc.py [src]``.
@@ -12,6 +13,8 @@ from pathlib import Path
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+#: The dataclasses whose fields are a deployment's options.
+OPTION_CLASSES = ("Features", "MSSGConfig")
 
 
 def counts(path: Path) -> tuple[int, int]:
@@ -29,7 +32,19 @@ def counts(path: Path) -> tuple[int, int]:
     return len(text.splitlines()), len(code)
 
 
+def options(root: Path) -> dict[str, int]:
+    """Annotated fields of each top-level class named in ``OPTION_CLASSES``."""
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in OPTION_CLASSES:
+                found[node.name] = sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return found
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
     total = [sum(c) for c in zip(*(counts(p) for p in sorted(root.rglob("*.py"))))]
     print(f"{root}/: {total[0]} lines, {total[1]} code-only")
+    found = options(root)
+    print("options: " + ", ".join(f"{name} {found.get(name, 0)}" for name in OPTION_CLASSES))
