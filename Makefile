@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
@@ -21,7 +21,8 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_close_refcount.py tests/test_varint_reference.py \
 		tests/test_stream_replay.py tests/test_analysis_axis.py \
 		tests/test_inmemory_staging.py tests/test_visited_media.py \
-		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py
+		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py \
+		tests/test_storage_differential.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \
@@ -73,6 +74,14 @@ check-chunk-owner:  # only graphdb/chunked.py names the Figure 4.3 chunk geometr
 		| grep -v '^src/repro/graphdb/chunked\.py:' || true); \
 	if [ -n "$$offenders" ]; then \
 		echo "chunk geometry outside graphdb/chunked.py (subclass ChunkedGraphDB):"; \
+		echo "$$offenders"; exit 1; \
+	fi
+
+check-id-boundary:  # only graphdb/interface.py (and metadata.py's level maps) tests a vertex id's sign or range on a read: GraphDB hands every hook in-space ids
+	@offenders=$$(grep -rnE '\b(vertex|vertices|vs|v|gid|gids|wanted|fringe|lo|hi|ids?)\b[[:space:]]*(<|>=)[[:space:]]*0\b|\b0[[:space:]]*<=?[[:space:]]*(int\()?(vertex|vertices|vs|v|gid|gids|wanted|fringe|lo|hi|ids?)\b|max\([a-z_]+,[[:space:]]*0\)|\.view\(np\.uint64\)|<=?[[:space:]]*len\(self\._xadj\)|\b(vertex|vertices|vs|v|gid|gids|wanted|fringe|ids?)\b[^=]*(<|>)=?[[:space:]]*MAX_VERTEX_ID' \
+		src/repro/graphdb --include='*.py' | grep -vE '^src/repro/graphdb/(interface|metadata)\.py:' || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "id sign/range test in a backend (override GraphDB._id_bound instead):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -61,11 +61,13 @@ class ArrayGraphDB(GraphDB):
         self.clock.advance(len(self._adj) * self.cpu.edge_visit_seconds)
         self._staged = None
 
+    def _id_bound(self) -> int:
+        """Finalized, the ids ``xadj`` indexes; staged, the default."""
+        return super()._id_bound() if self._xadj is None else len(self._xadj) - 1
+
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         if self._xadj is None:
             return self._staged.adjacency(vertex)
-        if not 0 <= vertex < len(self._xadj) - 1:  # a negative id would wrap
-            return np.empty(0, dtype=np.int64)
         return self._adj[self._xadj[vertex] : self._xadj[vertex + 1]]
 
     def _scan_adjacency(self, vertices=None, done=None):
@@ -79,7 +81,6 @@ class ArrayGraphDB(GraphDB):
             if len(batch):
                 yield batch
             return
-        vs = vs[(vs >= 0) & (vs < len(self._xadj) - 1)]  # no wrap, no overflow
         starts = self._xadj[vs]
         lens = self._xadj[vs + 1] - starts
         if lens.any():

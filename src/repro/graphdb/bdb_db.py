@@ -40,11 +40,9 @@ class BerkeleyGraphDB(ChunkedGraphDB):
             cache_owner="bdb",
         )
 
-    # -- engine primitives (a negative id is never a key) -------------------
+    # -- engine primitives: ids arrive in space (``GraphDB``'s boundary) ------
 
     def _vertex_rows(self, vertex: int) -> list[bytes]:
-        if vertex < 0:
-            return []
         return [value for _, value in self.store.prefix(encode_u64(vertex))]
 
     def _tail_row(self, vertex: int) -> tuple[int, bytes] | None:
@@ -64,10 +62,8 @@ class BerkeleyGraphDB(ChunkedGraphDB):
     def _ordered_rows(self, lo: int | None = None, hi: int | None = None):
         if lo is None:
             rows = self.store.cursor()
-        elif hi < 0:
-            return
         else:
-            rows = self.store.cursor(encode_key_u64_u32(max(lo, 0), 0), encode_u64(hi + 1))
+            rows = self.store.cursor(encode_key_u64_u32(lo, 0), encode_u64(hi + 1))
         for key, value in rows:
             yield int.from_bytes(key[:8], "big"), value
 
@@ -79,7 +75,6 @@ class BerkeleyGraphDB(ChunkedGraphDB):
     def _fetch(self, wanted: np.ndarray) -> dict[int, np.ndarray]:
         """Dense fringes upgrade to one leaf-chain range cursor between the
         smallest and largest wanted key — the bottom-up walk's plan."""
-        wanted = wanted[wanted >= 0]
         if len(wanted) >= self.BATCH_SCAN_MIN:
             return dict(self._walk_adjacency(wanted))
         return super()._fetch(wanted)

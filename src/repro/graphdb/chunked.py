@@ -132,7 +132,7 @@ class ChunkedGraphDB(GraphDB):
         read once.  Lists are emitted per vertex in fringe order, chunks
         ascending: element for element the per-vertex path's answer.
         """
-        if not self.batch_io or len(vertices) == 0:
+        if not self.batch_io:
             return super()._expand_fringe(vertices)
         fetched = self._fetch(np.unique(vertices))
         lists = [fetched.get(v, _EMPTY) for v in vertices.tolist()]
@@ -147,9 +147,7 @@ class ChunkedGraphDB(GraphDB):
         per-edge claim check is the caller's (early-exit accounting)."""
         wset = None
         if vertices is not None:
-            wanted = np.unique(np.asarray(vertices, dtype=np.int64))
-            if len(wanted) == 0:
-                return
+            wanted = np.unique(vertices)
             wset = set(wanted.tolist())
             rows = self._ordered_rows(int(wanted[0]), int(wanted[-1]))
         else:

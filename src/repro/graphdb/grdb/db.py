@@ -418,6 +418,10 @@ class GrDB(GraphDB):
 
     # -- retrieval --------------------------------------------------------------
 
+    def _id_bound(self) -> int:
+        """The 61-bit id space :meth:`_store_edges` accepts."""
+        return MAX_VERTEX_ID + 1
+
     def _get_adjacency(self, vertex: int) -> np.ndarray:
         return self._walk_chains([vertex], account=False)
 
@@ -501,11 +505,8 @@ class GrDB(GraphDB):
         """
         if not self.batch_io:
             return self._walk_chains(vertices)
-        fringe = np.asarray(vertices, dtype=np.int64)
-        self.stats.adjacency_requests += len(fringe)
-        if len(fringe) == 0:
-            return _EMPTY
-        locals_, owned = self.id_map.to_local_many(fringe)
+        self.stats.adjacency_requests += len(vertices)
+        locals_, owned = self.id_map.to_local_many(vertices)
         neighbors, _ = self._resolve_chains(locals_[owned])
         self.stats.edges_scanned += len(neighbors)
         self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
@@ -643,7 +644,7 @@ class GrDB(GraphDB):
 
     # -- prefetch (the §4.2 future-work optimization) ---------------------------------
 
-    def prefetch_fringe(self, vertices) -> int:
+    def _prefetch_fringe(self, vertices: np.ndarray) -> int:
         """Prefetch the level-0 blocks of a fringe, sorted by file offset.
 
         Implements the optimization the paper leaves as future work:
@@ -657,10 +658,7 @@ class GrDB(GraphDB):
         level-0 blocks the fringe plans (already-cached blocks cost
         nothing but still count toward the plan).
         """
-        fringe = np.asarray(vertices, dtype=np.int64)
-        if len(fringe) == 0:
-            return 0
-        locals_, owned = self.id_map.to_local_many(fringe)
+        locals_, owned = self.id_map.to_local_many(vertices)
         if not owned.any():
             return 0
         blocks = np.unique(locals_[owned] // self.fmt.subblocks_per_block(0))

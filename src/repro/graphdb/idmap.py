@@ -5,8 +5,9 @@ beginning of the adjacency list of a vertex v is stored in the v-th
 sub-block at level 0").  On a single node that is the identity; with p
 back-end nodes and the globally-known ``GID % p`` declustering the paper
 uses, each node owns every p-th vertex and maps it to the dense local slot
-``GID // p`` so level-0 storage stays compact.  No node owns a negative id
-(``store_edges`` rejects them), so a read of one touches no sub-block.
+``GID // p`` so level-0 storage stays compact.  The maps take non-negative
+ids only: ``GraphDB`` stops every other id at its boundary (``store_edges``
+rejects it, a read answers empty), before any map sees it.
 """
 
 from __future__ import annotations
@@ -29,47 +30,29 @@ class IdMap(abc.ABC):
     @abc.abstractmethod
     def to_global(self, local: int) -> int: ...
 
+    @abc.abstractmethod
     def to_local_many(self, gids) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`to_local` over an id array.
+        """Vectorized :meth:`to_local` over an id array, in pure numpy
+        arithmetic: ``(locals, owned)``, local slots (int64, -1 where not
+        owned) and a boolean ownership mask."""
 
-        Returns ``(locals, owned)``: local slots (int64, -1 where not owned)
-        and a boolean ownership mask.  The default loops; both concrete maps
-        override with pure-numpy arithmetic so batched fringe planning never
-        pays a per-vertex exception-handling round trip.
-        """
-        gids = np.asarray(gids, dtype=np.int64)
-        locals_ = np.full(len(gids), -1, dtype=np.int64)
-        owned = np.zeros(len(gids), dtype=bool)
-        for i, gid in enumerate(gids):
-            try:
-                locals_[i] = self.to_local(int(gid))
-                owned[i] = True
-            except ConfigError:
-                pass
-        return locals_, owned
-
+    @abc.abstractmethod
     def to_global_many(self, locals_) -> np.ndarray:
-        """Vectorized :meth:`to_global` over a local-slot array (int64);
-        the default loops, both concrete maps override with arithmetic."""
-        return np.array([self.to_global(int(loc)) for loc in locals_], dtype=np.int64)
+        """Vectorized :meth:`to_global` over a local-slot array (int64)."""
 
 
 class IdentityMap(IdMap):
-    """Local slot == global id (single-node layout); a negative id has none."""
+    """Local slot == global id (single-node layout)."""
 
     def to_local(self, gid: int) -> int:
-        gid = int(gid)
-        if gid < 0:
-            raise ConfigError(f"vertex {gid} is negative: no slot holds it")
-        return gid
+        return int(gid)
 
     def to_global(self, local: int) -> int:
         return int(local)
 
     def to_local_many(self, gids) -> tuple[np.ndarray, np.ndarray]:
         gids = np.asarray(gids, dtype=np.int64)
-        owned = gids >= 0
-        return np.where(owned, gids, -1), owned
+        return gids, np.ones(len(gids), dtype=bool)
 
     def to_global_many(self, locals_) -> np.ndarray:
         return np.array(locals_, dtype=np.int64)
@@ -86,7 +69,7 @@ class ModuloMap(IdMap):
 
     def to_local(self, gid: int) -> int:
         gid = int(gid)
-        if gid < 0 or gid % self.nparts != self.rank:
+        if gid % self.nparts != self.rank:
             raise ConfigError(f"vertex {gid} is not owned by rank {self.rank} of {self.nparts}")
         return gid // self.nparts
 
@@ -95,7 +78,7 @@ class ModuloMap(IdMap):
 
     def to_local_many(self, gids) -> tuple[np.ndarray, np.ndarray]:
         gids = np.asarray(gids, dtype=np.int64)
-        owned = (gids >= 0) & (gids % self.nparts == self.rank)
+        owned = gids % self.nparts == self.rank
         locals_ = np.where(owned, gids // self.nparts, -1)
         return locals_, owned
 
@@ -103,4 +86,4 @@ class ModuloMap(IdMap):
         return np.asarray(locals_, dtype=np.int64) * self.nparts + self.rank
 
     def owns(self, gid: int) -> bool:
-        return 0 <= int(gid) and int(gid) % self.nparts == self.rank
+        return int(gid) % self.nparts == self.rank

@@ -85,6 +85,7 @@ __all__ = [
     "OP_GT",
     "OP_LT",
     "gather_segments",
+    "reject_negative_ids",
 ]
 
 # Metadata filter operations, verbatim from Listing 3.1:
@@ -97,6 +98,14 @@ OP_LT = 2  # neighbor's metadata < input metadata
 _VALID_OPS = (OP_ALL, OP_NEQ, OP_EQ, OP_GT, OP_LT)
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def reject_negative_ids(edges: np.ndarray) -> None:
+    """Raise unless every id of the ``(E, 2)`` edge array is non-negative:
+    ``store_edges``' check, run once on a whole batch before ingestion
+    plans any of it."""
+    if len(edges) and edges.min() < 0:
+        raise GraphStorageException("negative vertex id in store_edges")
 
 
 def gather_segments(
@@ -272,11 +281,17 @@ class GraphDBStats:
 class GraphDB(abc.ABC):
     """Abstract base for all six GraphDB Service backends.
 
-    Subclasses implement :meth:`_store_edges` and :meth:`_get_adjacency`;
-    the base class provides metadata handling, metadata-filtered adjacency,
-    batch fringe expansion, and bookkeeping.  ``clock``/``cpu`` wire the
-    instance to its simulated host so CPU work is charged; both default to
-    private instances for standalone use.
+    Subclasses implement :meth:`_store_edges` and :meth:`_get_adjacency`
+    and may override :meth:`_expand_fringe`, :meth:`_scan_adjacency`,
+    :meth:`_prefetch_fringe` and :meth:`_id_bound`; the base class provides
+    metadata handling, metadata-filtered adjacency, batch fringe expansion,
+    and bookkeeping.  It is also the one id-space boundary: the public reads
+    hand the read hooks only ids in ``[0, _id_bound())``, and never an empty
+    fringe — an id outside counts its adjacency request and answers empty
+    without reaching the base store — so no hook tests an id's sign or
+    range.  ``clock``/``cpu``
+    wire the instance to its simulated host so CPU work is charged; both
+    default to private instances for standalone use.
     """
 
     #: Human-readable backend name, e.g. "grDB"; set by subclasses.
@@ -324,8 +339,7 @@ class GraphDB(abc.ABC):
         edge, each to the owner of its source endpoint.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if len(edges) and edges.min() < 0:
-            raise GraphStorageException("negative vertex id in store_edges")
+        reject_negative_ids(edges)
         self._store_edges(edges)
         if len(edges):
             self._census_add(*np.unique(edges[:, 0], return_counts=True))
@@ -367,9 +381,20 @@ class GraphDB(abc.ABC):
             return None
         return overlay.view(self._stream_snap)
 
+    def _id_bound(self) -> int:
+        """One past the largest vertex id the base store can hold: any
+        non-negative int64 unless a backend says less."""
+        return 2**63
+
+    def _in_space(self, vs: np.ndarray) -> np.ndarray:
+        """The ids of ``vs`` the base store can hold, in order — ``vs``
+        itself, uncopied, when that is all of them."""
+        inside = vs.view(np.uint64) < self._id_bound()  # negatives wrap high
+        return vs if inside.all() else vs[inside]
+
     def _base_adjacency(self, vertex: int) -> np.ndarray:
         """``get_adjacency`` over the base store only (no stream overlay)."""
-        neighbors = self._get_adjacency(int(vertex))
+        neighbors = self._get_adjacency(vertex)
         self.stats.adjacency_requests += 1
         self.stats.edges_scanned += len(neighbors)
         self.clock.advance(len(neighbors) * self.cpu.edge_visit_seconds)
@@ -377,11 +402,16 @@ class GraphDB(abc.ABC):
 
     def get_adjacency(self, vertex: int) -> np.ndarray:
         """All locally stored neighbors of ``vertex`` (empty if not local)."""
-        neighbors = self._base_adjacency(vertex)
+        vertex = int(vertex)
+        if 0 <= vertex < self._id_bound():
+            neighbors = self._base_adjacency(vertex)
+        else:
+            self.stats.adjacency_requests += 1
+            neighbors = _EMPTY
         view = self._overlay_view()
         if view is None:
             return neighbors
-        extra = view.adjacency(int(vertex))
+        extra = view.adjacency(vertex)
         if not len(extra):
             return neighbors
         self.stats.edges_scanned += len(extra)
@@ -395,7 +425,7 @@ class GraphDB(abc.ABC):
         plan, and BerkeleyDB's and MySQL's with ``batch_io`` off).
         """
         lists = [self._base_adjacency(v) for v in vertices.tolist()]
-        return np.concatenate(lists) if lists else _EMPTY
+        return np.concatenate(lists)
 
     def _account_fringe(self, lens: np.ndarray) -> None:
         """Count a fringe answer whose per-vertex lists are ``lens`` long:
@@ -418,7 +448,9 @@ class GraphDB(abc.ABC):
         """
         vs = np.asarray(vertices, dtype=np.int64)
         view = self._overlay_view()
-        neighbors = self._expand_fringe(vs)
+        base = self._in_space(vs)
+        self.stats.adjacency_requests += len(vs) - len(base)
+        neighbors = self._expand_fringe(base) if len(base) else _EMPTY
         if view is None:
             return neighbors
         extra = view.fringe(vs)
@@ -429,11 +461,13 @@ class GraphDB(abc.ABC):
         return np.concatenate((neighbors, extra))
 
     def prefetch_fringe(self, vertices) -> int:
-        """Warm storage for a coming fringe expansion; returns blocks fetched.
+        """Warm storage for a coming fringe expansion; returns blocks fetched."""
+        vs = self._in_space(np.asarray(vertices, dtype=np.int64))
+        return self._prefetch_fringe(vs) if len(vs) else 0
 
-        No-op by default; grDB overrides with offset-sorted block prefetch
-        (the paper's §4.2 future-work optimization).
-        """
+    def _prefetch_fringe(self, vertices: np.ndarray) -> int:
+        """No-op by default; grDB overrides with offset-sorted block
+        prefetch (the paper's §4.2 future-work optimization)."""
         return 0
 
     def _census_add(self, vertices: np.ndarray, counts: np.ndarray) -> None:
@@ -515,7 +549,11 @@ class GraphDB(abc.ABC):
         answers match a store holding the same edges natively.
         """
         view = self._overlay_view()
-        yield from self._scan_adjacency(vertices, done)
+        base = vertices
+        if vertices is not None:
+            base = self._in_space(np.asarray(vertices, dtype=np.int64))
+        if base is None or len(base):
+            yield from self._scan_adjacency(base, done)
         if view is None:
             return
         rest = view.batch.vertices

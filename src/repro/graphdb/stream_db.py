@@ -402,8 +402,6 @@ class StreamGraphDB(GraphDB):
         ``stats.edges_scanned`` (the "useful work" figure the edges/s charts
         report) only counts the adjacency entries actually returned.
         """
-        if len(vertices) == 0:
-            return _EMPTY
         wanted = np.unique(vertices)
         replay = self._replay()
         self.stats.adjacency_requests += len(vertices)
@@ -427,9 +425,7 @@ class StreamGraphDB(GraphDB):
         """
         wanted = None
         if vertices is not None:
-            wanted = np.unique(np.asarray(vertices, dtype=np.int64))
-            if len(wanted) == 0:
-                return
+            wanted = np.unique(vertices)
         replay = self._replay()
         if wanted is not None:
             replay = [

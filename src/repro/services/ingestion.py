@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datacutter import END_OF_STREAM, DataCutterRuntime, Filter, FilterGraph
-from ..graphdb.interface import GraphDB
+from ..graphdb.interface import GraphDB, reject_negative_ids
 from ..graphgen.stream import edge_windows, split_for_ingesters
 from ..simcluster.cluster import SimCluster
 from ..util.errors import ConfigError, DeviceFailedError
@@ -254,6 +254,9 @@ class IngestionService:
         (``store_edges`` / ``finalize_ingest`` / ``flush``).
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        # The whole batch or none of it: a back-end must not store its share
+        # of a batch another back-end's share makes ``store_edges`` reject.
+        reject_negative_ids(edges)
         targets = stores if stores is not None else self.dbs
         F, P = self.num_frontends, len(self.dbs)
         # Per-run declusterer protocol: clear any state left by a previous

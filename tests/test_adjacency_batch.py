@@ -174,6 +174,12 @@ def overlay_list(overlay: list, v: int) -> list[int]:
     return out
 
 
+def base_list(db, v: int) -> list[int]:
+    """``v``'s base-store list from the read hook, for an id the store can
+    hold (the hooks see no other: ``GraphDB``'s id-space boundary)."""
+    return db._get_adjacency(v).tolist() if len(db._in_space(np.array([v]))) else []
+
+
 def reference_lists(db, overlay: list, vertices) -> list[tuple[int, list[int]]]:
     """Per vertex, ascending: the base list, then the overlay entries."""
     sources = {int(s) for edges in overlay for s in edges[:, 0]}
@@ -181,7 +187,7 @@ def reference_lists(db, overlay: list, vertices) -> list[tuple[int, list[int]]]:
         wanted = sorted(sources.union(db._local_vertices().tolist()))
     else:
         wanted = np.unique(vertices).tolist()
-    lists = ((v, db._get_adjacency(v).tolist() + overlay_list(overlay, v)) for v in wanted)
+    lists = ((v, base_list(db, v) + overlay_list(overlay, v)) for v in wanted)
     return [(v, lst) for v, lst in lists if lst]
 
 
@@ -210,7 +216,7 @@ def reference_order(db, overlay: list, vertices) -> list[tuple[int, list[int]]]:
     ascending — after the base sweep, for every backend.
     """
     wanted = db._local_vertices() if vertices is None else np.unique(vertices)
-    stored = [v for v in wanted.tolist() if len(db._get_adjacency(v))]
+    stored = [v for v in wanted.tolist() if base_list(db, v)]
     if db.name == "grDB":
         chains = {v: chain_pieces(db, v) for v in stored}
         out = []
@@ -218,7 +224,7 @@ def reference_order(db, overlay: list, vertices) -> list[tuple[int, list[int]]]:
             pending = sorted((chain[r], v) for v, chain in chains.items() if len(chain) > r)
             out.extend((v, piece) for (_, piece), v in pending if piece)
     else:
-        out = [(v, db._get_adjacency(v).tolist()) for v in stored]
+        out = [(v, base_list(db, v)) for v in stored]
     sources = sorted({int(s) for edges in overlay for s in edges[:, 0]})
     if vertices is not None:
         sources = [v for v in sources if v in set(vertices.tolist())]

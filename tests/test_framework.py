@@ -1,13 +1,16 @@
 """End-to-end tests of the MSSG façade across backends and declusterings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import MSSG, MSSGConfig
 from repro.bfs import bfs_distance, bfs_levels, sample_queries_by_distance
-from repro.graphdb import GrDBFormat
+from repro.features import Features
+from repro.graphdb import BACKENDS, GrDBFormat
 from repro.graphgen import CSRGraph, dedupe_edges, preferential_attachment, pubmed_like
-from repro.util import ConfigError
+from repro.util import ConfigError, GraphStorageException
 
 EDGES = dedupe_edges(preferential_attachment(150, 3, seed=8))
 GRAPH = CSRGraph.from_edges(EDGES, num_vertices=150)
@@ -135,3 +138,21 @@ class TestEndToEnd:
             assert r1.result == r2.result
             # Second run benefits from a warm block cache.
             assert r2.seconds <= r1.seconds
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["ingest", "ingest_stream"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_batch_with_a_negative_id_is_rejected_whole(backend, stream):
+    """No back-end keeps its share of a batch ``store_edges`` would refuse
+    elsewhere: the four back-ends that never see ``-3`` store nothing."""
+    features = dataclasses.replace(Features.production(), streaming=stream)
+    with MSSG(MSSGConfig(num_backends=4, backend=backend, features=features)) as mssg:
+        ingest = mssg.ingest_stream if stream else mssg.ingest
+        ingest(np.array([[0, 1], [1, 2]]))
+        held = [(db.local_vertices().tolist(), db.stats.edges_stored) for db in mssg.dbs]
+        good = [[v, v + 1] for v in range(10, 26, 2)]
+        with pytest.raises(GraphStorageException, match="^negative vertex id in store_edges$"):
+            ingest(np.array(good + [[2, -3]]))
+        assert [(db.local_vertices().tolist(), db.stats.edges_stored) for db in mssg.dbs] == held
+        for src, dst in good:
+            assert mssg.query_bfs(src, dst).result is None

@@ -120,24 +120,6 @@ class TestContract:
         assert batch.dtype == np.int64
         assert sorted(batch.tolist()) == sorted([1, 2, 3, 0, 2, 9])
 
-    @pytest.mark.parametrize("finalized", [False, True])
-    def test_ids_outside_the_store_expand_to_nothing(self, backend, finalized):
-        """Past-the-end, far, INT64_MAX and negative ids read as non-local."""
-        db, _ = build(backend)
-        db.store_edges(np.asarray(SAMPLE_EDGES, dtype=np.int64))
-        if finalized:
-            db.finalize_ingest()
-        outside = [8, 999, 2**63 - 1, -1]
-        for v in outside:
-            assert db.get_adjacency(v).tolist() == []
-        requests = db.stats.adjacency_requests
-        assert db.expand_fringe(outside).tolist() == []
-        assert db.expand_fringe(outside + [7]).tolist() == [9]
-        assert db.stats.adjacency_requests == requests + 2 * len(outside) + 1
-        assert list(db.scan_adjacency(outside)) == []
-        (batch,) = db.scan_adjacency(outside + [7])
-        assert [(v, neighbors.tolist()) for v, neighbors in batch] == [(7, [9])]
-
     def test_expand_empty_fringe(self, backend):
         db, _ = build(backend)
         store_and_finalize(db, SAMPLE_EDGES)

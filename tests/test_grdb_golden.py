@@ -14,7 +14,9 @@ store's counters and a digest of the answer must equal the recorded values;
 the answers must also hold each vertex's reference multiset.
 
 Array and HashMap expand the same fringe before and after
-``finalize_ingest``, pinned the same way (they have no device).
+``finalize_ingest``, pinned the same way (they have no device).  HashMap's
+clock holds no hash probe for the negative id: ``GraphDB``'s id-space
+boundary answers it before the store is asked.
 """
 
 import dataclasses
@@ -471,15 +473,15 @@ GOLDEN = {
             None, (575, 0, 0, 3), None,
         ),
         'expand_staged': (
-            '0.0003583', None, None,
+            '0.00035808', None, None,
             None, (575, 457, 15, 3), (457, 'b13458c30b00099a'),
         ),
         'finalize': (
-            '0.0003583', None, None,
+            '0.00035808', None, None,
             None, (575, 457, 15, 3), None,
         ),
         'expand_finalized': (
-            '0.0005900999999999999', None, None,
+            '0.0005896599999999999', None, None,
             None, (575, 914, 30, 3), (457, 'b13458c30b00099a'),
         ),
     },

@@ -136,6 +136,25 @@ class TestPrefetch:
         db.store_edges([(0, 5), (2, 7)])
         assert db.prefetch_fringe(np.array([0, 1, 2, 3])) == 1  # locals 0,1 share a block
 
+    def test_prefetch_plans_nothing_past_the_id_space(self):
+        """An id at or past 2^61 (no grDB sub-block holds it) warms no
+        block; an absent id inside the space plans its level-0 block."""
+        node = make_node()
+        db = GrDB(node.disk, fmt=FMT, clock=node.clock, cache_blocks=64)
+        db.store_edges([(v, v + 100) for v in range(40)])
+        db.flush()
+        db.storage.cache.clear()
+        stats = db.cache_stats
+
+        def plan(v):
+            before = (stats.misses, stats.prefetched, len(db.storage.cache))
+            n = db.prefetch_fringe([v])
+            after = (stats.misses, stats.prefetched, len(db.storage.cache))
+            return n, tuple(b - a for a, b in zip(before, after))
+
+        assert plan(2**61) == plan(2**63 - 1) == (0, (0, 0, 0))
+        assert plan(999) == plan(2**31) == (1, (1, 1, 1))
+
     def test_prefetch_warms_cache_for_expansion(self):
         node = make_node()
         db = GrDB(node.disk, fmt=FMT, clock=node.clock, cache_blocks=64)
