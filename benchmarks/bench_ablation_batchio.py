@@ -1,7 +1,7 @@
-"""Ablation — batched fringe I/O (per-vertex vs batched vs batched+prefetch).
+"""Ablation — batched fringe I/O (per-vertex vs batched).
 
 Not a paper figure: the paper's prototype expanded the fringe one adjacency
-request at a time, and §4.2 leaves batching/prefetching as future work.
+request at a time, and §4.2 leaves offset-sorted fringe reads as future work.
 This ablation measures what that future work buys on the two out-of-core
 backends with a real batched plan: grDB plans each BFS level as one sorted,
 merged sub-block batch (adjacent cold blocks coalesce into single vectored
@@ -10,9 +10,8 @@ the B-tree (dense fringes become one leaf-chain range scan).
 
 Run deliberately cache-starved (8 KB per node instead of the default
 64 KB) so the coalescing is visible at the device: the batched plan issues
-*fewer, larger* reads than the per-vertex loop, and the prefetch pass
-actually pulls cold blocks (counted in ``cache_stats.prefetched``).
-Adjacency results are identical in all three modes — the harness asserts
+*fewer, larger* reads than the per-vertex loop.  Adjacency results are
+identical in both modes — the harness asserts
 every query's BFS distance.
 """
 
@@ -29,11 +28,7 @@ from repro.experiments.report import format_series_table
 #: cache on 16 nodes, so query-time device reads exist to be coalesced.
 CACHE_BYTES = 8 << 10
 
-MODES = (
-    ("per-vertex", False, False),
-    ("batched", True, False),
-    ("batched+prefetch", True, True),
-)
+MODES = (("per-vertex", False), ("batched", True))
 
 
 def _device_stats(mssg):
@@ -52,7 +47,7 @@ def _device_stats(mssg):
 def run_batchio_sweep(backend: str, scale: float, num_queries: int = 6):
     series: dict[str, dict[int, float]] = {}
     aux: dict[str, dict[str, float]] = {}
-    for label, batch_io, prefetch in MODES:
+    for label, batch_io in MODES:
         dep = Deployment(
             backend=backend,
             num_backends=16,
@@ -63,8 +58,7 @@ def run_batchio_sweep(backend: str, scale: float, num_queries: int = 6):
         try:
             before = _device_stats(mssg)
             res = run_search_experiment(
-                PUBMED_S, dep, scale=scale, num_queries=num_queries,
-                mssg=mssg, prefetch=prefetch,
+                PUBMED_S, dep, scale=scale, num_queries=num_queries, mssg=mssg
             )
             after = _device_stats(mssg)
             reads = after["reads"] - before["reads"]
@@ -75,7 +69,6 @@ def run_batchio_sweep(backend: str, scale: float, num_queries: int = 6):
                 "bytes_per_read": (
                     (after["bytes_read"] - before["bytes_read"]) / reads if reads else 0.0
                 ),
-                "prefetched": sum(db.cache_stats.prefetched for db in mssg.dbs),
             }
         finally:
             mssg.close()
@@ -91,7 +84,7 @@ def _render(backend: str, series, aux) -> str:
     for label, a in aux.items():
         lines.append(
             f"  {label:18s} total={a['seconds']:.5f}s device_reads={a['device_reads']:.0f} "
-            f"bytes/read={a['bytes_per_read']:.0f} prefetched={a['prefetched']:.0f}"
+            f"bytes/read={a['bytes_per_read']:.0f}"
         )
     return "\n".join(lines)
 
@@ -106,10 +99,6 @@ def test_ablation_batchio_grdb(benchmark, bench_scale, save_result):
     # fewer reads, each covering at least as many bytes.
     assert aux["batched"]["device_reads"] < aux["per-vertex"]["device_reads"]
     assert aux["batched"]["bytes_per_read"] >= aux["per-vertex"]["bytes_per_read"]
-    # The prefetch pass really pulls cold blocks, and only that mode does.
-    assert aux["batched+prefetch"]["prefetched"] > 0
-    assert aux["per-vertex"]["prefetched"] == 0
-    assert aux["batched"]["prefetched"] == 0
 
 
 def test_ablation_batchio_bdb(benchmark, bench_scale, save_result):
@@ -120,5 +109,3 @@ def test_ablation_batchio_bdb(benchmark, bench_scale, save_result):
 
     # Sorted-key batching amortizes B-tree descents across the fringe.
     assert aux["batched"]["seconds"] < aux["per-vertex"]["seconds"]
-    # Prefetch is a grDB-only plan; BerkeleyDB's no-op must report zero.
-    assert aux["batched+prefetch"]["prefetched"] == 0

@@ -65,6 +65,10 @@ __all__ = [
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: Failover rounds attempted per BFS level (or superstep) before degrading
+#: to a partial result.
+MAX_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class FaultTolerance:
@@ -77,8 +81,6 @@ class FaultTolerance:
     #: Copies of each adjacency partition (must match ingestion-side
     #: replication; 1 means failures can only degrade, never fail over).
     replication: int = 1
-    #: Failover rounds attempted per BFS level before degrading.
-    max_retries: int = 2
     #: Per-attempt expand budget in virtual seconds; an attempt that costs
     #: more is treated like a device failure (straggler demotion).
     #: ``None`` disables the timeout.
@@ -230,7 +232,7 @@ class guard:
         return True
 
 
-def try_expand(ctx, db, cfg, vertices, ft: FTState | None, prefetch: bool = False):
+def try_expand(ctx, db, vertices, ft: FTState | None):
     """Expand ``vertices`` locally; ``None`` means this rank cannot serve.
 
     One guarded attempt (see :class:`guard`): a rank that is already down
@@ -239,8 +241,6 @@ def try_expand(ctx, db, cfg, vertices, ft: FTState | None, prefetch: bool = Fals
     if is_down(ft):
         return None
     with guard(ctx, ft) as attempt:
-        if prefetch:
-            db.prefetch_fringe(vertices)
         # adj_Gi(v) for every vertex; non-local vertices contribute the
         # empty set through the GraphDB contract.
         neighbors = db.expand_fringe(vertices)
@@ -305,7 +305,7 @@ def route_or_drop(vertices: np.ndarray, owners, ft: FTState | None, primary: int
 
 class _RetryRounds:
     """One level's (or superstep's) bounded retry rounds: merging announced
-    deaths, the ``max_retries`` budget, the ``partial`` flag when it runs
+    deaths, the :data:`MAX_RETRIES` budget, the ``partial`` flag when it runs
     out, and the pick-up count.  Every rank feeds it the same announced
     flags, so all ranks run the same number of rounds."""
 
@@ -330,7 +330,7 @@ class _RetryRounds:
     def another(self) -> bool:
         """Spend one retry round; out of budget degrades to ``partial``
         instead of looping forever."""
-        if self.extra >= self.ft.cfg.max_retries:
+        if self.extra >= MAX_RETRIES:
             self.ft.partial = True
             return False
         self.extra += 1
@@ -367,7 +367,7 @@ def serve_once(ctx, ft: FTState | None, candidates, owner_of, attempt, exchange)
     post (a down rank attempts an empty share), and ``exchange(post)`` is
     the round's collective: a generator returning every rank's down flag,
     or ``None`` for no collective.  A death it announces moves the dead
-    rank's share along its chains in another round, within ``max_retries``.
+    rank's share along its chains in another round, within :data:`MAX_RETRIES`.
 
     Routes only move forward along a chain as the dead set grows, so a rank
     is handed a vertex another rank attempted only once that rank is down:
@@ -422,7 +422,7 @@ def prune_known_dead_pending(pending, ft: FTState | None, rank: int, owner_of) -
     return pending[routes == -1]
 
 
-def failover_rounds(ctx, db, cfg, ft: FTState | None, pending, owner_of):
+def failover_rounds(ctx, db, ft: FTState | None, pending, owner_of):
     """Collective per-level failover; returns neighbors recovered here.
 
     Every rank (healthy or dead) must call this at the same point of each
@@ -474,7 +474,7 @@ def failover_rounds(ctx, db, cfg, ft: FTState | None, pending, owner_of):
         mine = np.concatenate(mine)
         retry.picked_up(mine)
         if len(mine):
-            recovered = try_expand(ctx, db, cfg, mine, ft, prefetch=cfg.prefetch)
+            recovered = try_expand(ctx, db, mine, ft)
             if recovered is None:
                 pending = mine  # this replica died too; next round re-routes
             elif len(recovered):

@@ -65,11 +65,8 @@ class BFSConfig:
     #: Vertex-granularity declustering with the globally known GID % p map?
     owner_known: bool = True
     max_levels: int = 64
-    #: Prefetch fringe adjacency storage (offset-sorted) before expanding
-    #: each level — the paper's §4.2 future-work optimization.
-    prefetch: bool = False
-    #: Fault-tolerance knobs (replication factor, retry budget, per-attempt
-    #: timeout).  ``None`` disables the failover protocol entirely and runs
+    #: Fault-tolerance knobs (replication factor, per-attempt timeout,
+    #: replica chains).  ``None`` disables the failover protocol entirely and runs
     #: the original algorithms with zero extra communication.
     ft: FaultTolerance | None = None
     #: Direction-optimizing (push/pull hybrid) knobs.  ``None`` — or an
@@ -263,11 +260,11 @@ def _expand_shard(ctx, db, cfg, fringe, owner_of, ft, bootstrap=False):
     # A device failure (or timeout) turns this rank's whole shard into
     # ``pending``, which the collective failover rounds re-expand on a
     # surviving replica.
-    neighbors = try_expand(ctx, db, cfg, fringe, ft, prefetch=cfg.prefetch)
+    neighbors = try_expand(ctx, db, fringe, ft)
     pending = fringe if neighbors is None else _EMPTY
     if bootstrap:
         pending = prune_known_dead_pending(pending, ft, ctx.comm.rank, route_by)
-    extra = yield from failover_rounds(ctx, db, cfg, ft, pending, route_by)
+    extra = yield from failover_rounds(ctx, db, ft, pending, route_by)
     if neighbors is None:
         return extra
     if len(extra):

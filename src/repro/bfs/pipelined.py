@@ -25,7 +25,7 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
-from .failover import failover_rounds, guard, is_down, prune_known_dead_pending, try_expand
+from .failover import failover_rounds, prune_known_dead_pending, try_expand
 from .oocbfs import _EMPTY, BFSConfig, _outgoing, _search
 from .visited import VisitedLevels
 
@@ -91,11 +91,8 @@ def _pipelined_level(
         buffers[q], buffered[q] = [], 0
 
     pending = _EMPTY
-    if cfg.prefetch and not is_down(ft):
-        with guard(ctx, ft, timed=False):
-            db.prefetch_fringe(fringe)
     for batch_start in range(0, max(len(fringe), 1), poll_batch):
-        neighbors = try_expand(ctx, db, cfg, fringe[batch_start : batch_start + poll_batch], ft)
+        neighbors = try_expand(ctx, db, fringe[batch_start : batch_start + poll_batch], ft)
         if neighbors is None:
             # Device died (or timed out) mid-level: the unexpanded tail of
             # the fringe goes to the failover rounds after the level-end
@@ -149,7 +146,7 @@ def _pipelined_level(
         # pipelined chunk protocol for this level has already settled,
         # so recovered discoveries need their own (always-run, usually
         # empty) exchange to keep the collective order rank-uniform.
-        extra = yield from failover_rounds(ctx, db, cfg, ft, pending, route_by)
+        extra = yield from failover_rounds(ctx, db, ft, pending, route_by)
         if len(extra) and np.any(extra == cfg.dest):
             found_here = True
         fresh = visited.unvisited(np.unique(extra)) if len(extra) else extra

@@ -120,9 +120,6 @@ class MSSGConfig:
     #: :meth:`MSSG.set_fault_plan` instead to arm faults only after
     #: ingestion (virtual clocks restart at 0 for every cluster run).
     fault_plan: FaultPlan | None = None
-    #: Failover rounds attempted per BFS level before degrading to a
-    #: partial result.
-    max_retries: int = 2
     #: Per-attempt expand budget in virtual seconds (``None`` = no limit).
     attempt_timeout: float | None = None
     #: Admission cap for :meth:`MSSG.query_many`: queries beyond this many
@@ -230,7 +227,6 @@ class MSSG:
             # unreplicated one runs it only when faults are expected, so the
             # healthy fast path stays byte-for-byte the original algorithms.
             fault_tolerant=(cfg.replication > 1 or cfg.fault_plan is not None) or None,
-            max_retries=cfg.max_retries,
             attempt_timeout=cfg.attempt_timeout,
             max_inflight=cfg.max_inflight,
         )

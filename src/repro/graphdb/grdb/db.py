@@ -642,28 +642,6 @@ class GrDB(GraphDB):
             more, level, sb = split_pointers(np.concatenate(tails))
             gids = gids[more]
 
-    # -- prefetch (the §4.2 future-work optimization) ---------------------------------
-
-    def _prefetch_fringe(self, vertices: np.ndarray) -> int:
-        """Prefetch the level-0 blocks of a fringe, sorted by file offset.
-
-        Implements the optimization the paper leaves as future work:
-        "introducing some pre-fetching of the adjacency lists of the
-        vertices in the frontier ... sorting the pre-fetch disk accesses by
-        file offsets to reduce the seek overhead."  The fringe is mapped
-        through the id map vectorized and handed to the public coalescing
-        planner (:meth:`GrDBStorage.prefetch_blocks`), which fetches
-        ascending-offset runs in single vectored reads and counts the cold
-        ones in ``cache_stats.prefetched``.  Returns the number of distinct
-        level-0 blocks the fringe plans (already-cached blocks cost
-        nothing but still count toward the plan).
-        """
-        locals_, owned = self.id_map.to_local_many(vertices)
-        if not owned.any():
-            return 0
-        blocks = np.unique(locals_[owned] // self.fmt.subblocks_per_block(0))
-        return self.storage.prefetch_blocks(0, blocks.tolist())
-
     # -- maintenance ------------------------------------------------------------------
 
     def _rebuild_known_locals(self) -> None:

@@ -171,33 +171,6 @@ class GrDBStorage:
                         self.cache.put((level, block), data)
         return out
 
-    def prefetch_blocks(self, level: int, blocks) -> int:
-        """Warm the cache with ``blocks`` (coalesced); returns blocks planned.
-
-        The public face of the §4.2 offset-sorted prefetch: blocks already
-        cached cost nothing, the rest arrive through the same coalescing
-        planner as demand reads and are counted in ``cache.stats.prefetched``.
-        The plan is capped at the cache capacity (warming more would only
-        evict this plan's own earlier blocks), and only blocks actually
-        resident afterwards count as prefetched.  The return value is the
-        number of distinct blocks requested (warm or cold), so callers can
-        reason about fringe locality.
-        """
-        wanted = sorted(set(int(b) for b in blocks))
-        todo = [b for b in wanted if (level, b) not in self.cache]
-        # Plan at most one scan budget's worth: on a shared pool, several
-        # queries prefetching concurrently must not evict each other's (or
-        # their own) freshly warmed blocks, so the cap is per-pass, not
-        # per-capacity.  ``prefetched`` still counts resident-only — blocks
-        # the pass inserted but lost again before this check are excluded.
-        todo = todo[: self.cache.scan_budget()]
-        if todo:
-            self.read_block_batch(level, todo)
-            self.cache.stats.prefetched += sum(
-                1 for b in todo if (level, b) in self.cache
-            )
-        return len(wanted)
-
     def _write_block(self, level: int, block: int, data: bytes) -> None:
         key = (level, block)
         self._written_blocks.add(key)

@@ -282,10 +282,9 @@ class GraphDB(abc.ABC):
     """Abstract base for all six GraphDB Service backends.
 
     Subclasses implement :meth:`_store_edges` and :meth:`_get_adjacency`
-    and may override :meth:`_expand_fringe`, :meth:`_scan_adjacency`,
-    :meth:`_prefetch_fringe` and :meth:`_id_bound`; the base class provides
-    metadata handling, metadata-filtered adjacency, batch fringe expansion,
-    and bookkeeping.  It is also the one id-space boundary: the public reads
+    and may override :meth:`_expand_fringe`, :meth:`_scan_adjacency` and
+    :meth:`_id_bound`; the base class provides metadata handling,
+    metadata-filtered adjacency, batch fringe expansion, and bookkeeping.  It is also the one id-space boundary: the public reads
     hand the read hooks only ids in ``[0, _id_bound())``, and never an empty
     fringe — an id outside counts its adjacency request and answers empty
     without reaching the base store — so no hook tests an id's sign or
@@ -459,16 +458,6 @@ class GraphDB(abc.ABC):
         self.stats.edges_scanned += len(extra)
         self.clock.advance(len(extra) * self.cpu.edge_visit_seconds)
         return np.concatenate((neighbors, extra))
-
-    def prefetch_fringe(self, vertices) -> int:
-        """Warm storage for a coming fringe expansion; returns blocks fetched."""
-        vs = self._in_space(np.asarray(vertices, dtype=np.int64))
-        return self._prefetch_fringe(vs) if len(vs) else 0
-
-    def _prefetch_fringe(self, vertices: np.ndarray) -> int:
-        """No-op by default; grDB overrides with offset-sorted block
-        prefetch (the paper's §4.2 future-work optimization)."""
-        return 0
 
     def _census_add(self, vertices: np.ndarray, counts: np.ndarray) -> None:
         """Add ``counts`` to the out-degree census of ``vertices`` — add, never

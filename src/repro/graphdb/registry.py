@@ -12,7 +12,7 @@ import dataclasses
 
 from ..features import Features
 from ..simcluster.cluster import SimNode
-from ..storage.blockcache import SharedBlockCache
+from ..storage.blockcache import SharedBlockCache, validate_cache_policy
 from ..storage.integrity import wrap_device
 from ..util.errors import ConfigError
 from .array_db import ArrayGraphDB
@@ -42,25 +42,15 @@ def shared_cache_for(node: SimNode, cache_blocks: int, policy: str) -> SharedBlo
 
     Policy ``"lru"`` means "keep the historical private per-store caches",
     so it returns ``None`` and every store builds its own
-    :class:`LRUBlockCache` via the factory.  Any other policy hoists all
+    :class:`LRUBlockCache` via the factory.  Policy ``"2q"`` hoists all
     block caching on the node into one :class:`SharedBlockCache` pool that
     every out-of-core store partitions by owner name.
     """
-    if policy == "lru":
+    if validate_cache_policy(policy) == "lru":
         return None
     pool = getattr(node, "shared_block_cache", None)
-    if pool is not None:
-        if pool.policy != policy:
-            # Silently rebuilding the pool here would discard every resident
-            # block mid-process; two stores on one node disagreeing about
-            # the policy is a deployment bug, not something to paper over.
-            raise ConfigError(
-                f"node already has a {pool.policy!r} shared block cache; "
-                f"cannot attach a store requesting cache_policy={policy!r}"
-            )
-        return pool
-    pool = SharedBlockCache(cache_blocks, policy=policy)
-    node.shared_block_cache = pool
+    if pool is None:
+        pool = node.shared_block_cache = SharedBlockCache(cache_blocks)
     return pool
 
 

@@ -140,7 +140,6 @@ class QueryService:
         features: Features,
         num_frontends: int = 0,
         fault_tolerant: bool | None = None,
-        max_retries: int = 2,
         attempt_timeout: float | None = None,
         max_inflight: int = 64,
     ):
@@ -159,7 +158,6 @@ class QueryService:
         self.fault_tolerant = (
             self.replication > 1 if fault_tolerant is None else fault_tolerant
         )
-        self.max_retries = max_retries
         self.attempt_timeout = attempt_timeout
         #: Read once per query or drain, never per edge or block:
         #: ``direction_opt`` / ``shared_scans`` (plan defaults a query / a
@@ -174,9 +172,9 @@ class QueryService:
         #: Queries accepted by :meth:`submit`, awaiting the next :meth:`drain`.
         self._submitted: list[QuerySpec] = []
         #: Vertex-id space size, recorded at ingest time (and from the
-        #: recovered deltas when a streaming deployment reopens); sizes the
-        #: vertex programs' state.  ``None``: nothing ingested through the
-        #: façade.  BFS reads it through :meth:`_id_space`.
+        #: recovered deltas when a streaming deployment reopens).  ``None``:
+        #: nothing ingested through the façade.  Read only through
+        #: :meth:`_id_space`, which BFS and the vertex programs size from.
         self.num_vertices: int | None = None
         #: Endpoints (two per edge) ingested through the façade; ``None``
         #: once the deployment reopened storage it did not write, which may
@@ -314,7 +312,6 @@ class QueryService:
         # rebalance pass — is what every shard routes by.
         return FaultTolerance(
             replication=self.replication,
-            max_retries=self.max_retries,
             attempt_timeout=self.attempt_timeout,
             chains=self.declusterer.chain_map(),
             known_dead=frozenset(self.known_dead),
@@ -340,7 +337,7 @@ class QueryService:
         """The vertex->owner map rank programs route by (``None``: unknown)."""
         return self.declusterer.owner_of if self.declusterer.owner_known else None
 
-    def _bfs_config(self, source, dest, max_levels, prefetch, direction, marks=False) -> BFSConfig:
+    def _bfs_config(self, source, dest, max_levels, direction, marks=False) -> BFSConfig:
         """One search's config, solo (:meth:`_run_bfs`) or drained."""
         return BFSConfig(
             source=int(source),
@@ -348,7 +345,6 @@ class QueryService:
             num_vertices=self._id_space(),
             owner_known=self.declusterer.owner_known,
             max_levels=max_levels,
-            prefetch=prefetch,
             ft=self._ft(),
             direction=direction,
             level_marks=marks,
@@ -361,7 +357,6 @@ class QueryService:
         dest,
         visited="memory",
         max_levels=64,
-        prefetch=False,
         direction_opt=None,
         direction_schedule=None,
         **alg_kw,
@@ -373,7 +368,7 @@ class QueryService:
         per-query parameters are the same for all of them.
         """
         cfg = self._bfs_config(
-            source, dest, max_levels, prefetch, self._direction(direction_opt, direction_schedule)
+            source, dest, max_levels, self._direction(direction_opt, direction_schedule)
         )
         owner_of = self._owner_of()
         self._visited_seq += 1
@@ -398,7 +393,6 @@ class QueryService:
         deadline: float | None = None,
         visited: str = "memory",
         max_levels: int = 64,
-        prefetch: bool = False,
         direction_opt: bool | None = None,
         direction_schedule=None,
         analysis: str = "bfs",
@@ -434,7 +428,6 @@ class QueryService:
                 deadline=deadline,
                 visited=visited,
                 max_levels=int(max_levels),
-                prefetch=bool(prefetch),
                 direction_opt=direction_opt,
                 direction_schedule=(
                     tuple(direction_schedule) if direction_schedule else None
@@ -490,7 +483,6 @@ class QueryService:
                 s.source,
                 s.dest,
                 s.max_levels,
-                s.prefetch,
                 self._direction(s.direction_opt, s.direction_schedule),
                 marks=True,
             )

@@ -61,7 +61,6 @@ class QuerySpec:
     deadline: float | None = None
     visited: str = "memory"
     max_levels: int = 64
-    prefetch: bool = False
     direction_opt: bool | None = None
     direction_schedule: tuple | None = None
     #: Which registered analysis runs this query: ``"bfs"`` (the default

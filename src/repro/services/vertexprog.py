@@ -268,7 +268,7 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     if not prog.needs_source:
         # Flat batch expansion (the top-down BFS plan): values are
         # per-superstep constants, so only destinations matter.
-        dsts = try_expand(ctx, db, None, todo, ft)
+        dsts = try_expand(ctx, db, todo, ft)
         if dsts is None:
             return empty_post, False
         vals = np.full(len(dsts), prog.constant_value(superstep), dtype=np.float64)
@@ -719,13 +719,14 @@ def make_vp_generator(service, analysis: str, params: dict, level_marks: bool):
     Shared by the solo path and the concurrent multiplexer; raises
     :class:`ConfigError` for unknown analyses or an unsized id space.
     """
-    if service.num_vertices is None:
+    n = service._id_space()
+    if n is None:
         raise ConfigError(
             f"{analysis!r} needs the vertex-id space size; ingest through the "
-            "MSSG facade first"
+            "MSSG facade first (reopened storage has no known size)"
         )
     cfg = VPConfig(
-        num_vertices=service.num_vertices,
+        num_vertices=n,
         owner_known=service.declusterer.owner_known,
         ft=service._ft(),
         dense_beta=params.get("dense_beta", DENSE_BETA),

@@ -12,19 +12,15 @@ measures.
 rank: every storage engine on the rank takes a :class:`CachePartition` view
 (an owner-namespaced facade with the full ``LRUBlockCache`` API), so all
 in-flight queries and all engines of a back-end compete for — and benefit
-from — the same resident set.  Two eviction policies:
-
-``"lru"``
-    One global LRU; with a single owner this is bit-identical to a private
-    :class:`LRUBlockCache` (the paper-faithful configuration).
-
-``"2q"``
-    Scan-resistant two-segment eviction (segmented LRU): first-touch blocks
-    enter a *probation* segment and only a re-reference promotes them to
-    the *protected* segment; eviction drains probation first.  A bottom-up
-    sweep streaming the whole graph can therefore never wipe out another
-    query's hot top-down working set — it churns through probation while
-    protected blocks survive.
+from — the same resident set.  The pool is the ``"2q"`` cache policy:
+scan-resistant two-segment eviction (segmented LRU), where first-touch
+blocks enter a *probation* segment and only a re-reference promotes them to
+the *protected* segment; eviction drains probation first.  A bottom-up
+sweep streaming the whole graph can therefore never wipe out another
+query's hot top-down working set — it churns through probation while
+protected blocks survive.  The ``"lru"`` policy (the paper-faithful
+configuration) builds no pool: every engine keeps a private
+:class:`LRUBlockCache`.
 
 Engines must obtain caches through :func:`make_block_cache` — the factory
 is the one place private ``LRUBlockCache`` construction is allowed, which
@@ -56,7 +52,8 @@ def validate_cache_policy(policy: str) -> str:
     """Validate a ``cache_policy`` knob value; returns it unchanged.
 
     The single source of truth for the error: ``Features`` and the pool
-    constructor both call this instead of re-validating in their own words.
+    registry (``shared_cache_for``) both call this instead of re-validating
+    in their own words.
     """
     if policy not in CACHE_POLICIES:
         raise ConfigError(
@@ -71,9 +68,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
-    #: Blocks pulled in ahead of demand by a batched prefetch planner
-    #: (``GrDBStorage.prefetch_blocks``); a subset of ``misses``.
-    prefetched: int = 0
 
     @property
     def accesses(self) -> int:
@@ -262,34 +256,29 @@ class SharedBlockCache:
 
     Entries are namespaced by ``(owner, key)``; each owner attaches through
     :meth:`partition`, which hands back a :class:`CachePartition` exposing
-    the familiar per-engine cache API.  Hit/miss/prefetch accounting is
-    attributed to the accessing partition and evictions/write-backs to the
-    partition owning the evicted block, so in the single-owner ``"lru"``
-    configuration the partition's ``stats`` are bit-identical to a private
-    :class:`LRUBlockCache`'s.
+    the familiar per-engine cache API.  Hit/miss accounting is attributed
+    to the accessing partition and evictions/write-backs to the partition
+    owning the evicted block.
 
-    ``policy="2q"`` splits the pool into probation + protected segments
-    (scan resistance; see module docstring).  The protected segment holds
-    at most 3/4 of capacity; a probation hit promotes, demoting the
-    protected LRU back to probation rather than evicting it.
+    The pool is split into probation + protected segments (scan resistance;
+    see module docstring).  The protected segment holds at most 3/4 of
+    capacity; a probation hit promotes, demoting the protected LRU back to
+    probation rather than evicting it.
     """
 
-    #: Fraction of capacity the protected segment may occupy under "2q".
+    #: Fraction of capacity the protected segment may occupy.
     PROTECTED_FRACTION = 0.75
 
-    def __init__(self, capacity_blocks: int, policy: str = "lru"):
+    def __init__(self, capacity_blocks: int):
         if capacity_blocks < 0:
             raise StorageEngineError("cache capacity cannot be negative")
-        validate_cache_policy(policy)
         self.capacity = capacity_blocks
-        self.policy = policy
         self._protected_cap = (
             max(1, int(capacity_blocks * self.PROTECTED_FRACTION))
             if capacity_blocks
             else 0
         )
-        # "lru": all blocks live in _probation (single global LRU order);
-        # "2q": _probation is the first-touch segment, _protected the
+        # _probation is the first-touch segment, _protected the
         # re-referenced one.  _pinned holds blocks exempt from eviction;
         # its share is subtracted from what probation/protected may use.
         # Keys are (owner, key) pairs throughout.
@@ -342,17 +331,14 @@ class SharedBlockCache:
         The pinned segment is off-limits to everyone: the budget is computed
         over the *free* share (capacity minus pinned blocks), so a
         whole-graph analytics sweep never evicts a pinned block.  Within the
-        free share: under ``"2q"`` a pass's first-touch blocks can only
-        displace other probation blocks, so the budget is the probation
-        segment's size — capping batch inserts there keeps a giant scan from
-        monopolizing even probation.  Under ``"lru"`` there is no protected segment and
-        the budget is the whole free share (the private-cache behavior).
-        A fully-pinned pool has budget 0: a scan may cache nothing.
+        free share a pass's first-touch blocks can only displace other
+        probation blocks, so the budget is the probation segment's size —
+        capping batch inserts there keeps a giant scan from monopolizing
+        even probation.  A fully-pinned pool has budget 0: a scan may cache
+        nothing.
         """
         free = self._free_capacity()
-        if self.policy == "2q":
-            return max(0, free - self._protected_cap) or min(1, free)
-        return free
+        return max(0, free - self._protected_cap) or min(1, free)
 
     # -- core operations (called through CachePartition) --------------------
 
@@ -365,15 +351,12 @@ class SharedBlockCache:
             return data
         data = self._probation.get(k)
         if data is not None:
-            if self.policy == "2q":
-                # Re-reference: promote to protected, demoting its LRU.
-                del self._probation[k]
-                self._protected[k] = data
-                while len(self._protected) > self._protected_cap:
-                    old_k, old_data = self._protected.popitem(last=False)
-                    self._probation[old_k] = old_data
-            else:
-                self._probation.move_to_end(k)
+            # Re-reference: promote to protected, demoting its LRU.
+            del self._probation[k]
+            self._protected[k] = data
+            while len(self._protected) > self._protected_cap:
+                old_k, old_data = self._protected.popitem(last=False)
+                self._probation[old_k] = old_data
             part.stats.hits += 1
             self.stats.hits += 1
             return data

@@ -266,20 +266,6 @@ def test_compressed_grdb_virtual_clock_is_pinned():
     }
 
 
-def test_grdb_prefetch_fringe_counts_and_warms():
-    db = build("grDB", batch_io=True)
-    db.flush()
-    db.storage.cache.clear()
-    fringe = np.arange(64)
-    planned = db.prefetch_fringe(fringe)
-    k = db.fmt.subblocks_per_block(0)
-    assert planned == len(np.unique(fringe // k))
-    assert db.cache_stats.prefetched == planned  # all cold after clear()
-    # Prefetching again fetches nothing new but reports the same plan.
-    assert db.prefetch_fringe(fringe) == planned
-    assert db.cache_stats.prefetched == planned
-
-
 class TestReadv:
     def make_device(self) -> BlockDevice:
         dev = BlockDevice(MemoryBacking())

@@ -71,61 +71,61 @@ GOLDEN_SHA256 = {
 
 #: Per phase: ``repr(clock.now)``, the device's (reads, writes, bytes read,
 #: bytes written, seeks), the page cache's (hits, misses, evictions,
-#: writebacks, prefetched), then ``db.stats``.
+#: writebacks), then ``db.stats``.
 GOLDEN_PHASES = {
     "2q-4": {
         "ingest": (
             "17.073878144445946",
             (570, 1885, 2334720, 7720960, 2110),
-            (10743, 570, 1660, 1524, 0),
+            (10743, 570, 1660, 1524),
             (10300, 0, 0, 3),
         ),
         "get_adjacency": (
             "28.229859384440886",
             (2014, 1885, 8249344, 7720960, 3494),
-            (12290, 2014, 3104, 1524, 0),
+            (12290, 2014, 3104, 1524),
             (10300, 10300, 605, 3),
         ),
         "expand_batched_small": (
             "28.433079654440817",
             (2051, 1885, 8400896, 7720960, 3519),
-            (12303, 2051, 3141, 1524, 0),
+            (12303, 2051, 3141, 1524),
             (10300, 16129, 614, 3),
         ),
         "expand_per_vertex_small": (
             "28.66845280444074",
             (2091, 1885, 8564736, 7720960, 3548),
-            (12317, 2091, 3181, 1524, 0),
+            (12317, 2091, 3181, 1524),
             (10300, 21958, 623, 3),
         ),
         "expand_batched_large": (
             "30.94008108444009",
             (2384, 1885, 9764864, 7720960, 3830),
-            (12321, 2384, 3474, 1524, 0),
+            (12321, 2384, 3474, 1524),
             (10300, 28066, 667, 3),
         ),
         "expand_per_vertex_large": (
             "32.278574924439916",
             (2563, 1885, 10498048, 7720960, 3996),
-            (12380, 2563, 3653, 1524, 0),
+            (12380, 2563, 3653, 1524),
             (10300, 34174, 711, 3),
         ),
         "scan_all": (
             "34.55667620444127",
             (2856, 1885, 11698176, 7720960, 4279),
-            (12384, 2856, 3946, 1524, 0),
+            (12384, 2856, 3946, 1524),
             (10300, 34174, 711, 3),
         ),
         "scan_subset": (
             "36.83477748444262",
             (3149, 1885, 12898304, 7720960, 4562),
-            (12388, 3149, 4239, 1524, 0),
+            (12388, 3149, 4239, 1524),
             (10300, 34174, 711, 3),
         ),
         "local_vertices": (
             "39.11287876444397",
             (3442, 1885, 14098432, 7720960, 4845),
-            (12392, 3442, 4532, 1524, 0),
+            (12392, 3442, 4532, 1524),
             (10300, 34174, 711, 3),
         ),
     },
@@ -133,55 +133,55 @@ GOLDEN_PHASES = {
         "ingest": (
             "5.60708603777796",
             (116, 826, 475136, 3383296, 685),
-            (11197, 116, 221, 465, 0),
+            (11197, 116, 221, 465),
             (10300, 0, 0, 3),
         ),
         "get_adjacency": (
             "8.414584717777428",
             (474, 826, 1941504, 3383296, 1031),
-            (13830, 474, 579, 465, 0),
+            (13830, 474, 579, 465),
             (10300, 10300, 605, 3),
         ),
         "expand_batched_small": (
             "8.440862907777447",
             (488, 826, 1998848, 3383296, 1034),
-            (13866, 488, 593, 465, 0),
+            (13866, 488, 593, 465),
             (10300, 16129, 614, 3),
         ),
         "expand_per_vertex_small": (
             "8.442597657777469",
             (488, 826, 1998848, 3383296, 1034),
-            (13920, 488, 593, 465, 0),
+            (13920, 488, 593, 465),
             (10300, 21958, 623, 3),
         ),
         "expand_batched_large": (
             "10.69769345777782",
             (768, 826, 3145728, 3383296, 1314),
-            (13937, 768, 873, 465, 0),
+            (13937, 768, 873, 465),
             (10300, 28066, 667, 3),
         ),
         "expand_per_vertex_large": (
             "10.854043297777961",
             (797, 826, 3264512, 3383296, 1333),
-            (14146, 797, 902, 465, 0),
+            (14146, 797, 902, 465),
             (10300, 34174, 711, 3),
         ),
         "scan_all": (
             "12.745768897778284",
             (1032, 826, 4227072, 3383296, 1568),
-            (14208, 1032, 1137, 465, 0),
+            (14208, 1032, 1137, 465),
             (10300, 34174, 711, 3),
         ),
         "scan_subset": (
             "15.039993057778636",
             (1328, 826, 5439488, 3383296, 1853),
-            (14209, 1328, 1433, 465, 0),
+            (14209, 1328, 1433, 465),
             (10300, 34174, 711, 3),
         ),
         "local_vertices": (
             "17.33421721777841",
             (1624, 826, 6651904, 3383296, 2138),
-            (14210, 1624, 1729, 465, 0),
+            (14210, 1624, 1729, 465),
             (10300, 34174, 711, 3),
         ),
     },

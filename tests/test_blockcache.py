@@ -3,9 +3,9 @@
 Complements ``test_pagedfile_cache.py`` with the behaviors the batched
 fringe I/O path leans on: multi-block eviction order, flush idempotence
 under interleaved dirtying, capacity-0 pass-through with dirty puts, the
-hit/miss/prefetched accounting of ``GrDBStorage.read_block_batch`` /
-``prefetch_blocks``, the one cache-policy validator, the pinned segment of
-both caches and the scan budget a streaming pass may insert.
+hit/miss accounting of ``GrDBStorage.read_block_batch``, the one
+cache-policy validator, the pinned segment of both caches and the scan
+budget a streaming pass may insert.
 """
 
 import pytest
@@ -23,8 +23,6 @@ from repro.storage.blockcache import (
     validate_cache_policy,
 )
 from repro.util.errors import ConfigError, StorageEngineError
-
-from .helpers import make_store
 
 FMT = GrDBFormat(
     capacities=(2, 4),
@@ -187,48 +185,6 @@ class TestCoalescedReads:
             assert batch[b] == st2._read_block(0, b)
 
 
-class TestPrefetchAccounting:
-    def test_prefetch_counts_cold_blocks_only(self):
-        st = make_storage()
-        k = FMT.subblocks_per_block(0)
-        for b in range(3):
-            st.write_subblock(0, b * k, filled_subblock(b + 1))
-        st.flush()
-        st.cache.clear()
-        st._read_block(0, 1)  # warm one block by demand
-        n = st.prefetch_blocks(0, [0, 1, 2])
-        assert n == 3  # the plan covers all three blocks...
-        assert st.cache.stats.prefetched == 2  # ...but only two were cold
-
-    def test_prefetch_idempotent(self):
-        st = make_storage()
-        k = FMT.subblocks_per_block(0)
-        st.write_subblock(0, 0, filled_subblock(1))
-        st.write_subblock(0, k, filled_subblock(2))
-        st.flush()
-        st.cache.clear()
-        assert st.prefetch_blocks(0, [0, 1]) == 2
-        assert st.cache.stats.prefetched == 2
-        assert st.prefetch_blocks(0, [0, 1]) == 2  # plan unchanged
-        assert st.cache.stats.prefetched == 2  # nothing new fetched
-
-    def test_prefetch_empty_plan(self):
-        st = make_storage()
-        assert st.prefetch_blocks(0, []) == 0
-        assert st.cache.stats.prefetched == 0
-
-    def test_prefetched_blocks_hit_on_demand(self):
-        st = make_storage()
-        k = FMT.subblocks_per_block(0)
-        st.write_subblock(0, 0, filled_subblock(7))
-        st.flush()
-        st.cache.clear()
-        st.prefetch_blocks(0, [0])
-        hits_before = st.cache.stats.hits
-        st.read_subblock(0, 0)
-        assert st.cache.stats.hits == hits_before + 1
-
-
 class TestBatchCapacityCap:
     """A plan larger than the cache must not thrash the cache against
     itself: later inserts of the same batch would evict its earlier blocks
@@ -258,26 +214,6 @@ class TestBatchCapacityCap:
         out = st.read_block_batch(0, range(5))
         for b in range(5):
             assert out[b][: FMT.subblock_bytes(0)] == filled_subblock(b + 1)
-
-    def test_prefetch_plan_capped_at_capacity(self):
-        st = make_storage(cache_blocks=2)
-        self._filled(st, range(5))
-        st.flush()
-        st.cache.drop()
-        n = st.prefetch_blocks(0, range(5))
-        assert n == 5  # the request covered five distinct blocks...
-        assert st.cache.stats.prefetched == 2  # ...but only capacity warmed
-        # Every block counted as prefetched is actually resident.
-        assert len(st.cache) == 2
-
-    def test_prefetch_counts_only_resident_blocks(self):
-        st = make_storage(cache_blocks=3)
-        self._filled(st, range(3))
-        st.flush()
-        st.cache.drop()
-        st.prefetch_blocks(0, [0, 1, 2])
-        assert st.cache.stats.prefetched == 3
-        assert all((0, b) in st.cache for b in range(3))
 
 
 class TestAllocatorGuards:
@@ -331,38 +267,9 @@ class TestCachePolicyValidation:
     def test_config_and_pool_use_the_same_wording(self):
         with pytest.raises(ConfigError) as from_config:
             MSSGConfig(cache_policy="mru")
-        with pytest.raises(ConfigError) as from_pool:
-            SharedBlockCache(8, policy="mru")
         with pytest.raises(ConfigError) as from_registry:
             shared_cache_for(SimNode(0, NodeSpec()), 8, "mru")
-        assert str(from_config.value) == str(from_pool.value) == str(from_registry.value)
-
-    def test_registry_rejects_policy_mismatch_on_existing_pool(self):
-        node = SimNode(0, NodeSpec())
-        pool = shared_cache_for(node, 8, "2q")
-        assert pool is node.shared_block_cache
-        # Same policy re-attaches to the same pool; "lru" means private
-        # caches, not a pool at all.
-        assert shared_cache_for(node, 8, "2q") is pool
-        assert shared_cache_for(node, 8, "lru") is None
-        # A pool built with a different (valid) policy — e.g. installed
-        # explicitly by an embedding application — must be rejected, not
-        # silently rebuilt.
-        node2 = SimNode(1, NodeSpec())
-        node2.shared_block_cache = SharedBlockCache(8, policy="lru")
-        with pytest.raises(ConfigError, match="already has a 'lru' shared block cache"):
-            make_store("grDB", node2, cache_blocks=8, cache_policy="2q")
-
-    def test_registry_mismatch_does_not_rebuild_pool(self):
-        node = SimNode(0, NodeSpec())
-        node.shared_block_cache = pool = SharedBlockCache(8, policy="lru")
-        keeper = pool.partition("keeper")
-        keeper.put("hot", b"x")
-        with pytest.raises(ConfigError):
-            shared_cache_for(node, 8, "2q")
-        assert node.shared_block_cache is pool
-        assert keeper.get("hot") == b"x"  # pool untouched
-
+        assert str(from_config.value) == str(from_registry.value)
 
 class TestLRUPinning:
     def test_pinned_blocks_survive_a_sweep(self):
@@ -419,8 +326,8 @@ class TestLRUPinning:
 
 
 class TestSharedPinning:
-    def _pool(self, capacity, policy="2q"):
-        pool = SharedBlockCache(capacity, policy=policy)
+    def _pool(self, capacity):
+        pool = SharedBlockCache(capacity)
         return pool, pool.partition("eng")
 
     def test_pinned_blocks_survive_a_sweep(self):
@@ -445,7 +352,7 @@ class TestSharedPinning:
             part.put("dir", b"D2", dirty=True)
 
     def test_unpin_then_eviction(self):
-        pool, part = self._pool(2, policy="lru")
+        pool, part = self._pool(2)
         part.pin("dir", b"D")
         part.unpin("dir")
         assert pool.pinned_blocks == 0
@@ -486,11 +393,11 @@ class TestScanBudget:
         # A tiny pool still grants a positive budget so a streaming pass can
         # make progress one block at a time instead of livelocking.
         assert LRUBlockCache(1).scan_budget() == 1
-        assert SharedBlockCache(1, policy="2q").scan_budget() == 1
-        assert SharedBlockCache(0, policy="2q").scan_budget() == 0
+        assert SharedBlockCache(1).scan_budget() == 1
+        assert SharedBlockCache(0).scan_budget() == 0
 
     def test_2q_budget_is_probation_share(self):
-        pool = SharedBlockCache(16, policy="2q")
+        pool = SharedBlockCache(16)
         # protected cap = 12, so a scan may churn the 4 probation slots.
         assert pool.scan_budget() == 4
         assert pool.partition("eng").scan_budget() == 4
@@ -498,7 +405,7 @@ class TestScanBudget:
     def test_2q_with_empty_protected_segment(self):
         # Whether protected is populated is irrelevant: the budget reserves
         # the protected *cap*, so it is identical before and after promotion.
-        pool = SharedBlockCache(16, policy="2q")
+        pool = SharedBlockCache(16)
         part = pool.partition("eng")
         empty_budget = pool.scan_budget()
         part.put("hot", b"H")
@@ -509,10 +416,10 @@ class TestScanBudget:
         # 4 blocks -> protected cap 3 -> naive budget 1; shrink to 2 blocks
         # -> protected cap 1 -> budget 1 as well.  Never 0 while free > 0.
         for cap in (2, 3, 4):
-            assert SharedBlockCache(cap, policy="2q").scan_budget() >= 1
+            assert SharedBlockCache(cap).scan_budget() >= 1
 
     def test_fully_pinned_pool_has_zero_budget(self):
-        pool = SharedBlockCache(2, policy="2q")
+        pool = SharedBlockCache(2)
         part = pool.partition("eng")
         part.pin("d0", b"0")
         part.pin("d1", b"1")
@@ -523,15 +430,8 @@ class TestScanBudget:
         assert part.get("x") is None
         assert part.get("d0") == b"0"
 
-    def test_lru_policy_pool_budget_shrinks_with_pinning(self):
-        pool = SharedBlockCache(8, policy="lru")
-        part = pool.partition("eng")
-        assert pool.scan_budget() == 8
-        part.pin("dir", b"D")
-        assert pool.scan_budget() == 7
-
     def test_partition_of_factory_exposes_budget(self):
-        pool = SharedBlockCache(16, policy="2q")
+        pool = SharedBlockCache(16)
         part = make_block_cache(0, shared=pool, owner="eng")
         assert isinstance(part, CachePartition)
         assert part.scan_budget() == pool.scan_budget()

@@ -33,7 +33,14 @@ from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.bfs import FaultTolerance, FTState
-from repro.bfs.failover import guard, is_down, responsibility, route_to_replicas, serve_once
+from repro.bfs.failover import (
+    MAX_RETRIES,
+    guard,
+    is_down,
+    responsibility,
+    route_to_replicas,
+    serve_once,
+)
 from repro.graphgen import pubmed_like
 from repro.simcluster import DiskFault, FaultPlan, SimCluster
 from repro.util import CorruptBlockError, DeviceFailedError
@@ -491,7 +498,7 @@ def test_serve_once_serves_each_reachable_candidate_once_through_deaths(cluster,
     runs = SimCluster(p).run(program)
     # Every rank runs the same number of exchanges, within the budget, and
     # ends on the same dead set.
-    assert len({n for _, _, n, _ in runs}) == 1 and runs[0][2] <= 1 + cfg.max_retries
+    assert len({n for _, _, n, _ in runs}) == 1 and runs[0][2] <= 1 + MAX_RETRIES
     assert all(flags == [q in down for q in range(p)] for *_, flags in runs)
     # No rank attempts a vertex twice; with deaths in round 1 only, no two
     # ranks that survived their round do either.

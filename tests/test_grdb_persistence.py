@@ -1,4 +1,4 @@
-"""Tests for grDB persistence (superblock + reopen) and fringe prefetch."""
+"""Tests for grDB persistence (superblock + reopen)."""
 
 import numpy as np
 import pytest
@@ -119,84 +119,3 @@ class TestPersistence:
         st.flush()
         st.cache.drop()
         assert st.read_subblock(0, 0) == b"\x01" * sub
-
-
-class TestPrefetch:
-    def test_prefetch_counts_blocks(self):
-        node = make_node()
-        db = GrDB(node.disk, fmt=FMT, clock=node.clock)
-        db.store_edges([(v, v + 100) for v in range(40)])
-        n = db.prefetch_fringe(np.arange(40))
-        # 40 vertices over 16-subblock level-0 blocks -> 3 distinct blocks.
-        assert n == 3
-
-    def test_prefetch_skips_unowned(self):
-        node = make_node()
-        db = GrDB(node.disk, fmt=FMT, clock=node.clock, id_map=ModuloMap(2, 0))
-        db.store_edges([(0, 5), (2, 7)])
-        assert db.prefetch_fringe(np.array([0, 1, 2, 3])) == 1  # locals 0,1 share a block
-
-    def test_prefetch_plans_nothing_past_the_id_space(self):
-        """An id at or past 2^61 (no grDB sub-block holds it) warms no
-        block; an absent id inside the space plans its level-0 block."""
-        node = make_node()
-        db = GrDB(node.disk, fmt=FMT, clock=node.clock, cache_blocks=64)
-        db.store_edges([(v, v + 100) for v in range(40)])
-        db.flush()
-        db.storage.cache.clear()
-        stats = db.cache_stats
-
-        def plan(v):
-            before = (stats.misses, stats.prefetched, len(db.storage.cache))
-            n = db.prefetch_fringe([v])
-            after = (stats.misses, stats.prefetched, len(db.storage.cache))
-            return n, tuple(b - a for a, b in zip(before, after))
-
-        assert plan(2**61) == plan(2**63 - 1) == (0, (0, 0, 0))
-        assert plan(999) == plan(2**31) == (1, (1, 1, 1))
-
-    def test_prefetch_warms_cache_for_expansion(self):
-        node = make_node()
-        db = GrDB(node.disk, fmt=FMT, clock=node.clock, cache_blocks=64)
-        db.store_edges([(v, v + 100) for v in range(40)])
-        db.flush()
-        db.storage.cache.clear()
-        db.prefetch_fringe(np.arange(40))
-        hits_before = db.cache_stats.hits
-        for v in range(40):
-            db.get_adjacency(v)
-        # Level-0 lookups all hit the warmed cache.
-        assert db.cache_stats.hits - hits_before >= 3
-
-    def test_prefetched_bfs_same_answer(self):
-        from repro import MSSG, MSSGConfig
-        from repro.graphgen import dedupe_edges, preferential_attachment
-
-        edges = dedupe_edges(preferential_attachment(150, 3, seed=2))
-        with MSSG(MSSGConfig(num_backends=2, backend="grDB", grdb_format=FMT)) as mssg:
-            mssg.ingest(edges)
-            plain = mssg.query_bfs(0, 140)
-            prefetched = mssg.query_bfs(0, 140, prefetch=True)
-            assert plain.result == prefetched.result
-
-    def test_prefetch_reduces_cold_seeks(self):
-        """Offset-sorted prefetch turns scattered level-0 reads into runs."""
-        spec = NodeSpec()
-        rng = np.random.default_rng(1)
-        vertices = rng.permutation(200)[:80]
-
-        def cold_seeks(prefetch: bool) -> int:
-            node = SimNode(0, spec)
-            db = GrDB(node.disk, fmt=FMT, clock=node.clock, cache_blocks=512)
-            db.store_edges([(int(v), int(v) + 1000) for v in range(200)])
-            db.flush()
-            db.storage.cache.clear()
-            for dev in node._disks.values():
-                dev.stats.seeks = 0
-            if prefetch:
-                db.prefetch_fringe(vertices)
-            for v in vertices:
-                db.get_adjacency(int(v))
-            return sum(dev.stats.seeks for dev in node._disks.values())
-
-        assert cold_seeks(True) <= cold_seeks(False)

@@ -313,3 +313,26 @@ class TestRegistry:
             finally:
                 PROGRAM_FACTORIES.pop("max-label", None)
                 RESULT_SHAPERS.pop("max-label", None)
+
+
+# --- Reopened storage: the id space is unknown. ----------------------------
+
+
+@pytest.mark.parametrize("entry", ["query", "query_many"])
+@pytest.mark.parametrize("backend", ["grDB", "StreamDB"])
+def test_vertex_programs_refuse_reopened_storage(tmp_path, backend, entry):
+    # The stored base holds ids up to ~300, the ingest after the reopen only
+    # 0..3: state sized from the latter would be indexed past its end.
+    def deploy():
+        return _mssg(backend=backend, num_backends=2, storage_dir=str(tmp_path))
+
+    with deploy() as first:
+        first.ingest(pubmed_like(300, seed=1))
+    with deploy() as reopened:
+        reopened.ingest([[0, 1], [2, 3]])
+        for analysis in ("components", "pagerank"):
+            with pytest.raises(ConfigError, match="reopened storage"):
+                if entry == "query":
+                    reopened.query(analysis)
+                else:
+                    reopened.query_many([], analytics=[analysis])

@@ -1,5 +1,6 @@
 """Print the line count and the code-only line count of a source tree,
-and its option count: the fields of ``Features`` and of ``MSSGConfig``.
+and its option count: the fields of ``Features`` and of ``MSSGConfig``
+(a deployment's options) and of ``QuerySpec`` (one query's options).
 
 Code-only lines carry at least one token that is not a comment, excluding
 module, class and function docstrings.  Usage: ``python tools/loc.py [src]``.
@@ -13,8 +14,8 @@ from pathlib import Path
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-#: The dataclasses whose fields are a deployment's options.
-OPTION_CLASSES = ("Features", "MSSGConfig")
+#: The dataclasses whose fields are options: a deployment's, then a query's.
+OPTION_CLASSES = ("Features", "MSSGConfig", "QuerySpec")
 
 
 def counts(path: Path) -> tuple[int, int]:
