@@ -11,7 +11,8 @@ from conftest import run_once
 from repro.experiments import PUBMED_S, Deployment, run_search_experiment
 from repro.experiments.report import format_series_table
 
-STRATEGIES = ("vertex-rr", "vertex-hash", "window-greedy", "edge-rr")
+STRATEGIES = ("vertex-rr", "vertex-hash", "edge-rr")
+OWNER_ROUTED = ("vertex-rr", "vertex-hash")
 
 
 def run_decluster_sweep(scale: float):
@@ -37,13 +38,9 @@ def test_ablation_decluster(benchmark, bench_scale, save_result):
 
     longest = max(series["vertex-rr"])
     # Edge granularity pays for its fringe broadcasts on long searches.
-    vertex_best = min(
-        series[s][longest] for s in ("vertex-rr", "vertex-hash", "window-greedy")
-    )
+    vertex_best = min(series[s][longest] for s in OWNER_ROUTED)
     assert series["edge-rr"][longest] > vertex_best
     # The owner-routed strategies are close to one another (same
     # communication structure, different maps).
-    vertex_worst = max(
-        series[s][longest] for s in ("vertex-rr", "vertex-hash", "window-greedy")
-    )
+    vertex_worst = max(series[s][longest] for s in OWNER_ROUTED)
     assert vertex_worst < 1.6 * vertex_best

@@ -36,7 +36,6 @@ from .services import (
     ReplicatedDeclusterer,
     VertexHash,
     VertexRoundRobin,
-    WindowGreedy,
 )
 from .services.streaming import CompactReport, StreamingState
 from .simcluster import FaultPlan, NodeSpec, SimCluster
@@ -89,7 +88,6 @@ _DECLUSTERERS = {
     "vertex-rr": VertexRoundRobin,
     "vertex-hash": VertexHash,
     "edge-rr": EdgeRoundRobin,
-    "window-greedy": WindowGreedy,
 }
 
 
@@ -122,9 +120,6 @@ class MSSGConfig:
     fault_plan: FaultPlan | None = None
     #: Per-attempt expand budget in virtual seconds (``None`` = no limit).
     attempt_timeout: float | None = None
-    #: Admission cap for :meth:`MSSG.query_many`: queries beyond this many
-    #: in flight wait in the FIFO queue.
-    max_inflight: int = 64
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -143,8 +138,6 @@ class MSSGConfig:
             )
         if not isinstance(self.features, Features):
             raise ConfigError(f"features must be a Features value, got {self.features!r}")
-        if self.max_inflight < 1:
-            raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
 
 
 # -- legacy-knob fold: begin (delete with ROADMAP direction 1(e)) --------------
@@ -228,7 +221,6 @@ class MSSG:
             # healthy fast path stays byte-for-byte the original algorithms.
             fault_tolerant=(cfg.replication > 1 or cfg.fault_plan is not None) or None,
             attempt_timeout=cfg.attempt_timeout,
-            max_inflight=cfg.max_inflight,
         )
         if reopened:
             self.queries.endpoints_ingested = None
@@ -730,11 +722,11 @@ class MSSG:
         "triangles") or an ``(analysis, params)`` pair — so analytics
         interleave with BFS superstep-by-level under the same admission
         control; their reports follow the BFS reports in submission order.
-        Queries are interleaved level-by-level under the admission cap, with
-        backend sweeps shared between a round's subscribers (see
-        :class:`MSSGConfig.max_inflight` / ``shared_scans``).  Answers are
-        bit-identical to running each pair through :meth:`query_bfs` (and
-        each analytics entry through :meth:`query`) sequentially.  When the
+        Queries are interleaved level-by-level under the admission cap
+        (``max_inflight``, default 64), with backend sweeps shared between a
+        round's subscribers (``shared_scans``).  Answers are bit-identical to
+        running each pair through :meth:`query_bfs` (and each analytics
+        entry through :meth:`query`) sequentially.  When the
         checksum layer flagged corrupt frames on any back-end during the
         drain, the damaged back-ends are read-repaired once afterwards
         (``report.repairs``).

@@ -6,7 +6,6 @@ from .declustering import (
     ReplicatedDeclusterer,
     VertexHash,
     VertexRoundRobin,
-    WindowGreedy,
 )
 from .ingestion import IngestionService, IngestReport
 from .query import DrainReport, QueryReport, QueryService
@@ -36,5 +35,4 @@ __all__ = [
     "ReplicatedDeclusterer",
     "VertexHash",
     "VertexRoundRobin",
-    "WindowGreedy",
 ]

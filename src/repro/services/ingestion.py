@@ -155,7 +155,7 @@ class _EdgeReader(Filter):
                 # paper calls out the ASCII-in/binary-out asymmetry (Fig 5.5).
                 ctx.rank_ctx.compute(len(window) * ctx.rank_ctx.cpu.ascii_parse_seconds)
             dead = ctx.dead_copies("writer")
-            parts, lost, copies = self.declusterer.assign_routed(window, dead, offset)
+            parts, lost, copies = self.declusterer.assign_routed(window, offset, dead)
             result.lost_entries += lost
             result.shards[offset] = copies
             for q, part in enumerate(parts):
@@ -259,12 +259,6 @@ class IngestionService:
         reject_negative_ids(edges)
         targets = stores if stores is not None else self.dbs
         F, P = self.num_frontends, len(self.dbs)
-        # Per-run declusterer protocol: clear any state left by a previous
-        # ingest (stale round-robin offsets / owner tables would leak into
-        # this run's assignments), then run the sequential planning pass so
-        # parallel window assignment is schedule-independent.
-        self.declusterer.reset()
-        self.declusterer.prepare(edges, self.window_size)
         shares = split_for_ingesters(edges, F)
         offsets, acc = [], 0
         for share in shares:

@@ -46,6 +46,10 @@ from .scheduler import QuerySpec, multiplex_program
 
 __all__ = ["QueryService", "QueryReport", "DrainReport", "rank_report", "degree_program"]
 
+#: A drain's default admission cap: queries past this many in flight wait in
+#: the FIFO queue (per-query ``queue_seconds``).
+MAX_INFLIGHT = 64
+
 
 @dataclass
 class QueryReport:
@@ -141,7 +145,6 @@ class QueryService:
         num_frontends: int = 0,
         fault_tolerant: bool | None = None,
         attempt_timeout: float | None = None,
-        max_inflight: int = 64,
     ):
         if cluster.nranks < num_frontends + len(dbs):
             raise ConfigError("cluster too small for the requested service layout")
@@ -164,11 +167,6 @@ class QueryService:
         #: drain may override) and ``checksums`` (whether ``visited="external"``
         #: frames its scratch device with CRCs).
         self.features = features
-        if max_inflight < 1:
-            raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
-        #: Admission cap for concurrent drains: queries past this many
-        #: in flight wait in the FIFO queue (per-query ``queue_seconds``).
-        self.max_inflight = max_inflight
         #: Queries accepted by :meth:`submit`, awaiting the next :meth:`drain`.
         self._submitted: list[QuerySpec] = []
         #: Vertex-id space size, recorded at ingest time (and from the
@@ -464,7 +462,7 @@ class QueryService:
         specs, self._submitted = self._submitted, []
         if not specs:
             return DrainReport(queries=[])
-        inflight = self.max_inflight if max_inflight is None else int(max_inflight)
+        inflight = MAX_INFLIGHT if max_inflight is None else int(max_inflight)
         if inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {inflight}")
         sharing = self.features.shared_scans if shared_scans is None else bool(shared_scans)

@@ -363,17 +363,16 @@ class StreamingState:
     # -- ingest ---------------------------------------------------------------
 
     def route(self, edges: np.ndarray) -> list[np.ndarray]:
-        """Partition one batch exactly as the ingestion pipeline would.
+        """Partition one batch onto the back-ends the ingestion pipeline would.
 
-        One window per batch keeps this a planning-time helper (used by the
-        in-drain :class:`StreamFeed`); window-size effects do not change
-        vertex-granularity routing, which is what streaming supports.
+        A planning-time helper (used by the in-drain :class:`StreamFeed`).
+        Every ingest declusters its batch from stream offset 0, and a
+        declusterer is a pure function of a window and its offset, so one
+        window over the whole batch puts each entry where the pipeline's
+        windows would.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        decl = self.mssg.declusterer
-        decl.reset()
-        decl.prepare(edges, self.mssg.config.window_size)
-        parts, _, _ = decl.assign_routed(edges, frozenset(), 0)
+        parts, _, _ = self.mssg.declusterer.assign_routed(edges, 0)
         return [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in parts]
 
     def ingest_batch(self, edges: np.ndarray):

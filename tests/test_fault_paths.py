@@ -12,6 +12,7 @@ import pytest
 
 from repro import MSSG, MSSGConfig
 from repro.datacutter import DataCutterRuntime, Filter, FilterGraph
+from repro.framework import _DECLUSTERERS
 from repro.graphgen import pubmed_like
 from repro.simcluster import (
     BlockDevice,
@@ -287,8 +288,8 @@ class TestReplicatedDeclustering:
         window = np.column_stack([np.arange(30), np.arange(30) + 100])
         base = VertexRoundRobin(3)
         rep = ReplicatedDeclusterer(VertexRoundRobin(3), replication=2)
-        plain = base.assign(window)
-        doubled = rep.assign(window)
+        plain = base.assign(window, 0)
+        doubled = rep.assign(window, 0)
         for q in range(3):
             want = self._rows(plain[q]) | self._rows(plain[(q - 1) % 3])
             assert self._rows(doubled[q]) == want
@@ -298,7 +299,7 @@ class TestReplicatedDeclustering:
 
         window = np.column_stack([np.arange(20), np.arange(20) + 50])
         rep = ReplicatedDeclusterer(VertexRoundRobin(4), replication=1)
-        for mine, base in zip(rep.assign(window), VertexRoundRobin(4).assign(window)):
+        for mine, base in zip(rep.assign(window, 0), VertexRoundRobin(4).assign(window, 0)):
             assert self._rows(mine) == self._rows(base)
 
     def test_owner_of_reports_primary_and_chain_rotates(self):
@@ -455,7 +456,7 @@ class TestQueryFailover:
             mssg.close()
 
 
-_ALL_DECLUSTERERS = ["vertex-rr", "vertex-hash", "edge-rr", "window-greedy"]
+_ALL_DECLUSTERERS = sorted(_DECLUSTERERS)
 
 
 def _backend_contents(mssg):
@@ -471,9 +472,9 @@ def _backend_contents(mssg):
 
 
 class TestIngestionDeterminism:
-    """The declusterer protocol (reset/prepare/assign_at) must make
-    partitions a pure function of the stream: identical for every
-    front-end count and reader-copy schedule, for every strategy."""
+    """A declusterer assigns each window from its edges and its global
+    stream offset alone, so partitions are identical for every front-end
+    count and reader-copy schedule, for every strategy."""
 
     @pytest.mark.parametrize("declustering", _ALL_DECLUSTERERS)
     @pytest.mark.parametrize("replication", [1, 2])
@@ -505,11 +506,11 @@ class TestIngestionDeterminism:
 
 
 class TestIngestionStateReset:
-    """Regression: stateful declusterers must not leak state between
-    successive ingest() calls on one deployment (stale round-robin
-    counters / owner tables used to shift the second run's assignments)."""
+    """Regression: a second ingest() of the same edges on one deployment
+    assigns them exactly as the first did (edge round-robin restarts at
+    stream offset 0 every ingest; a running counter used to shift it)."""
 
-    @pytest.mark.parametrize("declustering", ["edge-rr", "window-greedy"])
+    @pytest.mark.parametrize("declustering", ["edge-rr"])
     def test_second_ingest_assigns_like_the_first(self, declustering):
         edges = pubmed_like(200, seed=5)
         mssg = MSSG(
@@ -601,7 +602,7 @@ class TestRebalance:
     """Tentpole: MSSG.rebalance() restores effective replication to k and
     post-rebalance queries pay zero failover rounds."""
 
-    @pytest.mark.parametrize("declustering", ["vertex-rr", "vertex-hash", "window-greedy"])
+    @pytest.mark.parametrize("declustering", ["vertex-rr", "vertex-hash"])
     def test_restores_replication_and_failover_free_queries(self, declustering):
         _, healthy = _ft_query(replication=2, declustering=declustering)
         mssg = MSSG(
@@ -706,31 +707,3 @@ class TestRebalance:
             assert after.faults_fired >= 1
         finally:
             mssg.close()
-
-
-class TestWindowGreedyOwnerLookup:
-    def _prepared(self):
-        from repro.services.declustering import WindowGreedy
-
-        edges = pubmed_like(100, seed=9)
-        wg = WindowGreedy(3)
-        wg.reset()
-        wg.prepare(edges, 32)
-        return wg, edges
-
-    def test_vectorized_lookup_matches_table(self):
-        wg, edges = self._prepared()
-        verts = np.unique(edges)
-        got = wg.owner_of(verts)
-        assert got.tolist() == [wg._owner[int(v)] for v in verts]
-
-    def test_unknown_vertex_clean_error(self):
-        wg, _ = self._prepared()
-        with pytest.raises(ConfigError, match="vertex 999999 was never ingested"):
-            wg.owner_of(np.array([999999], dtype=np.int64))
-
-    def test_empty_table_clean_error(self):
-        from repro.services.declustering import WindowGreedy
-
-        with pytest.raises(ConfigError, match="vertex 5 was never ingested"):
-            WindowGreedy(2).owner_of(np.array([5], dtype=np.int64))

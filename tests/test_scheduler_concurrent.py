@@ -146,8 +146,6 @@ class TestAdmissionControl:
             mssg.ingest(EDGES)
             with pytest.raises(ConfigError):
                 mssg.query_many(PAIRS, max_inflight=0)
-        with pytest.raises(ConfigError):
-            MSSGConfig(max_inflight=0)
 
 
 class TestDeadlines:

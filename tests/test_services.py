@@ -10,7 +10,6 @@ from repro.services import (
     QueryService,
     VertexHash,
     VertexRoundRobin,
-    WindowGreedy,
 )
 from repro.simcluster import SimCluster
 from repro.util import ConfigError
@@ -21,28 +20,28 @@ EDGES = dedupe_edges(preferential_attachment(200, 3, seed=4))
 
 
 class TestDeclusterers:
-    @pytest.mark.parametrize("cls", [VertexRoundRobin, VertexHash, WindowGreedy])
+    @pytest.mark.parametrize("cls", [VertexRoundRobin, VertexHash])
     def test_vertex_granularity_invariant(self, cls):
         """All of a vertex's adjacency entries land on one node."""
         d = cls(4)
-        parts = d.assign(EDGES)
+        parts = d.assign(EDGES, 0)
         assert sum(len(p) for p in parts) == 2 * len(EDGES)
         seen_owner = {}
         for q, part in enumerate(parts):
             for src in np.unique(part[:, 0]):
                 assert seen_owner.setdefault(int(src), q) == q
 
-    @pytest.mark.parametrize("cls", [VertexRoundRobin, VertexHash, WindowGreedy])
+    @pytest.mark.parametrize("cls", [VertexRoundRobin, VertexHash])
     def test_owner_map_matches_assignment(self, cls):
         d = cls(4)
-        parts = d.assign(EDGES)
+        parts = d.assign(EDGES, 0)
         for q, part in enumerate(parts):
             if len(part):
                 assert (d.owner_of(part[:, 0]) == q).all()
 
     def test_edge_rr_scatters_and_balances(self):
         d = EdgeRoundRobin(4)
-        parts = d.assign(EDGES)
+        parts = d.assign(EDGES, 0)
         sizes = [len(p) for p in parts]
         assert sum(sizes) == 2 * len(EDGES)
         assert max(sizes) - min(sizes) <= 2
@@ -52,17 +51,11 @@ class TestDeclusterers:
 
     def test_edge_rr_counter_spans_windows(self):
         d = EdgeRoundRobin(3)
-        first = d.assign(EDGES[:4])
-        second = d.assign(EDGES[4:8])
+        first = d.assign(EDGES[:4], 0)
+        second = d.assign(EDGES[4:8], 4)
         # Round robin continues where the previous window stopped.
         sizes = [len(f) + len(s) for f, s in zip(first, second)]
         assert max(sizes) - min(sizes) <= 2
-
-    def test_window_greedy_balances_load(self):
-        d = WindowGreedy(4)
-        d.assign(EDGES)
-        sizes = d._load
-        assert max(sizes) - min(sizes) <= 0.3 * max(sizes) + 8
 
     def test_bad_backend_count(self):
         with pytest.raises(ConfigError):
@@ -159,7 +152,7 @@ class TestQueryService:
         b = qs.query("pipelined-bfs", source=0, dest=150, threshold=16)
         assert a.result == b.result
 
-    @pytest.mark.parametrize("decluster", [EdgeRoundRobin, VertexHash, WindowGreedy])
+    @pytest.mark.parametrize("decluster", [EdgeRoundRobin, VertexHash])
     def test_bfs_under_other_declusterings(self, decluster):
         from repro.bfs import bfs_distance
         from repro.graphgen import CSRGraph
