@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
@@ -82,6 +82,16 @@ check-id-boundary:  # only graphdb/interface.py (and metadata.py's level maps) t
 		src/repro/graphdb --include='*.py' | grep -vE '^src/repro/graphdb/(interface|metadata)\.py:' || true); \
 	if [ -n "$$offenders" ]; then \
 		echo "id sign/range test in a backend (override GraphDB._id_bound instead):"; \
+		echo "$$offenders"; exit 1; \
+	fi
+
+check-census-owner:  # only graphdb/interface.py names the out-degree census; only graphdb/ reaches a backend's storage enumeration (everything else calls local_vertices)
+	@offenders=$$( { \
+		grep -rnE '\b_degree\b' src/repro --include='*.py' | grep -v '^src/repro/graphdb/interface\.py:'; \
+		grep -rnE '\b_local_vertices\(' src/repro --include='*.py' | grep -v '^src/repro/graphdb/'; \
+	} || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "census or storage enumeration outside graphdb/ (use degree_many / local_vertices):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -39,6 +39,7 @@ class BerkeleyGraphDB(ChunkedGraphDB):
             shared_cache=shared_cache,
             cache_owner="bdb",
         )
+        self.restored = len(self.store) > 0  # the meta page's key count
 
     # -- engine primitives: ids arrive in space (``GraphDB``'s boundary) ------
 

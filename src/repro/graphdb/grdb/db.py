@@ -94,7 +94,6 @@ class GrDB(GraphDB):
         # an in-memory accelerator; the on-disk chain is always
         # authoritative and re-walkable.
         self._memo = np.zeros((0, 6), dtype=np.int64)
-        #: True when this instance adopted state from an existing superblock.
         self.restored = self.storage.restore()
         if self.restored:
             self._rebuild_known_locals()
@@ -666,10 +665,6 @@ class GrDB(GraphDB):
     def chain_of(self, vertex: int) -> list[tuple[int, int]]:
         """The (level, sub-block) chain of ``vertex`` — for tests/defrag."""
         return list(self._walk(self.id_map.to_local(vertex))[0])
-
-    def known_vertices(self) -> list[int]:
-        """Global ids of all vertices this instance has stored edges for."""
-        return self._local_vertices().tolist()
 
     def _local_vertices(self) -> np.ndarray:
         return np.sort(self.id_map.to_global_many(np.flatnonzero(self._memo[:, _SEEN])))

@@ -153,7 +153,7 @@ def defragment(db: GrDB, vertices=None) -> int:
     """Compact the chains of ``vertices`` (default: all known); returns the
     number of vertices rewritten."""
     if vertices is None:
-        vertices = db.known_vertices()
+        vertices = db.local_vertices()
     rewritten = 0
     for v in vertices:
         if defragment_vertex(db, int(v)):

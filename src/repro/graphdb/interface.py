@@ -295,6 +295,10 @@ class GraphDB(abc.ABC):
 
     #: Human-readable backend name, e.g. "grDB"; set by subclasses.
     name: str = "abstract"
+    #: True when this instance adopted on-disk state at open.  Its census
+    #: then misses every edge stored before the reopen, however many are
+    #: stored after it, so ``local_vertices`` enumerates from storage.
+    restored: bool = False
 
     def __init__(
         self,
@@ -307,10 +311,12 @@ class GraphDB(abc.ABC):
         self.cpu = cpu if cpu is not None else CpuProfile()
         self.metadata = metadata if metadata is not None else InMemoryMetadata()
         self.stats = GraphDBStats()
-        # In-memory out-degree census, maintained at store time.  The
-        # direction controller needs fringe out-degree sums without touching
-        # storage; a 2006-era deployment would keep the same counters in the
-        # ingest path, so no virtual time is charged for it.
+        # In-memory out-degree census, maintained at store time: its keys
+        # are the local sources, its values their out-degrees.  The direction
+        # controller prices fringes and ``local_vertices`` enumerates without
+        # touching storage; a 2006-era deployment would keep the same
+        # counters in the ingest path, so no virtual time is charged for it.
+        # It covers only what this instance stored (``restored``).
         self._degree: dict[int, int] = {}
         #: Use the batched/coalescing fringe expansion path where a backend
         #: has one (grDB, BerkeleyDB, MySQL).  ``False`` restores the
@@ -470,7 +476,9 @@ class GraphDB(abc.ABC):
 
         Served from the in-memory census; costs no virtual time (see
         ``_degree``).  Used by the direction controller to price a
-        top-down expansion of the fringe.
+        top-down expansion of the fringe.  After a reopen the census misses
+        what was stored before it, so this undercounts: that moves the
+        controller's pricing only, never an answer.
         """
         vs = np.asarray(vertices, dtype=np.int64)
         out = np.fromiter(
@@ -556,13 +564,18 @@ class GraphDB(abc.ABC):
     def local_vertices(self) -> np.ndarray:
         """Sorted global ids of vertices with locally stored adjacency.
 
-        Not part of the paper's Listing 3.1, but required by whole-graph
-        analyses (connected components, defragmentation sweeps); every
-        backend can enumerate from its own structures (StreamDB pays a
-        full log replay).  Stream-overlay sources union in so
+        Not part of the paper's Listing 3.1, but required by the first
+        bottom-up BFS level and by whole-graph analyses (connected
+        components, defragmentation sweeps).  Served from the census's keys
+        at no virtual time, as ``degree_many`` is; a ``restored`` store's
+        census is partial, so it falls back to the backend's storage pass
+        (``_local_vertices``).  Stream-overlay sources union in so
         streamed-but-uncompacted vertices are enumerable too.
         """
-        base = self._local_vertices()
+        if self.restored:
+            base = self._local_vertices()
+        else:
+            base = np.sort(np.fromiter(self._degree, dtype=np.int64, count=len(self._degree)))
         view = self._overlay_view()
         if view is None:
             return base
@@ -572,7 +585,8 @@ class GraphDB(abc.ABC):
         return np.union1d(base, extra)
 
     def _local_vertices(self) -> np.ndarray:
-        """Backend enumeration of stored source vertices (sorted, unique)."""
+        """Backend enumeration of stored source vertices (sorted, unique),
+        from storage where the backend has nothing in RAM."""
         raise NotImplementedError(f"{type(self).__name__} cannot enumerate vertices")
 
     # -- lifecycle -----------------------------------------------------------

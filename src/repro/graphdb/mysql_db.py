@@ -30,6 +30,7 @@ class MySQLGraphDB(ChunkedGraphDB):
         """``device_provider(name) -> BlockDevice`` supplies the engine's files."""
         super().__init__(**kwargs)
         self.db = EdgesTable(device_provider, self.clock, self.cpu, shared_cache=shared_cache)
+        self.restored = len(self.db.index) > 0  # the meta page's key count
 
     # -- engine primitives: one statement each -------------------------------
 

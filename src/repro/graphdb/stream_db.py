@@ -104,7 +104,6 @@ class StreamGraphDB(GraphDB):
         self._buffered = 0
         #: Raw log entries streamed past the CPU (>> useful edges returned).
         self.log_edges_scanned = 0
-        self.restored = False
         if meta_device is not None:
             self.restored = self._restore()
 

@@ -490,10 +490,16 @@ def test_scan_delivers_what_it_walked_before_the_fault(backend, more_ops, delive
     # every level-0 frame is read twice — the healthy query is 0.0588 ->
     # 0.0827 s here.  Any deployment with a pool of >= 8 blocks (every
     # benchmark workload) reads each frame once.
+    #
+    # The BerkeleyDB row is re-recorded for ``local_vertices`` served from
+    # the RAM census (was "0.18073736061818188", 7665): the first level no
+    # longer walks 12 leaf pages to list the sources, so the 19th operation
+    # lands later in the all-pull schedule's claim scans; the answer and the
+    # three failover counters did not move.
     "backend, more_ops, schedule, seconds, edges_scanned",
     [
         ("grDB", 2, ("top-down", "bottom-up"), "0.11540196050909127", 785),
-        ("BerkeleyDB", 19, ("bottom-up",), "0.18073736061818188", 7665),
+        ("BerkeleyDB", 19, ("bottom-up",), "0.14820812287272725", 6900),
     ],
 )
 def test_mid_scan_fault_charges_the_work_done(backend, more_ops, schedule, seconds, edges_scanned):

@@ -172,7 +172,7 @@ def test_grdb_codec_entered_per_round_and_level_not_per_subblock(monkeypatch):
         monkeypatch.setattr(grdb_format, name, wrapper)
 
     db = build("grDB", batch_io=True, compress=True)
-    per_resolve = max(len(db.chain_of(v)) for v in db.known_vertices()) * FMT.num_levels
+    per_resolve = max(len(db.chain_of(v)) for v in db.local_vertices().tolist()) * FMT.num_levels
     counted("decode_sorted_segments")
     counted("decode_sorted")
 

@@ -111,16 +111,23 @@ def _digest(result) -> str:
 DATA_DEVICE = {"StreamDB": "streamdb", "grDB": "grdb_L0"}
 
 
-def _kill_mid_query(mssg, backend: str, q: int) -> FaultPlan:
-    """Back-end ``q``'s data device serves one more operation, then dies: the
-    query's first read succeeds and the fault lands in the middle of it."""
+def _kill_mid_query(mssg, backend: str, q: int, served: int = 1) -> FaultPlan:
+    """Back-end ``q``'s data device serves ``served`` more operations, then
+    dies: by default the query's first read succeeds and the fault lands in
+    the middle of it."""
     name = DATA_DEVICE[backend]
     node = mssg.cluster.nodes[FRONTENDS + q]
     ops = max(dev.ops for n, dev in node._disks.items() if n.startswith(name))
-    return FaultPlan.kill_node(FRONTENDS + q, after_ops=ops + 1, device=name)
+    return FaultPlan.kill_node(FRONTENDS + q, after_ops=ops + served, device=name)
 
 
-def _deploy(backend: str, scenario: str) -> MSSG:
+#: Rows whose query reads each back-end's data device once (StreamDB's
+#: triangle count: one log replay, its source list read from RAM), so the
+#: "fail" fault takes that one read.
+ONE_READ = {("triangles", "StreamDB")}
+
+
+def _deploy(backend: str, scenario: str, served: int = 1) -> MSSG:
     """One deployment per row: ingest healthy, then arrange the fault."""
     cfg = dict(
         num_backends=BACKENDS,
@@ -146,7 +153,7 @@ def _deploy(backend: str, scenario: str) -> MSSG:
     if scenario == "rebalanced":
         assert mssg.rebalance().copies_restored > 0
     elif scenario == "fail":
-        mssg.set_fault_plan(_kill_mid_query(mssg, backend, 1))
+        mssg.set_fault_plan(_kill_mid_query(mssg, backend, 1, served))
     elif scenario == "corrupt":
         mssg.set_fault_plan(
             FaultPlan([DiskFault(node=FRONTENDS + 2, kind="corrupt", at_time=0.0)])
@@ -165,7 +172,7 @@ def _deploy(backend: str, scenario: str) -> MSSG:
 
 def _run_row(analysis: str, backend: str, scenario: str):
     name, params = ANALYSES[analysis]
-    with _deploy(backend, scenario) as mssg:
+    with _deploy(backend, scenario, 0 if (analysis, backend) in ONE_READ else 1) as mssg:
         if name == "typed-bfs":  # the type table is RAM: no device operation
             mssg.query("load-vertex-types", type_codes=TYPE_CODES)
         r = mssg.query(name, **params)
@@ -205,13 +212,19 @@ def _run_row(analysis: str, backend: str, scenario: str):
 #: charges of a run now follow its read instead of the round's last read).
 #: Every StreamDB row and every top-down grDB row is unedited, and so are
 #: grDB's pagerank/fail and triangles/corrupt, whose sweeps charge the same.
+#:
+#: Re-recorded once more, ``seconds`` only, for the twelve StreamDB rows
+#: whose query enumerates its local sources: ``local_vertices`` is served
+#: from the RAM out-degree census instead of a whole-log replay, a stated
+#: model change.  The other eight fields are unchanged and each fault row
+#: still fires (triangles/fail through ``ONE_READ``).
 GOLDEN = {
     ("bfs", "grDB", "healthy"): (
         "4e07408562be", "0.05049175425454536",
         0, 0, False, 0, (), 3, 737,
     ),
     ("pipelined-bfs", "StreamDB", "healthy"): (
-        "4e07408562be", "0.03801442596363633",
+        "4e07408562be", "0.028991631963636362",
         0, 0, False, 0, (), 3, 737,
     ),
     ("pipelined-push", "grDB", "healthy"): (
@@ -243,7 +256,7 @@ GOLDEN = {
         2, 0, False, 1, (), 3, 6990,
     ),
     ("bfs-pull", "StreamDB", "fail"): (
-        "4e07408562be", "0.046784649818181756",
+        "4e07408562be", "0.03787955098181815",
         1, 0, False, 1, (), 3, 760,
     ),
     ("pagerank", "grDB", "fail"): (
@@ -255,11 +268,11 @@ GOLDEN = {
         1, 0, False, 1, (), 3, 760,
     ),
     ("triangles", "StreamDB", "fail"): (
-        "35531e0b7fb7", "0.04479143879999999",
+        "35531e0b7fb7", "0.026875920800000005",
         1, 0, False, 1, (), 3, 6894,
     ),
     ("bfs", "StreamDB", "corrupt"): (
-        "4e07408562be", "0.04702847359999996",
+        "4e07408562be", "0.03800567959999998",
         1, 0, False, 0, (2,), 3, 827,
     ),
     ("pipelined-bfs", "grDB", "corrupt"): (
@@ -311,11 +324,11 @@ GOLDEN = {
         1, 110, True, 2, (), 3, 5117,
     ),
     ("triangles", "StreamDB", "chain-dead"): (
-        "91182fbfa4ae", "0.04277674807272726",
+        "91182fbfa4ae", "0.024899342072727274",
         1, 29408, True, 2, (), 3, 5195,
     ),
     ("pipelined-bfs", "StreamDB", "rebalanced"): (
-        "4e07408562be", "0.03988837276363633",
+        "4e07408562be", "0.030407408763636363",
         0, 0, False, 0, (), 3, 737,
     ),
     ("ego-net", "StreamDB", "rebalanced"): (
@@ -323,7 +336,7 @@ GOLDEN = {
         0, 0, False, 0, (), 3, 6803,
     ),
     ("triangles", "StreamDB", "rebalanced"): (
-        "35531e0b7fb7", "0.02774727690909091",
+        "35531e0b7fb7", "0.018266312909090913",
         0, 0, False, 0, (), 2, 6894,
     ),
     # Recorded on the commit that put ``typed-bfs`` and ``path`` on the BFS
@@ -333,7 +346,7 @@ GOLDEN = {
         0, 0, False, 0, (), 3, 1093,
     ),
     ("typed-bfs", "StreamDB", "fail"): (
-        "4e07408562be", "0.0469211166545454",
+        "4e07408562be", "0.03802839265454543",
         1, 0, False, 1, (), 3, 1233,
     ),
     ("typed-bfs", "grDB", "corrupt"): (
@@ -341,11 +354,11 @@ GOLDEN = {
         1, 0, False, 0, (2,), 3, 1183,
     ),
     ("typed-bfs", "StreamDB", "chain-dead"): (
-        "dc937b598926", "0.06554856770909093",
+        "dc937b598926", "0.05665584370909083",
         1, 55, True, 2, (), 5, 925,
     ),
     ("path", "StreamDB", "healthy"): (
-        "e4eab5467eb2", "0.05715359709090902",
+        "e4eab5467eb2", "0.04813080309090904",
         0, 0, False, 0, (), 3, 756,
     ),
     ("path", "grDB", "fail"): (
@@ -353,7 +366,7 @@ GOLDEN = {
         1, 0, False, 1, (), 3, 779,
     ),
     ("path", "StreamDB", "corrupt"): (
-        "e4eab5467eb2", "0.06626194145454545",
+        "e4eab5467eb2", "0.05723914745454539",
         1, 0, False, 0, (2,), 3, 846,
     ),
     ("path", "grDB", "chain-dead"): (
@@ -369,7 +382,7 @@ GOLDEN = {
         1, 0, True, 2, (), 5, 795,
     ),
     ("bfs-pull-all", "StreamDB", "chain-dead"): (
-        "dc937b598926", "0.0664355488727273",
+        "dc937b598926", "0.05750754981818175",
         1, 0, True, 2, (), 5, 3622,
     ),
 }

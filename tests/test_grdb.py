@@ -325,7 +325,7 @@ class TestModuloIdMap:
         assert db.get_adjacency(5).tolist() == [200]
         # Vertices not owned by this partition: empty set, not an error.
         assert db.get_adjacency(2).tolist() == []
-        assert db.known_vertices() == [1, 5, 9]
+        assert db.local_vertices().tolist() == [1, 5, 9]
 
     def test_grdb_rejects_storing_unowned(self):
         db, _ = make_db(id_map=ModuloMap(4, 1))

@@ -189,7 +189,7 @@ def test_window_append_equals_one_append_per_vertex(windows, policy, modulo, cac
         for src, dst in edges.tolist():
             model.setdefault(src, []).append(dst)
     assert_same_store(db, node, ref)
-    assert db.known_vertices() == sorted(model)
+    assert db.local_vertices().tolist() == sorted(model)
     for gid, want in model.items():
         got = db.get_adjacency(gid)
         assert got.tolist() == ref.get_adjacency(gid).tolist()
@@ -235,7 +235,7 @@ def test_golden_device_image(name):
         db.store_edges(edges)
     db.flush()
     # hubs chain top-level sub-blocks, in all three streams
-    assert max(chain_length(db, v) for v in db.known_vertices()) > FMT.num_levels
+    assert max(chain_length(db, v) for v in db.local_vertices().tolist()) > FMT.num_levels
     assert digest(node) == GOLDEN_SHA256[name]
 
 
@@ -319,7 +319,7 @@ def test_append_to_restored_and_defragmented_store(policy):
         db.store_edges(edges)
         ref.store_edges(edges)
     assert_same_store(db, node, ref)
-    for gid in db.known_vertices():
+    for gid in db.local_vertices().tolist():
         assert db.get_adjacency(gid).tolist() == ref.get_adjacency(gid).tolist()
 
 

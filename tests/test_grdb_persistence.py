@@ -63,7 +63,7 @@ class TestPersistence:
         db.store_edges([(3, 1), (7, 2), (12, 3)])
         db.flush()
         db2 = GrDB(node.disk, fmt=FMT, clock=node.clock)
-        assert db2.known_vertices() == [3, 7, 12]
+        assert db2.local_vertices().tolist() == [3, 7, 12]
 
     def test_reopen_with_id_map(self):
         node = make_node()
@@ -72,7 +72,7 @@ class TestPersistence:
         db.store_edges([(1, 10), (5, 20)])
         db.flush()
         db2 = GrDB(node.disk, fmt=FMT, clock=node.clock, id_map=ModuloMap(4, 1))
-        assert db2.known_vertices() == [1, 5]
+        assert db2.local_vertices().tolist() == [1, 5]
         assert db2.get_adjacency(5).tolist() == [20]
 
     def test_format_mismatch_rejected(self):

@@ -8,7 +8,9 @@ the oracle's and each call must count the adjacency requests it answers.
 An id the store cannot hold — negative, past a finalized Array's ``xadj``,
 at or past grDB's 2^61 — answers empty from ``GraphDB``'s id-space boundary:
 a fringe made only of such ids moves no clock, no device counter, no cache
-counter and no stored-edge counter.
+counter and no stored-edge counter.  The four reopenable stores also take
+more edges after a reopen and answer over the union, and ``local_vertices``
+on a store that restored nothing charges nothing at all.
 """
 
 import dataclasses
@@ -32,6 +34,9 @@ STORES = [
     for compressed in ((False, True) if backend in ("grDB", "StreamDB") else (False,))
     for reopen in ((False, True) if backend not in ("Array", "HashMap") else (False,))
 ]
+
+#: ``(backend, compressed)`` of the stores that restore at open.
+REOPENABLE = [(backend, compressed) for backend, compressed, reopen in STORES if reopen]
 
 #: Stored sources are drawn below this; 24 and up are past the end.
 SOURCES = 24
@@ -72,7 +77,9 @@ def charges(db, node) -> tuple:
         caches.append(db.db.index.cache.stats)
     stats = dataclasses.replace(db.stats, adjacency_requests=0)
     devices = [(name, dataclasses.astuple(dev.stats)) for name, dev in sorted(node._disks.items())]
-    return node.clock.now, devices, repr(caches), stats, getattr(db, "log_edges_scanned", 0)
+    statements = db.db.statements_executed if db.name == "MySQL" else 0
+    log = getattr(db, "log_edges_scanned", 0)
+    return node.clock.now, devices, repr(caches), stats, log, statements
 
 
 def build(backend, compressed, reopen, finalized, edges, windows):
@@ -95,13 +102,9 @@ def grouped(batches) -> dict[int, list[int]]:
     return {v: sorted(lst.tolist()) for v, lst in whole}
 
 
-@pytest.mark.parametrize("finalized", [False, True], ids=["staged", "finalized"])
-@pytest.mark.parametrize(("backend", "compressed", "reopen"), STORES)
-@settings(max_examples=15, deadline=None)
-@given(edges=EDGES, windows=st.integers(1, 2), fringes=FRINGES)
-@example(edges=SAMPLE_EDGES, windows=1, fringes=[OUTSIDE, OUTSIDE + [7]])
-def test_reads_match_the_oracle(backend, compressed, reopen, finalized, edges, windows, fringes):
-    db, node = build(backend, compressed, reopen, finalized, edges, windows)
+def assert_reads_match(db, node, finalized, edges, fringes):
+    """Every read of ``db`` against the dict-of-lists oracle of ``edges``."""
+    backend = db.name
     oracle: dict[int, list[int]] = {}
     for src, dst in edges:
         oracle.setdefault(src, []).append(dst)
@@ -131,10 +134,48 @@ def test_reads_match_the_oracle(backend, compressed, reopen, finalized, edges, w
         named = sorted(set(fringe)) if backend == "StreamDB" else fringe
         got = call(lambda: db.expand_fringe(fringe), fringe, len(fringe))
         assert sorted(got.tolist()) == sorted(x for v in named for x in oracle.get(v, []))
-        if not reopen:  # the out-degree census lives in RAM
+        if not db.restored:  # the out-degree census lives in RAM
             assert db.degree_many(fringe).tolist() == [len(oracle.get(v, [])) for v in fringe]
     assert grouped(list(db.scan_adjacency())) == want
     assert db.local_vertices().tolist() == sorted(oracle)
+
+
+@pytest.mark.parametrize("finalized", [False, True], ids=["staged", "finalized"])
+@pytest.mark.parametrize(("backend", "compressed", "reopen"), STORES)
+@settings(max_examples=15, deadline=None)
+@given(edges=EDGES, windows=st.integers(1, 2), fringes=FRINGES)
+@example(edges=SAMPLE_EDGES, windows=1, fringes=[OUTSIDE, OUTSIDE + [7]])
+def test_reads_match_the_oracle(backend, compressed, reopen, finalized, edges, windows, fringes):
+    db, node = build(backend, compressed, reopen, finalized, edges, windows)
+    assert_reads_match(db, node, finalized, edges, fringes)
+
+
+@pytest.mark.parametrize(("backend", "compressed"), REOPENABLE)
+@settings(max_examples=15, deadline=None)
+@given(edges=EDGES, cut=st.integers(0, 60), fringes=FRINGES)
+@example(edges=SAMPLE_EDGES, cut=3, fringes=[OUTSIDE + [0, 7]])
+def test_reopen_then_ingest_reads_match_the_union(backend, compressed, edges, cut, fringes):
+    """Part stored, flushed and reopened, the rest stored after: the census
+    holds only the rest, and every read still answers over the union."""
+    db, node = build(backend, compressed, True, False, edges[:cut], 1)
+    db.store_edges(np.asarray(edges[cut:], dtype=np.int64).reshape(-1, 2))
+    assert_reads_match(db, node, False, edges, fringes)
+
+
+@pytest.mark.parametrize("finalized", [False, True], ids=["staged", "finalized"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_local_vertices_charges_nothing(backend, finalized):
+    """A store that restored nothing enumerates from its census: no clock,
+    device, cache, stats, log or statement charge.  A restored one reads
+    storage and still answers the oracle."""
+    db, node = build(backend, False, False, finalized, SAMPLE_EDGES, 1)
+    before = charges(db, node)
+    assert db.local_vertices().tolist() == [0, 1, 2, 3, 7]
+    assert charges(db, node) == before
+    if (backend, False) in REOPENABLE:
+        db, _ = build(backend, False, True, finalized, SAMPLE_EDGES, 1)
+        assert db.restored
+        assert db.local_vertices().tolist() == [0, 1, 2, 3, 7]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
