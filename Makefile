@@ -85,13 +85,15 @@ check-id-boundary:  # only graphdb/interface.py (and metadata.py's level maps) t
 		echo "$$offenders"; exit 1; \
 	fi
 
-check-census-owner:  # only graphdb/interface.py names the out-degree census; only graphdb/ reaches a backend's storage enumeration (everything else calls local_vertices)
+check-census-owner:  # only graphdb/interface.py names the out-degree census or defines the source enumeration (a restoring store rebuilds the census at open); only graphdb/ calls it (everything else calls local_vertices)
 	@offenders=$$( { \
 		grep -rnE '\b_degree\b' src/repro --include='*.py' | grep -v '^src/repro/graphdb/interface\.py:'; \
 		grep -rnE '\b_local_vertices\(' src/repro --include='*.py' | grep -v '^src/repro/graphdb/'; \
+		grep -rnE 'def[[:space:]]+_local_vertices\b|self\.restored[[:space:]]*=' src/repro --include='*.py' \
+			| grep -v '^src/repro/graphdb/interface\.py:'; \
 	} || true); \
 	if [ -n "$$offenders" ]; then \
-		echo "census or storage enumeration outside graphdb/ (use degree_many / local_vertices):"; \
+		echo "census or source enumeration outside graphdb/interface.py (use degree_many / local_vertices; rebuild with _census_from_storage):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -89,11 +89,10 @@ class VisitedLevels:
 class InMemoryVisited(VisitedLevels):
     """Hash-map visited levels — the fallback where no dense array fits.
 
-    Used where the service knows no id space that bounds the store (nothing
-    ingested through the façade, or storage reopened), or where that space
-    holds more ids than the deployment ingested endpoints (sparse ids): the
-    dict grows with the touched vertices only.  It is also the reference the
-    dense structure is held to.
+    Used where the service knows no id space (nothing stored), or where that
+    space holds more ids than the deployment stored endpoints (sparse ids):
+    the dict grows with the touched vertices only.  It is also the reference
+    the dense structure is held to.
     """
 
     def __init__(self):

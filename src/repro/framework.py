@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,11 +186,6 @@ class MSSG:
     def __init__(self, config: MSSGConfig | None = None):
         self.config = config if config is not None else MSSGConfig()
         cfg = self.config
-        # Storage this deployment did not write may hold ids beyond any it
-        # ingests: then no id space it records bounds the store.
-        reopened = bool(
-            cfg.storage_dir and os.path.isdir(cfg.storage_dir) and os.listdir(cfg.storage_dir)
-        )
         self.cluster = SimCluster(
             nranks=cfg.num_frontends + cfg.num_backends,
             spec=cfg.node_spec,
@@ -222,8 +216,12 @@ class MSSG:
             fault_tolerant=(cfg.replication > 1 or cfg.fault_plan is not None) or None,
             attempt_timeout=cfg.attempt_timeout,
         )
-        if reopened:
-            self.queries.endpoints_ingested = None
+        # A reopened store rebuilt its census at open: what it holds bounds
+        # the id space as an ingest of it would (a fresh one: a no-op).
+        self._note_id_space(
+            _max_id(*(db.local_vertices()[-1:] for db in self.dbs)),
+            sum(db.stats.edges_stored for db in self.dbs) // cfg.replication,
+        )
         self.last_ingest: IngestReport | None = None
         #: Streaming machinery (delta logs + overlays).  Constructing it
         #: doubles as crash recovery: reopening a streaming deployment over
@@ -250,14 +248,13 @@ class MSSG:
         """The direction-optimizing hybrid's fringe bitmap and the dense
         visited array are sized from the vertex-id space, and the dense array
         is chosen only where that space is no larger than the ``endpoints``
-        (two per edge) ingested; record both at ingest so queries know them
-        without a cluster round.  Both grow monotonically; ``max_id < 0``: no
-        id was seen."""
+        (two per edge) ingested; record both at ingest, and at open from what
+        reopened stores hold, so queries know them without a cluster round.
+        Both grow monotonically; ``max_id < 0``: no id was seen."""
         q = self.queries
         if max_id >= 0:
             q.num_vertices = max(q.num_vertices or 0, max_id + 1)
-        if q.endpoints_ingested is not None:
-            q.endpoints_ingested += endpoints
+        q.endpoints_ingested += endpoints
 
     def _make_db(self, q: int) -> GraphDB:
         """Build back-end ``q``'s GraphDB instance on its node.

@@ -86,8 +86,3 @@ class ArrayGraphDB(GraphDB):
         if lens.any():
             neighbors, offsets = gather_segments(self._adj, starts, lens)
             yield AdjacencyBatch.nonempty(vs, offsets, neighbors)
-
-    def _local_vertices(self) -> np.ndarray:
-        if self._xadj is None:
-            return self._staged.batch().vertices
-        return np.flatnonzero(np.diff(self._xadj)).astype(np.int64)

@@ -39,7 +39,8 @@ class BerkeleyGraphDB(ChunkedGraphDB):
             shared_cache=shared_cache,
             cache_owner="bdb",
         )
-        self.restored = len(self.store) > 0  # the meta page's key count
+        if len(self.store):  # the meta page's key count: state to adopt
+            self._census_from_storage()
 
     # -- engine primitives: ids arrive in space (``GraphDB``'s boundary) ------
 
@@ -79,15 +80,6 @@ class BerkeleyGraphDB(ChunkedGraphDB):
         if len(wanted) >= self.BATCH_SCAN_MIN:
             return dict(self._walk_adjacency(wanted))
         return super()._fetch(wanted)
-
-    def _local_vertices(self) -> np.ndarray:
-        seen = []
-        last = None
-        for vertex, _ in self._ordered_rows():
-            if vertex != last:
-                seen.append(vertex)
-                last = vertex
-        return np.array(seen, dtype=np.int64)
 
     def flush(self) -> None:
         self.store.flush()

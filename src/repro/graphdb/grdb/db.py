@@ -53,7 +53,7 @@ __all__ = ["GrDB"]
 _POLICIES = ("link", "move")
 
 #: Columns of the ingestion memo (one int64 row per local id).
-_SEEN, _LEVEL, _SB, _FILL, _PLEVEL, _PSB = range(6)
+_LEVEL, _SB, _FILL, _PLEVEL, _PSB = range(5)
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -87,15 +87,14 @@ class GrDB(GraphDB):
         )
         self.id_map = id_map if id_map is not None else IdentityMap()
         self.growth_policy = growth_policy
-        # Ingestion memo, one row per local id (grown by doubling): has the
-        # vertex stored edges; its chain tail (level, sub-block), level -1 =
-        # unknown; the tail's used slots (raw format); the tail's parent
-        # (what ``move`` repoints, level -1 = the tail is the head).  Purely
-        # an in-memory accelerator; the on-disk chain is always
-        # authoritative and re-walkable.
-        self._memo = np.zeros((0, 6), dtype=np.int64)
-        self.restored = self.storage.restore()
-        if self.restored:
+        # Ingestion memo, one row per local id (grown by doubling): the
+        # vertex's chain tail (level, sub-block), level -1 = unknown; the
+        # tail's used slots (raw format); the tail's parent (what ``move``
+        # repoints, level -1 = the tail is the head).  Purely an in-memory
+        # accelerator; the on-disk chain is always authoritative and
+        # re-walkable.
+        self._memo = np.zeros((0, 5), dtype=np.int64)
+        if self.storage.restore():
             self._rebuild_known_locals()
 
     # -- chain navigation ----------------------------------------------------
@@ -150,7 +149,7 @@ class GrDB(GraphDB):
     def _grow_memo(self, size: int) -> None:
         have = len(self._memo)
         if size > have:
-            memo = np.zeros((max(size, 2 * have), 6), dtype=np.int64)
+            memo = np.zeros((max(size, 2 * have), 5), dtype=np.int64)
             memo[:, (_LEVEL, _PLEVEL)] = -1
             memo[:have] = self._memo
             self._memo = memo
@@ -158,7 +157,7 @@ class GrDB(GraphDB):
     def _tail_info(self, local: int) -> tuple[list[tuple[int, int]], int]:
         """``local``'s chain tail, preceded by its parent if it has one, and
         the tail's fill — memoised, from :meth:`_walk` the first time."""
-        _, level, sb, used, plevel, psb = self._memo[local].tolist()
+        level, sb, used, plevel, psb = self._memo[local].tolist()
         if level < 0:
             path, used = self._walk(local)
             self._remember(local, path, used)
@@ -188,7 +187,6 @@ class GrDB(GraphDB):
                 f"vertex {int(srcs[starts][~owned][0])} is not owned by this grDB's id map"
             )
         self._grow_memo(int(locals_.max()) + 1)
-        self._memo[locals_, _SEEN] = 1
         bounds = np.append(starts, len(srcs))
         if self.fmt.compress:
             self._append_window(locals_, bounds, dsts.astype(np.uint64))
@@ -644,7 +642,9 @@ class GrDB(GraphDB):
     # -- maintenance ------------------------------------------------------------------
 
     def _rebuild_known_locals(self) -> None:
-        """Recover the set of stored vertices by scanning level-0 blocks."""
+        """Rebuild the census at open: the occupied level-0 sub-blocks name
+        the stored vertices, and one chain sweep of those counts their
+        entries."""
         k = self.fmt.subblocks_per_block(0)
         level0 = sorted(b for lvl, b in self.storage._written_blocks if lvl == 0)
         subblocks = (np.array(level0, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
@@ -660,14 +660,11 @@ class GrDB(GraphDB):
         else:
             occupied = (frames.view("<u8") != EMPTY_SLOT).any(axis=1)
         self._grow_memo(int(subblocks[-1]) + 1)
-        self._memo[subblocks[occupied], _SEEN] = 1
+        self._census_from_storage(self.id_map.to_global_many(subblocks[occupied]))
 
     def chain_of(self, vertex: int) -> list[tuple[int, int]]:
         """The (level, sub-block) chain of ``vertex`` — for tests/defrag."""
         return list(self._walk(self.id_map.to_local(vertex))[0])
-
-    def _local_vertices(self) -> np.ndarray:
-        return np.sort(self.id_map.to_global_many(np.flatnonzero(self._memo[:, _SEEN])))
 
     def invalidate_tail_memo(self, vertex: int | None = None) -> None:
         if vertex is None:

@@ -40,6 +40,3 @@ class HashMapGraphDB(GraphDB):
         lst = self._staged.adjacency(vertex)
         self.clock.advance(len(lst) * self.cpu.hashmap_edge_extra_seconds)
         return lst
-
-    def _local_vertices(self) -> np.ndarray:
-        return self._staged.batch().vertices

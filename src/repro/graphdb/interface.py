@@ -295,10 +295,6 @@ class GraphDB(abc.ABC):
 
     #: Human-readable backend name, e.g. "grDB"; set by subclasses.
     name: str = "abstract"
-    #: True when this instance adopted on-disk state at open.  Its census
-    #: then misses every edge stored before the reopen, however many are
-    #: stored after it, so ``local_vertices`` enumerates from storage.
-    restored: bool = False
 
     def __init__(
         self,
@@ -316,7 +312,9 @@ class GraphDB(abc.ABC):
         # controller prices fringes and ``local_vertices`` enumerates without
         # touching storage; a 2006-era deployment would keep the same
         # counters in the ingest path, so no virtual time is charged for it.
-        # It covers only what this instance stored (``restored``).
+        # A store that adopts on-disk state rebuilds it at open with one
+        # storage sweep (``_census_from_storage``), so it always covers the
+        # whole base store.
         self._degree: dict[int, int] = {}
         #: Use the batched/coalescing fringe expansion path where a backend
         #: has one (grDB, BerkeleyDB, MySQL).  ``False`` restores the
@@ -471,14 +469,23 @@ class GraphDB(abc.ABC):
         for v, c in zip(vertices.tolist(), counts.tolist()):
             self._degree[v] = self._degree.get(v, 0) + c
 
+    def _census_from_storage(self, vertices=None) -> None:
+        """Rebuild the census from what storage holds: one storage-order
+        sweep of ``vertices`` (``None``: the whole store), run once by a
+        store that adopted on-disk state at open and charged there.  The
+        entries found count as stored, so ``stats.edges_stored`` is the
+        census's sum on every store."""
+        for batch in self._scan_adjacency(vertices):
+            self._census_add(batch.vertices, batch.degrees)
+            self.stats.edges_stored += int(batch.degrees.sum())
+
     def degree_many(self, vertices) -> np.ndarray:
         """Locally stored out-degree of each vertex (0 if not local).
 
         Served from the in-memory census; costs no virtual time (see
         ``_degree``).  Used by the direction controller to price a
-        top-down expansion of the fringe.  After a reopen the census misses
-        what was stored before it, so this undercounts: that moves the
-        controller's pricing only, never an answer.
+        top-down expansion of the fringe.  A reopened store counts what it
+        held before the reopen too: its census was rebuilt at open.
         """
         vs = np.asarray(vertices, dtype=np.int64)
         out = np.fromiter(
@@ -567,15 +574,11 @@ class GraphDB(abc.ABC):
         Not part of the paper's Listing 3.1, but required by the first
         bottom-up BFS level and by whole-graph analyses (connected
         components, defragmentation sweeps).  Served from the census's keys
-        at no virtual time, as ``degree_many`` is; a ``restored`` store's
-        census is partial, so it falls back to the backend's storage pass
-        (``_local_vertices``).  Stream-overlay sources union in so
+        at no virtual time, as ``degree_many`` is, on a fresh and a reopened
+        store alike.  Stream-overlay sources union in so
         streamed-but-uncompacted vertices are enumerable too.
         """
-        if self.restored:
-            base = self._local_vertices()
-        else:
-            base = np.sort(np.fromiter(self._degree, dtype=np.int64, count=len(self._degree)))
+        base = self._local_vertices()
         view = self._overlay_view()
         if view is None:
             return base
@@ -585,9 +588,8 @@ class GraphDB(abc.ABC):
         return np.union1d(base, extra)
 
     def _local_vertices(self) -> np.ndarray:
-        """Backend enumeration of stored source vertices (sorted, unique),
-        from storage where the backend has nothing in RAM."""
-        raise NotImplementedError(f"{type(self).__name__} cannot enumerate vertices")
+        """The base store's sources, sorted: the census's keys."""
+        return np.sort(np.fromiter(self._degree, dtype=np.int64, count=len(self._degree)))
 
     # -- lifecycle -----------------------------------------------------------
 

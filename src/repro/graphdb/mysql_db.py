@@ -13,8 +13,6 @@ scan plus an in-memory sort, one round trip instead of one per vertex.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..storage.minisql import EdgesTable
 from .chunked import ChunkedGraphDB
 
@@ -30,7 +28,8 @@ class MySQLGraphDB(ChunkedGraphDB):
         """``device_provider(name) -> BlockDevice`` supplies the engine's files."""
         super().__init__(**kwargs)
         self.db = EdgesTable(device_provider, self.clock, self.cpu, shared_cache=shared_cache)
-        self.restored = len(self.db.index) > 0  # the meta page's key count
+        if len(self.db.index):  # the meta page's key count: state to adopt
+            self._census_from_storage()
 
     # -- engine primitives: one statement each -------------------------------
 
@@ -53,9 +52,6 @@ class MySQLGraphDB(ChunkedGraphDB):
         if lo is None:
             return self.db.ordered_scan()
         return self.db.range_scan(lo, hi)
-
-    def _local_vertices(self) -> np.ndarray:
-        return np.unique(np.array(self.db.source_scan(), dtype=np.int64))
 
     def flush(self) -> None:
         self.db.flush()

@@ -104,8 +104,8 @@ class StreamGraphDB(GraphDB):
         self._buffered = 0
         #: Raw log entries streamed past the CPU (>> useful edges returned).
         self.log_edges_scanned = 0
-        if meta_device is not None:
-            self.restored = self._restore()
+        if meta_device is not None and self._restore():
+            self._census_from_storage()
 
     # -- ingestion ------------------------------------------------------
 
@@ -437,12 +437,6 @@ class StreamGraphDB(GraphDB):
             yield AdjacencyBatch.concat(replay).grouped()
         elif replay:
             yield replay[0]
-
-    def _local_vertices(self) -> np.ndarray:
-        replay = self._replay()
-        if not replay:
-            return _EMPTY
-        return np.unique(np.concatenate([record.vertices for record in replay]))
 
     @property
     def num_edges_logged(self) -> int:

@@ -169,15 +169,14 @@ class QueryService:
         self.features = features
         #: Queries accepted by :meth:`submit`, awaiting the next :meth:`drain`.
         self._submitted: list[QuerySpec] = []
-        #: Vertex-id space size, recorded at ingest time (and from the
-        #: recovered deltas when a streaming deployment reopens).  ``None``:
-        #: nothing ingested through the façade.  Read only through
-        #: :meth:`_id_space`, which BFS and the vertex programs size from.
+        #: Vertex-id space size ``n``, every stored id in ``[0, n)``: recorded
+        #: at ingest time and, when a deployment reopens, from what its stores
+        #: and recovered deltas hold.  ``None``: nothing stored.  BFS and the
+        #: vertex programs size from it.
         self.num_vertices: int | None = None
-        #: Endpoints (two per edge) ingested through the façade; ``None``
-        #: once the deployment reopened storage it did not write, which may
-        #: hold ids at or above ``num_vertices``.
-        self.endpoints_ingested: int | None = 0
+        #: Endpoints (two per edge) ingested through the façade or held by
+        #: reopened stores.
+        self.endpoints_ingested = 0
         #: Back-end indices recorded dead by a rebalance pass.  Seeded into
         #: every query's fault state so routing skips them outright instead
         #: of rediscovering the deaths through failover rounds.
@@ -257,15 +256,6 @@ class QueryService:
 
     # -- built-in analyses ---------------------------------------------------------
 
-    def _id_space(self) -> int | None:
-        """``n`` with every stored id in ``[0, n)``, or ``None`` if unknown.
-
-        Sizes the hybrid's fringe bitmap and the dense level arrays, and ends
-        a search from outside it before it starts.  Unknown until something
-        is ingested through the façade, and for good once storage is reopened.
-        """
-        return self.num_vertices if self.endpoints_ingested is not None else None
-
     def _visited_search(self, ctx, kind: str, seq: int, search):
         """Rank generator: ``search(visited)`` over a fresh level map.
 
@@ -281,7 +271,7 @@ class QueryService:
                 ctx.node.drop_disk(f"visited-{seq}")
 
     def _make_visited(self, ctx, kind: str, seq: int):
-        n = self._id_space()
+        n = self.num_vertices
         if kind == "memory":
             # The dense array costs 4 bytes per id to fill, per query and
             # rank; the dict a probe per touched vertex.  A query touches at
@@ -323,7 +313,7 @@ class QueryService:
         or when turned off — BFS runs the paper's pure top-down search.
         """
         enabled = self.features.direction_opt if direction_opt is None else direction_opt
-        n = self._id_space()
+        n = self.num_vertices
         if not enabled or not self.declusterer.owner_known or not n:
             return None
         return DirectionConfig(
@@ -340,7 +330,7 @@ class QueryService:
         return BFSConfig(
             source=int(source),
             dest=int(dest),
-            num_vertices=self._id_space(),
+            num_vertices=self.num_vertices,
             owner_known=self.declusterer.owner_known,
             max_levels=max_levels,
             ft=self._ft(),

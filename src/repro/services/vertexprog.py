@@ -717,14 +717,11 @@ def make_vp_generator(service, analysis: str, params: dict, level_marks: bool):
     """Build ``gen(ctx, q)`` producing one back-end rank's generator.
 
     Shared by the solo path and the concurrent multiplexer; raises
-    :class:`ConfigError` for unknown analyses or an unsized id space.
+    :class:`ConfigError` for unknown analyses or when nothing is stored.
     """
-    n = service._id_space()
+    n = service.num_vertices
     if n is None:
-        raise ConfigError(
-            f"{analysis!r} needs the vertex-id space size; ingest through the "
-            "MSSG facade first (reopened storage has no known size)"
-        )
+        raise ConfigError(f"{analysis!r} needs the vertex-id space size: nothing is stored")
     cfg = VPConfig(
         num_vertices=n,
         owner_known=service.declusterer.owner_known,

@@ -3,7 +3,7 @@
 The stand-in for the paper's MySQL 4.1.12.  Rows live in a slotted heap
 file; a B-tree index on ``(src, chunk)`` maps order-preserving keys to row
 ids.  Each method is the prepared plan of one statement the backend sends:
-the three probes are index prefix scans, the three scans sequential heap
+the three probes are index prefix scans, the two scans sequential heap
 passes — the plans a relational planner picks for those statements.
 
 Two properties make it behave like the paper's MySQL line rather than like
@@ -165,11 +165,6 @@ class EdgesTable:
         """``SELECT src, adj FROM edges ORDER BY src, chunk``."""
         self._statement()
         return self._sorted_rows()
-
-    def source_scan(self) -> list[int]:
-        """``SELECT src FROM edges``: one ``src`` per row, in heap order."""
-        self._statement()
-        return [self._parse(raw)[0] for _, raw in self.heap.scan()]
 
     def flush(self) -> None:
         self.index.flush()

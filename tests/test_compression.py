@@ -46,7 +46,7 @@ from repro.util.varint import (
     varint_lengths,
 )
 
-from .helpers import make_store
+from .helpers import census, image_census, make_store
 
 # Tiny geometry so multi-level chains and multi-file layouts occur at test
 # scale (same shape the persistence/integrity tests use).
@@ -258,7 +258,7 @@ class TestGrDBCompressed:
         db.flush()
         want = {v: sorted(db.get_adjacency(v).tolist()) for v in range(10)}
         db2 = GrDB(node.disk, fmt=FMT_C, clock=node.clock)
-        assert db2.restored
+        assert census(db2) == census(db)
         assert {v: sorted(db2.get_adjacency(v).tolist()) for v in range(10)} == want
         assert db2.local_vertices().tolist() == db.local_vertices().tolist()
 
@@ -277,8 +277,7 @@ class TestGrDBCompressed:
         head, _, _ = FMT_C.decode_subblock(db.storage.read_subblock(0, 3))
         assert len(head) == 0 and len(db.chain_of(3)) == 2
         db2 = GrDB(node.disk, fmt=FMT_C, clock=node.clock)
-        assert db2.restored
-        assert db2.local_vertices().tolist() == [3, 5, 40]
+        assert census(db2) == census(db) == ([3, 5, 40], [1, 1, 2])
         assert db2.get_adjacency(3).tolist() == [1 << 50]
         assert sorted(db2.get_adjacency(40).tolist()) == [9, 1 << 55]
 
@@ -550,7 +549,7 @@ class TestStreamDBCompressed:
         db.flush()
         want = {v: sorted(db.get_adjacency(v).tolist()) for v in range(8)}
         db2 = StreamGraphDB(dev, meta_device=meta, compress=True, clock=node.clock)
-        assert db2.restored
+        assert census(db2) == census(db)
         assert {v: sorted(db2.get_adjacency(v).tolist()) for v in range(8)} == want
         assert db2.num_edges_logged == db.num_edges_logged
 
@@ -565,7 +564,7 @@ class TestStreamDBCompressed:
         # A crash mid-append leaves torn record bytes past the commit.
         dev.write(db._cbytes, b"\xde\xad" * 64)
         db2 = StreamGraphDB(dev, meta_device=meta, compress=True, clock=node.clock)
-        assert db2.restored
+        assert census(db2) == census(db)
         assert {v: sorted(db2.get_adjacency(v).tolist()) for v in range(5)} == want
 
     def test_mode_mismatch_rejected_both_ways(self):
@@ -735,10 +734,11 @@ class TestCompressedCrashRecovery:
             checksums=True,
             compress_adjacency=True,
         )
-        assert db2.restored
         assert db2.fmt.compress
         got = self._adjacency_image(db2)
+        assert census(db2) == image_census(got)
         if flushed:
+            assert census(db2) == census(db)
             assert got == self._adjacency_image(db)
         else:
             # All-or-nothing: the WAL either rolled the whole second flush

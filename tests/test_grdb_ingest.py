@@ -35,6 +35,8 @@ from repro.graphgen import pubmed_like
 from repro.simcluster import DiskFault, FaultPlan, NodeSpec, SimNode
 from repro.util.varint import split_sorted_fit
 
+from .helpers import census
+
 #: Payload budgets 6 / 22 / 118 / 502 bytes: a 7-byte first varint does not
 #: fit a head (empty fit), and ~60 wide gaps overflow the top level.
 FMT = GrDBFormat(
@@ -299,8 +301,9 @@ def test_append_to_restored_and_defragmented_store(policy):
     assert_same_store(db, node, ref)
 
     # Reopen: no tail is memoised, every chain is walked once.
+    before = census(db)
     db, _ = make_db(policy=policy, cache_blocks=5, node=node)
-    assert db.restored
+    assert census(db) == before
     ref.reopen()
     db.store_edges(windows[2])
     ref.store_edges(windows[2])

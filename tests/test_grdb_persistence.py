@@ -7,6 +7,8 @@ from repro.graphdb import GrDB, GrDBFormat, ModuloMap
 from repro.simcluster import NodeSpec, SimNode
 from repro.util import GraphStorageException
 
+from .helpers import census
+
 FMT = GrDBFormat(
     capacities=(2, 4, 16, 64),
     block_sizes=(256, 256, 256, 1024),
@@ -31,7 +33,7 @@ class TestPersistence:
 
         # Reopen on the same devices: a brand-new GrDB object.
         db2 = GrDB(node.disk, fmt=FMT, clock=node.clock, cpu=node.spec.cpu)
-        assert db2.restored
+        assert census(db2) == census(db)
         for v in range(30):
             assert sorted(db2.get_adjacency(v).tolist()) == sorted(
                 db.get_adjacency(v).tolist()
@@ -88,7 +90,7 @@ class TestPersistence:
 
     def test_fresh_instance_not_restored(self):
         db = GrDB(make_node().disk, fmt=FMT)
-        assert not db.restored
+        assert census(db) == ([], []) and db.stats.edges_stored == 0
 
     def test_corrupt_superblock_detected(self):
         node = make_node()

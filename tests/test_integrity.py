@@ -39,7 +39,7 @@ from repro.util import (
     GraphStorageException,
 )
 
-from .helpers import make_store
+from .helpers import census, image_census, make_store
 
 
 class TestChecksummedDevice:
@@ -283,7 +283,7 @@ class TestGrDBCrashRecovery:
         db.flush()
         want = self._adjacency_image(db)
         db2 = make_store("grDB", node, grdb_format=FMT, checksums=True)
-        assert db2.restored
+        assert census(db2) == census(db)
         assert self._adjacency_image(db2) == want
 
     def _crash_mid_flush(self, crash_after_ops):
@@ -314,9 +314,10 @@ class TestGrDBCrashRecovery:
     def test_recovery_adopts_published_image(self, crash_after_ops):
         node, published, flushed, old = self._crash_mid_flush(crash_after_ops)
         db2 = make_store("grDB", node, grdb_format=FMT, checksums=True)
-        assert db2.restored
         got = self._adjacency_image(db2)
+        assert census(db2) == image_census(got)
         if flushed:
+            assert census(db2) == census(old)
             # The crash hit after the flush completed (or never fired):
             # the second batch is part of the published image now.
             assert got == self._adjacency_image(old)
@@ -356,7 +357,7 @@ class TestStreamDBCrashRecovery:
         db.store_edges(edges)
         db.flush()
         db2 = self._mk(node)
-        assert db2.restored
+        assert census(db2) == census(db) == ([0, 1], [2, 1])
         assert sorted(db2.get_adjacency(0).tolist()) == [1, 2]
 
     @pytest.mark.parametrize("crash_after_ops", [0, 1, 2, 3, 4, 6])
@@ -380,8 +381,10 @@ class TestStreamDBCrashRecovery:
         for dev in node._disks.values():
             dev.revive()
         db2 = self._mk(node)
-        assert db2.restored
         got = sorted(db2.get_adjacency(0).tolist())
+        assert census(db2) == image_census({0: got})
+        if flushed:
+            assert census(db2) == census(db)
         if flushed:
             assert got == list(range(1, 101)) + [500]
         else:

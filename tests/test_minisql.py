@@ -107,7 +107,7 @@ class TestExecutor:
         for i in range(120):
             table.insert(i, 0, bytes(400))
         heap = node.disk("tbl_edges_heap").stats
-        for plan in (table.ordered_scan, lambda: table.range_scan(10, 20), table.source_scan):
+        for plan in (table.ordered_scan, lambda: table.range_scan(10, 20)):
             before = heap.reads
             plan()
             assert heap.reads - before == table.heap.pages.npages > 1
@@ -160,7 +160,7 @@ class TestExecutor:
         table.update(1, 0, b"z")
         assert first != moved != rids(table, 1)  # each length change relocates
         assert table.point_probe(1, 0) == [b"z"]
-        assert table.source_scan() == [1]
+        assert table.ordered_scan() == [(1, b"z")]  # one row: the old ones are gone
 
     def test_negative_ints_ordered_in_index(self):
         table, _ = make_table()
@@ -183,7 +183,6 @@ class TestExecutor:
             lambda: table.vertex_probe(1),
             lambda: table.range_scan(0, 1),
             table.ordered_scan,
-            table.source_scan,
         ]
         for call in calls:
             n, t = table.statements_executed, node.clock.now
@@ -223,7 +222,6 @@ def test_plans_match_reference(ops, data):
             chunks.append(blob)
     rows = [(src, blob) for src in sorted(ref) for blob in ref[src]]
     assert table.ordered_scan() == rows
-    assert sorted(table.source_scan()) == [src for src, _ in rows]
     assert len(table.index) == len(rows)
     lo, hi = sorted(data.draw(st.sampled_from(sorted(ref))) for _ in range(2))
     assert table.range_scan(lo, hi) == [r for r in rows if lo <= r[0] <= hi]

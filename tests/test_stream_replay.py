@@ -21,6 +21,8 @@ from repro.services.sharedscan import LOG_REPLAY, ScanBoard
 from repro.simcluster import NodeSpec, SimNode
 from repro.util.errors import CorruptBlockError, GraphStorageException
 
+from .helpers import census
+
 ABSENT = 10**6
 
 
@@ -123,7 +125,7 @@ def test_a_restored_log_answers_alike(log):
     node, db = build(True, chunks, durable=True)
     db.flush()
     _, again = build(True, [], durable=True, node=node)
-    assert again.restored and again.num_edges_logged == db.num_edges_logged
+    assert census(again) == census(db) and again.num_edges_logged == db.num_edges_logged
     _, raw = build(False, chunks)
     assert_answers_alike(raw, again, chunks)
 

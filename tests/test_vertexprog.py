@@ -315,24 +315,30 @@ class TestRegistry:
                 RESULT_SHAPERS.pop("max-label", None)
 
 
-# --- Reopened storage: the id space is unknown. ----------------------------
+# --- Reopened storage: the census and the id space survive a reopen. -------
 
 
 @pytest.mark.parametrize("entry", ["query", "query_many"])
-@pytest.mark.parametrize("backend", ["grDB", "StreamDB"])
-def test_vertex_programs_refuse_reopened_storage(tmp_path, backend, entry):
+@pytest.mark.parametrize("backend", ["grDB", "StreamDB", "BerkeleyDB", "MySQL"])
+def test_vertex_programs_answer_on_reopened_storage(tmp_path, backend, entry):
     # The stored base holds ids up to ~300, the ingest after the reopen only
-    # 0..3: state sized from the latter would be indexed past its end.
-    def deploy():
-        return _mssg(backend=backend, num_backends=2, storage_dir=str(tmp_path))
+    # 0..3: the id space the programs size their state from must come from
+    # what the reopened stores hold, not from that ingest alone.
+    base, late = pubmed_like(300, seed=1), [[0, 1], [2, 3]]
 
-    with deploy() as first:
-        first.ingest(pubmed_like(300, seed=1))
-    with deploy() as reopened:
-        reopened.ingest([[0, 1], [2, 3]])
-        for analysis in ("components", "pagerank"):
-            with pytest.raises(ConfigError, match="reopened storage"):
-                if entry == "query":
-                    reopened.query(analysis)
-                else:
-                    reopened.query_many([], analytics=[analysis])
+    def answers(mssg):
+        params = {"return_labels": True}, {"return_ranks": True}
+        if entry == "query":
+            return [mssg.query(a, **p).result for a, p in zip(("components", "pagerank"), params)]
+        drain = mssg.query_many([], analytics=list(zip(("components", "pagerank"), params)))
+        return [r.result for r in drain.queries]
+
+    with _mssg(backend=backend, num_backends=2) as fresh:
+        fresh.ingest(base)
+        fresh.ingest(late)
+        want = answers(fresh)
+    with _mssg(backend=backend, num_backends=2, storage_dir=str(tmp_path)) as first:
+        first.ingest(base)
+    with _mssg(backend=backend, num_backends=2, storage_dir=str(tmp_path)) as reopened:
+        reopened.ingest(late)
+        assert answers(reopened) == want

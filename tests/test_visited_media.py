@@ -13,9 +13,10 @@ time, so the choice must move nothing but the wall clock:
   whose memory structure is pinned to the dict, on all six backends with the
   hybrid on and off under both presets, and across a streaming drain whose
   batches raise the largest id;
-* a sparse id space (an id far past the ingested endpoints) and a reopened
-  store (ids the deployment never ingested) keep the dict, and answer what
-  a fresh search answers;
+* a sparse id space (an id far past the ingested endpoints) keeps the dict,
+  and a reopened store (ids the deployment never ingested) sizes its id
+  space from what its stores hold at open and picks what a fresh deployment
+  picks; both answer what a fresh search answers;
 * an external map's scratch device lives exactly as long as its search,
   solo or drained, finished or failed.
 """
@@ -220,34 +221,42 @@ def test_the_dense_array_needs_no_more_ids_than_endpoints():
 
 
 @pytest.mark.parametrize("backend", ["grDB", "StreamDB"])
-def test_a_reopened_store_keeps_the_dict_and_answers_what_a_fresh_one_does(tmp_path, backend):
+def test_a_reopened_store_sizes_its_id_space_like_a_fresh_one(tmp_path, backend):
     # The base holds ids 0..299; the unfolded deltas recovered on reopen hold
-    # only 0..2.  No id space recorded after the reopen bounds the store, so
-    # the search runs top-down over the dict — a dense array sized from the
-    # deltas would drop every mark at or above 3.
+    # only 0..2.  The id space comes from the census each store rebuilds at
+    # open — a dense array sized from the deltas alone would drop every mark
+    # at or above 3 — and the late batch, inside it, leaves it as it is.
     edges = pubmed_like(300, seed=1)
     delta, late = np.array([[0, 1], [1, 2]]), np.array([[3, 4]])
     top = int(edges.max())
     graph = CSRGraph.from_edges(np.vstack([edges, delta, late]))
     pairs = [(top, 5), (5, top), (0, top - 1), (top, 10**6)]
     with _deploy(backend, streaming=True) as fresh:
+        fresh_media = _media(fresh)
         fresh.ingest(edges)
         fresh.ingest_stream(delta)
         fresh.ingest_stream(late)
-        want = [fresh.query_bfs(s, d, direction_opt=False) for s, d in pairs]
-    assert [r.result for r in want[:3]] == [bfs_distance(graph, s, d) for s, d in pairs[:3]]
+        want = {
+            direction_opt: [fresh.query_bfs(s, d, direction_opt=direction_opt) for s, d in pairs]
+            for direction_opt in (False, True)
+        }
+    assert [r.result for r in want[False][:3]] == [
+        bfs_distance(graph, s, d) for s, d in pairs[:3]
+    ]
     with _deploy(backend, storage_dir=str(tmp_path), streaming=True) as first:
         first.ingest(edges)
         first.ingest_stream(delta)
     with _deploy(backend, storage_dir=str(tmp_path), streaming=True) as reopened:
         media = _media(reopened)
-        assert reopened.queries.num_vertices == 3 and reopened.queries._id_space() is None
-        reopened.ingest_stream(late)  # bounds the new ids, not the base's
-        assert reopened.queries._id_space() is None
+        assert reopened.queries.num_vertices == top + 1
+        reopened.ingest_stream(late)
+        assert reopened.queries.num_vertices == top + 1
         for direction_opt in (False, True):
             got = [reopened.query_bfs(s, d, direction_opt=direction_opt) for s, d in pairs]
-            assert [(r.result, r.levels) for r in got] == [(r.result, r.levels) for r in want]
-        assert media == {"InMemoryVisited"}
+            assert [(r.result, r.levels) for r in got] == [
+                (r.result, r.levels) for r in want[direction_opt]
+            ]
+        assert media == fresh_media
 
 
 # -- an external map's scratch device lives as long as its search ---------------
