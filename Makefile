@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_scheduler_concurrent.py \
@@ -94,6 +94,15 @@ check-census-owner:  # only graphdb/interface.py names the out-degree census or 
 	} || true); \
 	if [ -n "$$offenders" ]; then \
 		echo "census or source enumeration outside graphdb/interface.py (use degree_many / local_vertices; rebuild with _census_from_storage):"; \
+		echo "$$offenders"; exit 1; \
+	fi
+
+check-combine-owner:  # only services/vertexprog.py::_combine_posts sorts or scatter-reduces posted triplets (np.lexsort, ufunc.at); streaming.py's lexsort orders an edge batch
+	@offenders=$$(awk 'FNR == 1 { fn = "" } /^(def|class) / { fn = $$2 } \
+		/np\.lexsort|\.at\(/ && fn !~ /^_combine_posts\(/ { print FILENAME ":" FNR ": " $$0 }' \
+		src/repro/services/*.py | grep -vE '^src/repro/services/streaming\.py:[0-9]+: +edges = edges\[np\.lexsort\(\(edges\[' || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "posted triplets combined outside services/vertexprog.py::_combine_posts (call it):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -102,6 +102,10 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: per-vertex random fetches, because it pays no per-vertex seek).
 DENSE_BETA = 4.0
 
+#: Largest id space a vertex program runs on: ids go on the wire as int32,
+#: and the combine's packed sort key needs ``bits(n - 1) + bits(m - 1) <= 63``.
+MAX_VP_VERTICES = np.iinfo(np.int32).max
+
 SPARSE = "sparse"
 DENSE = "dense"
 
@@ -117,7 +121,7 @@ class VPConfig:
     """One vertex-program run (the analytics analogue of ``BFSConfig``)."""
 
     #: Vertex-id space size (ids in ``[0, num_vertices)``); sizes the state
-    #: arrays and the frontier bitset.
+    #: arrays and the frontier bitset.  At most :data:`MAX_VP_VERTICES`.
     num_vertices: int
     #: Vertex-granularity declustering with a global owner map?  Without
     #: one (edge round-robin) every rank scans its own local slice of each
@@ -142,6 +146,11 @@ class VPConfig:
     def __post_init__(self):
         if self.num_vertices <= 0:
             raise ConfigError("vertex program needs a positive num_vertices")
+        if self.num_vertices > MAX_VP_VERTICES:
+            raise ConfigError(
+                f"vertex program ids travel as int32: num_vertices "
+                f"{self.num_vertices} exceeds {MAX_VP_VERTICES}"
+            )
         if self.schedule is not None:
             for m in self.schedule:
                 if m not in (SPARSE, DENSE):
@@ -230,6 +239,14 @@ def _combine_posts(posts, combiner, n: int):
     array independent of backend storage order and of failover re-routing;
     equal ``(dst, src)`` keys (partial adjacency slices under edge
     granularity) fall back to post order, which is rank order.
+
+    The stable sort is two LSD passes, each one ``np.sort`` of the int64
+    key ``(id << B) | post_position`` with ``B = bits(m - 1)`` for ``m``
+    triplets: every key is unique, so an unstable sort yields the stable
+    order, and the low ``B`` bits carry the permutation back out.  A key
+    needs ``bits(n - 1) + B <= 63`` — :class:`VPConfig` bounds ``n`` by
+    ``2**31 - 1`` — and a ``src`` of ``-1`` (``needs_source=False``) sorts
+    first.
     """
     ufunc, identity = _COMBINERS[combiner]
     out = np.full(n, identity, dtype=np.float64)
@@ -240,7 +257,12 @@ def _combine_posts(posts, combiner, n: int):
     dsts = np.concatenate([p[0] for p in live])
     srcs = np.concatenate([p[1] for p in live])
     vals = np.concatenate([p[2] for p in live]).astype(np.float64)
-    order = np.lexsort((srcs, dsts))
+    m = len(dsts)
+    bits = max(1, (m - 1).bit_length())
+    mask = (1 << bits) - 1
+    pos = np.arange(m, dtype=np.int64)
+    order = np.sort((srcs.astype(np.int64) << bits) | pos) & mask
+    order = order[np.sort((dsts[order].astype(np.int64) << bits) | pos) & mask]
     dsts, vals = dsts[order], vals[order]
     ufunc.at(out, dsts, vals)
     has[dsts] = True
@@ -344,11 +366,10 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram, owner_of=Non
             # and the loop never retries — the slices are disjoint by storage,
             # not by routing.
             posted: list[tuple] = []  # (rank, post) of every round, at rank 0 only
-            id_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
             def scatter(todo):
                 (dsts, srcs, vals), _ = _scan_messages(ctx, db, prog, todo, mode, superstep, ft)
-                return dsts.astype(id_dtype, copy=False), srcs.astype(id_dtype, copy=False), vals
+                return dsts.astype(np.int32), srcs.astype(np.int32), vals
 
             def exchange(post):
                 gathered = yield from comm.gather((is_down(ft), post), root=0)
@@ -797,10 +818,8 @@ def _shape_pagerank(params):
             "top": raw["top"],
         }
         if params.get("return_ranks", False):
-            present = raw["present"]
-            out["ranks"] = {
-                int(v): float(raw["ranks"][v]) for v in np.flatnonzero(present)
-            }
+            present = np.flatnonzero(raw["present"])
+            out["ranks"] = dict(zip(present.tolist(), raw["ranks"][present].tolist()))
         return out
 
     return shape

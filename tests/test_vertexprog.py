@@ -9,9 +9,12 @@ replication=2 matches the healthy answer, and a mixed BFS+PageRank
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.graphgen import dedupe_edges, preferential_attachment, pubmed_like
+from repro.services.vertexprog import _COMBINERS, VPConfig, _combine_posts
 from repro.simcluster.faults import DiskFault, FaultPlan
 from repro.util.errors import ConfigError
 
@@ -342,3 +345,62 @@ def test_vertex_programs_answer_on_reopened_storage(tmp_path, backend, entry):
     with _mssg(backend=backend, num_backends=2, storage_dir=str(tmp_path)) as reopened:
         reopened.ingest(late)
         assert answers(reopened) == want
+
+
+# --- The canonical combine against the lexsort it replaced. ----------------
+
+
+def _lexsort_combine(posts, combiner, n):
+    """Reference: the two-key ``np.lexsort`` combine (stable by construction)."""
+    ufunc, identity = _COMBINERS[combiner]
+    out = np.full(n, identity, dtype=np.float64)
+    has = np.zeros(n, dtype=bool)
+    live = [p for p in posts if len(p[0])]
+    if not live:
+        return out, has, 0
+    dsts = np.concatenate([p[0] for p in live])
+    srcs = np.concatenate([p[1] for p in live])
+    vals = np.concatenate([p[2] for p in live]).astype(np.float64)
+    order = np.lexsort((srcs, dsts))
+    dsts, vals = dsts[order], vals[order]
+    ufunc.at(out, dsts, vals)
+    has[dsts] = True
+    return out, has, len(dsts)
+
+
+# Signed zeros and infinities make the reduction order visible in the bytes.
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.1, 1e16])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # m at the edges of the position field's width as well as small
+    m=st.one_of(
+        st.integers(0, 40), st.sampled_from([2**k + d for k in range(12) for d in (0, 1)])
+    ),
+    n=st.integers(1, 40),
+    src_span=st.integers(0, 40),
+    combiner=st.sampled_from(sorted(_COMBINERS)),
+    cuts=st.lists(st.integers(0, 2**11 + 1), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_key_combine_matches_lexsort(m, n, src_span, combiner, cuts, seed):
+    # Few distinct (dst, src) keys spread over several posts (ranks) tie
+    # across ranks with differing values; src_span 0 draws only src = -1.
+    rng = np.random.default_rng(seed)
+    dsts = rng.integers(0, n, m).astype(np.int32)
+    srcs = rng.integers(-1, src_span, m).astype(np.int32)
+    vals = np.where(
+        rng.random(m) < 0.5, _SPECIAL[rng.integers(0, len(_SPECIAL), m)], rng.normal(size=m)
+    )
+    bounds = [0, *sorted(c % (m + 1) for c in cuts), m]
+    posts = [(dsts[a:b], srcs[a:b], vals[a:b]) for a, b in zip(bounds, bounds[1:])]
+    with np.errstate(invalid="ignore"):  # inf + -inf under "add" is a NaN, on both sides
+        got, want = _combine_posts(posts, combiner, n), _lexsort_combine(posts, combiner, n)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]) and got[2] == want[2] == m
+
+
+def test_vpconfig_refuses_an_id_space_past_int32():
+    with pytest.raises(ConfigError, match="int32"):
+        VPConfig(num_vertices=2**31)
