@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -22,7 +22,8 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_stream_replay.py tests/test_analysis_axis.py \
 		tests/test_inmemory_staging.py tests/test_visited_media.py \
 		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py \
-		tests/test_storage_differential.py tests/test_reingest.py
+		tests/test_storage_differential.py tests/test_reingest.py \
+		tests/test_cli.py tests/test_services.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \
@@ -136,6 +137,9 @@ examples:
 
 loc:  # src/ line count and code-only count (no comments, blank lines or docstrings)
 	$(PYTHON) tools/loc.py src
+
+reach:  # function lines reached by production runs, by tests only, by neither (minutes; not gated)
+	$(PYTHON) tools/reach.py
 
 figures:  # regenerate every table/figure via the CLI
 	for id in table5.1 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig5.6 fig5.7 fig5.8 fig5.9; do \

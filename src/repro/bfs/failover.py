@@ -8,11 +8,11 @@ whose primary owner is rank ``q`` also lives on ranks ``q+1 .. q+k-1``
 dead rank's share.
 
 Every rank program that fails over — Algorithms 1 and 2 (through
-:func:`failover_rounds`), ``degree``, the bottom-up level, the
-vertex-program superstep loop, the triangle sweep (through
-:func:`serve_once`) — is written in this module's vocabulary, and no other
-module reads a :class:`FaultTolerance` field, writes an :class:`FTState`
-field or decides who serves a partition (``make check-failover-owner``):
+:func:`failover_rounds`), ``degree``, the bottom-up level and the
+vertex-program superstep loop (through :func:`serve_once`) — is written in
+this module's vocabulary, and no other module reads a
+:class:`FaultTolerance` field, writes an :class:`FTState` field or decides
+who serves a partition (``make check-failover-owner``):
 
 * :meth:`FTState.start` — the per-run state, ``None`` when failover is off,
   seeded with the ranks recorded dead up front;

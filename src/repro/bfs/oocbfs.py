@@ -28,6 +28,7 @@ import numpy as np
 
 from ..graphdb.interface import GraphDB
 from ..simcluster.cluster import RankContext
+from ..util.errors import ConfigError
 from .direction import (
     BOTTOM_UP,
     DirectionConfig,
@@ -64,6 +65,8 @@ class BFSConfig:
     num_vertices: int | None = None
     #: Vertex-granularity declustering with the globally known GID % p map?
     owner_known: bool = True
+    #: Levels searched at most; ``0`` searches none (only ``source == dest``
+    #: is found).
     max_levels: int = 64
     #: Fault-tolerance knobs (replication factor, per-attempt timeout,
     #: replica chains).  ``None`` disables the failover protocol entirely and runs
@@ -79,6 +82,10 @@ class BFSConfig:
     #: only value paper mode uses) keeps the yield sequence byte-identical
     #: to the original algorithm.
     level_marks: bool = False
+
+    def __post_init__(self):
+        if self.max_levels < 0:
+            raise ConfigError(f"max_levels must be >= 0, got {self.max_levels}")
 
 
 @dataclass
@@ -148,6 +155,8 @@ def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, result, ft):
     comm = ctx.comm
     if cfg.source == cfg.dest:
         result.found_level = 0
+        return
+    if cfg.max_levels == 0:
         return
 
     # The hybrid needs a vertex->owner map to know which unvisited vertices

@@ -131,7 +131,7 @@ def adjacency_source(db, candidates, done=None, shared=True):
     return (batch,) if len(batch) else ()
 
 
-def sweep(ctx, db, wanted, step, ft: FTState | None, done=None, shared=True, timed=True):
+def sweep(ctx, db, wanted, step, ft: FTState | None, done=None, shared=True):
     """One guarded pass over the adjacency of ``wanted``: ``(examined, ok)``.
 
     ``step(batch)`` returns how many of the batch's entries it examined;
@@ -142,11 +142,11 @@ def sweep(ctx, db, wanted, step, ft: FTState | None, done=None, shared=True, tim
     ``step`` accumulated; with failover off the error propagates.  The
     source is built under the guard too: a shared board's first consumer
     does its device pass there.  ``done``: the scan's claim-feedback list.
-    Between callers, not options: ``shared=False`` keeps a sparse superstep
-    off the ``ScanBoard``, ``timed=False`` waives the per-attempt timeout.
+    Between callers, not an option: ``shared=False`` keeps a sparse
+    superstep off the ``ScanBoard``.
     """
     examined = 0
-    with guard(ctx, ft, timed=timed) as attempt:
+    with guard(ctx, ft) as attempt:
         try:
             for batch in adjacency_source(db, wanted, done, shared):
                 examined += step(batch)

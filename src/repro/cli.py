@@ -165,17 +165,6 @@ def _run_analyses(mssg, args) -> None:
                 f"{report.result['num_components']} components, "
                 f"largest {sizes[0]:,}" if sizes else "0 components"
             )
-        elif name == "ego-net":
-            body = (
-                f"{report.result['num_vertices']:,} vertices within "
-                f"{report.result['hops']} hops of {report.result['source']} "
-                f"(per level: {report.result['per_level']})"
-            )
-        elif name == "triangles":
-            body = (
-                f"{report.result['triangles']:,} triangles, "
-                f"{report.result['wedges']:,} wedges"
-            )
         else:
             body = f"{report.result}"
         print(
@@ -392,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME[:K=V,...]",
         help="run a registered analytics query after ingest, e.g. "
-        "'pagerank', 'components', 'triangles', 'ego-net:source=3,hops=2'; "
+        "'pagerank:max-iters=20', 'components', 'neighborhood:source=3,hops=2'; "
         "repeatable",
     )
     q.add_argument("--backend", default="grDB")

@@ -715,10 +715,10 @@ class MSSG:
         same length) tags each query for round-robin fairness; ``deadline``
         is a per-query virtual-seconds budget from admission.  ``analytics``
         optionally appends vertex-program queries to the same drain — each
-        entry an analysis name ("pagerank", "components", "ego-net",
-        "triangles") or an ``(analysis, params)`` pair — so analytics
-        interleave with BFS superstep-by-level under the same admission
-        control; their reports follow the BFS reports in submission order.
+        entry an analysis name ("pagerank", "components") or an
+        ``(analysis, params)`` pair — so analytics interleave with BFS
+        superstep-by-level under the same admission control; their reports
+        follow the BFS reports in submission order.
         Queries are interleaved level-by-level under the admission cap
         (``max_inflight``, default 64), with backend sweeps shared between a
         round's subscribers (``shared_scans``).  Answers are bit-identical to

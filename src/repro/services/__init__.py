@@ -12,7 +12,6 @@ from .query import DrainReport, QueryReport, QueryService
 from .scheduler import QuerySpec
 from .vertexprog import (
     ComponentsProgram,
-    EgoNetProgram,
     PageRankProgram,
     VertexProgram,
     VPConfig,
@@ -23,7 +22,6 @@ __all__ = [
     "Declusterer",
     "DrainReport",
     "EdgeRoundRobin",
-    "EgoNetProgram",
     "IngestReport",
     "IngestionService",
     "PageRankProgram",

@@ -390,13 +390,13 @@ class QueryService:
 
         The default analysis is the relationship query (``source``/``dest``
         BFS); passing ``analysis`` with one of the drain-capable vertex
-        programs ("pagerank", "components", "ego-net", "triangles") queues
-        an analytics query instead, parameterized by ``params``, and it
-        interleaves with BFS under the same admission control.  Returns the
-        query id — the index of its report in the drain's ``queries``
-        list.  ``deadline`` is a virtual-seconds budget counted from
-        admission; an expired query is cut off at its next level boundary
-        and reported partial with ``deadline_exceeded=True``.
+        programs ("pagerank", "components") queues an analytics query
+        instead, parameterized by ``params``, and it interleaves with BFS
+        under the same admission control.  Returns the query id — the index
+        of its report in the drain's ``queries`` list.  ``deadline`` is a
+        virtual-seconds budget counted from admission; an expired query is
+        cut off at its next level boundary and reported partial with
+        ``deadline_exceeded=True``.
         """
         if analysis != "bfs":
             from .vertexprog import VP_ANALYSES
@@ -406,6 +406,8 @@ class QueryService:
                     f"analysis {analysis!r} cannot be drained concurrently; "
                     f"available: {('bfs',) + VP_ANALYSES}"
                 )
+        if int(max_levels) < 0:
+            raise ConfigError(f"max_levels must be >= 0, got {max_levels}")
         qid = len(self._submitted)
         self._submitted.append(
             QuerySpec(

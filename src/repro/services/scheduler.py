@@ -65,7 +65,7 @@ class QuerySpec:
     direction_schedule: tuple | None = None
     #: Which registered analysis runs this query: ``"bfs"`` (the default
     #: relationship query) or a drain-capable vertex-program analysis
-    #: ("pagerank", "components", "ego-net", "triangles").
+    #: ("pagerank", "components").
     analysis: str = "bfs"
     #: Keyword parameters for non-BFS analyses (``None`` = defaults).
     params: dict | None = None

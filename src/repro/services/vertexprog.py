@@ -33,15 +33,13 @@ active-vertex :class:`~repro.util.bitset.Bitset` frontier:
   state identically, producing the next frontier with no further
   communication (one collective per superstep in the healthy case).
 
-Access plans, inherited from the BFS work:
+Access plans, inherited from the BFS work — each superstep is one
+:func:`repro.bfs.rankprog.sweep`:
 
-* a **sparse** frontier is fetched in batch: programs that need
-  per-source values walk ``GraphDB.scan_adjacency(candidates)`` (grDB
-  sweeps the candidates' chains level by level, every block once;
-  BerkeleyDB walks its leaf chain; MySQL plans range statements), and
-  source-independent programs (``needs_source = False``) go through
-  :func:`~repro.bfs.failover.try_expand` / ``expand_fringe`` — the exact
-  batched path of top-down BFS;
+* a **sparse** frontier is fetched in batch:
+  ``GraphDB.scan_adjacency(candidates)`` reads the candidates' lists only
+  (grDB sweeps their chains level by level, every block once; BerkeleyDB
+  walks its leaf chain; MySQL plans range statements);
 * a **dense** frontier switches to one storage-order sweep per rank —
   the bottom-up BFS plan — through
   :func:`repro.bfs.rankprog.adjacency_source`, which also makes the
@@ -58,11 +56,11 @@ announcement; when a device dies mid-scan its posts are void and bounded
 retry rounds re-scan the orphaned share on the next surviving chain
 members.
 
-Four plug-ins ship on the runtime — PageRank (iterate until
-convergence), weakly-connected components, k-hop ego-net extraction, and
-triangle/wedge counting — registered on every
+Two plug-ins ship on the runtime — PageRank (iterate until convergence)
+and weakly-connected components — registered on every
 :class:`~repro.services.query.QueryService` by
-:func:`register_vertex_programs`.
+:func:`register_vertex_programs`.  The k-hop ball is ``neighborhood``, a
+bounded search on the BFS driver.
 """
 
 from __future__ import annotations
@@ -73,9 +71,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bfs.direction import BOTTOM_UP
-from ..bfs.failover import FaultTolerance, is_down, route_or_drop, serve_once, try_expand
+from ..bfs.failover import FaultTolerance, is_down, serve_once
 from ..bfs.rankprog import RankResult, level_mark, span, sweep
-from ..graphdb.interface import AdjacencyBatch
 from ..util.bitset import Bitset
 from ..util.errors import ConfigError
 
@@ -86,8 +83,6 @@ __all__ = [
     "vertexprog_program",
     "PageRankProgram",
     "ComponentsProgram",
-    "EgoNetProgram",
-    "triangle_count_program",
     "register_vertex_programs",
     "make_vp_generator",
     "vp_report",
@@ -189,11 +184,6 @@ class VertexProgram(abc.ABC):
     msg_dtype = np.float64
     #: Combiner: ``"add"`` | ``"min"`` | ``"max"``.
     combine: str = "add"
-    #: Do message values depend on the source vertex's state/degree?
-    #: ``False`` lets a sparse superstep use the flat ``expand_fringe``
-    #: batch path (values must then be per-superstep constants, and the
-    #: combiner must be ``min``/``max`` so duplicates are harmless).
-    needs_source: bool = True
 
     @abc.abstractmethod
     def init(self, n: int) -> np.ndarray:
@@ -211,20 +201,16 @@ class VertexProgram(abc.ABC):
     def finalize(self) -> object:
         """Build the (rank-uniform) analysis result from final state."""
 
+    @abc.abstractmethod
     def edge_messages(self, batch, superstep: int):
         """Scatter along a batch of stored edges: ``(dsts, srcs, values)``.
 
         Called once per scanned :class:`~repro.graphdb.AdjacencyBatch` of
-        active vertices when ``needs_source``.  One message per stored entry
-        is ``dsts = batch.neighbors``, ``srcs = np.repeat(batch.vertices,
+        active vertices.  One message per stored entry is ``dsts =
+        batch.neighbors``, ``srcs = np.repeat(batch.vertices,
         batch.degrees)`` and a per-vertex value repeated the same way; the
         arrays go on the wire as returned, so keep them in batch order.
         """
-        raise NotImplementedError
-
-    def constant_value(self, superstep: int) -> float:
-        """Per-superstep message constant for ``needs_source=False``."""
-        raise NotImplementedError
 
 
 # -- the runtime -------------------------------------------------------------
@@ -245,8 +231,7 @@ def _combine_posts(posts, combiner, n: int):
     triplets: every key is unique, so an unstable sort yields the stable
     order, and the low ``B`` bits carry the permutation back out.  A key
     needs ``bits(n - 1) + B <= 63`` — :class:`VPConfig` bounds ``n`` by
-    ``2**31 - 1`` — and a ``src`` of ``-1`` (``needs_source=False``) sorts
-    first.
+    ``2**31 - 1``.
     """
     ufunc, identity = _COMBINERS[combiner]
     out = np.full(n, identity, dtype=np.float64)
@@ -287,15 +272,6 @@ def _scan_messages(ctx, db, prog: VertexProgram, todo: np.ndarray, mode: str, su
     empty_post = (_EMPTY, _EMPTY, np.empty(0, dtype=np.float64))
     if not len(todo):
         return empty_post, True
-    if not prog.needs_source:
-        # Flat batch expansion (the top-down BFS plan): values are
-        # per-superstep constants, so only destinations matter.
-        dsts = try_expand(ctx, db, todo, ft)
-        if dsts is None:
-            return empty_post, False
-        vals = np.full(len(dsts), prog.constant_value(superstep), dtype=np.float64)
-        return (dsts, np.full(len(dsts), -1, dtype=np.int64), vals), True
-
     posts: list[tuple] = []
 
     def scatter(batch):
@@ -324,11 +300,6 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram, owner_of=Non
     n = cfg.num_vertices
     if prog.combine not in _COMBINERS:
         raise ConfigError(f"unknown combiner {prog.combine!r}")
-    if not prog.needs_source and prog.combine == "add":
-        raise ConfigError(
-            "needs_source=False requires a min/max combiner (flat batch "
-            "expansion cannot attribute additive values to sources)"
-        )
     with span(ctx, db, cfg.ft, VPRankResult()) as (result, ft):
         if prog.combine == "add" and not cfg.owner_known and ft is not None and ft.replication > 1:
             raise ConfigError(
@@ -429,7 +400,6 @@ class PageRankProgram(VertexProgram):
 
     name = "pagerank"
     combine = "add"
-    needs_source = True
 
     def __init__(self, damping: float = 0.85, tol: float = 1e-9, max_iters: int = 100):
         if not 0.0 < damping < 1.0:
@@ -501,7 +471,6 @@ class ComponentsProgram(VertexProgram):
 
     name = "components"
     combine = "min"
-    needs_source = True
 
     def __init__(self):
         self.labels: np.ndarray | None = None
@@ -544,177 +513,6 @@ class ComponentsProgram(VertexProgram):
         }
 
 
-class EgoNetProgram(VertexProgram):
-    """k-hop ego-net extraction: every vertex within ``k`` hops of a source.
-
-    Message values are per-superstep constants (the hop count), so sparse
-    supersteps ride the flat ``expand_fringe`` batch path with a ``min``
-    combiner — the closest analytics analogue of a top-down BFS level.
-    """
-
-    name = "ego-net"
-    combine = "min"
-    needs_source = False
-
-    def __init__(self, source: int, hops: int):
-        self.source = int(source)
-        self.hops = int(hops)
-        if self.hops < 0:
-            raise ConfigError(f"hops must be >= 0, got {self.hops}")
-        self.level: np.ndarray | None = None
-
-    def init(self, n: int) -> np.ndarray:
-        if not 0 <= self.source < n:
-            raise ConfigError(f"source {self.source} outside id space [0, {n})")
-        self.level = np.full(n, -1, dtype=np.int64)
-        self.level[self.source] = 0
-        return _EMPTY if self.hops == 0 else np.array([self.source], dtype=np.int64)
-
-    def constant_value(self, superstep: int) -> float:
-        return float(superstep)
-
-    def apply(self, combined, has_msg, superstep):
-        fresh = has_msg & (self.level < 0)
-        self.level[fresh] = superstep
-        nxt = np.flatnonzero(fresh)
-        return nxt, superstep >= self.hops
-
-    def finalize(self):
-        members = np.flatnonzero(self.level >= 0)
-        per_level = [
-            int((self.level == lev).sum()) for lev in range(int(self.level.max()) + 1)
-        ]
-        return {
-            "source": self.source,
-            "hops": self.hops,
-            "num_vertices": int(len(members)),
-            "per_level": per_level,
-            "vertices": members,
-        }
-
-
-def triangle_count_program(ctx, db, cfg: VPConfig, owner_of=None):
-    """Rank program: exact triangle and wedge counts over the stored graph.
-
-    Not a scatter/gather computation — wedge closure needs adjacency
-    *membership*, not combinable scalars — but built from the runtime's
-    parts: :func:`~repro.bfs.failover.serve_once` (each vertex's list is
-    read by its first surviving chain holder, with bounded re-scan rounds on
-    a death, and a wholly dead chain flags the count ``partial``), the
-    storage-order sweep (shareable under the concurrent multiplexer),
-    and one alltoall routing wedge-closure checks to the rank holding the
-    queried vertex's adjacency.  Each triangle {a, b, c} yields exactly
-    three wedge checks (one centered at each corner), so ``triangles =
-    closed / 3``; wedges are ``sum_v C(deg_v, 2)``.  Requires an owner
-    map (vertex-granularity declustering).
-    """
-    comm = ctx.comm
-    size = comm.size
-    if not cfg.owner_known:
-        raise ConfigError("triangle counting needs an owner map (vertex granularity)")
-    with span(ctx, db, cfg.ft, VPRankResult()) as (result, ft):
-        aborted = cfg.level_marks and (yield from level_mark(result, 0, False, BOTTOM_UP))
-
-        # Phase 1: one storage-order sweep per responsible rank (``serve_once``
-        # over its local vertices), extracting each vertex's neighbor set
-        # (cached for phase 2 membership tests) and its wedge list.
-        adj: dict[int, np.ndarray] = {}
-        wedges = 0
-        checks: list[np.ndarray] = []  # (center excluded) wedge endpoints (u, w)
-
-        def read(todo):
-            nonlocal wedges
-            pieces = []  # a list may arrive in pieces: count, then group
-
-            def collect(batch):
-                pieces.append(batch)
-                return len(batch.neighbors)
-
-            if len(todo) and sweep(ctx, db, todo, collect, ft, timed=False)[1]:
-                for v, neighbors in AdjacencyBatch.concat(pieces).grouped():
-                    nbrs = np.unique(neighbors.astype(np.int64))
-                    nbrs = nbrs[nbrs != v]  # self-loops close no wedges
-                    adj[v] = nbrs
-                    k = len(nbrs)
-                    wedges += k * (k - 1) // 2
-                    if k >= 2:
-                        iu, iw = np.triu_indices(k, 1)
-                        checks.append(np.column_stack([nbrs[iu], nbrs[iw]]))
-            if is_down(ft):
-                # A dead rank's cached neighbor sets are unreadable in phase 2
-                # and its share re-routes wholesale, so its *entire*
-                # accumulation is void: the next surviving chain member
-                # re-scans every vertex routed to it.
-                adj.clear()
-                wedges = 0
-                checks.clear()
-
-        def exchange(_):
-            result.supersteps += 1
-            return (yield from comm.allgather(is_down(ft)))
-
-        if not aborted:
-            yield from serve_once(
-                ctx,
-                ft,
-                lambda: np.asarray(db.local_vertices(), dtype=np.int64),
-                owner_of,
-                read,
-                exchange,
-            )
-
-        if cfg.level_marks and not aborted:
-            aborted = yield from level_mark(result, result.supersteps, False)
-
-        closed = 0
-        if not aborted:
-            # Phase 2: route each wedge (u, w) to the rank responsible for u's
-            # adjacency under the final dead set; that rank answers membership
-            # of w from its cached neighbor sets.
-            pairs = (
-                np.vstack(checks) if checks else np.zeros((0, 2), dtype=np.int64)
-            )
-            pairs, routes, _ = route_or_drop(pairs, owner_of(pairs[:, 0]), ft)
-            parts = [pairs[routes == q] for q in range(size)]
-            received = yield from comm.alltoall(parts)
-            mine = 0
-            probes = 0
-            for batch in received:
-                batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
-                if not len(batch):
-                    continue
-                batch = batch[np.argsort(batch[:, 0], kind="stable")]
-                uniq, starts = np.unique(batch[:, 0], return_index=True)
-                bounds = np.append(starts, len(batch))
-                for i, u in enumerate(uniq):
-                    ws = batch[bounds[i] : bounds[i + 1], 1]
-                    nbrs = adj.get(int(u))
-                    if nbrs is None or not len(nbrs):
-                        probes += len(ws)
-                        continue
-                    # ``nbrs`` is sorted (np.unique): binary-search membership,
-                    # charged one comparison per bisection step.
-                    probes += len(ws) * (int(np.log2(len(nbrs))) + 1)
-                    idx = np.searchsorted(nbrs, ws)
-                    valid = idx < len(nbrs)
-                    mine += int((nbrs[idx[valid]] == ws[valid]).sum())
-            ctx.compute(probes * db.cpu.compare_seconds)
-            closed, wedges = yield from comm.allreduce(
-                (mine, wedges), lambda a, b: (a[0] + b[0], a[1] + b[1])
-            )
-            result.supersteps += 1
-
-        if cfg.level_marks and not aborted:
-            yield from level_mark(result, result.supersteps, True)
-
-        result.result = None if aborted else {
-            "triangles": closed // 3,
-            "wedges": wedges,
-            "closed_checks": closed,
-        }
-    return result
-
-
 # -- Query Service integration ----------------------------------------------
 
 
@@ -728,9 +526,6 @@ PROGRAM_FACTORIES = {
         max_iters=params.get("max_iters", 100),
     ),
     "components": lambda params: lambda: ComponentsProgram(),
-    "ego-net": lambda params: lambda: EgoNetProgram(
-        source=params["source"], hops=params.get("hops", 2)
-    ),
 }
 
 
@@ -753,8 +548,6 @@ def make_vp_generator(service, analysis: str, params: dict, level_marks: bool):
         level_marks=level_marks,
     )
     owner_of = service._owner_of()
-    if analysis == "triangles":
-        return lambda ctx, q: triangle_count_program(ctx, service.dbs[q], cfg, owner_of)
     factory = PROGRAM_FACTORIES[analysis](params)
     return lambda ctx, q: vertexprog_program(ctx, service.dbs[q], cfg, factory(), owner_of)
 
@@ -842,26 +635,12 @@ def _shape_components(params):
     return shape
 
 
-def _shape_egonet(params):
-    def shape(raw):
-        out = dict(raw)
-        if params.get("return_vertices", True):
-            out["vertices"] = [int(v) for v in raw["vertices"]]
-        else:
-            del out["vertices"]
-        return out
-
-    return shape
-
-
 RESULT_SHAPERS = {
     "pagerank": _shape_pagerank,
     "components": _shape_components,
-    "ego-net": _shape_egonet,
-    "triangles": lambda params: None,
 }
 
-VP_ANALYSES = ("pagerank", "components", "ego-net", "triangles")
+VP_ANALYSES = tuple(PROGRAM_FACTORIES)
 
 
 def register_vertex_programs(service) -> None:

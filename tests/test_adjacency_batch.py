@@ -525,9 +525,8 @@ class _DyingStore:
 
 
 def test_sweep_charges_and_counts_what_it_examined_before_the_fault():
-    """The one guarded loop under the claim scan, a superstep's scatter and the
-    triangle count: a pass that dies still pays for the entries its step
-    examined; failover turns the error into ``ok=False``, without it, it
+    """The one guarded loop under the claim scan and a superstep's scatter: a
+    pass that dies still pays for the entries its step examined; failover turns the error into ``ok=False``, without it, it
     propagates."""
     ctx = SimpleNamespace(clock=VirtualClock(10.0))
     wanted = np.arange(5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import MSSG, MSSGConfig
 from repro.cli import main
 from repro.graphgen import read_ascii_edges, read_binary_edges
 
@@ -60,6 +61,44 @@ class TestSearch:
         capsys.readouterr()
         assert main(["search", str(out), "--query", "0:5", "--pipelined"]) == 0
         assert "distance(0 -> 5)" in capsys.readouterr().out
+
+    def test_search_concurrent_with_analyses(self, tmp_path, capsys):
+        out = tmp_path / "e.txt"
+        main(["generate", str(out), "--vertices", "300", "--seed", "3"])
+        capsys.readouterr()
+        rc = main(
+            [
+                "search", str(out),
+                "--query", "0:5", "--query", "1:7", "--inflight", "2",
+                "--analysis", "pagerank:max-iters=5",
+                "--analysis", "components",
+                "--analysis", "neighborhood:source=0,hops=2",
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        with open(out) as f:
+            edges = read_ascii_edges(f)
+        with MSSG(MSSGConfig(num_backends=2, backend="HashMap")) as mssg:
+            mssg.ingest(edges)
+            pagerank = mssg.query("pagerank", max_iters=5).result
+            components = mssg.query("components").result
+            ball = mssg.query("neighborhood", source=0, hops=2).result
+
+        def line(prefix):
+            (found,) = [x for x in lines if x.startswith(prefix)]
+            return found
+
+        assert line("pagerank: ").startswith(
+            f"pagerank: {pagerank['num_vertices']:,} vertices, 5 iterations "
+        )
+        assert line("components: ").startswith(
+            f"components: {components['num_components']} components, "
+            f"largest {components['sizes'][0]:,}   ["
+        )
+        assert line("neighborhood: ").startswith(f"neighborhood: {ball}   [")
+        assert line("distance(0 -> 5) = ") and line("distance(1 -> 7) = ")
+        assert line("drained 2 queries in ")
 
 
 class TestExperiment:

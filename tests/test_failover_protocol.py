@@ -3,8 +3,8 @@
 Three things no other suite holds still:
 
 * **golden rows** — every rank program that fails over (Algorithm 1,
-  Algorithm 2, the bottom-up level, the vertex-program superstep loop, the
-  triangle sweep) under every kind of fault, each row pinning the answer,
+  Algorithm 2, the bottom-up level, the vertex-program superstep loop)
+  under every kind of fault, each row pinning the answer,
   the *virtual clock* and the failover counters bit for bit.  The literals
   were recorded on the commit before ``bfs/failover.py`` became the one
   owner of the retry protocol (``python tests/test_failover_protocol.py``
@@ -19,7 +19,7 @@ Three things no other suite holds still:
 * **regressions**: ``path`` rides the failover protocol (a killed device
   used to raise out of its private loop); and the two the single guard /
   single epilogue fix — a deadline-aborted BFS stays ``partial`` on a
-  fault-tolerant deployment, and ``triangles`` without failover raises the
+  fault-tolerant deployment, and an analysis without failover raises the
   storage error it hit.
 """
 
@@ -98,8 +98,6 @@ ANALYSES = {
     "path": ("path", dict(source=SOURCE, dest=DEST)),
     "pagerank": ("pagerank", dict(max_iters=4)),
     "components": ("components", {}),
-    "ego-net": ("ego-net", dict(source=SOURCE, hops=3, return_vertices=True)),
-    "triangles": ("triangles", {}),
 }
 
 
@@ -111,23 +109,16 @@ def _digest(result) -> str:
 DATA_DEVICE = {"StreamDB": "streamdb", "grDB": "grdb_L0"}
 
 
-def _kill_mid_query(mssg, backend: str, q: int, served: int = 1) -> FaultPlan:
-    """Back-end ``q``'s data device serves ``served`` more operations, then
-    dies: by default the query's first read succeeds and the fault lands in
-    the middle of it."""
+def _kill_mid_query(mssg, backend: str, q: int) -> FaultPlan:
+    """Back-end ``q``'s data device serves one more operation, then dies: the
+    query's first read succeeds and the fault lands in the middle of it."""
     name = DATA_DEVICE[backend]
     node = mssg.cluster.nodes[FRONTENDS + q]
     ops = max(dev.ops for n, dev in node._disks.items() if n.startswith(name))
-    return FaultPlan.kill_node(FRONTENDS + q, after_ops=ops + served, device=name)
+    return FaultPlan.kill_node(FRONTENDS + q, after_ops=ops + 1, device=name)
 
 
-#: Rows whose query reads each back-end's data device once (StreamDB's
-#: triangle count: one log replay, its source list read from RAM), so the
-#: "fail" fault takes that one read.
-ONE_READ = {("triangles", "StreamDB")}
-
-
-def _deploy(backend: str, scenario: str, served: int = 1) -> MSSG:
+def _deploy(backend: str, scenario: str) -> MSSG:
     """One deployment per row: ingest healthy, then arrange the fault."""
     cfg = dict(
         num_backends=BACKENDS,
@@ -153,7 +144,7 @@ def _deploy(backend: str, scenario: str, served: int = 1) -> MSSG:
     if scenario == "rebalanced":
         assert mssg.rebalance().copies_restored > 0
     elif scenario == "fail":
-        mssg.set_fault_plan(_kill_mid_query(mssg, backend, 1, served))
+        mssg.set_fault_plan(_kill_mid_query(mssg, backend, 1))
     elif scenario == "corrupt":
         mssg.set_fault_plan(
             FaultPlan([DiskFault(node=FRONTENDS + 2, kind="corrupt", at_time=0.0)])
@@ -172,7 +163,7 @@ def _deploy(backend: str, scenario: str, served: int = 1) -> MSSG:
 
 def _run_row(analysis: str, backend: str, scenario: str):
     name, params = ANALYSES[analysis]
-    with _deploy(backend, scenario, 0 if (analysis, backend) in ONE_READ else 1) as mssg:
+    with _deploy(backend, scenario) as mssg:
         if name == "typed-bfs":  # the type table is RAM: no device operation
             mssg.query("load-vertex-types", type_codes=TYPE_CODES)
         r = mssg.query(name, **params)
@@ -210,14 +201,14 @@ def _run_row(analysis: str, backend: str, scenario: str):
 #: pipelined-bfs/corrupt 0.08343130778181827 (all lower now), and
 #: components/paper 0.11740649083636456 (last digit: the per-sub-block
 #: charges of a run now follow its read instead of the round's last read).
-#: Every StreamDB row and every top-down grDB row is unedited, and so are
-#: grDB's pagerank/fail and triangles/corrupt, whose sweeps charge the same.
+#: Every StreamDB row and every top-down grDB row is unedited, and so is
+#: grDB's pagerank/fail, whose sweeps charge the same.
 #:
 #: Re-recorded once more, ``seconds`` only, for the twelve StreamDB rows
 #: whose query enumerates its local sources: ``local_vertices`` is served
 #: from the RAM out-degree census instead of a whole-log replay, a stated
 #: model change.  The other eight fields are unchanged and each fault row
-#: still fires (triangles/fail through ``ONE_READ``).
+#: still fires.
 GOLDEN = {
     ("bfs", "grDB", "healthy"): (
         "4e07408562be", "0.05049175425454536",
@@ -267,10 +258,6 @@ GOLDEN = {
         "4e07408562be", "0.05892914298181804",
         1, 0, False, 1, (), 3, 760,
     ),
-    ("triangles", "StreamDB", "fail"): (
-        "35531e0b7fb7", "0.026875920800000005",
-        1, 0, False, 1, (), 3, 6894,
-    ),
     ("bfs", "StreamDB", "corrupt"): (
         "4e07408562be", "0.03800567959999998",
         1, 0, False, 0, (2,), 3, 827,
@@ -282,10 +269,6 @@ GOLDEN = {
     ("components", "StreamDB", "corrupt"): (
         "a517133bf04f", "0.04916823410909089",
         1, 0, False, 0, (2,), 4, 15280,
-    ),
-    ("triangles", "grDB", "corrupt"): (
-        "35531e0b7fb7", "0.06661475807272722",
-        1, 0, False, 0, (2,), 3, 6894,
     ),
     ("bfs-push", "StreamDB", "slow"): (
         "4e07408562be", "0.43354303290909085",
@@ -319,25 +302,9 @@ GOLDEN = {
         "dc937b598926", "0.5110700422181806",
         2, 253, True, 2, (), 5, 5359,
     ),
-    ("ego-net", "grDB", "chain-dead"): (
-        "aa447d8cf4d2", "0.1075398789090911",
-        1, 110, True, 2, (), 3, 5117,
-    ),
-    ("triangles", "StreamDB", "chain-dead"): (
-        "91182fbfa4ae", "0.024899342072727274",
-        1, 29408, True, 2, (), 3, 5195,
-    ),
     ("pipelined-bfs", "StreamDB", "rebalanced"): (
         "4e07408562be", "0.030407408763636363",
         0, 0, False, 0, (), 3, 737,
-    ),
-    ("ego-net", "StreamDB", "rebalanced"): (
-        "99152c17a88f", "0.029618675381818185",
-        0, 0, False, 0, (), 3, 6803,
-    ),
-    ("triangles", "StreamDB", "rebalanced"): (
-        "35531e0b7fb7", "0.018266312909090913",
-        0, 0, False, 0, (), 2, 6894,
     ),
     # Recorded on the commit that put ``typed-bfs`` and ``path`` on the BFS
     # driver (before it neither went through bfs/failover.py at all).
@@ -384,6 +351,28 @@ GOLDEN = {
     ("bfs-pull-all", "StreamDB", "chain-dead"): (
         "dc937b598926", "0.05750754981818175",
         1, 0, True, 2, (), 5, 3622,
+    ),
+    # Recorded on the commit before ``ego-net`` and ``triangles`` were
+    # deleted: these hold the vertex-program cells only their rows held.
+    ("components", "StreamDB", "fail"): (
+        "a517133bf04f", "0.04839357090909088",
+        1, 0, False, 1, (), 4, 15280,
+    ),
+    ("components", "grDB", "corrupt"): (
+        "a517133bf04f", "0.12530409003636417",
+        1, 0, False, 0, (2,), 4, 15280,
+    ),
+    ("components", "grDB", "chain-dead"): (
+        "d23b942d187f", "0.12527456963636407",
+        1, 295, True, 2, (), 4, 11374,
+    ),
+    ("components", "StreamDB", "chain-dead"): (
+        "d23b942d187f", "0.04890595639999996",
+        1, 295, True, 2, (), 4, 11374,
+    ),
+    ("components", "StreamDB", "rebalanced"): (
+        "a517133bf04f", "0.04198828592727269",
+        0, 0, False, 0, (), 4, 15280,
     ),
 }
 
@@ -649,11 +638,10 @@ def _unreplicated_streamdb() -> MSSG:
     return mssg
 
 
-@pytest.mark.parametrize("analysis", ["bfs", "components", "triangles"])
+@pytest.mark.parametrize("analysis", ["bfs", "components"])
 def test_storage_errors_propagate_when_failover_is_off(analysis):
     params = dict(source=SOURCE, dest=DEST) if analysis == "bfs" else {}
-    # One rotted frame: every analysis raises what the checksum layer raised
-    # (triangles used to mask it with an AttributeError on a missing state).
+    # One rotted frame: every analysis raises what the checksum layer raised.
     with _unreplicated_streamdb() as mssg:
         node = mssg.cluster.nodes[FRONTENDS]
         node._disks["streamdb"].backing.write(50, b"\xff\xff\xff")

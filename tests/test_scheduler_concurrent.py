@@ -96,7 +96,6 @@ class TestConcurrentEquivalence:
         all_params = {
             "bfs": dict(zip(("source", "dest"), PAIRS[0])),
             "pagerank": {"max_iters": 5},
-            "ego-net": {"source": PAIRS[0][0], "hops": 2},
         }
         for analysis in ("bfs",) + VP_ANALYSES:
             params = all_params.get(analysis, {})

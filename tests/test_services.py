@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import MSSG, MSSGConfig
 from repro.graphgen import dedupe_edges, preferential_attachment
 from repro.services import (
     EdgeRoundRobin,
@@ -192,6 +193,41 @@ class TestQueryService:
         levels = bfs_levels(g, 0)
         expected = int(((levels >= 0) & (levels <= 2)).sum())
         assert qs.query("neighborhood", source=0, hops=2).result == expected
+
+    def test_zero_levels_search_nothing(self):
+        # A path 0-1-2-3-4 plus the edge 0-5: one hop to 1, but zero levels
+        # may only find the source itself.
+        chain = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 5]])
+        with MSSG(MSSGConfig(num_backends=2, backend="HashMap")) as mssg:
+            mssg.ingest(chain)
+            for pipelined in (False, True):
+                assert mssg.query_bfs(0, 1, max_levels=0, pipelined=pipelined).result is None
+            assert mssg.query_many([(0, 1)], max_levels=0).queries[0].result is None
+            assert mssg.query("path", source=0, dest=1, max_levels=0).result is None
+            assert mssg.query_bfs(0, 0, max_levels=0).result == 0
+            assert mssg.query_bfs(0, 1, max_levels=1).result == 1
+            assert mssg.query("neighborhood", source=0, hops=0).result == 1
+            assert mssg.query("neighborhood", source=0, hops=1).result == 3
+
+    def test_negative_levels_are_refused(self):
+        with MSSG(MSSGConfig(num_backends=2, backend="HashMap")) as mssg:
+            mssg.ingest(EDGES)
+            with pytest.raises(ConfigError, match="max_levels"):
+                mssg.query_bfs(0, 1, max_levels=-1)
+            with pytest.raises(ConfigError, match="max_levels"):
+                mssg.query_many([(0, 1)], max_levels=-1)
+            # A bad submit is refused at the queue, so the good query
+            # queued before it still runs at the next drain.
+            qs = mssg.queries
+            good = qs.submit(0, 1)
+            with pytest.raises(ConfigError, match="max_levels"):
+                qs.submit(2, 3, max_levels=-1)
+            assert [r.result for r in qs.drain().queries] == [
+                mssg.query_bfs(0, 1).result
+            ]
+            assert good == 0
+            with pytest.raises(ConfigError, match="max_levels"):
+                mssg.query("neighborhood", source=0, hops=-1)
 
     def test_unknown_analysis(self):
         qs = self.build()

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.graphgen import dedupe_edges, preferential_attachment, pubmed_like
-from repro.services.vertexprog import _COMBINERS, VPConfig, _combine_posts
+from repro.services.vertexprog import (
+    _COMBINERS,
+    PROGRAM_FACTORIES,
+    VP_ANALYSES,
+    VPConfig,
+    _combine_posts,
+)
 from repro.simcluster.faults import DiskFault, FaultPlan
 from repro.util.errors import ConfigError
 
@@ -56,16 +62,6 @@ class TestBackendAgreement:
         results = self._all_backend_results("components", return_labels=True)
         assert all(r == results[0] for r in results[1:])
 
-    def test_triangles_identical_on_all_backends(self):
-        results = self._all_backend_results("triangles")
-        assert all(r == results[0] for r in results[1:])
-        assert results[0]["wedges"] >= results[0]["triangles"] * 3
-
-    def test_egonet_identical_on_all_backends(self):
-        results = self._all_backend_results("ego-net", source=0, hops=2)
-        assert all(r == results[0] for r in results[1:])
-        assert results[0]["per_level"][0] == 1  # the source itself
-
 
 class TestCorrectness:
     def test_components_counts_two_blobs_and_pair(self):
@@ -85,8 +81,6 @@ class TestCorrectness:
         g.add_edges_from(map(tuple, _EDGES.tolist()))
         with _mssg() as mssg:
             mssg.ingest(_EDGES)
-            tri = mssg.query("triangles").result
-            assert tri["triangles"] == sum(nx.triangles(g).values()) // 3
             comp = mssg.query("components").result
             assert comp["num_components"] == nx.number_connected_components(g)
             pr = mssg.query("pagerank", return_ranks=True).result
@@ -94,22 +88,11 @@ class TestCorrectness:
             for v, rank in pr["ranks"].items():
                 assert rank == pytest.approx(expected[v], abs=1e-6)
 
-    def test_egonet_matches_neighborhood_analysis(self):
-        with _mssg() as mssg:
-            mssg.ingest(_EDGES)
-            ego = mssg.query("ego-net", source=3, hops=2).result
-            assert ego["num_vertices"] == mssg.query("neighborhood", source=3, hops=2).result
-            assert sum(ego["per_level"]) == ego["num_vertices"]
-            assert len(ego["vertices"]) == ego["num_vertices"]
-
     def test_result_payload_gates(self):
         with _mssg() as mssg:
             mssg.ingest(_EDGES)
             assert "ranks" not in mssg.query("pagerank").result
             assert "labels" not in mssg.query("components").result
-            assert "vertices" not in mssg.query(
-                "ego-net", source=0, hops=2, return_vertices=False
-            ).result
 
     def test_forced_schedules_agree(self):
         # The access plan (per-vertex fetches vs storage sweeps) must not
@@ -163,8 +146,6 @@ class TestFailover:
     @pytest.mark.parametrize("analysis,params", [
         ("pagerank", {}),
         ("components", {}),
-        ("triangles", {}),
-        ("ego-net", {"source": 3, "hops": 2}),
     ])
     def test_replicated_kill_matches_healthy_answer(self, analysis, params):
         with _fo_mssg(replication=2) as healthy:
@@ -258,8 +239,10 @@ class TestRegistry:
     def test_runtime_suite_registered(self):
         with _mssg() as mssg:
             names = mssg.queries.analyses()
-            for name in ("pagerank", "components", "ego-net", "triangles"):
+            for name in VP_ANALYSES:
                 assert name in names
+        # One scatter path: every drain-capable analysis is a VertexProgram.
+        assert VP_ANALYSES == tuple(PROGRAM_FACTORIES) == ("pagerank", "components")
 
     def test_custom_program_plugs_in(self):
         # The VertexProgram contract is public: a max-label propagation
@@ -293,8 +276,6 @@ class TestRegistry:
 
         with _mssg() as mssg:
             mssg.ingest(_TWO_BLOBS)
-            from repro.services.vertexprog import PROGRAM_FACTORIES
-
             PROGRAM_FACTORIES["max-label"] = lambda params: lambda: MaxLabel()
             from repro.services.vertexprog import RESULT_SHAPERS
 
