@@ -22,6 +22,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_stream_replay.py tests/test_analysis_axis.py \
 		tests/test_inmemory_staging.py tests/test_visited_media.py \
 		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py \
+		tests/test_grdb.py tests/test_grdb_walk_reference.py \
 		tests/test_storage_differential.py tests/test_reingest.py \
 		tests/test_cli.py tests/test_services.py
 

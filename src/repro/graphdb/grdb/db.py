@@ -20,11 +20,14 @@ Adjacency storage per vertex ``v``:
   compact form "during idle time", as the paper suggests.
 
 Degrees beyond the top level's capacity chain additional top-level
-sub-blocks, so arbitrarily large hubs are storable.
+sub-blocks, so arbitrarily large hubs are storable.  Every chain walker
+stops at :meth:`GrDBStorage.chain_bound` sub-blocks (the head plus every
+sub-block ever allocated), the longest an acyclic chain can be.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -56,6 +59,10 @@ _POLICIES = ("link", "move")
 _LEVEL, _SB, _FILL, _PLEVEL, _PSB = range(5)
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Raw lists up to this many slot words have their entries counted by
+#: ``array.count`` in the per-vertex walk, longer ones by one numpy compare.
+_ARRAY_COUNT_WORDS = 64
 
 
 class GrDB(GraphDB):
@@ -128,6 +135,7 @@ class GrDB(GraphDB):
     def _walk(self, local: int) -> tuple[list[tuple[int, int]], int]:
         """Follow ``local``'s chain to its tail; returns (path, tail fill)."""
         path = [(0, local)]
+        bound = self.storage.chain_bound()
         while True:
             level, sb = path[-1]
             if self.fmt.compress:
@@ -136,10 +144,9 @@ class GrDB(GraphDB):
                 slots = self._read_slots(level, sb)
                 last = int(slots[-1])
             if is_pointer(last):
-                nxt = decode_pointer(last)
-                if len(path) > self.fmt.num_levels + 64:
+                if len(path) >= bound:
                     raise GraphStorageException(f"pointer cycle in chain of local vertex {local}")
-                path.append(nxt)
+                path.append(decode_pointer(last))
             elif self.fmt.compress:
                 return path, len(values)
             else:
@@ -257,10 +264,10 @@ class GrDB(GraphDB):
         level[unknown], sb[unknown] = 0, locals_[unknown]
         values, owner = [], []
         walking = np.arange(len(locals_))
-        hops = 0
+        hops, bound = 0, self.storage.chain_bound()
         while len(walking):
             hops += 1
-            if hops > fmt.num_levels + 64:
+            if hops > bound:
                 raise GraphStorageException(
                     f"pointer cycle in chain of local vertex {int(locals_[walking[0]])}"
                 )
@@ -434,52 +441,93 @@ class GrDB(GraphDB):
         read, ``len · edge_visit_seconds`` plus its request and edge counts
         when ``account`` (the fringe contract; ``get_adjacency`` accounts
         for itself).  A vertex this store does not own reads nothing.
+
+        The charges add up in a local float, in that order, and reach the
+        node clock (``advance_to``) before every cache miss — the only
+        point where a device may read the clock, charge it or fire an
+        ``at_time`` fault — and once on exit, raise or return; the counts
+        likewise.  Each addition is the one ``advance`` would make, so the
+        clock ends bit for bit where per-charge advances leave it.  A cache
+        hit is one ``get``; a miss is :meth:`GrDBStorage._fetch_block`.
         """
-        fmt, cpu, clock, stats = self.fmt, self.cpu, self.clock, self.stats
-        read_block, span = self.storage._read_block, fmt.subblock_span
+        fmt, cpu, clock, storage = self.fmt, self.cpu, self.clock, self.storage
+        get, fetch = storage.cache.get, storage._fetch_block
+        layout, compress, decode = fmt._subblock_layout, fmt.compress, fmt.decode_subblock
+        nlevels, bound = len(layout), storage.chain_bound()
         sub_s, decode_s = cpu.grdb_subblock_seconds, cpu.varint_decode_seconds
         edge_s = cpu.edge_visit_seconds
-        fringe = np.asarray(vertices, dtype=np.int64)
-        locals_, owned = self.id_map.to_local_many(fringe)
-        out = []
-        for vertex, local, mine in zip(fringe.tolist(), locals_.tolist(), owned.tolist()):
-            parts = []
-            level, sb, hops = 0, local, 0
-            while mine:
-                if fmt.compress:
-                    block, start, stop = span(level, sb)
-                    frame = read_block(level, block)[start:stop]
-                    values, tail, consumed = fmt.decode_subblock(frame)
-                    clock.advance(sub_s + consumed * decode_s)
-                    parts.append(values)
-                    more = is_pointer(tail)
-                else:
-                    clock.advance(sub_s)
-                    block, start, stop = span(level, sb)
-                    data = read_block(level, block)
-                    end = stop - SLOT_BYTES
-                    tail = int.from_bytes(data[end:stop], "little")
-                    more = is_pointer(tail)
-                    parts.append(data[start : end if more else stop])
-                if not more:
-                    break
-                level, sb = decode_pointer(tail)
-                hops += 1
-                if hops > 1 << 20:
-                    raise GraphStorageException(f"runaway chain for vertex {vertex}")
-            flat = _EMPTY
-            if parts:
-                if fmt.compress:
-                    flat = np.concatenate(parts)
-                else:
-                    flat = np.frombuffer(b"".join(parts), dtype="<u8")
-                flat = flat[flat != EMPTY_SLOT].astype(np.int64)
-            if account:
-                stats.adjacency_requests += 1
-                stats.edges_scanned += len(flat)
-                clock.advance(len(flat) * edge_s)
-            out.append(flat)
-        return np.concatenate(out) if out else _EMPTY
+        locals_, owned = self.id_map.to_local_many(np.asarray(vertices, dtype=np.int64))
+        out = []  # raw: one slot-byte string per vertex; compressed: decoded arrays
+        now = clock.now
+        requests = edges = 0
+        try:
+            for local, mine in zip(locals_.tolist(), owned.tolist()):
+                parts = []
+                n = 0
+                level, sb, hops = 0, local, 1
+                while mine:
+                    if not compress:
+                        now += sub_s
+                    # Pointers come from disk: address checks as subblock_span's.
+                    if not 0 <= level < nlevels:
+                        raise GraphStorageException(f"level {level} out of range")
+                    if sb < 0:
+                        raise GraphStorageException(f"negative sub-block index {sb}")
+                    k, nbytes = layout[level]
+                    block, at = divmod(sb, k)
+                    start = at * nbytes
+                    stop = start + nbytes
+                    data = get((level, block))
+                    if data is None:
+                        clock.advance_to(now)
+                        data = fetch(level, block)
+                        now = clock.now
+                    if compress:
+                        values, tail, consumed = decode(data[start:stop])
+                        now += sub_s + consumed * decode_s
+                        parts.append(values)
+                        n += len(values)
+                        more = is_pointer(tail)
+                    else:
+                        end = stop - SLOT_BYTES
+                        tail = int.from_bytes(data[end:stop], "little")
+                        more = is_pointer(tail)
+                        parts.append(data[start : end if more else stop])
+                    if not more:
+                        break
+                    level, sb = decode_pointer(tail)
+                    hops += 1
+                    if hops > bound:
+                        raise GraphStorageException(
+                            f"pointer cycle in chain of local vertex {local}"
+                        )
+                if compress:
+                    out += parts
+                elif parts:
+                    # Counts aligned words, so exact for any bytes (EMPTY_SLOT
+                    # is all ones: byte order does not matter); array's count
+                    # is the cheaper on short lists, one numpy compare on long.
+                    raw = b"".join(parts)
+                    words = len(raw) // SLOT_BYTES
+                    if words <= _ARRAY_COUNT_WORDS:
+                        n = words - array("Q", raw).count(EMPTY_SLOT)
+                    else:
+                        n = int(np.count_nonzero(np.frombuffer(raw, dtype="<u8") != EMPTY_SLOT))
+                    out.append(raw)
+                if account:
+                    requests += 1
+                    edges += n
+                    now += n * edge_s
+        finally:
+            clock.advance_to(now)
+            self.stats.adjacency_requests += requests
+            self.stats.edges_scanned += edges
+        if not out:
+            return _EMPTY
+        if compress:
+            return np.concatenate(out).astype(np.int64)
+        flat = np.frombuffer(b"".join(out), dtype="<u8")
+        return flat[flat != EMPTY_SLOT].astype(np.int64)
 
     # -- batched fringe expansion (vectored I/O all the way down) ---------------------
 
@@ -556,11 +604,11 @@ class GrDB(GraphDB):
         # One entry per (round, level): who owns each decoded segment, how
         # long it is, and the values themselves.
         seg_owner, seg_len, seg_values = [], [], []
-        rounds = 0
+        rounds, bound = 0, self.storage.chain_bound()
         while len(owner):
             rounds += 1
-            if rounds > 1 << 20:
-                raise GraphStorageException("runaway chain during batched chain resolution")
+            if rounds > bound:
+                raise GraphStorageException("pointer cycle during batched chain resolution")
             order = np.lexsort((sb, level))  # stable: duplicate heads keep fringe order
             level, sb, owner = level[order], sb[order], owner[order]
             levels, starts = np.unique(level, return_index=True)
@@ -612,8 +660,9 @@ class GrDB(GraphDB):
         rounds = heard = 0  # ``heard``: entries of ``done`` already applied
         while len(gids):
             rounds += 1
-            if rounds > 1 << 20:
-                raise GraphStorageException("runaway chain during the storage-order sweep")
+            # Per round: a caller may store between two batches of the sweep.
+            if rounds > self.storage.chain_bound():
+                raise GraphStorageException("pointer cycle during the storage-order sweep")
             if done is not None and len(done) > heard:
                 live = ~np.isin(gids, np.concatenate(done[heard:]))
                 heard = len(done)

@@ -93,10 +93,16 @@ class GrDBStorage:
         dev.write(offset, data)
 
     def _read_block(self, level: int, block: int) -> bytes:
-        key = (level, block)
-        data = self.cache.get(key)
+        data = self.cache.get((level, block))
         if data is not None:
             return data
+        return self._fetch_block(level, block)
+
+    def _fetch_block(self, level: int, block: int) -> bytes:
+        """The miss path of :meth:`_read_block`: a block the cache does not
+        hold, read from its device (or empty-slot fill if never written)
+        and put in the cache."""
+        key = (level, block)
         if key not in self._written_blocks:
             data = self.fmt.empty_block(level)
         else:
@@ -285,6 +291,12 @@ class GrDBStorage:
 
     def allocated_subblocks(self, level: int) -> int:
         return self._next_subblock[level] - len(self._free[level])
+
+    def chain_bound(self) -> int:
+        """The most sub-blocks an acyclic chain can hold: its head plus every
+        sub-block the allocators ever handed out (the high-water marks,
+        restored at open).  A walk that exceeds it is following a cycle."""
+        return 1 + sum(self._next_subblock)
 
     # -- lifecycle / stats -----------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """grDB-specific tests: slot encoding, addressing math, chains, policies,
 defragmentation, caching, and declustered id maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.graphdb.grdb import (
     is_pointer,
 )
 from repro.graphdb.grdb.storage import GrDBStorage
-from repro.simcluster import BlockDevice, NodeSpec, SimNode
+from repro.simcluster import BlockDevice, MemoryBacking, NodeSpec, SimNode
 from repro.util import ConfigError, GraphStorageException
 
 SMALL_FMT = GrDBFormat(
@@ -331,3 +333,65 @@ class TestModuloIdMap:
         db, _ = make_db(id_map=ModuloMap(4, 1))
         with pytest.raises(ConfigError):
             db.store_edges([(2, 7)])
+
+
+class TestLongChains:
+    """A hub may chain top-level sub-blocks without limit: every walker
+    bounds a chain by the sub-blocks allocated, not by the level count."""
+
+    FMT = GrDBFormat(capacities=(2, 4), block_sizes=(64, 64), max_file_bytes=1 << 20)
+
+    @staticmethod
+    def open_db(fmt, devices, growth):
+        def provider(name):
+            return devices.setdefault(name, BlockDevice(MemoryBacking(), name=name))
+
+        return GrDB(provider, fmt=fmt, cache_blocks=4, growth_policy=growth)
+
+    @pytest.mark.parametrize("growth", ["link", "move"])
+    @pytest.mark.parametrize("compress,n", [(False, 399), (True, 3999)])
+    def test_long_top_level_chain_is_not_a_cycle(self, compress, n, growth):
+        fmt = dataclasses.replace(self.FMT, compress=compress)
+        devices = {}
+        db = self.open_db(fmt, devices, growth)
+        want = list(range(1, n + 1))
+        db.store_edges([(0, x) for x in want])
+        assert sorted(db.get_adjacency(0).tolist()) == want
+        assert len(db.chain_of(0)) > fmt.num_levels + 64
+        db.flush()
+        db = self.open_db(fmt, devices, growth)
+        db.store_edges([[0, 99999]])
+        assert sorted(db.get_adjacency(0).tolist()) == want + [99999]
+        assert len(db.chain_of(0)) > fmt.num_levels + 64
+        for batch_io in (False, True):
+            db.batch_io = batch_io
+            assert sorted(db.expand_fringe(np.array([0])).tolist()) == want + [99999]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_self_pointing_subblock_raises(self, compress):
+        fmt = dataclasses.replace(SMALL_FMT, compress=compress)
+        db, _ = make_db(fmt=fmt, cache_blocks=4)
+        db.store_edges([(0, x) for x in range(1, 40)])
+        level, sb = db.chain_of(0)[-1]
+        assert level >= 1
+        loop = encode_pointer(level, sb)
+        if compress:
+            frame = fmt.encode_subblock(level, np.array([7], dtype=np.uint64), loop)
+        else:
+            slots = np.full(fmt.capacities[level], EMPTY_SLOT, dtype=np.uint64)
+            slots[0], slots[-1] = 7, loop
+            frame = fmt.pack_slots(slots)
+        db.storage.write_subblock(level, sb, frame)
+        db.invalidate_tail_memo()
+        with pytest.raises(GraphStorageException):
+            db.get_adjacency(0)
+        with pytest.raises(GraphStorageException):
+            db.chain_of(0)
+        for batch_io in (False, True):
+            db.batch_io = batch_io
+            with pytest.raises(GraphStorageException):
+                db.expand_fringe(np.array([0]))
+        with pytest.raises(GraphStorageException):
+            list(db.scan_adjacency(np.array([0])))
+        with pytest.raises(GraphStorageException):
+            db.store_edges([(0, 9)])
