@@ -24,7 +24,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py \
 		tests/test_grdb.py tests/test_grdb_walk_reference.py \
 		tests/test_storage_differential.py tests/test_reingest.py \
-		tests/test_cli.py tests/test_services.py
+		tests/test_cli.py tests/test_services.py tests/test_bfs.py tests/test_metadata.py
 
 check-cache-factory:  # block caches must come from make_block_cache, never direct construction
 	@offenders=$$(grep -rln 'LRUBlockCache(' src/repro --include='*.py' \

@@ -11,14 +11,6 @@ from .failover import FaultTolerance, FTState, failover_rounds, route_to_replica
 from .oocbfs import NOT_FOUND, BFSConfig, BFSRankResult, oocbfs_program
 from .pipelined import pipelined_bfs_program
 from .sequential import bfs_distance, bfs_levels, sample_queries_by_distance
-from .visited import (
-    INFINITY,
-    ExternalVisited,
-    InMemoryVisited,
-    PinnedVisited,
-    TypedVisited,
-    VisitedLevels,
-)
 
 __all__ = [
     "BFSConfig",
@@ -26,16 +18,10 @@ __all__ = [
     "BOTTOM_UP",
     "DirectionConfig",
     "DirectionController",
-    "ExternalVisited",
     "FTState",
     "FaultTolerance",
-    "INFINITY",
-    "InMemoryVisited",
     "NOT_FOUND",
-    "PinnedVisited",
     "TOP_DOWN",
-    "TypedVisited",
-    "VisitedLevels",
     "bottom_up_level",
     "failover_rounds",
     "route_to_replicas",

@@ -238,7 +238,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             # Claims are owner-local, so a healthy level needs no claim
             # exchange at all — peers learn the new fringe from the next
             # level's bitmap/alltoall as usual.
-            visited.mark_many(claims, levcnt)
+            visited.set_many(claims, levcnt)
             all_claims.append(claims)
             return None
         posts = yield from comm.allgather((is_down(ft), claims))
@@ -248,7 +248,7 @@ def bottom_up_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft, dircfg,
             # Every rank marks every claim: replica holders must see the
             # vertex as visited or they would re-claim it after a later
             # failover re-assignment.
-            visited.mark_many(round_claims, levcnt)
+            visited.set_many(round_claims, levcnt)
             all_claims.append(round_claims)
         return [down for down, _ in posts]
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphdb.interface import GraphDB
+from ..graphdb.metadata import MetadataStore
 from ..simcluster.cluster import RankContext
 from ..util.errors import ConfigError
 from .direction import (
@@ -44,7 +45,6 @@ from .failover import (
     try_expand,
 )
 from .rankprog import RankResult, level_mark, span
-from .visited import VisitedLevels
 
 __all__ = ["BFSConfig", "BFSRankResult", "oocbfs_program"]
 
@@ -113,7 +113,7 @@ def oocbfs_program(
     ctx: RankContext,
     db: GraphDB,
     cfg: BFSConfig,
-    visited: VisitedLevels,
+    visited: MetadataStore,
     owner_of=None,
 ):
     """Rank program (generator) implementing Algorithm 1.
@@ -173,7 +173,7 @@ def _bfs_driver(ctx, db, cfg, visited, owner_of, top_down_level, result, ft):
         # the source.  Every other id a search marks is a stored one.
         return
 
-    visited.mark(cfg.source, 0)
+    visited.set(cfg.source, 0)
     fringe = np.array([cfg.source], dtype=np.int64)
     levcnt = 0
 
@@ -243,10 +243,10 @@ def _outgoing(visited, new, levcnt, owner_of, comm, ft):
     """
     new, owners, lost = route_or_drop(new, owner_of(new), ft)
     if len(lost):
-        visited.mark_many(lost, levcnt)
+        visited.set_many(lost, levcnt)
     # Sender-side marking (line 14) for vertices we hand off; our own
     # discoveries are marked on receipt like everyone else's.
-    visited.mark_many(new[owners != comm.rank], levcnt)
+    visited.set_many(new[owners != comm.rank], levcnt)
     # One stable sort groups the new fringe by destination rank instead of
     # size boolean-mask passes over the whole array.
     order = np.argsort(owners, kind="stable")
@@ -306,5 +306,5 @@ def _synchronous_level(ctx, db, cfg, visited, levcnt, fringe, owner_of, ft):
         else _EMPTY
     )
     fresh = visited.unvisited(incoming)
-    visited.mark_many(fresh, levcnt)
+    visited.set_many(fresh, levcnt)
     return fresh, found_here

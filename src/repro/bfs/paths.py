@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphdb.interface import GraphDB
+from ..graphdb.metadata import MetadataStore
 from ..simcluster.cluster import RankContext
 from .failover import responsibility
 from .oocbfs import (
@@ -32,7 +33,6 @@ from .oocbfs import (
     _synchronous_level,
 )
 from .rankprog import span
-from .visited import VisitedLevels
 
 __all__ = ["path_program"]
 
@@ -41,7 +41,7 @@ def path_program(
     ctx: RankContext,
     db: GraphDB,
     cfg: BFSConfig,
-    visited: VisitedLevels,
+    visited: MetadataStore,
     owner_of=None,
 ):
     """Rank program: Algorithm 1, then the chain it found.
@@ -82,7 +82,7 @@ def _walk_back(ctx, db, cfg, visited, owner_of, ft, distance):
         neighbors = yield from _expand_shard(ctx, db, cfg, shard, owner_of, ft)
         posts = yield from comm.allgather(np.unique(neighbors))
         near = np.unique(np.concatenate(posts))
-        levels = yield from comm.allreduce(visited.store.get_many(near), np.minimum)
+        levels = yield from comm.allreduce(visited.get_many(near), np.minimum)
         parents = near[levels == level]
         if not len(parents):
             return None

@@ -24,10 +24,10 @@ from functools import partial
 import numpy as np
 
 from ..graphdb.interface import GraphDB
+from ..graphdb.metadata import MetadataStore
 from ..simcluster.cluster import RankContext
 from .failover import failover_rounds, prune_known_dead_pending, try_expand
 from .oocbfs import _EMPTY, BFSConfig, _outgoing, _search
-from .visited import VisitedLevels
 
 __all__ = ["pipelined_bfs_program"]
 
@@ -38,7 +38,7 @@ def pipelined_bfs_program(
     ctx: RankContext,
     db: GraphDB,
     cfg: BFSConfig,
-    visited: VisitedLevels,
+    visited: MetadataStore,
     threshold: int = 256,
     poll_batch: int = 64,
     owner_of=None,
@@ -72,7 +72,7 @@ def _pipelined_level(
     def absorb(vertices: np.ndarray) -> None:
         """Receiver-side filter (lines 25–27): keep the still-unvisited."""
         fresh = visited.unvisited(np.unique(vertices))
-        visited.mark_many(fresh, levcnt)
+        visited.set_many(fresh, levcnt)
         next_fringe.append(fresh)
 
     def buffer(q: int, chunk: np.ndarray) -> None:

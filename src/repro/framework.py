@@ -106,7 +106,6 @@ class MSSGConfig:
     features: Features = Features()
     node_spec: NodeSpec = field(default_factory=NodeSpec)
     storage_dir: str | None = None
-    ascii_input: bool = True
     #: Copies of each adjacency partition (rotational declustering): data
     #: whose primary owner is back-end ``u`` is also stored on back-ends
     #: ``u+1 .. u+replication-1`` (mod p), and queries fail over to a
@@ -202,7 +201,6 @@ class MSSG:
             self.declusterer,
             num_frontends=cfg.num_frontends,
             window_size=cfg.window_size,
-            ascii_input=cfg.ascii_input,
         )
         self.queries = QueryService(
             self.cluster,

@@ -1,9 +1,15 @@
 """Per-vertex metadata stores (the get/setMetadata half of Listing 3.1).
 
-BFS stores search levels here ("visited" state).  Chapter 5 runs most
-experiments with an in-memory metadata/visited structure and one ablation
-(Fig. 5.8) with an external-memory one; both live here, the in-memory one in
-two media: a dict and a dense array.
+BFS keeps its search levels here: a level is a vertex's metadata, and
+:data:`UNSET` plays the role of ``level = infinity``.  Chapter 5 runs most
+experiments with an in-memory visited structure and one ablation (Fig. 5.8)
+with an external-memory one; both are stores here, the in-memory one in two
+media: a dict and a dense array.  Neither in-memory store charges virtual
+time, so which one holds the levels shows on the wall clock only.
+
+No store checks an id's range on a write: a search hands them ids inside the
+id space only (the search driver returns before marking a source outside it,
+and every other id it marks is a stored one).
 """
 
 from __future__ import annotations
@@ -32,7 +38,15 @@ UNSET = 2**31 - 1
 
 
 class MetadataStore(abc.ABC):
-    """Integer metadata per vertex id, defaulting to :data:`UNSET`."""
+    """Integer metadata per vertex id, defaulting to :data:`UNSET`.
+
+    A search's level map is a fresh store: ``set`` / ``set_many`` mark
+    levels, ``get_many`` reads them, and :meth:`unvisited` /
+    :meth:`unvisited_local` ask which vertices are still at infinity.
+    """
+
+    #: The shrinking remainder :meth:`unvisited_local` re-filters.
+    _unvisited_cache: np.ndarray | None = None
 
     @abc.abstractmethod
     def get(self, vertex: int) -> int: ...
@@ -40,19 +54,36 @@ class MetadataStore(abc.ABC):
     @abc.abstractmethod
     def set(self, vertex: int, value: int) -> None: ...
 
+    @abc.abstractmethod
     def get_many(self, vertices) -> np.ndarray:
-        """Vectorized gather; default loops over :meth:`get`."""
-        vs = np.asarray(vertices, dtype=np.int64)
-        return np.array([self.get(int(v)) for v in vs], dtype=np.int64)
+        """Vectorized gather, one int64 per vertex."""
 
+    @abc.abstractmethod
     def set_many(self, vertices, value: int) -> None:
-        """Vectorized scatter of one value; default loops over :meth:`set`."""
-        for v in np.asarray(vertices, dtype=np.int64):
-            self.set(int(v), value)
+        """Vectorized scatter of one value."""
 
-    def clear(self) -> None:
-        """Reset every vertex to :data:`UNSET`."""
-        raise NotImplementedError
+    def unvisited(self, vertices) -> np.ndarray:
+        """Subset of ``vertices`` still at :data:`UNSET` (level infinity)."""
+        vs = np.asarray(vertices, dtype=np.int64)
+        if len(vs) == 0:
+            return vs
+        return vs[self.get_many(vs) == UNSET]
+
+    def unvisited_local(self, local_vertices) -> np.ndarray:
+        """Unvisited subset of this rank's vertices, for bottom-up scans.
+
+        ``local_vertices`` is a callable returning the full local vertex
+        array; it is invoked once, on the first bottom-up level of a search.
+        Levels only ever move from infinity to a value, so the result shrinks
+        monotonically: each call re-filters the previous remainder instead of
+        reading levels for the whole local id space again.
+        """
+        if self._unvisited_cache is None:
+            base = np.asarray(local_vertices(), dtype=np.int64)
+        else:
+            base = self._unvisited_cache
+        self._unvisited_cache = self.unvisited(base)
+        return self._unvisited_cache
 
 
 class InMemoryMetadata(MetadataStore):
@@ -80,6 +111,7 @@ class InMemoryMetadata(MetadataStore):
 
     def clear(self) -> None:
         self._values.clear()
+        self._unvisited_cache = None
 
     def __len__(self) -> int:
         return len(self._values)
@@ -90,9 +122,10 @@ class PinnedMetadata(MetadataStore):
 
     The same int32-per-vertex array as :class:`ExternalMetadata`, but
     materialized once as a resident numpy array instead of paged to a
-    scratch device: the default in-memory level map over a dense id space.
-    Lookups and scatters are fully vectorized.  Reads outside the range
-    answer :data:`UNSET`; writes must stay inside it.
+    scratch device: the default in-memory level map where the id space is
+    known and dense (:class:`InMemoryMetadata` everywhere else) — one gather
+    / scatter per fringe instead of a dict probe per vertex.  Reads outside
+    the range answer :data:`UNSET`; writes must stay inside it.
     """
 
     def __init__(self, num_vertices: int):
@@ -129,24 +162,24 @@ class PinnedMetadata(MetadataStore):
 
     def clear(self) -> None:
         self._values.fill(UNSET)
+        self._unvisited_cache = None
 
 
 class ExternalMetadata(MetadataStore):
     """Out-of-core metadata: an int32 array paged to a block device.
 
     Used for the Fig. 5.8 ablation where even the visited structure no
-    longer fits in memory.  A small LRU page cache keeps hot pages local;
-    everything else pays device seeks, which is the measured effect.
+    longer fits in memory.  The default LRU page cache holds only a few
+    pages (32 KB), so level lookups of a scale-free fringe — which scatters
+    across the whole id range — pay steady device seeks, the measured effect.
     """
 
     VALUES_PER_PAGE = 1024
 
-    def __init__(self, device: BlockDevice, cache_pages: int = 64, shared_cache=None):
+    def __init__(self, device: BlockDevice, cache_pages: int = 8):
         self.page_bytes = self.VALUES_PER_PAGE * 4
         self.pages = PagedFile(device, self.page_bytes)
-        self.cache = make_block_cache(
-            cache_pages, writer=self._write_page, shared=shared_cache, owner="ext-metadata"
-        )
+        self.cache = make_block_cache(cache_pages, writer=self._write_page, owner="ext-metadata")
         self._unset_page = struct.pack(">i", UNSET) * self.VALUES_PER_PAGE
 
     def _write_page(self, page_no: int, data: bytes) -> None:

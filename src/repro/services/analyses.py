@@ -9,8 +9,7 @@ are that plug-in seen differently — each is Algorithm 1 run through
 * **typed BFS** — ontology-constrained search (after Eliassi-Rad & Chow,
   the paper's reference [32]): only vertices whose type code, looked up in
   the replicated vertex-type table ``load-vertex-types`` fills, is in an
-  allowed set may enter a fringe
-  (:class:`~repro.bfs.visited.TypedVisited`);
+  allowed set may enter a fringe (:class:`TypeLens`);
 * **path** — the relationship chain itself, walked back over the level maps
   the search leaves behind (:mod:`repro.bfs.paths`).
 
@@ -19,9 +18,11 @@ All register automatically via :func:`register_extensions`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..bfs.oocbfs import BFSRankResult, oocbfs_program
 from ..bfs.paths import path_program
-from ..bfs.visited import TypedVisited
+from ..graphdb.metadata import MetadataStore
 from ..util.errors import ConfigError
 from .query import QueryReport, QueryService
 
@@ -41,6 +42,43 @@ def _agreed(analysis: str, results: list):
         if r != first:
             raise ConfigError(f"back-ends disagree on {analysis} outcome")
     return first
+
+
+class TypeLens(MetadataStore):
+    """A search's level map seen through a vertex-type lens.
+
+    ``unvisited`` is the one question both a push level and a pull level ask
+    before a vertex may enter a fringe, so also dropping the vertices whose
+    entry in the replicated type table (``GraphDB.metadata``) is not an
+    allowed code turns Algorithms 1 and 2 into the ontology-constrained
+    search of the paper's reference [32] with no change to the driver.  The
+    table is resident, so the check charges nothing; levels go straight to
+    the wrapped store.
+    """
+
+    def __init__(self, levels: MetadataStore, types: MetadataStore, allowed_codes):
+        self.levels = levels
+        self.types = types
+        self.allowed = np.asarray(allowed_codes, dtype=np.int64)
+
+    def get(self, vertex: int) -> int:
+        return self.levels.get(vertex)
+
+    def set(self, vertex: int, value: int) -> None:
+        self.levels.set(vertex, value)
+
+    def get_many(self, vertices) -> np.ndarray:
+        return self.levels.get_many(vertices)
+
+    def set_many(self, vertices, value: int) -> None:
+        self.levels.set_many(vertices, value)
+
+    def admits(self, vertex: int) -> bool:
+        return bool(np.isin(self.types.get(vertex), self.allowed))
+
+    def unvisited(self, vertices) -> np.ndarray:
+        vs = super().unvisited(vertices)
+        return vs[np.isin(self.types.get_many(vs), self.allowed)]
 
 
 def register_extensions(service: QueryService) -> None:
@@ -72,7 +110,7 @@ def register_extensions(service: QueryService) -> None:
         allowed = list(allowed_codes)  # once: every rank builds its own lens from it
 
         def program(ctx, db, cfg, visited, owner_of):
-            lens = TypedVisited(visited, db.metadata, allowed)
+            lens = TypeLens(visited, db.metadata, allowed)
             if cfg.source != cfg.dest and not lens.admits(cfg.dest):
                 return BFSRankResult()
             return (yield from oocbfs_program(ctx, db, cfg, lens, owner_of))

@@ -137,23 +137,21 @@ class _EdgeReader(Filter):
         offsets: list[int],
         window_size: int,
         declusterer: Declusterer,
-        ascii_input: bool,
     ):
         self.shares = shares
         self.offsets = offsets
         self.window_size = window_size
         self.declusterer = declusterer
-        self.ascii_input = ascii_input
 
     def process(self, ctx):
         result = _ReaderResult()
         offset = self.offsets[ctx.copy_index]
         for window in edge_windows(self.shares[ctx.copy_index], self.window_size):
             result.windows += 1
-            if self.ascii_input:
-                # Parsing "src dst" text lines is front-end CPU work; the
-                # paper calls out the ASCII-in/binary-out asymmetry (Fig 5.5).
-                ctx.rank_ctx.compute(len(window) * ctx.rank_ctx.cpu.ascii_parse_seconds)
+            # Parsing "src dst" text lines is front-end CPU work; the paper
+            # calls out the ASCII-in/binary-out asymmetry (Fig 5.5).  Binary
+            # input is a CpuProfile with ``ascii_parse_seconds=0.0``.
+            ctx.rank_ctx.compute(len(window) * ctx.rank_ctx.cpu.ascii_parse_seconds)
             dead = ctx.dead_copies("writer")
             parts, lost, copies = self.declusterer.assign_routed(window, offset, dead)
             result.lost_entries += lost
@@ -226,7 +224,6 @@ class IngestionService:
         declusterer: Declusterer,
         num_frontends: int = 1,
         window_size: int = 4096,
-        ascii_input: bool = True,
     ):
         if num_frontends < 1:
             raise ConfigError("need at least one front-end ingestion node")
@@ -243,7 +240,6 @@ class IngestionService:
         self.declusterer = declusterer
         self.num_frontends = num_frontends
         self.window_size = window_size
-        self.ascii_input = ascii_input
 
     def ingest(self, edges: np.ndarray, stores: list | None = None) -> IngestReport:
         """Run one ingestion pass.
@@ -267,9 +263,7 @@ class IngestionService:
         graph = FilterGraph()
         graph.add_filter(
             "reader",
-            lambda: _EdgeReader(
-                shares, offsets, self.window_size, self.declusterer, self.ascii_input
-            ),
+            lambda: _EdgeReader(shares, offsets, self.window_size, self.declusterer),
             placement=list(range(F)),
         )
         graph.add_filter(

@@ -26,11 +26,8 @@ import numpy as np
 from ..bfs import (
     BFSConfig,
     DirectionConfig,
-    ExternalVisited,
     FaultTolerance,
-    InMemoryVisited,
     NOT_FOUND,
-    PinnedVisited,
     oocbfs_program,
     pipelined_bfs_program,
 )
@@ -38,7 +35,8 @@ from ..bfs.failover import guard, is_down, serve_once
 from ..bfs.rankprog import RankResult, span
 from ..features import Features
 from ..graphdb.interface import GraphDB
-from ..simcluster.cluster import SimCluster
+from ..graphdb.metadata import ExternalMetadata, InMemoryMetadata, MetadataStore, PinnedMetadata
+from ..simcluster.cluster import RankContext, SimCluster
 from ..simcluster.comm import SubComm
 from ..util.errors import ConfigError
 from .declustering import Declusterer
@@ -247,7 +245,7 @@ class QueryService:
             if ctx.rank not in group:
                 return None
             subcomm = SubComm(ctx.comm, backend_ranks)
-            sub_ctx = _SubContext(ctx, subcomm)
+            sub_ctx = RankContext(subcomm.rank, subcomm.size, ctx.node, subcomm)
             result = yield from fn(sub_ctx, backend_ranks.index(ctx.rank))
             return result
 
@@ -267,10 +265,10 @@ class QueryService:
         try:
             return (yield from search(visited))
         finally:
-            if isinstance(visited, ExternalVisited):
+            if kind == "external":
                 ctx.node.drop_disk(f"visited-{seq}")
 
-    def _make_visited(self, ctx, kind: str, seq: int):
+    def _make_visited(self, ctx, kind: str, seq: int) -> MetadataStore:
         n = self.num_vertices
         if kind == "memory":
             # The dense array costs 4 bytes per id to fill, per query and
@@ -280,8 +278,8 @@ class QueryService:
             # dict is both cheaper and bounded there.  Neither charges the
             # clock, so the choice moves the wall clock alone.
             if n and n <= self.endpoints_ingested:
-                return PinnedVisited(n)
-            return InMemoryVisited()
+                return PinnedMetadata(n)
+            return InMemoryMetadata()
         if kind == "external":
             # A fresh scratch file per query: level marks must not leak
             # between searches.
@@ -290,7 +288,7 @@ class QueryService:
                 from ..storage.integrity import wrap_device
 
                 dev = wrap_device(dev)
-            return ExternalVisited(dev)
+            return ExternalMetadata(dev)
         raise ConfigError(f"unknown visited structure {kind!r}")
 
     def _ft(self) -> FaultTolerance | None:
@@ -648,28 +646,3 @@ def rank_report(
         deadline_exceeded=any(r.deadline_exceeded for r in results),
         **fields,
     )
-
-
-class _SubContext:
-    """RankContext facade exposing the sub-communicator to analyses."""
-
-    def __init__(self, parent_ctx, subcomm: SubComm):
-        self._parent = parent_ctx
-        self.comm = subcomm
-        self.rank = subcomm.rank
-        self.size = subcomm.size
-        self.node = parent_ctx.node
-
-    @property
-    def clock(self):
-        return self._parent.clock
-
-    @property
-    def cpu(self):
-        return self._parent.cpu
-
-    def compute(self, seconds: float) -> None:
-        self._parent.compute(seconds)
-
-    def charge_edges(self, nedges: int) -> None:
-        self._parent.charge_edges(nedges)

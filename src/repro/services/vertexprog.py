@@ -14,8 +14,8 @@ Programming model
 
 A :class:`VertexProgram` holds *replicated dense state* — one numpy array
 slot per vertex id, identical on every rank, the same memory trade the
-BFS visited structure makes — and advances in supersteps over an
-active-vertex :class:`~repro.util.bitset.Bitset` frontier:
+BFS visited structure makes — and advances in supersteps over a frontier
+of active vertex ids:
 
 * **gather/scatter** — each rank walks the adjacency of the active
   vertices it is *responsible* for (the first surviving holder of each
@@ -73,7 +73,6 @@ import numpy as np
 from ..bfs.direction import BOTTOM_UP
 from ..bfs.failover import FaultTolerance, is_down, serve_once
 from ..bfs.rankprog import RankResult, level_mark, span, sweep
-from ..util.bitset import Bitset
 from ..util.errors import ConfigError
 
 __all__ = [
@@ -116,7 +115,7 @@ class VPConfig:
     """One vertex-program run (the analytics analogue of ``BFSConfig``)."""
 
     #: Vertex-id space size (ids in ``[0, num_vertices)``); sizes the state
-    #: arrays and the frontier bitset.  At most :data:`MAX_VP_VERTICES`.
+    #: arrays.  At most :data:`MAX_VP_VERTICES`.
     num_vertices: int
     #: Vertex-granularity declustering with a global owner map?  Without
     #: one (edge round-robin) every rank scans its own local slice of each
@@ -176,7 +175,9 @@ class VertexProgram(abc.ABC):
     State lives in numpy arrays sized ``num_vertices`` (replicated per
     rank); all hooks are vectorized and **deterministic** — they run
     identically on every rank, which is what lets the runtime keep state
-    replicated with one collective per superstep.
+    replicated with one collective per superstep.  :meth:`init` and
+    :meth:`apply` return *distinct* active ids (``np.arange``,
+    ``np.flatnonzero``): the frontier's size is their count.
     """
 
     name: str = "abstract"
@@ -307,22 +308,19 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram, owner_of=Non
                 "declustering: every stored copy of an edge would be counted"
             )
         active = np.asarray(prog.init(n), dtype=np.int64)
-        frontier = Bitset(n)
-        if len(active):
-            frontier.set_many(active)
 
         aborted = False
         if cfg.level_marks:
             # Pre-admission mark (no comm before it): lets the multiplexer
             # place this analysis in its round-robin order and predict whether
             # its first superstep runs a shareable dense sweep.
-            nxt = _pick_mode(cfg, 1, frontier.count()) if len(active) else None
+            nxt = _pick_mode(cfg, 1, len(active)) if len(active) else None
             aborted = yield from level_mark(result, 0, False, BOTTOM_UP if nxt == DENSE else None)
 
         superstep = 0
         while not aborted and len(active) and superstep < cfg.max_supersteps:
             superstep += 1
-            mode = _pick_mode(cfg, superstep, frontier.count())
+            mode = _pick_mode(cfg, superstep, len(active))
             result.modes.append(mode)
             if mode == DENSE:
                 result.sweeps += 1
@@ -366,13 +364,10 @@ def vertexprog_program(ctx, db, cfg: VPConfig, prog: VertexProgram, owner_of=Non
             result.messages += nmsgs
             active, done = prog.apply(combined, has_msg, superstep)
             active = np.asarray(active, dtype=np.int64)
-            frontier.clear_all()
-            if len(active):
-                frontier.set_many(active)
             result.supersteps = superstep
             done = bool(done) or not len(active) or superstep >= cfg.max_supersteps
             if cfg.level_marks:
-                nxt = _pick_mode(cfg, superstep + 1, frontier.count()) if not done else None
+                nxt = _pick_mode(cfg, superstep + 1, len(active)) if not done else None
                 sweeps_next = BOTTOM_UP if nxt == DENSE else None
                 if (yield from level_mark(result, superstep, done, sweeps_next)):
                     break

@@ -104,9 +104,6 @@ class SimNode:
     def compute(self, seconds: float) -> None:
         self.clock.advance(seconds)
 
-    def charge_edges(self, nedges: int) -> None:
-        self.clock.advance(nedges * self.spec.cpu.edge_visit_seconds)
-
     def close(self) -> None:
         for dev in self._disks.values():
             dev.close()
@@ -124,9 +121,6 @@ class RankContext:
 
     def compute(self, seconds: float) -> None:
         self.node.compute(seconds)
-
-    def charge_edges(self, nedges: int) -> None:
-        self.node.charge_edges(nedges)
 
     @property
     def clock(self) -> VirtualClock:

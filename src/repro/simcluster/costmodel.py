@@ -112,9 +112,6 @@ class CpuProfile:
     sql_statement_seconds: float = 9e-5  # parse/plan/round-trip per statement
     ascii_parse_seconds: float = 3.5e-7  # parse one ASCII edge during ingest
 
-    def charge_edges(self, clock, nedges: int) -> None:
-        clock.advance(nedges * self.edge_visit_seconds)
-
 
 @dataclass(frozen=True)
 class NodeSpec:

@@ -5,8 +5,6 @@ import pytest
 
 from repro.bfs import (
     BFSConfig,
-    ExternalVisited,
-    InMemoryVisited,
     NOT_FOUND,
     bfs_distance,
     bfs_levels,
@@ -14,6 +12,7 @@ from repro.bfs import (
     pipelined_bfs_program,
     sample_queries_by_distance,
 )
+from repro.graphdb.metadata import ExternalMetadata, InMemoryMetadata
 from repro.graphgen import CSRGraph, dedupe_edges, preferential_attachment
 from repro.simcluster import SimCluster
 
@@ -50,7 +49,7 @@ def run_parallel_bfs(
     def make_program(q):
         def program(ctx):
             visited = (
-                visited_factory(ctx) if visited_factory else InMemoryVisited()
+                visited_factory(ctx) if visited_factory else InMemoryMetadata()
             )
             result = yield from algorithm(ctx, dbs[q], cfg, visited, **alg_kw)
             return result
@@ -169,7 +168,7 @@ class TestParallelBFSCorrectness:
             s,
             d,
             nranks=2,
-            visited_factory=lambda ctx: ExternalVisited(ctx.node.disk("visited")),
+            visited_factory=lambda ctx: ExternalMetadata(ctx.node.disk("visited")),
         )
         assert found == expected
 
@@ -207,7 +206,7 @@ class TestPipelineBehavior:
 
             def mk(q):
                 def program(ctx):
-                    res = yield from algorithm(ctx, dbs[q], cfg, InMemoryVisited(), **kw)
+                    res = yield from algorithm(ctx, dbs[q], cfg, InMemoryMetadata(), **kw)
                     return res
 
                 return program

@@ -16,12 +16,12 @@ from repro.bfs import (
     TOP_DOWN,
     DirectionConfig,
     DirectionController,
-    InMemoryVisited,
     bfs_distance,
     sample_queries_by_distance,
 )
 from repro.bfs.direction import merge_level_stats
 from repro.experiments import Deployment
+from repro.graphdb.metadata import InMemoryMetadata
 from repro.graphgen import CSRGraph, pubmed_like
 from repro.simcluster import FaultPlan
 
@@ -118,7 +118,7 @@ class TestDirectionController:
 
 class TestUnvisitedLocal:
     def test_shrinks_monotonically_and_calls_source_once(self):
-        visited = InMemoryVisited()
+        visited = InMemoryMetadata()
         calls = []
 
         def local_vertices():
@@ -126,11 +126,11 @@ class TestUnvisitedLocal:
             return np.arange(10, dtype=np.int64)
 
         assert visited.unvisited_local(local_vertices).tolist() == list(range(10))
-        visited.mark_many([2, 5], 1)
+        visited.set_many([2, 5], 1)
         assert visited.unvisited_local(local_vertices).tolist() == [
             0, 1, 3, 4, 6, 7, 8, 9,
         ]
-        visited.mark_many([0, 9], 2)
+        visited.set_many([0, 9], 2)
         assert visited.unvisited_local(local_vertices).tolist() == [1, 3, 4, 6, 7, 8]
         assert len(calls) == 1  # later levels re-filter the remainder
 

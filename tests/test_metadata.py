@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphdb import ExternalMetadata, InMemoryMetadata, UNSET
+from repro.graphdb import ExternalMetadata, InMemoryMetadata, MetadataStore, UNSET
 from repro.simcluster import BlockDevice, DiskProfile, MemoryBacking, VirtualClock
 
 
@@ -95,3 +95,23 @@ def test_external_matches_in_memory(assignments):
         mem.set(v, x)
     probe = np.array(sorted(set(list(assignments) + [0, 999, 4999])), dtype=np.int64)
     assert ext.get_many(probe).tolist() == mem.get_many(probe).tolist()
+
+
+def test_a_store_must_gather_and_scatter_itself():
+    class OnlyGetSet(MetadataStore):
+        def get(self, vertex):
+            return UNSET
+
+        def set(self, vertex, value):
+            pass
+
+    with pytest.raises(TypeError):
+        OnlyGetSet()
+
+
+def test_external_level_map_pages_like_a_search_does():
+    m = ExternalMetadata(BlockDevice())
+    assert m.cache.capacity == 8  # 32 KB of levels: the Fig. 5.8 ablation's cache
+    m.set_many([0, 2048, 5000], 1)
+    assert m.unvisited([0, 1, 2048, 2049]).tolist() == [1, 2049]
+    assert m.unvisited_local(lambda: np.arange(3)).tolist() == [1, 2]

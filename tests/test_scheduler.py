@@ -292,7 +292,7 @@ class TestSchedulerSafety:
         def program(ctx):
             ctx.compute(1e-4 * (ctx.rank + 1))
             vals = yield from ctx.comm.allgather(ctx.rank)
-            ctx.charge_edges(1000)
+            ctx.compute(1000 * ctx.cpu.edge_visit_seconds)
             total = yield from ctx.comm.allreduce(sum(vals), lambda a, b: a + b)
             return (total, ctx.clock.now)
 

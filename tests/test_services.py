@@ -12,7 +12,7 @@ from repro.services import (
     VertexHash,
     VertexRoundRobin,
 )
-from repro.simcluster import SimCluster
+from repro.simcluster import CpuProfile, NodeSpec, SimCluster
 from repro.util import ConfigError
 
 from .helpers import STORE_FEATURES, make_store
@@ -63,8 +63,10 @@ class TestDeclusterers:
             VertexRoundRobin(0)
 
 
-def make_service(nfront=1, nback=3, backend="HashMap", decluster=VertexRoundRobin, **kw):
-    cluster = SimCluster(nranks=nfront + nback)
+def make_service(
+    nfront=1, nback=3, backend="HashMap", decluster=VertexRoundRobin, spec=None, **kw
+):
+    cluster = SimCluster(nranks=nfront + nback, spec=spec)
     dbs = [
         make_store(backend, cluster.nodes[nfront + q]) for q in range(nback)
     ]
@@ -120,8 +122,11 @@ class TestIngestionService:
             )
 
     def test_binary_input_cheaper_than_ascii(self):
-        svc_a, _, _, _ = make_service(ascii_input=True)
-        svc_b, _, _, _ = make_service(ascii_input=False)
+        # Input parsing is priced by the front-end's CpuProfile alone; binary
+        # input is a profile that charges nothing to parse an edge.
+        binary = NodeSpec(cpu=CpuProfile(ascii_parse_seconds=0.0))
+        svc_a, _, _, _ = make_service()
+        svc_b, _, _, _ = make_service(spec=binary)
         ta = svc_a.ingest(EDGES).seconds
         tb = svc_b.ingest(EDGES).seconds
         assert tb <= ta

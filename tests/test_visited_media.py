@@ -5,10 +5,10 @@ an id space that bounds the store and that space is dense (no more ids than
 ingested endpoints), and a dict everywhere else.  Neither charges virtual
 time, so the choice must move nothing but the wall clock:
 
-* a differential property: random ``mark`` / ``mark_many`` / ``unvisited`` /
-  ``unvisited_local`` / ``level`` sequences over the id space give identical
-  answers from the dict (the reference), the dense array and the paged
-  external store;
+* a differential property: random ``set`` / ``set_many`` / ``unvisited`` /
+  ``unvisited_local`` / ``get`` sequences over the id space give identical
+  answers from the dict (the reference), the dense array, the paged external
+  store and the type lens with every code allowed;
 * every field of every ``query_bfs`` / ``query_many`` report equals a run
   whose memory structure is pinned to the dict, on all six backends with the
   hybrid on and off under both presets, and across a streaming drain whose
@@ -29,17 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MSSG, Features, MSSGConfig
-from repro.bfs import (
-    INFINITY,
-    ExternalVisited,
-    InMemoryVisited,
-    PinnedVisited,
-    bfs_distance,
-    sample_queries_by_distance,
-)
-from repro.graphdb.metadata import UNSET, PinnedMetadata
+from repro.bfs import bfs_distance, sample_queries_by_distance
+from repro.graphdb.metadata import UNSET, ExternalMetadata, InMemoryMetadata, PinnedMetadata
 from repro.graphdb.registry import BACKENDS
 from repro.graphgen import CSRGraph, pubmed_like
+from repro.services.analyses import TypeLens
 from repro.simcluster import FaultPlan, SimNode
 from repro.simcluster.disk import BlockDevice
 from repro.util.errors import DeviceFailedError
@@ -49,12 +43,12 @@ _id = st.integers(0, N - 1)
 _ids = st.lists(_id, max_size=12)
 _level = st.integers(0, 64)
 _op = st.one_of(
-    st.tuples(st.just("mark"), _id, _level),
-    st.tuples(st.just("mark_many"), _ids, _level),
+    st.tuples(st.just("set"), _id, _level),
+    st.tuples(st.just("set_many"), _ids, _level),
     st.tuples(st.just("unvisited"), _ids),
     st.tuples(st.just("unvisited_local"), _ids),
-    st.tuples(st.just("level"), _id),
-    st.tuples(st.just("is_visited"), _id),
+    st.tuples(st.just("get"), _id),
+    st.tuples(st.just("visited"), _id),
 )
 
 
@@ -63,24 +57,33 @@ def _apply(visited, op):
     if name == "unvisited_local":
         ids = args[0]
         return visited.unvisited_local(lambda: np.array(ids, dtype=np.int64)).tolist()
-    if name in ("mark", "mark_many"):
-        return getattr(visited, name)(*args)
+    if name == "visited":
+        return visited.get(*args) != UNSET
     answer = getattr(visited, name)(*args)
     return answer.tolist() if isinstance(answer, np.ndarray) else answer
+
+
+def _every_code_allowed():
+    """A type lens over a dict whose every vertex has an allowed type."""
+    types = InMemoryMetadata()
+    for v in range(N):
+        types.set(v, v % 3)
+    return TypeLens(InMemoryMetadata(), types, [0, 1, 2])
 
 
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_op, max_size=30))
 def test_every_medium_answers_what_the_dict_answers(ops):
-    reference = InMemoryVisited()
-    media = [PinnedVisited(N), ExternalVisited(BlockDevice(), cache_pages=1)]
+    reference = InMemoryMetadata()
+    media = [PinnedMetadata(N), ExternalMetadata(BlockDevice(), cache_pages=1)]
+    media.append(_every_code_allowed())
     for op in ops:
         want = _apply(reference, op)
         for visited in media:
             assert _apply(visited, op) == want, (type(visited).__name__, op)
 
 
-# -- the dense structures on their own ------------------------------------------
+# -- the dense store on its own --------------------------------------------------
 
 
 class TestPinnedMetadata:
@@ -101,17 +104,15 @@ class TestPinnedMetadata:
         with pytest.raises(ValueError):
             PinnedMetadata(-1)
 
-
-class TestPinnedVisited:
-    def test_level_semantics_match_visited_contract(self):
-        vis = PinnedVisited(10)
-        assert not vis.is_visited(4)
-        assert vis.level(4) == INFINITY
-        vis.mark_many([4, 5], 2)
-        assert vis.is_visited(4) and vis.level(5) == 2
-        assert vis.unvisited(np.arange(10)).tolist() == [0, 1, 2, 3, 6, 7, 8, 9]
-        assert vis.resident_bytes == 40
-        vis.flush()  # no-op, kept for ExternalVisited parity
+    def test_level_map_semantics(self):
+        levels = PinnedMetadata(10)
+        assert levels.get(4) == UNSET
+        levels.set_many([4, 5], 2)
+        assert levels.get(4) != UNSET and levels.get(5) == 2
+        assert levels.unvisited(np.arange(10)).tolist() == [0, 1, 2, 3, 6, 7, 8, 9]
+        assert levels.unvisited_local(lambda: np.arange(6)).tolist() == [0, 1, 2, 3]
+        levels.clear()
+        assert levels.unvisited_local(lambda: np.arange(6)).tolist() == list(range(6))
 
 
 # -- the façade: dense vs a run pinned to the dict -----------------------------
@@ -142,7 +143,7 @@ def _media(mssg, pin_dict=False):
     make = mssg.queries._make_visited
 
     def made(ctx, kind, seq):
-        visited = InMemoryVisited() if pin_dict and kind == "memory" else make(ctx, kind, seq)
+        visited = InMemoryMetadata() if pin_dict and kind == "memory" else make(ctx, kind, seq)
         seen.add(type(visited).__name__)
         return visited
 
@@ -166,7 +167,7 @@ def test_reports_equal_a_run_pinned_to_the_dict(backend, direction_opt, preset):
         for mssg in (dense, ref):
             mssg.ingest(EDGES)
         assert _run(dense, direction_opt) == _run(ref, direction_opt)
-        assert dense_media == {"PinnedVisited"} and ref_media == {"InMemoryVisited"}
+        assert dense_media == {"PinnedMetadata"} and ref_media == {"InMemoryMetadata"}
 
 
 @pytest.mark.parametrize("backend", ["Array", "StreamDB", "grDB"])
@@ -185,7 +186,7 @@ def test_a_streaming_drain_that_raises_the_max_id_equals_the_dict(backend):
             drained = mssg.query_many(pairs, stream_batches=batches, max_inflight=2)
             assert mssg.queries.num_vertices == 2 * (TOP + 1)
             reports.append(repr(drained))
-            assert media == {"InMemoryVisited" if pin_dict else "PinnedVisited"}
+            assert media == {"InMemoryMetadata" if pin_dict else "PinnedMetadata"}
     assert reports[0] == reports[1]
 
 
@@ -208,7 +209,7 @@ def test_a_sparse_id_space_keeps_the_dict(backend, far):
         assert mssg.query_bfs(far, far + 1, direction_opt=False).result is None
         drained = mssg.query_many([(source, far), (far, far + 1)], direction_opt=False)
         assert [r.result for r in drained.queries] == [1, None]
-        assert media == {"InMemoryVisited"}
+        assert media == {"InMemoryMetadata"}
 
 
 def test_the_dense_array_needs_no_more_ids_than_endpoints():
@@ -217,7 +218,7 @@ def test_the_dense_array_needs_no_more_ids_than_endpoints():
         dense.ingest(np.array([[0, 1], [2, 3]]))  # 4 ids, 4 endpoints
         sparse.ingest(np.array([[0, 1], [2, 4]]))  # 5 ids, 4 endpoints
         assert dense.query_bfs(0, 1).result == sparse.query_bfs(0, 1).result == 1
-        assert kinds == ({"PinnedVisited"}, {"InMemoryVisited"})
+        assert kinds == ({"PinnedMetadata"}, {"InMemoryMetadata"})
 
 
 @pytest.mark.parametrize("backend", ["grDB", "StreamDB"])
