@@ -22,7 +22,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_stream_replay.py tests/test_analysis_axis.py \
 		tests/test_inmemory_staging.py tests/test_visited_media.py \
 		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py \
-		tests/test_grdb.py tests/test_grdb_walk_reference.py \
+		tests/test_grdb.py tests/test_grdb_walk_reference.py tests/test_grdb_append_reference.py \
 		tests/test_storage_differential.py tests/test_reingest.py \
 		tests/test_cli.py tests/test_services.py tests/test_bfs.py tests/test_metadata.py
 
@@ -131,10 +131,10 @@ lint:  # requires ruff (pip install ruff)
 	$(PYTHON) -m ruff check src/
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/semantic_graph_analysis.py
-	$(PYTHON) examples/backend_comparison.py
-	$(PYTHON) examples/massive_scale_projection.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/semantic_graph_analysis.py
+	PYTHONPATH=src $(PYTHON) examples/backend_comparison.py
+	PYTHONPATH=src $(PYTHON) examples/massive_scale_projection.py
 
 loc:  # src/ line count and code-only count (no comments, blank lines or docstrings)
 	$(PYTHON) tools/loc.py src
@@ -144,7 +144,7 @@ reach:  # function lines reached by production runs, by tests only, by neither (
 
 figures:  # regenerate every table/figure via the CLI
 	for id in table5.1 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig5.6 fig5.7 fig5.8 fig5.9; do \
-		$(PYTHON) -m repro experiment $$id; \
+		PYTHONPATH=src $(PYTHON) -m repro experiment $$id; \
 	done
 
 clean:  # untracked outputs only: benchmarks/results/ holds committed result files

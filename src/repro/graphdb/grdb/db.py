@@ -161,16 +161,6 @@ class GrDB(GraphDB):
             memo[:have] = self._memo
             self._memo = memo
 
-    def _tail_info(self, local: int) -> tuple[list[tuple[int, int]], int]:
-        """``local``'s chain tail, preceded by its parent if it has one, and
-        the tail's fill — memoised, from :meth:`_walk` the first time."""
-        level, sb, used, plevel, psb = self._memo[local].tolist()
-        if level < 0:
-            path, used = self._walk(local)
-            self._remember(local, path, used)
-            return path, used
-        return ([(plevel, psb)] if plevel >= 0 else []) + [(level, sb)], used
-
     def _remember(self, local: int, path: list[tuple[int, int]], used: int) -> None:
         parent = path[-2] if len(path) > 1 else (-1, -1)
         self._memo[local, _LEVEL:] = (*path[-1], used, *parent)
@@ -198,55 +188,135 @@ class GrDB(GraphDB):
         if self.fmt.compress:
             self._append_window(locals_, bounds, dsts.astype(np.uint64))
             return
-        for local, lo, hi in zip(locals_.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            self._append(local, dsts[lo:hi])
+        self._append_raw(locals_, bounds, dsts)
 
-    def _append(self, local: int, new: np.ndarray) -> None:
-        path, used = self._tail_info(local)
-        level, sb = path[-1]
-        slots = self._read_slots(level, sb).copy()
-        caps = self.fmt.capacities
-        top = self.fmt.num_levels - 1
-        i = 0
-        new_u64 = new.astype("<u8")
-        while True:
-            cap = caps[level]
-            take = min(cap - used, len(new_u64) - i)
-            if take > 0:
-                slots[used : used + take] = new_u64[i : i + take]
-                used += take
-                i += take
-            if i >= len(new_u64):
-                break
-            # Tail is full; grow the chain.
-            if self.growth_policy == "move" and 1 <= level < top:
-                # Copy the whole sub-block one level up, free it, repoint parent.
-                tgt = level + 1
-                nsb = self.storage.allocate_subblock(tgt)
-                nslots = self.fmt.parse_slots(self.fmt.empty_subblock(tgt)).copy()
-                nslots[:cap] = slots[:cap]
-                self.storage.free_subblock(level, sb)
-                plevel, psb = path[-2]
-                pslots = self._read_slots(plevel, psb).copy()
-                pslots[caps[plevel] - 1] = encode_pointer(tgt, nsb)
-                self._write_slots(plevel, psb, pslots)
-                path[-1] = (tgt, nsb)
-                level, sb, slots = tgt, nsb, nslots
+    def _append_raw(self, locals_: np.ndarray, bounds: np.ndarray, new: np.ndarray) -> None:
+        """Append a whole window to raw chains, vertex by vertex: owner
+        ``i`` (local ``locals_[i]``) gains ``new[bounds[i]:bounds[i + 1]]``.
+
+        A vertex the memo does not know walks its chain from the head
+        first.  Its tail is then read, filled with spliced-in entries and
+        grown as it fills: ``link`` displaces the last entry into a new
+        higher-level sub-block behind a pointer; ``move`` copies a full
+        mid-level tail one level up, frees it and repoints the parent.
+
+        Each sub-block read charges ``grdb_subblock_seconds`` before its
+        one cache ``get``; each write is the ``get`` of its block and one
+        dirty ``put`` (a write-through at cache capacity 0).  The charges
+        add up in a local float and reach the node clock (``advance_to``)
+        before every call that may touch a device — a miss
+        (:meth:`GrDBStorage._fetch_block`), a dirty ``put``, a
+        write-through — and once on exit, raise or return, so the clock
+        ends bit for bit where per-charge advances leave it.  The memo,
+        read and written in place through a flat ``memoryview``, takes a
+        walked tail right after the walk and the final tail after the
+        vertex's last write: a device failure mid-window leaves it as one
+        :meth:`_walk` and :meth:`_remember` per vertex would.
+        """
+        fmt, clock, storage = self.fmt, self.clock, self.storage
+        cache, fetch, written = storage.cache, storage._fetch_block, storage._written_blocks
+        get, put, through = cache.get, cache.put, storage._write_block_through
+        write_back = cache.capacity > 0
+        layout, caps = fmt._subblock_layout, fmt.capacities
+        top = len(layout) - 1
+        empties = [fmt.empty_subblock(lv) for lv in range(top + 1)]
+        sub_s, move = self.cpu.grdb_subblock_seconds, self.growth_policy == "move"
+        words = new.astype("<u8").tobytes()
+        now = clock.now
+
+        def read(level, sb):
+            nonlocal now
+            now += sub_s
+            # Pointers come from disk: address checks as subblock_span's.
+            if not 0 <= level <= top:
+                raise GraphStorageException(f"level {level} out of range")
+            if sb < 0:
+                raise GraphStorageException(f"negative sub-block index {sb}")
+            k, nbytes = layout[level]
+            block, at = divmod(sb, k)
+            data = get((level, block))
+            if data is None:
+                clock.advance_to(now)
+                data = fetch(level, block)
+                now = clock.now
+            return bytearray(memoryview(data)[at * nbytes : (at + 1) * nbytes])
+
+        def write(level, sb, slots):
+            nonlocal now
+            k, nbytes = layout[level]
+            block, at = divmod(sb, k)
+            key = (level, block)
+            data = get(key)
+            if data is None:
+                clock.advance_to(now)
+                data = fetch(level, block)
+                now = clock.now
+            buf = bytearray(data)
+            buf[at * nbytes : (at + 1) * nbytes] = slots
+            data = bytes(buf)
+            written.add(key)
+            clock.advance_to(now)
+            if write_back:
+                put(key, data, dirty=True)
             else:
-                # Link: displace the last entry into a new higher-level
-                # sub-block and leave a pointer behind.
-                tgt = min(level + 1, top)
-                nsb = self.storage.allocate_subblock(tgt)
-                displaced = slots[cap - 1]
-                slots[cap - 1] = encode_pointer(tgt, nsb)
-                self._write_slots(level, sb, slots)
-                nslots = self.fmt.parse_slots(self.fmt.empty_subblock(tgt)).copy()
-                nslots[0] = displaced
-                used = 1
-                path.append((tgt, nsb))
-                level, sb, slots = tgt, nsb, nslots
-        self._write_slots(level, sb, slots)
-        self._remember(local, path, used)
+                through(key, data)
+            now = clock.now
+
+        memo = memoryview(self._memo).cast("B").cast("q")  # five words per local
+        try:
+            for local, lo, hi in zip(locals_.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+                row = 5 * local
+                level, sb, used, plevel, psb = memo[row : row + 5].tolist()
+                if level < 0:  # first touch: walk the chain from its head
+                    level, sb, plevel, psb = 0, local, -1, -1
+                    hops, bound = 1, storage.chain_bound()
+                    while True:
+                        slots = read(level, sb)
+                        last = int.from_bytes(slots[-SLOT_BYTES:], "little")
+                        if not is_pointer(last):
+                            break
+                        if hops >= bound:
+                            raise GraphStorageException(
+                                f"pointer cycle in chain of local vertex {local}"
+                            )
+                        hops += 1
+                        plevel, psb, (level, sb) = level, sb, decode_pointer(last)
+                    used = len(slots) // SLOT_BYTES - array("Q", slots).count(EMPTY_SLOT)
+                    memo[row : row + 5] = array("q", (level, sb, used, plevel, psb))
+                slots = read(level, sb)
+                i, stop = lo * SLOT_BYTES, hi * SLOT_BYTES
+                while True:
+                    take = min(caps[level] - used, (stop - i) // SLOT_BYTES) * SLOT_BYTES
+                    if take > 0:
+                        slots[used * SLOT_BYTES : used * SLOT_BYTES + take] = words[i : i + take]
+                        used += take // SLOT_BYTES
+                        i += take
+                    if i >= stop:
+                        break
+                    # The tail is full; grow the chain.
+                    if move and 1 <= level < top:
+                        nsb = storage.allocate_subblock(level + 1)
+                        grown = bytearray(empties[level + 1])
+                        grown[: len(slots)] = slots
+                        storage.free_subblock(level, sb)
+                        parent = read(plevel, psb)
+                        parent[-SLOT_BYTES:] = encode_pointer(level + 1, nsb).to_bytes(8, "little")
+                        write(plevel, psb, parent)
+                        level, sb, slots = level + 1, nsb, grown
+                    else:
+                        tgt = min(level + 1, top)
+                        nsb = storage.allocate_subblock(tgt)
+                        displaced = slots[-SLOT_BYTES:]
+                        slots[-SLOT_BYTES:] = encode_pointer(tgt, nsb).to_bytes(8, "little")
+                        write(level, sb, slots)
+                        slots = bytearray(empties[tgt])
+                        slots[:SLOT_BYTES] = displaced
+                        plevel, psb, level, sb, used = level, sb, tgt, nsb, 1
+                write(level, sb, slots)
+                memo[row : row + 5] = array("q", (level, sb, used, plevel, psb))
+        finally:
+            clock.advance_to(now)
+            memo.release()
 
     def _read_tails(self, locals_: np.ndarray, held: list[dict[int, bytes]]):
         """:meth:`_walk` for a whole window, level-synchronously.

@@ -209,41 +209,28 @@ class ExternalMetadata(MetadataStore):
         struct.pack_into(">i", buf, slot * 4, int(value))
         self.cache.put(page_no, bytes(buf), dirty=True)
 
-    def get_many(self, vertices) -> np.ndarray:
-        vs = np.asarray(vertices, dtype=np.int64)
-        out = np.empty(len(vs), dtype=np.int64)
-        # Group by page so each page is fetched once per call.
-        pages = vs // self.VALUES_PER_PAGE
+    def _by_page(self, vertices):
+        """The distinct pages of ``vertices``, ascending: per page its
+        number, the positions of its ids in ``vertices`` and their slots."""
+        pages, slots = np.divmod(np.asarray(vertices, dtype=np.int64), self.VALUES_PER_PAGE)
         order = np.argsort(pages, kind="stable")
-        current_page, data = -1, b""
-        for idx in order:
-            page_no = int(pages[idx])
-            if page_no != current_page:
-                data = self._read_page(page_no)
-                current_page = page_no
-            slot = int(vs[idx] % self.VALUES_PER_PAGE)
-            out[idx] = struct.unpack_from(">i", data, slot * 4)[0]
+        for at in np.split(order, np.flatnonzero(np.diff(pages[order])) + 1):
+            if len(at):
+                yield int(pages[at[0]]), at, slots[at]
+
+    def get_many(self, vertices) -> np.ndarray:
+        out = np.empty(len(vertices), dtype=np.int64)
+        # One page read and one gather per distinct page.
+        for page_no, at, slots in self._by_page(vertices):
+            out[at] = np.frombuffer(self._read_page(page_no), dtype=">i4")[slots]
         return out
 
     def set_many(self, vertices, value: int) -> None:
-        vs = np.asarray(vertices, dtype=np.int64)
-        if len(vs) == 0:
-            return
-        # Group by page so each dirty page is read and re-put once per call,
-        # regardless of how many of its slots the fringe touches.
-        pages = vs // self.VALUES_PER_PAGE
-        order = np.argsort(pages, kind="stable")
-        current_page, buf = -1, None
-        for idx in order:
-            page_no = int(pages[idx])
-            if page_no != current_page:
-                if buf is not None:
-                    self.cache.put(current_page, bytes(buf), dirty=True)
-                buf = bytearray(self._read_page(page_no))
-                current_page = page_no
-            slot = int(vs[idx] % self.VALUES_PER_PAGE)
-            struct.pack_into(">i", buf, slot * 4, int(value))
-        self.cache.put(current_page, bytes(buf), dirty=True)
+        # One page read, one scatter and one dirty put per distinct page.
+        for page_no, _, slots in self._by_page(vertices):
+            page = np.frombuffer(self._read_page(page_no), dtype=">i4").copy()
+            page[slots] = int(value)
+            self.cache.put(page_no, page.tobytes(), dirty=True)
 
     def flush(self) -> None:
         self.cache.flush()
