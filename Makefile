@@ -142,10 +142,9 @@ loc:  # src/ line count and code-only count (no comments, blank lines or docstri
 reach:  # function lines reached by production runs, by tests only, by neither (minutes; not gated)
 	$(PYTHON) tools/reach.py
 
-figures:  # regenerate every table/figure via the CLI
-	for id in table5.1 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig5.6 fig5.7 fig5.8 fig5.9; do \
-		PYTHONPATH=src $(PYTHON) -m repro experiment $$id; \
-	done
+figures:  # regenerate every table/figure via the CLI, in one process (Figs 5.7 / 5.9 reuse the sweeps of 5.6 / 5.8)
+	PYTHONPATH=src $(PYTHON) -m repro experiment \
+		table5.1 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig5.6 fig5.7 fig5.8 fig5.9
 
 clean:  # untracked outputs only: benchmarks/results/ holds committed result files
 	rm -rf benchmarks/twoclock/out .benchmarks .pytest_cache test_output.txt bench_output.txt

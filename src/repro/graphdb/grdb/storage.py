@@ -71,6 +71,9 @@ class GrDBStorage:
         self.cache = make_block_cache(
             cache_blocks, writer=self._write_block_through, shared=shared_cache, owner=name
         )
+        #: The superblock image the last committed flush (or restore) left
+        #: durable; a fresh store's empty image needs no flush to hold.
+        self._durable_image = self._superblock_image() if integrity else None
 
     # -- file / block plumbing ---------------------------------------------
 
@@ -363,15 +366,21 @@ class GrDBStorage:
         # Crash-consistent publish: journal the dirty spans and the new
         # superblock image, commit, then apply in place.  A crash before
         # the commit record lands leaves the old image authoritative; a
-        # crash after it rolls forward on the next restore().
-        spans = self._publish_spans(self.cache.dirty_items())
+        # crash after it rolls forward on the next restore().  The image
+        # carries the new counter, so a clean reopen adopts it too; a flush
+        # with nothing to publish commits nothing and leaves the counter be
+        # (a compaction intent reads "counter advanced" as "the fold landed").
+        dirty = self.cache.dirty_items()
+        if not dirty and self._superblock_image() == self._durable_image:
+            return
+        spans = self._publish_spans(dirty)
+        self._wal_seq += 1
         super_img = self._superblock_image()
         entries = bytearray()
         for level, file_idx, off, payload in spans:
             entries += _WAL_SPAN.pack(level, file_idx, off, len(payload))
             entries += payload
         wal = self._wal_device()
-        self._wal_seq += 1
         wal.write(_WAL_FRAME, bytes(entries) + super_img)  # body first...
         header = _WAL_HEADER.pack(
             _WAL_MAGIC, self._wal_seq, len(spans), len(entries), len(super_img)
@@ -380,6 +389,7 @@ class GrDBStorage:
         self.cache.flush()
         self._provider(f"{self._name}_super").write(0, super_img)
         wal.truncate(0)
+        self._durable_image = super_img
 
     def _replay_wal(self) -> None:
         """Recover from a torn flush: roll a committed WAL forward, discard
@@ -444,6 +454,9 @@ class GrDBStorage:
         self._next_subblock = list(state["next_subblock"])
         self._free = [list(f) for f in state["free"]]
         self._written_blocks = set(state["written_blocks"])
+        self._wal_seq = max(self._wal_seq, state["wal_seq"])
+        if self.integrity:
+            self._durable_image = self._superblock_image()
         # Cross-check the block map against what the devices actually hold:
         # a written block past a file's extent would otherwise surface much
         # later as a zero-padded read masquerading as adjacency data.

@@ -6,6 +6,8 @@ verify it), the per-level allocation state (bump pointers + free lists),
 and the set of blocks ever written (blocks inside a file's extent that
 were never written read back as zeroes, which must not be confused with
 vertex id 0 — written blocks are always full-block EMPTY-initialized).
+A checksummed instance also keeps its WAL commit counter, the durable
+token a streaming compaction's intent is settled against.
 
 The superblock serializes to its own small device (``grdb_super``) with a
 checksummed binary layout:
@@ -15,12 +17,15 @@ checksummed binary layout:
     per level: capacity u32 | block_size u32
     per level: next_subblock u64 | nfree u32 | free entries u64...
     nwritten u32 | (level u16, block u64) entries...
+    [checksummed instances only] wal_seq u64
     crc32 u32 over everything above
 
 Uncompressed instances keep writing version 1, byte-identical to the
 historical layout; ``compress=True`` bumps to version 2 and records the
 flag, so reopening a compressed store with a raw-format configuration (or
 vice versa) fails the format cross-check instead of mis-parsing sub-blocks.
+Without checksums no ``wal_seq`` is written (the bytes stay the historical
+ones); an image that ends after the written-block list reads as 0.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ def save_superblock(device: BlockDevice, storage) -> None:
     out += struct.pack(">I", len(written))
     for level, block in written:
         out += struct.pack(">HQ", level, block)
+    if storage.integrity:
+        out += struct.pack(">Q", storage._wal_seq)
     out += struct.pack(">I", zlib.crc32(bytes(out)))
     device.write(0, struct.pack(">I", len(out)) + bytes(out))
 
@@ -107,6 +114,7 @@ def load_superblock(device: BlockDevice) -> dict:
         level, block = struct.unpack_from(">HQ", body, off)
         off += 10
         written.add((level, block))
+    (wal_seq,) = struct.unpack_from(">Q", body, off) if off < len(body) else (0,)
     return {
         "format": GrDBFormat(
             capacities=tuple(capacities),
@@ -117,4 +125,5 @@ def load_superblock(device: BlockDevice) -> dict:
         "next_subblock": next_subblock,
         "free": free,
         "written_blocks": written,
+        "wal_seq": wal_seq,
     }

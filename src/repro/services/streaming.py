@@ -57,7 +57,7 @@ def base_commit_token(db) -> int | None:
     deltas (same crash-story scope as the PR 5 durability layer).
     """
     storage = getattr(db, "storage", None)
-    if storage is not None and getattr(storage, "integrity", None) is not None:
+    if storage is not None and getattr(storage, "integrity", False):
         return int(storage._wal_seq)
     if getattr(db, "meta_device", None) is not None and hasattr(db, "_seq"):
         return int(db._seq)

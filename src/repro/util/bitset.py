@@ -1,9 +1,10 @@
 """Dense bitset over 64-bit words, vectorized with numpy.
 
-Used by the BFS visited structures, by grDB's sub-block allocation maps,
-and as the wire format for bottom-up BFS fringes: the raw word array is
-what ranks allgather (n/8 bytes instead of 8 bytes per fringe vertex), so
-``words`` / ``or_words`` / ``from_words`` are deliberately zero-copy.
+The wire format for bottom-up BFS fringes (``bfs/direction.py``): each rank
+sets its fringe with ``set_many``, the raw word array is what ranks
+allgather (n/8 bytes instead of 8 bytes per fringe vertex), and
+``or_words`` merges the peers' words in place, so ``words`` / ``or_words``
+are deliberately zero-copy.
 """
 
 from __future__ import annotations
@@ -46,29 +47,6 @@ class Bitset:
         self._nbits = int(nbits)
         self._words = np.zeros((self._nbits + 63) // 64, dtype=np.uint64)
 
-    def __len__(self) -> int:
-        return self._nbits
-
-    def _check(self, idx: int) -> int:
-        idx = int(idx)
-        if not 0 <= idx < self._nbits:
-            raise IndexError(f"bit {idx} out of range for Bitset of size {self._nbits}")
-        return idx
-
-    def set(self, idx: int) -> None:
-        idx = self._check(idx)
-        self._words[idx >> 6] |= np.uint64(1 << (idx & 63))
-
-    def clear(self, idx: int) -> None:
-        idx = self._check(idx)
-        self._words[idx >> 6] &= ~np.uint64(1 << (idx & 63))
-
-    def get(self, idx: int) -> bool:
-        idx = self._check(idx)
-        return bool((self._words[idx >> 6] >> np.uint64(idx & 63)) & _ONE)
-
-    __getitem__ = get
-
     def set_many(self, idxs) -> None:
         idxs = np.asarray(idxs, dtype=np.int64)
         if idxs.size == 0:
@@ -89,13 +67,6 @@ class Bitset:
         if idxs.min() < 0 or idxs.max() >= self._nbits:
             raise IndexError("bit index out of range in get_many")
         return (self._words[idxs >> 6] >> (idxs & 63).astype(np.uint64)) & _ONE != 0
-
-    def count(self) -> int:
-        """Number of set bits (word-wise popcount; no unpacked copy)."""
-        return int(_popcount(self._words).sum())
-
-    def clear_all(self) -> None:
-        self._words[:] = 0
 
     def to_indices(self) -> np.ndarray:
         """Sorted array of all set bit positions.
@@ -136,21 +107,3 @@ class Bitset:
                 f"word count mismatch: got {len(words)}, need {len(self._words)}"
             )
         self._words |= words
-
-    @classmethod
-    def from_words(cls, words: np.ndarray, nbits: int) -> "Bitset":
-        """Wrap an existing uint64 word array without copying.
-
-        Bits at positions >= ``nbits`` must be zero; the caller keeps
-        ownership of ``words`` (mutations are visible both ways).
-        """
-        nbits = int(nbits)
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if len(words) != (nbits + 63) // 64:
-            raise ValueError(
-                f"word count mismatch: got {len(words)}, need {(nbits + 63) // 64}"
-            )
-        bs = cls.__new__(cls)
-        bs._nbits = nbits
-        bs._words = words
-        return bs

@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import MSSG, MSSGConfig
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graphgen import read_ascii_edges, read_binary_edges
+
+ROOT = Path(__file__).resolve().parents[1]
+#: Documents whose ``python -m repro ...`` lines must parse.
+DOCUMENTED = [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
 
 
 class TestGenerateAndStats:
@@ -62,14 +70,14 @@ class TestSearch:
         assert main(["search", str(out), "--query", "0:5", "--pipelined"]) == 0
         assert "distance(0 -> 5)" in capsys.readouterr().out
 
-    def test_search_concurrent_with_analyses(self, tmp_path, capsys):
+    def test_search_with_analyses(self, tmp_path, capsys):
         out = tmp_path / "e.txt"
         main(["generate", str(out), "--vertices", "300", "--seed", "3"])
         capsys.readouterr()
         rc = main(
             [
                 "search", str(out),
-                "--query", "0:5", "--query", "1:7", "--inflight", "2",
+                "--query", "0:5", "--query", "1:7",
                 "--analysis", "pagerank:max-iters=5",
                 "--analysis", "components",
                 "--analysis", "neighborhood:source=0,hops=2",
@@ -98,7 +106,17 @@ class TestSearch:
         )
         assert line("neighborhood: ").startswith(f"neighborhood: {ball}   [")
         assert line("distance(0 -> 5) = ") and line("distance(1 -> 7) = ")
-        assert line("drained 2 queries in ")
+        # Analyses run before the queries, as the help text says.
+        assert lines.index(line("neighborhood: ")) < lines.index(line("distance(0 -> 5) = "))
+
+    def test_search_flags_are_the_services_own(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {
+            "--help", "--query", "--analysis", "--backend", "--backends",
+            "--frontends", "--declustering", "--pipelined",
+        }
 
 
 class TestExperiment:
@@ -110,7 +128,46 @@ class TestExperiment:
         assert main(["experiment", "fig9.9"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
 
+    def test_unknown_id_is_refused_before_anything_runs(self, capsys):
+        assert main(["experiment", "table5.1", "fig9.9", "--scale", "0.1"]) == 2
+        text = capsys.readouterr().out
+        assert "'fig9.9'" in text and "Table 5.1" not in text
+
+    def test_several_ids_print_what_separate_runs_print(self, capsys):
+        ids = ["table5.1", "fig5.1"]
+        separate = ""
+        for i in ids:
+            assert main(["experiment", i, "--scale", "0.1"]) == 0
+            separate += capsys.readouterr().out
+        assert main(["experiment", *ids, "--scale", "0.1"]) == 0
+        assert capsys.readouterr().out == separate
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         text = capsys.readouterr().out
         assert "fig5.4" in text and "PubMed-S" in text
+
+
+def _documented_command_lines():
+    """``(document, argv)`` for every ``python -m repro ...`` in the docs,
+    backslash continuations joined and ``#`` comments dropped."""
+    for path in DOCUMENTED:
+        text = re.sub(r"\\\n\s*", " ", path.read_text())
+        for match in re.finditer(r"python -m repro\b([^`#\n]*)", text):
+            argv = shlex.split(match.group(1))
+            if argv:  # a bare mention of the entry point is not a command line
+                yield path.name, argv
+
+
+def test_documented_command_lines_parse():
+    found = list(_documented_command_lines())
+    commands = {(doc, argv[0]) for doc, argv in found}
+    assert {("README.md", "search"), ("SKILL.md", "search")} <= commands
+    parser = build_parser()
+    bad = []
+    for doc, argv in found:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            bad.append((doc, shlex.join(argv)))
+    assert not bad, bad

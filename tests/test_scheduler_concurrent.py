@@ -138,6 +138,13 @@ class TestAdmissionControl:
             rep = mssg.query_many(PAIRS, max_inflight=64)
             assert all(r.queue_seconds == 0.0 for r in rep.queries)
 
+    def test_drain_totals_sum_its_queries(self):
+        with _deploy("HashMap") as mssg:
+            mssg.ingest(EDGES)
+            rep = mssg.query_many(PAIRS, max_inflight=2)
+            assert rep.edges_scanned == sum(r.edges_scanned for r in rep.queries) > 0
+            assert rep.edges_per_second == rep.edges_scanned / rep.seconds > 0
+
     def test_invalid_inflight_rejected(self):
         from repro.util import ConfigError
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.services.ingestion import IngestReport
+from repro.services.streaming import base_commit_token
 from repro.simcluster import DiskFault, FaultPlan
 from repro.storage.deltalog import RECORD_START, DeltaLog
 from repro.util.errors import ConfigError
@@ -248,8 +249,13 @@ def test_crash_mid_compaction(tmp_path, backend, ops):
 
 
 @pytest.mark.parametrize("backend", TOKEN_BACKENDS)
-def test_crash_torn_publish_header(tmp_path, backend):
-    """A crash on the header write of finish_compaction stays consistent."""
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["fail", "crash"])
+def test_crash_torn_publish_header(tmp_path, backend, k, kind):
+    """A fault on each delta-log operation of compact() -- ``k`` = 0 is
+    begin_compaction's header write, 1 finish_compaction's header write
+    (after the base flush), 2 its truncate -- recovers the published
+    snapshot without duplicating a folded edge."""
     d = str(tmp_path)
     edges = small_graph(23)
     pairs = [(0, 39), (2, 37)]
@@ -257,26 +263,37 @@ def test_crash_torn_publish_header(tmp_path, backend):
     m.ingest_stream(edges[:140])
     m.ingest_stream(edges[140:])
     want = distances(m, pairs)
-    # Fire on the delta log device itself mid-compaction: the kill lands
-    # on begin_compaction / finish_compaction header writes.
-    for ops in [0, 1, 2]:
-        m.set_fault_plan(
-            FaultPlan([DiskFault(node=3, device="deltalog", kind="crash",
-                                 after_ops=ops)])
-        )
-        try:
-            m.compact()
-        except Exception:
-            pass
-        break
+    want_deg = m.query("degree", vertices=list(range(40))).result
+    # ``after_ops`` counts the device's lifetime operations: offset from now.
+    dev = m.cluster.nodes[3]._disks["deltalog"]
+    m.set_fault_plan(
+        FaultPlan([DiskFault(node=3, device="deltalog", kind=kind,
+                             after_ops=dev.ops + k)])
+    )
+    try:
+        m.compact()
+    except Exception:
+        pass
     m.close()
     m2 = deploy(backend, replication=2, storage_dir=d, num_backends=3)
     try:
         assert m2.streaming.published == 2
         assert distances(m2, pairs) == want
+        assert m2.query("degree", vertices=list(range(40))).result == want_deg
         assert m2.scrub().corrupt_frames == 0
     finally:
         m2.close()
+
+
+@pytest.mark.parametrize("checksums, token", [(True, 0), (False, None)])
+def test_grdb_commit_token_needs_the_journaled_flush(checksums, token):
+    """Only a checksummed grDB has a durable commit counter; without one an
+    interrupted compaction aborts (``None``), it never compares a 0."""
+    m = deploy("grDB", checksums=checksums)
+    try:
+        assert [base_commit_token(db) for db in m.dbs] == [token, token]
+    finally:
+        m.close()
 
 
 def test_recovery_replays_pending_batches(tmp_path):
