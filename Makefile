@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,10 +10,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
-		tests/test_integrity.py tests/test_scheduler_concurrent.py \
+		tests/test_integrity.py tests/test_commit.py tests/test_scheduler_concurrent.py \
 		tests/test_vertexprog.py tests/test_analyses.py tests/test_compression.py \
 		tests/test_streaming.py \
 		tests/test_grdb_ingest.py tests/test_batch_expand.py \
@@ -105,6 +105,17 @@ check-combine-owner:  # only services/vertexprog.py::_combine_posts sorts or sca
 		src/repro/services/*.py | grep -vE '^src/repro/services/streaming\.py:[0-9]+: +edges = edges\[np\.lexsort\(\(edges\[' || true); \
 	if [ -n "$$offenders" ]; then \
 		echo "posted triplets combined outside services/vertexprog.py::_combine_posts (call it):"; \
+		echo "$$offenders"; exit 1; \
+	fi
+
+check-commit-owner:  # only storage/commit.py (commit roots, record frames), storage/integrity.py (device frames) and grdb/superblock.py compute a CRC; no store reads another's commit counter (GraphDB.commit_token answers)
+	@offenders=$$( { \
+		grep -rn 'zlib\.crc32' src/repro --include='*.py' \
+			| grep -vE '^src/repro/(storage/commit|storage/integrity|graphdb/grdb/superblock)\.py:'; \
+		grep -rnE '_wal_seq|base_commit_token' src/ --include='*.py'; \
+	} || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "CRC or commit counter outside storage/commit.py (use CommitRoot / frame_record; ask db.commit_token()):"; \
 		echo "$$offenders"; exit 1; \
 	fi
 

@@ -794,6 +794,16 @@ class GrDB(GraphDB):
     def flush(self) -> None:
         self.storage.flush()
 
+    def close(self) -> None:
+        try:
+            super().close()
+        finally:
+            self.storage.close()
+
+    def commit_token(self) -> int | None:
+        root = self.storage.wal_root
+        return None if root is None else root.seq
+
     @property
     def cache_stats(self):
         return self.storage.cache.stats

@@ -14,9 +14,11 @@ the device, modeling the sparse/preallocated level-0 file.
 With ``integrity=True`` (the checksummed deployment mode), :meth:`flush`
 becomes crash-consistent: the dirty set and the new superblock image are
 journaled to a write-ahead log (``<name>_wal``) *before* any in-place
-write, so a torn flush either never committed (the WAL commit record is
-absent or CRC-bad — recovery discards it and the old image stands) or
-rolls forward (recovery replays the journaled spans and superblock).
+write, as one record behind the WAL's commit root
+(:mod:`repro.storage.commit`), whose seq counts committed flushes.  A torn
+flush either never committed (the root does not name the record's seq —
+recovery discards it and the old image stands) or rolls forward (recovery
+replays the journaled spans and superblock).
 """
 
 from __future__ import annotations
@@ -28,19 +30,17 @@ import numpy as np
 
 from ...simcluster.disk import BlockDevice, MemoryBacking
 from ...storage.blockcache import SharedBlockCache, make_block_cache
+from ...storage.commit import RECORD_START, CommitRoot, frame_record, read_records
 from ...util.errors import ConfigError, CorruptBlockError, GraphStorageException
 from .format import GrDBFormat
 
 __all__ = ["GrDBStorage"]
 
-#: WAL commit record: magic, sequence number, span count, span-entry bytes,
-#: superblock-image bytes.  Lives alone in the WAL's first 4 KiB frame and
-#: is written *after* the body, so its presence (with a valid frame CRC)
-#: is the commit point.
-_WAL_HEADER = struct.Struct(">QQIQQ")
+_ROOT_MAGIC = 0x6772444257414C32  # "grDBWAL2"
+_WAL_NO_FIELDS = struct.Struct("<")  # the root's seq is the whole commit
+_WAL_KIND_PUBLISH = 3  # record: nedges = span count, payload = spans + superblock
 _WAL_SPAN = struct.Struct(">HIQQ")  # level, file index, device offset, length
-_WAL_MAGIC = 0x6772444257414C31  # "grDBWAL1"
-_WAL_FRAME = 4096
+_FRAME = 4096
 
 
 class GrDBStorage:
@@ -59,7 +59,12 @@ class GrDBStorage:
         self._provider = device_provider
         self._name = name
         self.integrity = integrity
-        self._wal_seq = 0
+        #: The WAL's commit root (checksummed stores only).
+        self.wal_root = (
+            CommitRoot(self._provider(f"{name}_wal"), _ROOT_MAGIC, _WAL_NO_FIELDS)
+            if integrity
+            else None
+        )
         self._files: dict[tuple[int, int], BlockDevice] = {}
         self._written_blocks: set[tuple[int, int]] = set()
         # Free lists and bump allocators, per level (level 0 is id-addressed
@@ -332,11 +337,11 @@ class GrDBStorage:
         spans: list[tuple[int, int, int, bytes]] = []
         for (level, file_idx), writes in sorted(per_file.items()):
             writes.sort()
-            aligned = self.fmt.block_sizes[level] % _WAL_FRAME == 0
+            aligned = self.fmt.block_sizes[level] % _FRAME == 0
             intervals: list[list[int]] = []  # [start, end), frame-aligned
             for off, data in writes:
-                start = (off // _WAL_FRAME) * _WAL_FRAME
-                end = -(-(off + len(data)) // _WAL_FRAME) * _WAL_FRAME
+                start = (off // _FRAME) * _FRAME
+                end = -(-(off + len(data)) // _FRAME) * _FRAME
                 if intervals and start <= intervals[-1][1]:
                     intervals[-1][1] = max(intervals[-1][1], end)
                 else:
@@ -353,8 +358,11 @@ class GrDBStorage:
                 spans.append((level, file_idx, start, bytes(buf)))
         return spans
 
-    def _wal_device(self) -> BlockDevice:
-        return self._provider(f"{self._name}_wal")
+    def _write_superblock(self, image: bytes) -> None:
+        """Overwrite the superblock with ``image`` padded to whole frames, so
+        the write never reads (and trips over) the frame it replaces."""
+        padded = image.ljust(-(-len(image) // _FRAME) * _FRAME, b"\x00")
+        self._provider(f"{self._name}_super").write(0, padded)
 
     def flush(self) -> None:
         from .superblock import save_superblock
@@ -364,64 +372,54 @@ class GrDBStorage:
             save_superblock(self._provider(f"{self._name}_super"), self)
             return
         # Crash-consistent publish: journal the dirty spans and the new
-        # superblock image, commit, then apply in place.  A crash before
-        # the commit record lands leaves the old image authoritative; a
-        # crash after it rolls forward on the next restore().  The image
-        # carries the new counter, so a clean reopen adopts it too; a flush
-        # with nothing to publish commits nothing and leaves the counter be
-        # (a compaction intent reads "counter advanced" as "the fold landed").
+        # superblock image, commit the root, then apply in place.  A crash
+        # before the root lands leaves the old image authoritative; a crash
+        # after it rolls forward on the next restore().  A flush with
+        # nothing to publish commits nothing and leaves the counter be (a
+        # compaction intent reads "counter advanced" as "the fold landed").
         dirty = self.cache.dirty_items()
-        if not dirty and self._superblock_image() == self._durable_image:
+        super_img = self._superblock_image()
+        if not dirty and super_img == self._durable_image:
             return
         spans = self._publish_spans(dirty)
-        self._wal_seq += 1
-        super_img = self._superblock_image()
-        entries = bytearray()
+        body = bytearray()
         for level, file_idx, off, payload in spans:
-            entries += _WAL_SPAN.pack(level, file_idx, off, len(payload))
-            entries += payload
-        wal = self._wal_device()
-        wal.write(_WAL_FRAME, bytes(entries) + super_img)  # body first...
-        header = _WAL_HEADER.pack(
-            _WAL_MAGIC, self._wal_seq, len(spans), len(entries), len(super_img)
-        )
-        wal.write(0, header.ljust(_WAL_FRAME, b"\x00"))  # ...commit second
+            body += _WAL_SPAN.pack(level, file_idx, off, len(payload))
+            body += payload
+        body += super_img
+        wal = self.wal_root.device
+        seq = self.wal_root.seq + 1
+        wal.write(RECORD_START, frame_record(_WAL_KIND_PUBLISH, seq, len(spans), bytes(body)))
+        self.wal_root.commit()  # the commit point
         self.cache.flush()
-        self._provider(f"{self._name}_super").write(0, super_img)
-        wal.truncate(0)
+        self._write_superblock(super_img)
+        wal.truncate(RECORD_START)
         self._durable_image = super_img
 
     def _replay_wal(self) -> None:
-        """Recover from a torn flush: roll a committed WAL forward, discard
-        an uncommitted one.  Idempotent; no-op when the WAL is empty."""
-        wal = self._wal_device()
-        if wal.size() == 0:
+        """Recover from a torn flush: roll a committed WAL record forward,
+        discard an uncommitted one.  Idempotent; no-op when the WAL holds
+        no record."""
+        self.wal_root.load()
+        wal = self.wal_root.device
+        if wal.size() <= RECORD_START:
             return
         try:
-            header = wal.read(0, _WAL_FRAME)
-            magic, seq, n_spans, entries_bytes, super_bytes = _WAL_HEADER.unpack_from(
-                header
-            )
-            if magic != _WAL_MAGIC:
-                # Crash before the commit record: the flush never happened.
-                wal.truncate(0)
-                return
-            body = wal.read(_WAL_FRAME, entries_bytes + super_bytes)
+            body = wal.read(RECORD_START, wal.size() - RECORD_START)
         except CorruptBlockError:
-            # The commit record (or the body behind it) is itself torn:
-            # the flush never committed, so the old image stands.
-            wal.truncate(0)
-            return
-        entries, super_img = body[:entries_bytes], body[entries_bytes:]
-        off = 0
-        for _ in range(n_spans):
-            level, file_idx, dev_off, length = _WAL_SPAN.unpack_from(entries, off)
-            off += _WAL_SPAN.size
-            self._device(level, file_idx).write(dev_off, entries[off : off + length])
-            off += length
-        self._provider(f"{self._name}_super").write(0, super_img)
-        self._wal_seq = seq
-        wal.truncate(0)
+            body = b""  # the record itself is torn: it never committed
+        for rec in read_records(body):
+            if rec.kind != _WAL_KIND_PUBLISH or rec.seq != self.wal_root.seq:
+                break  # written, but the root never named it
+            off = 0
+            for _ in range(rec.nedges):
+                level, file_idx, dev_off, length = _WAL_SPAN.unpack_from(rec.payload, off)
+                off += _WAL_SPAN.size
+                self._device(level, file_idx).write(dev_off, rec.payload[off : off + length])
+                off += length
+            self._write_superblock(rec.payload[off:])
+            break
+        wal.truncate(RECORD_START)
 
     def restore(self) -> bool:
         """Adopt persisted bookkeeping from this instance's superblock.
@@ -454,7 +452,6 @@ class GrDBStorage:
         self._next_subblock = list(state["next_subblock"])
         self._free = [list(f) for f in state["free"]]
         self._written_blocks = set(state["written_blocks"])
-        self._wal_seq = max(self._wal_seq, state["wal_seq"])
         if self.integrity:
             self._durable_image = self._superblock_image()
         # Cross-check the block map against what the devices actually hold:
@@ -475,6 +472,12 @@ class GrDBStorage:
                     "or mismatched level file"
                 )
         return True
+
+    def close(self) -> None:
+        """Let go of the devices: the node's block pool and this storage
+        reference each other, which would keep them alive past close."""
+        self._files = {}
+        self.wal_root = None
 
     def total_device_stats(self) -> dict[str, int]:
         reads = writes = bytes_read = bytes_written = seeks = 0

@@ -599,6 +599,16 @@ class GraphDB(abc.ABC):
     def flush(self) -> None:
         """Persist any cached state."""
 
+    def commit_token(self) -> int | None:
+        """The store's durable commit counter, or ``None`` if it has none.
+
+        It advances exactly when a flush commits, all-or-nothing, so "did a
+        crashed compaction's flush commit?" is an integer comparison at
+        recovery (:meth:`~repro.storage.deltalog.DeltaLog.resolve_intent`).
+        Only checksummed grDB and StreamDB keep one, in their commit root.
+        """
+        return None
+
     def close(self) -> None:
         self.flush()
 

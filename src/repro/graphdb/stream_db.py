@@ -25,8 +25,8 @@ scan chunk of arrival-ordered pairs becomes one batch by one stable sort by
 source, so a list keeps arrival order within a record, and both encodings
 answer every read through one plan, in record order.
 The committed extent is then tracked in *bytes* (records are
-variable-length), the durable commit record carries a distinct magic plus
-that byte extent, and opening a log with the wrong mode raises instead of
+variable-length), the durable commit root carries that byte extent plus
+the mode, and opening a log with the wrong mode raises instead of
 mis-parsing it.
 """
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from ..simcluster.disk import BlockDevice
 from ..util.errors import CorruptBlockError, GraphStorageException
+from ..storage.commit import RECORD_START, CommitRoot
 from ..util.varint import decode_edge_groups, encode_edge_block
 from .interface import AdjacencyBatch, GraphDB, gather_segments
 
@@ -54,28 +55,18 @@ _CREC_HEADER = struct.Struct("<III")  # magic, nedges, nbytes
 _CREC_MAGIC = 0x43474F4C  # "LOGC" little-endian
 
 # Durable-commit metadata (only when a meta device is supplied — the
-# checksummed deployment mode).  Logical layout on the meta device, one
-# 4 KiB frame per field so every update is a single whole-frame write:
-#
-#   0     commit slot A \  record (magic, seqno, nedges); the slot
-#   4096  commit slot B /  alternates by seqno parity, so a torn commit
-#                          write can never damage the previous commit
-#   8192  tail guard header (magic, seqno, tail frame offset)
-#   12288 tail guard payload (pre-append copy of the committed tail frame)
-#
-# The guard protects the one frame an append may read-modify-write: if the
-# device crashes mid-append, the torn write has destroyed *committed*
-# bytes, and recovery restores them from the guard.  A guard whose seqno
-# matches an adopted commit is stale (that flush completed) and ignored.
-_META_RECORD = struct.Struct(">QQQ")  # magic, seqno, nedges
-_META_MAGIC = 0x5354524D4C4F4731  # "STRMLOG1"
-# Compressed logs commit a byte extent too (records are variable-length);
-# the distinct magic makes a mode mismatch detectable at restore time.
-_META_RECORD_C = struct.Struct(">QQQQ")  # magic, seqno, nedges, cbytes
-_META_MAGIC_C = 0x5354524D4C4F4732  # "STRMLOG2"
-_META_FRAME = 4096
-_GUARD_HEADER_OFF = 2 * _META_FRAME
-_GUARD_PAYLOAD_OFF = 3 * _META_FRAME
+# checksummed deployment mode): the shared dual-slot commit root
+# (repro.storage.commit) with the fields below, and at RECORD_START one
+# frame of tail guard payload, a pre-append copy of the committed tail
+# frame.  The guard protects the one frame an append may read-modify-write:
+# a flush that must rewrite it first saves the frame, then commits a root
+# that repeats the committed extent and names the frame (``guard_off``);
+# if the append tears, recovery finds that root newest and restores the
+# frame.  The flush's own root names no guard.
+_ROOT_MAGIC = 0x5354524D4C4F4733  # "STRMLOG3"
+_ROOT_FIELDS = struct.Struct("<QQQQQ")  # commits, nedges, cbytes, compress, guard_off
+_NO_GUARD = (1 << 64) - 1
+_GUARD_FRAME = 4096
 
 
 class StreamGraphDB(GraphDB):
@@ -99,13 +90,17 @@ class StreamGraphDB(GraphDB):
         #: Committed byte extent of the log (compressed records are
         #: variable-length; in raw mode this is always nedges * 16).
         self._cbytes = 0
-        self._seq = 0
+        #: Flushes committed: the durable commit token (:meth:`commit_token`).
+        self._commits = 0
+        self._root = None
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
         #: Raw log entries streamed past the CPU (>> useful edges returned).
         self.log_edges_scanned = 0
-        if meta_device is not None and self._restore():
-            self._census_from_storage()
+        if meta_device is not None:
+            self._root = CommitRoot(meta_device, _ROOT_MAGIC, _ROOT_FIELDS)
+            if self._restore():
+                self._census_from_storage()
 
     # -- ingestion ------------------------------------------------------
 
@@ -126,131 +121,71 @@ class StreamGraphDB(GraphDB):
             data = _CREC_HEADER.pack(_CREC_MAGIC, len(batch), len(payload)) + payload
         else:
             data = np.ascontiguousarray(batch).tobytes()
-        committed = self._committed_bytes()
-        guard_written = False
-        if self.meta_device is not None and committed % _META_FRAME != 0:
+        committed = self._cbytes
+        if self._root is not None and committed % _GUARD_FRAME != 0:
             # The append below will rewrite the committed tail frame; a torn
             # write there destroys already-durable edges.  Save the frame
-            # first (payload, then the header that makes the guard valid).
-            tail_off = (committed // _META_FRAME) * _META_FRAME
-            tail = self.device.read(tail_off, _META_FRAME)
-            self.meta_device.write(_GUARD_PAYLOAD_OFF, tail)
-            self.meta_device.write(
-                _GUARD_HEADER_OFF,
-                _META_RECORD.pack(_META_MAGIC, self._seq + 1, tail_off).ljust(
-                    _META_FRAME, b"\x00"
-                ),
-            )
-            guard_written = True
+            # first, then commit a root naming it (module comment).
+            tail_off = committed - committed % _GUARD_FRAME
+            self.meta_device.write(RECORD_START, self.device.read(tail_off, _GUARD_FRAME))
+            self._commit(tail_off)
         self.device.write(committed, data)
         self._nedges += self._buffered
         self._cbytes = committed + len(data)
         self._buffer, self._buffered = [], 0
-        if self.meta_device is not None:
-            self._seq += 1
-            if self.compress:
-                record = _META_RECORD_C.pack(
-                    _META_MAGIC_C, self._seq, self._nedges, self._cbytes
-                )
-            else:
-                record = _META_RECORD.pack(_META_MAGIC, self._seq, self._nedges)
-            slot = (self._seq % 2) * _META_FRAME
-            self.meta_device.write(slot, record.ljust(_META_FRAME, b"\x00"))
-            if guard_written:
-                self.meta_device.write(_GUARD_HEADER_OFF, b"\x00" * _META_FRAME)
+        if self._root is not None:
+            self._commits += 1
+            self._commit(_NO_GUARD)
 
-    def _committed_bytes(self) -> int:
-        return self._cbytes if self.compress else self._nedges * _EDGE_BYTES
+    def _commit(self, guard_off: int) -> None:
+        self._root.commit(
+            self._commits, self._nedges, self._cbytes, self.compress, guard_off
+        )
 
-    def _read_meta_record(self, offset: int) -> tuple[int, int] | None:
-        """Parse one (seqno, value) meta frame; None if absent/torn.
-
-        A torn frame is rewritten as zeros so a later scrub does not count
-        crash debris the recovery already accounted for as corruption.
-        """
-        try:
-            raw = self.meta_device.read(offset, _META_FRAME)
-        except CorruptBlockError:
-            self.meta_device.write(offset, b"\x00" * _META_FRAME)
-            return None
-        magic, seq, value = _META_RECORD.unpack_from(raw)
-        if magic != _META_MAGIC:
-            return None
-        return seq, value
-
-    def _read_commit_record(self, offset: int) -> tuple[int, int, int] | None:
-        """Parse one commit slot: ``(seqno, nedges, committed bytes)``.
-
-        Returns None for an absent/torn slot (zeroing torn frames like
-        :meth:`_read_meta_record`).  A slot whose magic belongs to the
-        *other* log mode raises :class:`GraphStorageException` — the store
-        was written with a different ``compress`` setting and scanning it
-        with this one would mis-parse every record.
-        """
-        try:
-            raw = self.meta_device.read(offset, _META_FRAME)
-        except CorruptBlockError:
-            self.meta_device.write(offset, b"\x00" * _META_FRAME)
-            return None
-        (magic,) = struct.unpack_from(">Q", raw)
-        want = _META_MAGIC_C if self.compress else _META_MAGIC
-        other = _META_MAGIC if self.compress else _META_MAGIC_C
-        if magic == other:
-            raise GraphStorageException(
-                "StreamDB log mode mismatch: the on-disk commit record was "
-                f"written with compress={not self.compress}, but this instance "
-                f"is configured with compress={self.compress}"
-            )
-        if magic != want:
-            return None
-        if self.compress:
-            _, seq, nedges, cbytes = _META_RECORD_C.unpack_from(raw)
-            return seq, nedges, cbytes
-        _, seq, nedges = _META_RECORD.unpack_from(raw)
-        return seq, nedges, nedges * _EDGE_BYTES
+    def commit_token(self) -> int | None:
+        return None if self._root is None else self._commits
 
     def _restore(self) -> bool:
         """Adopt the newest durable commit; heal crash debris.
 
-        Reads both commit slots (a torn slot means the crash hit that very
+        Reads the commit root (a torn slot means the crash hit that very
         commit — the other slot still holds the previous one), restores the
-        committed tail frame from the guard when an uncommitted append tore
-        it, and truncates the log to the committed extent so torn appended
-        frames vanish.  Returns True when a commit was adopted.
+        committed tail frame from the guard when the newest root names one
+        (its append may have torn the frame), and truncates the log to the
+        committed extent so torn appended frames vanish.  Returns True when
+        a commit was adopted.  A root written with the other ``compress``
+        setting raises :class:`GraphStorageException`: scanning the log
+        with this one would mis-parse every record.
         """
-        commits = [self._read_commit_record(slot * _META_FRAME) for slot in (0, 1)]
-        commits = [c for c in commits if c is not None]
-        if commits:
-            self._seq, self._nedges, self._cbytes = max(commits)
-            guard = self._read_meta_record(_GUARD_HEADER_OFF)
-            if guard is not None and guard[0] > self._seq:
-                # The flush that wrote this guard never committed, and its
-                # append may have torn the committed tail frame — put the
-                # pre-append copy back.  (A torn guard *payload* means the
-                # crash preceded the append, so there is nothing to heal;
-                # _read_meta_record already zeroed the header.)
-                try:
-                    payload = self.meta_device.read(_GUARD_PAYLOAD_OFF, _META_FRAME)
-                    self.device.write(guard[1], payload)
-                except CorruptBlockError:
-                    pass
-            if guard is not None:
-                self.meta_device.write(_GUARD_HEADER_OFF, b"\x00" * _META_FRAME)
+        root = self._root.load()
+        if root is not None:
+            self._commits, self._nedges, self._cbytes, compress, guard_off = root[1]
+            if bool(compress) != self.compress:
+                raise GraphStorageException(
+                    "StreamDB log mode mismatch: the on-disk commit root was "
+                    f"written with compress={bool(compress)}, but this instance "
+                    f"is configured with compress={self.compress}"
+                )
+            if guard_off != _NO_GUARD:
+                # The flush that named this guard never committed its own
+                # root: put the pre-append copy back, and commit a root
+                # without the guard so the next flush may reuse its frame.
+                self.device.write(guard_off, self.meta_device.read(RECORD_START, _GUARD_FRAME))
+                self._commit(_NO_GUARD)
         # A crash can tear the guard-payload write itself; the frame is
-        # never referenced (its header never landed) but would read as
-        # corruption forever.  Zero the debris so scrubs stay honest.
-        if self.meta_device.size() > _GUARD_PAYLOAD_OFF:
+        # never referenced (no root named it) but would read as corruption
+        # forever.  Zero the debris so scrubs stay honest.
+        if self.meta_device.size() > RECORD_START:
             try:
-                self.meta_device.read(_GUARD_PAYLOAD_OFF, _META_FRAME)
+                self.meta_device.read(RECORD_START, _GUARD_FRAME)
             except CorruptBlockError:
-                self.meta_device.write(_GUARD_PAYLOAD_OFF, b"\x00" * _META_FRAME)
+                self.meta_device.write(RECORD_START, b"\x00" * _GUARD_FRAME)
         # Drop torn appended frames past the committed extent (everything,
         # when no commit ever landed).
-        committed = self._committed_bytes()
-        frames_end = -(-committed // _META_FRAME) * _META_FRAME
+        frames_end = -(-self._cbytes // _GUARD_FRAME) * _GUARD_FRAME
         if self.device.size() > frames_end:
             self.device.truncate(frames_end)
-        return bool(commits)
+        return root is not None
 
     # -- retrieval ---------------------------------------------------------
     #
@@ -269,7 +204,7 @@ class StreamGraphDB(GraphDB):
         Records are then parsed from memory (:meth:`_parse_record`).
         """
         self.flush()
-        committed = self._committed_bytes()
+        committed = self._cbytes
         if committed and self.device.size() < committed:
             raise CorruptBlockError(
                 self.device.name,

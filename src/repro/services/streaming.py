@@ -40,28 +40,7 @@ __all__ = [
     "OverlayView",
     "StreamFeed",
     "StreamingState",
-    "base_commit_token",
 ]
-
-
-def base_commit_token(db) -> int | None:
-    """The base store's durable commit counter, or ``None`` if it has none.
-
-    This is the value the delta log's compaction intent records: grDB's
-    WAL sequence advances exactly when a journaled flush commits, and
-    StreamDB's commit-record seqno advances exactly when a flush's commit
-    slot lands — both all-or-nothing, so "did the crashed compaction's
-    flush commit?" reduces to an integer comparison at recovery.  The
-    other backends (and non-checksummed deployments) have no such counter;
-    their interrupted compactions conservatively abort and replay the
-    deltas (same crash-story scope as the PR 5 durability layer).
-    """
-    storage = getattr(db, "storage", None)
-    if storage is not None and getattr(storage, "integrity", False):
-        return int(storage._wal_seq)
-    if getattr(db, "meta_device", None) is not None and hasattr(db, "_seq"):
-        return int(db._seq)
-    return None
 
 
 class _OverlayBatch(NamedTuple):
@@ -334,7 +313,7 @@ class StreamingState:
             except DeviceFailedError:
                 log = None
             if log is not None and log.intent is not None:
-                log.resolve_intent(base_commit_token(db))
+                log.resolve_intent(db.commit_token())
             self.logs.append(log)
             overlay = DeltaOverlay()
             db._stream_overlay = overlay
@@ -404,8 +383,8 @@ class StreamingState:
 
         Runs as a cluster program (device writes charged on each back-end
         node's clock, back-ends in parallel) under the delta log's
-        two-phase intent: intent header -> one atomic base flush (grDB
-        WAL-journaled / StreamDB commit-record) -> publish header + log
+        two-phase intent: intent root -> one atomic base flush (grDB
+        WAL-journaled / StreamDB commit root) -> publish root + log
         reset.  A device death mid-fold leaves the intent for recovery to
         settle; the surviving deltas replay into the overlay at reopen
         either way, so no committed batch is ever lost *or* doubled on a
@@ -430,7 +409,7 @@ class StreamingState:
             if not folded:
                 return (0, 0, False)
             try:
-                target = log.begin_compaction(base_commit_token(db))
+                target = log.begin_compaction(db.commit_token())
                 stacks = [b.edges for b in folded if len(b.edges)]
                 entries = 0
                 if stacks:

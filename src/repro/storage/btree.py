@@ -41,7 +41,7 @@ from .pagedfile import PagedFile
 
 __all__ = ["BTree"]
 
-_META_MAGIC = 0x4254524D  # "BTRM"
+_BTREE_MAGIC = 0x4254524D  # "BTRM"
 _LEAF = 0x4C
 _INTERIOR = 0x49
 _META_FMT = struct.Struct(">IQQQ")  # magic, root, free_head, nkeys
@@ -129,7 +129,7 @@ class BTree:
         else:
             raw = self.pages.read_page(0)
             magic, root, free_head, nkeys = _META_FMT.unpack_from(raw)
-            if magic != _META_MAGIC:
+            if magic != _BTREE_MAGIC:
                 raise PageFormatError("not a BTree file (bad meta magic)")
             self.root = root
             self.free_head = free_head - 1
@@ -172,7 +172,7 @@ class BTree:
 
     def _sync_meta(self) -> None:
         buf = bytearray(self.page_size)
-        _META_FMT.pack_into(buf, 0, _META_MAGIC, self.root, self.free_head + 1, self.nkeys)
+        _META_FMT.pack_into(buf, 0, _BTREE_MAGIC, self.root, self.free_head + 1, self.nkeys)
         self._write_raw(0, bytes(buf))
 
     # -- node (de)serialization ---------------------------------------------

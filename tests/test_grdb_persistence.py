@@ -124,8 +124,9 @@ class TestPersistence:
 
 
 class TestCommitCounter:
-    """A checksummed store's WAL commit counter is durable: a compaction
-    intent is settled by comparing it, so a clean reopen must not read 0."""
+    """A checksummed store's WAL commit counter (its root's seq) is durable:
+    a compaction intent is settled by comparing it, so a clean reopen must
+    not read 0."""
 
     def _storage(self, node, integrity=True):
         from repro.graphdb.grdb.storage import GrDBStorage
@@ -139,20 +140,20 @@ class TestCommitCounter:
         for fill in (b"\x01", b"\x02"):
             st.write_subblock(0, 0, fill * sub)
             st.flush()
-        assert st._wal_seq == 2
+        assert st.wal_root.seq == 2
         again = self._storage(node)
-        assert again.restore() and again._wal_seq == 2
+        assert again.restore() and again.wal_root.seq == 2
 
     def test_a_flush_with_nothing_to_publish_commits_nothing(self):
         node = make_node()
         st = self._storage(node)
         st.flush()  # a fresh, empty store is already its durable image
-        assert st._wal_seq == 0 and not self._storage(node).restore()
+        assert st.wal_root.seq == 0 and not self._storage(node).restore()
         st.write_subblock(0, 0, b"\x01" * FMT.subblock_bytes(0))
         st.flush()
         writes = node.disk("grdb_wal").stats.writes
         st.flush()
-        assert st._wal_seq == 1
+        assert st.wal_root.seq == 1
         assert node.disk("grdb_wal").stats.writes == writes
 
     def test_an_image_without_the_counter_reads_as_zero(self):
@@ -161,5 +162,5 @@ class TestCommitCounter:
         plain.write_subblock(0, 0, b"\x01" * FMT.subblock_bytes(0))
         plain.flush()  # checksums off: the historical image, no counter
         st = self._storage(node)
-        assert st.restore() and st._wal_seq == 0
+        assert st.restore() and st.wal_root.seq == 0
         assert st._written_blocks == plain._written_blocks

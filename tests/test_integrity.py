@@ -273,6 +273,65 @@ def _ingested_grdb(node, integrity=True, cache_blocks=64):
     return db, edges
 
 
+#: More operations than one flush makes on any single device.
+_MAX_OPS_PER_FLUSH = 64
+
+
+def _flush_under_crash(node, db, crash_after_ops, device=None, kind="crash"):
+    """``db.flush()`` under one fault (module helper of the crash rows):
+    node-wide after ``crash_after_ops`` operations, or on ``device`` after
+    that many more of its own.  A ``crash`` tears the write it hits (half
+    of it lands); a ``fail`` stops before it.  Revives every device
+    afterwards; returns whether the flush completed."""
+    if device is not None:
+        dev = node._disks.get(device)
+        crash_after_ops += dev.ops if dev is not None else 0
+    node.install_fault_plan(
+        FaultPlan([DiskFault(node=0, device=device, kind=kind, after_ops=crash_after_ops)])
+    )
+    try:
+        db.flush()
+        flushed = True
+    except DeviceFailedError:
+        flushed = False
+    node.install_fault_plan(None)
+    for dev in node._disks.values():
+        dev.revive()
+    return flushed
+
+
+def _flush_devices(setup) -> list[str]:
+    """The devices an unfaulted ``db.flush()`` reads or writes, where
+    ``setup(node)`` returns ``db`` with that flush pending."""
+    node = SimNode(0, NodeSpec())
+    db = setup(node)
+    before = {name: dev.ops for name, dev in node._disks.items()}
+    db.flush()
+    return sorted(n for n, dev in node._disks.items() if dev.ops != before.get(n, 0))
+
+
+def _second_grdb_flush(node):
+    db, _ = _ingested_grdb(node)
+    db.flush()
+    db.store_edges([(v, 9000 + v) for v in range(30)])
+    return db
+
+
+def _second_streamdb_flush(node):
+    db = make_store("StreamDB", node, checksums=True)
+    db.store_edges(np.array([(0, v) for v in range(1, 101)], dtype=np.int64))
+    db.flush()  # commit #1: an unaligned tail (1600 bytes)
+    db.store_edges(np.array([(0, 500)], dtype=np.int64))
+    return db
+
+
+def _assert_scrub_clean(node):
+    for dev in node._disks.values():
+        wrapper = getattr(dev, "_integrity", None)
+        if wrapper is not None:
+            assert list(wrapper.scrub_frames()) == []
+
+
 class TestGrDBCrashRecovery:
     def _adjacency_image(self, db):
         return {v: sorted(db.get_adjacency(v).tolist()) for v in range(30)}
@@ -286,33 +345,22 @@ class TestGrDBCrashRecovery:
         assert census(db2) == census(db)
         assert self._adjacency_image(db2) == want
 
-    def _crash_mid_flush(self, crash_after_ops):
-        """Ingest + flush + more edges, then crash the node's devices after
-        ``crash_after_ops`` further operations during the second flush.
-        Returns (node, published adjacency image) — the image the recovered
-        database must still serve."""
+    def _crash_mid_flush(self, crash_after_ops, device=None, kind="crash"):
+        """Ingest + flush + more edges, then crash during the second flush:
+        node-wide after ``crash_after_ops`` further operations of any
+        device, or on ``device`` alone after that many of its own.
+        Returns (node, published adjacency image, whether the flush
+        completed, the database) — the recovered database must still serve
+        the published image or the flushed one."""
         node = SimNode(0, NodeSpec())
         db, _ = _ingested_grdb(node)
         db.flush()
         published = self._adjacency_image(db)
         db.store_edges([(v, 9000 + v) for v in range(30)])
-        plan = FaultPlan(
-            [DiskFault(node=0, kind="crash", after_ops=crash_after_ops)]
-        )
-        node.install_fault_plan(plan)
-        try:
-            db.flush()
-            flushed = True
-        except DeviceFailedError:
-            flushed = False
-        node.install_fault_plan(None)
-        for dev in node._disks.values():
-            dev.revive()
+        flushed = _flush_under_crash(node, db, crash_after_ops, device, kind)
         return node, published, flushed, db
 
-    @pytest.mark.parametrize("crash_after_ops", [0, 1, 2, 3, 5, 8, 13, 40])
-    def test_recovery_adopts_published_image(self, crash_after_ops):
-        node, published, flushed, old = self._crash_mid_flush(crash_after_ops)
+    def _check_recovery(self, node, published, flushed, old):
         db2 = make_store("grDB", node, grdb_format=FMT, checksums=True)
         got = self._adjacency_image(db2)
         assert census(db2) == image_census(got)
@@ -329,12 +377,29 @@ class TestGrDBCrashRecovery:
                 v: sorted(published[v] + [9000 + v]) for v in published
             }
             assert got in (published, second)
+        # The commit token counts the flushes whose image was adopted.
+        assert db2.commit_token() == (1 if got == published else 2)
         # After recovery, a scrub of the node's devices finds zero corrupt
         # frames: the WAL replay healed (or discarded) every torn frame.
-        for dev in node._disks.values():
-            wrapper = getattr(dev, "_integrity", None)
-            if wrapper is not None:
-                assert list(wrapper.scrub_frames()) == []
+        _assert_scrub_clean(node)
+
+    @pytest.mark.parametrize("crash_after_ops", [0, 1, 2, 3, 5, 8, 13, 40])
+    def test_recovery_adopts_published_image(self, crash_after_ops):
+        self._check_recovery(*self._crash_mid_flush(crash_after_ops))
+
+    @pytest.mark.parametrize("kind", ["fail", "crash"])
+    @pytest.mark.parametrize("device", _flush_devices(_second_grdb_flush))
+    def test_a_crash_at_each_operation_of_one_device(self, device, kind):
+        """Stop or tear the second flush at each operation it makes on
+        ``device`` (the level files, the WAL, the superblock), one after
+        another until the flush completes unfaulted."""
+        for k in range(_MAX_OPS_PER_FLUSH):
+            node, published, flushed, old = self._crash_mid_flush(k, device, kind)
+            self._check_recovery(node, published, flushed, old)
+            if flushed:
+                break
+        else:
+            pytest.fail(f"the flush still crashes after {k + 1} operations of {device}")
 
     def test_recovered_instance_can_keep_ingesting(self):
         node, _, _, _ = self._crash_mid_flush(2)
@@ -362,39 +427,38 @@ class TestStreamDBCrashRecovery:
 
     @pytest.mark.parametrize("crash_after_ops", [0, 1, 2, 3, 4, 6])
     def test_crash_mid_flush_keeps_committed_edges(self, crash_after_ops):
+        self._crash_and_check(crash_after_ops)
+
+    @pytest.mark.parametrize("kind", ["fail", "crash"])
+    @pytest.mark.parametrize("device", _flush_devices(_second_streamdb_flush))
+    def test_a_crash_at_each_operation_of_one_device(self, device, kind):
+        """Stop or tear the second flush at each operation it makes on
+        ``device`` (the log: tail read and append; the meta device: guard
+        payload and both roots), one after another until it completes."""
+        for k in range(_MAX_OPS_PER_FLUSH):
+            if self._crash_and_check(k, device, kind):
+                break
+        else:
+            pytest.fail(f"the flush still crashes after {k + 1} operations of {device}")
+
+    def _crash_and_check(self, crash_after_ops, device=None, kind="crash") -> bool:
         node = SimNode(0, NodeSpec())
-        db = self._mk(node)
-        first = np.array([(0, v) for v in range(1, 101)], dtype=np.int64)
-        db.store_edges(first)
-        db.flush()  # commit #1: an unaligned tail (1600 bytes)
-        db.store_edges(np.array([(0, 500)], dtype=np.int64))
-        plan = FaultPlan(
-            [DiskFault(node=0, kind="crash", after_ops=crash_after_ops)]
-        )
-        node.install_fault_plan(plan)
-        try:
-            db.flush()
-            flushed = True
-        except DeviceFailedError:
-            flushed = False
-        node.install_fault_plan(None)
-        for dev in node._disks.values():
-            dev.revive()
+        db = _second_streamdb_flush(node)
+        flushed = _flush_under_crash(node, db, crash_after_ops, device, kind)
         db2 = self._mk(node)
         got = sorted(db2.get_adjacency(0).tolist())
         assert census(db2) == image_census({0: got})
         if flushed:
             assert census(db2) == census(db)
-        if flushed:
             assert got == list(range(1, 101)) + [500]
         else:
             # Commit #1 must survive even though the torn append may have
             # destroyed the committed tail frame (the guard restores it).
             assert got in (list(range(1, 101)), list(range(1, 101)) + [500])
-        for dev in node._disks.values():
-            wrapper = getattr(dev, "_integrity", None)
-            if wrapper is not None:
-                assert list(wrapper.scrub_frames()) == []
+        # The commit token counts flushes that landed, never guard roots.
+        assert db2.commit_token() == (2 if got[-1] == 500 else 1)
+        _assert_scrub_clean(node)
+        return flushed
 
     def test_unchecksummed_streamdb_has_no_meta_device(self):
         node = SimNode(0, NodeSpec())

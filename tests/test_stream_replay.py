@@ -228,7 +228,7 @@ def doctored_log(index, **fields):
     _, db = build(True, [])
     offsets = []
     for chunk in chunks:
-        offsets.append(db._committed_bytes())
+        offsets.append(db._cbytes)
         db.store_edges(chunk)
         db.flush()
     victim = int(chunks[index][0, 0])

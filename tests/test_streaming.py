@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
 from repro.services.ingestion import IngestReport
-from repro.services.streaming import base_commit_token
 from repro.simcluster import DiskFault, FaultPlan
 from repro.storage.deltalog import RECORD_START, DeltaLog
 from repro.util.errors import ConfigError
@@ -217,25 +216,59 @@ def test_crash_torn_delta_append(tmp_path, backend, ops):
 @pytest.mark.parametrize("ops", [0, 1, 2, 4, 8, 16])
 def test_crash_mid_compaction(tmp_path, backend, ops):
     """A crash anywhere in compact() keeps the deltas or adopts the fold."""
-    d = str(tmp_path)
     devname = "streamdb" if backend == "StreamDB" else "grdb"
+    _crash_mid_compaction(str(tmp_path), backend, devname, ops)
+
+
+@pytest.mark.parametrize("kind", ["fail", "crash"])
+@pytest.mark.parametrize(
+    "backend, device",
+    [("StreamDB", "stream_meta"), ("grDB", "grdb_wal"), ("grDB", "grdb_super")],
+)
+def test_crash_mid_compaction_on_each_commit_operation(tmp_path, backend, device, kind):
+    """A fault at each operation compact() makes on a commit device of the
+    base store, one after another until compact() completes: a root that
+    landed without its fold (or a fold without its root) must never read
+    as the other.  A batch ingest first leaves StreamDB's log tail
+    unaligned, so its fold commits a guard root before its own; a ``fail``
+    between the two is the case where the root's slot seq has advanced
+    and its ``commits`` token must not have."""
+    for k in range(64):
+        if _crash_mid_compaction(
+            str(tmp_path / str(k)), backend, device, k, relative=True, base=True, kind=kind
+        ):
+            break
+    else:
+        pytest.fail(f"compact() still crashes after {k + 1} operations of {device}")
+
+
+def _crash_mid_compaction(
+    d, backend, device, ops, relative=False, base=False, kind="crash"
+) -> bool:
+    """Stream two batches (after a batch ingest if ``base``), fault
+    ``device`` of back-end node 3 after ``ops`` operations (counted from
+    now if ``relative``) during compact(), reopen and check the published
+    snapshot.  Returns whether compact() completed."""
     edges = small_graph(19)
     pairs = [(0, 39), (1, 38), (4, 35)]
     m = deploy(backend, replication=2, storage_dir=d, num_backends=3)
+    if base:
+        m.ingest(small_graph(29))
     m.ingest_stream(edges[:140])
     m.ingest_stream(edges[140:])
     want = distances(m, pairs)
     # Total degree over a fixed vertex set: duplicated adjacency (a fold
     # applied twice) would inflate it even where BFS levels cannot see.
     want_deg = m.query("degree", vertices=list(range(40))).result
+    if relative:
+        ops += m.cluster.nodes[3]._disks[device].ops
     m.set_fault_plan(
-        FaultPlan([DiskFault(node=3, device=devname, kind="crash",
-                             after_ops=ops)])
+        FaultPlan([DiskFault(node=3, device=device, kind=kind, after_ops=ops)])
     )
     try:
-        m.compact()
+        completed = not m.compact().failed_backends
     except Exception:
-        pass
+        completed = False
     m.close()
 
     m2 = deploy(backend, replication=2, storage_dir=d, num_backends=3)
@@ -246,6 +279,7 @@ def test_crash_mid_compaction(tmp_path, backend, ops):
         assert m2.scrub().corrupt_frames == 0
     finally:
         m2.close()
+    return completed
 
 
 @pytest.mark.parametrize("backend", TOKEN_BACKENDS)
@@ -291,7 +325,7 @@ def test_grdb_commit_token_needs_the_journaled_flush(checksums, token):
     interrupted compaction aborts (``None``), it never compares a 0."""
     m = deploy("grDB", checksums=checksums)
     try:
-        assert [base_commit_token(db) for db in m.dbs] == [token, token]
+        assert [db.commit_token() for db in m.dbs] == [token, token]
     finally:
         m.close()
 
