@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_commit.py tests/test_scheduler_concurrent.py \
@@ -118,6 +118,15 @@ check-commit-owner:  # only storage/commit.py (commit roots, record frames), sto
 		echo "CRC or commit counter outside storage/commit.py (use CommitRoot / frame_record; ask db.commit_token()):"; \
 		echo "$$offenders"; exit 1; \
 	fi
+
+check-repair-owner:  # one recovery planner: MSSG._restore is the one place that installs a chain map (set_chains outside services/declustering.py) and runs a copy (_copy_partitions)
+	@for call in 'set_chains(' '_copy_partitions('; do \
+		n=$$(grep -rnF "$$call" src/ --include='*.py' | grep -vE 'def [a-z_]+\(|^src/repro/services/declustering\.py:' | wc -l); \
+		if [ "$$n" != 1 ]; then \
+			echo "$$call has $$n call sites in src/ (recovery goes through MSSG._restore):"; \
+			grep -rnF "$$call" src/ --include='*.py' | grep -vE 'def [a-z_]+\(|^src/repro/services/declustering\.py:'; exit 1; \
+		fi; \
+	done
 
 check-features-owner:  # only features.py spells a feature knob as a parameter or field (per-query overrides are listed in the test)
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_features.py -k no_knob_is_declared_outside_features

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import Features
-from .graphdb import GraphDB, GrDBFormat, ModuloMap, make_graphdb
+from .graphdb import AdjacencyBatch, GraphDB, GrDBFormat, ModuloMap, make_graphdb
 from .graphdb.registry import BACKENDS
 from .services import (
     Declusterer,
@@ -82,6 +82,8 @@ class ScrubReport:
     #: Back-end indices where corruption was found.
     corrupt_backends: tuple[int, ...] = ()
 
+
+_COPY_TAG = 7700
 
 _DECLUSTERERS = {
     "vertex-rr": VertexRoundRobin,
@@ -257,8 +259,9 @@ class MSSG:
     def _make_db(self, q: int) -> GraphDB:
         """Build back-end ``q``'s GraphDB instance on its node.
 
-        Used at deployment and again by :meth:`repair_backends`, which
-        rebuilds a corrupt back-end from scratch on the same devices.
+        Used at deployment and again by the recovery planner
+        (:meth:`_restore`), which rebuilds a corrupt back-end from scratch on
+        the same devices.
         """
         cfg = self.config
         node = self.cluster.nodes[cfg.num_frontends + q]
@@ -357,128 +360,111 @@ class MSSG:
     def dead_backends(self) -> list[int]:
         """Back-end indices whose block device has failed (sticky)."""
         F = self.config.num_frontends
-        out = []
-        for q in range(self.config.num_backends):
-            node = self.cluster.nodes[F + q]
-            if any(dev.failed for dev in node._disks.values()):
-                out.append(q)
-        return out
+        return [
+            q
+            for q in range(self.config.num_backends)
+            if any(dev.failed for dev in self.cluster.nodes[F + q]._disks.values())
+        ]
 
     def rebalance(self) -> RebalanceReport:
         """Re-replicate partitions held by dead back-ends onto survivors.
 
-        For every partition with a dead holder, the first surviving chain
-        member extracts its copy (``local_vertices`` filtered by the owner
-        map, adjacency read back entry by entry) and ships it to the first
-        alive back-end not already holding one, until the chain is back to
-        ``k`` copies (or the cluster runs out of alive candidates).  The
-        repaired chain map is installed on the declusterer and the deaths
-        recorded on the Query Service, so subsequent queries route shards
-        straight to the new holders with zero failover rounds.
-
-        Owner-unknown declustering (edge round-robin) scatters adjacency
-        with no per-partition extraction predicate, so a pass that would
-        copy one of its partitions raises ``ConfigError``.
-        A partition whose *every* holder died is unrecoverable and reported
-        as such; queries over it stay partial until re-ingestion.
+        The recovery planner (:meth:`_restore`) refills the dead holders'
+        copies from clean holders onto the next alive non-holders, installs
+        the repaired chain map and records the deaths, so later queries go
+        straight to the new holders with zero failover rounds.  Owner-unknown
+        declustering (edge-rr) cannot extract a partition: a pass that would
+        copy one raises ``ConfigError``.  A partition whose *every* holder
+        died is unrecoverable; queries over it stay partial until re-ingestion.
         """
-        P = self.config.num_backends
-        decl = self.declusterer
-        dead = self.dead_backends()
-        if not dead:
-            return RebalanceReport(
-                seconds=0.0,
-                dead_backends=(),
-                copies_restored=0,
-                entries_copied=0,
-                replication=decl.effective_replication,
-            )
-        deadset = set(dead)
+        return self._restore(set(self.dead_backends()))[0]
+
+    def _restore(self, lost: set[int], corrupt=frozenset()) -> tuple[RebalanceReport, set[int]]:
+        """The recovery planner: bring every partition back to k clean copies.
+
+        A copy on a back-end in ``lost`` is lost (a dead holder, or a corrupt
+        one the caller can rebuild).  A partition's source is its first
+        chain member that is alive and not in ``lost`` or ``corrupt``; with
+        none, the partition is unrecoverable.  A lost copy is refilled on its
+        former holder when that back-end is alive — wiped and rebuilt first —
+        else on the next alive non-holder scanning from ``u + 1``, the
+        direction the rotational chain grew.  Every move tolerates device
+        faults; one that does not land drops its target from the chain.
+        Returns the pass's report and the rebuilt back-ends whose every move
+        landed.
+        """
+        P, k = self.config.num_backends, self.declusterer.replication
+        self._note_failed(self.dead_backends())
+        dead = set(self.queries.known_dead)  # lagging stream logs count too
+        unclean = dead | lost | set(corrupt)
         moves: list[tuple[int, int, int]] = []  # (partition, source, target)
-        new_chains: list[list[int]] = []
+        chains: list[list[int]] = []
         unrecoverable: list[int] = []
-        for u in range(P):
-            chain = decl.replica_chain(u)
-            holders = [t for t in chain if t not in deadset]
-            new_chains.append(holders)
-            if not holders:
-                unrecoverable.append(u)
-            if not holders or len(holders) == len(chain):
+        for u, chain in enumerate(self.declusterer.chain_map()):
+            kept = [t for t in chain if t not in lost or t not in dead]
+            chains.append(kept)
+            source = next((t for t in chain if t not in unclean), None)
+            if lost.isdisjoint(chain) or source is None:
+                if not kept:
+                    unrecoverable.append(u)
                 continue
-            missing = decl.replication - len(holders)
-            # Refill with the first alive non-holders scanning from u+1, the
-            # same direction the rotational chain grew — keeps the repaired
-            # layout close to the original placement.
-            for step in range(1, P):
-                if missing <= 0:
+            moves += [(u, source, t) for t in kept if t in lost]
+            for cand in ((u + step) % P for step in range(1, P)):
+                if len(kept) >= k:
                     break
-                cand = (u + step) % P
-                if cand in deadset or cand in holders:
-                    continue
-                moves.append((u, holders[0], cand))
-                holders.append(cand)
-                missing -= 1
-        if moves and not decl.owner_known:
+                if cand not in dead and cand not in kept:
+                    moves.append((u, source, cand))
+                    kept.append(cand)
+        if moves and not self.declusterer.owner_known:
             raise ConfigError(
                 "cannot rebalance owner-unknown declustering (edge-rr): no "
                 "owner map to extract a dead back-end's partitions with"
             )
-
-        seconds = 0.0
-        stored: dict[int, int] = {}
-        if moves:
-            stored, failed = self._copy_partitions(moves, tag=7700, tolerate_faults=True)
-            seconds = self.cluster.makespan
-            for i in failed:
-                u, _, dst = moves[i]
-                if dst in new_chains[u]:
-                    new_chains[u].remove(dst)
-
-        decl.set_chains(new_chains)
-        # Targets may have died mid-copy: record the current death set, not
-        # the one we started from.
-        self.queries.known_dead = set(self.dead_backends())
-        self.queries.fault_tolerant = True
-        return RebalanceReport(
-            seconds=seconds,
-            dead_backends=tuple(dead),
+        rebuilt = {t for _, _, t in moves if t in lost}
+        for q in rebuilt:
+            for dev in self.cluster.nodes[self.config.num_frontends + q]._disks.values():
+                dev.truncate(0)
+            self.dbs[q] = self._make_db(q)
+            if self.streaming is not None:
+                self.streaming.restart(q)
+        stored, failed = self._copy_partitions(moves) if moves else ({}, set())
+        for i in failed:
+            u, _, dst = moves[i]
+            chains[u].remove(dst)
+            rebuilt.discard(dst)
+        self.declusterer.set_chains(chains)
+        # Targets and sources may have died mid-copy: record every death.
+        self._note_failed(self.dead_backends())
+        report = RebalanceReport(
+            seconds=self.cluster.makespan if moves else 0.0,
+            dead_backends=tuple(sorted(lost)),
             copies_restored=len(stored),
             entries_copied=sum(stored.values()),
-            replication=decl.effective_replication,
+            replication=self.declusterer.effective_replication,
             unrecoverable_partitions=tuple(unrecoverable),
         )
+        return report, rebuilt
 
-    def _copy_partitions(self, moves, tag: int, tolerate_faults: bool):
+    def _copy_partitions(self, moves):
         """Ship partition copies between back-ends as one cluster run.
 
         ``moves`` is a list of ``(partition, source, target)``: the source
-        extracts its copy (``local_vertices`` filtered by the owner map,
-        adjacency read back entry by entry), the target stores it and
-        flushes once at the end.  Returns ``(stored, failed)`` — entries
-        stored per move index, and the indices of moves that did not land.
-        With ``tolerate_faults`` a device dying at either end voids the move
-        (rebalance records it and reports the chain short); without, the
-        error propagates — read-repair has wiped its targets by now and
-        must not report them healed.
+        extracts its copy with one storage-order sweep
+        (``scan_adjacency`` over its ``local_vertices`` owned by the
+        partition, stream overlay included), the target stores it and
+        flushes once at the end.  A device dying at either end voids the
+        move.  Returns ``(stored, failed)`` — entries stored per move index,
+        and the indices of moves that did not land.
         """
         F = self.config.num_frontends
         compress = self.config.features.compress_adjacency
         owner_of = self.declusterer.owner_of
         dbs = self.dbs
-        tolerated = DeviceFailedError if tolerate_faults else ()
 
         def extract(db, u: int) -> np.ndarray:
             verts = db.local_vertices()
-            empty = np.zeros((0, 2), dtype=np.int64)
-            if not len(verts):
-                return empty
-            mine = verts[owner_of(verts) == u]
-            rows = []
-            for v in mine:
-                adj = db.get_adjacency(int(v))
-                if len(adj):
-                    rows.append(np.column_stack([np.full(len(adj), v, np.int64), adj]))
-            return np.vstack(rows) if rows else empty
+            batch = AdjacencyBatch.concat(db.scan_adjacency(verts[owner_of(verts) == u])).grouped()
+            return np.column_stack([np.repeat(batch.vertices, batch.degrees), batch.neighbors])
 
         def program(ctx):
             q = ctx.rank - F
@@ -488,15 +474,15 @@ class MSSG:
                 if q == src:
                     try:
                         entries = extract(dbs[src], u)
-                    except tolerated:
+                    except DeviceFailedError:
                         entries = None
                     # Non-blocking send: move order is shared by all
                     # ranks and a move's source never receives for it,
                     # so processing moves in order cannot deadlock.
                     size = _adjacency_wire_size(entries, compress)
-                    ctx.comm.send(F + dst, entries, tag=tag, size=size)
+                    ctx.comm.send(F + dst, entries, tag=_COPY_TAG, size=size)
                 if q == dst:
-                    msg = yield from ctx.comm.recv(source=F + src, tag=tag)
+                    msg = yield from ctx.comm.recv(source=F + src, tag=_COPY_TAG)
                     entries = msg.payload
                     if entries is None:
                         failed.append(i)
@@ -505,13 +491,13 @@ class MSSG:
                         if len(entries):
                             dbs[dst].store_edges(entries)
                         stored[i] = len(entries)
-                    except tolerated:
+                    except DeviceFailedError:
                         failed.append(i)
             if stored:
                 try:
                     dbs[q].finalize_ingest()
                     dbs[q].flush()
-                except tolerated:
+                except DeviceFailedError:
                     # The new holder died before its copies hit disk:
                     # everything it accepted this pass is void.
                     failed.extend(stored)
@@ -530,85 +516,21 @@ class MSSG:
     def _count_corrupt_frames(self, q: int) -> tuple[int, int]:
         """``(frames scanned, corrupt frames)`` over back-end ``q``'s
         checksummed devices, charged at sequential-scan rates on its node's
-        clock.  Failed (dead) devices are skipped — they cannot be read at
-        all, which is the *other* failure mode."""
+        clock.  A dead device is skipped — it cannot be read at all, which
+        is the *other* failure mode — and so is one that dies mid-scan."""
         node = self.cluster.nodes[self.config.num_frontends + q]
         scanned = corrupt = 0
         for dev in node._disks.values():
             wrapper = getattr(dev, "_integrity", None)
             if wrapper is None or dev.failed:
                 continue
-            scanned += wrapper.frame_count()
-            corrupt += sum(1 for _ in wrapper.scrub_frames())
+            try:
+                frames = wrapper.frame_count()
+                corrupt += sum(1 for _ in wrapper.scrub_frames())
+            except DeviceFailedError:
+                continue
+            scanned += frames
         return scanned, corrupt
-
-    def _repair_from_replicas(self, bad: dict[int, int]) -> int:
-        """Rebuild the back-ends in ``bad`` (rank -> corrupt frame count)
-        from clean replica holders; returns frames repaired.
-
-        Physical frame copy between replicas is impossible — copies of a
-        partition are not byte-identical (each back-end laid its edges out
-        in its own arrival order) — so repair is logical: wipe the
-        back-end's devices, recreate its GraphDB, and re-materialize every
-        partition it holds from the first clean, alive holder (the same
-        extract/ship/store plumbing as :meth:`rebalance`).  A back-end is
-        only repaired when *every* partition it holds has such a source;
-        otherwise wiping would destroy its surviving clean partitions.
-        """
-        if not bad or not self.declusterer.owner_known:
-            return 0
-        F, P = self.config.num_frontends, self.config.num_backends
-        deadset = set(self.dead_backends())
-        chains = {u: self.declusterer.replica_chain(u) for u in range(P)}
-        corrupt = set(bad) | deadset
-
-        def clean_source(u: int, q: int) -> int | None:
-            for t in chains[u]:
-                if t != q and t not in corrupt:
-                    return t
-            return None
-
-        moves: list[tuple[int, int, int]] = []  # (partition, source, target)
-        repairable: list[int] = []
-        for q in sorted(set(bad) - deadset):
-            held = [u for u in range(P) if q in chains[u]]
-            sources = {u: clean_source(u, q) for u in held}
-            if any(s is None for s in sources.values()):
-                continue  # wiping would lose clean partitions; leave as-is
-            repairable.append(q)
-            moves.extend((u, sources[u], q) for u in held)
-        if not repairable:
-            return 0
-
-        for q in repairable:
-            node = self.cluster.nodes[F + q]
-            for dev in node._disks.values():
-                dev.truncate(0)
-            self.dbs[q] = self._make_db(q)
-
-        self._copy_partitions(moves, tag=7701, tolerate_faults=False)
-        repaired = 0
-        for q in repairable:
-            node = self.cluster.nodes[F + q]
-            node.repaired_frames = getattr(node, "repaired_frames", 0) + bad[q]
-            repaired += bad[q]
-        return repaired
-
-    def repair_backends(self, ranks) -> int:
-        """Read-repair: rebuild the given back-ends from replica data.
-
-        Scrubs each named back-end's devices to count the damage, then
-        re-materializes it from clean holders (see
-        :meth:`_repair_from_replicas`).  Returns corrupt frames repaired —
-        0 when nothing was corrupt, replication is 1, or the declustering
-        has no owner map to extract partitions with.
-        """
-        bad: dict[int, int] = {}
-        for q in sorted(set(int(r) for r in ranks)):
-            _, nbad = self._count_corrupt_frames(q)
-            if nbad:
-                bad[q] = nbad
-        return self._repair_from_replicas(bad)
 
     def scrub(self, repair: bool = True) -> ScrubReport:
         """Verify every stored frame of every back-end; repair what has
@@ -617,23 +539,40 @@ class MSSG:
         Walks each back-end's checksummed devices end to end at
         sequential-scan rates (nodes scrub in parallel: the reported
         ``seconds`` is the slowest node's scan), recomputing each frame's
-        CRC32.  With ``repair=True`` (default) and replicated data, any
-        back-end holding corrupt frames is rebuilt from the clean holders;
-        frames with no clean copy anywhere are reported unrecoverable.
+        CRC32; a device that dies during the walk is skipped and its
+        back-end recorded dead.  With ``repair=True`` (default) and
+        replicated data, each back-end holding corrupt frames whose every
+        partition has a clean, alive holder is wiped and rebuilt in place
+        by the recovery planner; the other corrupt frames are reported
+        unrecoverable.
         """
+        return self._scrub(range(self.config.num_backends), repair)
+
+    def _scrub(self, ranks, repair: bool) -> ScrubReport:
+        """:meth:`scrub` over the back-ends in ``ranks`` (read-repair passes
+        the ones a query flagged)."""
         before = [node.clock.now for node in self.cluster.nodes]
         scanned = 0
         bad: dict[int, int] = {}
-        for q in range(self.config.num_backends):
+        for q in sorted(set(int(r) for r in ranks)):
             s, c = self._count_corrupt_frames(q)
             scanned += s
             if c:
                 bad[q] = c
-        seconds = max(
-            node.clock.now - t0 for node, t0 in zip(self.cluster.nodes, before)
-        )
+        seconds = max(node.clock.now - t0 for node, t0 in zip(self.cluster.nodes, before))
+        self._note_failed(self.dead_backends())
         corrupt = sum(bad.values())
-        repaired = self._repair_from_replicas(bad) if repair and bad else 0
+        repaired = 0
+        if repair and bad and self.declusterer.owner_known:
+            # Wiping a back-end is safe only when every partition it holds
+            # has a clean copy elsewhere; else it is left as it is.
+            unclean = self.queries.known_dead | set(bad)
+            chains = self.declusterer.chain_map()
+            alive = bad.keys() - self.queries.known_dead
+            rebuild = {q for q in alive if all(set(c) - unclean for c in chains if q in c)}
+            for q in self._restore(rebuild, corrupt=set(bad))[1] if rebuild else ():
+                self.cluster.nodes[self.config.num_frontends + q].repaired_frames += bad[q]
+                repaired += bad[q]
         return ScrubReport(
             seconds=seconds,
             frames_scanned=scanned,
@@ -690,7 +629,7 @@ class MSSG:
             analysis, source=source, dest=dest, visited=visited, max_levels=max_levels, **kw
         )
         if report.corrupt_backends and self.config.features.checksums:
-            report.repairs = self.repair_backends(report.corrupt_backends)
+            report.repairs = self._scrub(report.corrupt_backends, True).repaired_frames
         return report
 
     def query_many(
@@ -769,7 +708,7 @@ class MSSG:
             self._absorb_feed(feed)
         corrupt = sorted({q for rep in report.queries for q in rep.corrupt_backends})
         if corrupt and self.config.features.checksums:
-            report.repairs = self.repair_backends(corrupt)
+            report.repairs = self._scrub(corrupt, True).repaired_frames
         return report
 
     def _absorb_feed(self, feed) -> None:

@@ -474,10 +474,12 @@ class GrDBStorage:
         return True
 
     def close(self) -> None:
-        """Let go of the devices: the node's block pool and this storage
-        reference each other, which would keep them alive past close."""
+        """Let go of the devices and of the cache's writer: the node's block
+        pool and this storage reference each other, which would keep them
+        alive past close."""
         self._files = {}
         self.wal_root = None
+        self.cache.detach()
 
     def total_device_stats(self) -> dict[str, int]:
         reads = writes = bytes_read = bytes_written = seeks = 0

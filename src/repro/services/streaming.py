@@ -370,6 +370,23 @@ class StreamingState:
                 db._stream_overlay.published = seq
         return report
 
+    def restart(self, q: int) -> None:
+        """Back-end ``q`` was wiped for an in-place rebuild: its new base
+        receives the *visible* adjacency of its partitions, every batch
+        through ``published`` included.  Restart its delta log as compacted
+        through ``published`` and attach an empty overlay, so later batches
+        land on it and no compaction or reopen folds a batch twice."""
+        overlay = DeltaOverlay()
+        overlay.published = self.published
+        self.mssg.dbs[q]._stream_overlay = overlay
+        node = self.mssg.cluster.nodes[self.mssg.config.num_frontends + q]
+        try:
+            log = DeltaLog(node.disk("deltalog"))
+            log.finish_compaction(self.published)
+        except DeviceFailedError:
+            log = None
+        self.logs[q] = log
+
     def make_feed(self, batches, every: int = 1) -> StreamFeed:
         return StreamFeed(self, list(batches), every=every)
 
@@ -424,6 +441,9 @@ class StreamingState:
                 overlay.drop_through(target)
                 return (len(folded), entries, False)
             except DeviceFailedError:
+                # The intent stays open for reopen to settle; nothing more
+                # may append behind it, so the log is retired until then.
+                logs[q] = None
                 return (0, 0, True)
             yield  # pragma: no cover - generator gate, never reached
 

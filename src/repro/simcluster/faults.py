@@ -55,9 +55,13 @@ class DiskFault:
         keeps serving (checksummed reads detect the damage, unchecksummed
         reads return it as good data — the silent-corruption threat);
         ``"crash"`` — a power-loss/torn-write event: the first write after
-        the trigger persists only a prefix of its payload, then the device
-        hard-fails like ``"fail"`` (``BlockDevice.revive`` models the
-        post-crash restart with the torn bytes still on the platter).
+        the trigger persists only a prefix of its payload (its first half),
+        then the device hard-fails like ``"fail"`` (``BlockDevice.revive``
+        models the post-crash restart with the torn bytes still on the
+        platter).  A torn write therefore keeps a prefix, never a suffix or
+        scattered sectors, and the first sector of a write of two or more
+        sectors lands whole: the atomicity unit the commit roots assume
+        (``docs/storage_format.md`` §2).
     at_time:
         Trigger once the node's virtual clock reaches this many seconds
         (relative to the current run — clocks reset per run).

@@ -239,6 +239,10 @@ class LRUBlockCache:
         self._pinned.clear()
         self._dirty.clear()
 
+    def detach(self) -> None:
+        """The engine closed: forget its writer, which refers back to it."""
+        self._writer = None
+
     def scan_budget(self) -> int:
         """Cache insertions one streaming pass may make without self-harm.
 
@@ -542,6 +546,15 @@ class CachePartition:
 
     def drop(self) -> None:
         self.shared.drop_owner(self.owner)
+
+    def detach(self) -> None:
+        """The engine closed: leave the pool, blocks without write-back, so
+        the pool no longer holds the engine's writer (a reference cycle
+        through the node otherwise).  A re-attached successor stays."""
+        sh = self.shared
+        if sh._partitions.get(self.owner) is self:
+            sh.drop_owner(self.owner)
+            del sh._partitions[self.owner], sh._writers[self.owner]
 
 
 def make_block_cache(

@@ -133,8 +133,13 @@ class DeltaLog:
         batches still commit, keeping seq numbering uniform cluster-wide).
         A crash tearing the write leaves the COMMIT invalid, so recovery
         drops the whole batch: all-or-nothing by construction.  Returns the
-        bytes appended.
+        bytes appended.  Refused while a compaction intent is open: finishing
+        it truncates the record area, which would drop the batch on disk.
         """
+        if self.intent is not None:
+            raise GraphStorageException(
+                f"delta-log append of batch {seq} inside an open compaction intent"
+            )
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges):
             order = np.lexsort((edges[:, 1], edges[:, 0]))

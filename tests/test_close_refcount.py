@@ -4,8 +4,9 @@ A process that opens deployments in a loop (the ``twoclock`` benchmark adds
 repetitions until its time is used) would otherwise hold every closed
 deployment — stores, overlays, device images — until the collector's next
 full pass.  ``close()`` breaks the back-references: ``QueryService``'s
-runner registry, ``MSSG.streaming`` <-> ``StreamingState.mssg``, and the
-checksum wrapper a ``BlockDevice`` carries.
+runner registry, ``MSSG.streaming`` <-> ``StreamingState.mssg``, the
+checksum wrapper a ``BlockDevice`` carries, and the writer a grDB storage
+registers with its node's block pool.
 """
 
 import gc
@@ -37,6 +38,9 @@ def test_closed_deployment_is_freed_by_reference_count(backend, streaming):
         devices = [d for node in mssg.cluster.nodes for d in node._disks.values()]
         if backend != "Array":  # the in-memory backend opens no device
             refs["BlockDevice"] = weakref.ref(devices[0])
+        if backend == "grDB":  # the node's block pool holds its writer
+            refs["GrDBStorage"] = weakref.ref(mssg.dbs[0].storage)
+            refs["SharedBlockCache"] = weakref.ref(mssg.cluster.nodes[1].shared_block_cache)
         del devices
         mssg.close()
         del mssg

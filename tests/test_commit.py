@@ -17,6 +17,7 @@ from repro.simcluster.disk import BlockDevice, MemoryBacking
 from repro.storage.commit import RECORD_START, CommitRoot, frame_record, read_records
 from repro.storage.deltalog import DeltaLog
 from repro.storage.integrity import FRAME_STRIDE, wrap_device
+from repro.util.errors import GraphStorageException
 
 MAGIC = 0x544553544D414743
 FIELDS = struct.Struct("<QQ")
@@ -134,7 +135,8 @@ def test_the_delta_log_image_is_unchanged():
     log.append(1, rng.integers(0, 500, size=(40, 2)))
     log.append(2, np.zeros((0, 2), dtype=np.int64))
     target = log.begin_compaction(7)
-    log.append(3, rng.integers(0, 500, size=(25, 2)))
+    with pytest.raises(GraphStorageException, match="compaction intent"):
+        log.append(3, rng.integers(0, 500, size=(25, 2)))  # refused: nothing written
     log.finish_compaction(target)
     log.append(4, rng.integers(0, 500, size=(10, 2)))
     log.begin_compaction(None)

@@ -599,3 +599,56 @@ class TestEndToEndReadRepair:
                     assert not hasattr(dev, "_integrity")
             sr = mssg.scrub()
             assert sr.frames_scanned == 0  # nothing checksummed to verify
+
+    def test_read_repair_whose_source_dies_mid_copy_answers_exact_or_partial(
+        self, monkeypatch
+    ):
+        # Back-end 1 is corrupt; the query reads around it and read-repair
+        # wipes it to rebuild.  Back-end 2 — the only clean holder of
+        # partition 1 — is killed right after the scan, so its copy never
+        # lands: back-end 1 must leave partition 1's chain, not serve it empty.
+        pairs = [(s, d) for s in (1, 4, 7, 10, 13) for d in range(2, 300, 27)]
+        edges = pubmed_like(300, seed=7)
+        with _deploy("grDB", cache_blocks=0) as ref:
+            ref.ingest(edges)
+            want = [ref.query_bfs(s, d).result for s, d in pairs]
+        with _deploy("grDB", cache_blocks=0) as mssg:
+            mssg.ingest(edges)
+            mssg.set_fault_plan(_corrupt_plan(1))
+            for dev in list(mssg.cluster.nodes[2]._disks.values()):
+                dev.read(0, 1)
+            mssg.set_fault_plan(None)
+            scan = MSSG._count_corrupt_frames
+
+            def scan_then_kill(self, q):
+                counts = scan(self, q)
+                self.cluster.install_fault_plan(
+                    FaultPlan([DiskFault(node=3, kind="fail", at_time=0.0)])
+                )
+                return counts
+
+            monkeypatch.setattr(MSSG, "_count_corrupt_frames", scan_then_kill)
+            first = mssg.query_bfs(*pairs[0])
+            monkeypatch.undo()
+            assert first.corrupt_backends == (1,)
+            assert first.result == want[0]
+            assert first.repairs == 0  # the rebuild did not land whole
+            assert 2 in mssg.queries.known_dead
+            assert 1 not in mssg.declusterer.replica_chain(1)
+            for (s, d), w in zip(pairs, want):
+                got = mssg.query_bfs(s, d)
+                assert got.result == w or got.partial, (s, d)
+
+    def test_scrub_survives_a_backend_dying_during_its_scan(self):
+        for repair in (False, True):
+            with _deploy("grDB") as mssg:
+                mssg.ingest(_EDGES)
+                want = mssg.query_bfs(_SRC, _DST).result
+                mssg.set_fault_plan(FaultPlan.kill_node(3, at_time=0.0))
+                sr = mssg.scrub(repair=repair)
+                assert sr.corrupt_frames == 0
+                assert sr.frames_scanned > 0
+                assert mssg.dead_backends() == [2]
+                assert mssg.queries.known_dead == {2}
+                got = mssg.query_bfs(_SRC, _DST)
+                assert got.result == want and not got.partial

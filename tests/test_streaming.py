@@ -19,10 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MSSG, MSSGConfig
+from repro.graphgen import pubmed_like
 from repro.services.ingestion import IngestReport
 from repro.simcluster import DiskFault, FaultPlan
 from repro.storage.deltalog import RECORD_START, DeltaLog
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, GraphStorageException
 
 ALL_BACKENDS = ["Array", "HashMap", "MySQL", "BerkeleyDB", "StreamDB", "grDB"]
 TOKEN_BACKENDS = ["StreamDB", "grDB"]  # durable commit token -> exact intents
@@ -366,6 +367,88 @@ def test_deltalog_truncates_torn_tail(tmp_path):
         assert tail >= RECORD_START
     finally:
         node.close()
+
+
+def test_deltalog_refuses_an_append_inside_a_compaction_intent(tmp_path):
+    """Finishing a compaction truncates the record area, so a batch appended
+    between ``begin_compaction`` and ``finish_compaction`` would survive in
+    memory and vanish on disk: the append is refused instead."""
+    from repro.simcluster import NodeSpec, SimNode
+
+    node = SimNode(0, NodeSpec(), storage_dir=str(tmp_path))
+    try:
+        dev = node.disk("deltalog")
+        log = DeltaLog(dev)
+        for seq in (1, 2):
+            log.append(seq, np.array([[seq, seq + 10]], dtype=np.int64))
+        target = log.begin_compaction(None)
+        with pytest.raises(GraphStorageException, match="compaction intent"):
+            log.append(3, np.array([[3, 13]], dtype=np.int64))
+        log.finish_compaction(target)
+        log.append(3, np.array([[3, 13]], dtype=np.int64))
+        assert [seq for seq, _ in DeltaLog(dev).pending] == [3]
+    finally:
+        node.close()
+
+
+@pytest.mark.parametrize("backend", TOKEN_BACKENDS)
+def test_read_repair_on_a_streaming_deployment_keeps_later_batches(tmp_path, backend):
+    """An in-place rebuild stores the visible adjacency into the new base, so
+    its delta log restarts as compacted through the published snapshot and
+    a fresh overlay takes the later batches: answers stay exact after the
+    next batch, after ``compact()`` and after a reopen, and no entry lands
+    twice."""
+    edges = pubmed_like(300, seed=7)
+    n = len(edges)
+    b0, b1, b2 = edges[: n // 3], edges[n // 3 : 2 * n // 3], edges[2 * n // 3 :]
+    pairs = [(s, d) for s in (1, 4, 7, 10, 13) for d in range(2, 300, 27)]
+    vertices = np.unique(edges).tolist()
+    kw = dict(num_backends=3, replication=2, cache_blocks=0)
+
+    def answers(m):
+        reports = [m.query_bfs(s, d) for s, d in pairs]
+        reports.append(m.query("degree", vertices=vertices))
+        return [r.result for r in reports], [r.partial for r in reports]
+
+    def entries(m):
+        return [int(db.degree_many(db.local_vertices()).sum()) for db in m.dbs]
+
+    ref = deploy(backend, storage_dir=str(tmp_path / "ref"), **kw)
+    try:
+        ref.ingest(b0)
+        ref.ingest_stream(b1)
+        ref.ingest_stream(b2)
+        want, _ = answers(ref)
+        ref.compact()
+        want_entries = entries(ref)
+    finally:
+        ref.close()
+    d = str(tmp_path / "m")
+    m = deploy(backend, storage_dir=d, **kw)
+    try:
+        m.ingest(b0)
+        m.ingest_stream(b1)
+        m.set_fault_plan(FaultPlan([DiskFault(node=2, kind="corrupt", at_time=0.0)]))
+        for dev in list(m.cluster.nodes[2]._disks.values()):
+            dev.read(0, 1)  # fire the rot on each of back-end 1's devices
+        m.set_fault_plan(None)
+        sr = m.scrub()
+        assert sr.corrupt_backends == (1,)
+        assert sr.repaired_frames == sr.corrupt_frames > 0
+        m.ingest_stream(b2)
+        assert answers(m) == (want, [False] * len(want))
+        m.compact()
+        assert answers(m) == (want, [False] * len(want))
+        assert entries(m) == want_entries
+    finally:
+        m.close()
+    m = deploy(backend, storage_dir=d, **kw)
+    try:
+        assert m.streaming.lagging == ()
+        assert answers(m) == (want, [False] * len(want))
+        assert entries(m) == want_entries
+    finally:
+        m.close()
 
 
 # ---------------------------------------------------------------------------
