@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner check-stream-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner check-stream-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_commit.py tests/test_scheduler_concurrent.py \
@@ -127,6 +127,24 @@ check-repair-owner:  # one recovery planner: MSSG._restore is the one place that
 			grep -rnF "$$call" src/ --include='*.py' | grep -vE 'def [a-z_]+\(|^src/repro/services/declustering\.py:'; exit 1; \
 		fi; \
 	done
+
+check-stream-owner:  # one owner per streaming fact: outside services/streaming.py nothing writes a published horizon or appends to a delta log or an overlay; inside it only StreamingState.append does, one call each
+	@pat='([^a-z_]log|logs\[[^]]*\]|overlay|live_log\([^)]*\))\.append\('; \
+	offenders=$$( { \
+		grep -rnE "\.published[[:space:]]*(=[^=]|\+=)|$$pat" src/ --include='*.py' \
+			| grep -v '^src/repro/services/streaming\.py:'; \
+		awk -v pat="$$pat" '/^class / { cls = $$2 } /^    def / { fn = $$2 } \
+			$$0 ~ pat && !(cls ~ /^StreamingState/ && fn ~ /^append\(/) { print FILENAME ":" FNR ": " $$0 }' \
+			src/repro/services/streaming.py; \
+	} || true); \
+	if [ -n "$$offenders" ]; then \
+		echo "published horizon or delta-log / overlay append outside StreamingState.append:"; \
+		echo "$$offenders"; exit 1; \
+	fi; \
+	n=$$(grep -cE "$$pat" src/repro/services/streaming.py); \
+	if [ "$$n" != 2 ]; then \
+		echo "StreamingState.append makes $$n delta-log / overlay appends (one each)"; exit 1; \
+	fi
 
 check-features-owner:  # only features.py spells a feature knob as a parameter or field (per-query overrides are listed in the test)
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_features.py -k no_knob_is_declared_outside_features

@@ -36,7 +36,7 @@ from .services import (
     VertexHash,
     VertexRoundRobin,
 )
-from .services.streaming import CompactReport, StreamingState
+from .services.streaming import CompactReport, StreamFeed, StreamingState
 from .simcluster import FaultPlan, NodeSpec, SimCluster
 from .util.errors import ConfigError, DeviceFailedError
 from .util.varint import edge_block_bytes
@@ -675,7 +675,8 @@ class MSSG:
         pairs = list(pairs)
         feed = None
         if stream_batches is not None:
-            feed = self._streaming("stream_batches").make_feed(stream_batches, every=stream_every)
+            stream_batches = list(stream_batches)  # read twice: plan and id space
+            feed = StreamFeed(self._streaming("stream_batches"), stream_batches, every=stream_every)
             # Grow the id space *before* the drain: direction-opt bitmaps
             # and pinned visited arrays are sized from it at admission, and
             # mid-drain batches may introduce new vertex ids.

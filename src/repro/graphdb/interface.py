@@ -329,8 +329,8 @@ class GraphDB(abc.ABC):
         #: short-circuits with one attribute check.
         self._stream_overlay = None
         #: Snapshot id pinned around a query slice by the multiplexer
-        #: (``None`` = read at the published horizon).  Gates which overlay
-        #: batches the reads above may see.
+        #: (``None``: every overlay batch, all of them published outside a
+        #: drain).  Gates which overlay batches the reads above may see.
         self._stream_snap: int | None = None
 
     # -- paper interface ----------------------------------------------------

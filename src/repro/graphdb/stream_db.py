@@ -101,6 +101,9 @@ class StreamGraphDB(GraphDB):
             self._root = CommitRoot(meta_device, _ROOT_MAGIC, _ROOT_FIELDS)
             if self._restore():
                 self._census_from_storage()
+        elif device.size():
+            self._adopt()
+            self._census_from_storage()
 
     # -- ingestion ------------------------------------------------------
 
@@ -186,6 +189,35 @@ class StreamGraphDB(GraphDB):
         if self.device.size() > frames_end:
             self.device.truncate(frames_end)
         return root is not None
+
+    def _adopt(self) -> None:
+        """Adopt a log written with no commit root (paper mode) the way
+        :meth:`_scan` reads it, or raise :class:`GraphStorageException`
+        where that cannot be exact: a raw log is whole 16-byte pairs whose
+        first word is not the compressed-record magic; a compressed log's
+        record headers walk exactly to the end of the device."""
+        size = self.device.size()
+        if self.compress:
+            buf = self.device.read(0, size)
+            off = nedges = 0
+            while off + _CREC_HEADER.size <= size:
+                magic, n, nbytes = _CREC_HEADER.unpack_from(buf, off)
+                if magic != _CREC_MAGIC:
+                    break
+                off += _CREC_HEADER.size + nbytes
+                nedges += n
+            exact = off == size
+        else:
+            nedges = size // _EDGE_BYTES
+            exact = size % _EDGE_BYTES == 0 and (
+                _CREC_HEADER.unpack(self.device.read(0, _CREC_HEADER.size))[0] != _CREC_MAGIC
+            )
+        if not exact:
+            raise GraphStorageException(
+                f"StreamDB log {self.device.name} ({size} bytes) does not parse "
+                f"as a compress={self.compress} log with no commit root"
+            )
+        self._nedges, self._cbytes = nedges, size
 
     # -- retrieval ---------------------------------------------------------
     #

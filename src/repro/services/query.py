@@ -483,21 +483,17 @@ class QueryService:
 
         gens = [marked(s) for s in specs]
 
-        def backend_program(ctx, q):
-            streamer = (
-                None if stream_feed is None else stream_feed.state.for_rank(stream_feed, q)
-            )
-            return multiplex_program(
+        rank_outs = self._run_on_backends(
+            lambda ctx, q: multiplex_program(
                 ctx,
                 self.dbs[q],
                 specs,
                 lambda c, qid: gens[qid](c, q),
                 inflight,
                 sharing,
-                streamer=streamer,
+                feed=stream_feed,
             )
-
-        rank_outs = self._run_on_backends(backend_program)
+        )
         reports = []
         for spec in specs:
             per_rank = [ro.queries[spec.qid] for ro in rank_outs]

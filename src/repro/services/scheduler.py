@@ -140,20 +140,21 @@ def multiplex_program(
     make_gen,
     max_inflight: int,
     shared_scans: bool,
-    streamer=None,
+    feed=None,
 ):
     """Back-end rank program draining ``specs`` concurrently; see module doc.
 
     ``make_gen(ctx, qid)`` builds the query's level-marked generator —
     Algorithm-1 BFS with ``BFSConfig.level_marks``, or anything else
     speaking the same mark protocol (vertex programs included) can be
-    multiplexed.  ``streamer`` (streaming deployments) is this rank's
-    handle on an in-drain ingest feed: ``step(round)`` applies the batches
-    due this round to the rank's delta log/overlay, and ``snapshot(round)``
-    is the rank-uniform snapshot id new admissions pin — each query slice
-    then runs with ``db._stream_snap`` set to its admission snapshot, so a
-    query never observes a batch published after it was admitted.  Returns
-    a :class:`RankDrainOutcome`.
+    multiplexed.  ``feed`` (streaming deployments) is the drain's in-drain
+    ingest :class:`~repro.services.streaming.StreamFeed`, shared by every
+    rank: ``step(rank, round)`` applies the batches due this round to this
+    back-end (the sub-communicator rank is the back-end index), and
+    ``snapshot(round)`` is the rank-uniform snapshot id new admissions pin —
+    each query slice then runs with ``db._stream_snap`` set to its admission
+    snapshot, so a query never observes a batch published after it was
+    admitted.  Returns a :class:`RankDrainOutcome`.
     """
     board = ScanBoard() if shared_scans else None
     if board is not None:
@@ -204,15 +205,15 @@ def multiplex_program(
         while (
             waiting
             or active
-            or (streamer is not None and rounds < streamer.last_round)
+            or (feed is not None and rounds < feed.last_round)
         ):
             rounds += 1
             # Streaming: apply the batches due this round to this rank's
             # delta log + overlay before anything is admitted or advanced.
             # The round counter is rank-uniform, so every rank applies (and
             # publishes) the same batches at the same point of the drain.
-            if streamer is not None:
-                streamer.step(rounds)
+            if feed is not None:
+                feed.step(ctx.comm.rank, rounds)
             # FIFO admission up to the in-flight cap.  Advancing a fresh
             # generator to its pre-admission mark costs no comm (and a
             # source==dest query completes right here), so admission stays
@@ -226,7 +227,7 @@ def multiplex_program(
                     "next_dir": None,
                     # Snapshot resolution happens HERE, at admission: the
                     # id is pinned for the query's whole life.
-                    "snap": streamer.snapshot(rounds) if streamer is not None else None,
+                    "snap": feed.snapshot(rounds) if feed is not None else None,
                 }
                 yield from run_slice(qid)
 

@@ -4,12 +4,17 @@ The streaming layer (DESIGN §12) lets an MSSG deployment absorb edge
 batches continuously while queries keep running against consistent data:
 
 * every back-end carries a crash-safe :class:`~repro.storage.deltalog.DeltaLog`
-  plus an in-memory :class:`DeltaOverlay` decoded from it — the adjacency
-  the store has accepted since its base files were last compacted;
-* a *published snapshot id* (the last cluster-widely committed batch seq)
-  gates visibility: queries resolve the id once at admission and every
-  adjacency read merges base + only the overlay batches ``<=`` that id, so
-  an in-flight query never observes a half-applied batch;
+  plus an in-memory :class:`DeltaOverlay` — the adjacency the store has
+  accepted since its base files were last compacted, and the only RAM copy
+  of it.  :meth:`StreamingState.append` is the one step that writes both:
+  the log first, the overlay once the log append is durable;
+* a *published snapshot id* (``StreamingState.published``, the last
+  cluster-widely committed batch seq) gates visibility: a query inside a
+  drain pins its admission snapshot and every adjacency read merges base +
+  only the overlay batches ``<=`` that id, so an in-flight query never
+  observes a half-applied batch.  Outside a drain's pinned snapshots every
+  batch an overlay holds is already published, so an unpinned read sees
+  all of them;
 * :meth:`StreamingState.compact` folds the overlay into the base store
   (grDB sub-blocks / StreamDB log records) under the delta log's two-phase
   intent protocol, so a crash at any point either keeps the deltas or
@@ -18,15 +23,15 @@ batches continuously while queries keep running against consistent data:
 Batches route through the *same* ingestion pipeline as a batch ingest
 (same declusterer, same windows, same fault accounting): the DataCutter
 writer filters are simply handed :class:`_DeltaSink` objects that append
-to the delta logs instead of the base stores.  A streamed prefix is
-therefore partitioned identically to a from-scratch batch ingest of that
-prefix — the invariant the property tests pin down.
+through :meth:`StreamingState.append` instead of to the base stores; an
+in-drain :class:`StreamFeed` appends through the same step.  A streamed
+prefix is therefore partitioned identically to a from-scratch batch
+ingest of that prefix — the invariant the property tests pin down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +48,13 @@ __all__ = [
 ]
 
 
-class _OverlayBatch(NamedTuple):
-    """One committed stream batch (what :meth:`StreamingState.compact` folds)."""
-
-    seq: int
-    edges: np.ndarray  # (E, 2) int64, sorted by (src, dst)
-
-
 class OverlayView:
     """The overlay batches visible to one query's admission snapshot,
     consolidated into one CSR: vertices ascending, a vertex's entries by
     batch seq, each batch's sorted by destination."""
 
-    def __init__(self, batches: list[_OverlayBatch]):
-        self.batch = AdjacencyBatch.from_edges(np.concatenate([b.edges for b in batches]))
+    def __init__(self, batches: list[tuple[int, np.ndarray]]):
+        self.batch = AdjacencyBatch.from_edges(np.concatenate([e for _, e in batches]))
 
     def adjacency(self, vertex: int) -> np.ndarray:
         (start,), (n,) = self.batch.segments(np.array([vertex]))
@@ -85,11 +83,10 @@ class DeltaOverlay:
     first read at a horizon and kept until the batch list next changes.
     """
 
-    def __init__(self):
-        self.batches: list[_OverlayBatch] = []
-        #: Highest cluster-widely published batch seq; the default
-        #: visibility horizon for reads with no pinned snapshot.
-        self.published = 0
+    def __init__(self, batches: list[tuple[int, np.ndarray]] | None = None):
+        #: ``(seq, edges)`` per committed, not yet folded batch, ascending
+        #: seq; ``edges`` is ``(E, 2)`` int64 sorted by ``(src, dst)``.
+        self.batches: list[tuple[int, np.ndarray]] = batches or []
         #: horizon -> its view (``None``: nothing visible).  Filled by reads
         #: only and dropped whole on every change: ingest pays nothing and
         #: the cache never outgrows one drain round's snapshots.
@@ -99,23 +96,30 @@ class DeltaOverlay:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges):
             edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        self.batches.append(_OverlayBatch(seq, edges))
+        self.batches.append((seq, edges))
         self._views.clear()
 
     def drop_through(self, seq: int) -> None:
         """Forget batches folded into the base store (``<= seq``)."""
-        self.batches = [b for b in self.batches if b.seq > seq]
+        self.batches = [(s, e) for s, e in self.batches if s > seq]
         self._views.clear()
 
     def view(self, snap: int | None) -> OverlayView | None:
-        """The read view at snapshot ``snap`` (``None`` = published horizon).
+        """The read view at snapshot ``snap`` (``None``: every batch held).
 
+        ``None`` is exact because, outside a drain's pinned snapshots, every
+        batch an overlay holds is already published: ``ingest_batch``
+        publishes before it returns, a feed publishes each batch once every
+        rank applied it and runs through its last round, and recovery
+        publishes the highest committed seq of any log (DESIGN §12).
         Returns ``None`` when no overlay batch is visible — the common
         compacted/steady case, which keeps the base read path zero-cost.
         """
-        horizon = self.published if snap is None else snap
+        horizon = snap
+        if horizon is None:
+            horizon = self.batches[-1][0] if self.batches else 0
         if horizon not in self._views:
-            visible = [b for b in self.batches if b.seq <= horizon and len(b.edges)]
+            visible = [(s, e) for s, e in self.batches if s <= horizon and len(e)]
             self._views[horizon] = OverlayView(visible) if visible else None
         return self._views[horizon]
 
@@ -128,7 +132,7 @@ class _DeltaSink:
     DataCutter pipeline — windows, declustering, death announcements,
     rerouting, loss accounting — runs unmodified.  The batch becomes
     durable at :meth:`flush` time: one DATA+COMMIT append per back-end,
-    all-or-nothing under a crash.
+    all-or-nothing under a crash (:meth:`StreamingState.append`).
     """
 
     def __init__(self, state: "StreamingState", q: int, seq: int):
@@ -139,33 +143,16 @@ class _DeltaSink:
         self.name = f"delta:{state.mssg.dbs[q].name}"
 
     def store_edges(self, edges) -> None:
-        if self._state.logs[self._q] is None:
-            raise DeviceFailedError(
-                f"back-end {self._q}'s delta log device is dead"
-            )
+        self._state._live_log(self._q)
         self._chunks.append(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
     def finalize_ingest(self) -> None:
         pass
 
     def flush(self) -> None:
-        log = self._state.logs[self._q]
-        if log is None:
-            raise DeviceFailedError(
-                f"back-end {self._q}'s delta log device is dead"
-            )
-        edges = (
-            np.vstack(self._chunks)
-            if self._chunks
-            else np.zeros((0, 2), dtype=np.int64)
-        )
+        edges = np.vstack(self._chunks) if self._chunks else np.zeros((0, 2), dtype=np.int64)
         self._chunks = []
-        log.append(self._seq, edges)
-        # Overlay only after the durable append succeeded: a torn append
-        # must leave RAM and disk agreeing that the batch never happened.
-        overlay = self._state.mssg.dbs[self._q]._stream_overlay
-        if overlay is not None:
-            overlay.append(self._seq, edges)
+        self._state.append(self._q, self._seq, edges)
 
 
 @dataclass
@@ -185,14 +172,14 @@ class CompactReport:
 class StreamFeed:
     """A deterministic in-drain ingest plan: batches applied mid-drain.
 
-    Built by :meth:`StreamingState.make_feed` before a ``query_many``
-    drain.  Each batch is pre-routed through the declusterer (identical
-    partitioning to a standalone ingest of the same batch) and assigned a
-    scheduling round; at the top of that round every back-end rank appends
-    its shard to its delta log + overlay, and the published snapshot
-    advances.  Both the apply point and the admission snapshot are derived
-    from the rank-uniform round counter, so every rank agrees on exactly
-    which batches any query can see — no extra collectives.
+    Built before a ``query_many`` drain.  Each batch is pre-routed through
+    the declusterer (identical partitioning to a standalone ingest of the
+    same batch) and assigned a scheduling round; at the top of that round
+    every back-end rank appends its shard (:meth:`StreamingState.append`),
+    and once the last rank has, the published snapshot advances.  Both the
+    apply point and the admission snapshot are derived from the
+    rank-uniform round counter, so every rank agrees on exactly which
+    batches any query can see — no extra collectives.
     """
 
     def __init__(self, state: "StreamingState", batches, every: int = 1):
@@ -212,7 +199,9 @@ class StreamFeed:
             self.plan.append((1 + i * every, seq, state.route(edges)))
             self.batch_sizes.append(len(edges))
         P = len(mssg.dbs)
-        self._applied = [[False] * P for _ in self.plan]
+        #: Per back-end: how many plan batches it has applied (a prefix,
+        #: since rounds ascend with the plan).
+        self._next = [0] * P
         #: Back-ends whose delta append failed mid-drain.
         self.failed: set[int] = set()
         #: Entry counts applied per back-end (for the ingest report).
@@ -226,36 +215,25 @@ class StreamFeed:
 
     def step(self, q: int, round_no: int) -> None:
         """Apply every batch due by ``round_no`` to back-end ``q``."""
-        state = self.state
-        for i, (at, seq, parts) in enumerate(self.plan):
-            if at > round_no or self._applied[i][q]:
-                continue
-            self._applied[i][q] = True
-            log = state.logs[q]
-            overlay = state.mssg.dbs[q]._stream_overlay
+        for i in range(self._next[q], len(self.plan)):
+            at, seq, parts = self.plan[i]
+            if at > round_no:
+                break
+            self._next[q] = i + 1
             try:
-                if log is None:
-                    raise DeviceFailedError(
-                        f"back-end {q}'s delta log device is dead"
-                    )
-                log.append(seq, parts[q])
-                if overlay is not None:
-                    overlay.append(seq, parts[q])
+                self.state.append(q, seq, parts[q])
                 self.applied_entries[q] += len(parts[q])
             except DeviceFailedError:
                 self.failed.add(q)
             # Publish once the whole cluster applied the batch; visibility
             # is still gated per-rank by snapshot(), which flips at the
             # same round on every rank.
-            if all(self._applied[i]):
-                state.published = seq
-                for db in state.mssg.dbs:
-                    if db._stream_overlay is not None:
-                        db._stream_overlay.published = seq
+            if min(self._next) > i:
+                self.state.published = seq
 
     @property
     def batches_applied(self) -> int:
-        return sum(1 for flags in self._applied if all(flags))
+        return min(self._next)
 
     @property
     def last_round(self) -> int:
@@ -266,24 +244,6 @@ class StreamFeed:
         short drain never silently drops the tail of the feed.
         """
         return max((at for at, _, _ in self.plan), default=0)
-
-
-class _RankFeed:
-    """One back-end rank's handle on a shared :class:`StreamFeed`."""
-
-    def __init__(self, feed: StreamFeed, q: int):
-        self._feed = feed
-        self._q = q
-
-    def step(self, round_no: int) -> None:
-        self._feed.step(self._q, round_no)
-
-    def snapshot(self, round_no: int) -> int:
-        return self._feed.snapshot(round_no)
-
-    @property
-    def last_round(self) -> int:
-        return self._feed.last_round
 
 
 class StreamingState:
@@ -315,19 +275,20 @@ class StreamingState:
             if log is not None and log.intent is not None:
                 log.resolve_intent(db.commit_token())
             self.logs.append(log)
-            overlay = DeltaOverlay()
-            db._stream_overlay = overlay
+            # The recovered batches (decoded sorted by ``(src, dst)``) move
+            # into the overlay: it is their one RAM copy.
+            pending = []
             if log is not None:
-                for seq, edges in log.pending:
-                    overlay.append(seq, edges)
-                    if len(edges):
-                        hi_vertex = max(hi_vertex, int(edges.max()))
-        #: Last cluster-widely published batch seq (queries admit at this).
+                pending, log.pending = log.pending, []
+            db._stream_overlay = DeltaOverlay(pending)
+            for _, edges in pending:
+                if len(edges):
+                    hi_vertex = max(hi_vertex, int(edges.max()))
+        #: Last cluster-widely published batch seq (queries admit at this;
+        #: the one published horizon — overlays hold no copy of it).
         self.published = max(
             (log.committed for log in self.logs if log is not None), default=0
         )
-        for db in mssg.dbs:
-            db._stream_overlay.published = self.published
         #: Back-ends missing published batches (dead log device, or a crash
         #: landed between their commit and their peers').  Their answers
         #: would be stale, so queries treat them as dead and fail over.
@@ -340,6 +301,22 @@ class StreamingState:
         self.recovered_max_id = hi_vertex
 
     # -- ingest ---------------------------------------------------------------
+
+    def _live_log(self, q: int) -> DeltaLog:
+        """Back-end ``q``'s delta log, or :class:`DeviceFailedError` when its
+        device is dead or a failed compaction retired it."""
+        log = self.logs[q]
+        if log is None:
+            raise DeviceFailedError(f"back-end {q}'s delta log device is dead")
+        return log
+
+    def append(self, q: int, seq: int, edges: np.ndarray) -> None:
+        """The one append step: batch ``seq``'s shard onto back-end ``q``'s
+        delta log, durably, then onto its overlay.  Overlay only after the
+        durable append succeeded: a torn append must leave RAM and disk
+        agreeing that the batch never happened."""
+        self._live_log(q).append(seq, edges)
+        self.mssg.dbs[q]._stream_overlay.append(seq, edges)
 
     def route(self, edges: np.ndarray) -> list[np.ndarray]:
         """Partition one batch onto the back-ends the ingestion pipeline would.
@@ -365,9 +342,6 @@ class StreamingState:
         sinks = [_DeltaSink(self, q, seq) for q in range(len(self.mssg.dbs))]
         report = self.mssg.ingestion.ingest(edges, stores=sinks)
         self.published = seq
-        for db in self.mssg.dbs:
-            if db._stream_overlay is not None:
-                db._stream_overlay.published = seq
         return report
 
     def restart(self, q: int) -> None:
@@ -376,9 +350,7 @@ class StreamingState:
         through ``published`` included.  Restart its delta log as compacted
         through ``published`` and attach an empty overlay, so later batches
         land on it and no compaction or reopen folds a batch twice."""
-        overlay = DeltaOverlay()
-        overlay.published = self.published
-        self.mssg.dbs[q]._stream_overlay = overlay
+        self.mssg.dbs[q]._stream_overlay = DeltaOverlay()
         node = self.mssg.cluster.nodes[self.mssg.config.num_frontends + q]
         try:
             log = DeltaLog(node.disk("deltalog"))
@@ -386,12 +358,6 @@ class StreamingState:
         except DeviceFailedError:
             log = None
         self.logs[q] = log
-
-    def make_feed(self, batches, every: int = 1) -> StreamFeed:
-        return StreamFeed(self, list(batches), every=every)
-
-    def for_rank(self, feed: StreamFeed, q: int) -> _RankFeed:
-        return _RankFeed(feed, q)
 
     # -- compaction -----------------------------------------------------------
 
@@ -419,15 +385,13 @@ class StreamingState:
                 return None
             log = logs[q]
             db = dbs[q]
-            overlay = db._stream_overlay
-            if log is None or overlay is None or not overlay.batches:
-                return (0, 0, False)
-            folded = [b for b in overlay.batches if b.seq <= log.committed]
-            if not folded:
+            # Every batch an overlay holds is committed on its log.
+            folded = db._stream_overlay.batches
+            if log is None or not folded:
                 return (0, 0, False)
             try:
                 target = log.begin_compaction(db.commit_token())
-                stacks = [b.edges for b in folded if len(b.edges)]
+                stacks = [e for _, e in folded if len(e)]
                 entries = 0
                 if stacks:
                     edges = np.vstack(stacks)
@@ -438,7 +402,7 @@ class StreamingState:
                     db.finalize_ingest()
                     db.flush()
                 log.finish_compaction(target)
-                overlay.drop_through(target)
+                db._stream_overlay.drop_through(target)
                 return (len(folded), entries, False)
             except DeviceFailedError:
                 # The intent stays open for reopen to settle; nothing more

@@ -58,9 +58,11 @@ class DeltaLog:
     Opening an existing device runs recovery: adopt the newest valid
     root, walk the record area to the last committed batch, truncate any
     torn/uncommitted debris, and decode the surviving DATA records into
-    ``pending`` — the ``(seq, edges)`` batches a :class:`DeltaOverlay`
-    replays over the base store.  A pending compaction intent is left for
-    :meth:`resolve_intent` (the caller holds the base store's token).
+    ``pending`` — the ``(seq, edges)`` batches recovery hands to the
+    back-end's :class:`~repro.services.streaming.DeltaOverlay`, which
+    holds every later batch too (an append records nothing here).  A
+    pending compaction intent is left for :meth:`resolve_intent` (the
+    caller holds the base store's token).
     """
 
     def __init__(self, device: BlockDevice):
@@ -72,7 +74,8 @@ class DeltaLog:
         self.committed = 0
         #: Unfinished two-phase compaction: ``(target_seq, base_token)``.
         self.intent: tuple[int, int | None] | None = None
-        #: Decoded surviving batches, ascending seq in (compacted, committed].
+        #: Decoded batches recovery found, ascending seq in
+        #: (compacted, committed], each sorted by ``(src, dst)``.
         self.pending: list[tuple[int, np.ndarray]] = []
         self._tail = RECORD_START
         self._recover()
@@ -141,18 +144,11 @@ class DeltaLog:
                 f"delta-log append of batch {seq} inside an open compaction intent"
             )
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if len(edges):
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            payload = encode_edge_block(edges)
-        else:
-            payload = b""
-        data = frame_record(_KIND_DATA, seq, len(edges), payload)
+        data = frame_record(_KIND_DATA, seq, len(edges), encode_edge_block(edges))
         data += frame_record(_KIND_COMMIT, seq, 0, b"")
         self.device.write(self._tail, data)
         self._tail += len(data)
         self.committed = max(self.committed, seq)
-        self.pending.append((seq, edges))
         return len(data)
 
     # -- two-phase compaction publish -----------------------------------------
@@ -177,6 +173,8 @@ class DeltaLog:
         self._commit_root()
         self.device.truncate(RECORD_START)
         self._tail = RECORD_START
+        # Recovery settles a finished fold through here (resolve_intent):
+        # the folded batches must not replay into the overlay again.
         self.pending = [(s, e) for s, e in self.pending if s > target]
 
     def abort_compaction(self) -> None:

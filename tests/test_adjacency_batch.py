@@ -162,7 +162,6 @@ def build(backend: str, overlay: list, **kwargs):
         db._stream_overlay = DeltaOverlay()
         for seq, edges in enumerate(overlay, start=1):
             db._stream_overlay.append(seq, edges)
-        db._stream_overlay.published = len(overlay)
     return db
 
 
@@ -559,7 +558,6 @@ def _overlay(batches) -> DeltaOverlay:
     overlay = DeltaOverlay()
     for seq, edges in enumerate(batches, start=1):
         overlay.append(seq, np.array(edges, dtype=np.int64).reshape(-1, 2))
-    overlay.published = len(batches)
     return overlay
 
 
@@ -595,15 +593,14 @@ def test_overlay_view_is_pinned_cached_and_invalidated():
     overlay = _overlay(batches[:2])
     pinned = overlay.view(1)
     assert overlay.view(1) is pinned  # cached per horizon
-    assert overlay.view(None) is overlay.view(2)  # the published horizon
-    # A later append is invisible at the older snapshot; every cached view
+    assert overlay.view(None) is overlay.view(2)  # every batch held
+    # A later append is invisible at the older snapshots; every cached view
     # is dropped with it (bounded memory) and rebuilt on the next read.
     overlay.append(3, np.array(batches[2]))
     assert not overlay._views
     assert overlay.view(1) is not pinned
     _check_view(overlay.view(1), batches[:1])
-    _check_view(overlay.view(None), batches[:2])  # seq 3 is not published yet
-    overlay.published = 3
+    _check_view(overlay.view(2), batches[:2])  # a pinned snapshot hides seq 3
     _check_view(overlay.view(None), batches)
     assert overlay.view(2).adjacency(0).tolist() == []
     # Folding a prefix into the base store drops it from every view.

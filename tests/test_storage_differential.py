@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from repro.graphdb import BACKENDS, OP_ALL, AdjacencyBatch
 from repro.services.streaming import DeltaOverlay
 from repro.simcluster import NodeSpec, SimNode
+from repro.util.errors import GraphStorageException
 
-from .helpers import make_store
+from .helpers import census, make_store
 
 #: ``(backend, compressed, reopen)`` — compression where a store has a
 #: codec, a reopen over the same devices where a store restores one.
@@ -38,6 +39,10 @@ STORES = [
 
 #: ``(backend, compressed)`` of the stores that restore at open.
 REOPENABLE = [(backend, compressed) for backend, compressed, reopen in STORES if reopen]
+
+#: ``(backend, compressed)`` of the paper-mode stores that restore at open
+#: with no checksums: grDB from its superblock, StreamDB from its bare log.
+UNCHECKSUMMED = [(backend, compressed) for backend in ("grDB", "StreamDB") for compressed in (False, True)]
 
 #: Stored sources are drawn below this; 24 and up are past the end.
 SOURCES = 24
@@ -163,6 +168,65 @@ def test_reopen_then_ingest_reads_match_the_union(backend, compressed, edges, cu
     assert_reads_match(db, node, False, edges, fringes)
 
 
+@pytest.mark.parametrize(("backend", "compressed"), UNCHECKSUMMED)
+@settings(max_examples=15, deadline=None)
+@given(edges=EDGES, cut=st.integers(0, 60), fringes=FRINGES)
+@example(edges=SAMPLE_EDGES, cut=3, fringes=[OUTSIDE + [0, 7]])
+def test_an_unchecksummed_reopen_then_ingest_reads_match_the_union(
+    backend, compressed, edges, cut, fringes
+):
+    """The reopen rows above with checksums off (paper mode): no commit
+    root, yet the reopened store answers over the union all the same."""
+    node = SimNode(0, NodeSpec())
+    kw = dict(compress_adjacency=compressed, checksums=False)
+    db = make_store(backend, node, **kw)
+    db.store_edges(np.asarray(edges[:cut], dtype=np.int64).reshape(-1, 2))
+    db.flush()
+    db = make_store(backend, node, **kw)
+    db.store_edges(np.asarray(edges[cut:], dtype=np.int64).reshape(-1, 2))
+    assert_reads_match(db, node, False, edges, fringes)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["raw", "compressed"])
+def test_a_paper_mode_streamdb_adopts_its_log_at_reopen(compressed):
+    """With no commit root a StreamDB reopened over its log adopts it: the
+    census and reads see the stored edges, and the next flush appends."""
+    node = SimNode(0, NodeSpec())
+    kw = dict(compress_adjacency=compressed, checksums=False)
+    db = make_store("StreamDB", node, **kw)
+    db.store_edges(np.array([(0, 1), (0, 2)]))
+    db.flush()
+    size = node.disk("streamdb").size()
+    db = make_store("StreamDB", node, **kw)
+    assert census(db) == ([0], [2])
+    assert db.get_adjacency(0).tolist() == [1, 2]
+    db.store_edges(np.array([(3, 4)]))
+    db.flush()
+    assert node.disk("streamdb").size() > size
+    assert census(make_store("StreamDB", node, **kw)) == ([0, 3], [2, 1])
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["raw", "compressed"])
+def test_a_paper_mode_streamdb_refuses_a_log_it_cannot_adopt(compressed):
+    """The other mode's log, or a torn tail, cannot be adopted exactly."""
+    node = SimNode(0, NodeSpec())
+    kw = dict(compress_adjacency=compressed, checksums=False)
+    db = make_store("StreamDB", node, **kw)
+    db.store_edges(np.array([(0, 1), (0, 2), (5, 3)]))
+    db.flush()
+    dev = node.disk("streamdb")
+    with pytest.raises(GraphStorageException, match="no commit root"):
+        make_store("StreamDB", node, compress_adjacency=not compressed, checksums=False)
+    if compressed:  # pad to whole 16-byte pairs: the record magic still refuses
+        dev.write(dev.size(), bytes(-dev.size() % 16))
+        with pytest.raises(GraphStorageException, match="no commit root"):
+            make_store("StreamDB", node, compress_adjacency=False, checksums=False)
+    else:
+        dev.truncate(dev.size() - 8)  # a torn pair
+    with pytest.raises(GraphStorageException, match="no commit root"):
+        make_store("StreamDB", node, **kw)
+
+
 @pytest.mark.parametrize("finalized", [False, True], ids=["staged", "finalized"])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_local_vertices_charges_nothing(backend, finalized):
@@ -194,7 +258,6 @@ def test_the_overlay_answers_ids_past_the_base_bound():
     db, _ = build("Array", False, False, True, SAMPLE_EDGES, 1)
     db._stream_overlay = DeltaOverlay()
     db._stream_overlay.append(1, np.array([[50, 51], [7, 4]]))
-    db._stream_overlay.published = 1
     assert db.get_adjacency(50).tolist() == [51]
     assert db.expand_fringe([50, 7, -1]).tolist() == [9, 51, 4]
     assert grouped(list(db.scan_adjacency([50, 7, -1]))) == {7: [4, 9], 50: [51]}

@@ -157,6 +157,18 @@ def test_in_drain_snapshot_consistency(backend):
         m.close()
 
 
+def test_stream_batches_may_be_a_generator():
+    """A generator of batches feeds the drain and grows the id space alike."""
+    m = deploy("StreamDB")
+    try:
+        m.ingest_stream(small_graph(11))
+        new = np.array([[5000, 1], [1, 5000]])
+        rep = m.query_many([(1, 5000)], stream_batches=(b for b in [new]))
+        assert rep.stream_batches == 1 and rep.queries[0].result == 1
+    finally:
+        m.close()
+
+
 def test_snapshot_seq_none_outside_streaming():
     m = deploy("HashMap", streaming=False)
     try:
@@ -449,6 +461,96 @@ def test_read_repair_on_a_streaming_deployment_keeps_later_batches(tmp_path, bac
         assert entries(m) == want_entries
     finally:
         m.close()
+
+
+def overlay_batches(m) -> list[list[tuple[int, list]]]:
+    """Every back-end's overlay as ``(seq, edges)`` lists."""
+    return [[(seq, e.tolist()) for seq, e in db._stream_overlay.batches] for db in m.dbs]
+
+
+def assert_all_held_batches_published(m) -> None:
+    """An unpinned read sees every batch an overlay holds: exact only while
+    no overlay holds a batch past the one published horizon."""
+    for batches in overlay_batches(m):
+        assert max((seq for seq, _ in batches), default=0) <= m.streaming.published
+
+
+@pytest.mark.parametrize("backend", TOKEN_BACKENDS)
+def test_every_streaming_operation_leaves_held_batches_published(tmp_path, backend):
+    """``ingest_stream``, an in-drain feed, the read-repair restart, a
+    recovering reopen and ``compact()`` each return with every batch an
+    overlay holds at or below ``StreamingState.published``."""
+    edges = pubmed_like(300, seed=7)
+    parts = np.array_split(edges, 5)
+    kw = dict(num_backends=3, replication=2, cache_blocks=0)
+    d = str(tmp_path)
+    m = deploy(backend, storage_dir=d, **kw)
+    try:
+        m.ingest(parts[0])
+        m.ingest_stream(parts[1])
+        assert_all_held_batches_published(m)
+        rep = m.query_many([(1, 2), (4, 29)], stream_batches=parts[2:4], stream_every=2)
+        assert rep.stream_batches == 2 and m.streaming.published == 3
+        assert_all_held_batches_published(m)
+        m.set_fault_plan(FaultPlan([DiskFault(node=2, kind="corrupt", at_time=0.0)]))
+        for dev in list(m.cluster.nodes[2]._disks.values()):
+            dev.read(0, 1)  # fire the rot on each of back-end 1's devices
+        m.set_fault_plan(None)
+        assert m.scrub().corrupt_backends == (1,)
+        assert m.dbs[1]._stream_overlay.batches == []  # restarted
+        assert_all_held_batches_published(m)
+        m.ingest_stream(parts[4])
+        assert_all_held_batches_published(m)
+    finally:
+        m.close()
+    m = deploy(backend, storage_dir=d, **kw)
+    try:
+        assert m.streaming.published == 4
+        assert all(overlay_batches(m))  # pending batches recovered
+        assert_all_held_batches_published(m)
+        m.compact()
+        assert not any(overlay_batches(m))
+        assert_all_held_batches_published(m)
+    finally:
+        m.close()
+
+
+@pytest.mark.parametrize("backend", TOKEN_BACKENDS)
+def test_ingest_stream_and_an_in_drain_feed_append_alike(tmp_path, backend):
+    """Both ingest paths append through ``StreamingState.append``: the same
+    batches leave byte-identical delta logs and equal overlays on every
+    back-end, and a reopen recovers equal pending lists."""
+    edges = small_graph(17)
+    batches = np.array_split(edges[100:], 3)
+
+    def run(name, in_drain):
+        d = str(tmp_path / name)
+        m = deploy(backend, storage_dir=d, num_backends=3)
+        try:
+            m.ingest(edges[:100])
+            if in_drain:
+                m.query_many([(0, 39), (1, 38)], stream_batches=batches)
+            else:
+                for batch in batches:
+                    m.ingest_stream(batch)
+            F = m.config.num_frontends
+            logs = [
+                (dev := m.cluster.nodes[F + q].disk("deltalog")).backing.read(0, dev.size())
+                for q in range(len(m.dbs))
+            ]
+            overlays = overlay_batches(m)
+        finally:
+            m.close()
+        m = deploy(backend, storage_dir=d, num_backends=3)
+        try:
+            return logs, overlays, overlay_batches(m)
+        finally:
+            m.close()
+
+    logs, overlays, recovered = run("ingest", False)
+    assert run("drain", True) == (logs, overlays, recovered)
+    assert [len(batches) for batches in overlays] == [3] * 3
+    assert recovered == overlays
 
 
 # ---------------------------------------------------------------------------
