@@ -28,6 +28,12 @@ The committed extent is then tracked in *bytes* (records are
 variable-length), the durable commit root carries that byte extent plus
 the mode, and opening a log with the wrong mode raises instead of
 mis-parsing it.
+
+Each store keeps the replay of its last scan, keyed by the log bytes it was
+parsed from (:meth:`StreamGraphDB._scan`).  Every scan still reads the whole
+log off the device and is charged every decode and every entry as before; the
+memo only spares the wall-clock work of parsing bytes parsed a moment ago.
+Its batches are shared by every later read, so their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -97,6 +103,9 @@ class StreamGraphDB(GraphDB):
         self._buffered = 0
         #: Raw log entries streamed past the CPU (>> useful edges returned).
         self.log_edges_scanned = 0
+        #: Replay memo (:meth:`_scan`): ``(log bytes, their replay, payload
+        #: bytes, entries)`` of the last scan.
+        self._memo: tuple[bytes, list[AdjacencyBatch], int, int] | None = None
         if meta_device is not None:
             self._root = CommitRoot(meta_device, _ROOT_MAGIC, _ROOT_FIELDS)
             if self._restore():
@@ -144,6 +153,10 @@ class StreamGraphDB(GraphDB):
         self._root.commit(
             self._commits, self._nedges, self._cbytes, self.compress, guard_off
         )
+
+    def close(self) -> None:
+        super().close()
+        self._memo = None
 
     def commit_token(self) -> int | None:
         return None if self._root is None else self._commits
@@ -231,9 +244,18 @@ class StreamGraphDB(GraphDB):
         for log replays: the first consumer of a scheduling round performs
         the device pass and publishes the parsed records (keyed by the
         committed edge count, so an ingest invalidates them); later
-        consumers read them back without touching the device.  Callers treat
-        a replay as read-only (they gather into copies), so sharing is safe.
-        Records are then parsed from memory (:meth:`_parse_record`).
+        consumers read them back without touching the device.
+
+        Otherwise the whole committed extent is read, every chunk charged and
+        frame-checked by the device, and only then compared with the memo's
+        bytes: on equality the memo's records are the replay; where the bytes
+        extend the memo's (an append) parsing resumes at the memo's last
+        record boundary (raw: its last whole scan chunk); anything else is
+        parsed from offset 0 (:meth:`_parse_record`), so a damaged or torn log
+        raises as it would without the memo.  Hit or miss, the replay is
+        checked against the committed edge count and charged
+        ``varint_decode_seconds`` per payload byte.  Memoised arrays are
+        read-only: a replay is shared by every later read.
         """
         self.flush()
         committed = self._cbytes
@@ -259,16 +281,28 @@ class StreamGraphDB(GraphDB):
             chunks.append(self.device.read(offset, take))
             offset += take
         buf = b"".join(chunks)
-        replay = []
-        off = 0
-        payload_bytes = 0
-        while off < len(buf):
-            record, span, payload = self._parse_record(buf, off)
-            if len(record.neighbors):
-                replay.append(record)
-            off += span
-            payload_bytes += payload
-        total_edges = sum(len(record.neighbors) for record in replay)
+        memo_buf, memo_replay, memo_payload, memo_edges = self._memo or (b"", [], 0, 0)
+        if buf == memo_buf:
+            replay, payload_bytes, total_edges = memo_replay, memo_payload, memo_edges
+        else:
+            replay, off, payload_bytes = [], 0, 0
+            if buf.startswith(memo_buf):
+                # An append: keep what the memo parsed of the prefix.  A
+                # compressed memo ends on a record boundary; a raw one keeps
+                # whole scan chunks only, so every batch is what a fresh
+                # scan builds.
+                kept = len(memo_replay) if self.compress else len(memo_buf) // _SCAN_READ_BYTES
+                replay, payload_bytes = memo_replay[:kept], memo_payload
+                off = len(memo_buf) if self.compress else kept * _SCAN_READ_BYTES
+            while off < len(buf):
+                record, span, payload = self._parse_record(buf, off)
+                if len(record.neighbors):
+                    for a in (record.vertices, record.offsets, record.neighbors):
+                        a.flags.writeable = False
+                    replay.append(record)
+                off += span
+                payload_bytes += payload
+            total_edges = sum(len(record.neighbors) for record in replay)
         if total_edges != self._nedges:
             raise CorruptBlockError(
                 self.device.name,
@@ -277,6 +311,7 @@ class StreamGraphDB(GraphDB):
                 f"edge log decodes to {total_edges} edges but "
                 f"{self._nedges} are committed",
             )
+        self._memo = (buf, replay, payload_bytes, total_edges)
         if payload_bytes:
             self.clock.advance(payload_bytes * self.cpu.varint_decode_seconds)
         if board is not None:

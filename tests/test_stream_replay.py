@@ -16,9 +16,16 @@ import pytest
 
 from repro import MSSG, MSSGConfig
 from repro.graphdb.interface import AdjacencyBatch
-from repro.graphdb.stream_db import _CREC_HEADER, _WRITE_BUFFER_EDGES, StreamGraphDB
+from repro.graphdb.stream_db import (
+    _CREC_HEADER,
+    _SCAN_READ_BYTES,
+    _WRITE_BUFFER_EDGES,
+    StreamGraphDB,
+)
 from repro.services.sharedscan import LOG_REPLAY, ScanBoard
 from repro.simcluster import NodeSpec, SimNode
+from repro.simcluster.faults import DiskFault, FaultPlan
+from repro.storage.integrity import wrap_device
 from repro.util.errors import CorruptBlockError, GraphStorageException
 
 from .helpers import census
@@ -260,6 +267,193 @@ def test_short_payload_is_rejected_as_truncated():
     db, victim = doctored_log(1, nbytes=-1)
     with pytest.raises(GraphStorageException, match="truncated"):
         db.get_adjacency(victim)
+
+
+# -- the replay memo: wall-clock only, every read and charge kept ---------------------
+
+
+def count_parses(db) -> list[int]:
+    """Wrap ``db._parse_record``; the returned list collects each call's offset."""
+    offsets = []
+    parse = db._parse_record
+
+    def counted(buf, off):
+        offsets.append(off)
+        return parse(buf, off)
+
+    db._parse_record = counted
+    return offsets
+
+
+def fresh_replay(db) -> list[AdjacencyBatch]:
+    """What a scan builds with no memo to draw on."""
+    db._memo = None
+    return db._scan()
+
+
+def assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("vertices", "offsets", "neighbors"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+
+
+def charges(node, db) -> tuple:
+    return (node.clock.now, *dataclasses.astuple(db.device.stats), db.log_edges_scanned)
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+@pytest.mark.parametrize("compress", [False, True], ids=["raw", "compressed"])
+def test_a_second_scan_parses_nothing_and_charges_what_the_first_did(compress, log):
+    chunks = LOGS[log]
+    fringe = sorted(record_order_lists(chunks))[::5] + [ABSENT]
+    (node, db), (twin_node, twin) = build(compress, chunks), build(compress, chunks)
+    for store in (db, twin):
+        store.flush()
+    parsed = count_parses(db)
+    steps, answers, parses = [], [], []
+    for _ in range(2):
+        before, calls = charges(node, db), len(parsed)
+        answers.append(fringe_of(db, fringe))
+        steps.append(np.subtract(charges(node, db), before).tolist())
+        parses.append(len(parsed) - calls)
+    # Every record (raw: the one scan chunk), then nothing: the memo answered.
+    assert parses == [len(chunks) if compress else 1, 0]
+    assert answers[0] == answers[1]
+    assert steps[1] == pytest.approx(steps[0], rel=1e-12)  # DiskStats holds float seconds
+    assert steps[0][0] > 0 and steps[0][1] > 0  # the hit read the device and was charged
+    replay = db._scan()
+    assert db._scan() is replay and len(parsed) == parses[0]
+    end = charges(node, db)
+    # Bit for bit what a twin that parses on every scan pays and answers.
+    for _ in range(2):
+        assert fringe_of(twin, fringe) == answers[0]
+        twin._memo = None
+    twin._scan()
+    twin._scan()
+    assert charges(twin_node, twin) == end
+    assert_same_batches(replay, fresh_replay(twin))
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["raw", "compressed"])
+def test_an_append_parses_only_what_follows_the_memo(compress):
+    # Large enough that a raw log spans two scan chunks, the second partial.
+    chunks = log_chunks([0, 13, 150], size=24_000)
+    node, db = build(compress, chunks)
+    db.flush()
+    if not compress:
+        assert db._cbytes > _SCAN_READ_BYTES and db._cbytes % _SCAN_READ_BYTES
+    db._scan()
+    memo_end = db._cbytes
+    parsed = count_parses(db)
+    db.store_edges(log_chunks([300], size=_WRITE_BUFFER_EDGES)[0])
+    db.flush()
+    grown = db._scan()
+    if compress:
+        assert parsed == [memo_end]  # the new record alone
+    else:
+        assert parsed == [_SCAN_READ_BYTES]  # the partial last chunk, grown
+    assert_same_batches(grown, fresh_replay(db))
+
+
+def test_a_compacted_deployment_parses_only_the_fold_records():
+    rng = np.random.default_rng(11)
+    edges = rng.integers(0, 120, size=(1500, 2))
+    m = deployment(True)
+    try:
+        m.ingest(edges[:900])
+        m.ingest_stream(edges[900:])
+        for db in m.dbs:
+            db._scan()
+        parsed = [count_parses(db) for db in m.dbs]
+        records = [len(db._scan()) for db in m.dbs]
+        assert m.compact().batches_folded > 0
+        for db, offsets, before in zip(m.dbs, parsed, records):
+            replay = db._scan()
+            assert len(offsets) == len(replay) - before > 0
+    finally:
+        m.close()
+
+
+def test_memoised_arrays_are_read_only():
+    _, db = build(True, LOGS["one record"])
+    (batch,) = db.scan_adjacency()
+    for array in (batch.vertices, batch.offsets, batch.neighbors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    (record,) = db._scan()
+    with pytest.raises(ValueError, match="read-only"):
+        record.neighbors[0] = 1
+
+
+def test_close_drops_the_memo():
+    _, db = build(True, LOGS["one record"])
+    db._scan()
+    assert db._memo is not None
+    db.close()
+    assert db._memo is None
+
+
+# Each fault arrives after a memoised scan; the next read must still meet it.
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["raw", "compressed"])
+def test_a_corrupt_fault_after_a_memo_hit_still_raises(compress):
+    node = SimNode(0, NodeSpec())
+    db = StreamGraphDB(
+        wrap_device(node.disk("log")),
+        meta_device=wrap_device(node.disk("log_meta")),
+        compress=compress,
+        clock=node.clock,
+        cpu=node.spec.cpu,
+    )
+    for chunk in LOGS["three records"]:
+        db.store_edges(chunk)
+    victim = int(LOGS["three records"][1][0, 0])
+    want = db.get_adjacency(victim).tolist()
+    assert db.get_adjacency(victim).tolist() == want  # served by the memo
+    raw = node.disk("log")
+    node.install_fault_plan(FaultPlan([DiskFault(node=0, kind="corrupt", after_ops=raw.ops)]))
+    with pytest.raises(CorruptBlockError):
+        db.get_adjacency(victim)
+
+
+def test_an_overwritten_payload_byte_after_a_memo_hit_is_parsed_again():
+    chunks = LOGS["three records"]
+    _, db = build(True, chunks)
+    db.flush()
+    victim = int(chunks[0][0, 0])
+    want = db.get_adjacency(victim).tolist()
+    assert db.get_adjacency(victim).tolist() == want
+    parsed = count_parses(db)
+    # The last byte of the first record's payload gains a continuation bit:
+    # its final varint now runs into the next record's header.
+    _, _, nbytes = _CREC_HEADER.unpack(db.device.read(0, _CREC_HEADER.size))
+    end = _CREC_HEADER.size + nbytes - 1
+    db.device.write(end, bytes([db.device.read(end, 1)[0] | 0x80]))
+    with pytest.raises(GraphStorageException):
+        db.get_adjacency(victim)
+    assert parsed[0] == 0  # parsed from the start, not served from the memo
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["raw", "compressed"])
+def test_a_truncated_log_after_a_memo_hit_still_raises(compress):
+    _, db = build(compress, LOGS["three records"])
+    db.flush()
+    victim = int(LOGS["three records"][2][0, 0])
+    db.get_adjacency(victim)
+    db.get_adjacency(victim)
+    db.device.truncate(db._cbytes - 1)
+    with pytest.raises(CorruptBlockError, match="truncated log"):
+        db.get_adjacency(victim)
+
+
+def test_a_memo_hit_still_checks_the_committed_edge_count():
+    _, db = build(True, LOGS["one record"])
+    db._scan()
+    db._nedges += 1  # a root promising more edges than the unchanged bytes hold
+    with pytest.raises(CorruptBlockError, match="decodes to"):
+        db._scan()
 
 
 # -- pinned goldens: the virtual model did not move ---------------------------------
