@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner check-stream-owner check-decode-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
+.PHONY: install test test-strict check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner check-stream-owner lint bench bench-quick bench-smoke bench-ranks examples figures loc reach clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
-test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner check-stream-owner check-decode-owner  # the feature suites once more, warnings promoted to errors
+test-strict: check-cache-factory check-failover-owner check-features-owner check-envelope-owner check-chunk-owner check-id-boundary check-census-owner check-combine-owner check-commit-owner check-repair-owner check-stream-owner  # the feature suites once more, warnings promoted to errors
 	PYTHONPATH=src $(PYTHON) -m pytest -q -W error \
 		tests/test_fault_paths.py tests/test_direction.py tests/test_bitset.py \
 		tests/test_integrity.py tests/test_commit.py tests/test_scheduler_concurrent.py \
@@ -144,22 +144,6 @@ check-stream-owner:  # one owner per streaming fact: outside services/streaming.
 	n=$$(grep -cE "$$pat" src/repro/services/streaming.py); \
 	if [ "$$n" != 2 ]; then \
 		echo "StreamingState.append makes $$n delta-log / overlay appends (one each)"; exit 1; \
-	fi
-
-check-decode-owner:  # one log parse path: only StreamGraphDB._scan calls _parse_record, once (its replay-memo miss), so no read bypasses the memo
-	@offenders=$$( { \
-		grep -rnF '_parse_record(' src/ --include='*.py' | grep -v '^src/repro/graphdb/stream_db\.py:'; \
-		awk '/^class / { cls = $$2 } /^    def / { fn = $$2 } \
-			/_parse_record\(/ && !/def _parse_record\(/ && !(cls ~ /^StreamGraphDB/ && fn ~ /^_scan\(/) { print FILENAME ":" FNR ": " $$0 }' \
-			src/repro/graphdb/stream_db.py; \
-	} || true); \
-	if [ -n "$$offenders" ]; then \
-		echo "log record parsed outside StreamGraphDB._scan (read through _scan, which keeps the replay memo):"; \
-		echo "$$offenders"; exit 1; \
-	fi; \
-	n=$$(grep -F '_parse_record(' src/repro/graphdb/stream_db.py | grep -vc 'def _parse_record('); \
-	if [ "$$n" != 1 ]; then \
-		echo "StreamGraphDB._scan calls _parse_record $$n times (one call, on a memo miss)"; exit 1; \
 	fi
 
 check-features-owner:  # only features.py spells a feature knob as a parameter or field (per-query overrides are listed in the test)

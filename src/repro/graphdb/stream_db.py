@@ -34,6 +34,8 @@ parsed from (:meth:`StreamGraphDB._scan`).  Every scan still reads the whole
 log off the device and is charged every decode and every entry as before; the
 memo only spares the wall-clock work of parsing bytes parsed a moment ago.
 Its batches are shared by every later read, so their arrays are read-only.
+It holds one copy of the committed bytes plus their replay per store until
+``close()``.
 """
 
 from __future__ import annotations
@@ -248,14 +250,14 @@ class StreamGraphDB(GraphDB):
 
         Otherwise the whole committed extent is read, every chunk charged and
         frame-checked by the device, and only then compared with the memo's
-        bytes: on equality the memo's records are the replay; where the bytes
-        extend the memo's (an append) parsing resumes at the memo's last
-        record boundary (raw: its last whole scan chunk); anything else is
-        parsed from offset 0 (:meth:`_parse_record`), so a damaged or torn log
-        raises as it would without the memo.  Hit or miss, the replay is
-        checked against the committed edge count and charged
+        bytes: on equality the memo's records are the replay; any other bytes
+        are parsed from offset 0 (:meth:`_parse_record`), so a damaged or
+        torn log raises as it would without the memo.  Hit or miss, the
+        replay is checked against the committed edge count and charged
         ``varint_decode_seconds`` per payload byte.  Memoised arrays are
-        read-only: a replay is shared by every later read.
+        read-only: a replay is shared by every later read.  The memo holds
+        the committed log bytes plus their replay until :meth:`close`, per
+        store, so a deployment of P back-ends keeps P of them at once.
         """
         self.flush()
         committed = self._cbytes
@@ -286,14 +288,6 @@ class StreamGraphDB(GraphDB):
             replay, payload_bytes, total_edges = memo_replay, memo_payload, memo_edges
         else:
             replay, off, payload_bytes = [], 0, 0
-            if buf.startswith(memo_buf):
-                # An append: keep what the memo parsed of the prefix.  A
-                # compressed memo ends on a record boundary; a raw one keeps
-                # whole scan chunks only, so every batch is what a fresh
-                # scan builds.
-                kept = len(memo_replay) if self.compress else len(memo_buf) // _SCAN_READ_BYTES
-                replay, payload_bytes = memo_replay[:kept], memo_payload
-                off = len(memo_buf) if self.compress else kept * _SCAN_READ_BYTES
             while off < len(buf):
                 record, span, payload = self._parse_record(buf, off)
                 if len(record.neighbors):

@@ -16,12 +16,7 @@ import pytest
 
 from repro import MSSG, MSSGConfig
 from repro.graphdb.interface import AdjacencyBatch
-from repro.graphdb.stream_db import (
-    _CREC_HEADER,
-    _SCAN_READ_BYTES,
-    _WRITE_BUFFER_EDGES,
-    StreamGraphDB,
-)
+from repro.graphdb.stream_db import _CREC_HEADER, _WRITE_BUFFER_EDGES, StreamGraphDB
 from repro.services.sharedscan import LOG_REPLAY, ScanBoard
 from repro.simcluster import NodeSpec, SimNode
 from repro.simcluster.faults import DiskFault, FaultPlan
@@ -336,43 +331,15 @@ def test_a_second_scan_parses_nothing_and_charges_what_the_first_did(compress, l
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["raw", "compressed"])
-def test_an_append_parses_only_what_follows_the_memo(compress):
-    # Large enough that a raw log spans two scan chunks, the second partial.
-    chunks = log_chunks([0, 13, 150], size=24_000)
-    node, db = build(compress, chunks)
-    db.flush()
-    if not compress:
-        assert db._cbytes > _SCAN_READ_BYTES and db._cbytes % _SCAN_READ_BYTES
+def test_an_append_parses_the_whole_log_again(compress):
+    _, db = build(compress, LOGS["three records"])
     db._scan()
-    memo_end = db._cbytes
     parsed = count_parses(db)
     db.store_edges(log_chunks([300], size=_WRITE_BUFFER_EDGES)[0])
     db.flush()
     grown = db._scan()
-    if compress:
-        assert parsed == [memo_end]  # the new record alone
-    else:
-        assert parsed == [_SCAN_READ_BYTES]  # the partial last chunk, grown
+    assert parsed[0] == 0  # new bytes are never served from the memo
     assert_same_batches(grown, fresh_replay(db))
-
-
-def test_a_compacted_deployment_parses_only_the_fold_records():
-    rng = np.random.default_rng(11)
-    edges = rng.integers(0, 120, size=(1500, 2))
-    m = deployment(True)
-    try:
-        m.ingest(edges[:900])
-        m.ingest_stream(edges[900:])
-        for db in m.dbs:
-            db._scan()
-        parsed = [count_parses(db) for db in m.dbs]
-        records = [len(db._scan()) for db in m.dbs]
-        assert m.compact().batches_folded > 0
-        for db, offsets, before in zip(m.dbs, parsed, records):
-            replay = db._scan()
-            assert len(offsets) == len(replay) - before > 0
-    finally:
-        m.close()
 
 
 def test_memoised_arrays_are_read_only():
