@@ -23,6 +23,7 @@ test-strict: check-cache-factory check-failover-owner check-features-owner check
 		tests/test_inmemory_staging.py tests/test_visited_media.py \
 		tests/test_mysql_golden.py tests/test_grdb_golden.py tests/test_bdb_golden.py \
 		tests/test_grdb.py tests/test_grdb_walk_reference.py tests/test_grdb_append_reference.py \
+		tests/test_grdb_decode_memo.py \
 		tests/test_storage_differential.py tests/test_reingest.py \
 		tests/test_cli.py tests/test_services.py tests/test_bfs.py tests/test_metadata.py
 

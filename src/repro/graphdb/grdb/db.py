@@ -101,6 +101,12 @@ class GrDB(GraphDB):
         # accelerator; the on-disk chain is always authoritative and
         # re-walkable.
         self._memo = np.zeros((0, 5), dtype=np.int64)
+        # Decoded-block memo of compressed reads (:meth:`_decoded_rows`), one
+        # dict per level: ``block -> (bytes, values, consumed)``, at most one
+        # entry per stored block.  Wall clock only; every charge stays put.
+        self._decoded: list[dict[int, tuple[bytes, np.ndarray, np.ndarray]]] = [
+            {} for _ in range(self.fmt.num_levels)
+        ]
         if self.storage.restore():
             self._rebuild_known_locals()
 
@@ -639,12 +645,91 @@ class GrDB(GraphDB):
     def _read_run(self, level: int, subs: np.ndarray):
         """One run of either chain walk: batch-read the blocks holding
         sub-blocks ``subs`` of ``level`` (address order), charge one full
-        address+decode per distinct block, decode them in one codec call
-        (returns :meth:`GrDBFormat.decode_subblocks`' tuple).  The gathers
-        riding on the parsed blocks are the caller's :meth:`_charge_gathers`."""
-        frames, nblocks = self._read_frames(level, subs)
-        self.clock.advance(nblocks * self.cpu.grdb_subblock_seconds)
-        return self.fmt.decode_subblocks(level, subs, frames)
+        address+decode per distinct block, and return the rows of ``subs``
+        as one :meth:`GrDBFormat.decode_subblocks` call over them would.
+        The gathers riding on the parsed blocks are the caller's
+        :meth:`_charge_gathers`.
+
+        Compressed rows come from the decoded-block memo
+        (:meth:`_decoded_rows`); if a block it has to decode is damaged
+        anywhere, the requested rows alone are decoded, so the same row
+        raises (or a request beside a damaged sibling answers) as before.
+        Raw rows decode by a reshape and bypass the memo."""
+        held: dict[int, bytes] = {}
+        blocks, image, rows = self.storage.read_subblocks(level, subs, held)
+        self.clock.advance(len(blocks) * self.cpu.grdb_subblock_seconds)
+        if self.fmt.compress:
+            try:
+                return self._decoded_rows(level, blocks, held, image, rows)
+            except GraphStorageException:
+                pass
+        return self.fmt.decode_subblocks(level, subs, image[rows])
+
+    def _decoded_rows(
+        self,
+        level: int,
+        blocks: list[int],
+        held: dict[int, bytes],
+        image: np.ndarray,
+        rows: np.ndarray,
+    ):
+        """:meth:`_read_run`'s compressed decode through the memo.
+
+        ``self._decoded[level]`` maps a block to the bytes it last decoded
+        for that block, the values of all the block's sub-blocks in row
+        order (uint32 where they fit, else uint64) and their consumed
+        varint bytes (int32), as read-only copies.  A fetched block whose
+        bytes are the entry's (``is``, then ``==``) reuses it; any other
+        bytes — a write, a fault, a block not seen before — drop the entry
+        and are decoded whole, all the stale blocks in one codec call, and
+        what decodes becomes the new entry.  Entries exist only for blocks
+        the store has written, so the memo is bounded by the store, not by
+        the cache.  Counts and tail words are read off the frames' headers
+        and tails, which are the decoded bytes'.  Raises what the decode
+        raises, leaving no entry for the stale blocks.
+        """
+        memo = self._decoded[level]
+        entries = []
+        stale = []  # ordinals into ``blocks`` whose bytes the memo lacks
+        for i, block in enumerate(blocks):
+            data = held[block]
+            entry = memo.get(block)
+            if entry is not None and entry[0] is not data:
+                if entry[0] == data:
+                    entry = memo[block] = (data, *entry[1:])  # keep the object just fetched
+                else:
+                    del memo[block]
+                    entry = None
+            if entry is None:
+                stale.append(i)
+            entries.append(entry)
+        k = self.fmt.subblocks_per_block(level)
+        if stale:
+            frames = image.reshape(len(blocks), k, -1)[stale].reshape(len(stale) * k, -1)
+            subs = (np.array(blocks)[stale, None] * k + np.arange(k)).ravel()
+            values, offsets, _, consumed = self.fmt.decode_subblocks(level, subs, frames)
+            firsts = offsets[::k]  # each stale block's first value, then the total
+            if len(values) and values.max() <= np.iinfo(np.uint32).max:
+                values = values.astype(np.uint32)  # half the memo's largest part
+            consumed = consumed.astype(np.int32)
+            written = self.storage._written_blocks
+            for j, i in enumerate(stale):
+                vals = values[firsts[j] : firsts[j + 1]].copy()
+                used = consumed[j * k : (j + 1) * k].copy()
+                vals.flags.writeable = used.flags.writeable = False
+                entries[i] = (held[blocks[i]], vals, used)
+                if (level, blocks[i]) in written:
+                    memo[blocks[i]] = entries[i]
+        counts, tails, _ = self.fmt.frame_columns(image)
+        if len(entries) == 1:
+            values, consumed = entries[0][1:]
+        else:
+            values = np.concatenate([entry[1] for entry in entries])
+            consumed = np.concatenate([entry[2] for entry in entries])
+        starts = np.cumsum(counts) - counts
+        values, offsets = gather_segments(values, starts[rows], counts[rows])
+        values = values.astype(np.uint64, copy=False)
+        return values, offsets, tails[rows], consumed[rows].astype(np.int64)
 
     def _charge_gathers(self, consumed: np.ndarray) -> None:
         """The marginal batched cost of each gathered sub-block plus its
@@ -795,6 +880,7 @@ class GrDB(GraphDB):
         self.storage.flush()
 
     def close(self) -> None:
+        self._decoded = [{} for _ in self._decoded]
         try:
             super().close()
         finally:

@@ -13,6 +13,11 @@ import numpy as np
 
 __all__ = ["VirtualClock"]
 
+#: From this many costs up :meth:`VirtualClock.advance_each` sums with one
+#: ``np.add.accumulate`` (sequential, so bit for bit the loop); below it the
+#: Python loop is the cheaper.
+_ACCUMULATE_COSTS = 64
+
 
 class VirtualClock:
     """A monotone virtual-time accumulator, in seconds."""
@@ -37,11 +42,19 @@ class VirtualClock:
         """:meth:`advance` by every entry of ``costs``, in order, and return
         the new time: bit for bit the loop of single advances.  A negative
         entry raises before the clock moves."""
-        now = self._now
-        for c in np.asarray(costs, dtype=np.float64).tolist():
-            if c < 0:
+        costs = np.asarray(costs, dtype=np.float64)
+        if len(costs) >= _ACCUMULATE_COSTS:
+            negative = costs < 0
+            if negative.any():
+                c = float(costs[np.argmax(negative)])
                 raise ValueError(f"cannot advance a clock by {c!r} seconds")
-            now += c
+            now = float(np.add.accumulate(np.concatenate(([self._now], costs)))[-1])
+        else:
+            now = self._now
+            for c in costs.tolist():
+                if c < 0:
+                    raise ValueError(f"cannot advance a clock by {c!r} seconds")
+                now += c
         self._now = now
         return now
 

@@ -10,7 +10,8 @@ followed by a 4-byte CRC32 trailer, physical stride ``FRAME_STRIDE``
 :class:`~repro.util.errors.CorruptBlockError` (device, physical offset,
 length) on a mismatch, so corruption can never propagate into BFS results
 — it either surfaces as an error the failover path reroutes around, or it
-never existed.
+never existed.  A vectored read verifies each distinct frame once per
+call, however many of its requests share that frame.
 
 Layout and semantics
 --------------------
@@ -51,6 +52,7 @@ FRAME_TRAILER = 4
 FRAME_STRIDE = FRAME_PAYLOAD + FRAME_TRAILER
 
 _ZERO_FRAME = b"\x00" * FRAME_STRIDE
+_ZERO_PAYLOAD = _ZERO_FRAME[:FRAME_PAYLOAD]
 
 
 def _crc(payload: bytes) -> bytes:
@@ -94,10 +96,10 @@ class ChecksummedDevice:
         """Return the payload of one physical frame, checking its CRC."""
         payload = frame[:FRAME_PAYLOAD]
         trailer = frame[FRAME_PAYLOAD:FRAME_STRIDE]
-        if frame == _ZERO_FRAME[: len(frame)] and len(frame) < FRAME_STRIDE:
+        if len(frame) < FRAME_STRIDE and frame == _ZERO_FRAME[: len(frame)]:
             # Short all-zero tail: reading past the written extent.
-            return b"\x00" * FRAME_PAYLOAD
-        if payload == _ZERO_FRAME[:FRAME_PAYLOAD] and trailer in (b"", b"\x00\x00\x00\x00"):
+            return _ZERO_PAYLOAD
+        if payload == _ZERO_PAYLOAD and trailer in (b"", b"\x00\x00\x00\x00"):
             return payload  # never-written frame: sparse zero-fill
         if len(trailer) < FRAME_TRAILER or _crc(payload) != trailer:
             raise CorruptBlockError(
@@ -137,7 +139,11 @@ class ChecksummedDevice:
         Each logical request is widened to its covering frame span; the raw
         device's ``readv`` coalesces adjacent spans exactly as it does for
         unframed requests, so the batched fringe I/O path keeps its
-        one-seek-per-run accounting.
+        one-seek-per-run accounting.  Requests sharing a frame overlap, so
+        the raw device serves them from one backing read: each distinct
+        frame is verified once per call, in request order (the first bad
+        frame raises, as a per-request check would), and every request's
+        payload is sliced from the verified frames.
         """
         phys = []
         spans = []
@@ -149,13 +155,18 @@ class ChecksummedDevice:
             spans.append((first, last, offset, nbytes))
             phys.append((first * FRAME_STRIDE, (last - first + 1) * FRAME_STRIDE))
         raws = self.raw.readv(phys)
+        verified: dict[int, bytes] = {}  # frame index -> payload
         out = []
         for raw, (first, last, offset, nbytes) in zip(raws, spans):
-            payload = bytearray()
+            payloads = []
             for i in range(last - first + 1):
-                payload += self._verify(first + i, raw[i * FRAME_STRIDE : (i + 1) * FRAME_STRIDE])
+                payload = verified.get(first + i)
+                if payload is None:
+                    frame = raw[i * FRAME_STRIDE : (i + 1) * FRAME_STRIDE]
+                    payload = verified[first + i] = self._verify(first + i, frame)
+                payloads.append(payload)
             start = offset - first * FRAME_PAYLOAD
-            out.append(bytes(payload[start : start + nbytes]))
+            out.append(b"".join(payloads)[start : start + nbytes])
         return out
 
     def write(self, offset: int, data: bytes) -> None:

@@ -26,6 +26,7 @@ from repro.simcluster import (
     SimCluster,
     SimNode,
 )
+from repro.storage import integrity
 from repro.storage.integrity import (
     FRAME_PAYLOAD,
     FRAME_STRIDE,
@@ -119,6 +120,38 @@ class TestChecksummedDevice:
         assert dev.readv([(10, 20)]) == [b"A" * 20]  # frame 0 still clean
         with pytest.raises(CorruptBlockError):
             dev.readv([(FRAME_PAYLOAD + 5, 8)])
+
+    def test_readv_verifies_each_frame_once(self, monkeypatch):
+        raw = BlockDevice()
+        dev = ChecksummedDevice(raw)
+        dev.write(0, bytes(range(256)) * 48)  # three frames
+        blocks = [(i * 512, 512) for i in range(8)]  # the eight blocks of frame 0
+        want = [dev.read(offset, nbytes) for offset, nbytes in blocks]
+        crcs = []
+        crc = integrity._crc
+        monkeypatch.setattr(integrity, "_crc", lambda payload: crcs.append(1) or crc(payload))
+        assert dev.readv(blocks) == want
+        assert len(crcs) == 1
+        # A request spanning frames 0 and 1 beside blocks of both: two CRCs.
+        spans = [(FRAME_PAYLOAD - 100, 300), (0, 512), (FRAME_PAYLOAD + 512, 512)]
+        want = [dev.read(offset, nbytes) for offset, nbytes in spans]
+        crcs.clear()
+        assert dev.readv(spans) == want
+        assert len(crcs) == 2
+
+    @pytest.mark.parametrize("damaged", [(1,), (1, 2)])
+    def test_readv_raises_at_the_first_bad_frame_in_request_order(self, damaged):
+        raw = BlockDevice()
+        dev = ChecksummedDevice(raw)
+        dev.write(0, b"B" * FRAME_PAYLOAD * 3)
+        for frame in damaged:
+            raw.backing.write(frame * FRAME_STRIDE + 9, b"\x00")
+        # Frame 2's blocks first, then frame 1's, then frame 0's: the first
+        # bad frame met in that order is the one a per-request check names.
+        requests = [(f * FRAME_PAYLOAD + b * 512, 512) for f in (2, 1, 0) for b in range(8)]
+        with pytest.raises(CorruptBlockError) as err:
+            dev.readv(requests)
+        assert err.value.offset == max(damaged) * FRAME_STRIDE
 
     def test_truncate_requires_frame_alignment(self):
         dev = self._dev()

@@ -1,6 +1,7 @@
 """Tests for virtual clocks, cost models, and the block device."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ def test_advance_each_rejects_a_negative_entry_unmoved(start, costs, bad, at):
     with pytest.raises(ValueError):
         clock.advance_each(costs)
     assert clock.now.hex() == float(start).hex()
+
+
+def test_advance_each_is_the_loop_on_both_sides_of_the_accumulate_threshold():
+    rng = np.random.default_rng(5)
+    lengths = [*range(130), *(2**e + d for e in range(8, 12) for d in (-1, 0, 1)), 4095, 4096]
+    for n in lengths:
+        start = float(rng.uniform(-10.0, 10.0))
+        costs = rng.random(n) * 10.0 ** rng.integers(-12, 0, n)
+        loop, bulk = VirtualClock(start), VirtualClock(start)
+        for c in costs.tolist():
+            loop.advance(c)
+        assert bulk.advance_each(costs).hex() == loop.now.hex(), n
+        if n:  # a negative entry raises, naming itself, and the clock stays
+            costs[n // 2] = -1.5e-7
+            with pytest.raises(ValueError, match=re.escape("by -1.5e-07 seconds")):
+                bulk.advance_each(costs)
+            assert bulk.now.hex() == loop.now.hex()
 
 
 class TestMemoryBacking:
